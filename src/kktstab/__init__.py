@@ -28,7 +28,6 @@ from .pieces import (
     cone_descriptors,
     gamma,
     gamma_oracle,
-    make_piece,
     moreau_envelope,
     prox,
     prox_conjugate,

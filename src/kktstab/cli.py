@@ -3,7 +3,8 @@
 Subcommands: solve, analyze, probe, verify.  Exit codes: 0 on success (and
 on a consistent equivalence report), 2 when the equivalence report is
 inconsistent, 1 on errors, 64 on usage errors.  The default seed comes
-from the KKTSTAB_SEED environment variable when a command omits --seed.
+from the KKTSTAB_SEED environment variable when a command omits --seed;
+a non-integer value there is a usage error.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("KKTSTAB_SEED", "0")
     try:
-        return int(os.environ.get("KKTSTAB_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise _UsageError(f"KKTSTAB_SEED must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -108,7 +110,6 @@ def _analysis_point(problem, meta, at_text):
 
 def _cmd_solve(args) -> int:
     problem, meta = load_instance(args.instance)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.start is not None:
         start = _parse_point_arg(problem, args.start)
     elif meta.start is not None:
@@ -146,16 +147,15 @@ def _cmd_solve(args) -> int:
             "step_lengths": trace.step_lengths,
             "element_min_singular_values": trace.element_min_sv,
         }
-        emit_report(payload, args.json, kind="newton", seed=seed,
+        emit_report(payload, args.json, kind="newton", seed=args.seed,
                     tolerances={"tol": args.tol})
     return 0
 
 
 def _cmd_analyze(args) -> int:
     problem, meta = load_instance(args.instance)
-    seed = args.seed if args.seed is not None else _default_seed()
     point = _analysis_point(problem, meta, args.at)
-    opts = AnalyzerOptions(count=args.samples, seed=seed, tol=args.tol,
+    opts = AnalyzerOptions(count=args.samples, seed=args.seed, tol=args.tol,
                            num_delta=args.num_delta, radius=args.radius)
     report = equivalence_report(problem, point, opts)
     print(f"instance {meta.name}")
@@ -176,31 +176,29 @@ def _cmd_analyze(args) -> int:
           + (f" ({report.consistency['disagreement']})"
              if report.consistency["disagreement"] else ""))
     if args.json:
-        emit_report(report, args.json, kind="stability", seed=seed,
+        emit_report(report, args.json, kind="stability", seed=args.seed,
                     tolerances=report.tolerances)
     return 0 if report.consistency["verdict"] == "consistent" else 2
 
 
 def _cmd_probe(args) -> int:
     problem, meta = load_instance(args.instance)
-    seed = args.seed if args.seed is not None else _default_seed()
     point = _analysis_point(problem, meta, args.at)
     stats = strong_regularity_probe(problem, point, radius=args.radius,
-                                    num_delta=args.num_delta, seed=seed)
+                                    num_delta=args.num_delta, seed=args.seed)
     print(f"instance {meta.name}: probe over {stats.num_delta} perturbations, "
           f"radius {stats.radius}")
     print(f"  solved {stats.solved}, failures {stats.failures}, "
           f"uniqueness violations {stats.violations}")
     print(f"  Lipschitz modulus estimate {stats.modulus:.6e}")
     if args.json:
-        emit_report(stats, args.json, kind="probe", seed=seed,
+        emit_report(stats, args.json, kind="probe", seed=args.seed,
                     tolerances={"uniqueness": stats.uniqueness_tol})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    results = run_suite(args.suite, seed=seed)
+    results = run_suite(args.suite, seed=args.seed)
     all_ok = True
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -208,7 +206,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = [{"check": n, "passed": bool(ok), "detail": d}
                    for n, ok, d in results]
-        emit_report(payload, args.json, kind="verify", seed=seed, tolerances={})
+        emit_report(payload, args.json, kind="verify", seed=args.seed, tolerances={})
     return 0 if all_ok else 1
 
 
@@ -216,6 +214,8 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is not None and args.seed is None:
+            args.seed = _default_seed()
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -145,16 +145,20 @@ def parse_piece(spec: dict) -> ConvexPiece:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InstanceFormatError(f"piece spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
-    if kind == "psd_indicator":
-        return PSDConeIndicator(int(spec["order"]))
-    if kind == "orthant_indicator":
-        return OrthantIndicator(int(spec["dim"]), int(spec.get("sign", -1)))
-    if kind == "box_indicator":
-        return BoxIndicator(spec["lower"], spec["upper"])
-    if kind == "l1_norm":
-        return L1Norm(int(spec["dim"]))
-    if kind == "epi_lift":
-        return EpiSum(parse_piece(spec["inner"]))
+    try:
+        if kind == "psd_indicator":
+            return PSDConeIndicator(int(spec["order"]))
+        if kind == "orthant_indicator":
+            return OrthantIndicator(int(spec["dim"]), int(spec.get("sign", -1)))
+        if kind == "box_indicator":
+            return BoxIndicator(spec["lower"], spec["upper"])
+        if kind == "l1_norm":
+            return L1Norm(int(spec["dim"]))
+        if kind == "epi_lift":
+            return EpiSum(parse_piece(spec["inner"]))
+    except KeyError as exc:
+        raise InstanceFormatError(
+            f"piece {kind!r} is missing required key {exc.args[0]!r}") from None
     raise InstanceFormatError(f"unknown piece kind {kind!r}")
 
 

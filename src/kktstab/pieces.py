@@ -25,7 +25,7 @@ from .symmat import (
     smat,
     svec,
     svec_dim,
-    svec_indices,
+    svec_layout,
 )
 
 # Least-squares residual threshold for membership in the domain of the
@@ -108,13 +108,6 @@ def _interval_cone(lower: np.ndarray, upper: np.ndarray) -> ConeModel:
         lower=lower,
         upper=upper,
     )
-
-
-def _orthonormal_from_coords(dim: int, coords: list[int]) -> np.ndarray:
-    B = np.zeros((dim, len(coords)))
-    for k, c in enumerate(coords):
-        B[c, k] = 1.0
-    return B
 
 
 def dedup_elements(elements: list[LinearOperatorElement]) -> list[LinearOperatorElement]:
@@ -297,8 +290,8 @@ class _SeparablePiece(ConvexPiece):
     def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar)
         state, sign = self._classify_pair(xbar, ubar)
-        aff = _orthonormal_from_coords(self.dim, list(np.where(state != 0)[0]))
-        lin = _orthonormal_from_coords(self.dim, list(np.where(state == 1)[0]))
+        aff = np.eye(self.dim)[:, state != 0]
+        lin = np.eye(self.dim)[:, state == 1]
         pinned = state == 0
         kink = state == 2
 
@@ -544,68 +537,60 @@ class PSDConeIndicator(ConvexPiece):
         return svec(sp.P @ V @ sp.P.T)
 
     # -- elements ---------------------------------------------------------
-    def _element_from_Z(self, sp: SpectralSplit, Z_small: np.ndarray | None,
-                        provenance: str) -> LinearOperatorElement:
-        """Assemble the svec operator with the given inner kernel-block map."""
-        m = sp.order
-        idx = svec_indices(m)
-        cls = np.empty(m, dtype="<U1")
-        cls[sp.alpha] = "a"
-        cls[sp.beta] = "b"
-        cls[sp.gamma] = "g"
-        B = np.zeros((self.dim, self.dim))
-        beta_coords = []
-        for k, (i, j) in enumerate(idx):
-            ci, cj = cls[i], cls[j]
-            pair = ci + cj
-            if pair in ("aa", "ab", "ba"):
-                B[k, k] = 1.0
-            elif pair in ("ag", "ga"):
-                B[k, k] = sp.Sigma[i, j]
-            elif pair == "bb":
-                beta_coords.append(k)
-            # bg, gb, gg stay zero
-        if beta_coords:
-            if Z_small is None:
-                Z_small = np.eye(len(beta_coords))
-            B[np.ix_(beta_coords, beta_coords)] = Z_small
+    @staticmethod
+    def _pair_classes(sp: SpectralSplit) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and higher eigen-class (0 alpha, 1 beta, 2 gamma) of each
+        svec coordinate."""
+        cls = np.empty(sp.order, dtype=np.int8)
+        cls[sp.alpha] = 0
+        cls[sp.beta] = 1
+        cls[sp.gamma] = 2
+        lay = svec_layout(sp.order)
+        ci, cj = cls[lay.rows], cls[lay.cols]
+        return np.minimum(ci, cj), np.maximum(ci, cj)
+
+    def _element_maker(self, sp: SpectralSplit
+                       ) -> Callable[[np.ndarray | None, str], LinearOperatorElement]:
+        """Return make(Z, provenance), the svec element K diag(w) K^T +
+        K_beta Z K_beta^T with K = conjugation_matrix(sp.P).
+
+        w is 1 on alpha-alpha and alpha-beta coordinates, Sigma on
+        alpha-gamma and 0 elsewhere; Z acts on the beta-beta coordinates
+        and None stands for the identity.  This is the svec matrix of
+        H -> P (Omega o (P^T H P)) P^T with Omega the masked Sigma.
+        """
+        lay = svec_layout(sp.order)
+        lo, hi = self._pair_classes(sp)
+        w = np.where(lo == 0, np.where(hi == 2, sp.Sigma[lay.rows, lay.cols], 1.0), 0.0)
         K = conjugation_matrix(sp.P)
-        M = K @ B @ K.T
-        return LinearOperatorElement(0.5 * (M + M.T), provenance)
+        # w >= 0, so K diag(w) K^T is one symmetric product L L^T
+        keep = w > 0.0
+        L = K[:, keep] * np.sqrt(w[keep])
+        base = L @ L.T
+        Kb = K[:, (lo == 1) & (hi == 1)]
+
+        def make(Z_small: np.ndarray | None, provenance: str) -> LinearOperatorElement:
+            M = base
+            if Kb.size:
+                M = M + (Kb @ Kb.T if Z_small is None else Kb @ Z_small @ Kb.T)
+            return LinearOperatorElement(0.5 * (M + M.T), provenance)
+
+        return make
 
     def clarke_element(self, z):
-        sp = self.split(z)
-        nb = sp.beta.size
-        Z = np.eye(svec_dim(nb)) if nb else None
-        return self._element_from_Z(sp, Z, f"{self.kind}:canonical(beta=I)")
-
-    @staticmethod
-    def _projection_kernel_block(Q: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-        """svec operator of D -> M D M with M = Q diag(pattern) Q^T."""
-        M = Q @ np.diag(pattern.astype(float)) @ Q.T
-        b = Q.shape[0]
-        d = svec_dim(b)
-        K = np.empty((d, d))
-        for k, (i, j) in enumerate(svec_indices(b)):
-            E = np.zeros((b, b))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 1.0 / SQRT2
-            K[:, k] = svec(M @ E @ M)
-        return K
+        return self._element_maker(self.split(z))(None, f"{self.kind}:canonical(beta=I)")
 
     def sample_clarke(self, z, count, seed):
         if count < 1:
             raise ValueError("count must be at least 1")
         sp = self.split(z)
         nb = sp.beta.size
-        elements = [self.clarke_element(z)]
+        make = self._element_maker(sp)
+        elements = [make(None, f"{self.kind}:canonical(beta=I)")]
         if nb == 0:
-            return dedup_elements(elements)
+            return elements
         sd = svec_dim(nb)
-        elements.append(self._element_from_Z(sp, np.zeros((sd, sd)),
-                                             f"{self.kind}:zero-beta"))
+        elements.append(make(np.zeros((sd, sd)), f"{self.kind}:zero-beta"))
         rng = np.random.default_rng(seed)
         n_rand = min(PSD_PATTERN_CAP, max(count, 4))
         for s in range(n_rand):
@@ -613,9 +598,10 @@ class PSDConeIndicator(ConvexPiece):
             Q, R = np.linalg.qr(G)
             Q = Q * np.sign(np.diag(R))
             pattern = rng.integers(0, 2, size=nb)
-            Z = self._projection_kernel_block(Q, pattern)
+            # svec operator of D -> M D M with M = Q diag(pattern) Q^T
+            Z = conjugation_matrix((Q * pattern) @ Q.T)
             tag = "".join(str(int(b)) for b in pattern)
-            elements.append(self._element_from_Z(sp, Z, f"{self.kind}:pattern[{tag}]q{s}"))
+            elements.append(make(Z, f"{self.kind}:pattern[{tag}]q{s}"))
         while len(elements) < count + 2:
             theta = rng.uniform(0.05, 0.95)
             i, j = rng.integers(0, len(elements), size=2)
@@ -653,22 +639,10 @@ class PSDConeIndicator(ConvexPiece):
     def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar)
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        m = sp.order
-        cls = np.empty(m, dtype="<U1")
-        cls[sp.alpha] = "a"
-        cls[sp.beta] = "b"
-        cls[sp.gamma] = "g"
+        lo, hi = self._pair_classes(sp)
         K = conjugation_matrix(sp.P)
-        aff_cols, lin_cols = [], []
-        for k, (i, j) in enumerate(svec_indices(m)):
-            pair = cls[i] + cls[j]
-            if pair in ("aa", "ab", "ba", "ag", "ga"):
-                aff_cols.append(k)
-                lin_cols.append(k)
-            elif pair == "bb":
-                aff_cols.append(k)
-        aff = K[:, aff_cols] if aff_cols else np.zeros((self.dim, 0))
-        lin = K[:, lin_cols] if lin_cols else np.zeros((self.dim, 0))
+        lin = K[:, lo == 0]
+        aff = K[:, (lo == 0) | ((lo == 1) & (hi == 1))]
         beta, gamma_ix = sp.beta, sp.gamma
         P = sp.P
 
@@ -891,17 +865,3 @@ def gamma_oracle(piece: ConvexPiece, xbar, ubar, v,
                       GammaDomainBoundaryWarning)
     return best
 
-
-def make_piece(kind: str, **params) -> ConvexPiece:
-    """Construct a piece from its serialized kind name and parameters."""
-    if kind == "psd_indicator":
-        return PSDConeIndicator(params["order"])
-    if kind == "orthant_indicator":
-        return OrthantIndicator(params["dim"], params.get("sign", -1))
-    if kind == "box_indicator":
-        return BoxIndicator(params["lower"], params["upper"])
-    if kind == "l1_norm":
-        return L1Norm(params["dim"])
-    if kind == "epi_lift":
-        return EpiSum(params["inner"])
-    raise ValueError(f"unknown piece kind: {kind!r}")

@@ -11,6 +11,7 @@ these matrices are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -223,7 +224,7 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
                  for i, (p, wb) in enumerate(zip(problem.pieces, wblocks))]
     sizes = [len(s) for s in per_block]
     combos: list[tuple[int, ...]] = [tuple(0 for _ in sizes)]  # canonical first
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
     if total <= count:
         combos = [tuple(ix) for ix in np.ndindex(*sizes)]
     else:

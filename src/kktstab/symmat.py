@@ -4,9 +4,26 @@ Symmetric matrices are stored in svec coordinates: the upper triangle read
 row by row, with off-diagonal entries scaled by sqrt(2) so that the
 Frobenius inner product of two matrices equals the dot product of their
 svec images.  All adjoints in the package are then plain transposes.
+
+Every order m has one cached, read-only index layout over the
+d = m(m+1)/2 svec coordinates: the ``np.triu_indices(m)`` pair (a, b),
+the flat offsets a*m + b of the upper and b*m + a of the lower entry, and
+three per-coordinate scales (``half`` for svec, ``div`` for smat and
+``scale`` for the conjugation matrix).  ``svec`` is then one gather and
+``smat`` two scatters.
+
+The conjugation matrix K, defined by svec(P S P^T) = K svec(S), has the
+closed form
+
+    K[(a,b), (i,j)] = s_ab * s_ij * (P[a,i] P[b,j] + P[a,j] P[b,i])
+
+with s = 1/sqrt(2) on diagonal coordinates and 1 elsewhere.  It holds for
+any square P; K is orthogonal when P is.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,51 +46,61 @@ def svec_order(dim: int) -> int:
     return m
 
 
-def svec_indices(order: int) -> list[tuple[int, int]]:
-    """Coordinate order: (0,0), (0,1), ..., (0,m-1), (1,1), ..., (m-1,m-1)."""
-    return [(i, j) for i in range(order) for j in range(i, order)]
+class SvecLayout(NamedTuple):
+    """Read-only index arrays of the svec coordinates of one order.
+
+    Coordinate k is the entry (rows[k], cols[k]) with rows[k] <= cols[k],
+    in the order (0,0), (0,1), ..., (0,m-1), (1,1), ..., (m-1,m-1).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    half: np.ndarray
+    div: np.ndarray
+    scale: np.ndarray
+
+
+@functools.cache
+def svec_layout(order: int) -> SvecLayout:
+    rows, cols = np.triu_indices(order)
+    diag = rows == cols
+    layout = SvecLayout(rows, cols, rows * order + cols, cols * order + rows,
+                        np.where(diag, 0.5, SQRT2 * 0.5), np.where(diag, 1.0, SQRT2),
+                        np.where(diag, 1.0 / SQRT2, 1.0))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 def svec(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    out = np.empty(svec_dim(m))
-    k = 0
-    for i in range(m):
-        out[k] = A[i, i]
-        k += 1
-        for j in range(i + 1, m):
-            out[k] = SQRT2 * 0.5 * (A[i, j] + A[j, i])
-            k += 1
-    return out
+    lay = svec_layout(A.shape[0])
+    return (A.take(lay.upper) + A.take(lay.lower)) * lay.half
 
 
 def smat(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float).ravel()
     m = svec_order(v.size)
-    A = np.zeros((m, m))
-    k = 0
-    for i in range(m):
-        A[i, i] = v[k]
-        k += 1
-        for j in range(i + 1, m):
-            A[i, j] = A[j, i] = v[k] / SQRT2
-            k += 1
+    lay = svec_layout(m)
+    w = v / lay.div
+    A = np.empty((m, m))
+    A.put(lay.upper, w)
+    A.put(lay.lower, w)
     return A
 
 
 def conjugation_matrix(P: np.ndarray) -> np.ndarray:
     """Matrix K with svec(P S P^T) = K svec(S); orthogonal when P is."""
-    m = P.shape[0]
-    d = svec_dim(m)
-    K = np.empty((d, d))
-    for k, (i, j) in enumerate(svec_indices(m)):
-        E = np.zeros((m, m))
-        if i == j:
-            E[i, i] = 1.0
-        else:
-            E[i, j] = E[j, i] = 1.0 / SQRT2
-        K[:, k] = svec(P @ E @ P.T)
+    P = np.asarray(P, dtype=float)
+    lay = svec_layout(P.shape[0])
+    r, c = lay.rows, lay.cols
+    R, C = P[:, r], P[:, c]
+    K = R[r] * C[c]
+    K += R[c] * C[r]
+    K *= lay.scale[:, None]
+    K *= lay.scale
     return K
 
 

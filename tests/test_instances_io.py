@@ -206,3 +206,25 @@ def test_piece_spec_round_trip():
     ]
     for spec in specs:
         assert piece_spec(parse_piece(spec)) == spec
+
+
+def test_cli_piece_missing_key_is_one_line_error(tmp_path, capsys):
+    data = _nlp_dict()
+    data["g"] = [{"kind": "epi_lift", "inner": {"kind": "psd_indicator"}}]
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "'order'" in err and "psd_indicator" in err
+    with pytest.raises(InstanceFormatError):
+        instance_from_dict(data)
+
+
+def test_cli_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("KKTSTAB_SEED", "abc")
+    assert run_command(["probe", _battery_file("l1_toy"), "--num-delta", "5"]) == 64
+    assert "KKTSTAB_SEED" in capsys.readouterr().err
+    # an explicit --seed does not read the environment
+    assert run_command(["probe", _battery_file("l1_toy"), "--num-delta", "5",
+                        "--seed", "3"]) == 0

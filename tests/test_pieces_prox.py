@@ -13,7 +13,10 @@ from kktstab import (
     smat,
     svec,
 )
+from kktstab.pieces import PSD_PATTERN_CAP, LinearOperatorElement, dedup_elements
+from kktstab.symmat import SQRT2
 from kktstab.verify import piece_battery, prox_conjugate_direct
+from test_symmat import conjugation_matrix_loop, svec_loop
 
 
 def psd_projection_oracle(A, iters=40000, step=5e-3):
@@ -152,3 +155,145 @@ def test_envelope_gradient_matches_finite_differences():
                 vm, _ = piece.moreau_envelope(z - e, sigma)
                 fd[i] = (vp - vm) / (2 * h)
             assert np.linalg.norm(grad - fd) <= 1e-5 * (1 + np.linalg.norm(grad)), name
+
+
+# ----------------------------------------------------------------------
+# Loop forms of the PSD element code, kept as oracles for the
+# index-array implementation.
+
+def _pair_loop(m):
+    return [(i, j) for i in range(m) for j in range(i, m)]
+
+
+def _classes_loop(sp):
+    cls = np.empty(sp.order, dtype="<U1")
+    cls[sp.alpha] = "a"
+    cls[sp.beta] = "b"
+    cls[sp.gamma] = "g"
+    return cls
+
+
+def element_from_Z_loop(piece, sp, Z_small, provenance):
+    cls = _classes_loop(sp)
+    B = np.zeros((piece.dim, piece.dim))
+    beta_coords = []
+    for k, (i, j) in enumerate(_pair_loop(sp.order)):
+        pair = cls[i] + cls[j]
+        if pair in ("aa", "ab", "ba"):
+            B[k, k] = 1.0
+        elif pair in ("ag", "ga"):
+            B[k, k] = sp.Sigma[i, j]
+        elif pair == "bb":
+            beta_coords.append(k)
+    if beta_coords:
+        if Z_small is None:
+            Z_small = np.eye(len(beta_coords))
+        B[np.ix_(beta_coords, beta_coords)] = Z_small
+    K = conjugation_matrix_loop(sp.P)
+    M = K @ B @ K.T
+    return LinearOperatorElement(0.5 * (M + M.T), provenance)
+
+
+def projection_kernel_block_loop(Q, pattern):
+    M = Q @ np.diag(pattern.astype(float)) @ Q.T
+    b = Q.shape[0]
+    pairs = _pair_loop(b)
+    K = np.empty((len(pairs), len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        E = np.zeros((b, b))
+        if i == j:
+            E[i, i] = 1.0
+        else:
+            E[i, j] = E[j, i] = 1.0 / SQRT2
+        K[:, k] = svec_loop(M @ E @ M)
+    return K
+
+
+def sample_clarke_loop(piece, z, count, seed):
+    sp = piece.split(z)
+    nb = sp.beta.size
+    elements = [element_from_Z_loop(piece, sp, None, f"{piece.kind}:canonical(beta=I)")]
+    if nb == 0:
+        return elements
+    sd = nb * (nb + 1) // 2
+    elements.append(element_from_Z_loop(piece, sp, np.zeros((sd, sd)),
+                                        f"{piece.kind}:zero-beta"))
+    rng = np.random.default_rng(seed)
+    for s in range(min(PSD_PATTERN_CAP, max(count, 4))):
+        G = rng.standard_normal((nb, nb))
+        Q, R = np.linalg.qr(G)
+        Q = Q * np.sign(np.diag(R))
+        pattern = rng.integers(0, 2, size=nb)
+        Z = projection_kernel_block_loop(Q, pattern)
+        tag = "".join(str(int(b)) for b in pattern)
+        elements.append(element_from_Z_loop(piece, sp, Z, f"{piece.kind}:pattern[{tag}]q{s}"))
+    while len(elements) < count + 2:
+        theta = rng.uniform(0.05, 0.95)
+        i, j = rng.integers(0, len(elements), size=2)
+        mix = theta * elements[i].matrix + (1 - theta) * elements[j].matrix
+        elements.append(LinearOperatorElement(mix, f"{piece.kind}:convex({i},{j})"))
+    return dedup_elements(elements)[: max(count, 2)]
+
+
+def cone_bases_loop(piece, xbar, ubar):
+    sp = piece.split(xbar + ubar)
+    cls = _classes_loop(sp)
+    K = conjugation_matrix_loop(sp.P)
+    aff_cols, lin_cols = [], []
+    for k, (i, j) in enumerate(_pair_loop(sp.order)):
+        pair = cls[i] + cls[j]
+        if pair in ("aa", "ab", "ba", "ag", "ga"):
+            aff_cols.append(k)
+            lin_cols.append(k)
+        elif pair == "bb":
+            aff_cols.append(k)
+    return K[:, aff_cols], K[:, lin_cols]
+
+
+def _psd_structures():
+    """Points svec(P diag(lam) P^T) of orders 1-8 with every index structure
+    having |beta| <= 3, empty alpha and empty gamma included."""
+    rng = np.random.default_rng(20)
+    for m in range(1, 9):
+        for nb in range(min(3, m) + 1):
+            for na in range(m - nb + 1):
+                ng = m - na - nb
+                lam = np.concatenate([rng.uniform(0.5, 3.0, na), np.zeros(nb),
+                                      -rng.uniform(0.5, 3.0, ng)])
+                P, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                yield (m, na, nb, ng), svec(P @ np.diag(lam) @ P.T)
+
+
+def test_psd_clarke_element_matches_loop_oracle():
+    for case, z in _psd_structures():
+        piece = PSDConeIndicator(case[0])
+        sp = piece.split(z)
+        assert (sp.alpha.size, sp.beta.size, sp.gamma.size) == case[1:]
+        new = piece.clarke_element(z)
+        old = element_from_Z_loop(piece, sp, None, f"{piece.kind}:canonical(beta=I)")
+        assert new.provenance == old.provenance
+        assert np.max(np.abs(new.matrix - old.matrix)) <= 1e-12, case
+
+
+def test_psd_sample_clarke_matches_loop_oracle():
+    for case, z in _psd_structures():
+        piece = PSDConeIndicator(case[0])
+        for count in (1, 6):
+            new = piece.sample_clarke(z, count, seed=3)
+            old = sample_clarke_loop(piece, z, count, seed=3)
+            assert [e.provenance for e in new] == [e.provenance for e in old], case
+            for a, b in zip(new, old):
+                assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12, case
+
+
+def test_psd_cone_descriptor_bases_match_loop_oracle():
+    for case, z in _psd_structures():
+        piece = PSDConeIndicator(case[0])
+        xbar = piece.prox(z)
+        ubar = z - xbar
+        desc = piece.cone_descriptors(xbar, ubar)
+        aff, lin = cone_bases_loop(piece, xbar, ubar)
+        assert desc.affine_hull_basis.shape == aff.shape, case
+        assert desc.lineality_basis.shape == lin.shape, case
+        assert np.max(np.abs(desc.affine_hull_basis - aff), initial=0.0) <= 1e-12, case
+        assert np.max(np.abs(desc.lineality_basis - lin), initial=0.0) <= 1e-12, case

@@ -195,3 +195,23 @@ def test_weighted_hessian_fd_fallback_and_jacobian_consistency():
             e[j] = h
             fd = (f(x + e) - f(x - e)) / (2 * h)
             assert np.allclose(jac(x)[:, j], fd, atol=1e-6)
+
+
+def test_sample_elements_R_many_blocks_does_not_overflow(monkeypatch):
+    # 13 blocks of 32 elements: 32**13 combinations overflow int64 to 0,
+    # which once sent the sampler into enumerating every combination
+    from kktstab import LinearOperatorElement, OrthantIndicator
+
+    def fake_sample_clarke(self, z, count, seed):
+        return [LinearOperatorElement(np.array([[k / 31.0]]), f"stub[{k}]")
+                for k in range(32)]
+
+    monkeypatch.setattr(OrthantIndicator, "sample_clarke", fake_sample_clarke)
+    blocks = 13
+    F = SmoothMap(n=1, m=blocks, eval=lambda x: np.full(blocks, x[0]),
+                  jacobian=lambda x: np.ones((blocks, 1)),
+                  weighted_hessian_fn=lambda x, mu: np.zeros((1, 1)))
+    problem = CompositeProblem(F, [OrthantIndicator(1) for _ in range(blocks)])
+    els = sample_elements_R(problem, np.zeros(1 + blocks), 8, seed=0)
+    assert len(els) == 8
+    assert els[0].provenance == ("stub[0]",) * blocks

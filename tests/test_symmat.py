@@ -2,6 +2,51 @@ import numpy as np
 import pytest
 
 from kktstab import EigenDecompositionError, conjugation_matrix, eig_split, smat, svec
+from kktstab.symmat import SQRT2, svec_layout
+
+
+# Loop forms of the svec kernels, kept as oracles for the index-array code.
+
+def svec_loop(A):
+    A = np.asarray(A, dtype=float)
+    m = A.shape[0]
+    out = np.empty(m * (m + 1) // 2)
+    k = 0
+    for i in range(m):
+        out[k] = A[i, i]
+        k += 1
+        for j in range(i + 1, m):
+            out[k] = SQRT2 * 0.5 * (A[i, j] + A[j, i])
+            k += 1
+    return out
+
+
+def smat_loop(v):
+    v = np.asarray(v, dtype=float)
+    m = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
+    A = np.zeros((m, m))
+    k = 0
+    for i in range(m):
+        A[i, i] = v[k]
+        k += 1
+        for j in range(i + 1, m):
+            A[i, j] = A[j, i] = v[k] / SQRT2
+            k += 1
+    return A
+
+
+def conjugation_matrix_loop(P):
+    m = P.shape[0]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    K = np.empty((len(pairs), len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        E = np.zeros((m, m))
+        if i == j:
+            E[i, i] = 1.0
+        else:
+            E[i, j] = E[j, i] = 1.0 / SQRT2
+        K[:, k] = svec_loop(P @ E @ P.T)
+    return K
 
 
 def brute_force_sigma(lam, i, j):
@@ -98,3 +143,44 @@ def test_eig_split_rejects_asymmetric():
 
 def test_eigen_error_type_exists():
     assert issubclass(EigenDecompositionError, RuntimeError)
+
+
+def test_svec_smat_bit_identical_to_loops():
+    rng = np.random.default_rng(4)
+    for m in range(1, 9):
+        for _ in range(5):
+            A = rng.standard_normal((m, m))  # asymmetric input is symmetrized
+            for X in (A, A.T, A + A.T, np.asfortranarray(A)):
+                assert np.array_equal(svec(X), svec_loop(X)), m
+            v = rng.standard_normal(m * (m + 1) // 2)
+            assert np.array_equal(smat(v), smat_loop(v)), m
+            assert np.array_equal(smat(list(v)), smat_loop(v)), m
+
+
+def test_smat_rejects_non_triangular_length():
+    with pytest.raises(ValueError):
+        smat(np.zeros(4))
+
+
+def test_conjugation_matrix_matches_loop_any_square_P():
+    rng = np.random.default_rng(5)
+    for m in range(1, 9):
+        G = rng.standard_normal((m, m))
+        Q, _ = np.linalg.qr(G)
+        for P in (Q, G, np.diag(rng.standard_normal(m))):
+            K = conjugation_matrix(P)
+            assert np.max(np.abs(K - conjugation_matrix_loop(P))) <= 1e-12, m
+            S = rng.standard_normal((m, m))
+            S = S + S.T
+            assert np.allclose(K @ svec(S), svec(P @ S @ P.T), atol=1e-12)
+
+
+def test_svec_layout_is_cached_and_read_only():
+    lay = svec_layout(4)
+    assert svec_layout(4) is lay
+    rows, cols = np.triu_indices(4)
+    assert np.array_equal(lay.rows, rows) and np.array_equal(lay.cols, cols)
+    for a in lay:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
