@@ -63,6 +63,7 @@ from .newton import (
 from .stability import (
     AnalyzerOptions,
     CriticalSubspace,
+    CurvatureDomainError,
     ProbeStats,
     SsoscResult,
     StabilityReport,
@@ -90,7 +91,6 @@ from .instances import (
     load_battery,
     load_instance,
     parse_piece,
-    piece_spec,
 )
 from .reports import dumps_report, emit_report, load_report
 from .cli import run_command

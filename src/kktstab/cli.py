@@ -20,8 +20,10 @@ from .instances import InstanceFormatError, load_instance
 from .newton import InsufficientTraceError, NewtonError, NewtonOptions, local_rate
 from .problem import DimensionError, residual
 from .reports import emit_report
+from .symmat import EigenDecompositionError
 from .stability import (
     AnalyzerOptions,
+    CurvatureDomainError,
     UnsupportedCaseError,
     equivalence_report,
     strong_regularity_probe,
@@ -233,8 +235,8 @@ def run_command(argv) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (InstanceFormatError, DimensionError, UnsupportedCaseError,
-            ValueError, OSError) as exc:
+    except (InstanceFormatError, DimensionError, UnsupportedCaseError, CurvatureDomainError,
+            EigenDecompositionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

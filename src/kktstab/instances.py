@@ -27,14 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .pieces import (
-    BoxIndicator,
-    ConvexPiece,
-    EpiSum,
-    L1Norm,
-    OrthantIndicator,
-    PSDConeIndicator,
-)
+from .pieces import PIECE_KINDS, ConvexPiece
 from .problem import CompositeProblem, DimensionError, KKTPoint, SmoothMap, kkt_check
 from .symmat import svec
 
@@ -50,27 +43,38 @@ class InstanceMeta:
     start: KKTPoint | None
 
 
+def _finite(value, field: str) -> np.ndarray:
+    """The value as a float array; NaN and infinite entries are format errors."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InstanceFormatError(f"{field} has a non-finite entry")
+    return arr
+
+
 # ----------------------------------------------------------------------
 # smooth-map families
 
 
+def _poly_output(n: int, out: dict, label: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """(const, linear, symmetrized quadratic) of one polynomial output."""
+    c = float(_finite(out.get("const", 0.0), f"{label}: const"))
+    a = _finite(out.get("linear", np.zeros(n)), f"{label}: linear part")
+    if a.size != n:
+        raise DimensionError(f"{label}: linear part has {a.size} entries, expected n={n}")
+    if "quadratic" not in out:
+        return c, a, np.zeros((n, n))
+    Q = _finite(out["quadratic"], f"{label}: quadratic part")
+    if Q.shape != (n, n):
+        raise DimensionError(
+            f"{label}: quadratic part has shape {Q.shape}, expected ({n}, {n})")
+    return c, a, 0.5 * (Q + Q.T)
+
+
 def _poly_smooth_map(n: int, outputs: list[dict]) -> SmoothMap:
-    consts = []
-    linears = []
-    quads = []
-    for k, out in enumerate(outputs):
-        c = float(out.get("const", 0.0))
-        a = np.asarray(out.get("linear", np.zeros(n)), dtype=float)
-        if a.size != n:
-            raise DimensionError(
-                f"output {k}: linear part has {a.size} entries, expected n={n}")
-        Q = np.asarray(out.get("quadratic", np.zeros((n, n))), dtype=float)
-        if Q.shape != (n, n):
-            raise DimensionError(
-                f"output {k}: quadratic part has shape {Q.shape}, expected ({n}, {n})")
-        consts.append(c)
-        linears.append(a)
-        quads.append(0.5 * (Q + Q.T))
+    parts = [_poly_output(n, out, f"output {k}") for k, out in enumerate(outputs)]
+    consts = [c for c, _, _ in parts]
+    linears = [a for _, a, _ in parts]
+    quads = [Q for _, _, Q in parts]
     m = len(outputs)
     A = np.array(linears)
     c0 = np.array(consts)
@@ -95,13 +99,9 @@ def _poly_smooth_map(n: int, outputs: list[dict]) -> SmoothMap:
 
 def _affine_pencil_smooth_map(n: int, params: dict) -> SmoothMap:
     """Scalar objective output followed by svec of an affine matrix pencil."""
-    obj = params["objective"]
-    c = float(obj.get("const", 0.0))
-    a = np.asarray(obj.get("linear", np.zeros(n)), dtype=float)
-    Q = np.asarray(obj.get("quadratic", np.zeros((n, n))), dtype=float)
-    Q = 0.5 * (Q + Q.T)
-    M0 = np.asarray(params["pencil_const"], dtype=float)
-    Ms = [np.asarray(M, dtype=float) for M in params["pencil_coeff"]]
+    c, a, Q = _poly_output(n, params["objective"], "objective")
+    M0 = _finite(params["pencil_const"], "pencil_const")
+    Ms = [_finite(M, f"pencil_coeff[{k}]") for k, M in enumerate(params["pencil_coeff"])]
     if len(Ms) != n:
         raise DimensionError(
             f"pencil has {len(Ms)} coefficient matrices, expected n={n}")
@@ -142,39 +142,18 @@ BUILTIN_MAPS = {
 
 
 def parse_piece(spec: dict) -> ConvexPiece:
+    """Build a piece from its spec; ``piece.spec()`` is the inverse."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InstanceFormatError(f"piece spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
+    cls = PIECE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InstanceFormatError(f"unknown piece kind {kind!r}")
     try:
-        if kind == "psd_indicator":
-            return PSDConeIndicator(int(spec["order"]))
-        if kind == "orthant_indicator":
-            return OrthantIndicator(int(spec["dim"]), int(spec.get("sign", -1)))
-        if kind == "box_indicator":
-            return BoxIndicator(spec["lower"], spec["upper"])
-        if kind == "l1_norm":
-            return L1Norm(int(spec["dim"]))
-        if kind == "epi_lift":
-            return EpiSum(parse_piece(spec["inner"]))
+        return cls.from_spec(spec, parse_piece)
     except KeyError as exc:
         raise InstanceFormatError(
             f"piece {kind!r} is missing required key {exc.args[0]!r}") from None
-    raise InstanceFormatError(f"unknown piece kind {kind!r}")
-
-
-def piece_spec(piece: ConvexPiece) -> dict:
-    if isinstance(piece, PSDConeIndicator):
-        return {"kind": "psd_indicator", "order": piece.order}
-    if isinstance(piece, OrthantIndicator):
-        return {"kind": "orthant_indicator", "dim": piece.dim, "sign": piece.sign}
-    if isinstance(piece, BoxIndicator):
-        return {"kind": "box_indicator", "lower": piece.lower.tolist(),
-                "upper": piece.upper.tolist()}
-    if isinstance(piece, L1Norm):
-        return {"kind": "l1_norm", "dim": piece.dim}
-    if isinstance(piece, EpiSum):
-        return {"kind": "epi_lift", "inner": piece_spec(piece.inner)}
-    raise ValueError(f"cannot serialize piece {piece!r}")
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +162,8 @@ def piece_spec(piece: ConvexPiece) -> dict:
 
 def _parse_point(problem: CompositeProblem, data: dict, label: str) -> KKTPoint:
     try:
-        x = np.asarray(data["x"], dtype=float)
-        mu = np.asarray(data["mu"], dtype=float)
+        x = _finite(data["x"], f"{label}: x")
+        mu = _finite(data["mu"], f"{label}: mu")
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"{label}: expected fields 'x' and 'mu'") from exc
     if x.size != problem.n or mu.size != problem.m:

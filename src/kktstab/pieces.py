@@ -110,19 +110,57 @@ def _interval_cone(lower: np.ndarray, upper: np.ndarray) -> ConeModel:
     )
 
 
-def dedup_elements(elements: list[LinearOperatorElement]) -> list[LinearOperatorElement]:
-    kept: list[LinearOperatorElement] = []
+def dedup_elements(elements: list) -> list:
+    """Drop every element whose matrix is within _DEDUP_TOL of an earlier one."""
+    kept: list = []
     for el in elements:
         if all(np.max(np.abs(el.matrix - other.matrix)) > _DEDUP_TOL for other in kept):
             kept.append(el)
     return kept
 
 
+def _mixed_and_deduped(elements: list[LinearOperatorElement], count: int,
+                       rng: np.random.Generator, kind: str) -> list[LinearOperatorElement]:
+    """Pad the sample with random convex combinations up to count + 2
+    elements, deduplicate, and keep at most max(count, 2)."""
+    while len(elements) < count + 2:
+        theta = rng.uniform(0.05, 0.95)
+        i, j = rng.integers(0, len(elements), size=2)
+        mix = theta * elements[i].matrix + (1 - theta) * elements[j].matrix
+        elements.append(LinearOperatorElement(mix, f"{kind}:convex({i},{j})"))
+    return dedup_elements(elements)[: max(count, 2)]
+
+
+def _outside_curvature_domain(res: float, vnorm: float) -> bool:
+    """Whether a direction of norm vnorm and range residual res misses the
+    curvature domain; warns when it misses only marginally."""
+    outside = res > DOM_RESIDUAL_TOL * (1.0 + vnorm)
+    if outside and res <= 10.0 * DOM_RESIDUAL_TOL * (1.0 + vnorm):
+        warnings.warn("direction is marginally outside the sampled ranges",
+                      GammaDomainBoundaryWarning)
+    return outside
+
+
 class ConvexPiece:
-    """Base class; concrete pieces fill in the scalar/matrix specifics."""
+    """Base class; concrete pieces fill in the scalar/matrix specifics.
+
+    A piece kind is one subclass with a class-level ``kind`` plus one entry
+    in PIECE_KINDS; the instance format, the analyzer and the verify
+    suites reach it only through these methods.
+    """
 
     kind: str = ""
     dim: int = 0
+
+    # -- instance-file form ---------------------------------------------
+    @classmethod
+    def from_spec(cls, spec: dict, parse: Callable[[dict], ConvexPiece]) -> ConvexPiece:
+        """Piece of a JSON spec (KeyError on a missing key); ``parse`` builds inner pieces."""
+        raise NotImplementedError
+
+    def spec(self) -> dict:
+        """The JSON spec that from_spec turns back into this piece."""
+        raise NotImplementedError
 
     # -- values ---------------------------------------------------------
     def value(self, z: np.ndarray, tol: float = 1e-9) -> float:
@@ -145,6 +183,10 @@ class ConvexPiece:
         _check_sigma(sigma)
         return z - sigma * self.prox(z / sigma, 1.0 / sigma)
 
+    def prox_conjugate_direct(self, z: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """Closed-form prox of the conjugate, bypassing the Moreau identity."""
+        raise NotImplementedError
+
     def moreau_envelope(self, z: np.ndarray, sigma: float = 1.0) -> tuple[float, np.ndarray]:
         z = np.asarray(z, dtype=float)
         _check_sigma(sigma)
@@ -162,6 +204,14 @@ class ConvexPiece:
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
         raise NotImplementedError
+
+    def smooth_at(self, z: np.ndarray, margin: float = 1e-3) -> bool:
+        """Whether z is farther than margin from every kink of the prox."""
+        raise NotImplementedError
+
+    def split_unstable(self, z: np.ndarray, floor: float = 1e-4) -> bool:
+        """Whether a nonzero eigenvalue at z lies below floor (matrix pieces only)."""
+        return False
 
     # -- second-order objects --------------------------------------------
     def check_subgradient(self, xbar: np.ndarray, ubar: np.ndarray, tol: float = 1e-8) -> None:
@@ -244,46 +294,35 @@ class _SeparablePiece(ConvexPiece):
             raise ValueError("count must be at least 1")
         z = np.asarray(z, dtype=float)
         state, _ = self._classify(z)
-        base = np.where(state == 1, 1.0, 0.0)
-        kinks = np.where(state == 2)[0]
-        elements = [self.clarke_element(z)]
-        diag_zero = base.copy()
-        elements.append(self._diag_element(diag_zero, f"{self.kind}:pattern-zeros"))
-        rng = np.random.default_rng(seed)
+        kinks = np.flatnonzero(state == 2)
         n_k = kinks.size
-        if n_k:
-            if 2 ** n_k <= SEPARABLE_PATTERN_CAP:
-                patterns = [np.array([(p >> i) & 1 for i in range(n_k)], dtype=float)
-                            for p in range(2 ** n_k)]
-            else:
-                patterns = [rng.integers(0, 2, size=n_k).astype(float)
-                            for _ in range(SEPARABLE_PATTERN_CAP)]
-            for pat in patterns:
-                diag = base.copy()
-                diag[kinks] = pat
-                tag = "".join(str(int(b)) for b in pat)
-                elements.append(self._diag_element(diag, f"{self.kind}:pattern[{tag}]"))
-            while len(elements) < count + 2:
-                theta = rng.uniform(0.05, 0.95)
-                i, j = rng.integers(0, len(elements), size=2)
-                mix = theta * elements[i].matrix + (1 - theta) * elements[j].matrix
-                elements.append(LinearOperatorElement(mix, f"{self.kind}:convex({i},{j})"))
-        deduped = dedup_elements(elements)
-        if len(deduped) > max(count, 2):
-            deduped = deduped[: max(count, 2)]
-        return deduped
+        if n_k == 0:
+            # the prox is differentiable at z: one element
+            return [self.clarke_element(z)]
+        base = np.where(state == 1, 1.0, 0.0)
+        elements = [self.clarke_element(z),
+                    self._diag_element(base, f"{self.kind}:pattern-zeros")]
+        rng = np.random.default_rng(seed)
+        if 2 ** n_k <= SEPARABLE_PATTERN_CAP:
+            patterns = [np.array([(p >> i) & 1 for i in range(n_k)], dtype=float)
+                        for p in range(2 ** n_k)]
+        else:
+            patterns = [rng.integers(0, 2, size=n_k).astype(float)
+                        for _ in range(SEPARABLE_PATTERN_CAP)]
+        for pat in patterns:
+            diag = base.copy()
+            diag[kinks] = pat
+            tag = "".join(str(int(b)) for b in pat)
+            elements.append(self._diag_element(diag, f"{self.kind}:pattern[{tag}]"))
+        return _mixed_and_deduped(elements, count, rng, self.kind)
 
     def gamma(self, xbar, ubar, v, samples=None):
         self.check_subgradient(xbar, ubar)
         v = np.asarray(v, dtype=float)
         state, _ = self._classify_pair(xbar, ubar)
         blocked = state == 0
-        vnorm = float(np.linalg.norm(v))
         res = float(np.linalg.norm(v[blocked])) if np.any(blocked) else 0.0
-        if res > DOM_RESIDUAL_TOL * (1.0 + vnorm):
-            if res <= 10.0 * DOM_RESIDUAL_TOL * (1.0 + vnorm):
-                warnings.warn("direction is marginally outside the sampled ranges",
-                              GammaDomainBoundaryWarning)
+        if _outside_curvature_domain(res, float(np.linalg.norm(v))):
             return float("inf")
         return 0.0
 
@@ -319,12 +358,20 @@ class _SeparablePiece(ConvexPiece):
 class OrthantIndicator(_SeparablePiece):
     """Indicator of the nonnegative (sign=+1) or nonpositive (sign=-1) orthant."""
 
+    kind = "orthant_indicator"
+
     def __init__(self, dim: int, sign: int = -1):
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        self.kind = "orthant_indicator"
         self.dim = int(dim)
         self.sign = int(sign)
+
+    @classmethod
+    def from_spec(cls, spec, parse):
+        return cls(int(spec["dim"]), int(spec.get("sign", -1)))
+
+    def spec(self):
+        return {"kind": self.kind, "dim": self.dim, "sign": self.sign}
 
     def value(self, z, tol=1e-9):
         z = np.asarray(z, dtype=float)
@@ -343,6 +390,14 @@ class OrthantIndicator(_SeparablePiece):
         _check_sigma(sigma)
         z = np.asarray(z, dtype=float)
         return np.maximum(z, 0.0) if self.sign > 0 else np.minimum(z, 0.0)
+
+    def prox_conjugate_direct(self, z, sigma=1.0):
+        # projection onto the polar orthant
+        z = np.asarray(z, dtype=float)
+        return np.minimum(z, 0.0) if self.sign > 0 else np.maximum(z, 0.0)
+
+    def smooth_at(self, z, margin=1e-3):
+        return bool(np.min(np.abs(z)) > margin)
 
     def _classify(self, z):
         w = self.sign * np.asarray(z, dtype=float)
@@ -366,17 +421,27 @@ class OrthantIndicator(_SeparablePiece):
 class BoxIndicator(_SeparablePiece):
     """Indicator of the box [lower, upper]; infinite bounds are allowed."""
 
+    kind = "box_indicator"
+
     def __init__(self, lower, upper):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape:
             raise ValueError("lower and upper must have the same shape")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise ValueError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
-        self.kind = "box_indicator"
         self.dim = lower.size
         self.lower = lower
         self.upper = upper
+
+    @classmethod
+    def from_spec(cls, spec, parse):
+        return cls(spec["lower"], spec["upper"])
+
+    def spec(self):
+        return {"kind": self.kind, "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
     def value(self, z, tol=1e-9):
         z = np.asarray(z, dtype=float)
@@ -385,15 +450,11 @@ class BoxIndicator(_SeparablePiece):
         return 0.0 if ok else float("inf")
 
     def conjugate_value(self, w, tol=1e-9):
-        # support function of the box; guard inf * 0
+        # support function of the box; zero coordinates are skipped so an
+        # infinite bound never meets a zero weight
         w = np.asarray(w, dtype=float)
-        total = 0.0
-        for i in range(self.dim):
-            if w[i] > 0:
-                total += self.upper[i] * w[i]
-            elif w[i] < 0:
-                total += self.lower[i] * w[i]
-        return float(total)
+        pos, neg = w > 0, w < 0
+        return float(np.dot(self.upper[pos], w[pos]) + np.dot(self.lower[neg], w[neg]))
 
     def prox_value(self, p):
         return 0.0
@@ -402,48 +463,50 @@ class BoxIndicator(_SeparablePiece):
         _check_sigma(sigma)
         return np.clip(np.asarray(z, dtype=float), self.lower, self.upper)
 
+    def prox_conjugate_direct(self, z, sigma=1.0):
+        # shrink toward the scaled box: the part of z beyond sigma * bound
+        z = np.asarray(z, dtype=float)
+        lo, hi = sigma * self.lower, sigma * self.upper
+        above = np.isfinite(self.upper) & (z > hi)
+        below = np.isfinite(self.lower) & (z < lo)
+        return np.where(above, z - hi, np.where(below, z - lo, 0.0))
+
+    def smooth_at(self, z, margin=1e-3):
+        gap = np.minimum(np.abs(z - self.lower), np.abs(z - self.upper))
+        return bool(np.all((gap > margin) | (self.lower == self.upper)))
+
     def _classify(self, z):
         z = np.asarray(z, dtype=float)
-        state = np.empty(self.dim, dtype=int)
-        sign = np.zeros(self.dim)
-        for i in range(self.dim):
-            lo, hi = self.lower[i], self.upper[i]
-            if lo == hi:
-                state[i] = 0
-            elif lo < z[i] < hi:
-                state[i] = 1
-            elif z[i] == lo:
-                state[i] = 2
-                sign[i] = 1.0
-            elif z[i] == hi:
-                state[i] = 2
-                sign[i] = -1.0
-            else:
-                state[i] = 0
-        return state, sign
+        lo, hi = self.lower, self.upper
+        open_box = lo != hi
+        at_lo = (z == lo) & open_box
+        at_hi = (z == hi) & open_box
+        state = ((lo < z) & (z < hi)).astype(int)
+        state[at_lo | at_hi] = 2
+        return state, np.subtract(at_lo, at_hi, dtype=float)
 
     def domain_normal_cone(self, xbar, ubar) -> ConeModel:
         x = np.asarray(xbar, dtype=float)
-        lower = np.zeros(self.dim)
-        upper = np.zeros(self.dim)
         s = 1e-12 * (1.0 + np.linalg.norm(x))
-        for i in range(self.dim):
-            lo, hi = self.lower[i], self.upper[i]
-            at_lo = x[i] <= lo + s
-            at_hi = x[i] >= hi - s
-            if at_lo:
-                lower[i] = -np.inf
-            if at_hi:
-                upper[i] = np.inf
+        lower = np.where(x <= self.lower + s, -np.inf, 0.0)
+        upper = np.where(x >= self.upper - s, np.inf, 0.0)
         return _interval_cone(lower, upper)
 
 
 class L1Norm(_SeparablePiece):
     """The l1 norm; its prox is the coordinatewise soft threshold."""
 
+    kind = "l1_norm"
+
     def __init__(self, dim: int):
-        self.kind = "l1_norm"
         self.dim = int(dim)
+
+    @classmethod
+    def from_spec(cls, spec, parse):
+        return cls(int(spec["dim"]))
+
+    def spec(self):
+        return {"kind": self.kind, "dim": self.dim}
 
     def value(self, z, tol=1e-9):
         return float(np.sum(np.abs(np.asarray(z, dtype=float))))
@@ -460,6 +523,13 @@ class L1Norm(_SeparablePiece):
         _check_sigma(sigma)
         z = np.asarray(z, dtype=float)
         return np.sign(z) * np.maximum(np.abs(z) - sigma, 0.0)
+
+    def prox_conjugate_direct(self, z, sigma=1.0):
+        # projection onto the unit l-infinity ball
+        return np.clip(np.asarray(z, dtype=float), -1.0, 1.0)
+
+    def smooth_at(self, z, margin=1e-3):
+        return bool(np.min(np.abs(np.abs(z) - 1.0)) > margin)
 
     def _classify(self, z):
         # classification of the soft threshold at unit sigma, the scale at
@@ -488,11 +558,19 @@ class PSDConeIndicator(ConvexPiece):
     (gamma) parts.
     """
 
+    kind = "psd_indicator"
+
     def __init__(self, order: int, tol_eig: float | None = None):
-        self.kind = "psd_indicator"
         self.order = int(order)
         self.dim = svec_dim(self.order)
         self.tol_eig = tol_eig
+
+    @classmethod
+    def from_spec(cls, spec, parse):
+        return cls(int(spec["order"]))
+
+    def spec(self):
+        return {"kind": self.kind, "order": self.order}
 
     # -- split helpers ----------------------------------------------------
     def split(self, z: np.ndarray) -> SpectralSplit:
@@ -519,6 +597,19 @@ class PSDConeIndicator(ConvexPiece):
         sp = self.split(z)
         lam_pos = np.maximum(sp.lam, 0.0)
         return svec(sp.P @ np.diag(lam_pos) @ sp.P.T)
+
+    def prox_conjugate_direct(self, z, sigma=1.0):
+        # projection onto the negative semidefinite cone
+        sp = self.split(z)
+        return svec(sp.P @ np.diag(np.minimum(sp.lam, 0.0)) @ sp.P.T)
+
+    def smooth_at(self, z, margin=1e-3):
+        return bool(np.min(np.abs(self.split(z).lam)) > margin)
+
+    def split_unstable(self, z, floor=1e-4):
+        sp = self.split(z)
+        nonzero = np.abs(sp.lam[np.abs(sp.lam) > sp.tol_eig])
+        return bool(nonzero.size and nonzero.min() < floor)
 
     def prox_dirderiv(self, z, d):
         sp = self.split(z)
@@ -602,15 +693,7 @@ class PSDConeIndicator(ConvexPiece):
             Z = conjugation_matrix((Q * pattern) @ Q.T)
             tag = "".join(str(int(b)) for b in pattern)
             elements.append(make(Z, f"{self.kind}:pattern[{tag}]q{s}"))
-        while len(elements) < count + 2:
-            theta = rng.uniform(0.05, 0.95)
-            i, j = rng.integers(0, len(elements), size=2)
-            mix = theta * elements[i].matrix + (1 - theta) * elements[j].matrix
-            elements.append(LinearOperatorElement(mix, f"{self.kind}:convex({i},{j})"))
-        deduped = dedup_elements(elements)
-        if len(deduped) > max(count, 2):
-            deduped = deduped[: max(count, 2)]
-        return deduped
+        return _mixed_and_deduped(elements, count, rng, self.kind)
 
     # -- curvature and descriptors -----------------------------------------
     def gamma(self, xbar, ubar, v, samples=None):
@@ -619,16 +702,12 @@ class PSDConeIndicator(ConvexPiece):
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
         Vt = self._rotated(sp, v)
         a, b, g = sp.alpha, sp.beta, sp.gamma
-        vnorm = float(np.linalg.norm(v))
         res = 0.0
         if b.size and g.size:
             res += float(np.linalg.norm(Vt[np.ix_(b, g)])) * SQRT2
         if g.size:
             res += float(np.linalg.norm(Vt[np.ix_(g, g)]))
-        if res > DOM_RESIDUAL_TOL * (1.0 + vnorm):
-            if res <= 10.0 * DOM_RESIDUAL_TOL * (1.0 + vnorm):
-                warnings.warn("direction is marginally outside the sampled ranges",
-                              GammaDomainBoundaryWarning)
+        if _outside_curvature_domain(res, float(np.linalg.norm(v))):
             return float("inf")
         if a.size == 0 or g.size == 0:
             return 0.0
@@ -660,19 +739,14 @@ class PSDConeIndicator(ConvexPiece):
 
         return ConeDescriptor(aff, lin, membership)
 
-    def _structured_cone(self, sp: SpectralSplit, pinned_pairs, neg_block) -> ConeModel:
-        """Cone {V : rotated pinned blocks vanish, rotated neg_block is NSD}."""
-        m = sp.order
-        P = sp.P
-        neg = np.asarray(neg_block, dtype=int)
+    def _structured_cone(self, sp: SpectralSplit, neg: np.ndarray) -> ConeModel:
+        """Cone {V : rotated alpha rows and columns vanish, rotated neg block is NSD}."""
+        P, a = sp.P, sp.alpha
 
         def project(v: np.ndarray) -> np.ndarray:
-            Vt = P.T @ smat(np.asarray(v, dtype=float)) @ P
-            out = Vt.copy()
-            for (rows, cols) in pinned_pairs:
-                if len(rows) and len(cols):
-                    out[np.ix_(rows, cols)] = 0.0
-                    out[np.ix_(cols, rows)] = 0.0
+            out = P.T @ smat(np.asarray(v, dtype=float)) @ P
+            out[a, :] = 0.0
+            out[:, a] = 0.0
             if neg.size:
                 blk = out[np.ix_(neg, neg)]
                 w, Q = np.linalg.eigh(0.5 * (blk + blk.T))
@@ -683,17 +757,11 @@ class PSDConeIndicator(ConvexPiece):
 
     def critical_polar_cone(self, xbar, ubar) -> ConeModel:
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        a = list(sp.alpha)
-        all_ix = list(range(sp.order))
-        return self._structured_cone(sp, [(a, all_ix)], sp.beta)
+        return self._structured_cone(sp, sp.beta)
 
     def domain_normal_cone(self, xbar, ubar) -> ConeModel:
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        a = list(sp.alpha)
-        all_ix = list(range(sp.order))
-        bg = np.concatenate([sp.beta, sp.gamma]) if (sp.beta.size or sp.gamma.size) \
-            else np.array([], dtype=int)
-        return self._structured_cone(sp, [(a, all_ix)], bg)
+        return self._structured_cone(sp, np.concatenate([sp.beta, sp.gamma]))
 
 
 # ----------------------------------------------------------------------
@@ -703,14 +771,26 @@ class PSDConeIndicator(ConvexPiece):
 class EpiSum(ConvexPiece):
     """The lift (c, y) -> c + inner(y) that encodes constrained problems."""
 
+    kind = "epi_lift"
+
     def __init__(self, inner: ConvexPiece):
-        self.kind = "epi_lift"
         self.inner = inner
         self.dim = 1 + inner.dim
+
+    @classmethod
+    def from_spec(cls, spec, parse):
+        return cls(parse(spec["inner"]))
+
+    def spec(self):
+        return {"kind": self.kind, "inner": self.inner.spec()}
 
     def _split(self, z):
         z = np.asarray(z, dtype=float)
         return float(z[0]), z[1:]
+
+    def _inner(self, *vectors):
+        """The inner coordinates of each vector."""
+        return [np.asarray(z, dtype=float)[1:] for z in vectors]
 
     def value(self, z, tol=1e-9):
         c, y = self._split(z)
@@ -730,6 +810,17 @@ class EpiSum(ConvexPiece):
         _check_sigma(sigma)
         c, y = self._split(z)
         return np.concatenate([[c - sigma], self.inner.prox(y, sigma)])
+
+    def prox_conjugate_direct(self, z, sigma=1.0):
+        # the conjugate is the indicator of {1} x dom(inner conjugate)
+        _, y = self._split(z)
+        return np.concatenate([[1.0], self.inner.prox_conjugate_direct(y, sigma)])
+
+    def smooth_at(self, z, margin=1e-3):
+        return self.inner.smooth_at(*self._inner(z), margin)
+
+    def split_unstable(self, z, floor=1e-4):
+        return self.inner.split_unstable(*self._inner(z), floor)
 
     def prox_dirderiv(self, z, d):
         _, y = self._split(z)
@@ -752,9 +843,7 @@ class EpiSum(ConvexPiece):
 
     def gamma(self, xbar, ubar, v, samples=None):
         self.check_subgradient(xbar, ubar)
-        _, xy = self._split(xbar)
-        _, uy = self._split(ubar)
-        _, vy = self._split(v)
+        xy, uy, vy = self._inner(xbar, ubar, v)
         inner_samples = None
         if samples is not None:
             inner_samples = [LinearOperatorElement(el.matrix[1:, 1:], el.provenance)
@@ -763,9 +852,7 @@ class EpiSum(ConvexPiece):
 
     def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar)
-        _, xy = self._split(xbar)
-        _, uy = self._split(ubar)
-        inner_desc = self.inner.cone_descriptors(xy, uy)
+        inner_desc = self.inner.cone_descriptors(*self._inner(xbar, ubar))
 
         def lift_basis(B: np.ndarray) -> np.ndarray:
             out = np.zeros((self.dim, B.shape[1] + 1))
@@ -795,14 +882,18 @@ class EpiSum(ConvexPiece):
         return ConeModel(dim=self.dim, polyhedral=False, project=project)
 
     def critical_polar_cone(self, xbar, ubar) -> ConeModel:
-        _, xy = self._split(xbar)
-        _, uy = self._split(ubar)
-        return self._lift_cone(self.inner.critical_polar_cone(xy, uy))
+        return self._lift_cone(self.inner.critical_polar_cone(*self._inner(xbar, ubar)))
 
     def domain_normal_cone(self, xbar, ubar) -> ConeModel:
-        _, xy = self._split(xbar)
-        _, uy = self._split(ubar)
-        return self._lift_cone(self.inner.domain_normal_cone(xy, uy))
+        return self._lift_cone(self.inner.domain_normal_cone(*self._inner(xbar, ubar)))
+
+
+# ----------------------------------------------------------------------
+# Kind registry: the instance format's "kind" string to its class
+
+PIECE_KINDS: dict[str, type[ConvexPiece]] = {
+    cls.kind: cls for cls in (PSDConeIndicator, OrthantIndicator, BoxIndicator, L1Norm, EpiSum)
+}
 
 
 # ----------------------------------------------------------------------
@@ -851,17 +942,14 @@ def gamma_oracle(piece: ConvexPiece, xbar, ubar, v,
     piece.check_subgradient(np.asarray(xbar, float), np.asarray(ubar, float))
     v = np.asarray(v, dtype=float)
     vnorm = float(np.linalg.norm(v))
-    tol = DOM_RESIDUAL_TOL * (1.0 + vnorm)
     best = float("inf")
     min_res = float("inf")
     for el in samples:
         d, *_ = np.linalg.lstsq(el.matrix, v, rcond=None)
         res = float(np.linalg.norm(el.matrix @ d - v))
         min_res = min(min_res, res)
-        if res <= tol:
+        if res <= DOM_RESIDUAL_TOL * (1.0 + vnorm):
             best = min(best, float(np.dot(v, d) - vnorm ** 2))
-    if not np.isfinite(best) and tol < min_res <= 10.0 * tol:
-        warnings.warn("direction is marginally outside the sampled ranges",
-                      GammaDomainBoundaryWarning)
-    return best
+    # no element admits v exactly when the smallest residual misses
+    return float("inf") if _outside_curvature_domain(min_res, vnorm) else best
 

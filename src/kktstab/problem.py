@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .newton import NewtonOptions, NewtonTrace, semismooth_solve
-from .pieces import ConvexPiece, LinearOperatorElement
+from .pieces import ConvexPiece, LinearOperatorElement, dedup_elements
 
 FD_HESS_STEP = 1e-5
 
@@ -169,9 +169,14 @@ class JacobianElementR:
         return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
 
 
-def _blockdiag(problem: CompositeProblem,
-               prox_elements: list[LinearOperatorElement]) -> np.ndarray:
-    U = np.zeros((problem.m, problem.m))
+def _element_matrix(problem: CompositeProblem, H: np.ndarray, J: np.ndarray,
+                    prox_elements: list[LinearOperatorElement]) -> np.ndarray:
+    """[[H, J^T], [(I-U) J, -U]] with U block diagonal over the prox elements."""
+    if len(prox_elements) != len(problem.pieces):
+        raise DimensionError(
+            f"got {len(prox_elements)} prox elements for {len(problem.pieces)} blocks")
+    n, m = problem.n, problem.m
+    U = np.zeros((m, m))
     for i, el in enumerate(prox_elements):
         lo, hi = problem.offsets[i], problem.offsets[i + 1]
         if el.matrix.shape != (hi - lo, hi - lo):
@@ -179,33 +184,33 @@ def _blockdiag(problem: CompositeProblem,
                 f"block {i} element has shape {el.matrix.shape}, expected "
                 f"({hi - lo}, {hi - lo})")
         U[lo:hi, lo:hi] = el.matrix
-    return U
+    E = np.zeros((n + m, n + m))
+    E[:n, :n] = H
+    E[:n, n:] = J.T
+    E[n:, :n] = (np.eye(m) - U) @ J
+    E[n:, n:] = -U
+    return E
+
+
+def _canonical_prox_elements(problem: CompositeProblem,
+                             w: np.ndarray) -> list[LinearOperatorElement]:
+    return [p.clarke_element(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
 
 
 def assemble_element(problem: CompositeProblem, z,
                      prox_elements: list[LinearOperatorElement]) -> JacobianElementR:
     """Assemble [[H, J^T], [(I-U) J, -U]] from one prox element per block."""
     pt = as_point(problem, z)
-    if len(prox_elements) != len(problem.pieces):
-        raise DimensionError(
-            f"got {len(prox_elements)} prox elements for {len(problem.pieces)} blocks")
-    n, m = problem.n, problem.m
     H = problem.F.weighted_hessian(pt.x, pt.mu)
     J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
-    U = _blockdiag(problem, prox_elements)
-    E = np.zeros((n + m, n + m))
-    E[:n, :n] = H
-    E[:n, n:] = J.T
-    E[n:, :n] = (np.eye(m) - U) @ J
-    E[n:, n:] = -U
-    return JacobianElementR(E, tuple(el.provenance for el in prox_elements))
+    return JacobianElementR(_element_matrix(problem, H, J, prox_elements),
+                            tuple(el.provenance for el in prox_elements))
 
 
 def canonical_element(problem: CompositeProblem, z) -> JacobianElementR:
     pt = as_point(problem, z)
     w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
-    els = [p.clarke_element(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
-    return assemble_element(problem, pt, els)
+    return assemble_element(problem, pt, _canonical_prox_elements(problem, w))
 
 
 def sample_elements_R(problem: CompositeProblem, z, count: int,
@@ -235,15 +240,9 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
             if pick not in seen:
                 seen.add(pick)
                 combos.append(pick)
-    elements = []
-    for combo in combos:
-        els = [per_block[i][j] for i, j in enumerate(combo)]
-        elements.append(assemble_element(problem, pt, els))
-    kept: list[JacobianElementR] = []
-    for el in elements:
-        if all(np.max(np.abs(el.matrix - o.matrix)) > 1e-12 for o in kept):
-            kept.append(el)
-    return kept
+    elements = [assemble_element(problem, pt, [per_block[i][j] for i, j in enumerate(combo)])
+                for combo in combos]
+    return dedup_elements(elements)
 
 
 def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:
@@ -277,15 +276,7 @@ def _linearized_newton_functions(problem, base, rhs):
     def elem(zv: np.ndarray) -> np.ndarray:
         x, nu = zv[:n], zv[n:]
         w = Fbar + Jbar @ (x - base.x) + nu
-        els = [p.clarke_element(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
-        U = _blockdiag(problem, els)
-        m = problem.m
-        E = np.zeros((n + m, n + m))
-        E[:n, :n] = Hbar
-        E[:n, n:] = Jbar.T
-        E[n:, :n] = (np.eye(m) - U) @ Jbar
-        E[n:, n:] = -U
-        return E
+        return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
 
     return res, elem
 

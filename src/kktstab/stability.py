@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .newton import NewtonError, NewtonOptions
-from .pieces import ConeModel, ConvexPiece, LinearOperatorElement
+from .pieces import ConeModel, ConvexPiece, LinearOperatorElement, _interval_cone, gamma_oracle
 from .problem import (
     CompositeProblem,
     KKTPoint,
@@ -30,6 +30,10 @@ _RANK_TOL = 1e-10
 
 class UnsupportedCaseError(RuntimeError):
     """The analysis needs a unique multiplier and the instance has none."""
+
+
+class CurvatureDomainError(RuntimeError):
+    """The curvature term is infinite on the critical subspace."""
 
 
 @dataclass
@@ -178,6 +182,20 @@ def _jacobian_at(problem: CompositeProblem, pt: KKTPoint) -> np.ndarray:
     return np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
 
 
+def _preimage(problem: CompositeProblem, J: np.ndarray,
+              bases: list[np.ndarray]) -> CriticalSubspace:
+    """Directions d with J d inside the span of the blockwise orthonormal bases."""
+    B = _embed_blocks(problem, bases)
+    N = nullspace(J - B @ (B.T @ J))
+    return CriticalSubspace(basis=N, dim=N.shape[1])
+
+
+def _joint_rank(J: np.ndarray, B: np.ndarray, tol: float) -> int:
+    """Numerical rank of [J, B] relative to its largest singular value."""
+    s = np.linalg.svd(np.hstack([J, B]) if B.shape[1] else J, compute_uv=False)
+    return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+
+
 # ----------------------------------------------------------------------
 # critical subspace and first-order conditions
 
@@ -186,13 +204,9 @@ def critical_subspace(problem: CompositeProblem, zbar) -> CriticalSubspace:
     """Primal directions mapped by the Jacobian into the blockwise affine
     hulls of the critical sets."""
     pt = _require_kkt(problem, zbar)
-    J = _jacobian_at(problem, pt)
     bases = [p.cone_descriptors(xb, ub).affine_hull_basis
              for p, xb, ub in _pair_blocks(problem, pt)]
-    B = _embed_blocks(problem, bases)
-    M = J - B @ (B.T @ J)
-    N = nullspace(M)
-    return CriticalSubspace(basis=N, dim=N.shape[1])
+    return _preimage(problem, _jacobian_at(problem, pt), bases)
 
 
 def critical_subspace_from_samples(problem: CompositeProblem, zbar,
@@ -205,12 +219,8 @@ def critical_subspace_from_samples(problem: CompositeProblem, zbar,
     bases = []
     for i, (p, xb, ub) in enumerate(_pair_blocks(problem, pt)):
         samples = p.sample_clarke(xb + ub, count, seed + 31 * i)
-        cols = np.hstack([el.matrix for el in samples])
-        bases.append(orthonormal_span(cols))
-    B = _embed_blocks(problem, bases)
-    M = J - B @ (B.T @ J)
-    N = nullspace(M)
-    return CriticalSubspace(basis=N, dim=N.shape[1])
+        bases.append(orthonormal_span(np.hstack([el.matrix for el in samples])))
+    return _preimage(problem, J, bases)
 
 
 def nondegeneracy_check(problem: CompositeProblem, zbar,
@@ -221,10 +231,7 @@ def nondegeneracy_check(problem: CompositeProblem, zbar,
     J = _jacobian_at(problem, pt)
     bases = [p.cone_descriptors(xb, ub).lineality_basis
              for p, xb, ub in _pair_blocks(problem, pt)]
-    L = _embed_blocks(problem, bases)
-    M = np.hstack([J, L]) if L.shape[1] else J
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+    rank = _joint_rank(J, _embed_blocks(problem, bases), tol)
     status = "holds" if rank == problem.m else "fails"
     return Verdict(status, tol, f"rank {rank} of {problem.m}")
 
@@ -235,11 +242,8 @@ def nondegeneracy_check(problem: CompositeProblem, zbar,
 
 def _product_cone(problem: CompositeProblem, models: list[ConeModel]) -> ConeModel:
     if all(mo.polyhedral for mo in models):
-        lower = np.concatenate([mo.lower for mo in models])
-        upper = np.concatenate([mo.upper for mo in models])
-        return ConeModel(dim=problem.m, polyhedral=True,
-                         project=lambda v: np.clip(v, lower, upper),
-                         lower=lower, upper=upper)
+        return _interval_cone(np.concatenate([mo.lower for mo in models]),
+                              np.concatenate([mo.upper for mo in models]))
 
     def project(v: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -313,21 +317,25 @@ def _ap_nonzero_points(P_sub: np.ndarray, cone: ConeModel, budget: int,
     return found
 
 
-def _intersection_search(problem: CompositeProblem, pt: KKTPoint,
-                         cone: ConeModel, tol: float, budget: int,
-                         seed: int) -> tuple[list[np.ndarray], bool]:
-    """Nonzero points of null(J^T) inside the cone; exact for interval
-    cones, heuristic otherwise.  Returns (candidates, exact)."""
-    J = _jacobian_at(problem, pt)
-    N = nullspace(J.T)
+def _cone_search(problem: CompositeProblem, pt: KKTPoint, models: list[ConeModel],
+                 tol: float, budget: int, seed: int) -> tuple[list[np.ndarray], str]:
+    """Nonzero points of null(J^T) inside the product of the blockwise
+    cones; exact for interval cones, heuristic otherwise.
+
+    Returns the candidates and the status they support: 'fails' when one
+    was found, else 'holds' (exact) or 'heuristic-likely'.
+    """
+    cone = _product_cone(problem, models)
+    N = nullspace(_jacobian_at(problem, pt).T)
     if N.shape[1] == 0:
-        return [], True
-    if cone.polyhedral:
+        found, exact = [], True
+    elif cone.polyhedral:
         v = _lp_nonzero_point(N, cone, tol)
-        return ([v] if v is not None else []), True
-    P_sub = N @ N.T
-    rng = np.random.default_rng(seed)
-    return _ap_nonzero_points(P_sub, cone, budget, tol, rng), False
+        found, exact = ([v] if v is not None else []), True
+    else:
+        rng = np.random.default_rng(seed)
+        found, exact = _ap_nonzero_points(N @ N.T, cone, budget, tol, rng), False
+    return found, "fails" if found else ("holds" if exact else "heuristic-likely")
 
 
 def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
@@ -338,39 +346,32 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     pt = _require_kkt(problem, zbar)
     J = _jacobian_at(problem, pt)
     pairs = _pair_blocks(problem, pt)
-    cone = _product_cone(problem, [p.critical_polar_cone(xb, ub) for p, xb, ub in pairs])
-    if not cone.polyhedral:
+    models = [p.critical_polar_cone(xb, ub) for p, xb, ub in pairs]
+    if not all(mo.polyhedral for mo in models):
         # necessary span test: the Jacobian range plus the affine hull of
         # the critical set must already fill the image space
         aff = _embed_blocks(problem, [p.cone_descriptors(xb, ub).affine_hull_basis
                                       for p, xb, ub in pairs])
-        M = np.hstack([J, aff]) if aff.shape[1] else J
-        s = np.linalg.svd(M, compute_uv=False)
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
+        rank = _joint_rank(J, aff, tol)
         if rank < problem.m:
             return Verdict("fails", tol, f"span test rank {rank} of {problem.m}")
-    candidates, exact = _intersection_search(problem, pt, cone, tol, budget, seed)
-    if candidates:
-        return Verdict("fails", tol, "nonzero polar intersection point found")
-    if exact:
-        return Verdict("holds", tol, "polar intersection is trivial (exact)")
-    return Verdict("heuristic-likely", tol,
-                   f"no polar point found in {budget} restarts")
+    _, status = _cone_search(problem, pt, models, tol, budget, seed)
+    return Verdict(status, tol, {
+        "fails": "nonzero polar intersection point found",
+        "holds": "polar intersection is trivial (exact)",
+        "heuristic-likely": f"no polar point found in {budget} restarts"}[status])
 
 
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test."""
     pt = _require_kkt(problem, zbar)
-    pairs = _pair_blocks(problem, pt)
-    cone = _product_cone(problem, [p.domain_normal_cone(xb, ub) for p, xb, ub in pairs])
-    candidates, exact = _intersection_search(problem, pt, cone, tol, budget, seed + 1)
-    if candidates:
-        return Verdict("fails", tol, "nonzero normal-cone intersection point found")
-    if exact:
-        return Verdict("holds", tol, "normal-cone intersection is trivial (exact)")
-    return Verdict("heuristic-likely", tol,
-                   f"no intersection point found in {budget} restarts")
+    models = [p.domain_normal_cone(xb, ub) for p, xb, ub in _pair_blocks(problem, pt)]
+    _, status = _cone_search(problem, pt, models, tol, budget, seed + 1)
+    return Verdict(status, tol, {
+        "fails": "nonzero normal-cone intersection point found",
+        "holds": "normal-cone intersection is trivial (exact)",
+        "heuristic-likely": f"no intersection point found in {budget} restarts"}[status])
 
 
 def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
@@ -380,9 +381,8 @@ def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
     subdifferential; a candidate only counts once a perturbed multiplier
     actually satisfies the KKT system."""
     pt = _require_kkt(problem, zbar)
-    pairs = _pair_blocks(problem, pt)
-    cone = _product_cone(problem, [p.critical_polar_cone(xb, ub) for p, xb, ub in pairs])
-    candidates, _ = _intersection_search(problem, pt, cone, tol, budget, seed + 2)
+    models = [p.critical_polar_cone(xb, ub) for p, xb, ub in _pair_blocks(problem, pt)]
+    candidates, _ = _cone_search(problem, pt, models, tol, budget, seed + 2)
     scale = 1.0 + float(np.linalg.norm(pt.mu))
     for v in candidates:
         vn = v / max(np.linalg.norm(v), 1e-300)
@@ -413,7 +413,7 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
         for (p, xb, ub), vb in zip(pairs, problem.blocks(v)):
             val = p.gamma(xb, ub, vb)
             if not np.isfinite(val):
-                raise RuntimeError(
+                raise CurvatureDomainError(
                     "curvature is infinite on the critical subspace; the "
                     "subspace and the curvature domain disagree numerically")
             total += val
@@ -650,12 +650,7 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
         d = rng.standard_normal(piece.dim)
         v = el.matrix @ d
         closed = piece.gamma(xbar, ubar, v)
-        best_b = float("inf")
-        vnorm = float(np.linalg.norm(v))
-        for b in b_elements:
-            t, *_ = np.linalg.lstsq(b.matrix, v, rcond=None)
-            if np.linalg.norm(b.matrix @ t - v) <= 1e-8 * (1.0 + vnorm):
-                best_b = min(best_b, float(np.dot(v, t) - vnorm ** 2))
+        best_b = gamma_oracle(piece, xbar, ubar, v, b_elements)
         if np.isfinite(closed) and np.isfinite(best_b):
             scaled = abs(closed - best_b) / (1.0 + abs(closed))
         elif np.isfinite(closed) == np.isfinite(best_b):

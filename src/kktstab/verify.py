@@ -1,9 +1,10 @@
 """Named invariant suites behind the CLI verify command.
 
 Each check returns (name, passed, detail).  The conjugate-prox identities
-are tested against direct closed forms implemented here, independent of
-the library's single Moreau-identity code path, so the identity test has
-two genuinely different routes.
+are tested against each piece's direct closed form
+(``prox_conjugate_direct``), independent of the library's single
+Moreau-identity code path, so the identity test has two genuinely
+different routes.
 """
 
 from __future__ import annotations
@@ -29,30 +30,6 @@ from .problem import (
     solve_linearized_ge,
 )
 from .symmat import svec
-
-
-def prox_conjugate_direct(piece: ConvexPiece, z: np.ndarray, sigma: float = 1.0):
-    """Closed-form prox of the conjugate, bypassing the Moreau identity."""
-    z = np.asarray(z, dtype=float)
-    if isinstance(piece, PSDConeIndicator):
-        sp = piece.split(z)
-        return svec(sp.P @ np.diag(np.minimum(sp.lam, 0.0)) @ sp.P.T)
-    if isinstance(piece, OrthantIndicator):
-        return np.minimum(z, 0.0) if piece.sign > 0 else np.maximum(z, 0.0)
-    if isinstance(piece, BoxIndicator):
-        out = np.zeros_like(z)
-        for i in range(piece.dim):
-            lo, hi = piece.lower[i], piece.upper[i]
-            if np.isfinite(hi) and z[i] > sigma * hi:
-                out[i] = z[i] - sigma * hi
-            elif np.isfinite(lo) and z[i] < sigma * lo:
-                out[i] = z[i] - sigma * lo
-        return out
-    if isinstance(piece, L1Norm):
-        return np.clip(z, -1.0, 1.0)
-    if isinstance(piece, EpiSum):
-        return np.concatenate([[1.0], prox_conjugate_direct(piece.inner, z[1:], sigma)])
-    raise ValueError(f"no direct conjugate prox for {piece.kind}")
 
 
 def piece_battery() -> list[tuple[str, ConvexPiece]]:
@@ -121,11 +98,11 @@ def check_moreau_identity(n_draws=1000, seed=1):
     for name, piece in piece_battery():
         for _ in range(n_draws):
             z = _rand_point(rng, piece.dim)
-            r1 = np.linalg.norm(piece.prox(z) + prox_conjugate_direct(piece, z) - z)
+            r1 = np.linalg.norm(piece.prox(z) + piece.prox_conjugate_direct(z) - z)
             worst1 = max(worst1, r1)
             for sigma in (0.1, 10.0):
                 lhs = piece.prox(z, sigma) \
-                    + sigma * prox_conjugate_direct(piece, z / sigma, 1.0 / sigma)
+                    + sigma * piece.prox_conjugate_direct(z / sigma, 1.0 / sigma)
                 worst_sigma = max(worst_sigma, float(np.linalg.norm(lhs - z)))
     ok = worst1 <= 1e-12 and worst_sigma <= 1e-10
     return ("Moreau identity (direct conjugate route)", ok,
@@ -163,8 +140,8 @@ def check_dirderiv_fd(n_draws=100, seed=3, t=1e-7):
         while drawn < n_draws and guard < 20 * n_draws:
             guard += 1
             z = _rand_point(rng, piece.dim)
-            if _psd_split_unstable(piece, z):
-                continue
+            if piece.split_unstable(z):
+                continue  # a nearly vanishing eigenvalue makes the split ill-conditioned
             d = rng.standard_normal(piece.dim)
             fd = (piece.prox(z + t * d) - piece.prox(z)) / t
             err = np.linalg.norm(piece.prox_dirderiv(z, d) - fd)
@@ -172,18 +149,6 @@ def check_dirderiv_fd(n_draws=100, seed=3, t=1e-7):
             drawn += 1
     return ("prox directional derivative vs finite differences",
             worst <= 1e-5, f"worst relative error {worst:.3e}")
-
-
-def _psd_split_unstable(piece: ConvexPiece, z: np.ndarray, floor=1e-4) -> bool:
-    """Random draws whose nonzero eigenvalues nearly vanish make the split
-    ill-conditioned; such draws are skipped."""
-    if isinstance(piece, EpiSum):
-        return _psd_split_unstable(piece.inner, np.asarray(z)[1:], floor)
-    if not isinstance(piece, PSDConeIndicator):
-        return False
-    sp = piece.split(z)
-    nonzero = np.abs(sp.lam[np.abs(sp.lam) > sp.tol_eig])
-    return bool(nonzero.size and nonzero.min() < floor)
 
 
 def check_gamma_properties(n_draws=100, seed=4, count=16):
@@ -313,28 +278,7 @@ def _point_locally_smooth(problem, z) -> bool:
     """All prox blocks differentiable at F(x)+mu, with margin for the FD step."""
     x, mu = z[:problem.n], z[problem.n:]
     w = np.asarray(problem.F.eval(x), dtype=float) + mu
-    for piece, wb in zip(problem.pieces, problem.blocks(w)):
-        if not _block_smooth(piece, wb):
-            return False
-    return True
-
-
-def _block_smooth(piece, wb, margin=1e-3) -> bool:
-    if isinstance(piece, EpiSum):
-        return _block_smooth(piece.inner, wb[1:], margin)
-    if isinstance(piece, PSDConeIndicator):
-        sp = piece.split(wb)
-        return bool(np.min(np.abs(sp.lam)) > margin)
-    if isinstance(piece, OrthantIndicator):
-        return bool(np.min(np.abs(wb)) > margin)
-    if isinstance(piece, BoxIndicator):
-        lo_gap = np.abs(wb - piece.lower)
-        hi_gap = np.abs(wb - piece.upper)
-        degenerate = piece.lower == piece.upper
-        return bool(np.all((np.minimum(lo_gap, hi_gap) > margin) | degenerate))
-    if isinstance(piece, L1Norm):
-        return bool(np.min(np.abs(np.abs(wb) - 1.0)) > margin)
-    return False
+    return all(piece.smooth_at(wb) for piece, wb in zip(problem.pieces, problem.blocks(w)))
 
 
 def check_linearization_taylor(seed=8):

@@ -196,7 +196,7 @@ def test_cli_env_var_default_seed(tmp_path, capsys, monkeypatch):
 
 
 def test_piece_spec_round_trip():
-    from kktstab import parse_piece, piece_spec
+    from kktstab import parse_piece
     specs = [
         {"kind": "psd_indicator", "order": 3},
         {"kind": "orthant_indicator", "dim": 2, "sign": 1},
@@ -205,7 +205,7 @@ def test_piece_spec_round_trip():
         {"kind": "epi_lift", "inner": {"kind": "psd_indicator", "order": 2}},
     ]
     for spec in specs:
-        assert piece_spec(parse_piece(spec)) == spec
+        assert parse_piece(spec).spec() == spec
 
 
 def test_cli_piece_missing_key_is_one_line_error(tmp_path, capsys):
@@ -228,3 +228,83 @@ def test_cli_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
     # an explicit --seed does not read the environment
     assert run_command(["probe", _battery_file("l1_toy"), "--num-delta", "5",
                         "--seed", "3"]) == 0
+
+
+def test_cli_nonfinite_coefficient_is_one_line_error(tmp_path, capsys):
+    data = _nlp_dict()
+    data["F"]["polynomial"][0]["linear"] = [float("nan")]
+    del data["known_solution"]
+    f = tmp_path / "nan.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "linear" in err and "non-finite" in err
+
+
+def _set(data, path, value):
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _sdp_dict():
+    with open(_battery_file("sdp_toy"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: _set(_nlp_dict(), ["F", "polynomial", 1, "const"], float("inf")), "const"),
+    (lambda: _set(_nlp_dict(), ["F", "polynomial", 0, "quadratic"], [[float("-inf")]]),
+     "quadratic"),
+    (lambda: _set(_nlp_dict(), ["known_solution", "x"], [float("nan")]), "known_solution: x"),
+    (lambda: _set(_nlp_dict(), ["start"], {"x": [1.0], "mu": [1.0, float("inf")]}),
+     "start: mu"),
+    (lambda: _set(_sdp_dict(), ["F", "builtin", "params", "pencil_coeff", 0, 1, 1],
+                  float("nan")), "pencil_coeff[0]"),
+    (lambda: _set(_sdp_dict(), ["F", "builtin", "params", "pencil_const", 0, 0],
+                  float("inf")), "pencil_const"),
+    (lambda: _set(_sdp_dict(), ["F", "builtin", "params", "objective", "linear"],
+                  [float("nan")]), "objective: linear"),
+])
+def test_loader_rejects_nonfinite_numbers(make, field):
+    with pytest.raises(InstanceFormatError) as exc:
+        instance_from_dict(make())
+    assert field in str(exc.value)
+
+
+def test_loader_box_bounds_may_be_infinite_but_not_nan():
+    data = _nlp_dict()
+    data["g"] = [{"kind": "epi_lift", "inner": {"kind": "box_indicator",
+                                                "lower": [float("-inf")], "upper": [0.0]}}]
+    instance_from_dict(data)
+    data["g"][0]["inner"]["lower"] = [float("nan")]
+    with pytest.raises(ValueError, match="NaN"):
+        instance_from_dict(data)
+
+
+def test_cli_eigendecomposition_error_exits_1(capsys, monkeypatch):
+    import kktstab.pieces
+    from kktstab import EigenDecompositionError
+
+    def failing_split(*args, **kwargs):
+        raise EigenDecompositionError("eigendecomposition failed for 2x2 matrix")
+
+    monkeypatch.setattr(kktstab.pieces, "eig_split", failing_split)
+    assert run_command(["analyze", _battery_file("sdp_toy")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "eigendecomposition failed" in err
+
+
+def test_cli_infinite_curvature_exits_1(capsys, monkeypatch):
+    import kktstab.pieces
+
+    monkeypatch.setattr(kktstab.pieces.EpiSum, "gamma",
+                        lambda self, *args, **kwargs: float("inf"))
+    assert run_command(["analyze", _battery_file("smooth_toy"), "--num-delta", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "curvature is infinite" in err

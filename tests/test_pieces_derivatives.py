@@ -12,7 +12,7 @@ from kktstab import (
     smat,
     svec,
 )
-from kktstab.verify import pair_battery, _psd_split_unstable
+from kktstab.verify import pair_battery
 
 
 def fd_dirderiv(piece, z, d, t=1e-7):
@@ -61,7 +61,7 @@ def test_dirderiv_finite_difference_battery():
         drawn = 0
         while drawn < 60:
             z = 2.0 * rng.standard_normal(piece.dim)
-            if _psd_split_unstable(piece, z):
+            if piece.split_unstable(z):
                 continue
             d = rng.standard_normal(piece.dim)
             err = np.linalg.norm(prox_dirderiv(piece, z, d) - fd_dirderiv(piece, z, d))

@@ -13,9 +13,14 @@ from kktstab import (
     smat,
     svec,
 )
-from kktstab.pieces import PSD_PATTERN_CAP, LinearOperatorElement, dedup_elements
+from kktstab.pieces import (
+    PSD_PATTERN_CAP,
+    SEPARABLE_PATTERN_CAP,
+    LinearOperatorElement,
+    dedup_elements,
+)
 from kktstab.symmat import SQRT2
-from kktstab.verify import piece_battery, prox_conjugate_direct
+from kktstab.verify import piece_battery
 from test_symmat import conjugation_matrix_loop, svec_loop
 
 
@@ -113,18 +118,18 @@ def test_nonexpansiveness_battery():
 
 
 def test_moreau_identity_dual_route():
-    # library path uses the identity; the direct closed forms live in the
-    # verify module, so the comparison has two independent routes
+    # library path uses the identity; each piece's direct closed form is a
+    # second, independent route
     rng = np.random.default_rng(11)
     for name, piece in piece_battery():
         for _ in range(100):
             z = 2.0 * rng.standard_normal(piece.dim)
-            direct = prox_conjugate_direct(piece, z)
+            direct = piece.prox_conjugate_direct(z)
             assert np.linalg.norm(piece.prox_conjugate(z, 1.0) - direct) <= 1e-12, name
             assert np.linalg.norm(piece.prox(z, 1.0) + direct - z) <= 1e-12, name
             for sigma in (0.1, 10.0):
                 lhs = piece.prox(z, sigma) \
-                    + sigma * prox_conjugate_direct(piece, z / sigma, 1.0 / sigma)
+                    + sigma * piece.prox_conjugate_direct(z / sigma, 1.0 / sigma)
                 assert np.linalg.norm(lhs - z) <= 1e-10, name
 
 
@@ -297,3 +302,133 @@ def test_psd_cone_descriptor_bases_match_loop_oracle():
         assert desc.lineality_basis.shape == lin.shape, case
         assert np.max(np.abs(desc.affine_hull_basis - aff), initial=0.0) <= 1e-12, case
         assert np.max(np.abs(desc.lineality_basis - lin), initial=0.0) <= 1e-12, case
+
+
+# ----------------------------------------------------------------------
+# Loop forms of the separable pieces, kept as oracles for the array code.
+
+
+def _states_loop(piece, z):
+    """Per-coordinate (state, half-line sign); state 1 free, 0 pinned, 2 kink."""
+    out = []
+    for i, zi in enumerate(z):
+        if isinstance(piece, OrthantIndicator):
+            w = piece.sign * zi
+            out.append((1, 0.0) if w > 0 else (0, 0.0) if w < 0 else (2, float(piece.sign)))
+        elif isinstance(piece, BoxIndicator):
+            lo, hi = piece.lower[i], piece.upper[i]
+            if lo == hi:
+                out.append((0, 0.0))
+            elif lo < zi < hi:
+                out.append((1, 0.0))
+            elif zi == lo:
+                out.append((2, 1.0))
+            elif zi == hi:
+                out.append((2, -1.0))
+            else:
+                out.append((0, 0.0))
+        else:
+            a = abs(zi)
+            out.append((1, 0.0) if a > 1.0 else (0, 0.0) if a < 1.0 else (2, float(np.sign(zi))))
+    return out
+
+
+def separable_sample_clarke_loop(piece, z, count, seed):
+    states = [s for s, _ in _states_loop(piece, z)]
+    base = [1.0 if s == 1 else 0.0 for s in states]
+    kinks = [i for i, s in enumerate(states) if s == 2]
+    elements = [
+        LinearOperatorElement(np.diag([0.0 if s == 0 else 1.0 for s in states]),
+                              f"{piece.kind}:canonical"),
+        LinearOperatorElement(np.diag(base), f"{piece.kind}:pattern-zeros"),
+    ]
+    rng = np.random.default_rng(seed)
+    if kinks:
+        if 2 ** len(kinks) <= SEPARABLE_PATTERN_CAP:
+            patterns = [[(p >> i) & 1 for i in range(len(kinks))]
+                        for p in range(2 ** len(kinks))]
+        else:
+            patterns = [list(rng.integers(0, 2, size=len(kinks)))
+                        for _ in range(SEPARABLE_PATTERN_CAP)]
+        for pat in patterns:
+            diag = list(base)
+            for k, b in zip(kinks, pat):
+                diag[k] = float(b)
+            tag = "".join(str(int(b)) for b in pat)
+            elements.append(LinearOperatorElement(np.diag(diag), f"{piece.kind}:pattern[{tag}]"))
+        while len(elements) < count + 2:
+            theta = rng.uniform(0.05, 0.95)
+            i, j = rng.integers(0, len(elements), size=2)
+            mix = theta * elements[i].matrix + (1 - theta) * elements[j].matrix
+            elements.append(LinearOperatorElement(mix, f"{piece.kind}:convex({i},{j})"))
+    kept = []
+    for el in elements:
+        if all(np.max(np.abs(el.matrix - o.matrix)) > 1e-12 for o in kept):
+            kept.append(el)
+    return kept[: max(count, 2)]
+
+
+def _separable_points(n_kinks, dim=9):
+    """Points of each separable piece with exactly n_kinks kink coordinates;
+    the other coordinates alternate between free and pinned."""
+    rng = np.random.default_rng(30 + n_kinks)
+    off = rng.uniform(0.2, 0.8, dim)
+    side = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    kink = np.arange(dim) < n_kinks
+    free = np.arange(dim) % 2 == 0
+    for sign in (-1, 1):
+        yield OrthantIndicator(dim, sign), np.where(kink, 0.0, sign * np.where(free, off, -off))
+    lower = np.array([-1.0, 0.0, -np.inf, -2.0, -1.0, -3.0, 0.0, -1.0, -2.0])
+    upper = np.array([1.0, 0.5, 2.0, np.inf, 1.0, 3.0, 1.0, np.inf, 2.0])
+    at_bound = np.where(np.isfinite(lower), lower, upper)
+    inside = 0.5 * (np.maximum(lower, -5.0) + np.minimum(upper, 5.0))
+    outside = np.where(np.isfinite(upper), upper + off, lower - off)
+    yield BoxIndicator(lower, upper), np.where(kink, at_bound, np.where(free, inside, outside))
+    yield L1Norm(dim), side * np.where(kink, 1.0, np.where(free, 1.0 + off, off))
+
+
+def test_separable_sample_clarke_matches_loop_oracle():
+    for n_kinks in (0, 3, 7):
+        for piece, z in _separable_points(n_kinks):
+            states = [s for s, _ in _states_loop(piece, z)]
+            assert states.count(2) == n_kinks, (piece.kind, n_kinks)
+            assert {0, 1} <= set(states), (piece.kind, n_kinks)
+            for count in (1, 12, 40):
+                new = piece.sample_clarke(z, count, seed=5)
+                old = separable_sample_clarke_loop(piece, z, count, seed=5)
+                assert [e.provenance for e in new] == [e.provenance for e in old], \
+                    (piece.kind, n_kinks, count)
+                for a, b in zip(new, old):
+                    assert np.array_equal(a.matrix, b.matrix), (piece.kind, n_kinks, count)
+
+
+def test_box_array_forms_match_loop_oracle():
+    rng = np.random.default_rng(31)
+    piece = BoxIndicator([-1.0, 0.0, -np.inf, -2.0, 0.5], [1.0, 0.5, 2.0, np.inf, 0.5])
+    for _ in range(200):
+        z = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0], size=5) + \
+            rng.choice([0.0, 0.0, 1e-13, 0.3], size=5)
+        state, sign = piece._classify(z)
+        assert list(zip(state.tolist(), sign.tolist())) == _states_loop(piece, z)
+        total = 0.0
+        for i in range(5):
+            if z[i] > 0:
+                total += piece.upper[i] * z[i]
+            elif z[i] < 0:
+                total += piece.lower[i] * z[i]
+        assert piece.conjugate_value(z) == pytest.approx(total, rel=1e-12)
+        for sigma in (0.5, 1.0, 4.0):
+            direct = np.zeros(5)
+            for i in range(5):
+                lo, hi = piece.lower[i], piece.upper[i]
+                if np.isfinite(hi) and z[i] > sigma * hi:
+                    direct[i] = z[i] - sigma * hi
+                elif np.isfinite(lo) and z[i] < sigma * lo:
+                    direct[i] = z[i] - sigma * lo
+            assert np.array_equal(piece.prox_conjugate_direct(z, sigma), direct)
+        cone = piece.domain_normal_cone(piece.prox(z), z - piece.prox(z))
+        x = piece.prox(z)
+        s = 1e-12 * (1.0 + np.linalg.norm(x))
+        for i in range(5):
+            assert cone.lower[i] == (-np.inf if x[i] <= piece.lower[i] + s else 0.0)
+            assert cone.upper[i] == (np.inf if x[i] >= piece.upper[i] - s else 0.0)
