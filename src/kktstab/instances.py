@@ -154,6 +154,12 @@ def parse_piece(spec: dict) -> ConvexPiece:
     except KeyError as exc:
         raise InstanceFormatError(
             f"piece {kind!r} is missing required key {exc.args[0]!r}") from None
+    except InstanceFormatError:
+        raise  # an inner piece's error already names that piece
+    except (TypeError, ValueError) as exc:
+        fields = {k: v for k, v in spec.items() if k != "kind"}
+        raise InstanceFormatError(
+            f"piece {kind!r} has an invalid value in {fields}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

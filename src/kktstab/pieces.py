@@ -83,6 +83,9 @@ class ConeDescriptor:
 class ConeModel:
     """Closed convex cone given by an exact projection.
 
+    ``project`` maps a vector of shape (dim,) to its projection, and a
+    stack of shape (..., dim) row by row to a stack of the same shape.
+
     When ``polyhedral`` is true the cone is a product of coordinate
     intervals encoded by ``lower``/``upper`` (entries 0 or +-inf), which
     enables the exact linear-programming decision path.
@@ -743,14 +746,16 @@ class PSDConeIndicator(ConvexPiece):
         """Cone {V : rotated alpha rows and columns vanish, rotated neg block is NSD}."""
         P, a = sp.P, sp.alpha
 
+        rows = neg[:, None]
+
         def project(v: np.ndarray) -> np.ndarray:
-            out = P.T @ smat(np.asarray(v, dtype=float)) @ P
-            out[a, :] = 0.0
-            out[:, a] = 0.0
+            out = P.T @ smat(v) @ P
+            out[..., a, :] = 0.0
+            out[..., :, a] = 0.0
             if neg.size:
-                blk = out[np.ix_(neg, neg)]
-                w, Q = np.linalg.eigh(0.5 * (blk + blk.T))
-                out[np.ix_(neg, neg)] = Q @ np.diag(np.minimum(w, 0.0)) @ Q.T
+                blk = out[..., rows, neg]
+                w, Q = np.linalg.eigh(0.5 * (blk + blk.swapaxes(-1, -2)))
+                out[..., rows, neg] = (Q * np.minimum(w, 0.0)[..., None, :]) @ Q.swapaxes(-1, -2)
             return svec(P @ out @ P.T)
 
         return ConeModel(dim=self.dim, polyhedral=False, project=project)
@@ -877,7 +882,9 @@ class EpiSum(ConvexPiece):
 
         def project(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
-            return np.concatenate([[0.0], cone.project(v[1:])])
+            out = np.zeros_like(v)
+            out[..., 1:] = cone.project(v[..., 1:])
+            return out
 
         return ConeModel(dim=self.dim, polyhedral=False, project=project)
 

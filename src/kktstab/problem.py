@@ -82,8 +82,9 @@ class CompositeProblem:
         return self.F.m
 
     def blocks(self, y: np.ndarray) -> list[np.ndarray]:
+        """The per-piece slices of y along its last axis."""
         y = np.asarray(y, dtype=float)
-        return [y[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.pieces))]
+        return [y[..., self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.pieces))]
 
     def prox_g(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
         return np.concatenate(

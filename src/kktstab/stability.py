@@ -247,7 +247,7 @@ def _product_cone(problem: CompositeProblem, models: list[ConeModel]) -> ConeMod
 
     def project(v: np.ndarray) -> np.ndarray:
         return np.concatenate(
-            [mo.project(vb) for mo, vb in zip(models, problem.blocks(v))])
+            [mo.project(vb) for mo, vb in zip(models, problem.blocks(v))], axis=-1)
 
     return ConeModel(dim=problem.m, polyhedral=False, project=project)
 
@@ -292,28 +292,31 @@ def _ap_nonzero_points(P_sub: np.ndarray, cone: ConeModel, budget: int,
                        tol: float, rng: np.random.Generator,
                        max_candidates: int = 8) -> list[np.ndarray]:
     """Normalized alternating projections between a subspace and a cone;
-    heuristic, returns distinct intersection candidates."""
-    dim = cone.dim
+    heuristic, returns distinct intersection candidates.  P_sub is the
+    orthogonal (hence symmetric) projector onto the subspace.
+
+    All restarts run together as the rows of one stack.  A restart whose
+    iterate falls below norm 1e-13 is dropped; the survivors are kept in
+    restart order, so candidates are chosen in that order.
+    """
+    V = rng.standard_normal((budget, cone.dim))
+    for _ in range(60):
+        V = cone.project(V) @ P_sub
+        norms = np.linalg.norm(V, axis=1)
+        alive = norms >= 1e-13
+        V = V[alive] / norms[alive, None]
+        if not V.shape[0]:
+            return []
+    res = (np.linalg.norm(V - V @ P_sub, axis=1)
+           + np.linalg.norm(V - cone.project(V), axis=1))
+    pool = V[res <= tol]
     found: list[np.ndarray] = []
-    for _ in range(budget):
-        v = rng.standard_normal(dim)
-        ok = False
-        for _ in range(60):
-            v = P_sub @ cone.project(v)
-            nv = float(np.linalg.norm(v))
-            if nv < 1e-13:
-                break
-            v = v / nv
-            ok = True
-        if not ok or float(np.linalg.norm(v)) < 0.5:
-            continue
-        res = float(np.linalg.norm(v - P_sub @ v)) + cone.residual(v)
-        if res <= tol:
-            if all(np.linalg.norm(v - u) > 1e-6 and np.linalg.norm(v + u) > 1e-6
-                   for u in found):
-                found.append(v)
-            if len(found) >= max_candidates:
-                break
+    while pool.shape[0] and len(found) < max_candidates:
+        v = pool[0]
+        found.append(v)
+        far = ((np.linalg.norm(pool - v, axis=1) > 1e-6)
+               & (np.linalg.norm(pool + v, axis=1) > 1e-6))
+        pool = pool[far]
     return found
 
 

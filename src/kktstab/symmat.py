@@ -10,7 +10,7 @@ d = m(m+1)/2 svec coordinates: the ``np.triu_indices(m)`` pair (a, b),
 the flat offsets a*m + b of the upper and b*m + a of the lower entry, and
 three per-coordinate scales (``half`` for svec, ``div`` for smat and
 ``scale`` for the conjugation matrix).  ``svec`` is then one gather and
-``smat`` two scatters.
+``smat`` two scatters; both act on stacks over the leading axes.
 
 The conjugation matrix K, defined by svec(P S P^T) = K svec(S), has the
 closed form
@@ -75,20 +75,25 @@ def svec_layout(order: int) -> SvecLayout:
 
 
 def svec(A: np.ndarray) -> np.ndarray:
+    """svec image of a symmetric matrix, or of each one in a stack (..., m, m)."""
     A = np.asarray(A, dtype=float)
-    lay = svec_layout(A.shape[0])
-    return (A.take(lay.upper) + A.take(lay.lower)) * lay.half
+    m = A.shape[-1]
+    lay = svec_layout(m)
+    flat = A.reshape(A.shape[:-2] + (m * m,))
+    return (flat[..., lay.upper] + flat[..., lay.lower]) * lay.half
 
 
 def smat(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    m = svec_order(v.size)
+    """Symmetric matrix of an svec vector; a stack (..., d) maps row-wise
+    to (..., m, m)."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    m = svec_order(v.shape[-1])
     lay = svec_layout(m)
     w = v / lay.div
-    A = np.empty((m, m))
-    A.put(lay.upper, w)
-    A.put(lay.lower, w)
-    return A
+    A = np.empty(v.shape[:-1] + (m * m,))
+    A[..., lay.upper] = w
+    A[..., lay.lower] = w
+    return A.reshape(v.shape[:-1] + (m, m))
 
 
 def conjugation_matrix(P: np.ndarray) -> np.ndarray:

@@ -221,6 +221,27 @@ def test_cli_piece_missing_key_is_one_line_error(tmp_path, capsys):
         instance_from_dict(data)
 
 
+def test_cli_piece_bad_value_is_one_line_error(tmp_path, capsys):
+    data = _nlp_dict()
+    data["g"][0]["inner"]["dim"] = [1]
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "orthant_indicator" in err and "[1]" in err
+    data["g"][0]["inner"]["sign"] = "minus"
+    data["g"][0]["inner"]["dim"] = 1
+    with pytest.raises(InstanceFormatError, match="'minus'"):
+        instance_from_dict(data)
+    # an inner piece's own error passes through the lift unchanged
+    data["g"][0]["inner"] = {"kind": "no_such_kind"}
+    with pytest.raises(InstanceFormatError) as exc:
+        instance_from_dict(data)
+    assert str(exc.value) == "unknown piece kind 'no_such_kind'"
+
+
 def test_cli_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("KKTSTAB_SEED", "abc")
     assert run_command(["probe", _battery_file("l1_toy"), "--num-delta", "5"]) == 64

@@ -283,7 +283,7 @@ def test_psd_clarke_element_matches_loop_oracle():
 def test_psd_sample_clarke_matches_loop_oracle():
     for case, z in _psd_structures():
         piece = PSDConeIndicator(case[0])
-        for count in (1, 6):
+        for count in (1, 6, 40):
             new = piece.sample_clarke(z, count, seed=3)
             old = sample_clarke_loop(piece, z, count, seed=3)
             assert [e.provenance for e in new] == [e.provenance for e in old], case
@@ -302,6 +302,39 @@ def test_psd_cone_descriptor_bases_match_loop_oracle():
         assert desc.lineality_basis.shape == lin.shape, case
         assert np.max(np.abs(desc.affine_hull_basis - aff), initial=0.0) <= 1e-12, case
         assert np.max(np.abs(desc.lineality_basis - lin), initial=0.0) <= 1e-12, case
+
+
+def assert_projects_row_wise(cone, rng):
+    """cone.project on a stack equals projecting each row; 1-d stays 1-d."""
+    for shape in ((5,), (2, 3)):
+        V = rng.standard_normal(shape + (cone.dim,))
+        rows = np.array([cone.project(v) for v in V.reshape(-1, cone.dim)])
+        out = cone.project(V)
+        assert out.shape == V.shape
+        assert np.max(np.abs(out.reshape(-1, cone.dim) - rows)) <= 1e-12
+    assert cone.project(V[0, 0]).shape == (cone.dim,)
+
+
+def test_cone_projections_act_row_wise_on_stacks():
+    rng = np.random.default_rng(8)
+    for case, z in _psd_structures():
+        piece = PSDConeIndicator(case[0])
+        lifted = EpiSum(piece)
+        xbar = piece.prox(z)
+        ubar = z - xbar
+        for name in ("critical_polar_cone", "domain_normal_cone"):
+            assert_projects_row_wise(getattr(piece, name)(xbar, ubar), rng)
+            assert_projects_row_wise(getattr(lifted, name)(np.concatenate([[0.5], xbar]),
+                                                           np.concatenate([[1.0], ubar])), rng)
+    for piece, z in ((OrthantIndicator(4), np.array([1.0, -1.0, 0.0, 2.0])),
+                     (BoxIndicator([-1.0, 0.0, -np.inf], [1.0, 0.0, 2.0]),
+                      np.array([0.5, 3.0, 2.0])),
+                     (L1Norm(3), np.array([2.0, 1.0, -0.5]))):
+        xbar = piece.prox(z)
+        for cone in (piece.critical_polar_cone(xbar, z - xbar),
+                     piece.domain_normal_cone(xbar, z - xbar)):
+            assert cone.polyhedral
+            assert_projects_row_wise(cone, rng)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,12 @@ import pytest
 
 from kktstab import (
     AnalyzerOptions,
+    CompositeProblem,
+    EpiSum,
     KKTPoint,
+    OrthantIndicator,
+    PSDConeIndicator,
+    SmoothMap,
     UnsupportedCaseError,
     assumption_check,
     critical_subspace,
@@ -19,9 +24,16 @@ from kktstab import (
     srcq_check,
     ssosc_check,
     strong_regularity_probe,
+    svec,
 )
-from kktstab.stability import mutual_span_residual, reduced_quadratic_form
+from kktstab.stability import (
+    _ap_nonzero_points,
+    _product_cone,
+    mutual_span_residual,
+    reduced_quadratic_form,
+)
 from kktstab.verify import pair_battery
+from test_pieces_prox import assert_projects_row_wise
 
 FAST = AnalyzerOptions(num_delta=20, srcq_budget=400)
 
@@ -209,3 +221,106 @@ def test_report_verdicts_carry_tolerances():
         assert v.tol > 0
     assert rep.sweep.tol > 0
     assert rep.tolerances["kkt"] > 0
+
+
+# ----------------------------------------------------------------------
+# The batched alternating-projection search against its per-restart loop
+
+
+def ap_nonzero_points_loop(P_sub, cone, budget, tol, rng, max_candidates=8):
+    """One restart at a time, one vector per projection."""
+    found = []
+    for _ in range(budget):
+        v = rng.standard_normal(cone.dim)
+        ok = False
+        for _ in range(60):
+            v = P_sub @ cone.project(v)
+            nv = float(np.linalg.norm(v))
+            if nv < 1e-13:
+                break
+            v = v / nv
+            ok = True
+        if not ok or float(np.linalg.norm(v)) < 0.5:
+            continue
+        res = float(np.linalg.norm(v - P_sub @ v)) + cone.residual(v)
+        if res <= tol:
+            if all(np.linalg.norm(v - u) > 1e-6 and np.linalg.norm(v + u) > 1e-6
+                   for u in found):
+                found.append(v)
+            if len(found) >= max_candidates:
+                break
+    return found
+
+
+def _lifted_psd_pair(lam, rng):
+    """(piece, xbar, ubar) of an epi-lifted PSD block at P diag(lam) P^T."""
+    m = len(lam)
+    P, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    piece = EpiSum(PSDConeIndicator(m))
+    z = np.concatenate([[0.3], svec(P @ np.diag(lam) @ P.T)])
+    xbar = piece.prox(z)
+    return piece, xbar, z - xbar
+
+
+def _assert_same_candidates(P_sub, cone, budget, seed, max_candidates=8):
+    new = _ap_nonzero_points(P_sub, cone, budget, 1e-8, np.random.default_rng(seed),
+                             max_candidates)
+    old = ap_nonzero_points_loop(P_sub, cone, budget, 1e-8, np.random.default_rng(seed),
+                                 max_candidates)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert np.max(np.abs(a - b)) <= 1e-10
+    return len(new)
+
+
+def test_ap_nonzero_points_matches_loop_oracle():
+    rng = np.random.default_rng(5)
+    counts = []
+    for lam in ([2.0, 0.0, -1.0], [0.0, 0.0, -1.5, -0.5], [0.0, 0.0, 0.0]):
+        piece, xbar, ubar = _lifted_psd_pair(lam, rng)
+        for cone in (piece.critical_polar_cone(xbar, ubar),
+                     piece.domain_normal_cone(xbar, ubar)):
+            for p in (2, cone.dim - 1):
+                N, _ = np.linalg.qr(rng.standard_normal((cone.dim, p)))
+                for seed in (0, 7):
+                    counts.append(_assert_same_candidates(N @ N.T, cone, 40, seed))
+            N, _ = np.linalg.qr(rng.standard_normal((cone.dim, cone.dim - 1)))
+            counts.append(_assert_same_candidates(N @ N.T, cone, 40, 3, max_candidates=3))
+    # both sides of the search are covered: nothing found, and the cut
+    assert 0 in counts and 8 in counts and 3 in counts
+
+
+def test_ap_nonzero_points_every_restart_dies():
+    # the lift pins the scalar coordinate of the cone to zero, and a
+    # positive definite block has the trivial critical polar cone, so one
+    # projection round maps every restart to exactly zero
+    rng = np.random.default_rng(6)
+    piece, xbar, ubar = _lifted_psd_pair([2.0, 1.0], rng)
+    e0 = np.zeros((piece.dim, 1))
+    e0[0, 0] = 1.0
+    N, _ = np.linalg.qr(rng.standard_normal((piece.dim, 2)))
+    for cone, P_sub in ((piece.domain_normal_cone(xbar, ubar), e0 @ e0.T),
+                        (piece.critical_polar_cone(xbar, ubar), N @ N.T)):
+        assert _assert_same_candidates(P_sub, cone, 30, 0) == 0
+
+
+def _blocks_problem(pieces):
+    m = sum(p.dim for p in pieces)
+    F = SmoothMap(n=1, m=m, eval=lambda x: np.zeros(m), jacobian=lambda x: np.zeros((m, 1)))
+    return CompositeProblem(F, pieces)
+
+
+def test_product_cone_projects_row_wise():
+    rng = np.random.default_rng(9)
+    psd, xp, up = _lifted_psd_pair([1.0, 0.0, -2.0], rng)
+    orth = OrthantIndicator(2)
+    zo = np.array([1.0, -1.0])
+    pairs = [(psd, xp, up), (orth, orth.prox(zo), zo - orth.prox(zo)), (psd, xp, up)]
+    for name in ("critical_polar_cone", "domain_normal_cone"):
+        models = [getattr(p, name)(xb, ub) for p, xb, ub in pairs]
+        cone = _product_cone(_blocks_problem([p for p, _, _ in pairs]), models)
+        assert not cone.polyhedral
+        assert_projects_row_wise(cone, rng)
+        cone = _product_cone(_blocks_problem([orth] * 3), [models[1]] * 3)
+        assert cone.polyhedral
+        assert_projects_row_wise(cone, rng)

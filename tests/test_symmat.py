@@ -155,6 +155,11 @@ def test_svec_smat_bit_identical_to_loops():
             v = rng.standard_normal(m * (m + 1) // 2)
             assert np.array_equal(smat(v), smat_loop(v)), m
             assert np.array_equal(smat(list(v)), smat_loop(v)), m
+        # stacks map item by item, bit-identically
+        Xs = rng.standard_normal((2, 3, m, m))
+        vs = rng.standard_normal((2, 3, m * (m + 1) // 2))
+        assert np.array_equal(svec(Xs), [[svec_loop(X) for X in row] for row in Xs]), m
+        assert np.array_equal(smat(vs), [[smat_loop(v) for v in row] for row in vs]), m
 
 
 def test_smat_rejects_non_triangular_length():
