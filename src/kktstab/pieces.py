@@ -134,14 +134,26 @@ def _mixed_and_deduped(elements: list[LinearOperatorElement], count: int,
     return dedup_elements(elements)[: max(count, 2)]
 
 
-def _outside_curvature_domain(res: float, vnorm: float) -> bool:
-    """Whether a direction of norm vnorm and range residual res misses the
-    curvature domain; warns when it misses only marginally."""
-    outside = res > DOM_RESIDUAL_TOL * (1.0 + vnorm)
-    if outside and res <= 10.0 * DOM_RESIDUAL_TOL * (1.0 + vnorm):
+def _outside_curvature_domain(res, vnorm) -> np.ndarray:
+    """Whether directions of norms vnorm and range residuals res miss the
+    curvature domain, elementwise; warns once when any misses only
+    marginally."""
+    scale = DOM_RESIDUAL_TOL * (1.0 + np.asarray(vnorm))
+    outside = np.asarray(res) > scale
+    if np.any(outside & (res <= 10.0 * scale)):
         warnings.warn("direction is marginally outside the sampled ranges",
                       GammaDomainBoundaryWarning)
     return outside
+
+
+def _size(spec: dict, key: str) -> int:
+    """spec[key] as a piece size: an integral number of at least 1."""
+    value = spec[key]
+    integral = ((isinstance(value, int) and not isinstance(value, bool))
+                or (isinstance(value, float) and value.is_integer()))
+    if not integral or value < 1:
+        raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 class ConvexPiece:
@@ -227,9 +239,15 @@ class ConvexPiece:
                 f"(prox fixed-point residual {res:.3e})"
             )
 
-    def gamma(self, xbar: np.ndarray, ubar: np.ndarray, v: np.ndarray,
-              samples: list[LinearOperatorElement] | None = None) -> float:
+    def curvature_form(self, xbar: np.ndarray, ubar: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Symmetric (k, k) matrix of the curvature term on the k columns of
+        V; the diagonal entry of a column outside the curvature domain is
+        +inf."""
         raise NotImplementedError
+
+    def gamma(self, xbar: np.ndarray, ubar: np.ndarray, v: np.ndarray) -> float:
+        """Curvature term at the direction v (+inf outside its domain)."""
+        return float(self.curvature_form(xbar, ubar, np.asarray(v, dtype=float)[:, None])[0, 0])
 
     def cone_descriptors(self, xbar: np.ndarray, ubar: np.ndarray) -> ConeDescriptor:
         raise NotImplementedError
@@ -319,15 +337,14 @@ class _SeparablePiece(ConvexPiece):
             elements.append(self._diag_element(diag, f"{self.kind}:pattern[{tag}]"))
         return _mixed_and_deduped(elements, count, rng, self.kind)
 
-    def gamma(self, xbar, ubar, v, samples=None):
+    def curvature_form(self, xbar, ubar, V):
+        # zero on its domain, the directions that vanish on pinned coordinates
         self.check_subgradient(xbar, ubar)
-        v = np.asarray(v, dtype=float)
+        V = np.asarray(V, dtype=float)
         state, _ = self._classify_pair(xbar, ubar)
-        blocked = state == 0
-        res = float(np.linalg.norm(v[blocked])) if np.any(blocked) else 0.0
-        if _outside_curvature_domain(res, float(np.linalg.norm(v))):
-            return float("inf")
-        return 0.0
+        res = np.linalg.norm(V[state == 0], axis=0)
+        outside = _outside_curvature_domain(res, np.linalg.norm(V, axis=0))
+        return np.diag(np.where(outside, np.inf, 0.0))
 
     def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar)
@@ -371,7 +388,7 @@ class OrthantIndicator(_SeparablePiece):
 
     @classmethod
     def from_spec(cls, spec, parse):
-        return cls(int(spec["dim"]), int(spec.get("sign", -1)))
+        return cls(_size(spec, "dim"), int(spec.get("sign", -1)))
 
     def spec(self):
         return {"kind": self.kind, "dim": self.dim, "sign": self.sign}
@@ -506,7 +523,7 @@ class L1Norm(_SeparablePiece):
 
     @classmethod
     def from_spec(cls, spec, parse):
-        return cls(int(spec["dim"]))
+        return cls(_size(spec, "dim"))
 
     def spec(self):
         return {"kind": self.kind, "dim": self.dim}
@@ -570,7 +587,7 @@ class PSDConeIndicator(ConvexPiece):
 
     @classmethod
     def from_spec(cls, spec, parse):
-        return cls(int(spec["order"]))
+        return cls(_size(spec, "order"))
 
     def spec(self):
         return {"kind": self.kind, "order": self.order}
@@ -578,9 +595,6 @@ class PSDConeIndicator(ConvexPiece):
     # -- split helpers ----------------------------------------------------
     def split(self, z: np.ndarray) -> SpectralSplit:
         return eig_split(smat(np.asarray(z, dtype=float)), self.tol_eig)
-
-    def _rotated(self, sp: SpectralSplit, v: np.ndarray) -> np.ndarray:
-        return sp.P.T @ smat(v) @ sp.P
 
     def value(self, z, tol=1e-9):
         sp = self.split(z)
@@ -616,7 +630,7 @@ class PSDConeIndicator(ConvexPiece):
 
     def prox_dirderiv(self, z, d):
         sp = self.split(z)
-        Dt = self._rotated(sp, np.asarray(d, dtype=float))
+        Dt = sp.P.T @ smat(np.asarray(d, dtype=float)) @ sp.P
         a, b, g = sp.alpha, sp.beta, sp.gamma
         V = np.zeros_like(Dt)
         V[np.ix_(a, a)] = Dt[np.ix_(a, a)]
@@ -699,24 +713,23 @@ class PSDConeIndicator(ConvexPiece):
         return _mixed_and_deduped(elements, count, rng, self.kind)
 
     # -- curvature and descriptors -----------------------------------------
-    def gamma(self, xbar, ubar, v, samples=None):
+    def curvature_form(self, xbar, ubar, V):
+        # Sun's sigma term -2 sum (lam_g / lam_a) Vt_k[a, g] Vt_l[a, g] of the
+        # rotated columns Vt_k; its domain: their beta-gamma and gamma-gamma
+        # blocks vanish
         self.check_subgradient(xbar, ubar)
-        v = np.asarray(v, dtype=float)
+        V = np.asarray(V, dtype=float)
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        Vt = self._rotated(sp, v)
-        a, b, g = sp.alpha, sp.beta, sp.gamma
-        res = 0.0
-        if b.size and g.size:
-            res += float(np.linalg.norm(Vt[np.ix_(b, g)])) * SQRT2
-        if g.size:
-            res += float(np.linalg.norm(Vt[np.ix_(g, g)]))
-        if _outside_curvature_domain(res, float(np.linalg.norm(v))):
-            return float("inf")
-        if a.size == 0 or g.size == 0:
-            return 0.0
-        Vag = Vt[np.ix_(a, g)]
-        ratio = sp.lam[g][None, :] / sp.lam[a][:, None]
-        return float(-2.0 * np.sum(ratio * Vag ** 2))
+        Vt = sp.P.T @ smat(V.T) @ sp.P
+        a, b, g = sp.alpha[:, None], sp.beta[:, None], sp.gamma
+        res = (SQRT2 * np.linalg.norm(Vt[:, b, g], axis=(1, 2))
+               + np.linalg.norm(Vt[:, g[:, None], g], axis=(1, 2)))
+        Vag = Vt[:, a, g].reshape(V.shape[1], a.size * g.size)
+        form = (Vag * (-2.0 * sp.lam[g][None, :] / sp.lam[a]).ravel()) @ Vag.T
+        form = 0.5 * (form + form.T)
+        out = np.flatnonzero(_outside_curvature_domain(res, np.linalg.norm(V, axis=0)))
+        form[out, out] = np.inf
+        return form
 
     def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar)
@@ -846,14 +859,9 @@ class EpiSum(ConvexPiece):
         _, y = self._split(z)
         return [self._lift_element(el) for el in self.inner.sample_clarke(y, count, seed)]
 
-    def gamma(self, xbar, ubar, v, samples=None):
+    def curvature_form(self, xbar, ubar, V):
         self.check_subgradient(xbar, ubar)
-        xy, uy, vy = self._inner(xbar, ubar, v)
-        inner_samples = None
-        if samples is not None:
-            inner_samples = [LinearOperatorElement(el.matrix[1:, 1:], el.provenance)
-                             for el in samples]
-        return self.inner.gamma(xy, uy, vy, inner_samples)
+        return self.inner.curvature_form(*self._inner(xbar, ubar, V))
 
     def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar)
@@ -931,8 +939,8 @@ def sample_clarke(piece: ConvexPiece, z, count: int, seed: int):
     return piece.sample_clarke(z, count, seed)
 
 
-def gamma(piece: ConvexPiece, xbar, ubar, v, samples=None):
-    return piece.gamma(xbar, ubar, v, samples)
+def gamma(piece: ConvexPiece, xbar, ubar, v):
+    return piece.gamma(xbar, ubar, v)
 
 
 def cone_descriptors(piece: ConvexPiece, xbar, ubar):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .newton import NewtonError, NewtonOptions
 from .pieces import ConeModel, ConvexPiece, LinearOperatorElement, _interval_cone, gamma_oracle
@@ -252,6 +251,15 @@ def _product_cone(problem: CompositeProblem, models: list[ConeModel]) -> ConeMod
     return ConeModel(dim=problem.m, polyhedral=False, project=project)
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: importing
+    scipy.optimize takes most of the package's import time, and only the
+    exact linear-programming path needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _lp_nonzero_point(N: np.ndarray, cone: ConeModel, tol: float) -> np.ndarray | None:
     """Exact search for a nonzero point of span(N) inside an interval cone.
 
@@ -403,35 +411,20 @@ def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
 def reduced_quadratic_form(problem: CompositeProblem, zbar,
                            basis: np.ndarray) -> np.ndarray:
     """Symmetric matrix of d -> <mu, F''(d,d)> + curvature(J d) on the
-    given subspace basis, built by polarization (the curvature term is
-    quadratic on this subspace)."""
+    given subspace basis: the Hessian term plus one curvature form per
+    block on the blocks of J basis."""
     pt = as_point(problem, zbar)
-    J = _jacobian_at(problem, pt)
     H = problem.F.weighted_hessian(pt.x, pt.mu)
-    pairs = _pair_blocks(problem, pt)
-
-    def curvature(d: np.ndarray) -> float:
-        v = J @ d
-        total = 0.0
-        for (p, xb, ub), vb in zip(pairs, problem.blocks(v)):
-            val = p.gamma(xb, ub, vb)
-            if not np.isfinite(val):
-                raise CurvatureDomainError(
-                    "curvature is infinite on the critical subspace; the "
-                    "subspace and the curvature domain disagree numerically")
-            total += val
-        return total
-
-    k = basis.shape[1]
-    Q = basis.T @ H @ basis
-    g = np.array([curvature(basis[:, i]) for i in range(k)])
-    G = np.zeros((k, k))
-    for i in range(k):
-        G[i, i] = g[i]
-        for j in range(i + 1, k):
-            cross = 0.5 * (curvature(basis[:, i] + basis[:, j]) - g[i] - g[j])
-            G[i, j] = G[j, i] = cross
-    return Q + G
+    W = _jacobian_at(problem, pt) @ basis
+    G = np.zeros((basis.shape[1], basis.shape[1]))
+    for (p, xb, ub), Wb in zip(_pair_blocks(problem, pt), problem.blocks(W.T)):
+        form = p.curvature_form(xb, ub, Wb.T)
+        if np.isinf(np.diag(form)).any():
+            raise CurvatureDomainError(
+                "curvature is infinite on the critical subspace; the "
+                "subspace and the curvature domain disagree numerically")
+        G += form
+    return basis.T @ H @ basis + G
 
 
 def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,

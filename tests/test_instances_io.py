@@ -242,6 +242,28 @@ def test_cli_piece_bad_value_is_one_line_error(tmp_path, capsys):
     assert str(exc.value) == "unknown piece kind 'no_such_kind'"
 
 
+@pytest.mark.parametrize("g", [
+    [{"kind": "orthant_indicator", "dim": 3}, {"kind": "orthant_indicator", "dim": -1}],
+    [{"kind": "epi_lift", "inner": {"kind": "psd_indicator", "order": -2}}],
+    [{"kind": "orthant_indicator", "dim": 2.7}],
+    [{"kind": "orthant_indicator", "dim": 2}, {"kind": "orthant_indicator", "dim": 0}],
+])
+def test_cli_piece_size_must_be_a_positive_integer(tmp_path, capsys, g):
+    # each of these block lists sums to the map's two outputs once a bad
+    # size is truncated or taken as is
+    data = _nlp_dict()
+    del data["known_solution"]
+    data["g"] = g
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "must be an integer of at least 1" in err
+    assert "piece 'orthant_indicator'" in err or "piece 'psd_indicator'" in err
+
+
 def test_cli_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("KKTSTAB_SEED", "abc")
     assert run_command(["probe", _battery_file("l1_toy"), "--num-delta", "5"]) == 64
@@ -323,8 +345,8 @@ def test_cli_eigendecomposition_error_exits_1(capsys, monkeypatch):
 def test_cli_infinite_curvature_exits_1(capsys, monkeypatch):
     import kktstab.pieces
 
-    monkeypatch.setattr(kktstab.pieces.EpiSum, "gamma",
-                        lambda self, *args, **kwargs: float("inf"))
+    monkeypatch.setattr(kktstab.pieces.EpiSum, "curvature_form",
+                        lambda self, xbar, ubar, V: np.diag(np.full(V.shape[1], np.inf)))
     assert run_command(["analyze", _battery_file("smooth_toy"), "--num-delta", "2"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,13 +31,14 @@ from kktstab import (
     svec,
 )
 from kktstab.stability import (
+    CurvatureDomainError,
     _ap_nonzero_points,
     _product_cone,
     mutual_span_residual,
     reduced_quadratic_form,
 )
 from kktstab.verify import pair_battery
-from test_pieces_prox import assert_projects_row_wise
+from test_pieces_prox import _psd_structures, assert_projects_row_wise
 
 FAST = AnalyzerOptions(num_delta=20, srcq_budget=400)
 
@@ -324,3 +329,135 @@ def test_product_cone_projects_row_wise():
         cone = _product_cone(_blocks_problem([orth] * 3), [models[1]] * 3)
         assert cone.polyhedral
         assert_projects_row_wise(cone, rng)
+
+
+# ----------------------------------------------------------------------
+# The curvature form against its polarization through the scalar term
+
+
+def polarized(q, V):
+    """Symmetric matrix of the quadratic function q on the columns of V,
+    from q on each column and on each sum of two columns."""
+    k = V.shape[1]
+    g = [q(V[:, i]) for i in range(k)]
+    G = np.diag(g)
+    for i in range(k):
+        for j in range(i + 1, k):
+            G[i, j] = G[j, i] = 0.5 * (q(V[:, i] + V[:, j]) - g[i] - g[j])
+    return G
+
+
+def reduced_quadratic_form_polarized(problem, pt, basis):
+    """The reduced form with the curvature term polarized over all blocks."""
+    J = problem.F.jacobian(pt.x)
+    pairs = list(zip(problem.pieces, problem.blocks(problem.F.eval(pt.x)),
+                     problem.blocks(pt.mu)))
+
+    def curvature(d):
+        return sum(p.gamma(xb, ub, vb)
+                   for (p, xb, ub), vb in zip(pairs, problem.blocks(J @ d)))
+
+    H = problem.F.weighted_hessian(pt.x, pt.mu)
+    return basis.T @ H @ basis + polarized(curvature, basis)
+
+
+def _curvature_pairs():
+    """(name, piece, xbar, ubar): the verify battery and the PSD index
+    structures of orders up to 5, empty alpha, beta or gamma included."""
+    out = list(pair_battery())
+    for case, z in _psd_structures():
+        if case[0] <= 5:
+            piece = PSDConeIndicator(case[0])
+            out.append((f"psd{case}", piece, piece.prox(z), z - piece.prox(z)))
+    return out
+
+
+def _assert_close(new, old, label):
+    assert new.shape == old.shape, label
+    scale = 1.0 + np.max(np.abs(old), initial=0.0)
+    assert np.max(np.abs(new - old), initial=0.0) <= 1e-12 * scale, label
+
+
+def test_curvature_form_matches_polarized_gamma():
+    rng = np.random.default_rng(11)
+    seen_outside = 0
+    for name, piece, xbar, ubar in _curvature_pairs():
+        # the curvature domain is the span of the critical set's affine hull
+        aff = piece.cone_descriptors(xbar, ubar).affine_hull_basis
+        for k in range(1, 7):
+            V = aff @ rng.standard_normal((aff.shape[1], k))
+            form = piece.curvature_form(xbar, ubar, V)
+            _assert_close(form, polarized(lambda v: piece.gamma(xbar, ubar, v), V), (name, k))
+            assert np.array_equal(form, form.T), name
+        if aff.shape[1] < piece.dim:
+            seen_outside += 1
+            W = np.hstack([V, rng.standard_normal((piece.dim, 1))])
+            form = piece.curvature_form(xbar, ubar, W)
+            assert form[-1, -1] == np.inf and np.array_equal(form, form.T), name
+            _assert_close(form[:-1, :-1], piece.curvature_form(xbar, ubar, V), name)
+    assert seen_outside >= 5
+
+
+def _linear_problem(pairs, columns, rng):
+    """F(x) = c + J x with J block diagonal in the given columns, c the
+    stacked xbar and the multiplier the stacked ubar, at x = 0."""
+    c = np.concatenate([xb for _, xb, _ in pairs])
+    m, n = c.size, sum(C.shape[1] for C in columns)
+    J = np.zeros((m, n))
+    r = k = 0
+    for C in columns:
+        J[r:r + C.shape[0], k:k + C.shape[1]] = C
+        r, k = r + C.shape[0], k + C.shape[1]
+    S = rng.standard_normal((n, n))
+    F = SmoothMap(n=n, m=m, eval=lambda x: c + J @ x, jacobian=lambda x: J,
+                  weighted_hessian_fn=lambda x, mu: S + S.T)
+    problem = CompositeProblem(F, [p for p, _, _ in pairs])
+    return problem, KKTPoint(np.zeros(n), np.concatenate([ub for _, _, ub in pairs]))
+
+
+def test_reduced_quadratic_form_matches_polarization():
+    for name in ("nlp_toy", "sdp_toy", "l1_toy", "smooth_toy", "sdp_degenerate"):
+        problem, meta = load_battery(name)
+        pt = meta.known_solution
+        basis = critical_subspace(problem, pt).basis
+        _assert_close(reduced_quadratic_form(problem, pt, basis),
+                      reduced_quadratic_form_polarized(problem, pt, basis), name)
+    rng = np.random.default_rng(12)
+    pairs = [(p, xb, ub) for _, p, xb, ub in _curvature_pairs()]
+    groups = [pairs[i:i + 3] for i in range(0, len(pairs), 3)]
+    raised = 0
+    for group in groups:
+        affs = [p.cone_descriptors(xb, ub).affine_hull_basis for p, xb, ub in group]
+        problem, pt = _linear_problem(group, affs, rng)
+        if problem.n:
+            basis, _ = np.linalg.qr(rng.standard_normal((problem.n, min(problem.n, 6))))
+            _assert_close(reduced_quadratic_form(problem, pt, basis),
+                          reduced_quadratic_form_polarized(problem, pt, basis), group)
+        # a Jacobian column off the domain of a block
+        off = [np.hstack([A, rng.standard_normal((A.shape[0], 1))]) for A in affs]
+        if any(A.shape[1] < A.shape[0] for A in affs):
+            problem, pt = _linear_problem(group, off, rng)
+            with pytest.raises(CurvatureDomainError):
+                reduced_quadratic_form(problem, pt, np.eye(problem.n))
+            raised += 1
+    assert raised >= 3
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported on the first linear program, not with the package
+    import kktstab
+
+    code = ("import sys, kktstab\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "problem, meta = kktstab.load_battery('nlp_toy')\n"
+            "v = kktstab.rcq_check(problem, meta.known_solution)\n"
+            "print(v.status, v.detail)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kktstab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    before, verdict, after = proc.stdout.splitlines()
+    assert before == "False"
+    assert verdict.startswith("holds ") and verdict.endswith("(exact)")
+    assert after == "True"
