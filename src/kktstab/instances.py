@@ -194,12 +194,7 @@ def instance_from_dict(data: dict) -> tuple[CompositeProblem, InstanceMeta]:
         F = BUILTIN_MAPS[ident](n, fspec["builtin"].get("params", {}))
     else:
         raise InstanceFormatError("field 'F' needs 'polynomial' or 'builtin'")
-    pieces = [parse_piece(s) for s in data["g"]]
-    total = sum(p.dim for p in pieces)
-    if total != F.m:
-        raise DimensionError(
-            f"block dims sum to {total} but the smooth map has m={F.m}")
-    problem = CompositeProblem(F, pieces, name=str(data["name"]))
+    problem = CompositeProblem(F, [parse_piece(s) for s in data["g"]], name=str(data["name"]))
     known = None
     if data.get("known_solution") is not None:
         known = _parse_point(problem, data["known_solution"], "known_solution")

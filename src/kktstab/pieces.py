@@ -146,6 +146,12 @@ def _outside_curvature_domain(res, vnorm) -> np.ndarray:
     return outside
 
 
+def _kink_tol(z: np.ndarray) -> float:
+    """Distance from a kink within which a coordinate counts as on it,
+    1e-8 * max(1, max|z|) like the PSD eigenvalue tolerance."""
+    return 1e-8 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+
+
 def _size(spec: dict, key: str) -> int:
     """spec[key] as a piece size: an integral number of at least 1."""
     value = spec[key]
@@ -239,17 +245,19 @@ class ConvexPiece:
                 f"(prox fixed-point residual {res:.3e})"
             )
 
-    def curvature_form(self, xbar: np.ndarray, ubar: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def curvature_form(self, xbar: np.ndarray, ubar: np.ndarray, V: np.ndarray,
+                       tol: float = 1e-8) -> np.ndarray:
         """Symmetric (k, k) matrix of the curvature term on the k columns of
         V; the diagonal entry of a column outside the curvature domain is
-        +inf."""
+        +inf.  tol is the subgradient test's, here and in cone_descriptors."""
         raise NotImplementedError
 
     def gamma(self, xbar: np.ndarray, ubar: np.ndarray, v: np.ndarray) -> float:
         """Curvature term at the direction v (+inf outside its domain)."""
         return float(self.curvature_form(xbar, ubar, np.asarray(v, dtype=float)[:, None])[0, 0])
 
-    def cone_descriptors(self, xbar: np.ndarray, ubar: np.ndarray) -> ConeDescriptor:
+    def cone_descriptors(self, xbar: np.ndarray, ubar: np.ndarray,
+                         tol: float = 1e-8) -> ConeDescriptor:
         raise NotImplementedError
 
     # -- cones for the constraint-qualification machinery ----------------
@@ -337,17 +345,17 @@ class _SeparablePiece(ConvexPiece):
             elements.append(self._diag_element(diag, f"{self.kind}:pattern[{tag}]"))
         return _mixed_and_deduped(elements, count, rng, self.kind)
 
-    def curvature_form(self, xbar, ubar, V):
+    def curvature_form(self, xbar, ubar, V, tol=1e-8):
         # zero on its domain, the directions that vanish on pinned coordinates
-        self.check_subgradient(xbar, ubar)
+        self.check_subgradient(xbar, ubar, tol)
         V = np.asarray(V, dtype=float)
         state, _ = self._classify_pair(xbar, ubar)
         res = np.linalg.norm(V[state == 0], axis=0)
         outside = _outside_curvature_domain(res, np.linalg.norm(V, axis=0))
         return np.diag(np.where(outside, np.inf, 0.0))
 
-    def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
-        self.check_subgradient(xbar, ubar)
+    def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
+        self.check_subgradient(xbar, ubar, tol)
         state, sign = self._classify_pair(xbar, ubar)
         aff = np.eye(self.dim)[:, state != 0]
         lin = np.eye(self.dim)[:, state == 1]
@@ -363,16 +371,12 @@ class _SeparablePiece(ConvexPiece):
         return ConeDescriptor(aff, lin, membership)
 
     def critical_polar_cone(self, xbar, ubar) -> ConeModel:
+        # the polar of a kink's half line {s*d >= 0} is the opposite half
+        # line, of a pinned {0} the whole line and of a free R the origin;
+        # sign is nonzero on kinks only
         state, sign = self._classify_pair(xbar, ubar)
-        lower = np.zeros(self.dim)
-        upper = np.zeros(self.dim)
-        lower[state == 0] = -np.inf
-        upper[state == 0] = np.inf
-        kink = state == 2
-        # polar of a half line {s*d >= 0} is the opposite half line
-        lower[kink] = np.where(sign[kink] > 0, -np.inf, 0.0)
-        upper[kink] = np.where(sign[kink] > 0, 0.0, np.inf)
-        return _interval_cone(lower, upper)
+        return _interval_cone(np.where((state == 0) | (sign > 0), -np.inf, 0.0),
+                              np.where((state == 0) | (sign < 0), np.inf, 0.0))
 
 
 class OrthantIndicator(_SeparablePiece):
@@ -381,14 +385,14 @@ class OrthantIndicator(_SeparablePiece):
     kind = "orthant_indicator"
 
     def __init__(self, dim: int, sign: int = -1):
-        if sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+        if isinstance(sign, bool) or sign not in (-1, 1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         self.dim = int(dim)
         self.sign = int(sign)
 
     @classmethod
     def from_spec(cls, spec, parse):
-        return cls(_size(spec, "dim"), int(spec.get("sign", -1)))
+        return cls(_size(spec, "dim"), spec.get("sign", -1))
 
     def spec(self):
         return {"kind": self.kind, "dim": self.dim, "sign": self.sign}
@@ -421,9 +425,9 @@ class OrthantIndicator(_SeparablePiece):
 
     def _classify(self, z):
         w = self.sign * np.asarray(z, dtype=float)
-        state = np.where(w > 0, 1, np.where(w < 0, 0, 2))
-        sign = np.where(w == 0, float(self.sign), 0.0)
-        return state, sign
+        t = _kink_tol(w)
+        state = np.where(w > t, 1, np.where(w < -t, 0, 2))
+        return state, np.where(state == 2, float(self.sign), 0.0)
 
     def domain_normal_cone(self, xbar, ubar) -> ConeModel:
         x = self.sign * np.asarray(xbar, dtype=float)
@@ -496,12 +500,15 @@ class BoxIndicator(_SeparablePiece):
         return bool(np.all((gap > margin) | (self.lower == self.upper)))
 
     def _classify(self, z):
+        # a box narrower than twice the kink tolerance counts as one value,
+        # like lower == upper: its coordinate is pinned
         z = np.asarray(z, dtype=float)
+        t = _kink_tol(z)
         lo, hi = self.lower, self.upper
-        open_box = lo != hi
-        at_lo = (z == lo) & open_box
-        at_hi = (z == hi) & open_box
-        state = ((lo < z) & (z < hi)).astype(int)
+        open_box = hi - lo > 2.0 * t
+        at_lo = (np.abs(z - lo) <= t) & open_box
+        at_hi = (np.abs(z - hi) <= t) & open_box
+        state = ((lo + t < z) & (z < hi - t)).astype(int)
         state[at_lo | at_hi] = 2
         return state, np.subtract(at_lo, at_hi, dtype=float)
 
@@ -556,9 +563,9 @@ class L1Norm(_SeparablePiece):
         # which all second-order analysis happens
         z = np.asarray(z, dtype=float)
         a = np.abs(z)
-        state = np.where(a > 1.0, 1, np.where(a < 1.0, 0, 2))
-        sign = np.where(a == 1.0, np.sign(z), 0.0)
-        return state, sign
+        t = _kink_tol(z)
+        state = np.where(a > 1.0 + t, 1, np.where(a < 1.0 - t, 0, 2))
+        return state, np.where(state == 2, np.sign(z), 0.0)
 
     def domain_normal_cone(self, xbar, ubar) -> ConeModel:
         # full domain, normal cone is trivial
@@ -713,11 +720,11 @@ class PSDConeIndicator(ConvexPiece):
         return _mixed_and_deduped(elements, count, rng, self.kind)
 
     # -- curvature and descriptors -----------------------------------------
-    def curvature_form(self, xbar, ubar, V):
+    def curvature_form(self, xbar, ubar, V, tol=1e-8):
         # Sun's sigma term -2 sum (lam_g / lam_a) Vt_k[a, g] Vt_l[a, g] of the
         # rotated columns Vt_k; its domain: their beta-gamma and gamma-gamma
         # blocks vanish
-        self.check_subgradient(xbar, ubar)
+        self.check_subgradient(xbar, ubar, tol)
         V = np.asarray(V, dtype=float)
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
         Vt = sp.P.T @ smat(V.T) @ sp.P
@@ -731,8 +738,8 @@ class PSDConeIndicator(ConvexPiece):
         form[out, out] = np.inf
         return form
 
-    def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
-        self.check_subgradient(xbar, ubar)
+    def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
+        self.check_subgradient(xbar, ubar, tol)
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
         lo, hi = self._pair_classes(sp)
         K = conjugation_matrix(sp.P)
@@ -859,13 +866,13 @@ class EpiSum(ConvexPiece):
         _, y = self._split(z)
         return [self._lift_element(el) for el in self.inner.sample_clarke(y, count, seed)]
 
-    def curvature_form(self, xbar, ubar, V):
-        self.check_subgradient(xbar, ubar)
-        return self.inner.curvature_form(*self._inner(xbar, ubar, V))
+    def curvature_form(self, xbar, ubar, V, tol=1e-8):
+        self.check_subgradient(xbar, ubar, tol)
+        return self.inner.curvature_form(*self._inner(xbar, ubar, V), tol)
 
-    def cone_descriptors(self, xbar, ubar) -> ConeDescriptor:
-        self.check_subgradient(xbar, ubar)
-        inner_desc = self.inner.cone_descriptors(*self._inner(xbar, ubar))
+    def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
+        self.check_subgradient(xbar, ubar, tol)
+        inner_desc = self.inner.cone_descriptors(*self._inner(xbar, ubar), tol)
 
         def lift_basis(B: np.ndarray) -> np.ndarray:
             out = np.zeros((self.dim, B.shape[1] + 1))

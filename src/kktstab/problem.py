@@ -259,11 +259,24 @@ def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:
     return np.concatenate([r1, r2])
 
 
-def _linearized_newton_functions(problem, base, rhs):
+def solve_linearized_ge(problem: CompositeProblem, zbar, delta,
+                        start=None, opts: NewtonOptions | None = None) -> KKTPoint:
+    """Solve the canonically perturbed linearized generalized equation.
+
+    The perturbed inclusion is translated into the nonsmooth equation for
+    the shifted dual variable nu = mu + delta_2; the returned point undoes
+    the shift.  Non-convergence of the inner Newton iteration propagates,
+    signalling probable failure of strong regularity.
+    """
+    base = as_point(problem, zbar)
+    delta = np.asarray(delta, dtype=float)
+    n, m = problem.n, problem.m
+    if delta.size != n + m:
+        raise DimensionError(f"delta has {delta.size} entries, expected {n + m}")
     Hbar = problem.F.weighted_hessian(base.x, base.mu)
     Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
     Fbar = np.asarray(problem.F.eval(base.x), dtype=float)
-    n = problem.n
+    rhs = np.concatenate([delta[:n] + Jbar.T @ delta[n:], delta[n:]])
 
     def res(zv: np.ndarray) -> np.ndarray:
         # sign-adjusted so that elem() below is its derivative element;
@@ -279,26 +292,6 @@ def _linearized_newton_functions(problem, base, rhs):
         w = Fbar + Jbar @ (x - base.x) + nu
         return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
 
-    return res, elem
-
-
-def solve_linearized_ge(problem: CompositeProblem, zbar, delta,
-                        start=None, opts: NewtonOptions | None = None) -> KKTPoint:
-    """Solve the canonically perturbed linearized generalized equation.
-
-    The perturbed inclusion is translated into the nonsmooth equation for
-    the shifted dual variable nu = mu + delta_2; the returned point undoes
-    the shift.  Non-convergence of the inner Newton iteration propagates,
-    signalling probable failure of strong regularity.
-    """
-    base = as_point(problem, zbar)
-    delta = np.asarray(delta, dtype=float)
-    n, m = problem.n, problem.m
-    if delta.size != n + m:
-        raise DimensionError(f"delta has {delta.size} entries, expected {n + m}")
-    Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
-    rhs = np.concatenate([delta[:n] + Jbar.T @ delta[n:], delta[n:]])
-    res, elem = _linearized_newton_functions(problem, base, rhs)
     z0 = base.stacked() if start is None else as_point(problem, start).stacked()
     zsol, _ = semismooth_solve(res, elem, z0, opts)
     return KKTPoint(zsol[:n], zsol[n:] - delta[n:])

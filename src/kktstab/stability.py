@@ -9,6 +9,7 @@ wording is "all-sampled-nonsingular" and "heuristic-likely".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,49 +151,97 @@ def mutual_span_residual(A: np.ndarray, B: np.ndarray) -> float:
     return max(span_residual(A, B), span_residual(B, A))
 
 
-def _require_kkt(problem: CompositeProblem, z, tol: float = 1e-8) -> KKTPoint:
-    pt = as_point(problem, z)
-    rep = kkt_check(problem, pt, tol)
-    if not rep.ok:
-        raise ValueError(
-            f"point is not a KKT point at tolerance {tol:.1e} "
-            f"(stationarity {rep.stationarity_norm:.3e}, "
-            f"fixed point {rep.fixed_point_norm:.3e})")
-    return pt
+# ----------------------------------------------------------------------
+# the analysis point
 
 
-def _pair_blocks(problem: CompositeProblem, pt: KKTPoint):
-    Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
-    return list(zip(problem.pieces, problem.blocks(Fbar), problem.blocks(pt.mu)))
+class AnalysisPoint:
+    """A point tested once against the KKT system at ``tol``, with J and
+    the block pairs (piece, F(x)_b, mu_b).  ``tol`` is also the tolerance
+    of the pieces' subgradient tests; ``None`` skips the KKT test and
+    keeps their default 1e-8.  The descriptors, the product cones,
+    null(J^T) and each cone-search result are computed on first use and
+    kept, so checks that share one point compute each of them once.
+    """
+
+    def __init__(self, problem: CompositeProblem, z, tol: float | None = 1e-8):
+        pt = as_point(problem, z)
+        if tol is not None:
+            rep = kkt_check(problem, pt, tol)
+            if not rep.ok:
+                raise ValueError(
+                    f"point is not a KKT point at tolerance {tol:.1e} "
+                    f"(stationarity {rep.stationarity_norm:.3e}, "
+                    f"fixed point {rep.fixed_point_norm:.3e})")
+        self.problem, self.kkt = problem, pt
+        self.tol = 1e-8 if tol is None else tol
+        self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
+        Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
+        self.pairs = list(zip(problem.pieces, problem.blocks(Fbar), problem.blocks(pt.mu)))
+        self._searches: dict[tuple, tuple[list[np.ndarray], str]] = {}
+
+    @functools.cached_property
+    def descriptors(self) -> list:
+        return [p.cone_descriptors(xb, ub, self.tol) for p, xb, ub in self.pairs]
+
+    @functools.cached_property
+    def critical_polar_cone(self) -> ConeModel:
+        return _product_cone(self.problem, [p.critical_polar_cone(xb, ub)
+                                            for p, xb, ub in self.pairs])
+
+    @functools.cached_property
+    def domain_normal_cone(self) -> ConeModel:
+        return _product_cone(self.problem, [p.domain_normal_cone(xb, ub)
+                                            for p, xb, ub in self.pairs])
+
+    @functools.cached_property
+    def adjoint_nullspace(self) -> np.ndarray:
+        return nullspace(self.J.T)
+
+    def embed(self, bases: list[np.ndarray]) -> np.ndarray:
+        """The blockwise bases as one block-diagonal matrix."""
+        cols = np.cumsum([0] + [b.shape[1] for b in bases])
+        out = np.zeros((self.problem.m, cols[-1]))
+        for lo, c, b in zip(self.problem.offsets, cols, bases):
+            out[lo:lo + b.shape[0], c:c + b.shape[1]] = b
+        return out
+
+    def joint_rank(self, bases: list[np.ndarray], tol: float) -> int:
+        """Numerical rank of [J, embedded bases] relative to its largest
+        singular value."""
+        s = np.linalg.svd(np.hstack([self.J, self.embed(bases)]), compute_uv=False)
+        return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+
+    def preimage(self, bases: list[np.ndarray]) -> CriticalSubspace:
+        """Directions d with J d inside the span of the blockwise orthonormal bases."""
+        B = self.embed(bases)
+        N = nullspace(self.J - B @ (B.T @ self.J))
+        return CriticalSubspace(basis=N, dim=N.shape[1])
+
+    def cone_search(self, cone_name: str, tol: float, budget: int,
+                    seed: int) -> tuple[list[np.ndarray], str]:
+        """Nonzero points of null(J^T) inside the named product cone, and the
+        status they support: 'fails' when one was found, else 'holds' (exact,
+        for interval cones) or 'heuristic-likely'.  Kept per cone and tol,
+        and per budget and seed where the search draws random restarts."""
+        cone = getattr(self, cone_name)
+        N = self.adjoint_nullspace
+        exact = cone.polyhedral or N.shape[1] == 0
+        key = (cone_name, tol) if exact else (cone_name, tol, budget, seed)
+        if key not in self._searches:
+            if exact:
+                found = _lp_nonzero_points(N, cone, tol)
+            else:
+                found = _ap_nonzero_points(N @ N.T, cone, budget, tol,
+                                           np.random.default_rng(seed))
+            self._searches[key] = (
+                found, "fails" if found else ("holds" if exact else "heuristic-likely"))
+        return self._searches[key]
 
 
-def _embed_blocks(problem: CompositeProblem, bases: list[np.ndarray]) -> np.ndarray:
-    cols = sum(b.shape[1] for b in bases)
-    out = np.zeros((problem.m, cols))
-    c = 0
-    for i, b in enumerate(bases):
-        lo, hi = problem.offsets[i], problem.offsets[i + 1]
-        out[lo:hi, c:c + b.shape[1]] = b
-        c += b.shape[1]
-    return out
-
-
-def _jacobian_at(problem: CompositeProblem, pt: KKTPoint) -> np.ndarray:
-    return np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
-
-
-def _preimage(problem: CompositeProblem, J: np.ndarray,
-              bases: list[np.ndarray]) -> CriticalSubspace:
-    """Directions d with J d inside the span of the blockwise orthonormal bases."""
-    B = _embed_blocks(problem, bases)
-    N = nullspace(J - B @ (B.T @ J))
-    return CriticalSubspace(basis=N, dim=N.shape[1])
-
-
-def _joint_rank(J: np.ndarray, B: np.ndarray, tol: float) -> int:
-    """Numerical rank of [J, B] relative to its largest singular value."""
-    s = np.linalg.svd(np.hstack([J, B]) if B.shape[1] else J, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+def analysis_point(problem: CompositeProblem, z, tol: float | None = 1e-8) -> AnalysisPoint:
+    """z itself when it is an AnalysisPoint, else the point of z checked at tol."""
+    return z if isinstance(z, AnalysisPoint) else AnalysisPoint(problem, z, tol)
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +251,8 @@ def _joint_rank(J: np.ndarray, B: np.ndarray, tol: float) -> int:
 def critical_subspace(problem: CompositeProblem, zbar) -> CriticalSubspace:
     """Primal directions mapped by the Jacobian into the blockwise affine
     hulls of the critical sets."""
-    pt = _require_kkt(problem, zbar)
-    bases = [p.cone_descriptors(xb, ub).affine_hull_basis
-             for p, xb, ub in _pair_blocks(problem, pt)]
-    return _preimage(problem, _jacobian_at(problem, pt), bases)
+    point = analysis_point(problem, zbar)
+    return point.preimage([d.affine_hull_basis for d in point.descriptors])
 
 
 def critical_subspace_from_samples(problem: CompositeProblem, zbar,
@@ -213,24 +260,20 @@ def critical_subspace_from_samples(problem: CompositeProblem, zbar,
     """Same subspace, but derived from the ranges of sampled prox elements
     instead of the closed-form descriptors; used as an independent
     cross-check of the domain identity."""
-    pt = _require_kkt(problem, zbar)
-    J = _jacobian_at(problem, pt)
+    point = analysis_point(problem, zbar)
     bases = []
-    for i, (p, xb, ub) in enumerate(_pair_blocks(problem, pt)):
+    for i, (p, xb, ub) in enumerate(point.pairs):
         samples = p.sample_clarke(xb + ub, count, seed + 31 * i)
         bases.append(orthonormal_span(np.hstack([el.matrix for el in samples])))
-    return _preimage(problem, J, bases)
+    return point.preimage(bases)
 
 
 def nondegeneracy_check(problem: CompositeProblem, zbar,
                         tol: float = 1e-8) -> Verdict:
     """Rank test: the Jacobian range plus the blockwise lineality spaces
     must fill the whole image space."""
-    pt = _require_kkt(problem, zbar)
-    J = _jacobian_at(problem, pt)
-    bases = [p.cone_descriptors(xb, ub).lineality_basis
-             for p, xb, ub in _pair_blocks(problem, pt)]
-    rank = _joint_rank(J, _embed_blocks(problem, bases), tol)
+    point = analysis_point(problem, zbar, tol)
+    rank = point.joint_rank([d.lineality_basis for d in point.descriptors], tol)
     status = "holds" if rank == problem.m else "fails"
     return Verdict(status, tol, f"rank {rank} of {problem.m}")
 
@@ -260,15 +303,16 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _lp_nonzero_point(N: np.ndarray, cone: ConeModel, tol: float) -> np.ndarray | None:
-    """Exact search for a nonzero point of span(N) inside an interval cone.
+def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> list[np.ndarray]:
+    """Exact search for a nonzero point of span(N) inside an interval cone;
+    returns [] or one point.
 
     Works on the coefficient cone {t : rows(N) respect the coordinate
     signs}; since N has orthonormal columns, t != 0 gives a nonzero point.
     """
     p = N.shape[1]
     if p == 0:
-        return None
+        return []
     eq_rows = []
     ub_rows = []
     for i in range(N.shape[0]):
@@ -292,8 +336,8 @@ def _lp_nonzero_point(N: np.ndarray, cone: ConeModel, tol: float) -> np.ndarray 
             if res.status == 0 and -res.fun > max(tol, 1e-9):
                 v = N @ res.x
                 if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
-                    return v
-    return None
+                    return [v]
+    return []
 
 
 def _ap_nonzero_points(P_sub: np.ndarray, cone: ConeModel, budget: int,
@@ -328,45 +372,19 @@ def _ap_nonzero_points(P_sub: np.ndarray, cone: ConeModel, budget: int,
     return found
 
 
-def _cone_search(problem: CompositeProblem, pt: KKTPoint, models: list[ConeModel],
-                 tol: float, budget: int, seed: int) -> tuple[list[np.ndarray], str]:
-    """Nonzero points of null(J^T) inside the product of the blockwise
-    cones; exact for interval cones, heuristic otherwise.
-
-    Returns the candidates and the status they support: 'fails' when one
-    was found, else 'holds' (exact) or 'heuristic-likely'.
-    """
-    cone = _product_cone(problem, models)
-    N = nullspace(_jacobian_at(problem, pt).T)
-    if N.shape[1] == 0:
-        found, exact = [], True
-    elif cone.polyhedral:
-        v = _lp_nonzero_point(N, cone, tol)
-        found, exact = ([v] if v is not None else []), True
-    else:
-        rng = np.random.default_rng(seed)
-        found, exact = _ap_nonzero_points(N @ N.T, cone, budget, tol, rng), False
-    return found, "fails" if found else ("holds" if exact else "heuristic-likely")
-
-
 def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
                budget: int = 1000, seed: int = 0) -> Verdict:
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
     set only at the origin."""
-    pt = _require_kkt(problem, zbar)
-    J = _jacobian_at(problem, pt)
-    pairs = _pair_blocks(problem, pt)
-    models = [p.critical_polar_cone(xb, ub) for p, xb, ub in pairs]
-    if not all(mo.polyhedral for mo in models):
+    point = analysis_point(problem, zbar, tol)
+    if not point.critical_polar_cone.polyhedral:
         # necessary span test: the Jacobian range plus the affine hull of
         # the critical set must already fill the image space
-        aff = _embed_blocks(problem, [p.cone_descriptors(xb, ub).affine_hull_basis
-                                      for p, xb, ub in pairs])
-        rank = _joint_rank(J, aff, tol)
+        rank = point.joint_rank([d.affine_hull_basis for d in point.descriptors], tol)
         if rank < problem.m:
             return Verdict("fails", tol, f"span test rank {rank} of {problem.m}")
-    _, status = _cone_search(problem, pt, models, tol, budget, seed)
+    _, status = point.cone_search("critical_polar_cone", tol, budget, seed)
     return Verdict(status, tol, {
         "fails": "nonzero polar intersection point found",
         "holds": "polar intersection is trivial (exact)",
@@ -376,9 +394,8 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test."""
-    pt = _require_kkt(problem, zbar)
-    models = [p.domain_normal_cone(xb, ub) for p, xb, ub in _pair_blocks(problem, pt)]
-    _, status = _cone_search(problem, pt, models, tol, budget, seed + 1)
+    point = analysis_point(problem, zbar, tol)
+    _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)
     return Verdict(status, tol, {
         "fails": "nonzero normal-cone intersection point found",
         "holds": "normal-cone intersection is trivial (exact)",
@@ -391,15 +408,14 @@ def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
     """Search for a second multiplier along tangent directions of the
     subdifferential; a candidate only counts once a perturbed multiplier
     actually satisfies the KKT system."""
-    pt = _require_kkt(problem, zbar)
-    models = [p.critical_polar_cone(xb, ub) for p, xb, ub in _pair_blocks(problem, pt)]
-    candidates, _ = _cone_search(problem, pt, models, tol, budget, seed + 2)
-    scale = 1.0 + float(np.linalg.norm(pt.mu))
+    point = analysis_point(problem, zbar, tol)
+    candidates, _ = point.cone_search("critical_polar_cone", tol, budget, seed + 2)
+    scale = 1.0 + float(np.linalg.norm(point.kkt.mu))
     for v in candidates:
         vn = v / max(np.linalg.norm(v), 1e-300)
         for t in (1e-4, 1e-3, 1e-2, 1e-1):
-            mu_t = pt.mu + t * scale * vn
-            if kkt_check(problem, KKTPoint(pt.x, mu_t), tol).ok:
+            mu_t = point.kkt.mu + t * scale * vn
+            if kkt_check(problem, KKTPoint(point.kkt.x, mu_t), tol).ok:
                 return False, mu_t
     return True, None
 
@@ -412,13 +428,12 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
                            basis: np.ndarray) -> np.ndarray:
     """Symmetric matrix of d -> <mu, F''(d,d)> + curvature(J d) on the
     given subspace basis: the Hessian term plus one curvature form per
-    block on the blocks of J basis."""
-    pt = as_point(problem, zbar)
-    H = problem.F.weighted_hessian(pt.x, pt.mu)
-    W = _jacobian_at(problem, pt) @ basis
+    block on the blocks of J basis.  The point need not be a KKT point."""
+    point = analysis_point(problem, zbar, tol=None)
+    H = problem.F.weighted_hessian(point.kkt.x, point.kkt.mu)
     G = np.zeros((basis.shape[1], basis.shape[1]))
-    for (p, xb, ub), Wb in zip(_pair_blocks(problem, pt), problem.blocks(W.T)):
-        form = p.curvature_form(xb, ub, Wb.T)
+    for (p, xb, ub), Wb in zip(point.pairs, problem.blocks((point.J @ basis).T)):
+        form = p.curvature_form(xb, ub, Wb.T, point.tol)
         if np.isinf(np.diag(form)).any():
             raise CurvatureDomainError(
                 "curvature is infinite on the critical subspace; the "
@@ -436,17 +451,17 @@ def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     eigenvalue of the reduced form on the critical subspace; an empty
     subspace gives a vacuous 'holds'.
     """
-    pt = _require_kkt(problem, zbar)
-    unique, _ = multiplier_uniqueness(problem, pt, tol=tol, budget=budget, seed=seed)
+    point = analysis_point(problem, zbar, tol)
+    unique, _ = multiplier_uniqueness(problem, point, tol=tol, budget=budget, seed=seed)
     if not unique:
         raise UnsupportedCaseError(
             "the multiplier set is not a singleton; the second-order "
             "verdict is only supported for unique multipliers")
-    cs = critical_subspace(problem, pt)
+    cs = critical_subspace(problem, point)
     if cs.dim == 0:
         return SsoscResult("holds", tol, float("inf"), 0,
                            "critical subspace is trivial")
-    Q = reduced_quadratic_form(problem, pt, cs.basis)
+    Q = reduced_quadratic_form(problem, point, cs.basis)
     min_eig = float(np.linalg.eigvalsh(Q)[0])
     status = "holds" if min_eig > tol else "fails"
     return SsoscResult(status, tol, min_eig, cs.dim)
@@ -458,8 +473,8 @@ def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 
 def nonsingularity_sweep(problem: CompositeProblem, zbar, count: int = 32,
                          seed: int = 0, tol: float = 1e-8) -> SweepStats:
-    pt = _require_kkt(problem, zbar)
-    elements = sample_elements_R(problem, pt, count, seed)
+    point = analysis_point(problem, zbar, tol)
+    elements = sample_elements_R(problem, point.kkt, count, seed)
     min_sv = float("inf")
     argmin: tuple[str, ...] = ()
     for el in elements:
@@ -480,7 +495,7 @@ def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.0
 
     Solver failures are recorded, not raised.
     """
-    pt = _require_kkt(problem, zbar)
+    pt = analysis_point(problem, zbar).kkt
     newton = newton or NewtonOptions()
     n, m = problem.n, problem.m
     dim = n + m
@@ -540,14 +555,14 @@ def equivalence_report(problem: CompositeProblem, zbar,
     count as evidence and are labeled as such in the detail fields.
     """
     opts = opts or AnalyzerOptions()
-    pt = _require_kkt(problem, zbar, tol=opts.tol)
-    rcq = rcq_check(problem, pt, tol=opts.tol, budget=opts.srcq_budget, seed=opts.seed)
-    srcq = srcq_check(problem, pt, tol=opts.tol, budget=opts.srcq_budget, seed=opts.seed)
-    nondeg = nondegeneracy_check(problem, pt, tol=opts.tol)
-    unique, _ = multiplier_uniqueness(problem, pt, tol=opts.tol,
+    point = analysis_point(problem, zbar, opts.tol)
+    rcq = rcq_check(problem, point, tol=opts.tol, budget=opts.srcq_budget, seed=opts.seed)
+    srcq = srcq_check(problem, point, tol=opts.tol, budget=opts.srcq_budget, seed=opts.seed)
+    nondeg = nondegeneracy_check(problem, point, tol=opts.tol)
+    unique, _ = multiplier_uniqueness(problem, point, tol=opts.tol,
                                       budget=opts.srcq_budget, seed=opts.seed)
     if unique:
-        ssosc = ssosc_check(problem, pt, tol=opts.tol,
+        ssosc = ssosc_check(problem, point, tol=opts.tol,
                             budget=opts.srcq_budget, seed=opts.seed)
         leg_a = nondeg.status == "holds" and ssosc.holds
     elif nondeg.status == "fails":
@@ -559,25 +574,17 @@ def equivalence_report(problem: CompositeProblem, zbar,
         raise UnsupportedCaseError(
             "nondegeneracy holds but the multiplier is not unique; "
             "inconsistent instance data")
-    sweep = nonsingularity_sweep(problem, pt, count=opts.count, seed=opts.seed,
+    sweep = nonsingularity_sweep(problem, point, count=opts.count, seed=opts.seed,
                                  tol=opts.sweep_tol)
-    probe = strong_regularity_probe(problem, pt, radius=opts.radius,
+    probe = strong_regularity_probe(problem, point, radius=opts.radius,
                                     num_delta=opts.num_delta, seed=opts.seed,
                                     uniqueness_tol=opts.uniqueness_tol,
                                     newton=opts.newton)
     leg_b = sweep.verdict == "all-sampled-nonsingular"
     leg_c = probe.violations == 0 and probe.failures == 0 and np.isfinite(probe.modulus)
     legs = {"a": leg_a, "b": leg_b, "c": leg_c}
-    disagreement = ""
-    if len(set(legs.values())) > 1:
-        names = sorted(legs)
-        for i, u in enumerate(names):
-            for v in names[i + 1:]:
-                if legs[u] != legs[v]:
-                    disagreement = f"{u} vs {v}"
-                    break
-            if disagreement:
-                break
+    disagreement = next((f"{u} vs {v}" for u, v in (("a", "b"), ("a", "c"), ("b", "c"))
+                         if legs[u] != legs[v]), "")
     consistency = {
         "leg_a_second_order_and_nondegeneracy": leg_a,
         "leg_b_sampled_elements_nonsingular": leg_b,
@@ -630,8 +637,7 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
     null_bases = [nullspace(el.matrix) for el in samples]
     cols = np.hstack(null_bases) if null_bases else np.zeros((piece.dim, 0))
     S_null = orthonormal_span(cols)
-    complement = nullspace(desc.lineality_basis.T) \
-        if desc.lineality_basis.shape[1] else np.eye(piece.dim)
+    complement = nullspace(desc.lineality_basis.T)
     res_null = mutual_span_residual(S_null, complement)
     kernel_verdict = Verdict(
         "evidence-for" if res_null <= tol else "counterexample-found",
@@ -640,7 +646,6 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
     b_elements = [el for el in samples if "convex(" not in el.provenance]
     rng = np.random.default_rng(0)
     worst = 0.0
-    ok = True
     for k in range(20):
         el = samples[k % len(samples)]
         d = rng.standard_normal(piece.dim)
@@ -654,10 +659,8 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
         else:
             scaled = float("inf")
         worst = max(worst, scaled)
-        if scaled > tol:
-            ok = False
     attainment_verdict = Verdict(
-        "evidence-for" if ok else "counterexample-found",
+        "evidence-for" if worst <= tol else "counterexample-found",
         tol, f"worst attainment gap {worst:.3e}")
 
     return {

@@ -131,10 +131,6 @@ class SpectralSplit:
         return self.lam.size
 
 
-def default_eig_tol(A: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.linalg.norm(A, 2)))
-
-
 def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
     """Split a symmetric matrix into positive / zero / negative eigenspaces.
 
@@ -144,7 +140,7 @@ def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
         Symmetric matrix; asymmetry beyond 1e-12 * max(1, ||A||) is rejected.
     tol_eig : float, optional
         Absolute threshold deciding the zero set; defaults to
-        1e-8 * max(1, ||A||_2).
+        1e-8 * max(1, max|lambda|), which is 1e-8 * max(1, ||A||_2).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -153,16 +149,17 @@ def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
     if np.linalg.norm(A - A.T) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 * ||A||")
     S = 0.5 * (A + A.T)
-    if tol_eig is None:
-        tol_eig = default_eig_tol(S)
     try:
         w, P = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.norm(S)) / max(tol_eig, 1e-300)
+        cond = float(np.linalg.norm(S)) / max(1e-8 * scale if tol_eig is None else tol_eig,
+                                              1e-300)
         raise EigenDecompositionError(
             f"eigendecomposition failed for {S.shape[0]}x{S.shape[1]} matrix "
             f"(condition estimate {cond:.3e})"
         ) from exc
+    if tol_eig is None:
+        tol_eig = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     order = np.argsort(w)[::-1]
     lam = w[order]
     P = P[:, order]

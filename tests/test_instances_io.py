@@ -13,6 +13,7 @@ from kktstab import (
     load_battery,
     load_instance,
     load_report,
+    parse_piece,
     run_command,
 )
 from kktstab.problem import DimensionError
@@ -346,8 +347,40 @@ def test_cli_infinite_curvature_exits_1(capsys, monkeypatch):
     import kktstab.pieces
 
     monkeypatch.setattr(kktstab.pieces.EpiSum, "curvature_form",
-                        lambda self, xbar, ubar, V: np.diag(np.full(V.shape[1], np.inf)))
+                        lambda self, xbar, ubar, V, tol=1e-8: np.diag(np.full(V.shape[1], np.inf)))
     assert run_command(["analyze", _battery_file("smooth_toy"), "--num-delta", "2"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "curvature is infinite" in err
+
+
+@pytest.mark.parametrize("sign", [-1.7, 1.2, True, "1"])
+def test_cli_orthant_sign_must_be_plus_or_minus_one(tmp_path, capsys, sign):
+    data = _nlp_dict()
+    data["g"][0]["inner"]["sign"] = sign
+    with pytest.raises(InstanceFormatError, match="sign must be"):
+        instance_from_dict(data)
+    f = tmp_path / "bad_sign.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"sign must be +1 or -1, got {sign!r}" in err
+
+
+def test_orthant_sign_accepts_integral_plus_or_minus_one():
+    for sign in (1, -1, 1.0, -1.0):
+        piece = parse_piece({"kind": "orthant_indicator", "dim": 2, "sign": sign})
+        assert piece.sign == sign and type(piece.sign) is int
+
+
+def test_cli_analyze_checks_the_point_at_tol(capsys):
+    # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
+    point = "1.0000003,1.0,1.0"
+    assert run_command(["analyze", _battery_file("nlp_toy"), "--tol", "1e-6",
+                        "--at", point, "--num-delta", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "consistency    : consistent" in out
+    assert run_command(["analyze", _battery_file("nlp_toy"), "--at", point,
+                        "--num-delta", "10"]) == 1
+    assert "not a KKT point at tolerance 1.0e-08" in capsys.readouterr().err

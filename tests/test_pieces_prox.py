@@ -342,27 +342,31 @@ def test_cone_projections_act_row_wise_on_stacks():
 
 
 def _states_loop(piece, z):
-    """Per-coordinate (state, half-line sign); state 1 free, 0 pinned, 2 kink."""
+    """Per-coordinate (state, half-line sign); state 1 free, 0 pinned, 2 kink.
+    A coordinate within t = 1e-8 * max(1, max|z|) of a kink is on it, and a
+    box narrower than 2t pins its coordinate."""
+    t = 1e-8 * max(1.0, max(abs(float(v)) for v in z))
     out = []
     for i, zi in enumerate(z):
         if isinstance(piece, OrthantIndicator):
             w = piece.sign * zi
-            out.append((1, 0.0) if w > 0 else (0, 0.0) if w < 0 else (2, float(piece.sign)))
+            out.append((1, 0.0) if w > t else (0, 0.0) if w < -t else (2, float(piece.sign)))
         elif isinstance(piece, BoxIndicator):
             lo, hi = piece.lower[i], piece.upper[i]
-            if lo == hi:
+            if not hi - lo > 2 * t:
                 out.append((0, 0.0))
-            elif lo < zi < hi:
-                out.append((1, 0.0))
-            elif zi == lo:
+            elif abs(zi - lo) <= t:
                 out.append((2, 1.0))
-            elif zi == hi:
+            elif abs(zi - hi) <= t:
                 out.append((2, -1.0))
+            elif lo + t < zi < hi - t:
+                out.append((1, 0.0))
             else:
                 out.append((0, 0.0))
         else:
             a = abs(zi)
-            out.append((1, 0.0) if a > 1.0 else (0, 0.0) if a < 1.0 else (2, float(np.sign(zi))))
+            out.append((1, 0.0) if a > 1.0 + t else (0, 0.0) if a < 1.0 - t
+                       else (2, float(np.sign(zi))))
     return out
 
 
@@ -465,3 +469,26 @@ def test_box_array_forms_match_loop_oracle():
         for i in range(5):
             assert cone.lower[i] == (-np.inf if x[i] <= piece.lower[i] + s else 0.0)
             assert cone.upper[i] == (np.inf if x[i] >= piece.upper[i] - s else 0.0)
+
+
+def test_kink_tolerance_scales_with_the_point_and_pins_narrow_boxes():
+    # within t = 1e-8 * max(1, max|z|) of a kink a coordinate is on it
+    orth = OrthantIndicator(3, -1)
+    state, sign = orth._classify(np.array([3e-8, -3e-8, 1e-4]))
+    assert state.tolist() == [0, 1, 0] and sign.tolist() == [0.0, 0.0, 0.0]
+    state, sign = orth._classify(np.array([3e-8, -3e-8, 1e2]))
+    assert state.tolist() == [2, 2, 0] and sign.tolist() == [-1.0, -1.0, 0.0]
+    state, sign = L1Norm(3)._classify(np.array([1.0 + 5e-9, -1.0 + 5e-9, 0.5]))
+    assert state.tolist() == [2, 2, 0] and sign.tolist() == [1.0, -1.0, 0.0]
+    # a box narrower than 2t is one value: its coordinate is pinned inside,
+    # on either bound and outside, like a box with lower == upper
+    box = BoxIndicator([0.0, 0.0, 2.0], [1e-8, 1.0, 2.0])
+    for z0 in (-1.0, 0.0, 5e-9, 1e-8, 1.0):
+        state, sign = box._classify(np.array([z0, 1.0 - 5e-9, 2.0]))
+        assert state.tolist() == [0, 2, 0] and sign.tolist() == [0.0, -1.0, 0.0], z0
+        assert np.array_equal(np.diag(box.clarke_element(np.array([z0, 0.5, 2.0])).matrix),
+                              [0.0, 1.0, 0.0])
+    # a box of width 3e-8 is open while t = 1e-8 and narrow once t = 2e-8
+    box = BoxIndicator([0.0, -1e3], [3e-8, 1e3])
+    assert box._classify(np.array([0.0, 0.0]))[0].tolist() == [2, 1]
+    assert box._classify(np.array([0.0, 2.0]))[0].tolist() == [0, 1]

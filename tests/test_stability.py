@@ -7,9 +7,11 @@ import pytest
 
 from kktstab import (
     AnalyzerOptions,
+    BoxIndicator,
     CompositeProblem,
     EpiSum,
     KKTPoint,
+    L1Norm,
     OrthantIndicator,
     PSDConeIndicator,
     SmoothMap,
@@ -461,3 +463,138 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert before == "False"
     assert verdict.startswith("holds ") and verdict.endswith("(exact)")
     assert after == "True"
+
+
+# ----------------------------------------------------------------------
+# One analysis point per report
+
+
+def test_equivalence_report_checks_one_point_and_shares_the_lp_search(monkeypatch):
+    import kktstab.stability as st
+
+    problem, meta = load_battery("nlp_toy")
+    checked, searched, uniqueness = [], [], []
+    kkt = st.kkt_check
+    monkeypatch.setattr(st, "kkt_check",
+                        lambda p, z, tol=1e-8: checked.append(z) or kkt(p, z, tol))
+    lp = st._lp_nonzero_points
+    monkeypatch.setattr(st, "_lp_nonzero_points",
+                        lambda N, cone, tol: searched.append(cone) or lp(N, cone, tol))
+    unique = st.multiplier_uniqueness
+    monkeypatch.setattr(st, "multiplier_uniqueness",
+                        lambda *a, **k: uniqueness.append(a[1]) or unique(*a, **k))
+    rep = equivalence_report(problem, meta.known_solution, FAST)
+    assert rep.multiplier_unique and rep.srcq.status == rep.rcq.status == "holds"
+    # the unique multiplier leaves no candidate to check, so the one KKT
+    # check is the analysis point's
+    assert len(checked) == 1
+    # one exact search per cone: the domain normal cone (rcq) and the
+    # critical polar cone, shared by srcq and both uniqueness calls
+    assert len(uniqueness) == 2 and uniqueness[0] is uniqueness[1]
+    assert len(searched) == 2
+    assert len({(c.lower.tobytes(), c.upper.tobytes()) for c in searched}) == 2
+
+
+def test_checks_accept_an_array_a_kkt_point_or_an_analysis_point():
+    from kktstab.stability import AnalysisPoint
+
+    problem, meta = load_battery("smooth_toy")
+    pt = meta.known_solution
+    forms = (pt.stacked(), pt, AnalysisPoint(problem, pt))
+    for check in (rcq_check, srcq_check, nondegeneracy_check, multiplier_uniqueness,
+                  ssosc_check):
+        results = [check(problem, z, budget=50) if check is not nondegeneracy_check
+                   else check(problem, z) for z in forms]
+        assert all(repr(r) == repr(results[0]) for r in results), check.__name__
+    subspaces = [critical_subspace(problem, z) for z in forms]
+    assert all(np.array_equal(s.basis, subspaces[0].basis) for s in subspaces)
+    sweeps = [nonsingularity_sweep(problem, z, count=8) for z in forms]
+    assert all(s == sweeps[0] for s in sweeps)
+    probes = [strong_regularity_probe(problem, z, num_delta=3) for z in forms]
+    assert all(p == probes[0] for p in probes)
+    Q = [reduced_quadratic_form(problem, z, subspaces[0].basis) for z in forms]
+    assert all(np.array_equal(q, Q[0]) for q in Q)
+
+
+def test_each_check_tests_kkt_at_its_own_tol():
+    # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
+    problem, _ = load_battery("nlp_toy")
+    z = np.array([1.0000003, 1.0, 1.0])
+    checks = (lambda tol: rcq_check(problem, z, tol=tol),
+              lambda tol: srcq_check(problem, z, tol=tol),
+              lambda tol: nondegeneracy_check(problem, z, tol=tol),
+              lambda tol: multiplier_uniqueness(problem, z, tol=tol),
+              lambda tol: ssosc_check(problem, z, tol=tol),
+              lambda tol: nonsingularity_sweep(problem, z, tol=tol))
+    for check in checks:
+        with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
+            check(1e-8)
+        check(1e-6)
+    rep = equivalence_report(problem, z, AnalyzerOptions(num_delta=10, tol=1e-6))
+    assert rep.consistency["verdict"] == "consistent"
+    assert rep.nondegeneracy.status == "holds" and rep.ssosc.status == "holds"
+
+
+# ----------------------------------------------------------------------
+# Kink classification with the scale-aware tolerance
+
+
+def _kink_instance(piece, a, c, mu):
+    """F(x) = c + a x on one block, at x = 0 with multiplier mu."""
+    a, c = np.asarray(a, float), np.asarray(c, float)
+    F = SmoothMap(n=1, m=a.size, eval=lambda x: c + a * x[0], jacobian=lambda x: a[:, None],
+                  weighted_hessian_fn=lambda x, m: np.zeros((1, 1)))
+    return CompositeProblem(F, [piece]), KKTPoint(np.zeros(1), np.asarray(mu, float))
+
+
+# (piece, a, [exact (c, mu), then (c, mu) 1e-15 off the kink in the first
+# coordinate, to either side]); every coordinate is on a kink at the exact
+# point
+KINK_CASES = [
+    (OrthantIndicator(2, -1), [1.0, 1.0],
+     [([0.0, 0.0], [0.0, 0.0]), ([-1e-15, 0.0], [0.0, 0.0]), ([0.0, 0.0], [1e-15, 0.0])]),
+    (BoxIndicator([-1.0, -1.0], [1.0, 1.0]), [1.0, 1.0],
+     [([-1.0, -1.0], [0.0, 0.0]), ([-1.0 + 1e-15, -1.0], [0.0, 0.0]),
+      ([-1.0, -1.0], [-1e-15, 0.0])]),
+    (L1Norm(2), [1.0, 1.0],
+     [([0.0, 0.0], [1.0, -1.0]), ([1e-15, 0.0], [1.0, -1.0]),
+      ([0.0, 0.0], [1.0 - 1e-15, -1.0])]),
+    # one coordinate: the element with derivative 1 on the kink is singular
+    (OrthantIndicator(1, -1), [1.0], [([0.0], [0.0]), ([0.0], [1e-15])]),
+    (BoxIndicator([-1.0], [1.0]), [1.0], [([-1.0], [0.0]), ([-1.0], [-1e-15])]),
+]
+
+
+def _kink_verdicts(problem, pt):
+    return (nondegeneracy_check(problem, pt).status,
+            nonsingularity_sweep(problem, pt).verdict,
+            critical_subspace(problem, pt).dim)
+
+
+def test_rounding_off_a_kink_keeps_the_kink_verdicts():
+    for piece, a, points in KINK_CASES:
+        exact, *perturbed = [_kink_instance(piece, a, c, mu) for c, mu in points]
+        want = _kink_verdicts(*exact)
+        for problem, pt in perturbed:
+            w = problem.F.eval(pt.x) + pt.mu
+            assert not np.array_equal(w, exact[0].F.eval(pt.x) + exact[1].mu)
+            assert np.max(np.abs(w - (exact[0].F.eval(pt.x) + exact[1].mu))) <= 2e-15
+            assert _kink_verdicts(problem, pt) == want, (piece.kind, w)
+
+
+def _verdicts(rep):
+    return (rep.rcq.status, rep.srcq.status, rep.nondegeneracy.status,
+            rep.multiplier_unique, rep.ssosc.status, getattr(rep.ssosc, "subspace_dim", None),
+            rep.sweep.verdict, rep.consistency["verdict"])
+
+
+def test_battery_verdicts_survive_perturbations_below_1e_10():
+    opts = AnalyzerOptions(count=16, num_delta=4, srcq_budget=100)
+    rng = np.random.default_rng(13)
+    for name in ("nlp_toy", "sdp_toy", "l1_toy", "smooth_toy", "sdp_degenerate"):
+        problem, meta = load_battery(name)
+        z = meta.known_solution.stacked()
+        want = _verdicts(equivalence_report(problem, z, opts))
+        for scale in (1e-10, 1e-13):
+            dz = scale * rng.uniform(-1.0, 1.0, z.size)
+            assert _verdicts(equivalence_report(problem, z + dz, opts)) == want, (name, scale)

@@ -189,3 +189,17 @@ def test_svec_layout_is_cached_and_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = a[0]
+
+
+def test_eig_split_default_tol_comes_from_its_own_eigenvalues():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 5, 12):
+        for scale in (1e-3, 1.0, 1e4):
+            A = rng.standard_normal((m, m))
+            A = scale * (A + A.T)
+            sp = eig_split(A)
+            w = np.linalg.eigh(0.5 * (A + A.T))[0]
+            assert sp.tol_eig == 1e-8 * max(1.0, float(np.max(np.abs(w))))
+            # the spectral norm, without a second decomposition
+            assert sp.tol_eig == pytest.approx(1e-8 * max(1.0, np.linalg.norm(A, 2)),
+                                               rel=1e-12)
