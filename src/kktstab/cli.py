@@ -85,6 +85,7 @@ def _build_parser() -> _Parser:
     p_pr.add_argument("--radius", type=float, default=0.05)
     p_pr.add_argument("--num-delta", type=int, default=50)
     p_pr.add_argument("--seed", type=int, default=None)
+    p_pr.add_argument("--tol", type=float, default=1e-8)
     p_pr.add_argument("--json", type=str, default=None)
 
     p_vf = sub.add_parser("verify", help="run the invariant suites")
@@ -187,7 +188,7 @@ def _cmd_probe(args) -> int:
     problem, meta = load_instance(args.instance)
     point = _analysis_point(problem, meta, args.at)
     stats = strong_regularity_probe(problem, point, radius=args.radius,
-                                    num_delta=args.num_delta, seed=args.seed)
+                                    num_delta=args.num_delta, seed=args.seed, tol=args.tol)
     print(f"instance {meta.name}: probe over {stats.num_delta} perturbations, "
           f"radius {stats.radius}")
     print(f"  solved {stats.solved}, failures {stats.failures}, "

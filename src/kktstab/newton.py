@@ -25,11 +25,16 @@ class NewtonOptions:
     regularization_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter <= 0 or self.armijo_c <= 0 \
-                or self.min_step <= 0 or self.regularization_floor <= 0:
-            raise ValueError("all Newton options must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+        for name in ("tol", "armijo_c", "min_step", "regularization_floor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if isinstance(self.backtrack_factor, bool) or not 0.0 < self.backtrack_factor < 1.0:
+            raise ValueError(
+                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -62,6 +67,175 @@ class InsufficientTraceError(ValueError):
     """The trace is too short for rate classification."""
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of rows, with the bits of np.dot on one pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _each_row(fn: Callable, *stacks: np.ndarray) -> tuple[np.ndarray | None, dict[int, Exception]]:
+    """fn on whole stacks, or on each row alone when that raises.
+
+    Returns the stacked results of the rows that did not raise and the
+    exception of each row that did, by position.  A stacked LAPACK call or
+    callback fails as a whole when one row fails; redone row by row, the
+    error stays with the row that causes it.
+    """
+    try:
+        return fn(*stacks), {}
+    except Exception as exc:  # kept as the outcome of the row that raised it
+        if len(stacks[0]) == 1:
+            return None, {0: exc}
+    outs, errors = [], {}
+    for i in range(len(stacks[0])):
+        try:
+            outs.append(fn(*(s[i:i + 1] for s in stacks)))
+        except Exception as exc:
+            errors[i] = exc
+    return (np.concatenate(outs) if outs else None), errors
+
+
+def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          element: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          Z0: np.ndarray,
+                          opts: NewtonOptions | None = None) -> list:
+    """Run one semismooth Newton iteration per row of Z0, in lock-step.
+
+    Parameters
+    ----------
+    residual : callable
+        ``residual(Z, rows)`` maps a stack of points (k, N) to their
+        residuals (k, N); ``rows`` holds the index into Z0 of each row.
+    element : callable
+        ``element(Z, rows)`` maps a stack of points to one
+        generalized-derivative matrix per row, (k, N, N).
+    Z0 : ndarray
+        Starting points, one per row.
+
+    Returns one entry per row: ``(z, trace)`` for a converged row, else the
+    exception that ended it, as ``semismooth_solve`` raises it for that
+    row alone (NewtonNonConvergence, NewtonStagnation, a LinAlgError or an
+    error from a callback).  Every row takes the steps, the line-search
+    trials and the arithmetic of its own solve, bit for bit; each
+    iteration makes one element call, one svd and one solve for the rows
+    still running, and each line-search round one residual call for the
+    rows still searching.
+    """
+    opts = opts or NewtonOptions()
+    Z = np.array(Z0, dtype=float, ndmin=2)
+    outcomes: list = [None] * len(Z)
+    traces = [NewtonTrace() for _ in Z]
+    finite = np.isfinite(Z).all(axis=1)
+    for i in (~finite).nonzero()[0]:
+        outcomes[i] = ValueError("starting point must be finite")
+    act = finite.nonzero()[0]
+    R = np.zeros_like(Z)
+    rnorm = np.zeros(len(Z))
+
+    def drop(errors: dict[int, Exception], rows: np.ndarray,
+             *arrays: np.ndarray) -> list[np.ndarray]:
+        """End rows[pos] with its exception for each pos in errors; return
+        the arrays without those positions."""
+        if not errors:
+            return list(arrays)
+        keep = np.ones(len(rows), dtype=bool)
+        for pos, exc in errors.items():
+            outcomes[rows[pos]] = exc
+            keep[pos] = False
+        return [a[keep] for a in arrays]
+
+    R_act, errors = _each_row(residual, Z[act], act)
+    act, = drop(errors, act, act)
+    if act.size:
+        R[act] = R_act
+        rnorm[act] = np.max(np.abs(R_act), axis=1)
+    for i in act:
+        traces[i].residual_norms.append(float(rnorm[i]))
+
+    for _ in range(opts.max_iter):
+        done = rnorm[act] <= opts.tol
+        if done.any():
+            for i in act[done]:
+                traces[i].status = "converged"
+                outcomes[i] = (Z[i].copy(), traces[i])
+            act = act[~done]
+        if not act.size:
+            break
+        E, errors = _each_row(element, Z[act], act)
+        act, = drop(errors, act, act)
+        if not act.size:
+            break
+        svals, errors = _each_row(lambda M: np.linalg.svd(M, compute_uv=False), E)
+        act, E = drop(errors, act, act, E)
+        if not act.size:
+            break
+        r = R[act]
+        min_sv = svals[:, -1]
+        ridge = (min_sv < 1e-10).nonzero()[0]
+        A, b = (E.copy() if ridge.size else E), -r
+        for j in ridge:
+            # ridge-regularized least squares keeps the iteration alive in
+            # degenerate regions; the analyzer reports the degeneracy itself
+            tau = max(opts.regularization_floor, 1e-10 * float(svals[j, 0]))
+            A[j] = E[j].T @ E[j] + tau * np.eye(E.shape[2])
+            b[j] = -E[j].T @ r[j]
+        S, errors = _each_row(lambda M, v: np.linalg.solve(M, v[..., None])[..., 0], A, b)
+        act, E, r, min_sv = drop(errors, act, act, E, r, min_sv)
+        if not act.size:
+            break
+        merit = 0.5 * _rowdot(r, r)
+        slope = _rowdot((E @ S[..., None])[..., 0], r)  # derivative of the merit along s
+        slope = np.where(slope >= 0.0, -2.0 * merit, slope)
+
+        # backtracking in rounds over the rows still searching
+        alpha = np.ones(act.size)
+        search = np.arange(act.size)
+        moved = np.zeros(act.size, dtype=bool)
+        while search.size:
+            rows = act[search]
+            Z_new = Z[rows] + alpha[search, None] * S[search]
+            R_new, errors = _each_row(residual, Z_new, rows)
+            search, rows, Z_new = drop(errors, rows, search, rows, Z_new)
+            if not search.size:
+                break
+            merit_new = 0.5 * _rowdot(R_new, R_new)
+            ok = merit_new <= merit[search] + opts.armijo_c * alpha[search] * slope[search]
+            if ok.all():
+                Z[rows], R[rows] = Z_new, R_new
+                moved[search] = True
+                break
+            rows = rows[ok]
+            Z[rows], R[rows] = Z_new[ok], R_new[ok]
+            moved[search[ok]] = True
+            search = search[~ok]
+            alpha[search] *= opts.backtrack_factor
+            short = alpha[search] < opts.min_step
+            for j in search[short]:
+                i = act[j]
+                traces[i].status = "stagnated"
+                outcomes[i] = NewtonStagnation(
+                    f"line search collapsed at residual {rnorm[i]:.3e}", traces[i])
+            search = search[~short]
+        act_moved = act[moved]
+        rnorm[act_moved] = np.max(np.abs(R[act_moved]), axis=1)
+        for j in moved.nonzero()[0]:
+            i = act[j]
+            traces[i].residual_norms.append(float(rnorm[i]))
+            traces[i].step_lengths.append(float(alpha[j]))
+            traces[i].element_min_sv.append(float(min_sv[j]))
+        act = act_moved
+
+    for i in act:
+        if rnorm[i] <= opts.tol:
+            traces[i].status = "converged"
+            outcomes[i] = (Z[i].copy(), traces[i])
+        else:
+            traces[i].status = "max_iter"
+            outcomes[i] = NewtonNonConvergence(
+                f"no convergence in {opts.max_iter} iterations, residual {rnorm[i]:.3e}",
+                traces[i])
+    return outcomes
+
+
 def semismooth_solve(residual: Callable[[np.ndarray], np.ndarray],
                      element: Callable[[np.ndarray], np.ndarray],
                      z0: np.ndarray,
@@ -76,57 +250,15 @@ def semismooth_solve(residual: Callable[[np.ndarray], np.ndarray],
         Maps a point to one generalized-derivative matrix of the residual.
     z0 : ndarray
         Finite starting point.
+
+    This is the one-row case of :func:`semismooth_solve_rows`.
     """
-    opts = opts or NewtonOptions()
-    z = np.asarray(z0, dtype=float).copy()
-    if not np.all(np.isfinite(z)):
-        raise ValueError("starting point must be finite")
-    trace = NewtonTrace()
-    r = residual(z)
-    rnorm = float(np.linalg.norm(r, np.inf))
-    trace.residual_norms.append(rnorm)
-    for _ in range(opts.max_iter):
-        if rnorm <= opts.tol:
-            trace.status = "converged"
-            return z, trace
-        E = element(z)
-        svals = np.linalg.svd(E, compute_uv=False)
-        min_sv = float(svals[-1]) if svals.size else 0.0
-        if min_sv < 1e-10:
-            # ridge-regularized least squares keeps the iteration alive in
-            # degenerate regions; the analyzer reports the degeneracy itself
-            tau = max(opts.regularization_floor, 1e-10 * float(svals[0]) if svals.size else 0.0)
-            s = np.linalg.solve(E.T @ E + tau * np.eye(E.shape[1]), -E.T @ r)
-        else:
-            s = np.linalg.solve(E, -r)
-        merit = 0.5 * float(np.dot(r, r))
-        slope = float(np.dot(E @ s, r))  # derivative of the merit along s
-        if slope >= 0.0:
-            slope = -2.0 * merit
-        alpha = 1.0
-        while True:
-            z_new = z + alpha * s
-            r_new = residual(z_new)
-            merit_new = 0.5 * float(np.dot(r_new, r_new))
-            if merit_new <= merit + opts.armijo_c * alpha * slope:
-                break
-            alpha *= opts.backtrack_factor
-            if alpha < opts.min_step:
-                trace.status = "stagnated"
-                raise NewtonStagnation(
-                    f"line search collapsed at residual {rnorm:.3e}", trace)
-        z = z_new
-        r = r_new
-        rnorm = float(np.linalg.norm(r, np.inf))
-        trace.residual_norms.append(rnorm)
-        trace.step_lengths.append(alpha)
-        trace.element_min_sv.append(min_sv)
-    if rnorm <= opts.tol:
-        trace.status = "converged"
-        return z, trace
-    trace.status = "max_iter"
-    raise NewtonNonConvergence(
-        f"no convergence in {opts.max_iter} iterations, residual {rnorm:.3e}", trace)
+    outcome, = semismooth_solve_rows(lambda Z, rows: np.asarray(residual(Z[0]))[None],
+                                     lambda Z, rows: np.asarray(element(Z[0]))[None],
+                                     np.asarray(z0, dtype=float)[None], opts)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 NOISE_FLOOR = 1e-14

@@ -5,7 +5,9 @@ one-sided directional derivative of the prox, canonical and sampled
 generalized-derivative elements, the curvature functional used by the
 second-order machinery, and the descriptors of its critical direction set.
 
-Points are plain 1-d float arrays.  Matrix pieces live in the svec
+Points are plain 1-d float arrays.  ``prox`` and ``clarke_element`` also
+act row-wise on stacks of points (..., dim), which the perturbation probe
+uses to run its Newton solves together.  Matrix pieces live in the svec
 coordinates of :mod:`kktstab.symmat`.
 """
 
@@ -22,7 +24,9 @@ from .symmat import (
     SpectralSplit,
     conjugation_matrix,
     eig_split,
+    eigh_descending,
     smat,
+    spectral_split,
     svec,
     svec_dim,
     svec_layout,
@@ -54,7 +58,8 @@ class LinearOperatorElement:
     """One element of the generalized derivative of a prox map.
 
     The matrix acts on the piece's coordinates and is symmetric with
-    spectrum contained in [0, 1].
+    spectrum contained in [0, 1]; for a stack of points it is a stack of
+    such matrices (..., dim, dim).
     """
 
     matrix: np.ndarray
@@ -62,7 +67,7 @@ class LinearOperatorElement:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass
@@ -146,10 +151,19 @@ def _outside_curvature_domain(res, vnorm) -> np.ndarray:
     return outside
 
 
-def _kink_tol(z: np.ndarray) -> float:
+def _kink_tol(z: np.ndarray) -> np.ndarray:
     """Distance from a kink within which a coordinate counts as on it,
-    1e-8 * max(1, max|z|) like the PSD eigenvalue tolerance."""
-    return 1e-8 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+    1e-8 * max(1, max|z|) like the PSD eigenvalue tolerance; one per row of
+    a stack, kept as a trailing axis of length 1."""
+    return 1e-8 * np.fmax(1.0, np.max(np.abs(z), axis=-1, keepdims=True, initial=0.0))
+
+
+def _diagonal(v: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of a vector, or of each row of a stack (..., d)."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
 
 
 def _size(spec: dict, key: str) -> int:
@@ -310,7 +324,7 @@ class _SeparablePiece(ConvexPiece):
         return out
 
     def _diag_element(self, diag: np.ndarray, provenance: str) -> LinearOperatorElement:
-        return LinearOperatorElement(np.diag(diag.astype(float)), provenance)
+        return LinearOperatorElement(_diagonal(diag.astype(float)), provenance)
 
     def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
         state, _ = self._classify(np.asarray(z, dtype=float))
@@ -618,9 +632,8 @@ class PSDConeIndicator(ConvexPiece):
 
     def prox(self, z, sigma=1.0):
         _check_sigma(sigma)
-        sp = self.split(z)
-        lam_pos = np.maximum(sp.lam, 0.0)
-        return svec(sp.P @ np.diag(lam_pos) @ sp.P.T)
+        lam, P, _ = eigh_descending(smat(z), self.tol_eig)
+        return svec(P @ _diagonal(np.maximum(lam, 0.0)) @ P.swapaxes(-1, -2))
 
     def prox_conjugate_direct(self, z, sigma=1.0):
         # projection onto the negative semidefinite cone
@@ -693,7 +706,18 @@ class PSDConeIndicator(ConvexPiece):
         return make
 
     def clarke_element(self, z):
-        return self._element_maker(self.split(z))(None, f"{self.kind}:canonical(beta=I)")
+        # one stacked eigh; the index sets differ from row to row, so the
+        # elements are built row by row
+        z = np.asarray(z, dtype=float)
+        lam, P, tol = eigh_descending(smat(z), self.tol_eig)
+        m = self.order
+        splits = zip(lam.reshape(-1, m), P.reshape(-1, m, m),
+                     np.broadcast_to(tol, lam.shape[:-1]).reshape(-1))
+        mats = [self._element_maker(spectral_split(*sp))(None, "").matrix for sp in splits]
+        shape = z.shape + (self.dim,)
+        # one row is returned as built, without the copy that stacking makes
+        matrix = mats[0].reshape(shape) if len(mats) == 1 else np.reshape(mats, shape)
+        return LinearOperatorElement(matrix, f"{self.kind}:canonical(beta=I)")
 
     def sample_clarke(self, z, count, seed):
         if count < 1:
@@ -833,8 +857,8 @@ class EpiSum(ConvexPiece):
 
     def prox(self, z, sigma=1.0):
         _check_sigma(sigma)
-        c, y = self._split(z)
-        return np.concatenate([[c - sigma], self.inner.prox(y, sigma)])
+        z = np.asarray(z, dtype=float)
+        return np.concatenate([z[..., :1] - sigma, self.inner.prox(z[..., 1:], sigma)], axis=-1)
 
     def prox_conjugate_direct(self, z, sigma=1.0):
         # the conjugate is the indicator of {1} x dom(inner conjugate)
@@ -853,14 +877,13 @@ class EpiSum(ConvexPiece):
         return np.concatenate([[dc], self.inner.prox_dirderiv(y, dy)])
 
     def _lift_element(self, el: LinearOperatorElement) -> LinearOperatorElement:
-        M = np.zeros((self.dim, self.dim))
-        M[0, 0] = 1.0
-        M[1:, 1:] = el.matrix
+        M = np.zeros(el.matrix.shape[:-2] + (self.dim, self.dim))
+        M[..., 0, 0] = 1.0
+        M[..., 1:, 1:] = el.matrix
         return LinearOperatorElement(M, f"epi({el.provenance})")
 
     def clarke_element(self, z):
-        _, y = self._split(z)
-        return self._lift_element(self.inner.clarke_element(y))
+        return self._lift_element(self.inner.clarke_element(np.asarray(z, dtype=float)[..., 1:]))
 
     def sample_clarke(self, z, count, seed):
         _, y = self._split(z)

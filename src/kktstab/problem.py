@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .newton import NewtonOptions, NewtonTrace, semismooth_solve
+from .newton import NewtonOptions, NewtonTrace, semismooth_solve, semismooth_solve_rows
 from .pieces import ConvexPiece, LinearOperatorElement, dedup_elements
 
 FD_HESS_STEP = 1e-5
@@ -87,8 +87,9 @@ class CompositeProblem:
         return [y[..., self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.pieces))]
 
     def prox_g(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """Blockwise prox of w, or of each row of a stack (..., m)."""
         return np.concatenate(
-            [p.prox(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))])
+            [p.prox(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))], axis=-1)
 
     def prox_gstar(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
         return np.concatenate(
@@ -172,24 +173,26 @@ class JacobianElementR:
 
 def _element_matrix(problem: CompositeProblem, H: np.ndarray, J: np.ndarray,
                     prox_elements: list[LinearOperatorElement]) -> np.ndarray:
-    """[[H, J^T], [(I-U) J, -U]] with U block diagonal over the prox elements."""
+    """[[H, J^T], [(I-U) J, -U]] with U block diagonal over the prox elements;
+    a stack (k, N, N) when the prox elements are stacks of k matrices."""
     if len(prox_elements) != len(problem.pieces):
         raise DimensionError(
             f"got {len(prox_elements)} prox elements for {len(problem.pieces)} blocks")
     n, m = problem.n, problem.m
-    U = np.zeros((m, m))
+    stack = prox_elements[0].matrix.shape[:-2]
+    U = np.zeros(stack + (m, m))
     for i, el in enumerate(prox_elements):
         lo, hi = problem.offsets[i], problem.offsets[i + 1]
-        if el.matrix.shape != (hi - lo, hi - lo):
+        if el.matrix.shape != stack + (hi - lo, hi - lo):
             raise DimensionError(
                 f"block {i} element has shape {el.matrix.shape}, expected "
-                f"({hi - lo}, {hi - lo})")
-        U[lo:hi, lo:hi] = el.matrix
-    E = np.zeros((n + m, n + m))
-    E[:n, :n] = H
-    E[:n, n:] = J.T
-    E[n:, :n] = (np.eye(m) - U) @ J
-    E[n:, n:] = -U
+                f"{stack + (hi - lo, hi - lo)}")
+        U[..., lo:hi, lo:hi] = el.matrix
+    E = np.zeros(stack + (n + m, n + m))
+    E[..., :n, :n] = H
+    E[..., :n, n:] = J.T
+    E[..., n:, :n] = (np.eye(m) - U) @ J
+    E[..., n:, n:] = -U
     return E
 
 
@@ -259,6 +262,53 @@ def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:
     return np.concatenate([r1, r2])
 
 
+def _apply(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A applied to each row of V, with the bits of A @ v on one row."""
+    return (A @ V[..., None])[..., 0]
+
+
+def solve_linearized_rows(problem: CompositeProblem, zbar, deltas, starts=None,
+                          opts: NewtonOptions | None = None) -> list:
+    """Solve the perturbed linearized generalized equation for each row of
+    deltas (k, n+m), from the matching row of starts (the base point when
+    None), with one lock-step Newton iteration over all rows.
+
+    Returns one entry per row: the KKTPoint that solve_linearized_ge returns
+    for that row alone, or the exception it raises.
+    """
+    base = as_point(problem, zbar)
+    n, m = problem.n, problem.m
+    deltas = np.array(deltas, dtype=float, ndmin=2)
+    if deltas.shape[-1] != n + m:
+        raise DimensionError(f"delta has {deltas.shape[-1]} entries, expected {n + m}")
+    starts = (np.tile(base.stacked(), (len(deltas), 1)) if starts is None
+              else np.array(starts, dtype=float, ndmin=2))
+    if starts.shape != deltas.shape:
+        raise DimensionError(f"starts have shape {starts.shape}, expected {deltas.shape}")
+    Hbar = problem.F.weighted_hessian(base.x, base.mu)
+    Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
+    Fbar = np.asarray(problem.F.eval(base.x), dtype=float)
+    rhs = np.concatenate([deltas[:, :n] + _apply(Jbar.T, deltas[:, n:]), deltas[:, n:]], axis=1)
+
+    def res(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # sign-adjusted so that elem() below is its derivative element;
+        # zeros coincide with solutions of (linearized residual) == rhs
+        dx, nu = Z[:, :n] - base.x, Z[:, n:]
+        Fx = Fbar + _apply(Jbar, dx)
+        r1 = _apply(Hbar, dx) + _apply(Jbar.T, nu - base.mu) - rhs[rows, :n]
+        r2 = Fx - problem.prox_g(Fx + nu) + rhs[rows, n:]
+        return np.concatenate([r1, r2], axis=1)
+
+    def elem(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        w = Fbar + _apply(Jbar, Z[:, :n] - base.x) + Z[:, n:]
+        return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
+
+    outcomes = semismooth_solve_rows(res, elem, starts, opts)
+    return [out if isinstance(out, Exception)
+            else KKTPoint(out[0][:n], out[0][n:] - delta[n:])
+            for out, delta in zip(outcomes, deltas)]
+
+
 def solve_linearized_ge(problem: CompositeProblem, zbar, delta,
                         start=None, opts: NewtonOptions | None = None) -> KKTPoint:
     """Solve the canonically perturbed linearized generalized equation.
@@ -266,35 +316,15 @@ def solve_linearized_ge(problem: CompositeProblem, zbar, delta,
     The perturbed inclusion is translated into the nonsmooth equation for
     the shifted dual variable nu = mu + delta_2; the returned point undoes
     the shift.  Non-convergence of the inner Newton iteration propagates,
-    signalling probable failure of strong regularity.
+    signalling probable failure of strong regularity.  This is the one-row
+    case of :func:`solve_linearized_rows`.
     """
-    base = as_point(problem, zbar)
-    delta = np.asarray(delta, dtype=float)
-    n, m = problem.n, problem.m
-    if delta.size != n + m:
-        raise DimensionError(f"delta has {delta.size} entries, expected {n + m}")
-    Hbar = problem.F.weighted_hessian(base.x, base.mu)
-    Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
-    Fbar = np.asarray(problem.F.eval(base.x), dtype=float)
-    rhs = np.concatenate([delta[:n] + Jbar.T @ delta[n:], delta[n:]])
-
-    def res(zv: np.ndarray) -> np.ndarray:
-        # sign-adjusted so that elem() below is its derivative element;
-        # zeros coincide with solutions of (linearized residual) == rhs
-        x, nu = zv[:n], zv[n:]
-        w = Fbar + Jbar @ (x - base.x) + nu
-        r1 = Hbar @ (x - base.x) + Jbar.T @ (nu - base.mu) - rhs[:n]
-        r2 = (Fbar + Jbar @ (x - base.x)) - problem.prox_g(w) + rhs[n:]
-        return np.concatenate([r1, r2])
-
-    def elem(zv: np.ndarray) -> np.ndarray:
-        x, nu = zv[:n], zv[n:]
-        w = Fbar + Jbar @ (x - base.x) + nu
-        return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
-
-    z0 = base.stacked() if start is None else as_point(problem, start).stacked()
-    zsol, _ = semismooth_solve(res, elem, z0, opts)
-    return KKTPoint(zsol[:n], zsol[n:] - delta[n:])
+    delta = np.asarray(delta, dtype=float).reshape(1, -1)
+    starts = None if start is None else as_point(problem, start).stacked()
+    out, = solve_linearized_rows(problem, zbar, delta, starts, opts)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def solve(problem: CompositeProblem, z0,

@@ -22,7 +22,7 @@ from .problem import (
     as_point,
     kkt_check,
     sample_elements_R,
-    solve_linearized_ge,
+    solve_linearized_rows,
 )
 
 _RANK_TOL = 1e-10
@@ -112,6 +112,9 @@ class AnalyzerOptions:
     srcq_budget: int = 1000
     uniqueness_tol: float = 1e-6
     newton: NewtonOptions = field(default_factory=NewtonOptions)
+
+    def __post_init__(self):
+        _check_probe_args(self.radius, self.num_delta)
 
 
 # ----------------------------------------------------------------------
@@ -486,16 +489,30 @@ def nonsingularity_sweep(problem: CompositeProblem, zbar, count: int = 32,
     return SweepStats(verdict, min_sv, len(elements), tol, argmin)
 
 
+def _check_probe_args(radius: float, num_delta: int) -> None:
+    """Raise ValueError unless num_delta is an integer >= 0 and radius is
+    finite and positive."""
+    if isinstance(num_delta, bool) or not isinstance(num_delta, (int, np.integer)) \
+            or num_delta < 0:
+        raise ValueError(f"num_delta must be an integer of at least 0, got {num_delta!r}")
+    if isinstance(radius, bool) or not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be a finite positive number, got {radius!r}")
+
+
 def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.05,
                             num_delta: int = 50, seed: int = 0,
                             uniqueness_tol: float = 1e-6,
-                            newton: NewtonOptions | None = None) -> ProbeStats:
+                            newton: NewtonOptions | None = None,
+                            tol: float = 1e-8) -> ProbeStats:
     """Empirical strong-regularity evidence: unique Lipschitz solvability
     of the perturbed linearized inclusion over sampled perturbations.
 
-    Solver failures are recorded, not raised.
+    The point is tested against the KKT system at ``tol``.  Each
+    perturbation is solved from three starts, and all the solves run as
+    one stack.  Solver failures are recorded, not raised.
     """
-    pt = analysis_point(problem, zbar).kkt
+    _check_probe_args(radius, num_delta)
+    pt = analysis_point(problem, zbar, tol).kkt
     newton = newton or NewtonOptions()
     n, m = problem.n, problem.m
     dim = n + m
@@ -510,19 +527,22 @@ def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.0
     for _ in range(2):
         u = rng.standard_normal(dim)
         offsets.append(0.5 * radius * u / np.linalg.norm(u))
-    zbar_vec = pt.stacked()
+    k = len(offsets)
+    outcomes = solve_linearized_rows(problem, pt, np.repeat(deltas, k, axis=0),
+                                     np.tile(pt.stacked() + np.array(offsets), (len(deltas), 1)),
+                                     newton)
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     violations = 0
     failures = 0
-    for delta in deltas:
+    for j, delta in enumerate(deltas):
         sols = []
-        for off in offsets:
-            try:
-                z = solve_linearized_ge(problem, pt, delta,
-                                        start=zbar_vec + off, opts=newton)
-                sols.append(z.stacked())
-            except (NewtonError, np.linalg.LinAlgError):
+        for out in outcomes[j * k:(j + 1) * k]:
+            if isinstance(out, (NewtonError, np.linalg.LinAlgError)):
                 failures += 1
+            elif isinstance(out, Exception):
+                raise out
+            else:
+                sols.append(out.stacked())
         if len(sols) >= 2:
             spread = max(float(np.linalg.norm(a - b))
                          for i, a in enumerate(sols) for b in sols[i + 1:])

@@ -131,6 +131,35 @@ class SpectralSplit:
         return self.lam.size
 
 
+def eigh_descending(S: np.ndarray, tol_eig: float | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues in descending order, eigenvectors as columns in the same
+    order, and the zero threshold, of a symmetric matrix or of each one in
+    a stack (..., m, m).
+
+    Eigenvalues within the threshold of zero are set to exactly zero.  The
+    threshold is tol_eig, or 1e-8 * max(1, max|lambda|) of each matrix.
+    """
+    S = np.asarray(S, dtype=float)
+    try:
+        w, P = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:
+        norm = float(np.linalg.norm(S))
+        cond = norm / max(1e-8 * max(1.0, norm) if tol_eig is None else tol_eig, 1e-300)
+        raise EigenDecompositionError(
+            f"eigendecomposition failed for {S.shape[-2]}x{S.shape[-1]} matrix "
+            f"(condition estimate {cond:.3e})"
+        ) from exc
+    if tol_eig is None:
+        tol_eig = 1e-8 * np.fmax(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
+    tol = np.asarray(tol_eig, dtype=float)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    lam = np.take_along_axis(w, order, axis=-1)
+    P = np.take_along_axis(P, order[..., None, :], axis=-1)
+    lam[np.abs(lam) <= tol[..., None]] = 0.0
+    return lam, P, tol
+
+
 def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
     """Split a symmetric matrix into positive / zero / negative eigenspaces.
 
@@ -148,30 +177,19 @@ def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.linalg.norm(A - A.T) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 * ||A||")
-    S = 0.5 * (A + A.T)
-    try:
-        w, P = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.norm(S)) / max(1e-8 * scale if tol_eig is None else tol_eig,
-                                              1e-300)
-        raise EigenDecompositionError(
-            f"eigendecomposition failed for {S.shape[0]}x{S.shape[1]} matrix "
-            f"(condition estimate {cond:.3e})"
-        ) from exc
-    if tol_eig is None:
-        tol_eig = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    order = np.argsort(w)[::-1]
-    lam = w[order]
-    P = P[:, order]
+    return spectral_split(*eigh_descending(0.5 * (A + A.T), tol_eig))
+
+
+def spectral_split(lam: np.ndarray, P: np.ndarray, tol_eig: float) -> SpectralSplit:
+    """The split of one matrix from its eigh_descending output."""
+    tol_eig = float(tol_eig)
     alpha = np.where(lam > tol_eig)[0]
     beta = np.where(np.abs(lam) <= tol_eig)[0]
     gamma = np.where(lam < -tol_eig)[0]
-    lam = lam.copy()
-    lam[beta] = 0.0
     pos = np.maximum(lam, 0.0)
     num = pos[:, None] + pos[None, :]
     den = np.abs(lam)[:, None] + np.abs(lam)[None, :]
     with np.errstate(invalid="ignore"):
         Sigma = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 1.0)
     return SpectralSplit(P=P, lam=lam, alpha=alpha, beta=beta, gamma=gamma,
-                         tol_eig=float(tol_eig), Sigma=Sigma)
+                         tol_eig=tol_eig, Sigma=Sigma)

@@ -384,3 +384,37 @@ def test_cli_analyze_checks_the_point_at_tol(capsys):
     assert run_command(["analyze", _battery_file("nlp_toy"), "--at", point,
                         "--num-delta", "10"]) == 1
     assert "not a KKT point at tolerance 1.0e-08" in capsys.readouterr().err
+
+
+def test_cli_probe_checks_the_point_at_tol(capsys):
+    # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
+    point = "1.0000003,1.0,1.0"
+    assert run_command(["probe", _battery_file("nlp_toy"), "--tol", "1e-6",
+                        "--at", point, "--num-delta", "10"]) == 0
+    assert "failures 0, uniqueness violations 0" in capsys.readouterr().out
+    assert run_command(["probe", _battery_file("nlp_toy"), "--at", point,
+                        "--num-delta", "10"]) == 1
+    assert "not a KKT point at tolerance 1.0e-08" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["probe", "analyze"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--num-delta", "-3", "num_delta must be an integer of at least 0, got -3"),
+    ("--radius", "-1", "radius must be a finite positive number, got -1.0"),
+    ("--radius", "nan", "radius must be a finite positive number, got nan"),
+    ("--radius", "inf", "radius must be a finite positive number, got inf"),
+])
+def test_cli_probe_arguments_are_one_line_errors(capsys, command, option, value, message):
+    assert run_command([command, _battery_file("nlp_toy"), option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option, value", [("--tol", "nan"), ("--tol", "-1"),
+                                           ("--max-iter", "0")])
+def test_cli_solve_rejects_bad_newton_options(capsys, option, value):
+    assert run_command(["solve", _battery_file("nlp_toy"), option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")

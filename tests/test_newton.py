@@ -3,13 +3,18 @@ import pytest
 
 from kktstab import (
     InsufficientTraceError,
+    NewtonError,
+    NewtonNonConvergence,
     NewtonOptions,
+    NewtonStagnation,
     NewtonTrace,
     load_battery,
     local_rate,
     residual,
+    semismooth_solve,
     solve,
 )
+from kktstab.newton import semismooth_solve_rows
 from kktstab.verify import newton_start_grid
 
 
@@ -128,3 +133,231 @@ def test_newton_options_validation():
         NewtonOptions(backtrack_factor=1.5)
     with pytest.raises(ValueError):
         NewtonOptions(tol=-1.0)
+
+
+def _counted(fn, calls):
+    def wrapped(z):
+        calls.append(np.array(z, dtype=float))
+        return fn(z)
+    return wrapped
+
+
+def test_nonconvergence_carries_its_trace_and_message():
+    # an element ten times the derivative shrinks the residual by 0.9 per
+    # full step, far too slowly for five iterations
+    calls = []
+    with pytest.raises(NewtonNonConvergence) as info:
+        semismooth_solve(_counted(lambda z: z.copy(), calls), lambda z: 10.0 * np.eye(2),
+                         np.array([1.0, -0.5]), NewtonOptions(max_iter=5))
+    trace = info.value.trace
+    assert trace.status == "max_iter"
+    assert trace.step_lengths == [1.0] * 5
+    assert trace.element_min_sv == pytest.approx([10.0] * 5)
+    assert trace.residual_norms == pytest.approx([0.9 ** k for k in range(6)])
+    assert str(info.value) == (f"no convergence in 5 iterations, "
+                               f"residual {trace.residual_norms[-1]:.3e}")
+    assert len(calls) == 6
+
+
+def test_stagnation_carries_its_trace_and_message():
+    # an element of the wrong sign makes every step an ascent step, so the
+    # line search halves alpha from 1 down to 2**-10 < min_step
+    calls = []
+    with pytest.raises(NewtonStagnation) as info:
+        semismooth_solve(_counted(lambda z: z.copy(), calls), lambda z: -np.eye(2),
+                         np.array([1.0, 0.25]), NewtonOptions(min_step=1e-3))
+    trace = info.value.trace
+    assert trace.status == "stagnated"
+    assert trace.residual_norms == [1.0] and trace.step_lengths == []
+    assert str(info.value) == "line search collapsed at residual 1.000e+00"
+    assert len(calls) == 1 + 10
+
+
+def test_linalg_errors_propagate_from_the_element_and_its_svd():
+    def element(z):
+        if z[0] < 0.75:
+            raise np.linalg.LinAlgError("element failed")
+        return np.eye(2) * 2.0
+
+    with pytest.raises(np.linalg.LinAlgError, match="element failed"):
+        semismooth_solve(lambda z: z.copy(), element, np.array([1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        semismooth_solve(lambda z: z.copy(), lambda z: np.full((2, 2), np.nan),
+                         np.array([1.0, 1.0]))
+
+
+def semismooth_solve_loop(residual, element, z0, opts=None):
+    """The one-row Newton loop, kept as the reference that the row driver
+    must reproduce bit for bit."""
+    opts = opts or NewtonOptions()
+    z = np.asarray(z0, dtype=float).copy()
+    if not np.all(np.isfinite(z)):
+        raise ValueError("starting point must be finite")
+    trace = NewtonTrace()
+    r = residual(z)
+    rnorm = float(np.linalg.norm(r, np.inf))
+    trace.residual_norms.append(rnorm)
+    for _ in range(opts.max_iter):
+        if rnorm <= opts.tol:
+            trace.status = "converged"
+            return z, trace
+        E = element(z)
+        svals = np.linalg.svd(E, compute_uv=False)
+        min_sv = float(svals[-1]) if svals.size else 0.0
+        if min_sv < 1e-10:
+            tau = max(opts.regularization_floor, 1e-10 * float(svals[0]) if svals.size else 0.0)
+            s = np.linalg.solve(E.T @ E + tau * np.eye(E.shape[1]), -E.T @ r)
+        else:
+            s = np.linalg.solve(E, -r)
+        merit = 0.5 * float(np.dot(r, r))
+        slope = float(np.dot(E @ s, r))
+        if slope >= 0.0:
+            slope = -2.0 * merit
+        alpha = 1.0
+        while True:
+            z_new = z + alpha * s
+            r_new = residual(z_new)
+            merit_new = 0.5 * float(np.dot(r_new, r_new))
+            if merit_new <= merit + opts.armijo_c * alpha * slope:
+                break
+            alpha *= opts.backtrack_factor
+            if alpha < opts.min_step:
+                trace.status = "stagnated"
+                raise NewtonStagnation(f"line search collapsed at residual {rnorm:.3e}", trace)
+        z = z_new
+        r = r_new
+        rnorm = float(np.linalg.norm(r, np.inf))
+        trace.residual_norms.append(rnorm)
+        trace.step_lengths.append(alpha)
+        trace.element_min_sv.append(min_sv)
+    if rnorm <= opts.tol:
+        trace.status = "converged"
+        return z, trace
+    trace.status = "max_iter"
+    raise NewtonNonConvergence(
+        f"no convergence in {opts.max_iter} iterations, residual {rnorm:.3e}", trace)
+
+
+_CUBIC_C = np.array([0.5, -0.2, 1.0])
+
+
+def _row_residual(kind, z):
+    if kind == "cubic":
+        return z + 0.3 * z ** 3 - _CUBIC_C
+    if kind == "residual_error" and np.max(np.abs(z)) < 0.3:
+        raise ValueError("residual undefined near the origin")
+    return z.copy()
+
+
+def _row_element(kind, z):
+    if kind == "cubic":
+        return np.diag(1.0 + 0.9 * z ** 2)
+    if kind == "slow":
+        return 10.0 * np.eye(3)  # full steps shrink the residual by 0.9
+    if kind == "wrong_sign":
+        return -np.eye(3)  # every step is an ascent step
+    if kind == "singular":
+        return np.diag([1.0, 0.0, 1.0])  # ridge steps that never reach the target
+    if kind == "element_error" and np.max(np.abs(z)) < 0.3:
+        raise np.linalg.LinAlgError("element undefined near the origin")
+    if kind == "svd_error" and np.max(np.abs(z)) < 0.3:
+        return np.full((3, 3), np.nan)  # the svd of the whole stack fails
+    return 2.0 * np.eye(3)
+
+
+_ROWS = [  # (kind, start)
+    ("cubic", [2.0, 2.0, 2.0]),
+    ("slow", [1.0, -0.5, 0.25]),
+    ("wrong_sign", [1.0, 0.25, 0.0]),
+    ("element_error", [1.0, 1.0, -1.0]),
+    ("cubic", [-1.0, 0.5, 3.0]),
+    ("svd_error", [1.0, 0.5, 1.0]),
+    ("singular", [1.0, 1.0, 1.0]),
+    ("residual_error", [1.0, -1.0, 1.0]),
+    ("cubic", [np.nan, 0.0, 0.0]),
+    ("zero", [0.0, 0.0, 0.0]),
+]
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, NewtonError):
+            assert got.trace == want.trace
+    else:
+        assert not isinstance(got, Exception), got
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def _logged_row_calls(kinds, log):
+    def residual(Z, rows):
+        # logs only completed evaluations, so a failed stacked call logs
+        # nothing and the driver's row-by-row retry logs each point once
+        out = [_row_residual(kinds[i], z) for z, i in zip(Z, rows)]
+        for z, i in zip(Z, rows):
+            log[i].append(z.tobytes())
+        return np.array(out)
+
+    def element(Z, rows):
+        return np.array([_row_element(kinds[i], z) for z, i in zip(Z, rows)])
+
+    return residual, element
+
+
+def test_row_driver_reproduces_each_row_bit_for_bit():
+    opts = NewtonOptions(max_iter=8, min_step=1e-3)
+    kinds = [kind for kind, _ in _ROWS]
+    Z0 = np.array([start for _, start in _ROWS])
+    log = [[] for _ in _ROWS]
+    outcomes = semismooth_solve_rows(*_logged_row_calls(kinds, log), Z0, opts)
+    assert len(outcomes) == len(_ROWS)
+    statuses = []
+    for i, (kind, start) in enumerate(_ROWS):
+        calls = []
+
+        def logged_residual(z, kind=kind):
+            r = _row_residual(kind, z)
+            calls.append(z.tobytes())
+            return r
+
+        try:
+            want = semismooth_solve_loop(logged_residual,
+                                         lambda z, kind=kind: _row_element(kind, z),
+                                         np.array(start), opts)
+        except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
+            want = exc
+        _same_outcome(outcomes[i], want)
+        assert log[i] == calls, kind  # iterates and trial points
+        try:
+            single = semismooth_solve(lambda z, kind=kind: _row_residual(kind, z),
+                                      lambda z, kind=kind: _row_element(kind, z),
+                                      np.array(start), opts)
+        except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
+            single = exc
+        _same_outcome(single, want)
+        statuses.append(type(want).__name__ if isinstance(want, Exception)
+                        else want[1].status)
+    # the stack mixes every way a row can end
+    assert statuses == ["converged", "NewtonNonConvergence", "NewtonStagnation",
+                        "LinAlgError", "converged", "LinAlgError", "NewtonNonConvergence",
+                        "ValueError", "ValueError", "converged"]
+    assert outcomes[6].trace.element_min_sv[0] == 0.0  # a ridge step was taken
+
+
+def test_row_driver_on_one_row_makes_no_retry_calls():
+    calls = []
+    with pytest.raises(ValueError, match="residual undefined"):
+        semismooth_solve(_counted(lambda z: _row_residual("residual_error", z), calls),
+                         lambda z: 2.0 * np.eye(3), np.array([1.0, -1.0, 1.0]))
+    assert len(calls) == 3  # the start, the accepted step and the failing trial
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0), ("tol", True),
+    ("min_step", float("nan")), ("armijo_c", float("nan")),
+    ("regularization_floor", -1.0), ("backtrack_factor", float("nan")),
+    ("backtrack_factor", 1.0), ("max_iter", 2.5), ("max_iter", True), ("max_iter", 0),
+])
+def test_newton_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        NewtonOptions(**{field: value})

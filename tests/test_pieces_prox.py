@@ -492,3 +492,51 @@ def test_kink_tolerance_scales_with_the_point_and_pins_narrow_boxes():
     box = BoxIndicator([0.0, -1e3], [3e-8, 1e3])
     assert box._classify(np.array([0.0, 0.0]))[0].tolist() == [2, 1]
     assert box._classify(np.array([0.0, 2.0]))[0].tolist() == [0, 1]
+
+
+def psd_prox_split_oracle(piece, z):
+    """The PSD projection through the full eigenvalue split."""
+    sp = piece.split(z)
+    return svec(sp.P @ np.diag(np.maximum(sp.lam, 0.0)) @ sp.P.T)
+
+
+def _stack_rows(piece, rng):
+    """Random rows, rows on kinks or with zero eigenvalues, and rows at
+    other scales, so that a tolerance shared across rows would show."""
+    rows = [2.0 * rng.standard_normal(piece.dim) for _ in range(3)]
+    rows += [1e6 * rng.standard_normal(piece.dim), np.zeros(piece.dim)]
+    inner = piece.inner if isinstance(piece, EpiSum) else piece
+    lead = [0.0] if isinstance(piece, EpiSum) else []
+    if isinstance(inner, PSDConeIndicator):
+        lam = np.zeros(inner.order)
+        lam[0], lam[-1] = 1.0, -1.0
+        Q, _ = np.linalg.qr(rng.standard_normal((inner.order, inner.order)))
+        rows.append(np.concatenate([lead, svec((Q * lam) @ Q.T)]))
+    else:
+        kink = (inner.upper if inner.kind == "box_indicator"
+                else np.full(inner.dim, {"orthant_indicator": 0.0, "l1_norm": 1.0}[inner.kind]))
+        # on the kink within its tolerance, and off it unless the tolerance
+        # came from the row at scale 1e6
+        rows += [np.concatenate([lead, kink + 5e-9]), np.concatenate([lead, kink + 5e-3])]
+    return np.array(rows)
+
+
+def test_prox_and_canonical_element_act_row_wise_on_stacks():
+    rng = np.random.default_rng(5)
+    pieces = [p for _, p in piece_battery()] + [PSDConeIndicator(4), L1Norm(3),
+                                                EpiSum(BoxIndicator([-1.0, 0.0], [1.0, 3.0]))]
+    for piece in pieces:
+        Z = _stack_rows(piece, rng)
+        P = piece.prox(Z)
+        E = piece.clarke_element(Z)
+        assert P.shape == Z.shape and E.matrix.shape == Z.shape + (piece.dim,)
+        for z, p, e in zip(Z, P, E.matrix):
+            assert p.tobytes() == piece.prox(z).tobytes(), piece.kind
+            assert e.tobytes() == piece.clarke_element(z).matrix.tobytes(), piece.kind
+        Z3 = Z[:4].reshape(2, 2, piece.dim)
+        assert np.array_equal(piece.prox(Z3), P[:4].reshape(Z3.shape))
+        assert np.array_equal(piece.clarke_element(Z3).matrix,
+                              E.matrix[:4].reshape(Z3.shape + (piece.dim,)))
+        if isinstance(piece, PSDConeIndicator):
+            for z, p in zip(Z, P):
+                assert p.tobytes() == psd_prox_split_oracle(piece, z).tobytes()

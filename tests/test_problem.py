@@ -5,6 +5,8 @@ from kktstab import (
     CompositeProblem,
     DimensionError,
     KKTPoint,
+    NewtonError,
+    NewtonOptions,
     PSDConeIndicator,
     SmoothMap,
     assemble_element,
@@ -18,6 +20,7 @@ from kktstab import (
     solve_linearized_ge,
     svec,
 )
+from kktstab.problem import solve_linearized_rows
 
 
 def test_residual_zero_at_battery_solutions():
@@ -215,3 +218,30 @@ def test_sample_elements_R_many_blocks_does_not_overflow(monkeypatch):
     els = sample_elements_R(problem, np.zeros(1 + blocks), 8, seed=0)
     assert len(els) == 8
     assert els[0].provenance == ("stub[0]",) * blocks
+
+
+def test_solve_linearized_rows_matches_one_row_solves():
+    opts = NewtonOptions(max_iter=6)
+    rng = np.random.default_rng(3)
+    kinds = set()
+    for name in ("sdp_degenerate", "nlp_toy"):
+        problem, meta = load_battery(name)
+        N = problem.n + problem.m
+        deltas = 0.3 * rng.standard_normal((7, N))
+        starts = meta.known_solution.stacked() + 0.5 * rng.standard_normal((7, N))
+        starts[4, 0] = np.inf
+        outs = solve_linearized_rows(problem, meta.known_solution, deltas, starts, opts)
+        for out, delta, start in zip(outs, deltas, starts):
+            try:
+                want = solve_linearized_ge(problem, meta.known_solution, delta, start, opts)
+            except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
+                assert type(out) is type(exc) and str(out) == str(exc)
+                kinds.add(type(exc).__name__)
+                continue
+            assert out.stacked().tobytes() == want.stacked().tobytes()
+            kinds.add("solved")
+    assert kinds == {"solved", "ValueError", "NewtonNonConvergence"}
+    with pytest.raises(DimensionError, match="delta has 2 entries"):
+        solve_linearized_rows(problem, meta.known_solution, np.zeros((3, 2)))
+    with pytest.raises(DimensionError, match="starts have shape"):
+        solve_linearized_rows(problem, meta.known_solution, np.zeros((3, N)), np.zeros((2, N)))

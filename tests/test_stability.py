@@ -12,8 +12,11 @@ from kktstab import (
     EpiSum,
     KKTPoint,
     L1Norm,
+    NewtonError,
+    NewtonOptions,
     OrthantIndicator,
     PSDConeIndicator,
+    ProbeStats,
     SmoothMap,
     UnsupportedCaseError,
     assumption_check,
@@ -27,12 +30,14 @@ from kktstab import (
     nonsingularity_sweep,
     rcq_check,
     sample_clarke,
+    solve_linearized_ge,
     srcq_check,
     ssosc_check,
     strong_regularity_probe,
     svec,
 )
 from kktstab.stability import (
+    AnalysisPoint,
     CurvatureDomainError,
     _ap_nonzero_points,
     _product_cone,
@@ -598,3 +603,94 @@ def test_battery_verdicts_survive_perturbations_below_1e_10():
         for scale in (1e-10, 1e-13):
             dz = scale * rng.uniform(-1.0, 1.0, z.size)
             assert _verdicts(equivalence_report(problem, z + dz, opts)) == want, (name, scale)
+
+
+def probe_one_at_a_time(problem, zbar, radius=0.05, num_delta=50, seed=0,
+                        uniqueness_tol=1e-6, newton=None, tol=1e-8):
+    """The probe with one linearized solve at a time, kept as the reference
+    for the stacked probe."""
+    pt = AnalysisPoint(problem, zbar, tol).kkt
+    newton = newton or NewtonOptions()
+    dim = problem.n + problem.m
+    rng = np.random.default_rng(seed)
+    deltas = [np.zeros(dim)]
+    for _ in range(num_delta):
+        u = rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        r = rng.uniform() ** (1.0 / dim)
+        deltas.append(radius * r * u)
+    offsets = [np.zeros(dim)]
+    for _ in range(2):
+        u = rng.standard_normal(dim)
+        offsets.append(0.5 * radius * u / np.linalg.norm(u))
+    zbar_vec = pt.stacked()
+    solutions = []
+    violations = failures = 0
+    for delta in deltas:
+        sols = []
+        for off in offsets:
+            try:
+                z = solve_linearized_ge(problem, pt, delta, start=zbar_vec + off, opts=newton)
+                sols.append(z.stacked())
+            except (NewtonError, np.linalg.LinAlgError):
+                failures += 1
+        if len(sols) >= 2:
+            spread = max(float(np.linalg.norm(a - b))
+                         for i, a in enumerate(sols) for b in sols[i + 1:])
+            if spread > uniqueness_tol:
+                violations += 1
+        if sols:
+            solutions.append((delta, sols[0]))
+    modulus = 0.0
+    for i, (d1, z1) in enumerate(solutions):
+        for d2, z2 in solutions[i + 1:]:
+            gap = float(np.linalg.norm(d1 - d2))
+            if gap > 1e-12:
+                modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
+    return ProbeStats(modulus=modulus, violations=violations, failures=failures,
+                      solved=len(solutions), num_delta=num_delta, radius=radius,
+                      uniqueness_tol=uniqueness_tol)
+
+
+@pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
+                                  "smooth_toy"])
+def test_stacked_probe_equals_one_solve_at_a_time(name):
+    # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail
+    problem, meta = load_battery(name)
+    stats = strong_regularity_probe(problem, meta.known_solution)
+    assert stats == probe_one_at_a_time(problem, meta.known_solution)
+    if name == "sdp_degenerate":
+        assert stats.failures >= 20
+    short = NewtonOptions(max_iter=3)
+    assert (strong_regularity_probe(problem, meta.known_solution, num_delta=6, seed=4,
+                                    radius=0.3, newton=short)
+            == probe_one_at_a_time(problem, meta.known_solution, num_delta=6, seed=4,
+                                   radius=0.3, newton=short))
+
+
+def test_probe_tests_kkt_at_its_tol():
+    # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
+    problem, _ = load_battery("nlp_toy")
+    point = np.array([1.0000003, 1.0, 1.0])
+    with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
+        strong_regularity_probe(problem, point, num_delta=5)
+    stats = strong_regularity_probe(problem, point, num_delta=5, tol=1e-6)
+    assert stats == probe_one_at_a_time(problem, point, num_delta=5, tol=1e-6)
+    assert stats.failures == stats.violations == 0 and stats.solved == 6
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_delta": -3}, "num_delta must be an integer of at least 0"),
+    ({"num_delta": 2.5}, "num_delta must be an integer of at least 0"),
+    ({"num_delta": True}, "num_delta must be an integer of at least 0"),
+    ({"radius": -1.0}, "radius must be a finite positive number"),
+    ({"radius": 0.0}, "radius must be a finite positive number"),
+    ({"radius": float("nan")}, "radius must be a finite positive number"),
+    ({"radius": float("inf")}, "radius must be a finite positive number"),
+])
+def test_probe_arguments_are_validated(kwargs, message):
+    problem, meta = load_battery("nlp_toy")
+    with pytest.raises(ValueError, match=message):
+        strong_regularity_probe(problem, meta.known_solution, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        AnalyzerOptions(**kwargs)
