@@ -26,15 +26,24 @@ class NewtonOptions:
 
     def __post_init__(self):
         for name in ("tol", "armijo_c", "min_step", "regularization_floor"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+            check_positive(name, getattr(self, name))
         if isinstance(self.backtrack_factor, bool) or not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError(
                 f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
+        check_integer("max_iter", self.max_iter, 1)
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite positive number."""
+    if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def check_integer(name: str, value: int, least: int) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer (not a
+    bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass

@@ -5,16 +5,24 @@ Verdicts always carry the tolerance they were decided at.  Everything that
 rests on sampling (element sweeps, non-polyhedral cone searches, the
 perturbation probe) is reported as evidence, never as a certificate: the
 wording is "all-sampled-nonsingular" and "heuristic-likely".
+
+rcq, srcq and multiplier uniqueness ask whether null(J^T) meets a cone
+only at the origin.  For a polyhedral (interval) cone the answer is exact:
+one rank test, then at most one bounded linear program.  A "fails" carries
+the point found; a "holds" carries a Farkas certificate from the program's
+duals, which one matrix-vector product checks.  When neither the point nor
+the certificate checks out, the verdict is "heuristic-likely".
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .newton import NewtonError, NewtonOptions
+from .newton import NewtonError, NewtonOptions, check_integer, check_positive
 from .pieces import ConeModel, ConvexPiece, LinearOperatorElement, _interval_cone, gamma_oracle
 from .problem import (
     CompositeProblem,
@@ -115,6 +123,10 @@ class AnalyzerOptions:
 
     def __post_init__(self):
         _check_probe_args(self.radius, self.num_delta)
+        for name in ("tol", "sweep_tol", "uniqueness_tol"):
+            check_positive(name, getattr(self, name))
+        for name in ("count", "srcq_budget"):
+            check_integer(name, getattr(self, name), 1)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +181,10 @@ class AnalysisPoint:
 
     def __init__(self, problem: CompositeProblem, z, tol: float | None = 1e-8):
         pt = as_point(problem, z)
+        if not (np.isfinite(pt.x).all() and np.isfinite(pt.mu).all()):
+            raise ValueError("point must be finite")
         if tol is not None:
+            check_positive("tol", tol)
             rep = kkt_check(problem, pt, tol)
             if not rep.ok:
                 raise ValueError(
@@ -224,21 +239,21 @@ class AnalysisPoint:
     def cone_search(self, cone_name: str, tol: float, budget: int,
                     seed: int) -> tuple[list[np.ndarray], str]:
         """Nonzero points of null(J^T) inside the named product cone, and the
-        status they support: 'fails' when one was found, else 'holds' (exact,
-        for interval cones) or 'heuristic-likely'.  Kept per cone and tol,
-        and per budget and seed where the search draws random restarts."""
+        status they support: 'fails' when one was found, else 'holds' (for
+        interval cones, exact and certified) or 'heuristic-likely'.  Kept
+        per cone and tol, and per budget and seed where the search draws
+        random restarts."""
         cone = getattr(self, cone_name)
         N = self.adjoint_nullspace
         exact = cone.polyhedral or N.shape[1] == 0
         key = (cone_name, tol) if exact else (cone_name, tol, budget, seed)
         if key not in self._searches:
             if exact:
-                found = _lp_nonzero_points(N, cone, tol)
+                self._searches[key] = _lp_nonzero_points(N, cone, tol)[:2]
             else:
                 found = _ap_nonzero_points(N @ N.T, cone, budget, tol,
                                            np.random.default_rng(seed))
-            self._searches[key] = (
-                found, "fails" if found else ("holds" if exact else "heuristic-likely"))
+                self._searches[key] = (found, "fails" if found else "heuristic-likely")
         return self._searches[key]
 
 
@@ -306,41 +321,78 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> list[np.ndarray]:
-    """Exact search for a nonzero point of span(N) inside an interval cone;
-    returns [] or one point.
+class LPSearch(NamedTuple):
+    """Outcome of the exact search of an interval cone: the points found
+    ([] or one witness), the status they support, and for 'holds' the
+    certificate (lam, nu) on the rows (G, E) of ``_coefficient_cone``."""
 
-    Works on the coefficient cone {t : rows(N) respect the coordinate
-    signs}; since N has orthonormal columns, t != 0 gives a nonzero point.
+    points: list[np.ndarray]
+    status: str
+    certificate: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _coefficient_cone(N: np.ndarray, cone: ConeModel) -> tuple[np.ndarray, np.ndarray]:
+    """(E, G) with span(N) ∩ cone = {N t : E t = 0, G t <= 0}: E holds the
+    rows of N that the cone pins to 0, G the signed rows it bounds on one
+    side, in row order.  Free rows appear in neither."""
+    lo, hi = cone.lower, cone.upper
+    sign = np.where(np.isinf(lo) & (hi == 0.0), 1.0,
+                    np.where((lo == 0.0) & np.isinf(hi), -1.0, 0.0))
+    return N[(lo == 0.0) & (hi == 0.0)], sign[sign != 0.0, None] * N[sign != 0.0]
+
+
+def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> LPSearch:
+    """Exact search for a nonzero point of span(N) inside an interval cone,
+    with one rank test and at most one linear program.
+
+    N has orthonormal columns, so t != 0 gives a nonzero point N t of the
+    coefficient cone C = {t : E t = 0, G t <= 0}.  A null vector of
+    M = [E; G] is a witness.  Otherwise C is pointed and nontrivial iff
+    min 1^T G t over C with -G t <= 1 is negative.  When the optimum is 0,
+    the duals give lam >= 1 and nu with G^T lam + E^T nu = r.  For a unit
+    t in C, |G t| <= |G t|_1 <= -lam^T G t = -t^T r <= |r|, while
+    |G t| = |M t| >= sigma_min(M); so |r| < sigma_min(M) proves C = {0},
+    and one matrix-vector product checks it (with a factor 2 to spare for
+    rounding).  A witness that leaves the cone or a certificate that fails
+    the check gives 'heuristic-likely'.
     """
-    p = N.shape[1]
-    if p == 0:
-        return []
-    eq_rows = []
-    ub_rows = []
-    for i in range(N.shape[0]):
-        lo, hi = cone.lower[i], cone.upper[i]
-        if lo == 0.0 and hi == 0.0:
-            eq_rows.append(N[i])
-        elif lo == 0.0 and np.isinf(hi):
-            ub_rows.append(-N[i])  # N_i t >= 0
-        elif np.isinf(lo) and hi == 0.0:
-            ub_rows.append(N[i])   # N_i t <= 0
-    A_eq = np.array(eq_rows) if eq_rows else None
-    b_eq = np.zeros(len(eq_rows)) if eq_rows else None
-    A_ub = np.array(ub_rows) if ub_rows else None
-    b_ub = np.zeros(len(ub_rows)) if ub_rows else None
-    for j in range(p):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(p)
-            c[j] = -sgn
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                          bounds=[(-1.0, 1.0)] * p, method="highs")
-            if res.status == 0 and -res.fun > max(tol, 1e-9):
-                v = N @ res.x
-                if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
-                    return [v]
-    return []
+    if N.shape[1] == 0:
+        return LPSearch([], "holds")
+
+    def witness(t: np.ndarray) -> LPSearch:
+        v = N @ t
+        if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
+            return LPSearch([v], "fails")
+        return LPSearch([], "heuristic-likely")
+
+    E, G = _coefficient_cone(N, cone)
+    M = np.vstack([E, G])
+    null = nullspace(M)
+    if null.shape[1]:
+        return witness(null[:, 0])
+    g = G.shape[0]
+    if g == 0:
+        return LPSearch([], "holds", (np.ones(0), np.zeros(E.shape[0])))
+    res = linprog(G.sum(axis=0), A_ub=np.vstack([G, -G]),
+                  b_ub=np.concatenate([np.zeros(g), np.ones(g)]),
+                  A_eq=E, b_eq=np.zeros(E.shape[0]), bounds=(None, None), method="highs")
+    if res.status != 0:
+        return LPSearch([], "heuristic-likely")
+    if res.fun < -max(tol, 1e-9):
+        return witness(res.x)
+    # scipy's marginals satisfy G^T 1 = [G; -G]^T m_ub + E^T m_eq
+    lam = 1.0 - res.ineqlin.marginals[:g] + res.ineqlin.marginals[g:]
+    nu = -res.eqlin.marginals
+    scale = lam.min()
+    if scale > 0.0:
+        lam, nu = lam / scale, nu / scale
+        r = np.concatenate([nu, lam]) @ M
+        if np.linalg.norm(r) < 0.5 * np.linalg.svd(M, compute_uv=False)[-1]:
+            return LPSearch([], "holds", (lam, nu))
+    return LPSearch([], "heuristic-likely")
+
+
+_UNCERTIFIED = "no point found and no certificate verified (linear program)"
 
 
 def _ap_nonzero_points(P_sub: np.ndarray, cone: ConeModel, budget: int,
@@ -391,7 +443,8 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     return Verdict(status, tol, {
         "fails": "nonzero polar intersection point found",
         "holds": "polar intersection is trivial (exact)",
-        "heuristic-likely": f"no polar point found in {budget} restarts"}[status])
+        "heuristic-likely": (_UNCERTIFIED if point.critical_polar_cone.polyhedral
+                             else f"no polar point found in {budget} restarts")}[status])
 
 
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
@@ -402,7 +455,8 @@ def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     return Verdict(status, tol, {
         "fails": "nonzero normal-cone intersection point found",
         "holds": "normal-cone intersection is trivial (exact)",
-        "heuristic-likely": f"no intersection point found in {budget} restarts"}[status])
+        "heuristic-likely": (_UNCERTIFIED if point.domain_normal_cone.polyhedral
+                             else f"no intersection point found in {budget} restarts")}[status])
 
 
 def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
@@ -492,11 +546,8 @@ def nonsingularity_sweep(problem: CompositeProblem, zbar, count: int = 32,
 def _check_probe_args(radius: float, num_delta: int) -> None:
     """Raise ValueError unless num_delta is an integer >= 0 and radius is
     finite and positive."""
-    if isinstance(num_delta, bool) or not isinstance(num_delta, (int, np.integer)) \
-            or num_delta < 0:
-        raise ValueError(f"num_delta must be an integer of at least 0, got {num_delta!r}")
-    if isinstance(radius, bool) or not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be a finite positive number, got {radius!r}")
+    check_integer("num_delta", num_delta, 0)
+    check_positive("radius", radius)
 
 
 def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.05,

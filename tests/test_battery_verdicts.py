@@ -1,0 +1,86 @@
+"""Every verdict, detail string and probe count of the equivalence report on
+the five battery instances, pinned at seed 0 with reduced analyzer
+settings; floats are pinned to a relative 1e-6."""
+
+import numpy as np
+import pytest
+
+from kktstab import AnalyzerOptions, equivalence_report, load_battery
+
+FAST = AnalyzerOptions(num_delta=20, srcq_budget=400)
+
+EXACT_RCQ = ("holds", "normal-cone intersection is trivial (exact)")
+EXACT_SRCQ = ("holds", "polar intersection is trivial (exact)")
+TRIVIAL_SUBSPACE = ("holds", float("inf"), 0, "critical subspace is trivial")
+CONSISTENT = (True, True, True, "consistent", "")
+
+# name: (rcq, srcq, nondegeneracy, unique multiplier, second order,
+#        sweep (verdict, min sv, elements, argmin), probe (modulus,
+#        violations, failures, solved), consistency (legs a, b, c,
+#        verdict, disagreement))
+EXPECTED = {
+    "nlp_toy": (
+        EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, TRIVIAL_SUBSPACE,
+        ("all-sampled-nonsingular", 0.5176380902050416, 1,
+         ("epi(orthant_indicator:canonical)",)),
+        (1.6167967978021782, 0, 0, 21), CONSISTENT),
+    "sdp_toy": (
+        ("heuristic-likely", "no intersection point found in 400 restarts"),
+        ("heuristic-likely", "no polar point found in 400 restarts"),
+        ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
+        ("all-sampled-nonsingular", 0.5000000000000001, 1,
+         ("epi(psd_indicator:canonical(beta=I))",)),
+        (1.0042536775876894, 0, 0, 21), CONSISTENT),
+    "sdp_degenerate": (
+        ("heuristic-likely", "no intersection point found in 400 restarts"),
+        ("fails", "span test rank 3 of 4"),
+        ("fails", "rank 2 of 4"), False,
+        ("skipped", "multiplier set is not a singleton"),
+        ("singular-element-found", 0.0, 2, ("epi(psd_indicator:canonical(beta=I))",)),
+        (63.33650947463679, 1, 28, 21), (False, False, False, "consistent", "")),
+    "l1_toy": (
+        EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 1 of 1"), True, TRIVIAL_SUBSPACE,
+        ("all-sampled-nonsingular", 1.0, 1, ("l1_norm:canonical",)),
+        (1.0000000000000007, 0, 0, 21), CONSISTENT),
+    "smooth_toy": (
+        EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, ("holds", 1.0, 1, ""),
+        ("all-sampled-nonsingular", 0.6180339887498949, 1,
+         ("epi(orthant_indicator:canonical)",)),
+        (0.9980308321202721, 0, 0, 21), CONSISTENT),
+}
+
+
+def _approx(x):
+    return pytest.approx(x, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_battery_report_is_pinned(name):
+    rcq, srcq, nondeg, unique, second, sweep, probe, consistency = EXPECTED[name]
+    problem, meta = load_battery(name)
+    rep = equivalence_report(problem, meta.known_solution, FAST)
+    assert (rep.rcq.status, rep.rcq.detail) == rcq
+    assert (rep.srcq.status, rep.srcq.detail) == srcq
+    assert (rep.nondegeneracy.status, rep.nondegeneracy.detail) == nondeg
+    assert rep.multiplier_unique is unique
+    if len(second) == 2:
+        assert (rep.ssosc.status, rep.ssosc.detail) == second
+    else:
+        status, min_eig, dim, detail = second
+        assert (rep.ssosc.status, rep.ssosc.subspace_dim, rep.ssosc.detail) == (
+            status, dim, detail)
+        assert rep.ssosc.min_eigenvalue == _approx(min_eig)
+    verdict, min_sv, n_elements, argmin = sweep
+    assert (rep.sweep.verdict, rep.sweep.n_elements, rep.sweep.argmin_provenance) == (
+        verdict, n_elements, argmin)
+    assert rep.sweep.min_singular_value == _approx(min_sv)
+    modulus, violations, failures, solved = probe
+    assert (rep.probe.violations, rep.probe.failures, rep.probe.solved) == (
+        violations, failures, solved)
+    assert rep.probe.modulus == _approx(modulus)
+    c = rep.consistency
+    got = (c["leg_a_second_order_and_nondegeneracy"], c["leg_b_sampled_elements_nonsingular"],
+           c["leg_c_probe_strong_regularity"], c["verdict"], c["disagreement"])
+    assert tuple(bool(v) if isinstance(v, (bool, np.bool_)) else v for v in got) == consistency
+    assert c["note"] == "legs b and c are sampled evidence, not certificates"
+    assert all(v.tol == 1e-8 for v in (rep.rcq, rep.srcq, rep.nondegeneracy, rep.ssosc))

@@ -418,3 +418,29 @@ def test_cli_solve_rejects_bad_newton_options(capsys, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["probe", "analyze"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "inf", "tol must be a finite positive number, got inf"),
+    ("--tol", "0", "tol must be a finite positive number, got 0.0"),
+    ("--tol", "-1", "tol must be a finite positive number, got -1.0"),
+    ("--tol", "nan", "tol must be a finite positive number, got nan"),
+    ("--at", "nan,1,1", "point must be finite"),
+    ("--at", "1,1,inf", "point must be finite"),
+])
+def test_cli_tolerance_and_point_are_one_line_errors(capsys, command, option, value,
+                                                      message):
+    # --tol inf used to print an "inconsistent" report and exit 2, --tol 0
+    # was accepted, and --tol -1 or nan blamed the point
+    assert run_command([command, _battery_file("nlp_toy"), option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_analyze_rejects_a_sample_count_below_one(capsys):
+    assert run_command(["analyze", _battery_file("nlp_toy"), "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must be an integer of at least 1, got 0\n"

@@ -694,3 +694,254 @@ def test_probe_arguments_are_validated(kwargs, message):
         strong_regularity_probe(problem, meta.known_solution, **kwargs)
     with pytest.raises(ValueError, match=message):
         AnalyzerOptions(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# The polyhedral cone test: one rank test and one certified linear program
+
+
+def lp_nonzero_points_coordinatewise(N, cone, tol):
+    """The exact search with up to 2p linear programs, one per coordinate
+    and sign, kept as the reference for the rank test plus one LP."""
+    from scipy.optimize import linprog
+
+    p = N.shape[1]
+    if p == 0:
+        return []
+    eq_rows, ub_rows = [], []
+    for i in range(N.shape[0]):
+        lo, hi = cone.lower[i], cone.upper[i]
+        if lo == 0.0 and hi == 0.0:
+            eq_rows.append(N[i])
+        elif lo == 0.0 and np.isinf(hi):
+            ub_rows.append(-N[i])
+        elif np.isinf(lo) and hi == 0.0:
+            ub_rows.append(N[i])
+    A_eq = np.array(eq_rows) if eq_rows else None
+    b_eq = np.zeros(len(eq_rows)) if eq_rows else None
+    A_ub = np.array(ub_rows) if ub_rows else None
+    b_ub = np.zeros(len(ub_rows)) if ub_rows else None
+    for j in range(p):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(p)
+            c[j] = -sgn
+            res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                          bounds=[(-1.0, 1.0)] * p, method="highs")
+            if res.status == 0 and -res.fun > max(tol, 1e-9):
+                v = N @ res.x
+                if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
+                    return [v]
+    return []
+
+
+# (lower, upper) of a coordinate: pinned, nonnegative, nonpositive, free
+_ROW_KINDS = ((0.0, 0.0), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf))
+
+
+def _cone_case(rng, m, p, kinds):
+    from kktstab.pieces import _interval_cone
+
+    N = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :p]
+    lower, upper = np.array([_ROW_KINDS[k] for k in kinds]).T.reshape(2, m)
+    return N, _interval_cone(lower, upper)
+
+
+def _cone_cases():
+    """Seeded random interval cones in random orthonormal N, plus the
+    corner cases: p = 0, only pinned rows, only one-sided rows, free rows,
+    a rank-deficient [E; G] and the whole space."""
+    rng = np.random.default_rng(2024)
+    cases = [_cone_case(rng, 5, 0, [0, 1, 2, 3, 1]),        # p = 0
+             _cone_case(rng, 6, 3, [0, 0, 0, 3, 3, 3]),     # only E, full rank
+             _cone_case(rng, 6, 3, [0, 0, 3, 3, 3, 3]),     # only E, rank 2
+             _cone_case(rng, 6, 3, [1, 2, 1, 2, 1, 1]),     # only G
+             _cone_case(rng, 6, 2, [1, 1, 1, 1, 1, 1]),     # only G, one sign
+             _cone_case(rng, 6, 4, [1, 2, 0, 3, 3, 3]),     # rank-deficient M
+             _cone_case(rng, 5, 3, [3, 3, 3, 3, 3]),        # the whole space
+             _cone_case(rng, 4, 4, [1, 1, 1, 1])]           # span(N) is everything
+    for _ in range(150):
+        m = int(rng.integers(1, 12))
+        p = int(rng.integers(0, m + 1))
+        weights = rng.dirichlet(np.ones(4))
+        cases.append(_cone_case(rng, m, p, rng.choice(4, size=m, p=weights)))
+    return cases
+
+
+def _assert_certified(N, cone, search, tol=1e-8, exact_duals=True):
+    """A 'holds' carries lam >= 1 and nu with G^T lam + E^T nu below half
+    the smallest singular value of [E; G], which proves the coefficient
+    cone is {0} (and, from the solver's own duals, near 0); a 'fails'
+    carries a nonzero point of span(N) in the cone."""
+    from kktstab.stability import _coefficient_cone
+
+    if search.status == "holds":
+        assert search.points == []
+        if N.shape[1] == 0:
+            return
+        lam, nu = search.certificate
+        E, G = _coefficient_cone(N, cone)
+        assert lam.shape == (G.shape[0],) and nu.shape == (E.shape[0],)
+        assert np.all(lam >= 1.0)
+        r = np.linalg.norm(G.T @ lam + E.T @ nu)
+        if exact_duals:
+            assert r <= 1e-9 * (1.0 + np.linalg.norm(lam) + np.linalg.norm(nu))
+        assert r < 0.5 * np.linalg.svd(np.vstack([E, G]), compute_uv=False)[-1]
+    elif search.status == "fails":
+        (v,) = search.points
+        assert search.certificate is None
+        assert np.linalg.norm(v) > 0.5
+        assert np.linalg.norm(v - N @ (N.T @ v)) <= 1e-9 * np.linalg.norm(v)
+        assert cone.residual(v) <= tol * (1.0 + np.linalg.norm(v))
+    else:
+        raise AssertionError(f"uncertified search: {search}")
+
+
+def _battery_cone_cases():
+    cases = []
+    for name in ("nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy"):
+        problem, meta = load_battery(name)
+        point = AnalysisPoint(problem, meta.known_solution)
+        for cone in (point.critical_polar_cone, point.domain_normal_cone):
+            if cone.polyhedral:
+                cases.append((point.adjoint_nullspace, cone))
+    for piece, a, points in KINK_CASES:
+        for c, mu in points:
+            point = AnalysisPoint(*_kink_instance(piece, a, c, mu))
+            cases += [(point.adjoint_nullspace, point.critical_polar_cone),
+                      (point.adjoint_nullspace, point.domain_normal_cone)]
+    return cases
+
+
+def test_one_lp_cone_test_agrees_with_the_coordinate_lps_and_is_certified(monkeypatch):
+    import kktstab.stability as st
+
+    calls = []
+    real = st.linprog
+    monkeypatch.setattr(st, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cases = _battery_cone_cases() + _cone_cases()
+    seen = set()
+    for N, cone in cases:
+        before = len(calls)
+        search = st._lp_nonzero_points(N, cone, 1e-8)
+        assert len(calls) - before <= 1
+        want = "fails" if lp_nonzero_points_coordinatewise(N, cone, 1e-8) else "holds"
+        assert search.status == want, (N.shape, cone.lower, cone.upper)
+        _assert_certified(N, cone, search)
+        seen.add((search.status, len(calls) > before))
+    # every outcome occurs: rank-test and LP verdicts of both kinds
+    assert seen == {("holds", False), ("holds", True), ("fails", False), ("fails", True)}
+
+
+def _lp_holds_cases():
+    from kktstab.stability import _coefficient_cone
+
+    out = []
+    for N, cone in _cone_cases():
+        if N.shape[1]:
+            E, G = _coefficient_cone(N, cone)
+            if G.shape[0] and np.linalg.matrix_rank(np.vstack([E, G])) == N.shape[1] \
+                    and not lp_nonzero_points_coordinatewise(N, cone, 1e-8):
+                out.append((N, cone))
+    return out
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "negative", "noise", "unsolved"])
+def test_corrupted_duals_never_yield_holds(monkeypatch, corrupt):
+    # NaN duals, lam <= -1, and a failed solve can never certify; noisy
+    # duals yield 'holds' only where they still prove the cone trivial
+    import kktstab.stability as st
+
+    real = st.linprog
+    rng = np.random.default_rng(11)
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        ub, eq = res.ineqlin.marginals, res.eqlin.marginals
+        g = ub.size // 2
+        if corrupt == "nan":
+            ub, eq = np.full_like(ub, np.nan), np.full_like(eq, np.nan)
+        elif corrupt == "negative":
+            ub = np.concatenate([np.full(g, 2.0), ub[g:]])
+        elif corrupt == "noise":
+            ub = ub + 1e3 * rng.standard_normal(ub.shape)
+            eq = eq + 1e3 * rng.standard_normal(eq.shape)
+        else:
+            res.status = 4
+        res.ineqlin.marginals, res.eqlin.marginals = ub, eq
+        return res
+
+    cases = _lp_holds_cases()
+    assert len(cases) >= 20
+    for N, cone in cases:
+        assert st._lp_nonzero_points(N, cone, 1e-8).status == "holds"
+    monkeypatch.setattr(st, "linprog", corrupted)
+    kept = 0
+    for N, cone in cases:
+        search = st._lp_nonzero_points(N, cone, 1e-8)
+        if search.status == "holds":
+            _assert_certified(N, cone, search, exact_duals=False)
+            kept += 1
+        else:
+            assert search == ([], "heuristic-likely", None)
+    assert kept <= (len(cases) // 10 if corrupt == "noise" else 0)
+
+
+def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
+    import kktstab.stability as st
+
+    real = st.linprog
+
+    def unsolved(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status = 4
+        return res
+
+    monkeypatch.setattr(st, "linprog", unsolved)
+    # both cones of the two-coordinate orthant kink reach the linear program
+    piece, a, ((c, mu), *_) = KINK_CASES[0]
+    problem, pt = _kink_instance(piece, a, c, mu)
+    point = AnalysisPoint(problem, pt)
+    for check in (rcq_check, srcq_check):
+        v = check(problem, point)
+        assert (v.status, v.detail) == (
+            "heuristic-likely", "no point found and no certificate verified (linear program)")
+    assert multiplier_uniqueness(problem, point) == (True, None)
+
+
+# ----------------------------------------------------------------------
+# Tolerances, counts and the point are validated
+
+
+@pytest.mark.parametrize("field", ["tol", "sweep_tol", "uniqueness_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), True])
+def test_analyzer_tolerances_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite positive number"):
+        AnalyzerOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["count", "srcq_budget"])
+@pytest.mark.parametrize("value", [0, -2, 2.5, 3.0, True])
+def test_analyzer_counts_must_be_integers_of_at_least_one(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1"):
+        AnalyzerOptions(**{field: value})
+    AnalyzerOptions(**{field: np.int64(1)})
+
+
+def test_analysis_point_rejects_a_bad_tol_and_a_non_finite_point():
+    problem, meta = load_battery("nlp_toy")
+    z = meta.known_solution.stacked()
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        for make in (lambda t: AnalysisPoint(problem, z, t),
+                     lambda t: rcq_check(problem, z, tol=t),
+                     lambda t: strong_regularity_probe(problem, z, num_delta=2, tol=t)):
+            with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+                make(tol)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(z.size):
+            w = z.copy()
+            w[i] = bad
+            with pytest.raises(ValueError, match="^point must be finite$"):
+                AnalysisPoint(problem, w)
+            with pytest.raises(ValueError, match="^point must be finite$"):
+                AnalysisPoint(problem, w, tol=None)
+    assert AnalysisPoint(problem, z, tol=None).tol == 1e-8
