@@ -4,7 +4,8 @@ Subcommands: solve, analyze, probe, verify.  Exit codes: 0 on success (and
 on a consistent equivalence report), 2 when the equivalence report is
 inconsistent, 1 on errors, 64 on usage errors.  The default seed comes
 from the KKTSTAB_SEED environment variable when a command omits --seed;
-a non-integer value there is a usage error.
+a seed that is not an integer of at least 0, in either place, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from ._version import __version__
 from .instances import InstanceFormatError, load_instance
-from .newton import InsufficientTraceError, NewtonError, NewtonOptions, local_rate
+from .newton import (InsufficientTraceError, NewtonError, NewtonOptions, check_integer,
+                     local_rate)
 from .problem import DimensionError, residual
 from .reports import emit_report
 from .symmat import EigenDecompositionError
@@ -43,12 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """The command's seed: --seed, else KKTSTAB_SEED, else 0; a usage error
+    unless it is an integer of at least 0."""
+    if args.seed is not None:
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be an integer of at least 0, got {args.seed}")
+        return args.seed
     raw = os.environ.get("KKTSTAB_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise _UsageError(f"KKTSTAB_SEED must be an integer, got {raw!r}") from None
+        seed = -1
+    if seed < 0:
+        raise _UsageError(f"KKTSTAB_SEED must be an integer of at least 0, got {raw!r}")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -158,6 +169,8 @@ def _cmd_solve(args) -> int:
 def _cmd_analyze(args) -> int:
     problem, meta = load_instance(args.instance)
     point = _analysis_point(problem, meta, args.at)
+    # AnalyzerOptions would name the field count, not the option
+    check_integer("--samples", args.samples, 1)
     opts = AnalyzerOptions(count=args.samples, seed=args.seed, tol=args.tol,
                            num_delta=args.num_delta, radius=args.radius)
     report = equivalence_report(problem, point, opts)
@@ -217,8 +230,8 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is not None and args.seed is None:
-            args.seed = _default_seed()
+        if args.command is not None:
+            args.seed = _seed(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

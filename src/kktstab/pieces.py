@@ -119,12 +119,16 @@ def _interval_cone(lower: np.ndarray, upper: np.ndarray) -> ConeModel:
 
 
 def dedup_elements(elements: list) -> list:
-    """Drop every element whose matrix is within _DEDUP_TOL of an earlier one."""
-    kept: list = []
-    for el in elements:
-        if all(np.max(np.abs(el.matrix - other.matrix)) > _DEDUP_TOL for other in kept):
-            kept.append(el)
-    return kept
+    """Drop every element whose matrix is within _DEDUP_TOL of an earlier
+    kept one, comparing each against the stack of kept matrices at once."""
+    mats = np.stack([el.matrix for el in elements])
+    kept_mats = np.empty_like(mats)
+    kept: list[int] = []
+    for i, M in enumerate(mats):
+        if np.all(np.max(np.abs(kept_mats[:len(kept)] - M), axis=(-2, -1)) > _DEDUP_TOL):
+            kept_mats[len(kept)] = M
+            kept.append(i)
+    return [elements[i] for i in kept]
 
 
 def _mixed_and_deduped(elements: list[LinearOperatorElement], count: int,
@@ -238,6 +242,11 @@ class ConvexPiece:
         raise NotImplementedError
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
+        """Clarke elements at z, the canonical one first, deterministic
+        under the seed.  Contract: the matrices are pairwise more than
+        _DEDUP_TOL apart in max-norm (a single element, or the output of
+        _mixed_and_deduped), so problem.sample_elements_R needs no
+        deduplication of its own."""
         raise NotImplementedError
 
     def smooth_at(self, z: np.ndarray, margin: float = 1e-3) -> bool:

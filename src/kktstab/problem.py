@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .newton import NewtonOptions, NewtonTrace, semismooth_solve, semismooth_solve_rows
-from .pieces import ConvexPiece, LinearOperatorElement, dedup_elements
+from .pieces import ConvexPiece, LinearOperatorElement
 
 FD_HESS_STEP = 1e-5
 
@@ -191,8 +191,10 @@ def _element_matrix(problem: CompositeProblem, H: np.ndarray, J: np.ndarray,
     E = np.zeros(stack + (n + m, n + m))
     E[..., :n, :n] = H
     E[..., :n, n:] = J.T
-    E[..., n:, :n] = (np.eye(m) - U) @ J
-    E[..., n:, n:] = -U
+    # in place, so a stack holds no extra (k, m, m) temporaries
+    np.negative(U, out=E[..., n:, n:])
+    np.subtract(np.eye(m), U, out=U)
+    E[..., n:, :n] = U @ J
     return E
 
 
@@ -203,7 +205,9 @@ def _canonical_prox_elements(problem: CompositeProblem,
 
 def assemble_element(problem: CompositeProblem, z,
                      prox_elements: list[LinearOperatorElement]) -> JacobianElementR:
-    """Assemble [[H, J^T], [(I-U) J, -U]] from one prox element per block."""
+    """Assemble [[H, J^T], [(I-U) J, -U]] from one prox element per block;
+    a stack (k, N, N) with H and J computed once when the prox elements are
+    stacks of k matrices."""
     pt = as_point(problem, z)
     H = problem.F.weighted_hessian(pt.x, pt.mu)
     J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
@@ -222,7 +226,11 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
     """Sampled elements of the residual's generalized Jacobian.
 
     Combines per-block prox-element samples, always including the fully
-    canonical combination; deterministic under the seed and deduplicated.
+    canonical combination; deterministic under the seed.  All combinations
+    are assembled in one stacked call.  They need no deduplication: each
+    block's samples are pairwise distinct (the contract of
+    ConvexPiece.sample_clarke), the combinations are distinct, and the -U
+    block of each element carries every block's matrix exactly.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -244,9 +252,12 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
             if pick not in seen:
                 seen.add(pick)
                 combos.append(pick)
-    elements = [assemble_element(problem, pt, [per_block[i][j] for i, j in enumerate(combo)])
-                for combo in combos]
-    return dedup_elements(elements)
+    picks = np.array(combos).T
+    stacks = [LinearOperatorElement(np.stack([el.matrix for el in s])[ix])
+              for s, ix in zip(per_block, picks)]
+    E = assemble_element(problem, pt, stacks).matrix
+    return [JacobianElementR(M, tuple(s[j].provenance for s, j in zip(per_block, combo)))
+            for M, combo in zip(E, combos)]
 
 
 def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:

@@ -122,7 +122,7 @@ class AnalyzerOptions:
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
-        _check_probe_args(self.radius, self.num_delta)
+        _check_probe_args(self.radius, self.num_delta, self.seed)
         for name in ("tol", "sweep_tol", "uniqueness_tol"):
             check_positive(name, getattr(self, name))
         for name in ("count", "srcq_budget"):
@@ -543,10 +543,11 @@ def nonsingularity_sweep(problem: CompositeProblem, zbar, count: int = 32,
     return SweepStats(verdict, min_sv, len(elements), tol, argmin)
 
 
-def _check_probe_args(radius: float, num_delta: int) -> None:
-    """Raise ValueError unless num_delta is an integer >= 0 and radius is
-    finite and positive."""
+def _check_probe_args(radius: float, num_delta: int, seed: int) -> None:
+    """Raise ValueError unless num_delta and seed are integers >= 0 and
+    radius is finite and positive."""
     check_integer("num_delta", num_delta, 0)
+    check_integer("seed", seed, 0)
     check_positive("radius", radius)
 
 
@@ -562,7 +563,7 @@ def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.0
     perturbation is solved from three starts, and all the solves run as
     one stack.  Solver failures are recorded, not raised.
     """
-    _check_probe_args(radius, num_delta)
+    _check_probe_args(radius, num_delta, seed)
     pt = analysis_point(problem, zbar, tol).kkt
     newton = newton or NewtonOptions()
     n, m = problem.n, problem.m

@@ -443,4 +443,17 @@ def test_cli_analyze_rejects_a_sample_count_below_one(capsys):
     assert run_command(["analyze", _battery_file("nlp_toy"), "--samples", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: count must be an integer of at least 1, got 0\n"
+    assert captured.err == "error: --samples must be an integer of at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "probe", "verify"])
+def test_cli_negative_seed_is_a_usage_error(capsys, monkeypatch, command):
+    argv = [command] if command == "verify" else [command, _battery_file("nlp_toy")]
+    assert run_command(argv + ["--seed", "-1"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be an integer of at least 0, got -1\n")
+    assert "Traceback" not in err
+    monkeypatch.setenv("KKTSTAB_SEED", "-3")
+    assert run_command(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: KKTSTAB_SEED must be an integer of at least 0, got '-3'\n")

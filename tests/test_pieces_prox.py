@@ -14,6 +14,8 @@ from kktstab import (
     svec,
 )
 from kktstab.pieces import (
+    _DEDUP_TOL,
+    PIECE_KINDS,
     PSD_PATTERN_CAP,
     SEPARABLE_PATTERN_CAP,
     LinearOperatorElement,
@@ -540,3 +542,70 @@ def test_prox_and_canonical_element_act_row_wise_on_stacks():
         if isinstance(piece, PSDConeIndicator):
             for z, p in zip(Z, P):
                 assert p.tobytes() == psd_prox_split_oracle(piece, z).tobytes()
+
+
+def dedup_elements_loop(elements):
+    """Pairwise dedup with one max-norm comparison per kept element."""
+    kept = []
+    for el in elements:
+        if all(np.max(np.abs(el.matrix - o.matrix)) > _DEDUP_TOL for o in kept):
+            kept.append(el)
+    return kept
+
+
+def test_dedup_elements_matches_the_pairwise_loop():
+    rng = np.random.default_rng(40)
+    base = [rng.standard_normal((4, 4)) for _ in range(6)]
+    cases = [[LinearOperatorElement(base[0], "only")]]
+    # gaps of exactly the tolerance (exact in floating point from zero) are dropped
+    cases.append([LinearOperatorElement(np.zeros((4, 4)) + np.eye(4)[k] * c * _DEDUP_TOL, f"t{k}")
+                  for k, c in ((0, 0.0), (1, 1.0), (2, 2.0), (3, 1.0))])
+    for trial in range(30):
+        mats = [base[i] for i in rng.integers(0, 6, size=12)]
+        # near copies just inside, at and just outside the tolerance
+        mats = [M + rng.choice([0.0, 0.5, 1.0, 2.0]) * _DEDUP_TOL * rng.choice([-1, 1])
+                * (rng.random((4, 4)) < 0.2) for M in mats]
+        if trial % 5 == 0:
+            mats[rng.integers(0, 12)] = np.full((4, 4), np.nan)
+        cases.append([LinearOperatorElement(M, f"e{k}") for k, M in enumerate(mats)])
+    dropped = 0
+    for elements in cases:
+        new = dedup_elements(elements)
+        old = dedup_elements_loop(elements)
+        assert [e.provenance for e in new] == [e.provenance for e in old]
+        assert all(a is b for a, b in zip(new, old))
+        dropped += len(elements) - len(new)
+    assert dropped > 0
+
+
+def _clarke_sample_points():
+    """(piece, z) at smooth points, kinks and nonempty beta, separable pieces
+    with more kink patterns than the enumeration cap, and epi lifts."""
+    rng = np.random.default_rng(41)
+    for _, piece in piece_battery():
+        for _ in range(3):
+            yield piece, 2.0 * rng.standard_normal(piece.dim)
+    for n_kinks in (0, 3, 7, 9):
+        for piece, z in _separable_points(n_kinks):
+            yield piece, z
+            yield EpiSum(piece), np.concatenate([[0.3], z])
+    for case, z in _psd_structures():
+        if case[0] <= 4:
+            yield PSDConeIndicator(case[0]), z
+            yield EpiSum(PSDConeIndicator(case[0])), np.concatenate([[-0.2], z])
+
+
+def test_sample_clarke_elements_are_pairwise_distinct():
+    # the contract that lets problem.sample_elements_R skip its own dedup
+    kinds, sizes = set(), set()
+    for piece, z in _clarke_sample_points():
+        for count in (1, 2, 8, 40):
+            for seed in (0, 9):
+                els = piece.sample_clarke(z, count, seed)
+                M = np.stack([e.matrix for e in els])
+                gaps = np.max(np.abs(M[:, None] - M[None, :]), axis=(-2, -1))
+                off = ~np.eye(len(els), dtype=bool)
+                assert np.all(gaps[off] > _DEDUP_TOL), (piece.kind, count, seed)
+                kinds.add(piece.kind)
+                sizes.add(min(len(els), 3))
+    assert kinds == set(PIECE_KINDS) and sizes == {1, 2, 3}

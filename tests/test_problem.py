@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from kktstab import (
+    BoxIndicator,
     CompositeProblem,
     DimensionError,
+    EpiSum,
     KKTPoint,
+    L1Norm,
     NewtonError,
     NewtonOptions,
+    OrthantIndicator,
     PSDConeIndicator,
     SmoothMap,
     assemble_element,
@@ -20,7 +26,8 @@ from kktstab import (
     solve_linearized_ge,
     svec,
 )
-from kktstab.problem import solve_linearized_rows
+from kktstab.problem import as_point, solve_linearized_rows
+from test_pieces_prox import dedup_elements_loop
 
 
 def test_residual_zero_at_battery_solutions():
@@ -218,6 +225,81 @@ def test_sample_elements_R_many_blocks_does_not_overflow(monkeypatch):
     els = sample_elements_R(problem, np.zeros(1 + blocks), 8, seed=0)
     assert len(els) == 8
     assert els[0].provenance == ("stub[0]",) * blocks
+    for count in (1, 8, 40):
+        new = sample_elements_R(problem, np.zeros(1 + blocks), count, seed=0)
+        old = sample_elements_loop(problem, np.zeros(1 + blocks), count, seed=0)
+        assert len(new) == count
+        assert [e.provenance for e in new] == [e.provenance for e in old]
+        assert all(a.matrix.tobytes() == b.matrix.tobytes() for a, b in zip(new, old))
+
+
+def sample_elements_loop(problem, z, count, seed):
+    """The sweep's sampler with one assemble_element call per combination
+    and a pairwise dedup of the assembled elements."""
+    pt = as_point(problem, z)
+    w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
+    per_block = [p.sample_clarke(wb, count, seed + 977 * i)
+                 for i, (p, wb) in enumerate(zip(problem.pieces, problem.blocks(w)))]
+    sizes = [len(s) for s in per_block]
+    combos = [tuple(0 for _ in sizes)]
+    if math.prod(sizes) <= count:
+        combos = [tuple(ix) for ix in np.ndindex(*sizes)]
+    else:
+        rng = np.random.default_rng(seed)
+        seen = {combos[0]}
+        while len(combos) < count:
+            pick = tuple(int(rng.integers(0, s)) for s in sizes)
+            if pick not in seen:
+                seen.add(pick)
+                combos.append(pick)
+    elements = [assemble_element(problem, pt, [per_block[i][j] for i, j in enumerate(combo)])
+                for combo in combos]
+    return dedup_elements_loop(elements)
+
+
+def _mixed_kink_problem(fortran_jacobian):
+    """Orthant, box, l1, PSD and epi-lifted blocks under a linear map with
+    a nonzero Hessian form, at a point whose every block sits on kinks or
+    has nonempty beta."""
+    rng = np.random.default_rng(50)
+    pieces = [OrthantIndicator(3, -1), BoxIndicator([-1.0, 0.0, -2.0], [1.0, 0.5, 2.0]),
+              L1Norm(3), PSDConeIndicator(3), EpiSum(L1Norm(2))]
+    w_blocks = [np.array([0.0, -0.4, 0.0]), np.array([-1.0, 0.2, 2.0]),
+                np.array([1.0, -1.0, 0.3]), svec(np.diag([2.0, 0.0, -1.0])),
+                np.array([0.5, -1.0, 1.0])]
+    m = sum(p.dim for p in pieces)
+    n = 4
+    A = rng.standard_normal((m, n))
+    if fortran_jacobian:
+        A = np.asfortranarray(A)
+    S = rng.standard_normal((n, n))
+    F = SmoothMap(n=n, m=m, eval=lambda x: A @ x, jacobian=lambda x: A,
+                  weighted_hessian_fn=lambda x, mu: S + S.T)
+    x = rng.standard_normal(n)
+    mu = np.concatenate(w_blocks) - A @ x
+    return CompositeProblem(F, pieces), KKTPoint(x, mu)
+
+
+def test_stacked_sampler_equals_the_per_combination_loop():
+    cases = []
+    for name in ("nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy"):
+        problem, meta = load_battery(name)
+        cases.append((name, problem, meta.known_solution))
+    cases.append(("l1_kink", load_battery("l1_toy")[0], KKTPoint(np.zeros(1), np.ones(1))))
+    for fortran in (False, True):
+        cases.append((f"mixed_kinks_f{fortran}",) + _mixed_kink_problem(fortran))
+    sampled = set()
+    for name, problem, z in cases:
+        for count in (1, 8, 40):
+            for seed in (0, 3):
+                new = sample_elements_R(problem, z, count, seed)
+                old = sample_elements_loop(problem, z, count, seed)
+                assert [e.provenance for e in new] == [e.provenance for e in old], name
+                for a, b in zip(new, old):
+                    assert a.matrix.shape == b.matrix.shape, name
+                    assert a.matrix.tobytes() == b.matrix.tobytes(), (name, count, seed)
+                sampled.add(len(new) == count)
+    assert sampled == {True, False}
 
 
 def test_solve_linearized_rows_matches_one_row_solves():

@@ -687,6 +687,9 @@ def test_probe_tests_kkt_at_its_tol():
     ({"radius": 0.0}, "radius must be a finite positive number"),
     ({"radius": float("nan")}, "radius must be a finite positive number"),
     ({"radius": float("inf")}, "radius must be a finite positive number"),
+    ({"seed": -1}, "seed must be an integer of at least 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer of at least 0"),
+    ({"seed": True}, "seed must be an integer of at least 0"),
 ])
 def test_probe_arguments_are_validated(kwargs, message):
     problem, meta = load_battery("nlp_toy")
