@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .pieces import PIECE_KINDS, ConvexPiece
+from .pieces import PIECE_KINDS, ConvexPiece, _size
 from .problem import CompositeProblem, DimensionError, KKTPoint, SmoothMap, kkt_check
 from .symmat import svec
 
@@ -51,12 +51,20 @@ def _finite(value, field: str) -> np.ndarray:
     return arr
 
 
+def _expect(value, kind: type, field: str):
+    """The value, which must be a JSON object (kind dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise InstanceFormatError(f"{field} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # smooth-map families
 
 
 def _poly_output(n: int, out: dict, label: str) -> tuple[float, np.ndarray, np.ndarray]:
     """(const, linear, symmetrized quadratic) of one polynomial output."""
+    _expect(out, dict, label)
     c = float(_finite(out.get("const", 0.0), f"{label}: const"))
     a = _finite(out.get("linear", np.zeros(n)), f"{label}: linear part")
     if a.size != n:
@@ -101,7 +109,8 @@ def _affine_pencil_smooth_map(n: int, params: dict) -> SmoothMap:
     """Scalar objective output followed by svec of an affine matrix pencil."""
     c, a, Q = _poly_output(n, params["objective"], "objective")
     M0 = _finite(params["pencil_const"], "pencil_const")
-    Ms = [_finite(M, f"pencil_coeff[{k}]") for k, M in enumerate(params["pencil_coeff"])]
+    Ms = [_finite(M, f"pencil_coeff[{k}]")
+          for k, M in enumerate(_expect(params["pencil_coeff"], list, "pencil_coeff"))]
     if len(Ms) != n:
         raise DimensionError(
             f"pencil has {len(Ms)} coefficient matrices, expected n={n}")
@@ -180,21 +189,32 @@ def _parse_point(problem: CompositeProblem, data: dict, label: str) -> KKTPoint:
 
 
 def instance_from_dict(data: dict) -> tuple[CompositeProblem, InstanceMeta]:
+    _expect(data, dict, "the instance")
     for key in ("name", "n", "F", "g"):
         if key not in data:
             raise InstanceFormatError(f"missing required field {key!r}")
-    n = int(data["n"])
-    fspec = data["F"]
+    try:
+        n = _size(data, "n")
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+    fspec = _expect(data["F"], dict, "field 'F'")
     if "polynomial" in fspec:
-        F = _poly_smooth_map(n, fspec["polynomial"])
+        F = _poly_smooth_map(n, _expect(fspec["polynomial"], list, "field 'F': polynomial"))
     elif "builtin" in fspec:
-        ident = fspec["builtin"].get("id")
+        builtin = _expect(fspec["builtin"], dict, "field 'F': builtin")
+        ident = builtin.get("id")
         if ident not in BUILTIN_MAPS:
             raise InstanceFormatError(f"unknown builtin map id {ident!r}")
-        F = BUILTIN_MAPS[ident](n, fspec["builtin"].get("params", {}))
+        params = _expect(builtin.get("params", {}), dict, "field 'F': builtin params")
+        try:
+            F = BUILTIN_MAPS[ident](n, params)
+        except KeyError as exc:
+            raise InstanceFormatError(
+                f"builtin map {ident!r} is missing required key {exc.args[0]!r}") from None
     else:
         raise InstanceFormatError("field 'F' needs 'polynomial' or 'builtin'")
-    problem = CompositeProblem(F, [parse_piece(s) for s in data["g"]], name=str(data["name"]))
+    pieces = [parse_piece(s) for s in _expect(data["g"], list, "field 'g'")]
+    problem = CompositeProblem(F, pieces, name=str(data["name"]))
     known = None
     if data.get("known_solution") is not None:
         known = _parse_point(problem, data["known_solution"], "known_solution")

@@ -23,10 +23,10 @@ from .symmat import (
     SQRT2,
     SpectralSplit,
     conjugation_matrix,
+    coupling,
     eig_split,
     eigh_descending,
     smat,
-    spectral_split,
     svec,
     svec_dim,
     svec_layout,
@@ -168,6 +168,12 @@ def _diagonal(v: np.ndarray) -> np.ndarray:
     i = np.arange(v.shape[-1])
     out[..., i, i] = v
     return out
+
+
+def _gram(K: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K diag(w) K^T for w >= 0, as the exactly symmetric L L^T with L = K sqrt(w)."""
+    L = K * np.sqrt(w)[..., None, :]
+    return L @ L.swapaxes(-1, -2)
 
 
 def _size(spec: dict, key: str) -> int:
@@ -610,10 +616,9 @@ class PSDConeIndicator(ConvexPiece):
 
     kind = "psd_indicator"
 
-    def __init__(self, order: int, tol_eig: float | None = None):
+    def __init__(self, order: int):
         self.order = int(order)
         self.dim = svec_dim(self.order)
-        self.tol_eig = tol_eig
 
     @classmethod
     def from_spec(cls, spec, parse):
@@ -624,7 +629,7 @@ class PSDConeIndicator(ConvexPiece):
 
     # -- split helpers ----------------------------------------------------
     def split(self, z: np.ndarray) -> SpectralSplit:
-        return eig_split(smat(np.asarray(z, dtype=float)), self.tol_eig)
+        return eig_split(smat(np.asarray(z, dtype=float)))
 
     def value(self, z, tol=1e-9):
         sp = self.split(z)
@@ -641,7 +646,7 @@ class PSDConeIndicator(ConvexPiece):
 
     def prox(self, z, sigma=1.0):
         _check_sigma(sigma)
-        lam, P, _ = eigh_descending(smat(z), self.tol_eig)
+        lam, P, _ = eigh_descending(smat(z))
         return svec(P @ _diagonal(np.maximum(lam, 0.0)) @ P.swapaxes(-1, -2))
 
     def prox_conjugate_direct(self, z, sigma=1.0):
@@ -658,87 +663,43 @@ class PSDConeIndicator(ConvexPiece):
         return bool(nonzero.size and nonzero.min() < floor)
 
     def prox_dirderiv(self, z, d):
+        # Sigma o (P^T D P), its beta-beta block (Sigma = 1) projected onto the PSD cone
         sp = self.split(z)
-        Dt = sp.P.T @ smat(np.asarray(d, dtype=float)) @ sp.P
-        a, b, g = sp.alpha, sp.beta, sp.gamma
-        V = np.zeros_like(Dt)
-        V[np.ix_(a, a)] = Dt[np.ix_(a, a)]
-        V[np.ix_(a, b)] = Dt[np.ix_(a, b)]
-        V[np.ix_(b, a)] = Dt[np.ix_(b, a)]
-        V[np.ix_(a, g)] = sp.Sigma[np.ix_(a, g)] * Dt[np.ix_(a, g)]
-        V[np.ix_(g, a)] = sp.Sigma[np.ix_(g, a)] * Dt[np.ix_(g, a)]
+        V = sp.Sigma * (sp.P.T @ smat(np.asarray(d, dtype=float)) @ sp.P)
+        b = sp.beta
         if b.size:
-            Dbb = Dt[np.ix_(b, b)]
+            Dbb = V[np.ix_(b, b)]
             w, Q = np.linalg.eigh(0.5 * (Dbb + Dbb.T))
             V[np.ix_(b, b)] = Q @ np.diag(np.maximum(w, 0.0)) @ Q.T
         return svec(sp.P @ V @ sp.P.T)
 
     # -- elements ---------------------------------------------------------
-    @staticmethod
-    def _pair_classes(sp: SpectralSplit) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and higher eigen-class (0 alpha, 1 beta, 2 gamma) of each
-        svec coordinate."""
-        cls = np.empty(sp.order, dtype=np.int8)
-        cls[sp.alpha] = 0
-        cls[sp.beta] = 1
-        cls[sp.gamma] = 2
-        lay = svec_layout(sp.order)
-        ci, cj = cls[lay.rows], cls[lay.cols]
-        return np.minimum(ci, cj), np.maximum(ci, cj)
-
-    def _element_maker(self, sp: SpectralSplit
-                       ) -> Callable[[np.ndarray | None, str], LinearOperatorElement]:
-        """Return make(Z, provenance), the svec element K diag(w) K^T +
-        K_beta Z K_beta^T with K = conjugation_matrix(sp.P).
-
-        w is 1 on alpha-alpha and alpha-beta coordinates, Sigma on
-        alpha-gamma and 0 elsewhere; Z acts on the beta-beta coordinates
-        and None stands for the identity.  This is the svec matrix of
-        H -> P (Omega o (P^T H P)) P^T with Omega the masked Sigma.
-        """
-        lay = svec_layout(sp.order)
-        lo, hi = self._pair_classes(sp)
-        w = np.where(lo == 0, np.where(hi == 2, sp.Sigma[lay.rows, lay.cols], 1.0), 0.0)
-        K = conjugation_matrix(sp.P)
-        # w >= 0, so K diag(w) K^T is one symmetric product L L^T
-        keep = w > 0.0
-        L = K[:, keep] * np.sqrt(w[keep])
-        base = L @ L.T
-        Kb = K[:, (lo == 1) & (hi == 1)]
-
-        def make(Z_small: np.ndarray | None, provenance: str) -> LinearOperatorElement:
-            M = base
-            if Kb.size:
-                M = M + (Kb @ Kb.T if Z_small is None else Kb @ Z_small @ Kb.T)
-            return LinearOperatorElement(0.5 * (M + M.T), provenance)
-
-        return make
+    def _coupled(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lam, K = conjugation_matrix(P) and the coupling weights Sigma[rows, cols]
+        of the svec coordinates, at a point or at each row of a stack."""
+        lam, P, _ = eigh_descending(smat(z))
+        lay = svec_layout(self.order)
+        return lam, conjugation_matrix(P), coupling(lam, lay.rows, lay.cols)
 
     def clarke_element(self, z):
-        # one stacked eigh; the index sets differ from row to row, so the
-        # elements are built row by row
-        z = np.asarray(z, dtype=float)
-        lam, P, tol = eigh_descending(smat(z), self.tol_eig)
-        m = self.order
-        splits = zip(lam.reshape(-1, m), P.reshape(-1, m, m),
-                     np.broadcast_to(tol, lam.shape[:-1]).reshape(-1))
-        mats = [self._element_maker(spectral_split(*sp))(None, "").matrix for sp in splits]
-        shape = z.shape + (self.dim,)
-        # one row is returned as built, without the copy that stacking makes
-        matrix = mats[0].reshape(shape) if len(mats) == 1 else np.reshape(mats, shape)
-        return LinearOperatorElement(matrix, f"{self.kind}:canonical(beta=I)")
+        # the svec matrix of H -> P (Sigma o (P^T H P)) P^T
+        _, K, w = self._coupled(z)
+        return LinearOperatorElement(_gram(K, w), f"{self.kind}:canonical(beta=I)")
 
     def sample_clarke(self, z, count, seed):
+        # canonical, then base + K_beta Z K_beta^T (base: beta-beta weights zeroed)
         if count < 1:
             raise ValueError("count must be at least 1")
-        sp = self.split(z)
-        nb = sp.beta.size
-        make = self._element_maker(sp)
-        elements = [make(None, f"{self.kind}:canonical(beta=I)")]
+        lam, K, w = self._coupled(z)
+        elements = [LinearOperatorElement(_gram(K, w), f"{self.kind}:canonical(beta=I)")]
+        nb = np.count_nonzero(lam == 0.0)
         if nb == 0:
             return elements
-        sd = svec_dim(nb)
-        elements.append(make(np.zeros((sd, sd)), f"{self.kind}:zero-beta"))
+        lay = svec_layout(self.order)
+        bb = (lam[lay.rows] == 0.0) & (lam[lay.cols] == 0.0)
+        base = _gram(K, np.where(bb, 0.0, w))
+        Kb = K[:, bb]
+        elements.append(LinearOperatorElement(base, f"{self.kind}:zero-beta"))
         rng = np.random.default_rng(seed)
         n_rand = min(PSD_PATTERN_CAP, max(count, 4))
         for s in range(n_rand):
@@ -747,9 +708,10 @@ class PSDConeIndicator(ConvexPiece):
             Q = Q * np.sign(np.diag(R))
             pattern = rng.integers(0, 2, size=nb)
             # svec operator of D -> M D M with M = Q diag(pattern) Q^T
-            Z = conjugation_matrix((Q * pattern) @ Q.T)
+            M = base + Kb @ conjugation_matrix((Q * pattern) @ Q.T) @ Kb.T
             tag = "".join(str(int(b)) for b in pattern)
-            elements.append(make(Z, f"{self.kind}:pattern[{tag}]q{s}"))
+            elements.append(LinearOperatorElement(0.5 * (M + M.T),
+                                                  f"{self.kind}:pattern[{tag}]q{s}"))
         return _mixed_and_deduped(elements, count, rng, self.kind)
 
     # -- curvature and descriptors -----------------------------------------
@@ -774,10 +736,12 @@ class PSDConeIndicator(ConvexPiece):
     def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
         self.check_subgradient(xbar, ubar, tol)
         sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        lo, hi = self._pair_classes(sp)
+        lay = svec_layout(self.order)
+        li, lj = sp.lam[lay.rows], sp.lam[lay.cols]
+        touches_alpha = np.maximum(li, lj) > 0.0
         K = conjugation_matrix(sp.P)
-        lin = K[:, lo == 0]
-        aff = K[:, (lo == 0) | ((lo == 1) & (hi == 1))]
+        lin = K[:, touches_alpha]
+        aff = K[:, touches_alpha | ((li == 0.0) & (lj == 0.0))]
         beta, gamma_ix = sp.beta, sp.gamma
         P = sp.P
 

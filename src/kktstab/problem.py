@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .newton import NewtonOptions, NewtonTrace, semismooth_solve, semismooth_solve_rows
+from .newton import (NewtonOptions, NewtonTrace, check_integer, semismooth_solve,
+                     semismooth_solve_rows)
 from .pieces import ConvexPiece, LinearOperatorElement
 
 FD_HESS_STEP = 1e-5
@@ -234,6 +235,7 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    check_integer("seed", seed, 0)
     pt = as_point(problem, z)
     w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
     wblocks = problem.blocks(w)

@@ -243,6 +243,7 @@ class AnalysisPoint:
         interval cones, exact and certified) or 'heuristic-likely'.  Kept
         per cone and tol, and per budget and seed where the search draws
         random restarts."""
+        check_integer("seed", seed, 0)
         cone = getattr(self, cone_name)
         N = self.adjoint_nullspace
         exact = cone.polyhedral or N.shape[1] == 0
@@ -278,6 +279,7 @@ def critical_subspace_from_samples(problem: CompositeProblem, zbar,
     """Same subspace, but derived from the ranges of sampled prox elements
     instead of the closed-form descriptors; used as an independent
     cross-check of the domain identity."""
+    check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar)
     bases = []
     for i, (p, xb, ub) in enumerate(point.pairs):
@@ -432,6 +434,7 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
     set only at the origin."""
+    check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     if not point.critical_polar_cone.polyhedral:
         # necessary span test: the Jacobian range plus the affine hull of
@@ -450,6 +453,7 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test."""
+    check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)
     return Verdict(status, tol, {
@@ -465,6 +469,7 @@ def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
     """Search for a second multiplier along tangent directions of the
     subdifferential; a candidate only counts once a perturbed multiplier
     actually satisfies the KKT system."""
+    check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     candidates, _ = point.cone_search("critical_polar_cone", tol, budget, seed + 2)
     scale = 1.0 + float(np.linalg.norm(point.kkt.mu))

@@ -97,13 +97,16 @@ def smat(v: np.ndarray) -> np.ndarray:
 
 
 def conjugation_matrix(P: np.ndarray) -> np.ndarray:
-    """Matrix K with svec(P S P^T) = K svec(S); orthogonal when P is."""
+    """Matrix K with svec(P S P^T) = K svec(S), orthogonal when P is; a
+    stack (..., m, m) maps to (..., d, d)."""
     P = np.asarray(P, dtype=float)
-    lay = svec_layout(P.shape[0])
+    lay = svec_layout(P.shape[-1])
     r, c = lay.rows, lay.cols
-    R, C = P[:, r], P[:, c]
-    K = R[r] * C[c]
-    K += R[c] * C[r]
+    R, C = P[..., r], P[..., c]
+    # np.take keeps K C-ordered for a stack as for one matrix, so each
+    # row's later products run the same BLAS path as a one-matrix call
+    K = np.take(R, r, axis=-2) * np.take(C, c, axis=-2)
+    K += np.take(R, c, axis=-2) * np.take(C, r, axis=-2)
     K *= lay.scale[:, None]
     K *= lay.scale
     return K
@@ -114,8 +117,8 @@ class SpectralSplit:
     """Eigendecomposition of a symmetric matrix with index partition.
 
     Eigenvalues are sorted in descending order and clamped to exactly zero
-    on the beta set.  Sigma holds the coupling coefficients
-    (lam_i^+ + lam_j^+) / (|lam_i| + |lam_j|) with the convention 0/0 := 1.
+    on the beta set.  Sigma holds the coupling coefficients of every index
+    pair (see coupling).
     """
 
     P: np.ndarray
@@ -177,19 +180,22 @@ def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.linalg.norm(A - A.T) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 * ||A||")
-    return spectral_split(*eigh_descending(0.5 * (A + A.T), tol_eig))
-
-
-def spectral_split(lam: np.ndarray, P: np.ndarray, tol_eig: float) -> SpectralSplit:
-    """The split of one matrix from its eigh_descending output."""
+    lam, P, tol_eig = eigh_descending(0.5 * (A + A.T), tol_eig)
     tol_eig = float(tol_eig)
     alpha = np.where(lam > tol_eig)[0]
     beta = np.where(np.abs(lam) <= tol_eig)[0]
     gamma = np.where(lam < -tol_eig)[0]
-    pos = np.maximum(lam, 0.0)
-    num = pos[:, None] + pos[None, :]
-    den = np.abs(lam)[:, None] + np.abs(lam)[None, :]
-    with np.errstate(invalid="ignore"):
-        Sigma = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 1.0)
+    ix = np.arange(lam.size)
     return SpectralSplit(P=P, lam=lam, alpha=alpha, beta=beta, gamma=gamma,
-                         tol_eig=tol_eig, Sigma=Sigma)
+                         tol_eig=tol_eig, Sigma=coupling(lam, ix[:, None], ix))
+
+
+def coupling(lam: np.ndarray, i, j) -> np.ndarray:
+    """Coupling coefficients (lam_i^+ + lam_j^+) / (|lam_i| + |lam_j|) of the
+    index pairs (i, j), with 0/0 := 1, for eigenvalues lam or a stack of
+    them (..., m)."""
+    pos = np.maximum(lam, 0.0)
+    num = pos[..., i] + pos[..., j]
+    den = np.abs(lam[..., i]) + np.abs(lam[..., j])
+    with np.errstate(invalid="ignore"):
+        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 1.0)

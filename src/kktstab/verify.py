@@ -21,7 +21,7 @@ from .pieces import (
     gamma_oracle,
 )
 from .instances import BATTERY_NAMES, load_battery
-from .newton import NewtonOptions
+from .newton import NewtonOptions, check_integer
 from .problem import (
     canonical_element,
     linearized_residual,
@@ -350,6 +350,7 @@ def kkt_suite(seed: int = 0):
 
 
 def run_suite(which: str, seed: int = 0):
+    check_integer("seed", seed, 0)
     if which == "prox":
         return prox_suite(seed)
     if which == "kkt":

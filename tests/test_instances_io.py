@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,66 @@ def test_cli_piece_size_must_be_a_positive_integer(tmp_path, capsys, g):
     assert err.count("\n") == 1 and err.startswith("error:")
     assert "must be an integer of at least 1" in err
     assert "piece 'orthant_indicator'" in err or "piece 'psd_indicator'" in err
+
+
+def _malformed(path, value):
+    data = _nlp_dict()
+    if not path:
+        return value
+    _set(data, path, value)
+    return data
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ((), None, "the instance must be a JSON object"),
+    ((), 3, "the instance must be a JSON object"),
+    (("F",), None, "field 'F' must be a JSON object"),
+    (("g",), None, "field 'g' must be a JSON array"),
+    (("F",), {"builtin": []}, "field 'F': builtin must be a JSON object"),
+    (("F", "polynomial"), None, "field 'F': polynomial must be a JSON array"),
+    (("F", "polynomial", 0), 3, "output 0 must be a JSON object"),
+    (("n",), [1], "n must be an integer of at least 1, got [1]"),
+    (("n",), 1.5, "n must be an integer of at least 1, got 1.5"),
+    (("n",), True, "n must be an integer of at least 1, got True"),
+    (("n",), "1", "n must be an integer of at least 1, got '1'"),
+    (("n",), 0, "n must be an integer of at least 1, got 0"),
+    (("n",), -1, "n must be an integer of at least 1, got -1"),
+])
+def test_cli_malformed_instance_shape_is_one_line_error(tmp_path, capsys, path, value, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(_malformed(path, value)))
+    assert run_command(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: {message}\n"
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        instance_from_dict(_malformed(path, value))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("objective", None, "builtin map 'affine_pencil' is missing required key 'objective'"),
+    ("pencil_coeff", None, "builtin map 'affine_pencil' is missing required key 'pencil_coeff'"),
+    ("objective", 3, "objective must be a JSON object"),
+    ("pencil_coeff", 3, "pencil_coeff must be a JSON array"),
+    (None, None, "field 'F': builtin params must be a JSON object"),
+])
+def test_malformed_builtin_params_are_format_errors(key, value, message):
+    data = _sdp_dict()
+    params = data["F"]["builtin"]["params"]
+    if key is None:
+        data["F"]["builtin"]["params"] = []
+    elif value is None:
+        del params[key]
+    else:
+        params[key] = value
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        instance_from_dict(data)
+
+
+def test_integral_float_n_still_loads():
+    data = _nlp_dict()
+    data["n"] = 1.0
+    problem, _ = instance_from_dict(data)
+    assert problem.n == 1 and isinstance(problem.n, int)
 
 
 def test_cli_non_integer_seed_env_is_usage_error(capsys, monkeypatch):

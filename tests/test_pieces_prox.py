@@ -272,6 +272,7 @@ def _psd_structures():
 
 
 def test_psd_clarke_element_matches_loop_oracle():
+    by_order = {}
     for case, z in _psd_structures():
         piece = PSDConeIndicator(case[0])
         sp = piece.split(z)
@@ -280,6 +281,15 @@ def test_psd_clarke_element_matches_loop_oracle():
         old = element_from_Z_loop(piece, sp, None, f"{piece.kind}:canonical(beta=I)")
         assert new.provenance == old.provenance
         assert np.max(np.abs(new.matrix - old.matrix)) <= 1e-12, case
+        assert np.array_equal(new.matrix, new.matrix.T), case
+        by_order.setdefault(case[0], []).append((case, z, old.matrix))
+    # one stack mixing every index structure of an order
+    for m, rows in by_order.items():
+        piece = PSDConeIndicator(m)
+        stack = piece.clarke_element(np.array([z for _, z, _ in rows])).matrix
+        for (case, z, old), M in zip(rows, stack):
+            assert np.max(np.abs(M - old)) <= 1e-12, case
+            assert M.tobytes() == piece.clarke_element(z).matrix.tobytes(), case
 
 
 def test_psd_sample_clarke_matches_loop_oracle():
@@ -288,6 +298,7 @@ def test_psd_sample_clarke_matches_loop_oracle():
         for count in (1, 6, 40):
             new = piece.sample_clarke(z, count, seed=3)
             old = sample_clarke_loop(piece, z, count, seed=3)
+            assert new[0].matrix.tobytes() == piece.clarke_element(z).matrix.tobytes(), case
             assert [e.provenance for e in new] == [e.provenance for e in old], case
             for a, b in zip(new, old):
                 assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12, case

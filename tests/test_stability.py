@@ -44,7 +44,8 @@ from kktstab.stability import (
     mutual_span_residual,
     reduced_quadratic_form,
 )
-from kktstab.verify import pair_battery
+from kktstab.problem import sample_elements_R
+from kktstab.verify import pair_battery, run_suite
 from test_pieces_prox import _psd_structures, assert_projects_row_wise
 
 FAST = AnalyzerOptions(num_delta=20, srcq_budget=400)
@@ -697,6 +698,31 @@ def test_probe_arguments_are_validated(kwargs, message):
         strong_regularity_probe(problem, meta.known_solution, **kwargs)
     with pytest.raises(ValueError, match=message):
         AnalyzerOptions(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["l1_toy", "sdp_degenerate"])  # smooth, kink
+@pytest.mark.parametrize("seed", [-1, -2, 1.0, True])
+def test_seeded_entry_points_reject_a_bad_seed(name, seed):
+    problem, meta = load_battery(name)
+    z = meta.known_solution
+    w = problem.F.eval(z.x) + z.mu
+    assert all(p.smooth_at(wb) for p, wb in zip(problem.pieces, problem.blocks(w))) == (
+        name == "l1_toy")
+    calls = [lambda s: sample_elements_R(problem, z, 8, s),
+             lambda s: AnalysisPoint(problem, z).cone_search("critical_polar_cone", 1e-8, 10, s),
+             lambda s: critical_subspace_from_samples(problem, z, seed=s),
+             lambda s: rcq_check(problem, z, budget=10, seed=s),
+             lambda s: srcq_check(problem, z, budget=10, seed=s),
+             lambda s: multiplier_uniqueness(problem, z, budget=10, seed=s),
+             lambda s: ssosc_check(problem, z, budget=10, seed=s),
+             lambda s: nonsingularity_sweep(problem, z, count=8, seed=s),
+             lambda s: run_suite("prox", seed=s)]
+    if name == "l1_toy":
+        # its kink (0, 1), not a KKT point, where numpy used to object
+        calls.append(lambda s: sample_elements_R(problem, np.array([0.0, 1.0]), 8, s))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"seed must be an integer of at least 0, got {seed!r}"):
+            call(seed)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kktstab import EigenDecompositionError, conjugation_matrix, eig_split, smat, svec
-from kktstab.symmat import SQRT2, svec_layout
+from kktstab.symmat import SQRT2, coupling, svec_layout
 
 
 # Loop forms of the svec kernels, kept as oracles for the index-array code.
@@ -178,6 +178,39 @@ def test_conjugation_matrix_matches_loop_any_square_P():
             S = rng.standard_normal((m, m))
             S = S + S.T
             assert np.allclose(K @ svec(S), svec(P @ S @ P.T), atol=1e-12)
+        # a stack maps row by row, bit for bit, and stays C-ordered
+        Ps = rng.standard_normal((2, 3, m, m))
+        Ks = conjugation_matrix(Ps)
+        assert Ks.shape == (2, 3, m * (m + 1) // 2, m * (m + 1) // 2) and Ks.flags.c_contiguous
+        for idx in np.ndindex(2, 3):
+            assert Ks[idx].tobytes() == conjugation_matrix(Ps[idx]).tobytes(), (m, idx)
+
+
+def test_coupling_is_the_split_sigma_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for m in (1, 2, 3, 6):
+        for na in range(m + 1):
+            for nb in range(m - na + 1):
+                lam = np.concatenate([rng.uniform(0.5, 3.0, na), np.zeros(nb),
+                                      -rng.uniform(0.5, 3.0, m - na - nb)])
+                Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                sp = eig_split((Q * lam) @ Q.T)
+                lam = sp.lam
+                lay = svec_layout(m)
+                w = coupling(lam, lay.rows, lay.cols)
+                assert w.tobytes() == sp.Sigma[lay.rows, lay.cols].tobytes(), (m, na, nb)
+                # 0/0 := 1 on beta-beta, exactly
+                bb = (lam[lay.rows] == 0.0) & (lam[lay.cols] == 0.0)
+                assert np.count_nonzero(bb) == nb * (nb + 1) // 2
+                assert np.all(w[bb] == 1.0)
+                for k, (i, j) in enumerate(zip(lay.rows, lay.cols)):
+                    assert np.isclose(w[k], brute_force_sigma(lam, i, j), rtol=1e-15)
+    # a stack of eigenvalue rows gives each row's coefficients
+    lams = np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 1.0, -3.0]])
+    lay = svec_layout(3)
+    ws = coupling(lams, lay.rows, lay.cols)
+    for row, w in zip(lams, ws):
+        assert w.tobytes() == coupling(row, lay.rows, lay.cols).tobytes()
 
 
 def test_svec_layout_is_cached_and_read_only():
