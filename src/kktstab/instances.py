@@ -109,6 +109,8 @@ def _affine_pencil_smooth_map(n: int, params: dict) -> SmoothMap:
     """Scalar objective output followed by svec of an affine matrix pencil."""
     c, a, Q = _poly_output(n, params["objective"], "objective")
     M0 = _finite(params["pencil_const"], "pencil_const")
+    if M0.ndim != 2 or M0.shape[0] != M0.shape[1]:
+        raise InstanceFormatError(f"pencil_const must be a square matrix, got shape {M0.shape}")
     Ms = [_finite(M, f"pencil_coeff[{k}]")
           for k, M in enumerate(_expect(params["pencil_coeff"], list, "pencil_coeff"))]
     if len(Ms) != n:

@@ -2,8 +2,20 @@
 
 Each piece knows its value, conjugate value, prox pair, Moreau envelope,
 one-sided directional derivative of the prox, canonical and sampled
-generalized-derivative elements, the curvature functional used by the
-second-order machinery, and the descriptors of its critical direction set.
+generalized-derivative elements, and its block structure at a
+subgradient pair.
+
+A kind supplies its structure through ``_structure``, which
+``ConvexPiece.structure`` calls after the pair's one subgradient test: an
+orthonormal frame of the block, and per frame coordinate a class code
+for the critical cone, one for the domain normal cone and a curvature
+weight.
+The codes are PINNED ({0}), FREE (the line), UP and DOWN (the half lines
+d >= 0 and d <= 0) and BLOCK (a coordinate of one symmetric block,
+positive semidefinite in the critical cone and negative semidefinite in
+the cones derived from it).  ``BlockStructure`` derives the second-order
+objects from the codes in one place: the critical-cone descriptors, the
+critical polar cone, the domain normal cone and the curvature form.
 
 Points are plain 1-d float arrays.  ``prox`` and ``clarke_element`` also
 act row-wise on stacks of points (..., dim), which the perturbation probe
@@ -19,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from .newton import check_integer
 from .symmat import (
-    SQRT2,
     SpectralSplit,
     conjugation_matrix,
     coupling,
@@ -43,6 +55,12 @@ SEPARABLE_PATTERN_CAP = 64
 PSD_PATTERN_CAP = 32
 
 _DEDUP_TOL = 1e-12
+
+# Class codes of the frame coordinates of a block structure, and the code
+# of each class's polar: {0} <-> R, [0, inf) <-> (-inf, 0], and a PSD
+# block to an NSD block
+PINNED, FREE, UP, DOWN, BLOCK = range(5)
+_POLAR = np.array([FREE, PINNED, DOWN, UP, BLOCK])
 
 
 class SubgradientError(ValueError):
@@ -186,12 +204,90 @@ def _size(spec: dict, key: str) -> int:
     return int(value)
 
 
+@dataclass
+class BlockStructure:
+    """One block at a subgradient pair, in an orthonormal frame (None for
+    the identity): per frame coordinate, its class code in the critical
+    cone and in the domain normal cone, and its curvature weight.  Every
+    second-order object of the block is derived here."""
+
+    frame: np.ndarray | None
+    critical: np.ndarray
+    normal: np.ndarray
+    weight: np.ndarray
+
+    def _columns(self, mask: np.ndarray) -> np.ndarray:
+        return (np.eye(mask.size) if self.frame is None else self.frame)[:, mask]
+
+    def _coords(self, V: np.ndarray) -> np.ndarray:
+        return V if self.frame is None else self.frame.T @ V
+
+    def descriptor(self) -> ConeDescriptor:
+        return ConeDescriptor(self._columns(self.critical != PINNED),
+                              self._columns(self.critical == FREE), self.member)
+
+    def member(self, d: np.ndarray, tol: float = 1e-9) -> bool:
+        """Whether d lies in the critical cone, within tol in frame coordinates."""
+        w, c = self._coords(np.asarray(d, dtype=float)), self.critical
+        if (np.any(np.abs(w[c == PINNED]) > tol) or np.any(w[c == UP] < -tol)
+                or np.any(w[c == DOWN] > tol)):
+            return False
+        block = w[c == BLOCK]
+        return not block.size or bool(np.linalg.eigvalsh(smat(block))[0] >= -tol)
+
+    def critical_polar_cone(self) -> ConeModel:
+        """Polar of the critical cone (= tangent cone to the subdifferential at ubar)."""
+        return self._cone(_POLAR[self.critical])
+
+    def domain_normal_cone(self) -> ConeModel:
+        """Normal cone to the function domain at xbar."""
+        return self._cone(self.normal)
+
+    def _cone(self, codes: np.ndarray) -> ConeModel:
+        # an interval per coordinate, and an NSD projection of the block,
+        # whose coordinates in frame order are the svec image of the block
+        lower = np.where(np.isin(codes, (FREE, DOWN, BLOCK)), -np.inf, 0.0)
+        upper = np.where(np.isin(codes, (FREE, UP, BLOCK)), np.inf, 0.0)
+        if self.frame is None:
+            return _interval_cone(lower, upper)
+        frame, block = self.frame, codes == BLOCK
+
+        def project(v: np.ndarray) -> np.ndarray:
+            w = np.clip(np.asarray(v, dtype=float) @ frame, lower, upper)
+            if block.any():
+                lam, Q = np.linalg.eigh(smat(w[..., block]))
+                w[..., block] = svec((Q * np.minimum(lam, 0.0)[..., None, :])
+                                     @ Q.swapaxes(-1, -2))
+            return w @ frame.T
+
+        return ConeModel(dim=codes.size, polyhedral=False, project=project)
+
+    def curvature_form(self, V: np.ndarray) -> np.ndarray:
+        """Symmetric (k, k) matrix W^T diag(weight) W of the curvature term
+        on the k columns of V, W = frame^T V; the diagonal entry of a column
+        outside the curvature domain (W nonzero on a pinned row) is +inf."""
+        V = np.asarray(V, dtype=float)
+        W = self._coords(V)
+        on = self.weight > 0.0
+        form = _gram(W[on].T, self.weight[on])
+        res = np.linalg.norm(W[self.critical == PINNED], axis=0)
+        out = np.flatnonzero(_outside_curvature_domain(res, np.linalg.norm(V, axis=0)))
+        form[out, out] = np.inf
+        return form
+
+    def gamma(self, v: np.ndarray) -> float:
+        """Curvature term at the direction v (+inf outside its domain)."""
+        return float(self.curvature_form(np.asarray(v, dtype=float)[:, None])[0, 0])
+
+
 class ConvexPiece:
     """Base class; concrete pieces fill in the scalar/matrix specifics.
 
     A piece kind is one subclass with a class-level ``kind`` plus one entry
     in PIECE_KINDS; the instance format, the analyzer and the verify
-    suites reach it only through these methods.
+    suites reach it only through these methods.  A kind supplies its
+    block structure through ``_structure``; the descriptors, both cones
+    and the curvature form are derived from it by ``BlockStructure``.
     """
 
     kind: str = ""
@@ -274,30 +370,34 @@ class ConvexPiece:
                 f"(prox fixed-point residual {res:.3e})"
             )
 
-    def curvature_form(self, xbar: np.ndarray, ubar: np.ndarray, V: np.ndarray,
-                       tol: float = 1e-8) -> np.ndarray:
-        """Symmetric (k, k) matrix of the curvature term on the k columns of
-        V; the diagonal entry of a column outside the curvature domain is
-        +inf.  tol is the subgradient test's, here and in cone_descriptors."""
+    def structure(self, xbar: np.ndarray, ubar: np.ndarray,
+                  tol: float = 1e-8) -> BlockStructure:
+        """The block structure at the pair, after its subgradient test at tol."""
+        xbar = np.asarray(xbar, dtype=float)
+        ubar = np.asarray(ubar, dtype=float)
+        self.check_subgradient(xbar, ubar, tol)
+        return self._structure(xbar, ubar)
+
+    def _structure(self, xbar: np.ndarray, ubar: np.ndarray) -> BlockStructure:
+        """The kind's block structure at a pair of float arrays, untested."""
         raise NotImplementedError
 
+    def curvature_form(self, xbar: np.ndarray, ubar: np.ndarray, V: np.ndarray,
+                       tol: float = 1e-8) -> np.ndarray:
+        return self.structure(xbar, ubar, tol).curvature_form(V)
+
     def gamma(self, xbar: np.ndarray, ubar: np.ndarray, v: np.ndarray) -> float:
-        """Curvature term at the direction v (+inf outside its domain)."""
-        return float(self.curvature_form(xbar, ubar, np.asarray(v, dtype=float)[:, None])[0, 0])
+        return self.structure(xbar, ubar).gamma(v)
 
     def cone_descriptors(self, xbar: np.ndarray, ubar: np.ndarray,
                          tol: float = 1e-8) -> ConeDescriptor:
-        raise NotImplementedError
+        return self.structure(xbar, ubar, tol).descriptor()
 
-    # -- cones for the constraint-qualification machinery ----------------
     def critical_polar_cone(self, xbar: np.ndarray, ubar: np.ndarray) -> ConeModel:
-        """Polar of the critical direction set (= tangent cone to the
-        subdifferential at ubar)."""
-        raise NotImplementedError
+        return self.structure(xbar, ubar).critical_polar_cone()
 
     def domain_normal_cone(self, xbar: np.ndarray, ubar: np.ndarray) -> ConeModel:
-        """Normal cone to the function domain at xbar."""
-        raise NotImplementedError
+        return self.structure(xbar, ubar).domain_normal_cone()
 
 
 def _check_sigma(sigma: float) -> None:
@@ -318,15 +418,22 @@ class _SeparablePiece(ConvexPiece):
     'kink'   (one-sided derivatives 0 and 1).
     Critical intervals per coordinate follow the same classification:
     free -> R, pinned -> {0}, kink -> a half line whose sign the subclass
-    reports (+1 for d >= 0, -1 for d <= 0).
+    reports (+1 for d >= 0, -1 for d <= 0).  The frame is the identity,
+    and the curvature weights are 0.
     """
 
     def _classify(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (state, halfline_sign); state in {1: free, 0: pinned, 2: kink}."""
         raise NotImplementedError
 
-    def _classify_pair(self, xbar: np.ndarray, ubar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._classify(np.asarray(xbar, float) + np.asarray(ubar, float))
+    def _normal_codes(self, x: np.ndarray) -> np.ndarray:
+        """Class code of each coordinate in the domain normal cone at x."""
+        raise NotImplementedError
+
+    def _structure(self, xbar, ubar):
+        state, sign = self._classify(xbar + ubar)
+        critical = np.where(state == 2, np.where(sign > 0, UP, DOWN), state)
+        return BlockStructure(None, critical, self._normal_codes(xbar), np.zeros(self.dim))
 
     def prox_dirderiv(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -341,24 +448,25 @@ class _SeparablePiece(ConvexPiece):
     def _diag_element(self, diag: np.ndarray, provenance: str) -> LinearOperatorElement:
         return LinearOperatorElement(_diagonal(diag.astype(float)), provenance)
 
-    def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
-        state, _ = self._classify(np.asarray(z, dtype=float))
+    def _canonical(self, state: np.ndarray) -> LinearOperatorElement:
         # ties at kinks resolve to 1, the limit from the identity side
-        diag = np.where(state == 0, 0.0, 1.0)
-        return self._diag_element(diag, f"{self.kind}:canonical")
+        return self._diag_element(np.where(state == 0, 0.0, 1.0), f"{self.kind}:canonical")
+
+    def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
+        return self._canonical(self._classify(np.asarray(z, dtype=float))[0])
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
         if count < 1:
             raise ValueError("count must be at least 1")
-        z = np.asarray(z, dtype=float)
-        state, _ = self._classify(z)
+        check_integer("seed", seed, 0)
+        state, _ = self._classify(np.asarray(z, dtype=float))
         kinks = np.flatnonzero(state == 2)
         n_k = kinks.size
         if n_k == 0:
             # the prox is differentiable at z: one element
-            return [self.clarke_element(z)]
+            return [self._canonical(state)]
         base = np.where(state == 1, 1.0, 0.0)
-        elements = [self.clarke_element(z),
+        elements = [self._canonical(state),
                     self._diag_element(base, f"{self.kind}:pattern-zeros")]
         rng = np.random.default_rng(seed)
         if 2 ** n_k <= SEPARABLE_PATTERN_CAP:
@@ -373,39 +481,6 @@ class _SeparablePiece(ConvexPiece):
             tag = "".join(str(int(b)) for b in pat)
             elements.append(self._diag_element(diag, f"{self.kind}:pattern[{tag}]"))
         return _mixed_and_deduped(elements, count, rng, self.kind)
-
-    def curvature_form(self, xbar, ubar, V, tol=1e-8):
-        # zero on its domain, the directions that vanish on pinned coordinates
-        self.check_subgradient(xbar, ubar, tol)
-        V = np.asarray(V, dtype=float)
-        state, _ = self._classify_pair(xbar, ubar)
-        res = np.linalg.norm(V[state == 0], axis=0)
-        outside = _outside_curvature_domain(res, np.linalg.norm(V, axis=0))
-        return np.diag(np.where(outside, np.inf, 0.0))
-
-    def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
-        self.check_subgradient(xbar, ubar, tol)
-        state, sign = self._classify_pair(xbar, ubar)
-        aff = np.eye(self.dim)[:, state != 0]
-        lin = np.eye(self.dim)[:, state == 1]
-        pinned = state == 0
-        kink = state == 2
-
-        def membership(d: np.ndarray, tol: float = 1e-9) -> bool:
-            d = np.asarray(d, dtype=float)
-            if np.any(np.abs(d[pinned]) > tol):
-                return False
-            return bool(np.all(sign[kink] * d[kink] >= -tol))
-
-        return ConeDescriptor(aff, lin, membership)
-
-    def critical_polar_cone(self, xbar, ubar) -> ConeModel:
-        # the polar of a kink's half line {s*d >= 0} is the opposite half
-        # line, of a pinned {0} the whole line and of a free R the origin;
-        # sign is nonzero on kinks only
-        state, sign = self._classify_pair(xbar, ubar)
-        return _interval_cone(np.where((state == 0) | (sign > 0), -np.inf, 0.0),
-                              np.where((state == 0) | (sign < 0), np.inf, 0.0))
 
 
 class OrthantIndicator(_SeparablePiece):
@@ -458,17 +533,11 @@ class OrthantIndicator(_SeparablePiece):
         state = np.where(w > t, 1, np.where(w < -t, 0, 2))
         return state, np.where(state == 2, float(self.sign), 0.0)
 
-    def domain_normal_cone(self, xbar, ubar) -> ConeModel:
-        x = self.sign * np.asarray(xbar, dtype=float)
+    def _normal_codes(self, x):
         # interior coordinates contribute {0}; active ones the outward ray
-        lower = np.zeros(self.dim)
-        upper = np.zeros(self.dim)
+        x = self.sign * x
         active = x <= 1e-12 * (1.0 + np.linalg.norm(x))
-        if self.sign > 0:
-            lower[active] = -np.inf
-        else:
-            upper[active] = np.inf
-        return _interval_cone(lower, upper)
+        return np.where(active, DOWN if self.sign > 0 else UP, PINNED)
 
 
 class BoxIndicator(_SeparablePiece):
@@ -541,12 +610,10 @@ class BoxIndicator(_SeparablePiece):
         state[at_lo | at_hi] = 2
         return state, np.subtract(at_lo, at_hi, dtype=float)
 
-    def domain_normal_cone(self, xbar, ubar) -> ConeModel:
-        x = np.asarray(xbar, dtype=float)
+    def _normal_codes(self, x):
         s = 1e-12 * (1.0 + np.linalg.norm(x))
-        lower = np.where(x <= self.lower + s, -np.inf, 0.0)
-        upper = np.where(x >= self.upper - s, np.inf, 0.0)
-        return _interval_cone(lower, upper)
+        at_lo, at_hi = x <= self.lower + s, x >= self.upper - s
+        return np.where(at_lo, np.where(at_hi, FREE, DOWN), np.where(at_hi, UP, PINNED))
 
 
 class L1Norm(_SeparablePiece):
@@ -596,10 +663,9 @@ class L1Norm(_SeparablePiece):
         state = np.where(a > 1.0 + t, 1, np.where(a < 1.0 - t, 0, 2))
         return state, np.where(state == 2, np.sign(z), 0.0)
 
-    def domain_normal_cone(self, xbar, ubar) -> ConeModel:
+    def _normal_codes(self, x):
         # full domain, normal cone is trivial
-        zero = np.zeros(self.dim)
-        return _interval_cone(zero, zero)
+        return np.full(self.dim, PINNED)
 
 
 # ----------------------------------------------------------------------
@@ -690,6 +756,7 @@ class PSDConeIndicator(ConvexPiece):
         # canonical, then base + K_beta Z K_beta^T (base: beta-beta weights zeroed)
         if count < 1:
             raise ValueError("count must be at least 1")
+        check_integer("seed", seed, 0)
         lam, K, w = self._coupled(z)
         elements = [LinearOperatorElement(_gram(K, w), f"{self.kind}:canonical(beta=I)")]
         nb = np.count_nonzero(lam == 0.0)
@@ -714,76 +781,21 @@ class PSDConeIndicator(ConvexPiece):
                                                   f"{self.kind}:pattern[{tag}]q{s}"))
         return _mixed_and_deduped(elements, count, rng, self.kind)
 
-    # -- curvature and descriptors -----------------------------------------
-    def curvature_form(self, xbar, ubar, V, tol=1e-8):
-        # Sun's sigma term -2 sum (lam_g / lam_a) Vt_k[a, g] Vt_l[a, g] of the
-        # rotated columns Vt_k; its domain: their beta-gamma and gamma-gamma
-        # blocks vanish
-        self.check_subgradient(xbar, ubar, tol)
-        V = np.asarray(V, dtype=float)
-        sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        Vt = sp.P.T @ smat(V.T) @ sp.P
-        a, b, g = sp.alpha[:, None], sp.beta[:, None], sp.gamma
-        res = (SQRT2 * np.linalg.norm(Vt[:, b, g], axis=(1, 2))
-               + np.linalg.norm(Vt[:, g[:, None], g], axis=(1, 2)))
-        Vag = Vt[:, a, g].reshape(V.shape[1], a.size * g.size)
-        form = (Vag * (-2.0 * sp.lam[g][None, :] / sp.lam[a]).ravel()) @ Vag.T
-        form = 0.5 * (form + form.T)
-        out = np.flatnonzero(_outside_curvature_domain(res, np.linalg.norm(V, axis=0)))
-        form[out, out] = np.inf
-        return form
-
-    def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
-        self.check_subgradient(xbar, ubar, tol)
-        sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
+    def _structure(self, xbar, ubar):
+        # frame coordinate (i, j) is the svec coordinate (i, j) of P^T D P;
+        # the eigenvalues descend, so lam_i >= lam_j and alpha rows touch alpha.
+        # Critical cone: free on alpha rows, PSD on beta-beta, pinned on
+        # beta-gamma and gamma-gamma; normal cone: pinned on alpha rows,
+        # NSD on the rest.  Sun's sigma term weighs alpha-gamma by
+        # -lam_j / lam_i (its -2 lam_g / lam_a per matrix entry).
+        sp = self.split(xbar + ubar)
         lay = svec_layout(self.order)
         li, lj = sp.lam[lay.rows], sp.lam[lay.cols]
-        touches_alpha = np.maximum(li, lj) > 0.0
-        K = conjugation_matrix(sp.P)
-        lin = K[:, touches_alpha]
-        aff = K[:, touches_alpha | ((li == 0.0) & (lj == 0.0))]
-        beta, gamma_ix = sp.beta, sp.gamma
-        P = sp.P
-
-        def membership(d: np.ndarray, tol: float = 1e-9) -> bool:
-            Dt = P.T @ smat(np.asarray(d, dtype=float)) @ P
-            if gamma_ix.size and np.max(np.abs(Dt[np.ix_(gamma_ix, gamma_ix)])) > tol:
-                return False
-            if beta.size and gamma_ix.size and np.max(np.abs(Dt[np.ix_(beta, gamma_ix)])) > tol:
-                return False
-            if beta.size:
-                w = np.linalg.eigvalsh(Dt[np.ix_(beta, beta)])
-                if w.size and w[0] < -tol:
-                    return False
-            return True
-
-        return ConeDescriptor(aff, lin, membership)
-
-    def _structured_cone(self, sp: SpectralSplit, neg: np.ndarray) -> ConeModel:
-        """Cone {V : rotated alpha rows and columns vanish, rotated neg block is NSD}."""
-        P, a = sp.P, sp.alpha
-
-        rows = neg[:, None]
-
-        def project(v: np.ndarray) -> np.ndarray:
-            out = P.T @ smat(v) @ P
-            out[..., a, :] = 0.0
-            out[..., :, a] = 0.0
-            if neg.size:
-                blk = out[..., rows, neg]
-                w, Q = np.linalg.eigh(0.5 * (blk + blk.swapaxes(-1, -2)))
-                out[..., rows, neg] = (Q * np.minimum(w, 0.0)[..., None, :]) @ Q.swapaxes(-1, -2)
-            return svec(P @ out @ P.T)
-
-        return ConeModel(dim=self.dim, polyhedral=False, project=project)
-
-    def critical_polar_cone(self, xbar, ubar) -> ConeModel:
-        sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        return self._structured_cone(sp, sp.beta)
-
-    def domain_normal_cone(self, xbar, ubar) -> ConeModel:
-        sp = self.split(np.asarray(xbar, float) + np.asarray(ubar, float))
-        return self._structured_cone(sp, np.concatenate([sp.beta, sp.gamma]))
+        alpha = li > 0.0
+        critical = np.where(alpha, FREE, np.where((li == 0.0) & (lj == 0.0), BLOCK, PINNED))
+        weight = np.where(alpha & (lj < 0.0), -lj / np.where(alpha, li, 1.0), 0.0)
+        return BlockStructure(conjugation_matrix(sp.P), critical,
+                              np.where(alpha, PINNED, BLOCK), weight)
 
 
 # ----------------------------------------------------------------------
@@ -862,48 +874,18 @@ class EpiSum(ConvexPiece):
         _, y = self._split(z)
         return [self._lift_element(el) for el in self.inner.sample_clarke(y, count, seed)]
 
-    def curvature_form(self, xbar, ubar, V, tol=1e-8):
-        self.check_subgradient(xbar, ubar, tol)
-        return self.inner.curvature_form(*self._inner(xbar, ubar, V), tol)
-
-    def cone_descriptors(self, xbar, ubar, tol=1e-8) -> ConeDescriptor:
-        self.check_subgradient(xbar, ubar, tol)
-        inner_desc = self.inner.cone_descriptors(*self._inner(xbar, ubar), tol)
-
-        def lift_basis(B: np.ndarray) -> np.ndarray:
-            out = np.zeros((self.dim, B.shape[1] + 1))
-            out[0, 0] = 1.0
-            out[1:, 1:] = B
-            return out
-
-        def membership(d: np.ndarray, tol: float = 1e-9) -> bool:
-            return inner_desc.membership(np.asarray(d, dtype=float)[1:], tol)
-
-        return ConeDescriptor(lift_basis(inner_desc.affine_hull_basis),
-                              lift_basis(inner_desc.lineality_basis),
-                              membership)
-
-    def _lift_cone(self, cone: ConeModel) -> ConeModel:
-        # the scalar coordinate is free in the critical set, so its polar
-        # coordinate is pinned to zero; likewise for the domain normal cone
-        if cone.polyhedral:
-            lower = np.concatenate([[0.0], cone.lower])
-            upper = np.concatenate([[0.0], cone.upper])
-            return _interval_cone(lower, upper)
-
-        def project(v: np.ndarray) -> np.ndarray:
-            v = np.asarray(v, dtype=float)
-            out = np.zeros_like(v)
-            out[..., 1:] = cone.project(v[..., 1:])
-            return out
-
-        return ConeModel(dim=self.dim, polyhedral=False, project=project)
-
-    def critical_polar_cone(self, xbar, ubar) -> ConeModel:
-        return self._lift_cone(self.inner.critical_polar_cone(*self._inner(xbar, ubar)))
-
-    def domain_normal_cone(self, xbar, ubar) -> ConeModel:
-        return self._lift_cone(self.inner.domain_normal_cone(*self._inner(xbar, ubar)))
+    def _structure(self, xbar, ubar):
+        # the scalar coordinate is free in the critical cone and pinned in
+        # the domain normal cone, with weight 0; the lift's subgradient
+        # test already covers the inner pair
+        inner = self.inner._structure(xbar[1:], ubar[1:])
+        frame = inner.frame
+        if frame is not None:
+            frame = np.zeros((self.dim, self.dim))
+            frame[0, 0] = 1.0
+            frame[1:, 1:] = inner.frame
+        return BlockStructure(frame, np.insert(inner.critical, 0, FREE),
+                              np.insert(inner.normal, 0, PINNED), np.insert(inner.weight, 0, 0.0))
 
 
 # ----------------------------------------------------------------------

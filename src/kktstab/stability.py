@@ -174,9 +174,10 @@ class AnalysisPoint:
     """A point tested once against the KKT system at ``tol``, with J and
     the block pairs (piece, F(x)_b, mu_b).  ``tol`` is also the tolerance
     of the pieces' subgradient tests; ``None`` skips the KKT test and
-    keeps their default 1e-8.  The descriptors, the product cones,
-    null(J^T) and each cone-search result are computed on first use and
-    kept, so checks that share one point compute each of them once.
+    keeps their default 1e-8.  The block structures, and from them the
+    descriptors and the product cones, null(J^T) and each cone-search
+    result are computed on first use and kept, so checks that share one
+    point compute each of them once.
     """
 
     def __init__(self, problem: CompositeProblem, z, tol: float | None = 1e-8):
@@ -199,18 +200,20 @@ class AnalysisPoint:
         self._searches: dict[tuple, tuple[list[np.ndarray], str]] = {}
 
     @functools.cached_property
+    def structures(self) -> list:
+        return [p.structure(xb, ub, self.tol) for p, xb, ub in self.pairs]
+
+    @functools.cached_property
     def descriptors(self) -> list:
-        return [p.cone_descriptors(xb, ub, self.tol) for p, xb, ub in self.pairs]
+        return [s.descriptor() for s in self.structures]
 
     @functools.cached_property
     def critical_polar_cone(self) -> ConeModel:
-        return _product_cone(self.problem, [p.critical_polar_cone(xb, ub)
-                                            for p, xb, ub in self.pairs])
+        return _product_cone(self.problem, [s.critical_polar_cone() for s in self.structures])
 
     @functools.cached_property
     def domain_normal_cone(self) -> ConeModel:
-        return _product_cone(self.problem, [p.domain_normal_cone(xb, ub)
-                                            for p, xb, ub in self.pairs])
+        return _product_cone(self.problem, [s.domain_normal_cone() for s in self.structures])
 
     @functools.cached_property
     def adjoint_nullspace(self) -> np.ndarray:
@@ -494,8 +497,8 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
     point = analysis_point(problem, zbar, tol=None)
     H = problem.F.weighted_hessian(point.kkt.x, point.kkt.mu)
     G = np.zeros((basis.shape[1], basis.shape[1]))
-    for (p, xb, ub), Wb in zip(point.pairs, problem.blocks((point.J @ basis).T)):
-        form = p.curvature_form(xb, ub, Wb.T, point.tol)
+    for st, Wb in zip(point.structures, problem.blocks((point.J @ basis).T)):
+        form = st.curvature_form(Wb.T)
         if np.isinf(np.diag(form)).any():
             raise CurvatureDomainError(
                 "curvature is infinite on the critical subspace; the "
@@ -702,8 +705,8 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
     attainment_condition: a plain (non-hull) element attains the
     curvature minimum for directions drawn from the sampled ranges.
     """
-    piece.check_subgradient(np.asarray(xbar, float), np.asarray(ubar, float))
-    desc = piece.cone_descriptors(xbar, ubar)
+    structure = piece.structure(xbar, ubar)
+    desc = structure.descriptor()
     range_cols = np.hstack([el.matrix for el in samples])
     S_range = orthonormal_span(range_cols)
     res_range = mutual_span_residual(S_range, desc.affine_hull_basis)
@@ -727,7 +730,7 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
         el = samples[k % len(samples)]
         d = rng.standard_normal(piece.dim)
         v = el.matrix @ d
-        closed = piece.gamma(xbar, ubar, v)
+        closed = structure.gamma(v)
         best_b = gamma_oracle(piece, xbar, ubar, v, b_elements)
         if np.isfinite(closed) and np.isfinite(best_b):
             scaled = abs(closed - best_b) / (1.0 + abs(closed))

@@ -267,7 +267,7 @@ def test_cli_piece_size_must_be_a_positive_integer(tmp_path, capsys, g):
 
 
 def _malformed(path, value):
-    data = _nlp_dict()
+    data = _sdp_dict() if path[:2] == ("F", "builtin") else _nlp_dict()
     if not path:
         return value
     _set(data, path, value)
@@ -288,6 +288,10 @@ def _malformed(path, value):
     (("n",), "1", "n must be an integer of at least 1, got '1'"),
     (("n",), 0, "n must be an integer of at least 1, got 0"),
     (("n",), -1, "n must be an integer of at least 1, got -1"),
+    (("F", "builtin", "params", "pencil_const"), 3,
+     "pencil_const must be a square matrix, got shape ()"),
+    (("F", "builtin", "params", "pencil_const"), [1.0, 0.0],
+     "pencil_const must be a square matrix, got shape (2,)"),
 ])
 def test_cli_malformed_instance_shape_is_one_line_error(tmp_path, capsys, path, value, message):
     f = tmp_path / "bad.json"
@@ -407,8 +411,8 @@ def test_cli_eigendecomposition_error_exits_1(capsys, monkeypatch):
 def test_cli_infinite_curvature_exits_1(capsys, monkeypatch):
     import kktstab.pieces
 
-    monkeypatch.setattr(kktstab.pieces.EpiSum, "curvature_form",
-                        lambda self, xbar, ubar, V, tol=1e-8: np.diag(np.full(V.shape[1], np.inf)))
+    monkeypatch.setattr(kktstab.pieces.BlockStructure, "curvature_form",
+                        lambda self, V: np.diag(np.full(V.shape[1], np.inf)))
     assert run_command(["analyze", _battery_file("smooth_toy"), "--num-delta", "2"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -446,6 +446,8 @@ def test_separable_sample_clarke_matches_loop_oracle():
             for count in (1, 12, 40):
                 new = piece.sample_clarke(z, count, seed=5)
                 old = separable_sample_clarke_loop(piece, z, count, seed=5)
+                assert new[0].matrix.tobytes() == piece.clarke_element(z).matrix.tobytes(), \
+                    (piece.kind, n_kinks, count)
                 assert [e.provenance for e in new] == [e.provenance for e in old], \
                     (piece.kind, n_kinks, count)
                 for a, b in zip(new, old):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kktstab import (
+    BATTERY_NAMES,
     AnalyzerOptions,
     BoxIndicator,
     CompositeProblem,
@@ -42,6 +43,7 @@ from kktstab.stability import (
     _ap_nonzero_points,
     _product_cone,
     mutual_span_residual,
+    nullspace,
     reduced_quadratic_form,
 )
 from kktstab.problem import sample_elements_R
@@ -501,6 +503,50 @@ def test_equivalence_report_checks_one_point_and_shares_the_lp_search(monkeypatc
     assert len({(c.lower.tobytes(), c.upper.tobytes()) for c in searched}) == 2
 
 
+def _pair_battery_problem():
+    """One problem whose blocks are the verify pair battery's pairs, at a
+    KKT point: F(x) = c + N x with c the stacked xbar and N an orthonormal
+    basis of the multiplier's complement, plus a definite Hessian."""
+    pairs = [(p, xb, ub) for _, p, xb, ub in pair_battery()]
+    c = np.concatenate([xb for _, xb, _ in pairs])
+    mu = np.concatenate([ub for _, _, ub in pairs])
+    N = nullspace(mu[None, :])
+    m, n = N.shape
+    S = np.random.default_rng(3).standard_normal((n, n))
+    F = SmoothMap(n=n, m=m, eval=lambda x: c + N @ x, jacobian=lambda x: N,
+                  weighted_hessian_fn=lambda x, mu: S @ S.T)
+    return CompositeProblem(F, [p for p, _, _ in pairs]), KKTPoint(np.zeros(n), mu)
+
+
+@pytest.mark.parametrize("name", BATTERY_NAMES + ("pair_battery",))
+def test_each_block_is_handled_once_per_report(monkeypatch, name):
+    import kktstab.pieces as pc
+
+    calls = {"structure": [], "check_subgradient": [], "split": []}
+    for owner, attr in ((pc.ConvexPiece, "structure"), (pc.ConvexPiece, "check_subgradient"),
+                        (pc.PSDConeIndicator, "split")):
+        def counted(self, *args, _attr=attr, _method=getattr(owner, attr), **kwargs):
+            calls[_attr].append(self)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    if name == "pair_battery":
+        problem, z = _pair_battery_problem()
+    else:
+        problem, meta = load_battery(name)
+        z = meta.known_solution
+    psd = [p for p in problem.pieces
+           if isinstance(p, PSDConeIndicator) or isinstance(getattr(p, "inner", None),
+                                                            PSDConeIndicator)]
+    equivalence_report(problem, z, FAST)
+    # the element layer (sample_clarke, clarke_element) splits with its
+    # own eigendecomposition and tests no subgradient pair
+    blocks = [id(p) for p in problem.pieces]
+    assert sorted(map(id, calls["structure"])) == sorted(blocks)
+    assert sorted(map(id, calls["check_subgradient"])) == sorted(blocks)
+    assert len(calls["split"]) == len(psd)
+
+
 def test_checks_accept_an_array_a_kkt_point_or_an_analysis_point():
     from kktstab.stability import AnalysisPoint
 
@@ -720,6 +766,13 @@ def test_seeded_entry_points_reject_a_bad_seed(name, seed):
     if name == "l1_toy":
         # its kink (0, 1), not a KKT point, where numpy used to object
         calls.append(lambda s: sample_elements_R(problem, np.array([0.0, 1.0]), 8, s))
+    # every piece's sampler, at smooth points and at kinks alike
+    for other in BATTERY_NAMES:
+        prob, m = load_battery(other)
+        wo = prob.F.eval(m.known_solution.x) + m.known_solution.mu
+        calls += [lambda s, p=p, wb=wb: sample_clarke(p, wb, 4, s)
+                  for p, wb in zip(prob.pieces, prob.blocks(wo))]
+    calls.append(lambda s: sample_clarke(L1Norm(2), [1.0, 0.3], 4, s))
     for call in calls:
         with pytest.raises(ValueError, match=f"seed must be an integer of at least 0, got {seed!r}"):
             call(seed)
