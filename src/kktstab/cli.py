@@ -159,7 +159,7 @@ def _cmd_solve(args) -> int:
             "rate": rate,
             "residual_norms": trace.residual_norms,
             "step_lengths": trace.step_lengths,
-            "element_min_singular_values": trace.element_min_sv,
+            "element_min_singular_value_bounds": trace.element_min_sv,
         }
         emit_report(payload, args.json, kind="newton", seed=args.seed,
                     tolerances={"tol": args.tol})

@@ -2,13 +2,17 @@
 
 The driver works on any residual/element pair; the KKT front end in
 :mod:`kktstab.problem` supplies the composite-problem specifics.  Steps
-solve the element system by least squares with a ridge fallback when the
-element is near singular, and are globalized by Armijo backtracking on
-half the squared residual norm.
+solve the element system by LU, which also bounds the element's least
+singular value from above through a solve against a fixed probe vector;
+only an element whose bound is small, or that follows a singular one,
+gets an exact svd, and a singular one takes a ridge-regularized
+least-squares step.  Steps are globalized by Armijo backtracking on half
+the squared residual norm.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -103,6 +107,104 @@ def _each_row(fn: Callable, *stacks: np.ndarray) -> tuple[np.ndarray | None, dic
     return (np.concatenate(outs) if outs else None), errors
 
 
+RIDGE_SV = 1e-10  # an element with sigma_min below this takes a ridge step
+SCREEN_SV = 1e-6  # a row whose bound on sigma_min falls below this gets an svd
+
+
+@functools.cache
+def _probe_vector(n: int) -> np.ndarray:
+    """The unit probe vector of dimension n: fixed, so that a row's bits
+    never depend on the stack it is solved in."""
+    g = np.random.default_rng(0).standard_normal(n)
+    g /= np.sqrt(np.dot(g, g))
+    g.flags.writeable = False
+    return g
+
+
+def _screen(E: np.ndarray, r: np.ndarray, rr: np.ndarray,
+            probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LU steps ``E s = -r`` of a stack of rows and an upper bound on
+    each row's sigma_min.
+
+    One stacked ``solve(E, [-r | probe])`` gives the step and a solve
+    against the unit probe vector; ``min(|r| / |s|, 1 / |E^-1 probe|)``
+    bounds sigma_min(E) from above (Dixon 1983).  ``rr`` holds ``r . r`` of
+    each row.  A row whose solve raised gets NaN columns, so its bound is
+    NaN.
+    """
+    k, n = r.shape
+    B = np.empty((k, n, 2))
+    B[:, :, 0] = -r
+    B[:, :, 1] = probe
+    X, errors = _each_row(np.linalg.solve, E, B)
+    if errors:
+        X_all = np.full(B.shape, np.nan)
+        if X is not None:
+            X_all[np.delete(np.arange(k), list(errors))] = X
+        X = X_all
+    SY = X.transpose(2, 0, 1).copy()
+    ss, yy = (SY[:, :, None, :] @ SY[:, :, :, None])[:, :, 0, 0]  # _rowdot of each
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return SY[0], np.minimum(np.sqrt(rr / ss), 1.0 / np.sqrt(yy))
+
+
+def _newton_steps(E: np.ndarray, r: np.ndarray, rr: np.ndarray, probe: np.ndarray,
+                  floor: float, was_singular: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Newton steps ``E s = -r`` for a stack of rows, screened for near
+    singular elements.
+
+    Each row is screened by :func:`_screen`, except the rows whose previous
+    element was singular (``was_singular``), which go straight to the svd.
+    A row whose bound falls below SCREEN_SV (which includes every row whose
+    solve raised or is not finite) gets an exact svd: below RIDGE_SV it
+    takes the ridge-regularized least-squares step, else it keeps its LU
+    step, solved again only if that raised, is not finite or was skipped.
+
+    Returns the steps, one value per row that is the exact sigma_min on the
+    rows the svd confirmed and the bound elsewhere (so always exact below
+    SCREEN_SV), and the exception of each row that failed, by position.
+    """
+    k, n = r.shape
+    if was_singular.any():  # a bound of 0 sends a row to the svd
+        S, bound = np.full((k, n), np.nan), np.zeros(k)
+        lu = ~was_singular
+        if lu.any():
+            S[lu], bound[lu] = _screen(E[lu], r[lu], rr[lu], probe)
+    else:
+        S, bound = _screen(E, r, rr, probe)
+    screened = bound >= SCREEN_SV  # a non-finite column makes the bound 0 or NaN
+    if screened.all():
+        return S, bound, {}
+    rows = (~screened).nonzero()[0]
+    svals, sv_errors = _each_row(lambda M: np.linalg.svd(M, compute_uv=False), E[rows])
+    errors = {int(rows[pos]): exc for pos, exc in sv_errors.items()}
+    rows = np.delete(rows, list(sv_errors))
+    redo, A, b = [], [], []
+    for j, sv in zip(rows, svals if rows.size else ()):
+        bound[j] = sv[-1]
+        if sv[-1] < RIDGE_SV:
+            # ridge-regularized least squares keeps the iteration alive in
+            # degenerate regions; the analyzer reports the degeneracy itself
+            tau = max(floor, 1e-10 * float(sv[0]))
+            A.append(E[j].T @ E[j] + tau * np.eye(n))
+            b.append(-E[j].T @ r[j])
+        elif not np.isfinite(S[j]).all():
+            A.append(E[j])
+            b.append(-r[j])
+        else:
+            continue
+        redo.append(j)
+    if redo:
+        steps, redo_errors = _each_row(lambda M, v: np.linalg.solve(M, v[..., None])[..., 0],
+                                       np.array(A), np.array(b))
+        errors.update((redo[pos], exc) for pos, exc in redo_errors.items())
+        redo = np.delete(redo, list(redo_errors))
+        if redo.size:
+            S[redo] = steps
+    return S, bound, errors
+
+
 def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           element: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           Z0: np.ndarray,
@@ -124,21 +226,30 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     exception that ended it, as ``semismooth_solve`` raises it for that
     row alone (NewtonNonConvergence, NewtonStagnation, a LinAlgError or an
     error from a callback).  Every row takes the steps, the line-search
-    trials and the arithmetic of its own solve, bit for bit; each
-    iteration makes one element call, one svd and one solve for the rows
-    still running, and each line-search round one residual call for the
-    rows still searching.
+    trials and the arithmetic of its own solve, bit for bit.  Each
+    iteration makes one element call and one stacked LU solve, of the step
+    and of a fixed probe vector, for the rows still running; only the rows
+    whose bound on sigma_min falls below SCREEN_SV, or whose previous
+    element was singular, get an svd (see :func:`_newton_steps`).  Each
+    line-search round makes one residual call
+    for the rows still searching.  A trace's ``element_min_sv`` holds, per
+    iteration, the exact sigma_min of the element where the svd ran and
+    the upper bound elsewhere.
     """
     opts = opts or NewtonOptions()
     Z = np.array(Z0, dtype=float, ndmin=2)
     outcomes: list = [None] * len(Z)
     traces = [NewtonTrace() for _ in Z]
+    probe = _probe_vector(Z.shape[1])
     finite = np.isfinite(Z).all(axis=1)
     for i in (~finite).nonzero()[0]:
         outcomes[i] = ValueError("starting point must be finite")
+    # the state of the running rows only: row j of Z, R and rnorm is the
+    # point, residual and residual norm of row act[j] of Z0
     act = finite.nonzero()[0]
-    R = np.zeros_like(Z)
-    rnorm = np.zeros(len(Z))
+    if not act.size:
+        return outcomes
+    Z = Z[act]
 
     def drop(errors: dict[int, Exception], rows: np.ndarray,
              *arrays: np.ndarray) -> list[np.ndarray]:
@@ -152,68 +263,57 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
             keep[pos] = False
         return [a[keep] for a in arrays]
 
-    R_act, errors = _each_row(residual, Z[act], act)
-    act, = drop(errors, act, act)
-    if act.size:
-        R[act] = R_act
-        rnorm[act] = np.max(np.abs(R_act), axis=1)
-    for i in act:
-        traces[i].residual_norms.append(float(rnorm[i]))
+    R, errors = _each_row(residual, Z, act)
+    act, Z = drop(errors, act, act, Z)
+    if not act.size:
+        return outcomes
+    rnorm = np.abs(R).max(axis=1)
+    for i, rn in zip(act.tolist(), rnorm.tolist()):
+        traces[i].residual_norms.append(rn)
+    min_sv = np.full(act.size, np.inf)  # of each row's previous element
 
     for _ in range(opts.max_iter):
-        done = rnorm[act] <= opts.tol
+        done = rnorm <= opts.tol
         if done.any():
-            for i in act[done]:
-                traces[i].status = "converged"
-                outcomes[i] = (Z[i].copy(), traces[i])
-            act = act[~done]
+            for j in done.nonzero()[0]:
+                traces[act[j]].status = "converged"
+                outcomes[act[j]] = (Z[j].copy(), traces[act[j]])
+            act, Z, R, rnorm, min_sv = (a[~done] for a in (act, Z, R, rnorm, min_sv))
+            if not act.size:
+                break
+        E, errors = _each_row(element, Z, act)
+        act, Z, R, rnorm, min_sv = drop(errors, act, act, Z, R, rnorm, min_sv)
         if not act.size:
             break
-        E, errors = _each_row(element, Z[act], act)
-        act, = drop(errors, act, act)
+        rr = _rowdot(R, R)
+        S, min_sv, errors = _newton_steps(E, R, rr, probe, opts.regularization_floor,
+                                          min_sv < RIDGE_SV)
+        act, Z, R, rnorm, E, rr, S, min_sv = drop(errors, act, act, Z, R, rnorm, E, rr, S,
+                                                  min_sv)
         if not act.size:
             break
-        svals, errors = _each_row(lambda M: np.linalg.svd(M, compute_uv=False), E)
-        act, E = drop(errors, act, act, E)
-        if not act.size:
-            break
-        r = R[act]
-        min_sv = svals[:, -1]
-        ridge = (min_sv < 1e-10).nonzero()[0]
-        A, b = (E.copy() if ridge.size else E), -r
-        for j in ridge:
-            # ridge-regularized least squares keeps the iteration alive in
-            # degenerate regions; the analyzer reports the degeneracy itself
-            tau = max(opts.regularization_floor, 1e-10 * float(svals[j, 0]))
-            A[j] = E[j].T @ E[j] + tau * np.eye(E.shape[2])
-            b[j] = -E[j].T @ r[j]
-        S, errors = _each_row(lambda M, v: np.linalg.solve(M, v[..., None])[..., 0], A, b)
-        act, E, r, min_sv = drop(errors, act, act, E, r, min_sv)
-        if not act.size:
-            break
-        merit = 0.5 * _rowdot(r, r)
-        slope = _rowdot((E @ S[..., None])[..., 0], r)  # derivative of the merit along s
+        merit = 0.5 * rr
+        slope = _rowdot((E @ S[..., None])[..., 0], R)  # derivative of the merit along s
         slope = np.where(slope >= 0.0, -2.0 * merit, slope)
 
-        # backtracking in rounds over the rows still searching
+        # backtracking in rounds over the rows still searching, from the
+        # full step; Z and R take each row's accepted trial in place
         alpha = np.ones(act.size)
-        search = np.arange(act.size)
         moved = np.zeros(act.size, dtype=bool)
-        while search.size:
-            rows = act[search]
-            Z_new = Z[rows] + alpha[search, None] * S[search]
-            R_new, errors = _each_row(residual, Z_new, rows)
-            search, rows, Z_new = drop(errors, rows, search, rows, Z_new)
+        search = np.arange(act.size)
+        Z_new = Z + S  # alpha = 1
+        while True:
+            R_new, errors = _each_row(residual, Z_new, act[search])
+            search, Z_new = drop(errors, act[search], search, Z_new)
             if not search.size:
                 break
             merit_new = 0.5 * _rowdot(R_new, R_new)
             ok = merit_new <= merit[search] + opts.armijo_c * alpha[search] * slope[search]
             if ok.all():
-                Z[rows], R[rows] = Z_new, R_new
+                Z[search], R[search] = Z_new, R_new
                 moved[search] = True
                 break
-            rows = rows[ok]
-            Z[rows], R[rows] = Z_new[ok], R_new[ok]
+            Z[search[ok]], R[search[ok]] = Z_new[ok], R_new[ok]
             moved[search[ok]] = True
             search = search[~ok]
             alpha[search] *= opts.backtrack_factor
@@ -222,25 +322,29 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
                 i = act[j]
                 traces[i].status = "stagnated"
                 outcomes[i] = NewtonStagnation(
-                    f"line search collapsed at residual {rnorm[i]:.3e}", traces[i])
+                    f"line search collapsed at residual {rnorm[j]:.3e}", traces[i])
             search = search[~short]
-        act_moved = act[moved]
-        rnorm[act_moved] = np.max(np.abs(R[act_moved]), axis=1)
-        for j in moved.nonzero()[0]:
-            i = act[j]
-            traces[i].residual_norms.append(float(rnorm[i]))
-            traces[i].step_lengths.append(float(alpha[j]))
-            traces[i].element_min_sv.append(float(min_sv[j]))
-        act = act_moved
+            if not search.size:
+                break
+            Z_new = Z[search] + alpha[search, None] * S[search]
+        if not moved.all():
+            act, Z, R, alpha, min_sv = (a[moved] for a in (act, Z, R, alpha, min_sv))
+        rnorm = np.abs(R).max(axis=1)
+        for i, rn, a, sv in zip(act.tolist(), rnorm.tolist(), alpha.tolist(), min_sv.tolist()):
+            traces[i].residual_norms.append(rn)
+            traces[i].step_lengths.append(a)
+            traces[i].element_min_sv.append(sv)
+        if not act.size:
+            break
 
-    for i in act:
-        if rnorm[i] <= opts.tol:
+    for j, i in enumerate(act):
+        if rnorm[j] <= opts.tol:
             traces[i].status = "converged"
-            outcomes[i] = (Z[i].copy(), traces[i])
+            outcomes[i] = (Z[j].copy(), traces[i])
         else:
             traces[i].status = "max_iter"
             outcomes[i] = NewtonNonConvergence(
-                f"no convergence in {opts.max_iter} iterations, residual {rnorm[i]:.3e}",
+                f"no convergence in {opts.max_iter} iterations, residual {rnorm[j]:.3e}",
                 traces[i])
     return outcomes
 

@@ -451,6 +451,24 @@ def test_cli_analyze_checks_the_point_at_tol(capsys):
     assert "not a KKT point at tolerance 1.0e-08" in capsys.readouterr().err
 
 
+def test_cli_analyze_accepts_a_point_kkt_check_accepts(tmp_path, capsys):
+    # each coordinate of the orthant block's fixed-point residual is 0.9e-8,
+    # so its max-norm passes kkt_check at 1e-8 while its 2-norm, 1.8e-8, is
+    # over tol (1 + |xbar|); the block's subgradient test uses the max-norm
+    data = {
+        "name": "orthant_near_kink",
+        "n": 4,
+        "F": {"polynomial": [{"const": 0.0, "linear": list(row)} for row in np.eye(4)]},
+        "g": [{"kind": "orthant_indicator", "dim": 4}],
+        "known_solution": {"x": [0.9e-8] * 4, "mu": [0.0] * 4},
+    }
+    f = tmp_path / "orthant_near_kink.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["analyze", str(f), "--num-delta", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "consistency    : consistent" in captured.out
+
+
 def test_cli_probe_checks_the_point_at_tol(capsys):
     # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
     point = "1.0000003,1.0,1.0"

@@ -13,8 +13,10 @@ from kktstab import (
     residual,
     semismooth_solve,
     solve,
+    strong_regularity_probe,
 )
-from kktstab.newton import semismooth_solve_rows
+from kktstab import problem as problem_mod
+from kktstab.newton import _probe_vector, semismooth_solve_rows
 from kktstab.verify import newton_start_grid
 
 
@@ -186,6 +188,101 @@ def test_linalg_errors_propagate_from_the_element_and_its_svd():
                          np.array([1.0, 1.0]))
 
 
+def test_screen_confirms_and_ridges_a_hidden_near_singular_element():
+    # sigma_min = 1e-12 hidden in a random orthogonal frame, so no entry or
+    # pivot of E shows it; the LU bound flags the row and its svd ridges it
+    rng = np.random.default_rng(5)
+    N = 40
+    Q1, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    E = (Q1 * np.append(np.linspace(2.0, 1.0, N - 1), 1e-12)) @ Q2.T
+    svals = np.linalg.svd(E, compute_uv=False)
+    assert svals[-1] < 1e-10
+    b, z0 = rng.standard_normal(N), rng.standard_normal(N)
+    trials = []
+
+    def residual(z):
+        trials.append(z.copy())
+        return E @ z - b
+
+    with pytest.raises(NewtonNonConvergence) as info:
+        semismooth_solve(residual, lambda z: E, z0, NewtonOptions(max_iter=1))
+    assert info.value.trace.element_min_sv == [svals[-1]]  # exact, not the bound
+    r = E @ z0 - b
+    tau = max(NewtonOptions().regularization_floor, 1e-10 * svals[0])
+    ridge_step = np.linalg.solve(E.T @ E + tau * np.eye(N), -E.T @ r)
+    assert trials[1].tobytes() == (z0 + ridge_step).tobytes()
+
+
+def test_an_exactly_singular_element_takes_ridge_steps():
+    # the LU solve of diag(1, 0, 1) raises; the svd confirms sigma_min = 0
+    # and every iteration takes a ridge step instead of ending the row
+    with pytest.raises(NewtonNonConvergence) as info:
+        semismooth_solve(lambda z: _row_residual("singular", z),
+                         lambda z: _row_element("singular", z),
+                         np.array([1.0, 1.0, 1.0]), NewtonOptions(max_iter=8))
+    assert info.value.trace.element_min_sv == [0.0] * 8
+
+
+def test_a_flagged_regular_element_keeps_its_lu_step():
+    # sigma_min = 1e-8: the probe's bound flags the row, the svd finds it
+    # above the ridge threshold, and the row keeps its LU step
+    D = np.diag([1.0, 1e-8, 1.0])
+    c = np.array([0.5, 1e-9, -0.2])
+    args = (lambda z: D @ z - c, lambda z: D, np.array([1.0, 1.0, 1.0]), NewtonOptions())
+    z, trace = semismooth_solve(*args)
+    assert trace.element_min_sv == [1e-8]  # the svd's exact value
+    _same_outcome((z, trace), semismooth_solve_loop(*args))
+
+
+def test_the_element_after_a_singular_one_goes_straight_to_the_svd():
+    # singular at the start, regular after the first (ridge) step: the
+    # second element skips the screen, the svd finds it regular, and the
+    # row solves it alone; from the third on the screen runs again
+    def element(z):
+        return np.diag([1.0, 0.0, 1.0]) if abs(z[0]) > 0.5 else 2.0 * np.eye(3)
+
+    args = (lambda z: z.copy(), element, np.array([1.0, 1.0, 1.0]), NewtonOptions(max_iter=4))
+    with pytest.raises(NewtonNonConvergence) as info:
+        semismooth_solve(*args)
+    assert info.value.trace.element_min_sv[:2] == [0.0, 2.0]
+    with pytest.raises(NewtonNonConvergence) as want:
+        semismooth_solve_loop(*args)
+    _same_outcome(info.value, want.value)
+
+
+@pytest.mark.parametrize("name", ["sdp_toy", "sdp_degenerate"])
+def test_probe_rows_ridge_exactly_where_the_element_is_singular(name, monkeypatch):
+    exact, outcomes = {}, []
+
+    def spied_rows(residual, element, Z0, opts=None):
+        def spied_element(Z, rows):
+            E = element(Z, rows)
+            for i, sv in zip(rows, np.linalg.svd(E, compute_uv=False)):
+                exact.setdefault(int(i), []).append(sv[-1])
+            return E
+
+        out = semismooth_solve_rows(residual, spied_element, Z0, opts)
+        outcomes.extend(out)
+        return out
+
+    monkeypatch.setattr(problem_mod, "semismooth_solve_rows", spied_rows)
+    problem, meta = load_battery(name)
+    strong_regularity_probe(problem, meta.known_solution)
+    singular = 0
+    for i, out in enumerate(outcomes):
+        recorded = out[1].element_min_sv if isinstance(out, tuple) else out.trace.element_min_sv
+        calls = exact.get(i, [])
+        # a stagnated row's last element has no trace entry
+        assert len(calls) - len(recorded) in (0, 1)
+        for value, sv in zip(recorded, calls):
+            assert (value < 1e-10) == (sv < 1e-10)  # ridged iff singular
+            if sv < 1e-10:
+                assert value == sv
+                singular += 1
+    assert singular > 0 or name == "sdp_toy"
+
+
 def semismooth_solve_loop(residual, element, z0, opts=None):
     """The one-row Newton loop, kept as the reference that the row driver
     must reproduce bit for bit."""
@@ -197,18 +294,34 @@ def semismooth_solve_loop(residual, element, z0, opts=None):
     r = residual(z)
     rnorm = float(np.linalg.norm(r, np.inf))
     trace.residual_norms.append(rnorm)
+    min_sv = np.inf
     for _ in range(opts.max_iter):
         if rnorm <= opts.tol:
             trace.status = "converged"
             return z, trace
         E = element(z)
-        svals = np.linalg.svd(E, compute_uv=False)
-        min_sv = float(svals[-1]) if svals.size else 0.0
+        # the LU step and a solve against the probe bound sigma_min from
+        # above; a low or non-finite bound is confirmed by the svd, and so
+        # is every element after a singular one
         if min_sv < 1e-10:
-            tau = max(opts.regularization_floor, 1e-10 * float(svals[0]) if svals.size else 0.0)
-            s = np.linalg.solve(E.T @ E + tau * np.eye(E.shape[1]), -E.T @ r)
+            s, min_sv = np.full(z.size, np.nan), 0.0
         else:
-            s = np.linalg.solve(E, -r)
+            try:
+                X = np.linalg.solve(E, np.stack([-r, _probe_vector(z.size)], axis=1))
+            except np.linalg.LinAlgError:
+                X = np.full((z.size, 2), np.nan)
+            s, y = X.T.copy()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                min_sv = float(np.minimum(np.sqrt(np.dot(r, r) / np.dot(s, s)),
+                                          1.0 / np.sqrt(np.dot(y, y))))
+        if not min_sv >= 1e-6:
+            svals = np.linalg.svd(E, compute_uv=False)
+            min_sv = float(svals[-1])
+            if min_sv < 1e-10:
+                tau = max(opts.regularization_floor, 1e-10 * float(svals[0]))
+                s = np.linalg.solve(E.T @ E + tau * np.eye(E.shape[1]), -E.T @ r)
+            elif not np.all(np.isfinite(s)):
+                s = np.linalg.solve(E, -r)
         merit = 0.5 * float(np.dot(r, r))
         slope = float(np.dot(E @ s, r))
         if slope >= 0.0:
