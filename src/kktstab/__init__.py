@@ -14,7 +14,6 @@ from .symmat import (
 )
 from .pieces import (
     BoxIndicator,
-    ConeDescriptor,
     ConeModel,
     ConvexPiece,
     EpiSum,

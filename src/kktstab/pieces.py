@@ -14,8 +14,9 @@ The codes are PINNED ({0}), FREE (the line), UP and DOWN (the half lines
 d >= 0 and d <= 0) and BLOCK (a coordinate of one symmetric block,
 positive semidefinite in the critical cone and negative semidefinite in
 the cones derived from it).  ``BlockStructure`` derives the second-order
-objects from the codes in one place: the critical-cone descriptors, the
-critical polar cone, the domain normal cone and the curvature form.
+objects from the codes in one place, and ``piece.structure(xbar, ubar)``
+is the one route to them: the critical cone's affine hull and lineality
+bases and membership, both derived cones and the curvature form.
 
 Points are plain 1-d float arrays.  ``prox`` and ``clarke_element`` also
 act row-wise on stacks of points (..., dim), which the perturbation probe
@@ -86,20 +87,6 @@ class LinearOperatorElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-
-@dataclass
-class ConeDescriptor:
-    """Critical direction set of a piece at a subgradient pair.
-
-    affine_hull_basis spans the affine hull of the critical set,
-    lineality_basis its largest contained subspace; membership tests the
-    (non-affine) critical set itself.
-    """
-
-    affine_hull_basis: np.ndarray
-    lineality_basis: np.ndarray
-    membership: Callable[[np.ndarray, float], bool] = field(repr=False)
 
 
 @dataclass
@@ -222,11 +209,17 @@ class BlockStructure:
     def _coords(self, V: np.ndarray) -> np.ndarray:
         return V if self.frame is None else self.frame.T @ V
 
-    def descriptor(self) -> ConeDescriptor:
-        return ConeDescriptor(self._columns(self.critical != PINNED),
-                              self._columns(self.critical == FREE), self.member)
+    @property
+    def affine_hull_basis(self) -> np.ndarray:
+        """Orthonormal basis of the affine hull of the critical cone."""
+        return self._columns(self.critical != PINNED)
 
-    def member(self, d: np.ndarray, tol: float = 1e-9) -> bool:
+    @property
+    def lineality_basis(self) -> np.ndarray:
+        """Orthonormal basis of the largest subspace in the critical cone."""
+        return self._columns(self.critical == FREE)
+
+    def membership(self, d: np.ndarray, tol: float = 1e-9) -> bool:
         """Whether d lies in the critical cone, within tol in frame coordinates."""
         w, c = self._coords(np.asarray(d, dtype=float)), self.critical
         if (np.any(np.abs(w[c == PINNED]) > tol) or np.any(w[c == UP] < -tol)
@@ -286,8 +279,8 @@ class ConvexPiece:
     A piece kind is one subclass with a class-level ``kind`` plus one entry
     in PIECE_KINDS; the instance format, the analyzer and the verify
     suites reach it only through these methods.  A kind supplies its
-    block structure through ``_structure``; the descriptors, both cones
-    and the curvature form are derived from it by ``BlockStructure``.
+    block structure through ``_structure``; every second-order object is
+    read from the ``BlockStructure`` that ``structure`` returns.
     """
 
     kind: str = ""
@@ -384,23 +377,6 @@ class ConvexPiece:
         """The kind's block structure at a pair of float arrays, untested."""
         raise NotImplementedError
 
-    def curvature_form(self, xbar: np.ndarray, ubar: np.ndarray, V: np.ndarray,
-                       tol: float = 1e-8) -> np.ndarray:
-        return self.structure(xbar, ubar, tol).curvature_form(V)
-
-    def gamma(self, xbar: np.ndarray, ubar: np.ndarray, v: np.ndarray) -> float:
-        return self.structure(xbar, ubar).gamma(v)
-
-    def cone_descriptors(self, xbar: np.ndarray, ubar: np.ndarray,
-                         tol: float = 1e-8) -> ConeDescriptor:
-        return self.structure(xbar, ubar, tol).descriptor()
-
-    def critical_polar_cone(self, xbar: np.ndarray, ubar: np.ndarray) -> ConeModel:
-        return self.structure(xbar, ubar).critical_polar_cone()
-
-    def domain_normal_cone(self, xbar: np.ndarray, ubar: np.ndarray) -> ConeModel:
-        return self.structure(xbar, ubar).domain_normal_cone()
-
 
 def _check_sigma(sigma: float) -> None:
     if not sigma > 0.0:
@@ -458,8 +434,7 @@ class _SeparablePiece(ConvexPiece):
         return self._canonical(self._classify(np.asarray(z, dtype=float))[0])
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
-        if count < 1:
-            raise ValueError("count must be at least 1")
+        check_integer("count", count, 1)
         check_integer("seed", seed, 0)
         state, _ = self._classify(np.asarray(z, dtype=float))
         kinks = np.flatnonzero(state == 2)
@@ -554,6 +529,8 @@ class BoxIndicator(_SeparablePiece):
             raise ValueError("lower and upper must have the same shape")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("box bounds must not be NaN")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("the box is empty: a lower bound is +inf or an upper bound -inf")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         self.dim = lower.size
@@ -756,8 +733,7 @@ class PSDConeIndicator(ConvexPiece):
 
     def sample_clarke(self, z, count, seed):
         # canonical, then base + K_beta Z K_beta^T (base: beta-beta weights zeroed)
-        if count < 1:
-            raise ValueError("count must be at least 1")
+        check_integer("count", count, 1)
         check_integer("seed", seed, 0)
         lam, K, w = self._coupled(z)
         elements = [LinearOperatorElement(_gram(K, w), f"{self.kind}:canonical(beta=I)")]
@@ -927,11 +903,11 @@ def sample_clarke(piece: ConvexPiece, z, count: int, seed: int):
 
 
 def gamma(piece: ConvexPiece, xbar, ubar, v):
-    return piece.gamma(xbar, ubar, v)
+    return piece.structure(xbar, ubar).gamma(v)
 
 
-def cone_descriptors(piece: ConvexPiece, xbar, ubar):
-    return piece.cone_descriptors(xbar, ubar)
+def cone_descriptors(piece: ConvexPiece, xbar, ubar) -> BlockStructure:
+    return piece.structure(xbar, ubar)
 
 
 def gamma_oracle(piece: ConvexPiece, xbar, ubar, v,

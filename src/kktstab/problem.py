@@ -233,8 +233,7 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
     ConvexPiece.sample_clarke), the combinations are distinct, and the -U
     block of each element carries every block's matrix exactly.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    check_integer("count", count, 1)
     check_integer("seed", seed, 0)
     pt = as_point(problem, z)
     w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu

@@ -174,10 +174,10 @@ class AnalysisPoint:
     """A point tested once against the KKT system at ``tol``, with J and
     the block pairs (piece, F(x)_b, mu_b).  ``tol`` is also the tolerance
     of the pieces' subgradient tests; ``None`` skips the KKT test and
-    keeps their default 1e-8.  The block structures, and from them the
-    descriptors and the product cones, null(J^T) and each cone-search
-    result are computed on first use and kept, so checks that share one
-    point compute each of them once.
+    keeps their default 1e-8.  The block structures (which give the
+    critical-cone bases), the product cones, null(J^T) and each
+    cone-search result are computed on first use and kept, so checks that
+    share one point compute each of them once.
     """
 
     def __init__(self, problem: CompositeProblem, z, tol: float | None = 1e-8):
@@ -202,10 +202,6 @@ class AnalysisPoint:
     @functools.cached_property
     def structures(self) -> list:
         return [p.structure(xb, ub, self.tol) for p, xb, ub in self.pairs]
-
-    @functools.cached_property
-    def descriptors(self) -> list:
-        return [s.descriptor() for s in self.structures]
 
     @functools.cached_property
     def critical_polar_cone(self) -> ConeModel:
@@ -274,13 +270,13 @@ def critical_subspace(problem: CompositeProblem, zbar) -> CriticalSubspace:
     """Primal directions mapped by the Jacobian into the blockwise affine
     hulls of the critical sets."""
     point = analysis_point(problem, zbar)
-    return point.preimage([d.affine_hull_basis for d in point.descriptors])
+    return point.preimage([s.affine_hull_basis for s in point.structures])
 
 
 def critical_subspace_from_samples(problem: CompositeProblem, zbar,
                                    count: int = 16, seed: int = 0) -> CriticalSubspace:
     """Same subspace, but derived from the ranges of sampled prox elements
-    instead of the closed-form descriptors; used as an independent
+    instead of the closed-form affine hulls; used as an independent
     cross-check of the domain identity."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar)
@@ -296,7 +292,7 @@ def nondegeneracy_check(problem: CompositeProblem, zbar,
     """Rank test: the Jacobian range plus the blockwise lineality spaces
     must fill the whole image space."""
     point = analysis_point(problem, zbar, tol)
-    rank = point.joint_rank([d.lineality_basis for d in point.descriptors], tol)
+    rank = point.joint_rank([s.lineality_basis for s in point.structures], tol)
     status = "holds" if rank == problem.m else "fails"
     return Verdict(status, tol, f"rank {rank} of {problem.m}")
 
@@ -442,7 +438,7 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     if not point.critical_polar_cone.polyhedral:
         # necessary span test: the Jacobian range plus the affine hull of
         # the critical set must already fill the image space
-        rank = point.joint_rank([d.affine_hull_basis for d in point.descriptors], tol)
+        rank = point.joint_rank([s.affine_hull_basis for s in point.structures], tol)
         if rank < problem.m:
             return Verdict("fails", tol, f"span test rank {rank} of {problem.m}")
     _, status = point.cone_search("critical_polar_cone", tol, budget, seed)
@@ -706,10 +702,9 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
     curvature minimum for directions drawn from the sampled ranges.
     """
     structure = piece.structure(xbar, ubar)
-    desc = structure.descriptor()
     range_cols = np.hstack([el.matrix for el in samples])
     S_range = orthonormal_span(range_cols)
-    res_range = mutual_span_residual(S_range, desc.affine_hull_basis)
+    res_range = mutual_span_residual(S_range, structure.affine_hull_basis)
     range_verdict = Verdict(
         "evidence-for" if res_range <= tol else "counterexample-found",
         tol, f"mutual span residual {res_range:.3e}")
@@ -717,7 +712,7 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
     null_bases = [nullspace(el.matrix) for el in samples]
     cols = np.hstack(null_bases) if null_bases else np.zeros((piece.dim, 0))
     S_null = orthonormal_span(cols)
-    complement = nullspace(desc.lineality_basis.T)
+    complement = nullspace(structure.lineality_basis.T)
     res_null = mutual_span_residual(S_null, complement)
     kernel_verdict = Verdict(
         "evidence-for" if res_null <= tol else "counterexample-found",

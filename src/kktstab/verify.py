@@ -157,11 +157,12 @@ def check_gamma_properties(n_draws=100, seed=4, count=16):
     worst_gap = 0.0
     domain_mismatch = 0
     for name, piece, xbar, ubar in pair_battery():
+        structure = piece.structure(xbar, ubar)
         samples = piece.sample_clarke(xbar + ubar, count, seed)
         for _ in range(n_draws):
             el = samples[int(rng.integers(0, len(samples)))]
             v = el.matrix @ rng.standard_normal(piece.dim)
-            closed = piece.gamma(xbar, ubar, v)
+            closed = structure.gamma(v)
             oracle = gamma_oracle(piece, xbar, ubar, v, samples)
             if np.isfinite(closed):
                 worst_neg = max(worst_neg, -closed)
@@ -180,6 +181,7 @@ def check_gamma_fixed_point_bound(n_draws=50, seed=5, count=12):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, piece, xbar, ubar in pair_battery():
+        structure = piece.structure(xbar, ubar)
         samples = piece.sample_clarke(xbar + ubar, count, seed)
         for _ in range(n_draws):
             el = samples[int(rng.integers(0, len(samples)))]
@@ -193,7 +195,7 @@ def check_gamma_fixed_point_bound(n_draws=50, seed=5, count=12):
             d = Q @ dt
             if np.linalg.norm(v - M @ (v + d)) > 1e-8 * (1.0 + np.linalg.norm(v)):
                 continue
-            val = piece.gamma(xbar, ubar, v)
+            val = structure.gamma(v)
             if np.isfinite(val):
                 worst = max(worst, val - float(np.dot(v, d)))
     return ("curvature fixed-point upper bound", worst <= 1e-8,

@@ -292,6 +292,12 @@ def _malformed(path, value):
      "pencil_const must be a square matrix, got shape ()"),
     (("F", "builtin", "params", "pencil_const"), [1.0, 0.0],
      "pencil_const must be a square matrix, got shape (2,)"),
+    (("g", 0, "inner"), {"kind": "box_indicator", "lower": [np.inf], "upper": [np.inf]},
+     "piece 'box_indicator' has an invalid value in {'lower': [inf], 'upper': [inf]}: "
+     "the box is empty: a lower bound is +inf or an upper bound -inf"),
+    (("g", 0, "inner"), {"kind": "box_indicator", "lower": [-np.inf], "upper": [-np.inf]},
+     "piece 'box_indicator' has an invalid value in {'lower': [-inf], 'upper': [-inf]}: "
+     "the box is empty: a lower bound is +inf or an upper bound -inf"),
 ])
 def test_cli_malformed_instance_shape_is_one_line_error(tmp_path, capsys, path, value, message):
     f = tmp_path / "bad.json"

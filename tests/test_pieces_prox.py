@@ -309,7 +309,7 @@ def test_psd_cone_descriptor_bases_match_loop_oracle():
         piece = PSDConeIndicator(case[0])
         xbar = piece.prox(z)
         ubar = z - xbar
-        desc = piece.cone_descriptors(xbar, ubar)
+        desc = piece.structure(xbar, ubar)
         aff, lin = cone_bases_loop(piece, xbar, ubar)
         assert desc.affine_hull_basis.shape == aff.shape, case
         assert desc.lineality_basis.shape == lin.shape, case
@@ -336,16 +336,17 @@ def test_cone_projections_act_row_wise_on_stacks():
         xbar = piece.prox(z)
         ubar = z - xbar
         for name in ("critical_polar_cone", "domain_normal_cone"):
-            assert_projects_row_wise(getattr(piece, name)(xbar, ubar), rng)
-            assert_projects_row_wise(getattr(lifted, name)(np.concatenate([[0.5], xbar]),
-                                                           np.concatenate([[1.0], ubar])), rng)
+            assert_projects_row_wise(getattr(piece.structure(xbar, ubar), name)(), rng)
+            lifted_st = lifted.structure(np.concatenate([[0.5], xbar]),
+                                         np.concatenate([[1.0], ubar]))
+            assert_projects_row_wise(getattr(lifted_st, name)(), rng)
     for piece, z in ((OrthantIndicator(4), np.array([1.0, -1.0, 0.0, 2.0])),
                      (BoxIndicator([-1.0, 0.0, -np.inf], [1.0, 0.0, 2.0]),
                       np.array([0.5, 3.0, 2.0])),
                      (L1Norm(3), np.array([2.0, 1.0, -0.5]))):
         xbar = piece.prox(z)
-        for cone in (piece.critical_polar_cone(xbar, z - xbar),
-                     piece.domain_normal_cone(xbar, z - xbar)):
+        st = piece.structure(xbar, z - xbar)
+        for cone in (st.critical_polar_cone(), st.domain_normal_cone()):
             assert cone.polyhedral
             assert_projects_row_wise(cone, rng)
 
@@ -478,7 +479,7 @@ def test_box_array_forms_match_loop_oracle():
                 elif np.isfinite(lo) and z[i] < sigma * lo:
                     direct[i] = z[i] - sigma * lo
             assert np.array_equal(piece.prox_conjugate_direct(z, sigma), direct)
-        cone = piece.domain_normal_cone(piece.prox(z), z - piece.prox(z))
+        cone = piece.structure(piece.prox(z), z - piece.prox(z)).domain_normal_cone()
         x = piece.prox(z)
         s = 1e-12 * (1.0 + np.linalg.norm(x))
         for i in range(5):

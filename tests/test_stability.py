@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -47,7 +48,12 @@ from kktstab.stability import (
     reduced_quadratic_form,
 )
 from kktstab.problem import sample_elements_R
-from kktstab.verify import pair_battery, run_suite
+from kktstab.verify import (
+    check_gamma_fixed_point_bound,
+    check_gamma_properties,
+    pair_battery,
+    run_suite,
+)
 from test_pieces_prox import _psd_structures, assert_projects_row_wise
 
 FAST = AnalyzerOptions(num_delta=20, srcq_budget=400)
@@ -293,8 +299,8 @@ def test_ap_nonzero_points_matches_loop_oracle():
     counts = []
     for lam in ([2.0, 0.0, -1.0], [0.0, 0.0, -1.5, -0.5], [0.0, 0.0, 0.0]):
         piece, xbar, ubar = _lifted_psd_pair(lam, rng)
-        for cone in (piece.critical_polar_cone(xbar, ubar),
-                     piece.domain_normal_cone(xbar, ubar)):
+        st = piece.structure(xbar, ubar)
+        for cone in (st.critical_polar_cone(), st.domain_normal_cone()):
             for p in (2, cone.dim - 1):
                 N, _ = np.linalg.qr(rng.standard_normal((cone.dim, p)))
                 for seed in (0, 7):
@@ -314,8 +320,9 @@ def test_ap_nonzero_points_every_restart_dies():
     e0 = np.zeros((piece.dim, 1))
     e0[0, 0] = 1.0
     N, _ = np.linalg.qr(rng.standard_normal((piece.dim, 2)))
-    for cone, P_sub in ((piece.domain_normal_cone(xbar, ubar), e0 @ e0.T),
-                        (piece.critical_polar_cone(xbar, ubar), N @ N.T)):
+    st = piece.structure(xbar, ubar)
+    for cone, P_sub in ((st.domain_normal_cone(), e0 @ e0.T),
+                        (st.critical_polar_cone(), N @ N.T)):
         assert _assert_same_candidates(P_sub, cone, 30, 0) == 0
 
 
@@ -332,7 +339,7 @@ def test_product_cone_projects_row_wise():
     zo = np.array([1.0, -1.0])
     pairs = [(psd, xp, up), (orth, orth.prox(zo), zo - orth.prox(zo)), (psd, xp, up)]
     for name in ("critical_polar_cone", "domain_normal_cone"):
-        models = [getattr(p, name)(xb, ub) for p, xb, ub in pairs]
+        models = [getattr(p.structure(xb, ub), name)() for p, xb, ub in pairs]
         cone = _product_cone(_blocks_problem([p for p, _, _ in pairs]), models)
         assert not cone.polyhedral
         assert_projects_row_wise(cone, rng)
@@ -364,7 +371,7 @@ def reduced_quadratic_form_polarized(problem, pt, basis):
                      problem.blocks(pt.mu)))
 
     def curvature(d):
-        return sum(p.gamma(xb, ub, vb)
+        return sum(p.structure(xb, ub).gamma(vb)
                    for (p, xb, ub), vb in zip(pairs, problem.blocks(J @ d)))
 
     H = problem.F.weighted_hessian(pt.x, pt.mu)
@@ -393,18 +400,19 @@ def test_curvature_form_matches_polarized_gamma():
     seen_outside = 0
     for name, piece, xbar, ubar in _curvature_pairs():
         # the curvature domain is the span of the critical set's affine hull
-        aff = piece.cone_descriptors(xbar, ubar).affine_hull_basis
+        st = piece.structure(xbar, ubar)
+        aff = st.affine_hull_basis
         for k in range(1, 7):
             V = aff @ rng.standard_normal((aff.shape[1], k))
-            form = piece.curvature_form(xbar, ubar, V)
-            _assert_close(form, polarized(lambda v: piece.gamma(xbar, ubar, v), V), (name, k))
+            form = st.curvature_form(V)
+            _assert_close(form, polarized(st.gamma, V), (name, k))
             assert np.array_equal(form, form.T), name
         if aff.shape[1] < piece.dim:
             seen_outside += 1
             W = np.hstack([V, rng.standard_normal((piece.dim, 1))])
-            form = piece.curvature_form(xbar, ubar, W)
+            form = st.curvature_form(W)
             assert form[-1, -1] == np.inf and np.array_equal(form, form.T), name
-            _assert_close(form[:-1, :-1], piece.curvature_form(xbar, ubar, V), name)
+            _assert_close(form[:-1, :-1], st.curvature_form(V), name)
     assert seen_outside >= 5
 
 
@@ -437,7 +445,7 @@ def test_reduced_quadratic_form_matches_polarization():
     groups = [pairs[i:i + 3] for i in range(0, len(pairs), 3)]
     raised = 0
     for group in groups:
-        affs = [p.cone_descriptors(xb, ub).affine_hull_basis for p, xb, ub in group]
+        affs = [p.structure(xb, ub).affine_hull_basis for p, xb, ub in group]
         problem, pt = _linear_problem(group, affs, rng)
         if problem.n:
             basis, _ = np.linalg.qr(rng.standard_normal((problem.n, min(problem.n, 6))))
@@ -545,6 +553,23 @@ def test_each_block_is_handled_once_per_report(monkeypatch, name):
     assert sorted(map(id, calls["structure"])) == sorted(blocks)
     assert sorted(map(id, calls["check_subgradient"])) == sorted(blocks)
     assert len(calls["split"]) == len(psd)
+
+
+@pytest.mark.parametrize("check", [check_gamma_properties, check_gamma_fixed_point_bound])
+def test_gamma_checks_build_one_structure_per_pair(monkeypatch, check):
+    import kktstab.pieces as pc
+
+    built = []
+    original = pc.ConvexPiece.structure
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(pc.ConvexPiece, "structure", counted)
+    _, ok, detail = check()
+    assert ok, detail
+    assert len(built) == len(pair_battery())
 
 
 def test_checks_accept_an_array_a_kkt_point_or_an_analysis_point():
@@ -746,36 +771,54 @@ def test_probe_arguments_are_validated(kwargs, message):
         AnalyzerOptions(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["l1_toy", "sdp_degenerate"])  # smooth, kink
-@pytest.mark.parametrize("seed", [-1, -2, 1.0, True])
-def test_seeded_entry_points_reject_a_bad_seed(name, seed):
+def _sampling_calls(name):
+    """The battery problem, its known solution z (smooth for l1_toy, at a
+    kink for sdp_degenerate) and every entry point that samples elements,
+    as call(count, seed): the problem's samplers at z, and every piece's
+    sampler at smooth points and at kinks alike."""
     problem, meta = load_battery(name)
     z = meta.known_solution
     w = problem.F.eval(z.x) + z.mu
     assert all(p.smooth_at(wb) for p, wb in zip(problem.pieces, problem.blocks(w))) == (
         name == "l1_toy")
-    calls = [lambda s: sample_elements_R(problem, z, 8, s),
-             lambda s: AnalysisPoint(problem, z).cone_search("critical_polar_cone", 1e-8, 10, s),
-             lambda s: critical_subspace_from_samples(problem, z, seed=s),
+    calls = [lambda c, s: sample_elements_R(problem, z, c, s),
+             lambda c, s: critical_subspace_from_samples(problem, z, count=c, seed=s),
+             lambda c, s: nonsingularity_sweep(problem, z, count=c, seed=s)]
+    if name == "l1_toy":
+        # its kink (0, 1), not a KKT point, where numpy used to object
+        calls.append(lambda c, s: sample_elements_R(problem, np.array([0.0, 1.0]), c, s))
+    for other in BATTERY_NAMES:
+        prob, m = load_battery(other)
+        wo = prob.F.eval(m.known_solution.x) + m.known_solution.mu
+        calls += [lambda c, s, p=p, wb=wb: sample_clarke(p, wb, c, s)
+                  for p, wb in zip(prob.pieces, prob.blocks(wo))]
+    calls.append(lambda c, s: sample_clarke(L1Norm(2), [1.0, 0.3], c, s))
+    return problem, z, calls
+
+
+@pytest.mark.parametrize("name", ["l1_toy", "sdp_degenerate"])  # smooth, kink
+@pytest.mark.parametrize("seed", [-1, -2, 1.0, True])
+def test_seeded_entry_points_reject_a_bad_seed(name, seed):
+    problem, z, sampling = _sampling_calls(name)
+    calls = [lambda s: AnalysisPoint(problem, z).cone_search("critical_polar_cone", 1e-8, 10, s),
              lambda s: rcq_check(problem, z, budget=10, seed=s),
              lambda s: srcq_check(problem, z, budget=10, seed=s),
              lambda s: multiplier_uniqueness(problem, z, budget=10, seed=s),
              lambda s: ssosc_check(problem, z, budget=10, seed=s),
-             lambda s: nonsingularity_sweep(problem, z, count=8, seed=s),
              lambda s: run_suite("prox", seed=s)]
-    if name == "l1_toy":
-        # its kink (0, 1), not a KKT point, where numpy used to object
-        calls.append(lambda s: sample_elements_R(problem, np.array([0.0, 1.0]), 8, s))
-    # every piece's sampler, at smooth points and at kinks alike
-    for other in BATTERY_NAMES:
-        prob, m = load_battery(other)
-        wo = prob.F.eval(m.known_solution.x) + m.known_solution.mu
-        calls += [lambda s, p=p, wb=wb: sample_clarke(p, wb, 4, s)
-                  for p, wb in zip(prob.pieces, prob.blocks(wo))]
-    calls.append(lambda s: sample_clarke(L1Norm(2), [1.0, 0.3], 4, s))
+    calls += [lambda s, f=f: f(8, s) for f in sampling]
     for call in calls:
         with pytest.raises(ValueError, match=f"seed must be an integer of at least 0, got {seed!r}"):
             call(seed)
+
+
+@pytest.mark.parametrize("name", ["l1_toy", "sdp_degenerate"])  # smooth, kink
+@pytest.mark.parametrize("count", [0, 2.5, True])
+def test_sampling_entry_points_reject_a_bad_count(name, count):
+    for call in _sampling_calls(name)[2]:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"count must be an integer of at least 1, got {count!r}")):
+            call(count, 0)
 
 
 # ----------------------------------------------------------------------
