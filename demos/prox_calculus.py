@@ -18,15 +18,17 @@ from kktstab import (
     smat,
     svec,
 )
+from kktstab.symmat import coupling
 
 np.set_printoptions(precision=4, suppress=True)
 
 print("== eigenvalue split of A = diag(2, 0, -1)")
-sp = eig_split(np.diag([2.0, 0.0, -1.0]))
-print(f"positive set {list(sp.alpha)}, zero set {list(sp.beta)}, "
-      f"negative set {list(sp.gamma)}")
+lam, _, _ = eig_split(svec(np.diag([2.0, 0.0, -1.0])))
+print(f"positive set {list(np.flatnonzero(lam > 0))}, zero set {list(np.flatnonzero(lam == 0))}, "
+      f"negative set {list(np.flatnonzero(lam < 0))}")
 print("coupling matrix (0/0 := 1 convention):")
-print(sp.Sigma)
+ix = np.arange(lam.size)
+print(coupling(lam, ix[:, None], ix))
 
 print("\n== projection onto the semidefinite cone")
 psd = PSDConeIndicator(2)

@@ -5,7 +5,6 @@ analyzer with an empirical strong-regularity cross-check."""
 from ._version import __version__
 from .symmat import (
     EigenDecompositionError,
-    SpectralSplit,
     conjugation_matrix,
     eig_split,
     smat,

@@ -51,6 +51,15 @@ def _finite(value, field: str) -> np.ndarray:
     return arr
 
 
+def _vector(value, field: str) -> np.ndarray:
+    """The value as a finite 1-d float array; a number is one entry, as
+    for a box bound."""
+    arr = np.atleast_1d(_finite(value, field))
+    if arr.ndim != 1:
+        raise InstanceFormatError(f"{field} must be a 1-d array, got shape {arr.shape}")
+    return arr
+
+
 def _expect(value, kind: type, field: str):
     """The value, which must be a JSON object (kind dict) or array (list)."""
     if not isinstance(value, kind):
@@ -66,7 +75,7 @@ def _poly_output(n: int, out: dict, label: str) -> tuple[float, np.ndarray, np.n
     """(const, linear, symmetrized quadratic) of one polynomial output."""
     _expect(out, dict, label)
     c = float(_finite(out.get("const", 0.0), f"{label}: const"))
-    a = _finite(out.get("linear", np.zeros(n)), f"{label}: linear part")
+    a = _vector(out.get("linear", np.zeros(n)), f"{label}: linear part")
     if a.size != n:
         raise DimensionError(f"{label}: linear part has {a.size} entries, expected n={n}")
     if "quadratic" not in out:
@@ -179,8 +188,8 @@ def parse_piece(spec: dict) -> ConvexPiece:
 
 def _parse_point(problem: CompositeProblem, data: dict, label: str) -> KKTPoint:
     try:
-        x = _finite(data["x"], f"{label}: x")
-        mu = _finite(data["mu"], f"{label}: mu")
+        x = _vector(data["x"], f"{label}: x")
+        mu = _vector(data["mu"], f"{label}: mu")
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"{label}: expected fields 'x' and 'mu'") from exc
     if x.size != problem.n or mu.size != problem.m:

@@ -34,11 +34,9 @@ import numpy as np
 
 from .newton import check_integer
 from .symmat import (
-    SpectralSplit,
     conjugation_matrix,
     coupling,
     eig_split,
-    eigh_descending,
     smat,
     svec,
     svec_dim,
@@ -57,11 +55,14 @@ PSD_PATTERN_CAP = 32
 
 _DEDUP_TOL = 1e-12
 
-# Class codes of the frame coordinates of a block structure, and the code
-# of each class's polar: {0} <-> R, [0, inf) <-> (-inf, 0], and a PSD
-# block to an NSD block
+# Class codes of the frame coordinates of a block structure, the code of
+# each class's polar ({0} <-> R, [0, inf) <-> (-inf, 0], and a PSD block
+# to an NSD block), and the interval bounds of each class in a derived
+# cone, where a block coordinate is unbounded before its NSD projection
 PINNED, FREE, UP, DOWN, BLOCK = range(5)
 _POLAR = np.array([FREE, PINNED, DOWN, UP, BLOCK])
+_LOWER = np.array([0.0, -np.inf, 0.0, -np.inf, -np.inf])
+_UPPER = np.array([0.0, np.inf, np.inf, 0.0, np.inf])
 
 
 class SubgradientError(ValueError):
@@ -239,8 +240,7 @@ class BlockStructure:
     def _cone(self, codes: np.ndarray) -> ConeModel:
         # an interval per coordinate, and an NSD projection of the block,
         # whose coordinates in frame order are the svec image of the block
-        lower = np.where(np.isin(codes, (FREE, DOWN, BLOCK)), -np.inf, 0.0)
-        upper = np.where(np.isin(codes, (FREE, UP, BLOCK)), np.inf, 0.0)
+        lower, upper = _LOWER[codes], _UPPER[codes]
         if self.frame is None:
             return _interval_cone(lower, upper)
         frame, block = self.frame, codes == BLOCK
@@ -525,6 +525,9 @@ class BoxIndicator(_SeparablePiece):
     def __init__(self, lower, upper):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        for name, bound in (("lower", lower), ("upper", upper)):
+            if bound.ndim != 1:
+                raise ValueError(f"{name} must be a 1-d array, got shape {bound.shape}")
         if lower.shape != upper.shape:
             raise ValueError("lower and upper must have the same shape")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
@@ -654,9 +657,10 @@ class L1Norm(_SeparablePiece):
 class PSDConeIndicator(ConvexPiece):
     """Indicator of the positive semidefinite cone in svec coordinates.
 
-    All second-order objects are driven by the eigenvalue split of
-    A = smat(xbar + ubar) into positive (alpha), zero (beta) and negative
-    (gamma) parts.
+    Every method that needs its point's eigenvalues takes them from one
+    ``eig_split`` call: the positive (alpha), zero (beta) and negative
+    (gamma) index sets are the signs of the clamped eigenvalues, and the
+    coupling coefficients come from ``coupling``.
     """
 
     kind = "psd_indicator"
@@ -672,57 +676,52 @@ class PSDConeIndicator(ConvexPiece):
     def spec(self):
         return {"kind": self.kind, "order": self.order}
 
-    # -- split helpers ----------------------------------------------------
-    def split(self, z: np.ndarray) -> SpectralSplit:
-        return eig_split(smat(np.asarray(z, dtype=float)))
-
     def value(self, z, tol=1e-9):
-        sp = self.split(z)
         scale = tol * (1.0 + float(np.linalg.norm(z)))
-        return 0.0 if np.all(sp.lam >= -scale) else float("inf")
+        return 0.0 if np.all(eig_split(z)[0] >= -scale) else float("inf")
 
     def conjugate_value(self, w, tol=1e-9):
-        sp = self.split(w)
         scale = tol * (1.0 + float(np.linalg.norm(w)))
-        return 0.0 if np.all(sp.lam <= scale) else float("inf")
+        return 0.0 if np.all(eig_split(w)[0] <= scale) else float("inf")
 
     def prox_value(self, p):
         return 0.0
 
     def prox(self, z, sigma=1.0):
         _check_sigma(sigma)
-        lam, P, _ = eigh_descending(smat(z))
+        lam, P, _ = eig_split(z)
         return svec(P @ _diagonal(np.maximum(lam, 0.0)) @ P.swapaxes(-1, -2))
 
     def prox_conjugate_direct(self, z, sigma=1.0):
         # projection onto the negative semidefinite cone
-        sp = self.split(z)
-        return svec(sp.P @ np.diag(np.minimum(sp.lam, 0.0)) @ sp.P.T)
+        lam, P, _ = eig_split(z)
+        return svec(P @ np.diag(np.minimum(lam, 0.0)) @ P.T)
 
     def smooth_at(self, z, margin=1e-3):
-        return bool(np.min(np.abs(self.split(z).lam)) > margin)
+        return bool(np.min(np.abs(eig_split(z)[0])) > margin)
 
     def split_unstable(self, z, floor=1e-4):
-        sp = self.split(z)
-        nonzero = np.abs(sp.lam[np.abs(sp.lam) > sp.tol_eig])
+        lam = eig_split(z)[0]
+        nonzero = np.abs(lam[lam != 0.0])
         return bool(nonzero.size and nonzero.min() < floor)
 
     def prox_dirderiv(self, z, d):
         # Sigma o (P^T D P), its beta-beta block (Sigma = 1) projected onto the PSD cone
-        sp = self.split(z)
-        V = sp.Sigma * (sp.P.T @ smat(np.asarray(d, dtype=float)) @ sp.P)
-        b = sp.beta
+        lam, P, _ = eig_split(z)
+        ix = np.arange(self.order)
+        V = coupling(lam, ix[:, None], ix) * (P.T @ smat(d) @ P)
+        b = np.flatnonzero(lam == 0.0)
         if b.size:
             Dbb = V[np.ix_(b, b)]
             w, Q = np.linalg.eigh(0.5 * (Dbb + Dbb.T))
             V[np.ix_(b, b)] = Q @ np.diag(np.maximum(w, 0.0)) @ Q.T
-        return svec(sp.P @ V @ sp.P.T)
+        return svec(P @ V @ P.T)
 
     # -- elements ---------------------------------------------------------
     def _coupled(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """lam, K = conjugation_matrix(P) and the coupling weights Sigma[rows, cols]
         of the svec coordinates, at a point or at each row of a stack."""
-        lam, P, _ = eigh_descending(smat(z))
+        lam, P, _ = eig_split(z)
         lay = svec_layout(self.order)
         return lam, conjugation_matrix(P), coupling(lam, lay.rows, lay.cols)
 
@@ -766,13 +765,13 @@ class PSDConeIndicator(ConvexPiece):
         # beta-gamma and gamma-gamma; normal cone: pinned on alpha rows,
         # NSD on the rest.  Sun's sigma term weighs alpha-gamma by
         # -lam_j / lam_i (its -2 lam_g / lam_a per matrix entry).
-        sp = self.split(xbar + ubar)
+        lam, P, _ = eig_split(xbar + ubar)
         lay = svec_layout(self.order)
-        li, lj = sp.lam[lay.rows], sp.lam[lay.cols]
+        li, lj = lam[lay.rows], lam[lay.cols]
         alpha = li > 0.0
         critical = np.where(alpha, FREE, np.where((li == 0.0) & (lj == 0.0), BLOCK, PINNED))
         weight = np.where(alpha & (lj < 0.0), -lj / np.where(alpha, li, 1.0), 0.0)
-        return BlockStructure(conjugation_matrix(sp.P), critical,
+        return BlockStructure(conjugation_matrix(P), critical,
                               np.where(alpha, PINNED, BLOCK), weight)
 
 

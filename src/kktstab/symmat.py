@@ -19,10 +19,16 @@ closed form
 
 with s = 1/sqrt(2) on diagonal coordinates and 1 elsewhere.  It holds for
 any square P; K is orthogonal when P is.
+
+``eig_split`` is the one eigendecomposition behind the PSD cone: it takes
+svec coordinates, one vector or a stack, and returns the eigenvalues in
+descending order with those near zero clamped to exactly 0, so that the
+positive, zero and negative index sets (alpha, beta, gamma) are the signs
+of lambda.  ``coupling`` gives the coefficient Sigma_ij of any index
+pairs, the one copy of that formula.
 """
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -112,82 +118,30 @@ def conjugation_matrix(P: np.ndarray) -> np.ndarray:
     return K
 
 
-@dataclass
-class SpectralSplit:
-    """Eigendecomposition of a symmetric matrix with index partition.
-
-    Eigenvalues are sorted in descending order and clamped to exactly zero
-    on the beta set.  Sigma holds the coupling coefficients of every index
-    pair (see coupling).
-    """
-
-    P: np.ndarray
-    lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    tol_eig: float
-    Sigma: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.lam.size
-
-
-def eigh_descending(S: np.ndarray, tol_eig: float | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eig_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues in descending order, eigenvectors as columns in the same
-    order, and the zero threshold, of a symmetric matrix or of each one in
-    a stack (..., m, m).
+    order, and the zero threshold, of smat(v) for an svec vector v or for
+    each row of a stack (..., d).
 
-    Eigenvalues within the threshold of zero are set to exactly zero.  The
-    threshold is tol_eig, or 1e-8 * max(1, max|lambda|) of each matrix.
+    Eigenvalues within the threshold 1e-8 * max(1, max|lambda|) of zero
+    are set to exactly zero, so the positive, zero and negative index sets
+    are the signs of lambda.
     """
-    S = np.asarray(S, dtype=float)
+    S = smat(v)
     try:
         w, P = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         norm = float(np.linalg.norm(S))
-        cond = norm / max(1e-8 * max(1.0, norm) if tol_eig is None else tol_eig, 1e-300)
         raise EigenDecompositionError(
             f"eigendecomposition failed for {S.shape[-2]}x{S.shape[-1]} matrix "
-            f"(condition estimate {cond:.3e})"
+            f"(condition estimate {norm / (1e-8 * max(1.0, norm)):.3e})"
         ) from exc
-    if tol_eig is None:
-        tol_eig = 1e-8 * np.fmax(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
-    tol = np.asarray(tol_eig, dtype=float)
+    tol = np.asarray(1e-8 * np.fmax(1.0, np.max(np.abs(w), axis=-1, initial=0.0)))
     order = np.argsort(w, axis=-1)[..., ::-1]
     lam = np.take_along_axis(w, order, axis=-1)
     P = np.take_along_axis(P, order[..., None, :], axis=-1)
     lam[np.abs(lam) <= tol[..., None]] = 0.0
     return lam, P, tol
-
-
-def eig_split(A: np.ndarray, tol_eig: float | None = None) -> SpectralSplit:
-    """Split a symmetric matrix into positive / zero / negative eigenspaces.
-
-    Parameters
-    ----------
-    A : ndarray
-        Symmetric matrix; asymmetry beyond 1e-12 * max(1, ||A||) is rejected.
-    tol_eig : float, optional
-        Absolute threshold deciding the zero set; defaults to
-        1e-8 * max(1, max|lambda|), which is 1e-8 * max(1, ||A||_2).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.T) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12 * ||A||")
-    lam, P, tol_eig = eigh_descending(0.5 * (A + A.T), tol_eig)
-    tol_eig = float(tol_eig)
-    alpha = np.where(lam > tol_eig)[0]
-    beta = np.where(np.abs(lam) <= tol_eig)[0]
-    gamma = np.where(lam < -tol_eig)[0]
-    ix = np.arange(lam.size)
-    return SpectralSplit(P=P, lam=lam, alpha=alpha, beta=beta, gamma=gamma,
-                         tol_eig=tol_eig, Sigma=coupling(lam, ix[:, None], ix))
 
 
 def coupling(lam: np.ndarray, i, j) -> np.ndarray:

@@ -12,6 +12,7 @@ from kktstab import (
     critical_subspace,
     critical_subspace_from_samples,
     dumps_report,
+    eig_split,
     equivalence_report,
     gamma,
     gamma_oracle,
@@ -69,8 +70,8 @@ def test_c3_psd_derivative_and_curvature_suite():
         drawn = 0
         while drawn < 100:
             z = 2.0 * rng.standard_normal(piece.dim)
-            sp = piece.split(z)
-            nz = np.abs(sp.lam[np.abs(sp.lam) > sp.tol_eig])
+            lam, _, tol = eig_split(z)
+            nz = np.abs(lam[np.abs(lam) > tol])
             if nz.size and nz.min() < 1e-4:
                 continue
             d = rng.standard_normal(piece.dim)
@@ -82,7 +83,7 @@ def test_c3_psd_derivative_and_curvature_suite():
     ok_fd = worst_fd <= 1e-5
 
     piece, xbar, ubar = _psd_pair_full()
-    sp = piece.split(xbar + ubar)
+    P = eig_split(xbar + ubar)[1]
     K = np.eye(3)  # A is diagonal: eigenvector frame is a signed permutation
     samples = sample_clarke(piece, xbar + ubar, 24, seed=105)
     worst_gap = 0.0
@@ -100,7 +101,7 @@ def test_c3_psd_derivative_and_curvature_suite():
         Vt[1, 2] = Vt[2, 1] = 1.0 + rng.uniform(0, 1)
         Vt[2, 2] = rng.standard_normal()
         Vt[0, 0] = rng.standard_normal()
-        v = svec(sp.P @ Vt @ sp.P.T)
+        v = svec(P @ Vt @ P.T)
         closed = gamma(piece, xbar, ubar, v)
         oracle = gamma_oracle(piece, xbar, ubar, v, samples)
         if not np.isfinite(closed) and not np.isfinite(oracle):

@@ -298,6 +298,22 @@ def _malformed(path, value):
     (("g", 0, "inner"), {"kind": "box_indicator", "lower": [-np.inf], "upper": [-np.inf]},
      "piece 'box_indicator' has an invalid value in {'lower': [-inf], 'upper': [-inf]}: "
      "the box is empty: a lower bound is +inf or an upper bound -inf"),
+    # a nested list is not a vector; the message names its field
+    (("g", 0, "inner"), {"kind": "box_indicator", "lower": [[-1.0]], "upper": [[0.0]]},
+     "piece 'box_indicator' has an invalid value in {'lower': [[-1.0]], 'upper': [[0.0]]}: "
+     "lower must be a 1-d array, got shape (1, 1)"),
+    (("g", 0, "inner"), {"kind": "box_indicator", "lower": [-1.0], "upper": [[0.0]]},
+     "piece 'box_indicator' has an invalid value in {'lower': [-1.0], 'upper': [[0.0]]}: "
+     "upper must be a 1-d array, got shape (1, 1)"),
+    (("F", "polynomial", 0, "linear"), [[0.0]],
+     "output 0: linear part must be a 1-d array, got shape (1, 1)"),
+    (("known_solution", "x"), [[1.0]], "known_solution: x must be a 1-d array, got shape (1, 1)"),
+    (("known_solution", "mu"), [[1.0, 1.0]],
+     "known_solution: mu must be a 1-d array, got shape (1, 2)"),
+    (("start",), {"x": [[2.0]], "mu": [1.0, 0.5]},
+     "start: x must be a 1-d array, got shape (1, 1)"),
+    (("start",), {"x": [2.0], "mu": [[1.0], [0.5]]},
+     "start: mu must be a 1-d array, got shape (2, 1)"),
 ])
 def test_cli_malformed_instance_shape_is_one_line_error(tmp_path, capsys, path, value, message):
     f = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from kktstab import (
     L1Norm,
     OrthantIndicator,
     PSDConeIndicator,
+    eig_split,
     moreau_envelope,
     prox,
     prox_conjugate,
@@ -21,7 +22,7 @@ from kktstab.pieces import (
     LinearOperatorElement,
     dedup_elements,
 )
-from kktstab.symmat import SQRT2
+from kktstab.symmat import SQRT2, coupling
 from kktstab.verify import piece_battery
 from test_symmat import conjugation_matrix_loop, svec_loop
 
@@ -172,31 +173,29 @@ def _pair_loop(m):
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def _classes_loop(sp):
-    cls = np.empty(sp.order, dtype="<U1")
-    cls[sp.alpha] = "a"
-    cls[sp.beta] = "b"
-    cls[sp.gamma] = "g"
-    return cls
+def _classes_loop(lam):
+    # alpha, beta and gamma are the signs of the clamped eigenvalues
+    return np.array(["a" if v > 0.0 else "b" if v == 0.0 else "g" for v in lam])
 
 
-def element_from_Z_loop(piece, sp, Z_small, provenance):
-    cls = _classes_loop(sp)
+def element_from_Z_loop(piece, split, Z_small, provenance):
+    lam, P, _ = split
+    cls = _classes_loop(lam)
     B = np.zeros((piece.dim, piece.dim))
     beta_coords = []
-    for k, (i, j) in enumerate(_pair_loop(sp.order)):
+    for k, (i, j) in enumerate(_pair_loop(lam.size)):
         pair = cls[i] + cls[j]
         if pair in ("aa", "ab", "ba"):
             B[k, k] = 1.0
         elif pair in ("ag", "ga"):
-            B[k, k] = sp.Sigma[i, j]
+            B[k, k] = coupling(lam, i, j)
         elif pair == "bb":
             beta_coords.append(k)
     if beta_coords:
         if Z_small is None:
             Z_small = np.eye(len(beta_coords))
         B[np.ix_(beta_coords, beta_coords)] = Z_small
-    K = conjugation_matrix_loop(sp.P)
+    K = conjugation_matrix_loop(P)
     M = K @ B @ K.T
     return LinearOperatorElement(0.5 * (M + M.T), provenance)
 
@@ -217,8 +216,8 @@ def projection_kernel_block_loop(Q, pattern):
 
 
 def sample_clarke_loop(piece, z, count, seed):
-    sp = piece.split(z)
-    nb = sp.beta.size
+    sp = eig_split(z)
+    nb = np.count_nonzero(sp[0] == 0.0)
     elements = [element_from_Z_loop(piece, sp, None, f"{piece.kind}:canonical(beta=I)")]
     if nb == 0:
         return elements
@@ -243,11 +242,11 @@ def sample_clarke_loop(piece, z, count, seed):
 
 
 def cone_bases_loop(piece, xbar, ubar):
-    sp = piece.split(xbar + ubar)
-    cls = _classes_loop(sp)
-    K = conjugation_matrix_loop(sp.P)
+    lam, P, _ = eig_split(xbar + ubar)
+    cls = _classes_loop(lam)
+    K = conjugation_matrix_loop(P)
     aff_cols, lin_cols = [], []
-    for k, (i, j) in enumerate(_pair_loop(sp.order)):
+    for k, (i, j) in enumerate(_pair_loop(lam.size)):
         pair = cls[i] + cls[j]
         if pair in ("aa", "ab", "ba", "ag", "ga"):
             aff_cols.append(k)
@@ -275,8 +274,10 @@ def test_psd_clarke_element_matches_loop_oracle():
     by_order = {}
     for case, z in _psd_structures():
         piece = PSDConeIndicator(case[0])
-        sp = piece.split(z)
-        assert (sp.alpha.size, sp.beta.size, sp.gamma.size) == case[1:]
+        sp = eig_split(z)
+        lam = sp[0]
+        assert (np.count_nonzero(lam > 0.0), np.count_nonzero(lam == 0.0),
+                np.count_nonzero(lam < 0.0)) == case[1:]
         new = piece.clarke_element(z)
         old = element_from_Z_loop(piece, sp, None, f"{piece.kind}:canonical(beta=I)")
         assert new.provenance == old.provenance
@@ -511,9 +512,9 @@ def test_kink_tolerance_scales_with_the_point_and_pins_narrow_boxes():
 
 
 def psd_prox_split_oracle(piece, z):
-    """The PSD projection through the full eigenvalue split."""
-    sp = piece.split(z)
-    return svec(sp.P @ np.diag(np.maximum(sp.lam, 0.0)) @ sp.P.T)
+    """The PSD projection of one point, with a 2-d diagonal matrix."""
+    lam, P, _ = eig_split(z)
+    return svec(P @ np.diag(np.maximum(lam, 0.0)) @ P.T)
 
 
 def _stack_rows(piece, rng):

@@ -530,14 +530,27 @@ def _pair_battery_problem():
 def test_each_block_is_handled_once_per_report(monkeypatch, name):
     import kktstab.pieces as pc
 
-    calls = {"structure": [], "check_subgradient": [], "split": []}
-    for owner, attr in ((pc.ConvexPiece, "structure"), (pc.ConvexPiece, "check_subgradient"),
-                        (pc.PSDConeIndicator, "split")):
-        def counted(self, *args, _attr=attr, _method=getattr(owner, attr), **kwargs):
+    # eig_split calls are counted where the structure itself makes them,
+    # not in the prox of its subgradient test
+    calls = {"structure": [], "check_subgradient": [], "eig_split": []}
+    active = []
+    for attr in ("structure", "check_subgradient"):
+        def counted(self, *args, _attr=attr, _method=getattr(pc.ConvexPiece, attr), **kwargs):
             calls[_attr].append(self)
-            return _method(self, *args, **kwargs)
+            active.append(_attr)
+            try:
+                return _method(self, *args, **kwargs)
+            finally:
+                active.pop()
 
-        monkeypatch.setattr(owner, attr, counted)
+        monkeypatch.setattr(pc.ConvexPiece, attr, counted)
+
+    def counted_split(v, _split=pc.eig_split):
+        if active and active[-1] == "structure":
+            calls["eig_split"].append(v)
+        return _split(v)
+
+    monkeypatch.setattr(pc, "eig_split", counted_split)
     if name == "pair_battery":
         problem, z = _pair_battery_problem()
     else:
@@ -547,12 +560,11 @@ def test_each_block_is_handled_once_per_report(monkeypatch, name):
            if isinstance(p, PSDConeIndicator) or isinstance(getattr(p, "inner", None),
                                                             PSDConeIndicator)]
     equivalence_report(problem, z, FAST)
-    # the element layer (sample_clarke, clarke_element) splits with its
-    # own eigendecomposition and tests no subgradient pair
+    # the element layer (sample_clarke, clarke_element) tests no subgradient pair
     blocks = [id(p) for p in problem.pieces]
     assert sorted(map(id, calls["structure"])) == sorted(blocks)
     assert sorted(map(id, calls["check_subgradient"])) == sorted(blocks)
-    assert len(calls["split"]) == len(psd)
+    assert len(calls["eig_split"]) == len(psd)
 
 
 @pytest.mark.parametrize("check", [check_gamma_properties, check_gamma_fixed_point_bound])

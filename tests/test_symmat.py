@@ -78,29 +78,42 @@ def test_conjugation_matrix_is_orthogonal():
     assert np.allclose(K @ svec(S), svec(P @ S @ P.T), atol=1e-12)
 
 
+def index_sets(lam):
+    """alpha, beta, gamma: the signs of eig_split's clamped eigenvalues."""
+    return np.flatnonzero(lam > 0.0), np.flatnonzero(lam == 0.0), np.flatnonzero(lam < 0.0)
+
+
+def coupling_matrix(lam):
+    ix = np.arange(lam.size)
+    return coupling(lam, ix[:, None], ix)
+
+
 def test_eig_split_example_mixed():
-    sp = eig_split(np.diag([2.0, 0.0, -1.0]), tol_eig=1e-8)
-    assert list(sp.alpha) == [0] and list(sp.beta) == [1] and list(sp.gamma) == [2]
-    assert np.isclose(sp.Sigma[0, 2], 2.0 / 3.0)
-    assert np.isclose(sp.Sigma[0, 1], 1.0)
-    assert np.isclose(sp.Sigma[1, 1], 1.0)
-    assert np.isclose(sp.Sigma[1, 2], 0.0)
+    lam, _, _ = eig_split(svec(np.diag([2.0, 0.0, -1.0])))
+    alpha, beta, gamma = index_sets(lam)
+    Sigma = coupling_matrix(lam)
+    assert list(alpha) == [0] and list(beta) == [1] and list(gamma) == [2]
+    assert np.isclose(Sigma[0, 2], 2.0 / 3.0)
+    assert np.isclose(Sigma[0, 1], 1.0)
+    assert np.isclose(Sigma[1, 1], 1.0)
+    assert np.isclose(Sigma[1, 2], 0.0)
     # cross-check every entry against the scalar brute force
     for i in range(3):
         for j in range(3):
-            assert np.isclose(sp.Sigma[i, j], brute_force_sigma(sp.lam, i, j))
+            assert np.isclose(Sigma[i, j], brute_force_sigma(lam, i, j))
 
 
 def test_eig_split_zero_matrix_all_ones():
-    sp = eig_split(np.zeros((3, 3)))
-    assert sp.alpha.size == 0 and sp.gamma.size == 0 and sp.beta.size == 3
-    assert np.allclose(sp.Sigma, 1.0)
+    lam, _, _ = eig_split(svec(np.zeros((3, 3))))
+    alpha, beta, gamma = index_sets(lam)
+    assert alpha.size == 0 and gamma.size == 0 and beta.size == 3
+    assert np.allclose(coupling_matrix(lam), 1.0)
 
 
 def test_eig_split_identity_all_alpha():
-    sp = eig_split(np.eye(3))
-    assert list(sp.alpha) == [0, 1, 2]
-    assert np.allclose(sp.Sigma, 1.0)
+    lam, _, _ = eig_split(svec(np.eye(3)))
+    assert list(index_sets(lam)[0]) == [0, 1, 2]
+    assert np.allclose(coupling_matrix(lam), 1.0)
 
 
 def test_eig_split_invariants_random():
@@ -108,17 +121,19 @@ def test_eig_split_invariants_random():
     for _ in range(25):
         A = rng.standard_normal((5, 5))
         A = A + A.T
-        sp = eig_split(A)
+        lam, P, tol = eig_split(svec(A))
+        alpha, beta, gamma = index_sets(lam)
+        Sigma = coupling_matrix(lam)
         m = 5
-        assert np.linalg.norm(sp.P.T @ sp.P - np.eye(m)) <= 1e-12 * m
-        assert sorted(list(sp.alpha) + list(sp.beta) + list(sp.gamma)) == list(range(m))
-        assert np.all(sp.lam[sp.alpha] > sp.tol_eig)
-        assert np.all(sp.lam[sp.beta] == 0.0)
-        assert np.all(sp.lam[sp.gamma] < -sp.tol_eig)
-        assert np.all(sp.Sigma >= 0.0) and np.all(sp.Sigma <= 1.0)
-        assert np.allclose(sp.Sigma, sp.Sigma.T)
+        assert np.linalg.norm(P.T @ P - np.eye(m)) <= 1e-12 * m
+        assert sorted(list(alpha) + list(beta) + list(gamma)) == list(range(m))
+        assert np.all(lam[alpha] > tol)
+        assert np.all(lam[beta] == 0.0)
+        assert np.all(lam[gamma] < -tol)
+        assert np.all(Sigma >= 0.0) and np.all(Sigma <= 1.0)
+        assert np.allclose(Sigma, Sigma.T)
         # reconstruction against the clamped eigenvalues
-        assert np.allclose(sp.P @ np.diag(sp.lam) @ sp.P.T, A, atol=1e-7)
+        assert np.allclose(P @ np.diag(lam) @ P.T, A, atol=1e-7)
 
 
 def test_eig_split_sigma_index_conventions():
@@ -126,19 +141,36 @@ def test_eig_split_sigma_index_conventions():
     A = rng.standard_normal((4, 4))
     A = A + A.T
     A = A - np.eye(4) * np.linalg.eigvalsh(A)[1]  # force a zero eigenvalue
-    sp = eig_split(A, tol_eig=1e-8)
-    for i in list(sp.alpha) + list(sp.beta):
-        for j in list(sp.alpha) + list(sp.beta):
-            assert np.isclose(sp.Sigma[i, j], 1.0)
-    for i in list(sp.gamma):
-        for j in list(sp.gamma) + list(sp.beta):
-            assert np.isclose(sp.Sigma[i, j], 0.0)
+    lam, _, _ = eig_split(svec(A))
+    alpha, beta, gamma = index_sets(lam)
+    Sigma = coupling_matrix(lam)
+    for i in list(alpha) + list(beta):
+        for j in list(alpha) + list(beta):
+            assert np.isclose(Sigma[i, j], 1.0)
+    for i in list(gamma):
+        for j in list(gamma) + list(beta):
+            assert np.isclose(Sigma[i, j], 0.0)
 
 
-def test_eig_split_rejects_asymmetric():
-    A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        eig_split(A)
+def test_eig_split_stack_rows_match_one_row_calls_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for m in range(1, 7):
+        # one row per count of zero eigenvalues, 0 to m, signs mixed
+        rows = []
+        for nb in range(m + 1):
+            lam = np.concatenate([np.zeros(nb), rng.choice([-1.0, 1.0], m - nb)
+                                  * rng.uniform(0.5, 3.0, m - nb)])
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            rows.append(svec((Q * lam) @ Q.T))
+        V = np.array(rows)
+        lams, Ps, tols = eig_split(V)
+        assert lams.shape == (m + 1, m) and Ps.shape == (m + 1, m, m) and tols.shape == (m + 1,)
+        for nb, (v, lam, P, tol) in enumerate(zip(V, lams, Ps, tols)):
+            one = eig_split(v)
+            assert np.count_nonzero(lam == 0.0) == nb, (m, nb)
+            assert lam.tobytes() == one[0].tobytes(), (m, nb)
+            assert P.tobytes() == one[1].tobytes(), (m, nb)
+            assert tol.tobytes() == one[2].tobytes(), (m, nb)
 
 
 def test_eigen_error_type_exists():
@@ -194,11 +226,11 @@ def test_coupling_is_the_split_sigma_bit_for_bit():
                 lam = np.concatenate([rng.uniform(0.5, 3.0, na), np.zeros(nb),
                                       -rng.uniform(0.5, 3.0, m - na - nb)])
                 Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-                sp = eig_split((Q * lam) @ Q.T)
-                lam = sp.lam
+                lam = eig_split(svec((Q * lam) @ Q.T))[0]
                 lay = svec_layout(m)
                 w = coupling(lam, lay.rows, lay.cols)
-                assert w.tobytes() == sp.Sigma[lay.rows, lay.cols].tobytes(), (m, na, nb)
+                Sigma = coupling_matrix(lam)
+                assert w.tobytes() == Sigma[lay.rows, lay.cols].tobytes(), (m, na, nb)
                 # 0/0 := 1 on beta-beta, exactly
                 bb = (lam[lay.rows] == 0.0) & (lam[lay.cols] == 0.0)
                 assert np.count_nonzero(bb) == nb * (nb + 1) // 2
@@ -230,9 +262,9 @@ def test_eig_split_default_tol_comes_from_its_own_eigenvalues():
         for scale in (1e-3, 1.0, 1e4):
             A = rng.standard_normal((m, m))
             A = scale * (A + A.T)
-            sp = eig_split(A)
-            w = np.linalg.eigh(0.5 * (A + A.T))[0]
-            assert sp.tol_eig == 1e-8 * max(1.0, float(np.max(np.abs(w))))
+            tol = eig_split(svec(A))[2]
+            # the eigenvalues of the matrix it decomposes, smat(svec(A))
+            w = np.linalg.eigh(smat(svec(A)))[0]
+            assert tol == 1e-8 * max(1.0, float(np.max(np.abs(w))))
             # the spectral norm, without a second decomposition
-            assert sp.tol_eig == pytest.approx(1e-8 * max(1.0, np.linalg.norm(A, 2)),
-                                               rel=1e-12)
+            assert tol == pytest.approx(1e-8 * max(1.0, np.linalg.norm(A, 2)), rel=1e-12)
