@@ -207,7 +207,8 @@ class BlockStructure:
     def _columns(self, mask: np.ndarray) -> np.ndarray:
         return (np.eye(mask.size) if self.frame is None else self.frame)[:, mask]
 
-    def _coords(self, V: np.ndarray) -> np.ndarray:
+    def coords(self, V: np.ndarray) -> np.ndarray:
+        """Frame coordinates of a vector, or of each column of a matrix."""
         return V if self.frame is None else self.frame.T @ V
 
     @property
@@ -222,7 +223,7 @@ class BlockStructure:
 
     def membership(self, d: np.ndarray, tol: float = 1e-9) -> bool:
         """Whether d lies in the critical cone, within tol in frame coordinates."""
-        w, c = self._coords(np.asarray(d, dtype=float)), self.critical
+        w, c = self.coords(np.asarray(d, dtype=float)), self.critical
         if (np.any(np.abs(w[c == PINNED]) > tol) or np.any(w[c == UP] < -tol)
                 or np.any(w[c == DOWN] > tol)):
             return False
@@ -260,7 +261,7 @@ class BlockStructure:
         on the k columns of V, W = frame^T V; the diagonal entry of a column
         outside the curvature domain (W nonzero on a pinned row) is +inf."""
         V = np.asarray(V, dtype=float)
-        W = self._coords(V)
+        W = self.coords(V)
         on = self.weight > 0.0
         form = _gram(W[on].T, self.weight[on])
         res = np.linalg.norm(W[self.critical == PINNED], axis=0)
@@ -917,6 +918,12 @@ def gamma_oracle(piece: ConvexPiece, xbar, ubar, v,
     tolerance, evaluates <v, pinv(U) v> - ||v||^2 and returns the minimum.
     """
     piece.check_subgradient(np.asarray(xbar, float), np.asarray(ubar, float))
+    return sampled_gamma(v, samples)
+
+
+def sampled_gamma(v, samples: list[LinearOperatorElement]) -> float:
+    """``gamma_oracle`` without its subgradient test, for loops over one
+    pair whose ``piece.structure`` call has already run it."""
     v = np.asarray(v, dtype=float)
     vnorm = float(np.linalg.norm(v))
     best = float("inf")

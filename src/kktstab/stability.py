@@ -2,9 +2,9 @@
 cross-check of the stability equivalence at a KKT point.
 
 Verdicts always carry the tolerance they were decided at.  Everything that
-rests on sampling (element sweeps, non-polyhedral cone searches, the
-perturbation probe) is reported as evidence, never as a certificate: the
-wording is "all-sampled-nonsingular" and "heuristic-likely".
+rests on sampling (element sweeps, the alternating-projection cone search,
+the perturbation probe) is reported as evidence, never as a certificate:
+the wording is "all-sampled-nonsingular" and "heuristic-likely".
 
 rcq, srcq and multiplier uniqueness ask whether null(J^T) meets a cone
 only at the origin.  For a polyhedral (interval) cone the answer is exact:
@@ -12,6 +12,15 @@ one rank test, then at most one bounded linear program.  A "fails" carries
 the point found; a "holds" carries a Farkas certificate from the program's
 duals, which one matrix-vector product checks.  When neither the point nor
 the certificate checks out, the verdict is "heuristic-likely".
+
+A cone with PSD blocks is read in each block's frame, where it pins some
+coordinates, bounds some on one side and makes the rest NSD blocks.  A
+"holds" there is exact too: either the pinned coordinates are injective
+on null(J^T), or Gordan's alternative gives a y inside R_+ x PSD,
+orthogonal to the range of the remaining map, checked with one eigvalsh
+per block and the same factor-2 margin as the Farkas certificate.  Only
+when that certificate does not verify does the alternating-projection
+search run; it finds "fails" points, or leaves "heuristic-likely".
 """
 
 from __future__ import annotations
@@ -23,7 +32,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .newton import NewtonError, NewtonOptions, check_integer, check_positive
-from .pieces import ConeModel, ConvexPiece, LinearOperatorElement, _interval_cone, gamma_oracle
+from .pieces import (
+    _POLAR,
+    BLOCK,
+    DOWN,
+    PINNED,
+    UP,
+    ConeModel,
+    ConvexPiece,
+    LinearOperatorElement,
+    _interval_cone,
+    sampled_gamma,
+)
 from .problem import (
     CompositeProblem,
     KKTPoint,
@@ -32,8 +52,13 @@ from .problem import (
     sample_elements_R,
     solve_linearized_rows,
 )
+from .symmat import smat, svec, svec_order
 
 _RANK_TOL = 1e-10
+
+# the class codes of each block's frame coordinates in the named product cone
+_CONE_CODES = {"critical_polar_cone": lambda st: _POLAR[st.critical],
+               "domain_normal_cone": lambda st: st.normal}
 
 
 class UnsupportedCaseError(RuntimeError):
@@ -197,7 +222,7 @@ class AnalysisPoint:
         self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
         Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
         self.pairs = list(zip(problem.pieces, problem.blocks(Fbar), problem.blocks(pt.mu)))
-        self._searches: dict[tuple, tuple[list[np.ndarray], str]] = {}
+        self._searches: dict[tuple, tuple[list[np.ndarray], str] | None] = {}
 
     @functools.cached_property
     def structures(self) -> list:
@@ -235,22 +260,42 @@ class AnalysisPoint:
         N = nullspace(self.J - B @ (B.T @ self.J))
         return CriticalSubspace(basis=N, dim=N.shape[1])
 
+    def _frame_rows(self, cone_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, codes, groups): the rows W = frame^T N of null(J^T) in every
+        block's frame coordinates, each row's class code in the named cone,
+        and the index of the block it belongs to."""
+        N = self.adjoint_nullspace
+        W = np.vstack([st.coords(Nb.T) for st, Nb in zip(self.structures,
+                                                        self.problem.blocks(N.T))])
+        codes = np.concatenate([_CONE_CODES[cone_name](st) for st in self.structures])
+        groups = np.repeat(np.arange(len(self.structures)),
+                           [st.critical.size for st in self.structures])
+        return W, codes, groups
+
     def cone_search(self, cone_name: str, tol: float, budget: int,
                     seed: int) -> tuple[list[np.ndarray], str]:
         """Nonzero points of null(J^T) inside the named product cone, and the
-        status they support: 'fails' when one was found, else 'holds' (for
-        interval cones, exact and certified) or 'heuristic-likely'.  Kept
-        per cone and tol, and per budget and seed where the search draws
-        random restarts."""
+        status they support: 'fails' when one was found, else 'holds' or
+        'heuristic-likely'.
+
+        An interval cone is decided by ``_lp_nonzero_points``.  Any other
+        cone first gets ``_gordan_certificate``; a 'holds' from either is
+        exact, and kept per cone and tol.  Without a certificate, the
+        alternating-projection search runs, kept per cone, tol, budget and
+        seed."""
         check_integer("seed", seed, 0)
-        cone = getattr(self, cone_name)
-        N = self.adjoint_nullspace
-        exact = cone.polyhedral or N.shape[1] == 0
-        key = (cone_name, tol) if exact else (cone_name, tol, budget, seed)
+        cone, N = getattr(self, cone_name), self.adjoint_nullspace
+        key = (cone_name, tol)
         if key not in self._searches:
-            if exact:
+            if cone.polyhedral or N.shape[1] == 0:
                 self._searches[key] = _lp_nonzero_points(N, cone, tol)[:2]
+            elif _gordan_certificate(*self._frame_rows(cone_name)):
+                self._searches[key] = ([], "holds")
             else:
+                self._searches[key] = None
+        if self._searches[key] is None:
+            key += (budget, seed)
+            if key not in self._searches:
                 found = _ap_nonzero_points(N @ N.T, cone, budget, tol,
                                            np.random.default_rng(seed))
                 self._searches[key] = (found, "fails" if found else "heuristic-likely")
@@ -393,6 +438,62 @@ def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> LPSearch:
     return LPSearch([], "heuristic-likely")
 
 
+def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray) -> bool:
+    """Whether t = 0 is the only t with W t in the cone, proved exactly;
+    False when no proof verifies.  W has orthonormal columns; row i is a
+    frame coordinate with class code codes[i], and the BLOCK rows of each
+    group, in row order, are the svec coordinates of one NSD block.
+
+    When the PINNED rows are injective, they alone force t = 0.  Otherwise
+    t = T s over an orthonormal basis T of their kernel, and the cone is
+    {s : A s in K} with K = R_+^g x (PSD blocks): A holds the UP rows, the
+    negated DOWN rows and the negated BLOCK rows, times T.  A kernel of A
+    leaves the question open.  For injective A, Gordan's alternative says
+    the cone is {0} iff some y in the interior of K has A^T y = 0; the
+    candidate is the projection of (1, ..., 1, svec(I) per block) onto
+    range(A)^perp, and ``_gordan_verifies`` checks it.
+    """
+    T = nullspace(W[codes == PINNED])
+    if T.shape[1] == 0:
+        return True
+    half = np.flatnonzero((codes == UP) | (codes == DOWN))
+    block = np.flatnonzero(codes == BLOCK)
+    rows = np.concatenate([half, block])
+    A = np.where(codes[rows] == UP, 1.0, -1.0)[:, None] * W[rows] @ T
+    if A.shape[0] < A.shape[1]:
+        return False
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    if sv[-1] <= _RANK_TOL * max(1.0, sv[0]):
+        return False
+    sizes = np.unique(groups[block], return_counts=True)[1]
+    y = np.concatenate([np.ones(half.size)] + [svec(np.eye(svec_order(d))) for d in sizes])
+    return _gordan_verifies(A, sv[-1], y - U @ (U.T @ y), sizes)
+
+
+def _gordan_verifies(A: np.ndarray, sigma_min: float, y: np.ndarray,
+                     sizes: np.ndarray) -> bool:
+    """Whether y proves that A s in K only for s = 0, where sigma_min is
+    the least singular value of A and K = R_+^g x (PSD blocks of svec
+    dimensions ``sizes``), the blocks last in y.
+
+    Let delta be the least of y's orthant entries and of the eigenvalues of
+    its blocks.  If delta > 0, then <y, u> >= delta |u| for u in K, so
+    A s in K gives delta sigma_min |s| <= <y, A s> = <A^T y, s> <=
+    |A^T y| |s|.  Hence |A^T y| < delta sigma_min / 2 proves s = 0, with a
+    factor 2 to spare for rounding, as in the linear-programming path.
+    Rounding could fake a positive delta near 0 or a small |A^T y|, so
+    delta must exceed _RANK_TOL (y has entries of order 1), and |A^T y|
+    counts with the error bound rows * eps * |A| |y| of its product.
+    """
+    g = y.size - int(np.sum(sizes))
+    ends = g + np.cumsum(sizes)
+    delta = min([y[:g].min(initial=np.inf)]
+                + [np.linalg.eigvalsh(smat(y[a:b]))[0] for a, b in zip(ends - sizes, ends)])
+    slack = A.shape[0] * np.finfo(float).eps * np.linalg.norm(A) * np.linalg.norm(y)
+    return bool(delta > _RANK_TOL
+                and np.linalg.norm(A.T @ y) + slack < 0.5 * delta * sigma_min)
+
+
 _UNCERTIFIED = "no point found and no certificate verified (linear program)"
 
 
@@ -432,7 +533,10 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
                budget: int = 1000, seed: int = 0) -> Verdict:
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
-    set only at the origin."""
+    set only at the origin.  A "holds" is exact, from the Farkas
+    certificate of an interval cone or, with PSD blocks, from the rank test
+    or Gordan certificate of ``_gordan_certificate`` (factor-2 margin);
+    otherwise ``budget`` alternating-projection restarts look for a point."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     if not point.critical_polar_cone.polyhedral:
@@ -451,7 +555,9 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
-    """Robinson constraint qualification via the normal-cone polar test."""
+    """Robinson constraint qualification via the normal-cone polar test,
+    decided as in ``srcq_check``: an exact "holds" from a checked
+    certificate, else ``budget`` alternating-projection restarts."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)
@@ -726,7 +832,7 @@ def assumption_check(piece: ConvexPiece, xbar, ubar,
         d = rng.standard_normal(piece.dim)
         v = el.matrix @ d
         closed = structure.gamma(v)
-        best_b = gamma_oracle(piece, xbar, ubar, v, b_elements)
+        best_b = sampled_gamma(v, b_elements)
         if np.isfinite(closed) and np.isfinite(best_b):
             scaled = abs(closed - best_b) / (1.0 + abs(closed))
         elif np.isfinite(closed) == np.isfinite(best_b):

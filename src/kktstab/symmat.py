@@ -131,10 +131,11 @@ def eig_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
         w, P = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
-        norm = float(np.linalg.norm(S))
+        norms = np.linalg.norm(S, axis=(-2, -1)).ravel()
+        where = f", the largest of {norms.size} in the stack" if norms.size > 1 else ""
         raise EigenDecompositionError(
-            f"eigendecomposition failed for {S.shape[-2]}x{S.shape[-1]} matrix "
-            f"(condition estimate {norm / (1e-8 * max(1.0, norm)):.3e})"
+            f"eigendecomposition failed for a symmetric matrix of order {S.shape[-1]} "
+            f"(Frobenius norm {norms.max():.3e}{where})"
         ) from exc
     tol = np.asarray(1e-8 * np.fmax(1.0, np.max(np.abs(w), axis=-1, initial=0.0)))
     order = np.argsort(w, axis=-1)[..., ::-1]

@@ -25,15 +25,12 @@ EXPECTED = {
          ("epi(orthant_indicator:canonical)",)),
         (1.6167967978021782, 0, 0, 21), CONSISTENT),
     "sdp_toy": (
-        ("heuristic-likely", "no intersection point found in 400 restarts"),
-        ("heuristic-likely", "no polar point found in 400 restarts"),
-        ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
+        EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
         ("all-sampled-nonsingular", 0.5000000000000001, 1,
          ("epi(psd_indicator:canonical(beta=I))",)),
         (1.0042536775876894, 0, 0, 21), CONSISTENT),
     "sdp_degenerate": (
-        ("heuristic-likely", "no intersection point found in 400 restarts"),
-        ("fails", "span test rank 3 of 4"),
+        EXACT_RCQ, ("fails", "span test rank 3 of 4"),
         ("fails", "rank 2 of 4"), False,
         ("skipped", "multiplier set is not a singleton"),
         ("singular-element-found", 0.0, 2, ("epi(psd_indicator:canonical(beta=I))",)),

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from kktstab import (
     strong_regularity_probe,
     svec,
 )
+from kktstab.pieces import BLOCK, DOWN, FREE, PINNED, UP, BlockStructure
+from kktstab.symmat import smat, svec_dim, svec_order
 from kktstab.stability import (
     AnalysisPoint,
     CurvatureDomainError,
@@ -92,7 +95,7 @@ def test_srcq_battery():
     problem, meta = load_battery("sdp_degenerate")
     assert srcq_check(problem, meta.known_solution).status == "fails"
     problem, meta = load_battery("sdp_toy")
-    assert srcq_check(problem, meta.known_solution, budget=1000).status == "heuristic-likely"
+    assert srcq_check(problem, meta.known_solution, budget=1000).status == "holds"
 
 
 def test_rcq_battery():
@@ -102,7 +105,7 @@ def test_rcq_battery():
     for name in ("sdp_toy", "sdp_degenerate"):
         problem, meta = load_battery(name)
         v = rcq_check(problem, meta.known_solution, budget=400)
-        assert v.status == "heuristic-likely", (name, v)
+        assert v.status == "holds", (name, v)
 
 
 def test_multiplier_uniqueness():
@@ -1043,6 +1046,156 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
         assert (v.status, v.detail) == (
             "heuristic-likely", "no point found and no certificate verified (linear program)")
     assert multiplier_uniqueness(problem, point) == (True, None)
+
+
+# ----------------------------------------------------------------------
+# The exact certificate of non-polyhedral cones
+
+
+def _random_frame_structures(rng):
+    """1-3 blocks, each in a random orthonormal frame with an NSD block of
+    order 1-3 after 0-3 PINNED, FREE, UP or DOWN coordinates; the cone
+    under test is each structure's domain normal cone."""
+    out = []
+    for _ in range(rng.integers(1, 4)):
+        extra = rng.choice([PINNED, FREE, UP, DOWN], size=rng.integers(0, 4))
+        codes = np.concatenate([extra, np.full(svec_dim(rng.integers(1, 4)), BLOCK)])
+        frame, _ = np.linalg.qr(rng.standard_normal((codes.size, codes.size)))
+        out.append(BlockStructure(frame, codes, codes, np.zeros(codes.size)))
+    return out
+
+
+def _frame_cone(structures):
+    """The product cone of the structures' domain normal cones, and the
+    map N -> (W, codes, groups) that ``AnalysisPoint._frame_rows`` gives."""
+    cuts = np.cumsum([st.normal.size for st in structures])
+    blocks = SimpleNamespace(m=int(cuts[-1]), blocks=lambda v: np.split(v, cuts[:-1], axis=-1))
+    cone = _product_cone(blocks, [st.domain_normal_cone() for st in structures])
+
+    def rows(N):
+        W = np.vstack([st.coords(Nb.T) for st, Nb in zip(structures, blocks.blocks(N.T))])
+        groups = np.repeat(np.arange(len(structures)), [st.normal.size for st in structures])
+        return W, np.concatenate([st.normal for st in structures]), groups
+
+    return cone, rows
+
+
+def _frame_cone_point(structures, rng):
+    """A nonzero point of the product cone: 0 on PINNED, a line, half line
+    or -R R^T (R of one column) per coordinate class."""
+    parts = []
+    for st in structures:
+        c = st.normal
+        w = rng.standard_normal(c.size)
+        w[c == PINNED] = 0.0
+        w[c == UP] = np.abs(w[c == UP])
+        w[c == DOWN] = -np.abs(w[c == DOWN])
+        r = rng.standard_normal((svec_order(np.count_nonzero(c == BLOCK)), 1))
+        w[c == BLOCK] = svec(-r @ r.T)
+        parts.append(st.frame @ w)
+    return np.concatenate(parts)
+
+
+def test_gordan_certificate_never_certifies_a_planted_point_or_an_ap_witness():
+    from kktstab.stability import _gordan_certificate
+
+    rng = np.random.default_rng(21)
+    seen = set()
+    for case in range(80):
+        structures = _random_frame_structures(rng)
+        cone, rows = _frame_cone(structures)
+        cols = rng.standard_normal((cone.dim, int(rng.integers(1, max(2, cone.dim)))))
+        planted = case % 2 == 0
+        if planted:
+            cols[:, 0] = _frame_cone_point(structures, rng)
+            assert cone.residual(cols[:, 0]) <= 1e-12 * np.linalg.norm(cols[:, 0])
+        N, _ = np.linalg.qr(cols)
+        W, codes, groups = rows(N)
+        certified = _gordan_certificate(W, codes, groups)
+        if planted:
+            assert not certified, case
+        elif certified:
+            assert not _ap_nonzero_points(N @ N.T, cone, 1000, 1e-8,
+                                          np.random.default_rng(case)), case
+        pinned_rank = nullspace(W[codes == PINNED]).shape[1] == 0
+        seen.add((planted, certified, certified and pinned_rank))
+    # planted points, and certificates from both the rank test and Gordan's
+    # alternative, with uncertified random cases as well
+    assert seen >= {(True, False, False), (False, True, True), (False, True, False),
+                    (False, False, False)}
+
+
+def _gordan_delta(y, sizes):
+    g = y.size - int(np.sum(sizes))
+    ends = g + np.cumsum(sizes)
+    return min([y[:g].min()] + [np.linalg.eigvalsh(smat(y[a:b]))[0]
+                                for a, b in zip(ends - sizes, ends)])
+
+
+def test_gordan_certificate_keeps_its_factor_two_margin():
+    # y = y_perp + t u, u in range(A): at t* the margin delta sigma_min
+    # equals 2 |A^T y| exactly; just past t* the certificate is refused
+    from kktstab.stability import _gordan_verifies
+
+    rng = np.random.default_rng(8)
+    sizes = np.array([3, 1])
+    A = rng.standard_normal((2 + int(sizes.sum()), 2))
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    y0 = np.concatenate([np.ones(2), svec(np.eye(2)), [1.0]])
+    y_perp = y0 - U @ (U.T @ y0)
+    assert _gordan_delta(y_perp, sizes) > 0.0 and _gordan_verifies(A, sv[-1], y_perp, sizes)
+
+    def ratio(t):
+        y = y_perp + t * U[:, 0]
+        return _gordan_delta(y, sizes) * sv[-1] / (2.0 * np.linalg.norm(A.T @ y))
+
+    lo, hi = 1e-12, 1.0
+    assert ratio(lo) > 1.0 > ratio(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio(mid) > 1.0 else (lo, mid)
+    for t, want in ((lo * (1.0 - 1e-9), True), (hi * (1.0 + 1e-9), False)):
+        y = y_perp + t * U[:, 0]
+        assert (ratio(t) > 1.0) == want
+        assert _gordan_verifies(A, sv[-1], y, sizes) is want
+
+
+def test_one_psd_certificate_serves_srcq_and_uniqueness(monkeypatch):
+    import kktstab.stability as st
+
+    searches, certificates = [], []
+    ap, gordan = st._ap_nonzero_points, st._gordan_certificate
+    monkeypatch.setattr(st, "_ap_nonzero_points",
+                        lambda *a, **k: searches.append(1) or ap(*a, **k))
+    monkeypatch.setattr(st, "_gordan_certificate",
+                        lambda *a: certificates.append(1) or gordan(*a))
+    problem, meta = load_battery("sdp_toy")
+    point = AnalysisPoint(problem, meta.known_solution)
+    v = srcq_check(problem, point, seed=3)
+    assert (v.status, v.detail) == ("holds", "polar intersection is trivial (exact)")
+    assert multiplier_uniqueness(problem, point, seed=11) == (True, None)
+    assert len(certificates) == 1
+    rep = equivalence_report(problem, meta.known_solution, FAST)
+    assert (rep.rcq.status, rep.srcq.status, rep.multiplier_unique) == ("holds", "holds", True)
+    # one certificate per cone of the report, and no alternating projections
+    assert len(certificates) == 3 and not searches
+
+
+@pytest.mark.parametrize("check", [check_gamma_properties, "assumption_check"])
+def test_gamma_oracle_loops_test_each_pair_once(monkeypatch, check):
+    import kktstab.pieces as pc
+
+    tested = []
+    original = pc.ConvexPiece.check_subgradient
+    monkeypatch.setattr(pc.ConvexPiece, "check_subgradient",
+                        lambda self, *a, **k: tested.append(self) or original(self, *a, **k))
+    if check == "assumption_check":
+        for name, piece, xbar, ubar in pair_battery():
+            samples = sample_clarke(piece, xbar + ubar, 16, seed=0)
+            assumption_check(piece, xbar, ubar, samples)
+    else:
+        assert check()[1]
+    assert [p.kind for p in tested] == [p.kind for _, p, _, _ in pair_battery()]
 
 
 # ----------------------------------------------------------------------

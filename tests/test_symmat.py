@@ -268,3 +268,22 @@ def test_eig_split_default_tol_comes_from_its_own_eigenvalues():
             assert tol == 1e-8 * max(1.0, float(np.max(np.abs(w))))
             # the spectral norm, without a second decomposition
             assert tol == pytest.approx(1e-8 * max(1.0, np.linalg.norm(A, 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("norm", [1.4e-3, 1.4, 1e6])
+def test_eig_split_failure_reports_order_and_norm(monkeypatch, norm):
+    def failing(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    v = np.array([1.0, 2.0, -1.0])
+    v *= norm / np.linalg.norm(v)
+    with pytest.raises(EigenDecompositionError) as info:
+        eig_split(v)
+    message = str(info.value)
+    assert "order 2" in message and f"Frobenius norm {norm:.3e})" in message
+    assert "condition" not in message
+    # a stack names its largest norm
+    with pytest.raises(EigenDecompositionError) as info:
+        eig_split(np.stack([v, 0.5 * v]))
+    assert f"Frobenius norm {norm:.3e}, the largest of 2 in the stack)" in str(info.value)
