@@ -7,7 +7,8 @@ singular value from above through a solve against a fixed probe vector;
 only an element whose bound is small, or that follows a singular one,
 gets an exact svd, and a singular one takes a ridge-regularized
 least-squares step.  Steps are globalized by Armijo backtracking on half
-the squared residual norm.
+the squared residual norm, in rounds that try the next 1, 2, 4, ... step
+lengths of the backtracking sequence at once.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ def _each_row(fn: Callable, *stacks: np.ndarray) -> tuple[np.ndarray | None, dic
     return (np.concatenate(outs) if outs else None), errors
 
 
+def _nan_rows(out: np.ndarray | None, errors: dict[int, Exception],
+              shape: tuple[int, ...]) -> np.ndarray:
+    """The stacked results of :func:`_each_row` at full size, with NaN rows
+    where a row raised."""
+    full = np.full(shape, np.nan)
+    if out is not None:
+        full[np.delete(np.arange(shape[0]), list(errors))] = out
+    return full
+
+
 RIDGE_SV = 1e-10  # an element with sigma_min below this takes a ridge step
 SCREEN_SV = 1e-6  # a row whose bound on sigma_min falls below this gets an svd
 
@@ -138,10 +149,7 @@ def _screen(E: np.ndarray, r: np.ndarray, rr: np.ndarray,
     B[:, :, 1] = probe
     X, errors = _each_row(np.linalg.solve, E, B)
     if errors:
-        X_all = np.full(B.shape, np.nan)
-        if X is not None:
-            X_all[np.delete(np.arange(k), list(errors))] = X
-        X = X_all
+        X = _nan_rows(X, errors, B.shape)
     SY = X.transpose(2, 0, 1).copy()
     ss, yy = (SY[:, :, None, :] @ SY[:, :, :, None])[:, :, 0, 0]  # _rowdot of each
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -215,7 +223,8 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     ----------
     residual : callable
         ``residual(Z, rows)`` maps a stack of points (k, N) to their
-        residuals (k, N); ``rows`` holds the index into Z0 of each row.
+        residuals (k, N); ``rows`` holds the index into Z0 of each point,
+        repeated for the trials of one row.
     element : callable
         ``element(Z, rows)`` maps a stack of points to one
         generalized-derivative matrix per row, (k, N, N).
@@ -231,8 +240,13 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     and of a fixed probe vector, for the rows still running; only the rows
     whose bound on sigma_min falls below SCREEN_SV, or whose previous
     element was singular, get an svd (see :func:`_newton_steps`).  Each
-    line-search round makes one residual call
-    for the rows still searching.  A trace's ``element_min_sv`` holds, per
+    line-search round makes one residual call for the rows still
+    searching: round 0 tries the full step, round r each row's next 2**r
+    step lengths of the one-row loop (``alpha *= backtrack_factor``, cut
+    at ``min_step``), so the ``residual`` stack may hold a row several
+    times.  A row takes its first trial, in order, that raises or passes
+    the Armijo test; the later trials of its round are discarded, and so
+    is an exception they raise.  A trace's ``element_min_sv`` holds, per
     iteration, the exact sigma_min of the element where the svd ran and
     the upper bound elsewhere.
     """
@@ -296,37 +310,57 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
         slope = _rowdot((E @ S[..., None])[..., 0], R)  # derivative of the merit along s
         slope = np.where(slope >= 0.0, -2.0 * merit, slope)
 
-        # backtracking in rounds over the rows still searching, from the
-        # full step; Z and R take each row's accepted trial in place
-        alpha = np.ones(act.size)
+        # backtracking in rounds over the rows still searching: round 0
+        # tries the full step, round r the next 2**r step lengths of the
+        # one-row loop (the rows share them), all in one residual call.  A
+        # row takes its first trial that raises or passes the Armijo test;
+        # Z and R take each accepted trial in place
+        alpha = np.empty(act.size)  # each row's accepted step length
         moved = np.zeros(act.size, dtype=bool)
-        search = np.arange(act.size)
+        search = owner = np.arange(act.size)  # owner: the row of each trial
+        trial = np.ones(act.size)  # the step length of each trial
         Z_new = Z + S  # alpha = 1
         while True:
-            R_new, errors = _each_row(residual, Z_new, act[search])
-            search, Z_new = drop(errors, act[search], search, Z_new)
-            if not search.size:
-                break
+            w = owner.size // search.size  # trials per row
+            R_new, errors = _each_row(residual, Z_new, act[owner])
+            raised = np.zeros(owner.size, dtype=bool)
+            if errors:
+                raised[list(errors)] = True
+                R_new = _nan_rows(R_new, errors, Z_new.shape)
             merit_new = 0.5 * _rowdot(R_new, R_new)
-            ok = merit_new <= merit[search] + opts.armijo_c * alpha[search] * slope[search]
-            if ok.all():
-                Z[search], R[search] = Z_new, R_new
+            ok = merit_new <= merit[owner] + opts.armijo_c * trial * slope[owner]
+            if not errors and ok[::w].all():
+                Z[search], R[search] = Z_new[::w], R_new[::w]
+                alpha[search] = trial[::w]
                 moved[search] = True
                 break
-            Z[search[ok]], R[search[ok]] = Z_new[ok], R_new[ok]
-            moved[search[ok]] = True
-            search = search[~ok]
-            alpha[search] *= opts.backtrack_factor
-            short = alpha[search] < opts.min_step
-            for j in search[short]:
-                i = act[j]
-                traces[i].status = "stagnated"
-                outcomes[i] = NewtonStagnation(
-                    f"line search collapsed at residual {rnorm[j]:.3e}", traces[i])
-            search = search[~short]
+            hit = (ok | raised).reshape(-1, w)
+            found, first = hit.any(axis=1), hit.argmax(axis=1)
+            pick = np.arange(search.size) * w + first  # each row's first hit
+            take = found & ~raised[pick]
+            Z[search[take]], R[search[take]] = Z_new[pick[take]], R_new[pick[take]]
+            alpha[search[take]] = trial[pick[take]]
+            moved[search[take]] = True
+            for j, t in zip(search[found & ~take], pick[found & ~take]):
+                outcomes[act[j]] = errors[t]
+            search = search[~found]
             if not search.size:
                 break
-            Z_new = Z[search] + alpha[search, None] * S[search]
+            steps, length = [], trial[-1]
+            for _ in range(2 * w):  # the loop's products, cut at min_step
+                length *= opts.backtrack_factor
+                if length < opts.min_step:
+                    break
+                steps.append(length)
+            if not steps:
+                for j in search:
+                    i = act[j]
+                    traces[i].status = "stagnated"
+                    outcomes[i] = NewtonStagnation(
+                        f"line search collapsed at residual {rnorm[j]:.3e}", traces[i])
+                break
+            owner, trial = np.repeat(search, len(steps)), np.tile(steps, search.size)
+            Z_new = Z[owner] + trial[:, None] * S[owner]
         if not moved.all():
             act, Z, R, alpha, min_sv = (a[moved] for a in (act, Z, R, alpha, min_sv))
         rnorm = np.abs(R).max(axis=1)
@@ -349,6 +383,16 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     return outcomes
 
 
+def _pointwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A map of one point as a row callback: one call per row of the stack
+    (the trials of a line-search round), a single call for a single row."""
+    def rows_fn(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if len(Z) == 1:
+            return np.asarray(fn(Z[0]))[None]
+        return np.array([fn(z) for z in Z])
+    return rows_fn
+
+
 def semismooth_solve(residual: Callable[[np.ndarray], np.ndarray],
                      element: Callable[[np.ndarray], np.ndarray],
                      z0: np.ndarray,
@@ -366,8 +410,7 @@ def semismooth_solve(residual: Callable[[np.ndarray], np.ndarray],
 
     This is the one-row case of :func:`semismooth_solve_rows`.
     """
-    outcome, = semismooth_solve_rows(lambda Z, rows: np.asarray(residual(Z[0]))[None],
-                                     lambda Z, rows: np.asarray(element(Z[0]))[None],
+    outcome, = semismooth_solve_rows(_pointwise(residual), _pointwise(element),
                                      np.asarray(z0, dtype=float)[None], opts)
     if isinstance(outcome, Exception):
         raise outcome

@@ -18,9 +18,11 @@ coordinates, bounds some on one side and makes the rest NSD blocks.  A
 "holds" there is exact too: either the pinned coordinates are injective
 on null(J^T), or Gordan's alternative gives a y inside R_+ x PSD,
 orthogonal to the range of the remaining map, checked with one eigvalsh
-per block and the same factor-2 margin as the Farkas certificate.  Only
-when that certificate does not verify does the alternating-projection
-search run; it finds "fails" points, or leaves "heuristic-likely".
+per block and the same factor-2 margin as the Farkas certificate.  When
+it does not verify and the pinned coordinates leave one line of
+null(J^T), an exact test of that line's two rays finds the "fails" point.
+Only otherwise does the alternating-projection search run; it finds
+"fails" points, or leaves "heuristic-likely".
 """
 
 from __future__ import annotations
@@ -279,20 +281,21 @@ class AnalysisPoint:
         'heuristic-likely'.
 
         An interval cone is decided by ``_lp_nonzero_points``.  Any other
-        cone first gets ``_gordan_certificate``; a 'holds' from either is
-        exact, and kept per cone and tol.  Without a certificate, the
-        alternating-projection search runs, kept per cone, tol, budget and
-        seed."""
+        cone first gets ``_gordan_certificate``, then ``_ray_witness``; a
+        'holds' or a ray found is exact, and kept per cone and tol.  When
+        neither decides, the alternating-projection search runs, kept per
+        cone, tol, budget and seed."""
         check_integer("seed", seed, 0)
         cone, N = getattr(self, cone_name), self.adjoint_nullspace
         key = (cone_name, tol)
         if key not in self._searches:
             if cone.polyhedral or N.shape[1] == 0:
                 self._searches[key] = _lp_nonzero_points(N, cone, tol)[:2]
-            elif _gordan_certificate(*self._frame_rows(cone_name)):
-                self._searches[key] = ([], "holds")
             else:
-                self._searches[key] = None
+                W, codes, groups = self._frame_rows(cone_name)
+                self._searches[key] = (
+                    ([], "holds") if _gordan_certificate(W, codes, groups)
+                    else _ray_witness(N @ nullspace(W[codes == PINNED]), cone, tol))
         if self._searches[key] is None:
             key += (budget, seed)
             if key not in self._searches:
@@ -470,6 +473,21 @@ def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray) ->
     return _gordan_verifies(A, sv[-1], y - U @ (U.T @ y), sizes)
 
 
+def _ray_witness(NT: np.ndarray, cone: ConeModel,
+                 tol: float) -> tuple[list[np.ndarray], str] | None:
+    """([v], 'fails') for the first of v = N T[:, 0] and -v that passes the
+    witness test of ``_lp_nonzero_points``, when NT = N T has one column;
+    else None.  T spans the kernel of the PINNED rows, so every point of
+    span(N) in the cone lies on the line of N T: with one column, its two
+    rays are the only candidates, and an exact test of each replaces the
+    search."""
+    if NT.shape[1] == 1:
+        for v in (NT[:, 0], -NT[:, 0]):
+            if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
+                return [v], "fails"
+    return None
+
+
 def _gordan_verifies(A: np.ndarray, sigma_min: float, y: np.ndarray,
                      sizes: np.ndarray) -> bool:
     """Whether y proves that A s in K only for s = 0, where sigma_min is
@@ -535,8 +553,9 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     of the adjoint Jacobian must meet the polar of the critical direction
     set only at the origin.  A "holds" is exact, from the Farkas
     certificate of an interval cone or, with PSD blocks, from the rank test
-    or Gordan certificate of ``_gordan_certificate`` (factor-2 margin);
-    otherwise ``budget`` alternating-projection restarts look for a point."""
+    or Gordan certificate of ``_gordan_certificate`` (factor-2 margin).
+    Otherwise the exact ray test of ``_ray_witness`` or ``budget``
+    alternating-projection restarts look for a point."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     if not point.critical_polar_cone.polyhedral:
@@ -557,7 +576,8 @@ def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test,
     decided as in ``srcq_check``: an exact "holds" from a checked
-    certificate, else ``budget`` alternating-projection restarts."""
+    certificate, else the ray test or ``budget`` alternating-projection
+    restarts."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)

@@ -283,9 +283,14 @@ def test_probe_rows_ridge_exactly_where_the_element_is_singular(name, monkeypatc
     assert singular > 0 or name == "sdp_toy"
 
 
-def semismooth_solve_loop(residual, element, z0, opts=None):
+def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
     """The one-row Newton loop, kept as the reference that the row driver
-    must reproduce bit for bit."""
+    must reproduce bit for bit.
+
+    ``discard``, when given, receives each trial point that the row
+    driver's line-search rounds evaluate past the line search's end: the
+    rest of the round (of 1, 2, 4, ... trials) in which a trial raised or
+    passed the Armijo test.  It changes nothing else."""
     opts = opts or NewtonOptions()
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
@@ -326,12 +331,28 @@ def semismooth_solve_loop(residual, element, z0, opts=None):
         slope = float(np.dot(E @ s, r))
         if slope >= 0.0:
             slope = -2.0 * merit
-        alpha = 1.0
+        alpha, tried = 1.0, 0
+
+        def rest_of_round():
+            a, t = alpha, tried
+            while discard is not None and (t + 1) & t:  # until t == 2**k - 1
+                a *= opts.backtrack_factor
+                if a < opts.min_step:
+                    break
+                t += 1
+                discard(z + a * s)
+
         while True:
             z_new = z + alpha * s
-            r_new = residual(z_new)
+            tried += 1
+            try:
+                r_new = residual(z_new)
+            except Exception:
+                rest_of_round()
+                raise
             merit_new = 0.5 * float(np.dot(r_new, r_new))
             if merit_new <= merit + opts.armijo_c * alpha * slope:
+                rest_of_round()
                 break
             alpha *= opts.backtrack_factor
             if alpha < opts.min_step:
@@ -357,6 +378,8 @@ _CUBIC_C = np.array([0.5, -0.2, 1.0])
 def _row_residual(kind, z):
     if kind == "cubic":
         return z + 0.3 * z ** 3 - _CUBIC_C
+    if kind == "trapped" and np.all((0.16 < z) & (z < 0.17)):
+        raise ValueError("residual undefined on the trap")  # only a discarded trial lands here
     if kind == "residual_error" and np.max(np.abs(z)) < 0.3:
         raise ValueError("residual undefined near the origin")
     return z.copy()
@@ -369,6 +392,14 @@ def _row_element(kind, z):
         return 10.0 * np.eye(3)  # full steps shrink the residual by 0.9
     if kind == "wrong_sign":
         return -np.eye(3)  # every step is an ascent step
+    if kind in ("overshoot", "trapped"):
+        # the full step overshoots to -7/3 z; alpha = 1/2 is accepted (-2/3 z)
+        # and the other trial of its round, z / 6, is discarded
+        return 0.3 * np.eye(3)
+    if kind == "turns":
+        # full steps halve z until the element turns to ascent, where the
+        # line search collapses after three of its eight-trial round
+        return -np.eye(3) if np.max(np.abs(z)) < 0.3 else 2.0 * np.eye(3)
     if kind == "singular":
         return np.diag([1.0, 0.0, 1.0])  # ridge steps that never reach the target
     if kind == "element_error" and np.max(np.abs(z)) < 0.3:
@@ -455,6 +486,78 @@ def test_row_driver_reproduces_each_row_bit_for_bit():
                         "LinAlgError", "converged", "LinAlgError", "NewtonNonConvergence",
                         "ValueError", "ValueError", "converged"]
     assert outcomes[6].trace.element_min_sv[0] == 0.0  # a ridge step was taken
+
+
+_GALLOP_ROWS = [  # (kind, start) of rows that backtrack past the full step
+    ("overshoot", [1.0, -0.5, 0.25]),
+    ("trapped", [1.0, 1.0, 1.0]),
+    ("turns", [1.0, 1.0, 1.0]),
+    ("wrong_sign", [1.0, 0.25, 0.0]),
+]
+
+
+def test_row_driver_discards_the_trials_after_a_rows_first_hit():
+    opts = NewtonOptions(max_iter=8, min_step=1e-3)
+    rows = _ROWS + _GALLOP_ROWS
+    kinds = [kind for kind, _ in rows]
+    log = [[] for _ in rows]
+    outcomes = semismooth_solve_rows(*_logged_row_calls(kinds, log),
+                                     np.array([start for _, start in rows]), opts)
+    extras = 0
+    for i, (kind, start) in enumerate(rows):
+        calls = []
+
+        def logged_residual(z, kind=kind, tag="loop"):
+            r = _row_residual(kind, z)
+            calls.append((tag, z.tobytes()))
+            return r
+
+        def discard(z):
+            try:
+                logged_residual(z, tag="discarded")
+            except ValueError:
+                pass  # a discarded trial that raises leaves no log entry
+
+        args = (logged_residual, lambda z, kind=kind: _row_element(kind, z), np.array(start),
+                opts)
+        try:
+            want = semismooth_solve_loop(*args, discard=discard)
+        except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
+            want = exc
+        _same_outcome(outcomes[i], want)
+        assert log[i] == [z for _, z in calls], kind
+        # the loop's own points are the ordered subsequence that the extra
+        # trials of each round leave
+        loop_calls = [z for tag, z in calls if tag == "loop"]
+        calls.clear()
+        try:
+            semismooth_solve_loop(*args)
+        except (NewtonError, np.linalg.LinAlgError, ValueError):
+            pass
+        assert [z for _, z in calls] == loop_calls, kind
+        extras += len(log[i]) - len(loop_calls)
+    statuses = [type(out).__name__ if isinstance(out, Exception) else out[1].status
+                for out in outcomes[len(_ROWS):]]
+    assert statuses == ["NewtonNonConvergence", "NewtonNonConvergence", "NewtonStagnation",
+                        "NewtonStagnation"]
+    assert outcomes[-2].trace.step_lengths == [1.0, 1.0]  # stagnated in its third iteration
+    # overshoot and trapped discard alpha = 1/4 in each of 8 iterations;
+    # trapped's first one raised, so it left no log entry
+    assert extras == 8 + 7
+
+
+def test_wrong_sign_row_searches_in_rounds_of_doubling_size():
+    sizes = []
+    residual, element = _logged_row_calls(["wrong_sign"], [[]])
+
+    def counted(Z, rows):
+        sizes.append(len(Z))
+        return residual(Z, rows)
+
+    out, = semismooth_solve_rows(counted, element, np.array([[1.0, 0.25, 0.0]]),
+                                 NewtonOptions(max_iter=8, min_step=1e-3))
+    assert isinstance(out, NewtonStagnation)
+    assert sizes == [1, 1, 2, 4, 3]  # the start, then alpha = 1 down to 2**-9
 
 
 def test_row_driver_on_one_row_makes_no_retry_calls():

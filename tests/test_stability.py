@@ -26,6 +26,7 @@ from kktstab import (
     critical_subspace,
     critical_subspace_from_samples,
     equivalence_report,
+    instance_from_dict,
     kkt_check,
     load_battery,
     multiplier_uniqueness,
@@ -1179,6 +1180,104 @@ def test_one_psd_certificate_serves_srcq_and_uniqueness(monkeypatch):
     assert (rep.rcq.status, rep.srcq.status, rep.multiplier_unique) == ("holds", "holds", True)
     # one certificate per cone of the report, and no alternating projections
     assert len(certificates) == 3 and not searches
+
+
+def test_ray_witness_finds_the_one_ray_of_a_single_line_intersection():
+    # span(N) holds p and #PINNED generic columns, or #PINNED + 1 of them:
+    # the kernel T of the PINNED rows is one line, p's when p is planted, and
+    # then its ray is the cone's only nonzero point in span(N).  Gordan's
+    # alternative cannot decide that; the exact test of both rays does
+    from kktstab.stability import _gordan_certificate, _ray_witness
+
+    rng = np.random.default_rng(31)
+    seen = set()
+    for case in range(60):
+        structures = _random_frame_structures(rng)
+        cone, rows = _frame_cone(structures)
+        pinned = sum(int(np.count_nonzero(st.normal == PINNED)) for st in structures)
+        cols = rng.standard_normal((cone.dim, 1 + pinned))
+        planted = case % 2 == 0
+        if planted:
+            p = _frame_cone_point(structures, rng)
+            cols[:, 0] = p
+        N, _ = np.linalg.qr(cols)
+        W, codes, groups = rows(N)
+        T = nullspace(W[codes == PINNED])
+        assert T.shape[1] == 1, case
+        found = _ray_witness(N @ T, cone, 1e-8)
+        if planted:
+            assert not _gordan_certificate(W, codes, groups), case
+            (v,), status = found
+            assert status == "fails"
+            assert abs(v @ p) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(p))
+        if found is not None:
+            (v,), _ = found
+            assert cone.residual(v) <= 1e-8 * (1.0 + np.linalg.norm(v)), case
+        seen.add((planted, found is None))
+    # generic lines whose rays both leave the cone are left to the search
+    assert seen >= {(True, False), (False, True)}
+
+
+_SINGLE_RAY_INSTANCE = {  # planted PSD pencil: order 3, |alpha| = |beta| = 1, degenerate
+    "name": "single-ray", "n": 4,
+    "F": {"builtin": {"id": "affine_pencil", "params": {
+        "objective": {"const": 0.0,
+                      "linear": [1.7075260505494865, -1.670551469013153, -0.10909719746748336,
+                                 -1.3001299193740998],
+                      "quadratic": [[0.9699768569880909, -0.009044965938631423,
+                                     -0.0296073798693941, -0.21316126266093835],
+                                    [-0.009044965938631423, 2.876307935620442,
+                                     -0.46499768739765757, 0.6765668589932058],
+                                    [-0.0296073798693941, -0.46499768739765757,
+                                     0.6245402512995044, -0.0362717436542684],
+                                    [-0.21316126266093835, 0.6765668589932058,
+                                     -0.0362717436542684, 1.006965190103871]]},
+        "pencil_const": [[-1.483642476100935, 0.8347690028192107, -1.2098330960145205],
+                         [0.8347690028192107, -1.2734782611626327, 1.6700647209282447],
+                         [-1.2098330960145205, 1.6700647209282447, -3.8494528180662226]],
+        "pencil_coeff": [[[0.2528681416909311, 0.16431811616555814, -0.6585228437958774],
+                          [0.16431811616555814, -0.4357573003896156, 0.7195192200636131],
+                          [-0.6585228437958774, 0.7195192200636131, -2.7210882925542257]],
+                         [[1.2924681896516526, -0.043187739397536146, -0.24856826720908579],
+                          [-0.043187739397536146, 0.5607606077197743, -1.5301524544615048],
+                          [-0.24856826720908579, -1.5301524544615048, -1.0099512041209442]],
+                         [[-0.18494573411437742, -0.4433042594335752, 0.20568138994566665],
+                          [-0.4433042594335752, 0.6674818851430173, -0.2747121508687032],
+                          [0.20568138994566665, -0.2747121508687032, 0.4021705250468464]],
+                         [[1.5645728067832274, -0.6780167603796744, 0.6279710331324329],
+                          [-0.6780167603796744, 0.11093746450181749, 0.5411079279121913],
+                          [0.6279710331324329, 0.5411079279121913, 0.5546125103378571]]]}}},
+    "g": [{"kind": "epi_lift", "inner": {"kind": "psd_indicator", "order": 3}}],
+    "known_solution": {"x": [-1.5686858503476075, 0.6982593725779938, 0.4069076647684114,
+                             0.7729043020765998],
+                       "mu": [1.0, -0.5267213831647439, -0.9071297044008635, -0.1216843985460039,
+                              -0.7811381186598063, -0.14818639767622088, -0.014055906331859951]},
+}
+
+
+def test_a_single_ray_cone_fails_and_uniqueness_finds_the_second_multiplier(monkeypatch):
+    # the PSD polar cone meets null(J^T) in one ray, which 20 restarts of
+    # alternating projections at seed 7 miss; the exact ray test finds it,
+    # and srcq, uniqueness and the report share it
+    import kktstab.stability as st
+
+    searches = []
+    ap = st._ap_nonzero_points
+    monkeypatch.setattr(st, "_ap_nonzero_points",
+                        lambda *a, **k: searches.append(1) or ap(*a, **k))
+    problem, meta = instance_from_dict(_SINGLE_RAY_INSTANCE)
+    point = AnalysisPoint(problem, meta.known_solution)
+    v = srcq_check(problem, point, budget=20, seed=7)
+    assert (v.status, v.detail) == ("fails", "nonzero polar intersection point found")
+    unique, mu = multiplier_uniqueness(problem, point, budget=20, seed=7)
+    assert not unique
+    assert np.max(np.abs(mu - meta.known_solution.mu)) > 1e-6
+    assert kkt_check(problem, KKTPoint(meta.known_solution.x, mu)).ok
+    rep = equivalence_report(problem, meta.known_solution,
+                             AnalyzerOptions(num_delta=4, srcq_budget=20, seed=7))
+    assert (rep.srcq.status, rep.multiplier_unique, rep.ssosc.status) == (
+        "fails", False, "skipped")
+    assert not searches
 
 
 @pytest.mark.parametrize("check", [check_gamma_properties, "assumption_check"])
