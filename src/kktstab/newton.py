@@ -6,7 +6,10 @@ solve the element system by LU, which also bounds the element's least
 singular value from above through a solve against a fixed probe vector;
 only an element whose bound is small, or that follows a singular one,
 gets an exact svd, and a singular one takes a ridge-regularized
-least-squares step.  Steps are globalized by Armijo backtracking on half
+least-squares step.  The svd and the ridge Gram matrix are computed once
+per distinct element over the current and the previous iteration, since
+rows of one stack, and consecutive iterates of one row, often hold the
+same element.  Steps are globalized by Armijo backtracking on half
 the squared residual norm, in rounds that try the next 1, 2, 4, ... step
 lengths of the backtracking sequence at once.
 """
@@ -157,21 +160,30 @@ def _screen(E: np.ndarray, r: np.ndarray, rr: np.ndarray,
 
 
 def _newton_steps(E: np.ndarray, r: np.ndarray, rr: np.ndarray, probe: np.ndarray,
-                  floor: float, was_singular: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+                  floor: float, was_singular: np.ndarray, known: dict
+                  ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception], dict]:
     """Newton steps ``E s = -r`` for a stack of rows, screened for near
     singular elements.
 
     Each row is screened by :func:`_screen`, except the rows whose previous
     element was singular (``was_singular``), which go straight to the svd.
     A row whose bound falls below SCREEN_SV (which includes every row whose
-    solve raised or is not finite) gets an exact svd: below RIDGE_SV it
-    takes the ridge-regularized least-squares step, else it keeps its LU
-    step, solved again only if that raised, is not finite or was skipped.
+    solve raised or is not finite) gets the exact sigma_min of its element:
+    below RIDGE_SV it takes the ridge-regularized least-squares step, else
+    it keeps its LU step, solved again only if that raised, is not finite
+    or was skipped.
+
+    The svd and the ridge Gram matrix ``E^T E + tau I`` run once per
+    distinct element, keyed by its bytes; ``known`` holds them, or the
+    exception the svd raised, for the elements of the previous iteration.
+    Every row that holds an element shares its values, which are the bits
+    its own svd would give, and ends with its exception.  The right-hand
+    side ``-E^T r``, the solve and the LU screen stay per row.
 
     Returns the steps, one value per row that is the exact sigma_min on the
     rows the svd confirmed and the bound elsewhere (so always exact below
-    SCREEN_SV), and the exception of each row that failed, by position.
+    SCREEN_SV), the exception of each row that failed, by position, and
+    the decompositions of this iteration's elements, for the next one.
     """
     k, n = r.shape
     if was_singular.any():  # a bound of 0 sends a row to the svd
@@ -183,19 +195,33 @@ def _newton_steps(E: np.ndarray, r: np.ndarray, rr: np.ndarray, probe: np.ndarra
         S, bound = _screen(E, r, rr, probe)
     screened = bound >= SCREEN_SV  # a non-finite column makes the bound 0 or NaN
     if screened.all():
-        return S, bound, {}
+        return S, bound, {}, {}
     rows = (~screened).nonzero()[0]
-    svals, sv_errors = _each_row(lambda M: np.linalg.svd(M, compute_uv=False), E[rows])
-    errors = {int(rows[pos]): exc for pos, exc in sv_errors.items()}
-    rows = np.delete(rows, list(sv_errors))
-    redo, A, b = [], [], []
-    for j, sv in zip(rows, svals if rows.size else ()):
-        bound[j] = sv[-1]
-        if sv[-1] < RIDGE_SV:
-            # ridge-regularized least squares keeps the iteration alive in
-            # degenerate regions; the analyzer reports the degeneracy itself
-            tau = max(floor, 1e-10 * float(sv[0]))
-            A.append(E[j].T @ E[j] + tau * np.eye(n))
+    keys = [E[j].tobytes() for j in rows]
+    seen = {key: known[key] for key in keys if key in known}
+    new = {key: j for key, j in zip(keys, rows) if key not in seen}
+    if new:
+        svals, sv_errors = _each_row(lambda M: np.linalg.svd(M, compute_uv=False),
+                                     E[list(new.values())])
+        firsts = list(new.items())
+        seen.update((firsts[pos][0], exc) for pos, exc in sv_errors.items())
+        firsts = [first for pos, first in enumerate(firsts) if pos not in sv_errors]
+        for (key, j), sv in zip(firsts, svals if firsts else ()):
+            gram = None
+            if sv[-1] < RIDGE_SV:
+                # ridge-regularized least squares keeps the iteration alive in
+                # degenerate regions; the analyzer reports the degeneracy itself
+                tau = max(floor, 1e-10 * float(sv[0]))
+                gram = E[j].T @ E[j] + tau * np.eye(n)
+            seen[key] = (sv[-1], gram)
+    errors, redo, A, b = {}, [], [], []
+    for j, key in zip(rows, keys):
+        if isinstance(seen[key], Exception):
+            errors[int(j)] = seen[key]
+            continue
+        bound[j], gram = seen[key]
+        if gram is not None:
+            A.append(gram)
             b.append(-E[j].T @ r[j])
         elif not np.isfinite(S[j]).all():
             A.append(E[j])
@@ -210,7 +236,7 @@ def _newton_steps(E: np.ndarray, r: np.ndarray, rr: np.ndarray, probe: np.ndarra
         redo = np.delete(redo, list(redo_errors))
         if redo.size:
             S[redo] = steps
-    return S, bound, errors
+    return S, bound, errors, seen
 
 
 def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -239,7 +265,10 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     iteration makes one element call and one stacked LU solve, of the step
     and of a fixed probe vector, for the rows still running; only the rows
     whose bound on sigma_min falls below SCREEN_SV, or whose previous
-    element was singular, get an svd (see :func:`_newton_steps`).  Each
+    element was singular, get an svd (see :func:`_newton_steps`), once
+    for each distinct element of the current and the previous iteration:
+    the rows that hold the same matrix, bit for bit, share its svd and
+    ridge Gram matrix, and its svd error.  Each
     line-search round makes one residual call for the rows still
     searching: round 0 tries the full step, round r each row's next 2**r
     step lengths of the one-row loop (``alpha *= backtrack_factor``, cut
@@ -285,6 +314,7 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     for i, rn in zip(act.tolist(), rnorm.tolist()):
         traces[i].residual_norms.append(rn)
     min_sv = np.full(act.size, np.inf)  # of each row's previous element
+    known: dict = {}  # the decompositions of the previous iteration's elements
 
     for _ in range(opts.max_iter):
         done = rnorm <= opts.tol
@@ -300,8 +330,8 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
         if not act.size:
             break
         rr = _rowdot(R, R)
-        S, min_sv, errors = _newton_steps(E, R, rr, probe, opts.regularization_floor,
-                                          min_sv < RIDGE_SV)
+        S, min_sv, errors, known = _newton_steps(E, R, rr, probe, opts.regularization_floor,
+                                                 min_sv < RIDGE_SV, known)
         act, Z, R, rnorm, E, rr, S, min_sv = drop(errors, act, act, Z, R, rnorm, E, rr, S,
                                                   min_sv)
         if not act.size:
@@ -393,10 +423,9 @@ def _pointwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return rows_fn
 
 
-def semismooth_solve(residual: Callable[[np.ndarray], np.ndarray],
-                     element: Callable[[np.ndarray], np.ndarray],
-                     z0: np.ndarray,
-                     opts: NewtonOptions | None = None) -> tuple[np.ndarray, NewtonTrace]:
+def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
+                     opts: NewtonOptions | None = None, *,
+                     stacked: bool = False) -> tuple[np.ndarray, NewtonTrace]:
     """Drive z to a zero of the residual map.
 
     Parameters
@@ -407,11 +436,16 @@ def semismooth_solve(residual: Callable[[np.ndarray], np.ndarray],
         Maps a point to one generalized-derivative matrix of the residual.
     z0 : ndarray
         Finite starting point.
+    stacked : bool
+        When true, ``residual`` and ``element`` are row callbacks
+        ``fn(Z, rows)`` as in :func:`semismooth_solve_rows`, so that each
+        line-search round evaluates its trials in one call.
 
     This is the one-row case of :func:`semismooth_solve_rows`.
     """
-    outcome, = semismooth_solve_rows(_pointwise(residual), _pointwise(element),
-                                     np.asarray(z0, dtype=float)[None], opts)
+    if not stacked:
+        residual, element = _pointwise(residual), _pointwise(element)
+    outcome, = semismooth_solve_rows(residual, element, np.asarray(z0, dtype=float)[None], opts)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -93,8 +93,10 @@ class CompositeProblem:
             [p.prox(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))], axis=-1)
 
     def prox_gstar(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """Blockwise prox of the conjugate of w, or of each row of a stack (..., m)."""
         return np.concatenate(
-            [p.prox_conjugate(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))])
+            [p.prox_conjugate(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))],
+            axis=-1)
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,22 @@ def as_point(problem: CompositeProblem, z) -> KKTPoint:
 
 
 def residual(problem: CompositeProblem, z) -> np.ndarray:
-    """Stacked KKT residual (stationarity; mu - prox of conjugate at F(x)+mu)."""
-    pt = as_point(problem, z)
-    J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
-    w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
-    r1 = J.T @ pt.mu
-    r2 = pt.mu - problem.prox_gstar(w)
-    return np.concatenate([r1, r2])
+    """Stacked KKT residual (stationarity; mu - prox of conjugate at F(x)+mu)
+    of a point, or of each row of a stack (k, n+m).
+
+    F and its Jacobian run per point and the prox once for all of them;
+    each row has the bits of its one-point call.
+    """
+    def parts(pt: KKTPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
+        return J.T @ pt.mu, np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu, pt.mu
+
+    if isinstance(z, KKTPoint) or np.ndim(z) < 2:
+        r1, w, mu = parts(as_point(problem, z))
+    else:
+        r1, w, mu = map(np.array, zip(*(parts(as_point(problem, row))
+                                       for row in np.asarray(z, dtype=float))))
+    return np.concatenate([r1, mu - problem.prox_gstar(w)], axis=-1)
 
 
 def signed_residual(problem: CompositeProblem, z) -> np.ndarray:
@@ -138,7 +149,7 @@ def signed_residual(problem: CompositeProblem, z) -> np.ndarray:
     assembled matrices below."""
     r = residual(problem, z)
     out = r.copy()
-    out[problem.n:] *= -1.0
+    out[..., problem.n:] *= -1.0
     return out
 
 
@@ -344,15 +355,18 @@ def solve(problem: CompositeProblem, z0,
     """Semismooth Newton on the KKT residual from the given start.
 
     Each iteration uses the canonical element at the current iterate and
-    backtracks on half the squared residual norm.
+    backtracks on half the squared residual norm.  The trials of a
+    line-search round share one prox call.
     """
     start = as_point(problem, z0)
 
-    def rho(zv: np.ndarray) -> np.ndarray:
-        return signed_residual(problem, zv)
+    def rho(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # a round of one trial keeps the one-point prox, cheaper than a
+        # stack of one
+        return signed_residual(problem, Z[0])[None] if len(Z) == 1 else signed_residual(problem, Z)
 
-    def elem(zv: np.ndarray) -> np.ndarray:
-        return canonical_element(problem, zv).matrix
+    def elem(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return canonical_element(problem, Z[0]).matrix[None]  # the one row
 
-    zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts)
+    zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts, stacked=True)
     return KKTPoint(zsol[:problem.n], zsol[problem.n:]), trace

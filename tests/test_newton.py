@@ -15,6 +15,7 @@ from kktstab import (
     solve,
     strong_regularity_probe,
 )
+from kktstab import newton as newton_mod
 from kktstab import problem as problem_mod
 from kktstab.newton import _probe_vector, semismooth_solve_rows
 from kktstab.verify import newton_start_grid
@@ -577,3 +578,134 @@ def test_row_driver_on_one_row_makes_no_retry_calls():
 def test_newton_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         NewtonOptions(**{field: value})
+
+
+# three exactly singular elements with different Gram matrices
+_SINGULAR = {"A": np.diag([1.0, 0.0, 1.0]), "B": np.diag([2.0, 0.0, 1.0]),
+             "C": np.diag([1.0, 0.0, 3.0])}
+# the element of each row at each iteration: B comes back at iteration 2
+# and C at iteration 4, each two iterations after it was last held
+_SCHEDULES = ["AAAAA", "AABBA", "BCCAA", "CCCBC"]
+_SCHEDULE_STARTS = [[1.0, 1.0, 1.0], [2.0, -1.0, 0.5], [-1.0, 0.5, 3.0], [0.5, 2.0, -1.0]]
+
+
+def _scheduled(schedule):
+    """A one-point element that follows the schedule, one entry per call."""
+    calls = iter(schedule)
+    return lambda z: _SINGULAR[next(calls)]
+
+
+def _spy_svd(monkeypatch):
+    """Record the bytes of every matrix that np.linalg.svd decomposes."""
+    seen, svd = [], np.linalg.svd
+
+    def spied(M, *args, **kwargs):
+        seen.extend(m.tobytes() for m in np.reshape(M, (-1,) + np.shape(M)[-2:]))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    return seen
+
+
+def test_rows_decompose_each_singular_element_once_per_two_iterations(monkeypatch):
+    opts = NewtonOptions(max_iter=len(_SCHEDULES[0]))
+    names = {M.tobytes(): name for name, M in _SINGULAR.items()}
+    svds = _spy_svd(monkeypatch)
+    per_iteration = []
+    row_elements = [_scheduled(s) for s in _SCHEDULES]
+
+    def element(Z, rows):
+        per_iteration.append(len(svds))
+        return np.array([row_elements[i](z) for z, i in zip(Z, rows)])
+
+    outcomes = semismooth_solve_rows(lambda Z, rows: Z.copy(), element,
+                                     np.array(_SCHEDULE_STARTS), opts)
+    per_iteration.append(len(svds))
+    decomposed = ["".join(sorted(names[m] for m in svds[a:b]))
+                  for a, b in zip(per_iteration, per_iteration[1:])]
+    # each element once at its first iteration, and again when it comes
+    # back after a gap; never once per row
+    assert decomposed == ["ABC", "", "B", "", "C"]
+    monkeypatch.undo()
+    for out, schedule, start in zip(outcomes, _SCHEDULES, _SCHEDULE_STARTS):
+        with pytest.raises(NewtonNonConvergence) as want:
+            semismooth_solve_loop(lambda z: z.copy(), _scheduled(schedule), np.array(start),
+                                  opts)
+        _same_outcome(out, want.value)
+        assert out.trace.element_min_sv == [0.0] * opts.max_iter  # ridge steps throughout
+
+
+def test_an_svd_error_ends_every_row_that_shares_the_element(monkeypatch):
+    # rows 0 and 2 share a NaN element from their second iteration on; row
+    # 1 holds a singular one
+    def element(kind):
+        return lambda z: (np.full((3, 3), np.nan) if kind == "nan" and abs(z[0]) < 0.5
+                          else _SINGULAR["A"])
+
+    kinds = ["nan", "singular", "nan"]
+    starts = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [-1.0, 0.5, 1.0]])
+    svds = _spy_svd(monkeypatch)
+    outcomes = semismooth_solve_rows(
+        lambda Z, rows: Z.copy(),
+        lambda Z, rows: np.array([element(kinds[i])(z) for z, i in zip(Z, rows)]),
+        starts, NewtonOptions(max_iter=4))
+    nan_svds = sum(np.isnan(np.frombuffer(m)).any() for m in svds)
+    assert nan_svds == 1  # one svd for the two rows that share the element
+    monkeypatch.undo()
+    for out, kind, start in zip(outcomes, kinds, starts):
+        try:
+            want = semismooth_solve_loop(lambda z: z.copy(), element(kind), start,
+                                         NewtonOptions(max_iter=4))
+        except (NewtonError, np.linalg.LinAlgError) as exc:
+            want = exc
+        _same_outcome(out, want)
+    assert [type(out).__name__ for out in outcomes] == ["LinAlgError", "NewtonNonConvergence",
+                                                       "LinAlgError"]
+    assert str(outcomes[0]) == "SVD did not converge"
+
+
+@pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
+                                  "smooth_toy"])
+def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
+    problem, meta = load_battery(name)
+    rng = np.random.default_rng(0)
+    rounds = []  # the trials and the prox calls of each residual call of solve
+
+    def spied_rows(residual, element, Z0, opts=None):
+        def counted(Z, rows):
+            before = len(prox_calls)
+            out = residual(Z, rows)
+            rounds.append((len(Z), prox_calls[before:]))
+            return out
+
+        return semismooth_solve_rows(counted, element, Z0, opts)
+
+    prox_calls, prox_gstar = [], problem.prox_gstar
+
+    def spied_prox(w, *args):
+        prox_calls.append(w.shape)
+        return prox_gstar(w, *args)
+
+    monkeypatch.setattr(problem, "prox_gstar", spied_prox)
+    monkeypatch.setattr(newton_mod, "semismooth_solve_rows", spied_rows)
+    for _ in range(20):
+        d = rng.standard_normal(problem.n + problem.m)
+        start = meta.known_solution.stacked() + 3.0 * d / np.linalg.norm(d)
+        try:
+            pt, trace = solve(problem, start)
+            got = (pt.stacked(), trace)
+        except NewtonError as exc:
+            got = exc
+        try:
+            want = semismooth_solve_loop(lambda z: problem_mod.signed_residual(problem, z),
+                                         lambda z: problem_mod.canonical_element(problem,
+                                                                                 z).matrix,
+                                         start)
+        except NewtonError as exc:
+            want = exc
+        _same_outcome(got, want)
+    # each residual call, a whole line-search round, made one prox call: on
+    # the stack of its trials, or on the point itself for a single trial
+    assert all(calls == [(size, problem.m) if size > 1 else (problem.m,)]
+               for size, calls in rounds)
+    assert max(size for size, _ in rounds) > 1  # some round tried several lengths

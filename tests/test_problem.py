@@ -327,3 +327,46 @@ def test_solve_linearized_rows_matches_one_row_solves():
         solve_linearized_rows(problem, meta.known_solution, np.zeros((3, 2)))
     with pytest.raises(DimensionError, match="starts have shape"):
         solve_linearized_rows(problem, meta.known_solution, np.zeros((3, N)), np.zeros((2, N)))
+
+
+def test_prox_gstar_of_a_stack_equals_each_row():
+    # random rows and rows on the kinks of each piece: F(x*) + mu* and its
+    # sign flips, for every battery instance and for a problem of five
+    # blocks of every kind (its blocks split the stack along the last axis)
+    rng = np.random.default_rng(0)
+    cases = [load_battery(name) for name in ("nlp_toy", "sdp_toy", "sdp_degenerate",
+                                             "l1_toy", "smooth_toy")]
+    cases = [(problem, meta.known_solution) for problem, meta in cases]
+    cases.append(_mixed_kink_problem(False))
+    for problem, pt in cases:
+        w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
+        W = np.vstack([w, -w, np.round(w), 2.0 * rng.standard_normal((5, problem.m))])
+        got = problem.prox_gstar(W)
+        assert got.shape == W.shape
+        want = np.array([problem.prox_gstar(row) for row in W])
+        assert got.tobytes() == want.tobytes()
+        assert problem.prox_gstar(W[:1]).tobytes() == want[:1].tobytes()
+
+
+def _residual_loop(problem, z):
+    """The KKT residual of one point with a one-point prox call."""
+    x, mu = z[:problem.n], z[problem.n:]
+    J = np.atleast_2d(np.asarray(problem.F.jacobian(x), dtype=float))
+    w = np.asarray(problem.F.eval(x), dtype=float) + mu
+    return np.concatenate([J.T @ mu, mu - problem.prox_gstar(w)])
+
+
+def test_residual_of_a_stack_equals_each_row():
+    rng = np.random.default_rng(1)
+    cases = [load_battery(name) for name in ("nlp_toy", "sdp_toy", "sdp_degenerate",
+                                             "l1_toy", "smooth_toy")]
+    cases = [(problem, meta.known_solution) for problem, meta in cases]
+    cases.append(_mixed_kink_problem(False))
+    for problem, pt in cases:
+        Z = pt.stacked() + np.vstack([np.zeros(problem.n + problem.m),
+                                      rng.standard_normal((4, problem.n + problem.m))])
+        want = np.array([_residual_loop(problem, z) for z in Z])
+        assert residual(problem, Z).tobytes() == want.tobytes()
+        for z, r in zip(Z, want):
+            assert residual(problem, z).tobytes() == r.tobytes()
+        assert residual(problem, pt).tobytes() == want[0].tobytes()
