@@ -137,8 +137,12 @@ def _cmd_solve(args) -> int:
         z, trace = problem_mod.solve(problem, start, opts)
     except NewtonError as exc:
         print(f"solve failed: {exc}")
+        # the element of iteration k moved the iterate of residual k; the
+        # last iterate's element has no entry when its line search collapsed
+        svs = exc.trace.element_min_sv
         for k, rn in enumerate(exc.trace.residual_norms):
-            print(f"  iter {k:3d}  residual {rn:.6e}")
+            sv = f"  sigma_min {svs[k]:.3e}" if k < len(svs) else ""
+            print(f"  iter {k:3d}  residual {rn:.6e}{sv}")
         return 1
     rnorm = float(np.linalg.norm(residual(problem, z), np.inf))
     try:

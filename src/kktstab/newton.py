@@ -1,17 +1,20 @@
 """Damped semismooth Newton method on nonsmooth residual maps.
 
 The driver works on any residual/element pair; the KKT front end in
-:mod:`kktstab.problem` supplies the composite-problem specifics.  Steps
-solve the element system by LU, which also bounds the element's least
-singular value from above through a solve against a fixed probe vector;
-only an element whose bound is small, or that follows a singular one,
-gets an exact svd, and a singular one takes a ridge-regularized
-least-squares step.  The svd and the ridge Gram matrix are computed once
-per distinct element over the current and the previous iteration, since
-rows of one stack, and consecutive iterates of one row, often hold the
-same element.  Steps are globalized by Armijo backtracking on half
-the squared residual norm, in rounds that try the next 1, 2, 4, ... step
-lengths of the backtracking sequence at once.
+:mod:`kktstab.problem` supplies the composite-problem specifics.  The
+element callback returns dense matrices or an :class:`ElementStack`,
+which screens its own Newton steps (by LU on the dense matrices here, on
+a reduced system for the KKT elements kept in their blocks' frames) and
+bounds each element's least singular value from above through a solve
+against a fixed probe vector; only an element whose bound is small, or
+that follows a singular one, gets an exact svd of its dense matrix, and a
+singular one takes a ridge-regularized least-squares step.  The svd and
+the ridge Gram matrix are computed once per distinct element over the
+current and the previous iteration, since rows of one stack, and
+consecutive iterates of one row, often hold the same element.  Steps are
+globalized by Armijo backtracking on half the squared residual norm, in
+rounds that try the next 1, 2, 4, ... step lengths of the backtracking
+sequence at once.
 """
 
 from __future__ import annotations
@@ -108,7 +111,10 @@ def _each_row(fn: Callable, *stacks: np.ndarray) -> tuple[np.ndarray | None, dic
             outs.append(fn(*(s[i:i + 1] for s in stacks)))
         except Exception as exc:
             errors[i] = exc
-    return (np.concatenate(outs) if outs else None), errors
+    if not outs:
+        return None, errors
+    return (type(outs[0]).concatenate(outs) if isinstance(outs[0], ElementStack)
+            else np.concatenate(outs)), errors
 
 
 def _nan_rows(out: np.ndarray | None, errors: dict[int, Exception],
@@ -159,19 +165,60 @@ def _screen(E: np.ndarray, r: np.ndarray, rr: np.ndarray,
         return SY[0], np.minimum(np.sqrt(rr / ss), 1.0 / np.sqrt(yy))
 
 
-def _newton_steps(E: np.ndarray, r: np.ndarray, rr: np.ndarray, probe: np.ndarray,
-                  floor: float, was_singular: np.ndarray, known: dict
+class ElementStack:
+    """The generalized-derivative elements of a stack of rows, as the driver
+    uses them; this base class holds dense matrices (k, N, N).
+
+    A subclass keeps its elements in another form and supplies the same
+    three operations: ``screen`` (the Newton steps and an upper bound on
+    each element's sigma_min), ``dense`` (the matrices of some rows, for
+    the svd and the ridge step) and ``apply`` (each element times its
+    row's step).  Rows are selected with ``[]`` and joined with
+    ``concatenate``.
+    """
+
+    def __init__(self, matrices: np.ndarray):
+        self.matrices = matrices
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, rows) -> ElementStack:
+        return ElementStack(self.matrices[rows])
+
+    @staticmethod
+    def concatenate(stacks: list[ElementStack]) -> ElementStack:
+        return ElementStack(np.concatenate([s.matrices for s in stacks]))
+
+    def screen(self, r: np.ndarray, rr: np.ndarray,
+               probe: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The steps ``E s = -r`` of the rows and an upper bound on each
+        element's sigma_min, NaN where it cannot be had; ``probe(d)`` is the
+        fixed unit probe vector of dimension d."""
+        return _screen(self.matrices, r, rr, probe(r.shape[1]))
+
+    def dense(self, rows: np.ndarray) -> np.ndarray:
+        """The dense element matrices of the given rows, (len(rows), N, N)."""
+        return self.matrices[rows]
+
+    def apply(self, S: np.ndarray) -> np.ndarray:
+        """``E s`` for each row's element and step."""
+        return (self.matrices @ S[..., None])[..., 0]
+
+
+def _newton_steps(E: ElementStack, r: np.ndarray, rr: np.ndarray, floor: float,
+                  was_singular: np.ndarray, known: dict
                   ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception], dict]:
     """Newton steps ``E s = -r`` for a stack of rows, screened for near
     singular elements.
 
-    Each row is screened by :func:`_screen`, except the rows whose previous
+    Each row is screened by ``E.screen``, except the rows whose previous
     element was singular (``was_singular``), which go straight to the svd.
     A row whose bound falls below SCREEN_SV (which includes every row whose
-    solve raised or is not finite) gets the exact sigma_min of its element:
-    below RIDGE_SV it takes the ridge-regularized least-squares step, else
-    it keeps its LU step, solved again only if that raised, is not finite
-    or was skipped.
+    solve raised or is not finite) gets the exact sigma_min of its dense
+    element: below RIDGE_SV it takes the ridge-regularized least-squares
+    step, else it keeps its screened step, solved again by LU only if that
+    raised, is not finite or was skipped.
 
     The svd and the ridge Gram matrix ``E^T E + tau I`` run once per
     distinct element, keyed by its bytes; ``known`` holds them, or the
@@ -190,41 +237,42 @@ def _newton_steps(E: np.ndarray, r: np.ndarray, rr: np.ndarray, probe: np.ndarra
         S, bound = np.full((k, n), np.nan), np.zeros(k)
         lu = ~was_singular
         if lu.any():
-            S[lu], bound[lu] = _screen(E[lu], r[lu], rr[lu], probe)
+            S[lu], bound[lu] = E[lu].screen(r[lu], rr[lu], _probe_vector)
     else:
-        S, bound = _screen(E, r, rr, probe)
+        S, bound = E.screen(r, rr, _probe_vector)
     screened = bound >= SCREEN_SV  # a non-finite column makes the bound 0 or NaN
     if screened.all():
         return S, bound, {}, {}
     rows = (~screened).nonzero()[0]
-    keys = [E[j].tobytes() for j in rows]
+    D = E.dense(rows)  # D[pos] is the element of row rows[pos]
+    keys = [M.tobytes() for M in D]
     seen = {key: known[key] for key in keys if key in known}
-    new = {key: j for key, j in zip(keys, rows) if key not in seen}
+    new = {key: pos for pos, key in enumerate(keys) if key not in seen}
     if new:
         svals, sv_errors = _each_row(lambda M: np.linalg.svd(M, compute_uv=False),
-                                     E[list(new.values())])
+                                     D[list(new.values())])
         firsts = list(new.items())
         seen.update((firsts[pos][0], exc) for pos, exc in sv_errors.items())
         firsts = [first for pos, first in enumerate(firsts) if pos not in sv_errors]
-        for (key, j), sv in zip(firsts, svals if firsts else ()):
+        for (key, pos), sv in zip(firsts, svals if firsts else ()):
             gram = None
             if sv[-1] < RIDGE_SV:
                 # ridge-regularized least squares keeps the iteration alive in
                 # degenerate regions; the analyzer reports the degeneracy itself
                 tau = max(floor, 1e-10 * float(sv[0]))
-                gram = E[j].T @ E[j] + tau * np.eye(n)
+                gram = D[pos].T @ D[pos] + tau * np.eye(n)
             seen[key] = (sv[-1], gram)
     errors, redo, A, b = {}, [], [], []
-    for j, key in zip(rows, keys):
+    for j, M, key in zip(rows, D, keys):
         if isinstance(seen[key], Exception):
             errors[int(j)] = seen[key]
             continue
         bound[j], gram = seen[key]
         if gram is not None:
             A.append(gram)
-            b.append(-E[j].T @ r[j])
+            b.append(-M.T @ r[j])
         elif not np.isfinite(S[j]).all():
-            A.append(E[j])
+            A.append(M)
             b.append(-r[j])
         else:
             continue
@@ -253,7 +301,8 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
         repeated for the trials of one row.
     element : callable
         ``element(Z, rows)`` maps a stack of points to one
-        generalized-derivative matrix per row, (k, N, N).
+        generalized-derivative matrix per row, (k, N, N), or to an
+        :class:`ElementStack` of k rows.
     Z0 : ndarray
         Starting points, one per row.
 
@@ -262,13 +311,14 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     row alone (NewtonNonConvergence, NewtonStagnation, a LinAlgError or an
     error from a callback).  Every row takes the steps, the line-search
     trials and the arithmetic of its own solve, bit for bit.  Each
-    iteration makes one element call and one stacked LU solve, of the step
-    and of a fixed probe vector, for the rows still running; only the rows
-    whose bound on sigma_min falls below SCREEN_SV, or whose previous
-    element was singular, get an svd (see :func:`_newton_steps`), once
-    for each distinct element of the current and the previous iteration:
-    the rows that hold the same matrix, bit for bit, share its svd and
-    ridge Gram matrix, and its svd error.  Each
+    iteration makes one element call and one screen of the elements (for
+    dense matrices, one stacked LU solve of the step and of a fixed probe
+    vector) for the rows still running; only the rows whose bound on
+    sigma_min falls below SCREEN_SV, or whose previous element was
+    singular, get an svd of their dense element (see
+    :func:`_newton_steps`), once for each distinct element of the current
+    and the previous iteration: the rows that hold the same matrix, bit for
+    bit, share its svd and ridge Gram matrix, and its svd error.  Each
     line-search round makes one residual call for the rows still
     searching: round 0 tries the full step, round r each row's next 2**r
     step lengths of the one-row loop (``alpha *= backtrack_factor``, cut
@@ -283,7 +333,6 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     Z = np.array(Z0, dtype=float, ndmin=2)
     outcomes: list = [None] * len(Z)
     traces = [NewtonTrace() for _ in Z]
-    probe = _probe_vector(Z.shape[1])
     finite = np.isfinite(Z).all(axis=1)
     for i in (~finite).nonzero()[0]:
         outcomes[i] = ValueError("starting point must be finite")
@@ -306,6 +355,10 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
             keep[pos] = False
         return [a[keep] for a in arrays]
 
+    def elements(Z: np.ndarray, rows: np.ndarray) -> ElementStack:
+        E = element(Z, rows)
+        return E if isinstance(E, ElementStack) else ElementStack(np.asarray(E, dtype=float))
+
     R, errors = _each_row(residual, Z, act)
     act, Z = drop(errors, act, act, Z)
     if not act.size:
@@ -325,19 +378,19 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
             act, Z, R, rnorm, min_sv = (a[~done] for a in (act, Z, R, rnorm, min_sv))
             if not act.size:
                 break
-        E, errors = _each_row(element, Z, act)
+        E, errors = _each_row(elements, Z, act)
         act, Z, R, rnorm, min_sv = drop(errors, act, act, Z, R, rnorm, min_sv)
         if not act.size:
             break
         rr = _rowdot(R, R)
-        S, min_sv, errors, known = _newton_steps(E, R, rr, probe, opts.regularization_floor,
+        S, min_sv, errors, known = _newton_steps(E, R, rr, opts.regularization_floor,
                                                  min_sv < RIDGE_SV, known)
         act, Z, R, rnorm, E, rr, S, min_sv = drop(errors, act, act, Z, R, rnorm, E, rr, S,
                                                   min_sv)
         if not act.size:
             break
         merit = 0.5 * rr
-        slope = _rowdot((E @ S[..., None])[..., 0], R)  # derivative of the merit along s
+        slope = _rowdot(E.apply(S), R)  # derivative of the merit along s
         slope = np.where(slope >= 0.0, -2.0 * merit, slope)
 
         # backtracking in rounds over the rows still searching: round 0

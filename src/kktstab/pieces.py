@@ -18,10 +18,15 @@ objects from the codes in one place, and ``piece.structure(xbar, ubar)``
 is the one route to them: the critical cone's affine hull and lineality
 bases and membership, both derived cones and the curvature form.
 
-Points are plain 1-d float arrays.  ``prox`` and ``clarke_element`` also
-act row-wise on stacks of points (..., dim), which the perturbation probe
-uses to run its Newton solves together.  Matrix pieces live in the svec
-coordinates of :mod:`kktstab.symmat`.
+A kind defines its canonical Clarke element once, in ``clarke_frame``:
+an orthonormal frame of the block and one weight in [0, 1] per frame
+coordinate (``ClarkeFrame``).  ``clarke_element`` is the dense matrix
+``Q diag(weight) Q^T`` of that frame, formed in the base class.
+
+Points are plain 1-d float arrays.  ``prox``, ``clarke_frame`` and
+``clarke_element`` also act row-wise on stacks of points (..., dim), which
+the perturbation probe uses to run its Newton solves together.  Matrix
+pieces live in the svec coordinates of :mod:`kktstab.symmat`.
 """
 
 from __future__ import annotations
@@ -88,6 +93,61 @@ class LinearOperatorElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+
+@dataclass
+class ClarkeFrame:
+    """The canonical Clarke element ``Q diag(weight) Q^T`` of a block's prox,
+    kept as its frame Q and weights, at a point or at each row of a stack.
+
+    Q is the identity on the first ``lead`` coordinates.  On the remaining
+    svec coordinates of a matrix block it is ``conjugation_matrix(eigvecs)``,
+    which ``coords`` and ``vectors`` apply as ``P^T S P`` and ``P S P^T``
+    without forming it; with no eigenvectors Q is the identity throughout.
+    """
+
+    weight: np.ndarray
+    eigvecs: np.ndarray | None = None
+    provenance: str = ""
+
+    @property
+    def lead(self) -> int:
+        """The number of leading coordinates on which Q is the identity."""
+        if self.eigvecs is None:
+            return self.weight.shape[-1]
+        return self.weight.shape[-1] - svec_dim(self.eigvecs.shape[-1])
+
+    def matrix(self) -> np.ndarray:
+        """The dense element, (..., dim, dim)."""
+        if self.eigvecs is None:
+            return _diagonal(self.weight)
+        lead = self.lead
+        gram = _gram(conjugation_matrix(self.eigvecs), self.weight[..., lead:])
+        if not lead:
+            return gram
+        M = np.zeros(self.weight.shape + self.weight.shape[-1:])
+        i = np.arange(lead)
+        M[..., i, i] = self.weight[..., :lead]
+        M[..., lead:, lead:] = gram
+        return M
+
+    def element(self) -> LinearOperatorElement:
+        return LinearOperatorElement(self.matrix(), self.provenance)
+
+    def _conjugated(self, V: np.ndarray, P: np.ndarray) -> np.ndarray:
+        if self.eigvecs is None:
+            return V
+        out = np.array(V, dtype=float)
+        out[..., self.lead:] = svec(P.T @ smat(out[..., self.lead:]) @ P)
+        return out
+
+    def coords(self, V: np.ndarray) -> np.ndarray:
+        """``Q^T v`` for each row v of V (..., dim), at one point."""
+        return self._conjugated(V, self.eigvecs)
+
+    def vectors(self, W: np.ndarray) -> np.ndarray:
+        """``Q w`` for each row w of W (..., dim), at one point."""
+        return self._conjugated(W, None if self.eigvecs is None else self.eigvecs.T)
 
 
 @dataclass
@@ -334,8 +394,13 @@ class ConvexPiece:
     def prox_dirderiv(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
+    def clarke_frame(self, z: np.ndarray) -> ClarkeFrame:
+        """The canonical Clarke element at z as a frame and weights."""
         raise NotImplementedError
+
+    def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
+        """The canonical Clarke element at z, the dense matrix of its frame."""
+        return self.clarke_frame(z).element()
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
         """Clarke elements at z, the canonical one first, deterministic
@@ -427,11 +492,12 @@ class _SeparablePiece(ConvexPiece):
     def _diag_element(self, diag: np.ndarray, provenance: str) -> LinearOperatorElement:
         return LinearOperatorElement(_diagonal(diag.astype(float)), provenance)
 
-    def _canonical(self, state: np.ndarray) -> LinearOperatorElement:
-        # ties at kinks resolve to 1, the limit from the identity side
-        return self._diag_element(np.where(state == 0, 0.0, 1.0), f"{self.kind}:canonical")
+    def _canonical(self, state: np.ndarray) -> ClarkeFrame:
+        # the identity frame; ties at kinks resolve to 1, the limit from the
+        # identity side
+        return ClarkeFrame(np.where(state == 0, 0.0, 1.0), None, f"{self.kind}:canonical")
 
-    def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
+    def clarke_frame(self, z: np.ndarray) -> ClarkeFrame:
         return self._canonical(self._classify(np.asarray(z, dtype=float))[0])
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
@@ -442,9 +508,9 @@ class _SeparablePiece(ConvexPiece):
         n_k = kinks.size
         if n_k == 0:
             # the prox is differentiable at z: one element
-            return [self._canonical(state)]
+            return [self._canonical(state).element()]
         base = np.where(state == 1, 1.0, 0.0)
-        elements = [self._canonical(state),
+        elements = [self._canonical(state).element(),
                     self._diag_element(base, f"{self.kind}:pattern-zeros")]
         rng = np.random.default_rng(seed)
         if 2 ** n_k <= SEPARABLE_PATTERN_CAP:
@@ -726,10 +792,11 @@ class PSDConeIndicator(ConvexPiece):
         lay = svec_layout(self.order)
         return lam, conjugation_matrix(P), coupling(lam, lay.rows, lay.cols)
 
-    def clarke_element(self, z):
-        # the svec matrix of H -> P (Sigma o (P^T H P)) P^T
-        _, K, w = self._coupled(z)
-        return LinearOperatorElement(_gram(K, w), f"{self.kind}:canonical(beta=I)")
+    def clarke_frame(self, z):
+        # the svec matrix of H -> P (Sigma o (P^T H P)) P^T: frame K, weights Sigma
+        lam, P, _ = eig_split(z)
+        lay = svec_layout(self.order)
+        return ClarkeFrame(coupling(lam, lay.rows, lay.cols), P, f"{self.kind}:canonical(beta=I)")
 
     def sample_clarke(self, z, count, seed):
         # canonical, then base + K_beta Z K_beta^T (base: beta-beta weights zeroed)
@@ -845,8 +912,12 @@ class EpiSum(ConvexPiece):
         M[..., 1:, 1:] = el.matrix
         return LinearOperatorElement(M, f"epi({el.provenance})")
 
-    def clarke_element(self, z):
-        return self._lift_element(self.inner.clarke_element(np.asarray(z, dtype=float)[..., 1:]))
+    def clarke_frame(self, z):
+        # the scalar coordinate leads, with the identity frame and weight 1
+        inner = self.inner.clarke_frame(np.asarray(z, dtype=float)[..., 1:])
+        lead = np.ones(inner.weight.shape[:-1] + (1,))
+        return ClarkeFrame(np.concatenate([lead, inner.weight], axis=-1), inner.eigvecs,
+                           f"epi({inner.provenance})")
 
     def sample_clarke(self, z, count, seed):
         _, y = self._split(z)

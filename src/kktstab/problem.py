@@ -6,7 +6,10 @@ convention [[H, J^T], [(I-U) J, -U]]: the second row block carries the
 opposite sign of the literal derivative of the residual's second block,
 which leaves singular values and nonsingularity untouched.  The Newton
 front ends therefore iterate on the sign-adjusted residual whose elements
-these matrices are.
+these matrices are.  ``solve`` keeps its canonical elements in their
+blocks' Clarke frames (``FramedElements``) and takes each Newton step from
+a symmetric system of order n + |S|; the element sweep and the
+linearized solves use the dense matrices.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .newton import (NewtonOptions, NewtonTrace, check_integer, semismooth_solve,
-                     semismooth_solve_rows)
-from .pieces import ConvexPiece, LinearOperatorElement
+from .newton import (SCREEN_SV, ElementStack, NewtonOptions, NewtonTrace, check_integer,
+                     semismooth_solve, semismooth_solve_rows)
+from .pieces import ClarkeFrame, ConvexPiece, LinearOperatorElement
 
 FD_HESS_STEP = 1e-5
 
@@ -233,6 +236,160 @@ def canonical_element(problem: CompositeProblem, z) -> JacobianElementR:
     return assemble_element(problem, pt, _canonical_prox_elements(problem, w))
 
 
+class _FramedRow:
+    """One point's canonical element [[H, J^T], [(I-U) J, -U]] with
+    U = Q diag(w) Q^T kept as the blocks' Clarke frames: Q is block
+    diagonal and orthogonal, and the frame coordinates of J are
+    ``J~ = Q^T J``, one ``P^T smat(J_col) P`` per column of a PSD block."""
+
+    def __init__(self, problem: CompositeProblem, H: np.ndarray, J: np.ndarray,
+                 frames: list[ClarkeFrame]):
+        self.problem, self.H, self.J, self.frames = problem, H, J, frames
+        self.w = np.concatenate([f.weight for f in frames])
+        self.Jt = self.coords(J.T).T
+        self.c = (1.0 + float(np.linalg.norm(J))) ** 2
+        self.matrix = None  # the dense element, once formed
+
+    def coords(self, V: np.ndarray) -> np.ndarray:
+        """``Q^T v`` for each row v of V (..., m)."""
+        return np.concatenate([f.coords(v) for f, v in zip(self.frames, self.problem.blocks(V))],
+                              axis=-1)
+
+    def vectors(self, W: np.ndarray) -> np.ndarray:
+        """``Q w`` for each row w of W (..., m)."""
+        return np.concatenate([f.vectors(v) for f, v in zip(self.frames, self.problem.blocks(W))],
+                              axis=-1)
+
+    def dense(self) -> np.ndarray:
+        """The dense element, formed on the first call."""
+        if self.matrix is None:
+            self.matrix = _element_matrix(self.problem, self.H, self.J,
+                                          [f.element() for f in self.frames])
+        return self.matrix
+
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reduced matrix R and the mask of the eliminated coordinates.
+
+        In frame coordinates a row with weight w reads
+        ``(1 - w) (J~ dx)_i - w dmu~_i = -r~_i``.  A coordinate with w > 1/2
+        (the set L) is eliminated, ``dmu~_i = ((1 - w)(J~ dx)_i + r~_i) / w``;
+        one with w <= 1/2 (the set S) is kept, its row divided by 1 - w.
+        That leaves the symmetric system of order n + |S|
+
+            R = [[H + J~_L^T D_L J~_L, J~_S^T], [J~_S, -D_S]],
+
+        ``D_L = (1 - w_L) / w_L`` and ``D_S = w_S / (1 - w_S)``, all in [0, 1].
+        """
+        n, w, Jt = self.problem.n, self.w, self.Jt
+        big = w > 0.5
+        JL, JS, wS = Jt[big], Jt[~big], w[~big]
+        R = np.zeros((n + wS.size,) * 2)
+        R[:n, :n] = self.H + JL.T @ (((1.0 - w[big]) / w[big])[:, None] * JL)
+        R[:n, n:] = JS.T
+        R[n:, :n] = JS
+        R[n:, n:][np.diag_indices(wS.size)] = -wS / (1.0 - wS)
+        return R, big
+
+    def step(self, r: np.ndarray, probe) -> tuple[np.ndarray, float, float]:
+        """The Newton step ``E s = -r`` through R, and the lower and upper
+        ends ``min(b, 1) / (2c)`` and ``c min(b, 1)`` that the Dixon bound b
+        on sigma_min(R) gives for sigma_min(E) (see FramedElements)."""
+        n, w, Jt = self.problem.n, self.w, self.Jt
+        R, big = self.reduced()
+        rt = self.coords(r[n:])
+        B = np.empty((len(R), 2))
+        B[:n, 0] = -r[:n] - Jt[big].T @ (rt[big] / w[big])
+        B[n:, 0] = -rt[~big] / (1.0 - w[~big])
+        B[:, 1] = probe(len(R))
+        try:
+            y, g = np.linalg.solve(R, B).T
+        except np.linalg.LinAlgError:
+            return np.full(r.size, np.nan), np.nan, np.nan
+        dmu = np.empty(w.size)
+        dmu[~big] = y[n:]
+        dmu[big] = ((1.0 - w[big]) * (Jt[big] @ y[:n]) + rt[big]) / w[big]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = np.minimum(np.sqrt(np.dot(B[:, 0], B[:, 0]) / np.dot(y, y)),
+                           1.0 / np.sqrt(np.dot(g, g)))
+        b = float(np.minimum(b, 1.0))  # NaN stays NaN
+        return np.concatenate([y[:n], self.vectors(dmu)]), b / (2.0 * self.c), self.c * b
+
+    def apply(self, s: np.ndarray) -> np.ndarray:
+        """``E s``, from the dense element once it is formed."""
+        if self.matrix is not None:
+            return (self.matrix[None] @ s[None, :, None])[0, :, 0]
+        n = self.problem.n
+        dx, dmu = s[:n], s[n:]
+        Jdx = self.J @ dx
+        U = self.vectors(self.w * self.coords(Jdx + dmu))  # U (J dx + dmu)
+        return np.concatenate([self.H @ dx + self.J.T @ dmu, Jdx - U])
+
+
+class FramedElements(ElementStack):
+    """Canonical KKT elements kept in their blocks' frames, one per row.
+
+    A Newton step solves the reduced matrix R of order n + |S| (see
+    ``_FramedRow.reduced``) and back-substitutes.  With the row scales
+    ``Lam = 1 / (1 - w_S)`` and ``1 / w_L``, all in [1, 2], E in frame
+    coordinates, with the S coordinates before the L ones, is
+
+        diag(Lam)^-1 [[I, -Y], [0, I]] diag(R, -I) [[I, 0], [-Z, I]],
+
+    ``Y = [J~_L^T; 0]`` and ``Z = [D_L J~_L, 0]``.  Both triangular factors
+    and their inverses have norm at most ``1 + |J|_F``, so with
+    ``c = (1 + |J|_F)^2``
+
+        min(sigma_min(R), 1) / (2c) <= sigma_min(E) <= c min(sigma_min(R), 1).
+
+    ``screen`` takes the LU step of R and the Dixon bound b on sigma_min(R)
+    from one solve against ``[b_R | probe]``.  A row with
+    ``min(b, 1) / (2c) >= SCREEN_SV`` keeps that step and reports
+    ``c min(b, 1)``, an upper bound on sigma_min(E) of at least SCREEN_SV.
+    Every other row is screened on its dense element by LU, with the bits
+    of a dense element's screen, and keeps that element for ``apply``.
+    """
+
+    def __init__(self, rows: list[_FramedRow]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, rows) -> FramedElements:
+        return FramedElements([self.rows[i] for i in np.arange(len(self.rows))[rows]])
+
+    @staticmethod
+    def concatenate(stacks: list[FramedElements]) -> FramedElements:
+        return FramedElements([row for stack in stacks for row in stack.rows])
+
+    def screen(self, r, rr, probe):
+        S, low, bound = np.empty(r.shape), np.empty(len(r)), np.empty(len(r))
+        for i, row in enumerate(self.rows):
+            S[i], low[i], bound[i] = row.step(r[i], probe)
+        flagged = ~(low >= SCREEN_SV)
+        if flagged.any():
+            dense = ElementStack(self.dense(flagged.nonzero()[0]))
+            S[flagged], bound[flagged] = dense.screen(r[flagged], rr[flagged], probe)
+        return S, bound
+
+    def dense(self, rows):
+        return np.array([self.rows[i].dense() for i in rows])
+
+    def apply(self, S):
+        return np.array([row.apply(s) for row, s in zip(self.rows, S)])
+
+
+def framed_element(problem: CompositeProblem, z) -> FramedElements:
+    """The canonical element at z in its blocks' frames, a stack of one row;
+    its dense matrix has the bits of ``canonical_element(problem, z)``."""
+    pt = as_point(problem, z)
+    w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
+    H = problem.F.weighted_hessian(pt.x, pt.mu)
+    J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
+    frames = [p.clarke_frame(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
+    return FramedElements([_FramedRow(problem, H, J, frames)])
+
+
 def sample_elements_R(problem: CompositeProblem, z, count: int,
                       seed: int) -> list[JacobianElementR]:
     """Sampled elements of the residual's generalized Jacobian.
@@ -354,9 +511,10 @@ def solve(problem: CompositeProblem, z0,
           opts: NewtonOptions | None = None) -> tuple[KKTPoint, NewtonTrace]:
     """Semismooth Newton on the KKT residual from the given start.
 
-    Each iteration uses the canonical element at the current iterate and
-    backtracks on half the squared residual norm.  The trials of a
-    line-search round share one prox call.
+    Each iteration uses the canonical element at the current iterate, in
+    its blocks' frames (:func:`framed_element`), and backtracks on half the
+    squared residual norm.  The trials of a line-search round share one
+    prox call.
     """
     start = as_point(problem, z0)
 
@@ -365,8 +523,8 @@ def solve(problem: CompositeProblem, z0,
         # stack of one
         return signed_residual(problem, Z[0])[None] if len(Z) == 1 else signed_residual(problem, Z)
 
-    def elem(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return canonical_element(problem, Z[0]).matrix[None]  # the one row
+    def elem(Z: np.ndarray, rows: np.ndarray) -> FramedElements:
+        return framed_element(problem, Z[0])  # the one row
 
     zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts, stacked=True)
     return KKTPoint(zsol[:problem.n], zsol[problem.n:]), trace

@@ -133,6 +133,24 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert np.isclose(doc["payload"]["x"][0], 1.0, atol=1e-8)
 
 
+def test_cli_solve_failure_lists_sigma_min_per_iteration(capsys):
+    # the second of the unit directions from default_rng(0), 3.0 away from
+    # the l1_toy solution: the solve stagnates on exactly singular elements
+    problem, meta = load_battery("l1_toy")
+    rng = np.random.default_rng(0)
+    d = [rng.standard_normal(problem.n + problem.m) for _ in range(2)][1]
+    start = meta.known_solution.stacked() + 3.0 * d / np.linalg.norm(d)
+    rc = run_command(["solve", _battery_file("l1_toy"),
+                      "--start", ",".join(repr(float(v)) for v in start)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "line search collapsed at residual 5.000e-01" in out
+    lines = [line for line in out.splitlines() if line.lstrip().startswith("iter")]
+    assert len(lines) == 3  # the start and two ridge steps
+    assert all("sigma_min 0.000e+00" in line for line in lines[:2])
+    assert "sigma_min" not in lines[2]  # the collapsed search recorded no element
+
+
 def test_cli_analyze_consistent_negative_instance(tmp_path, capsys):
     rc = run_command(["analyze", _battery_file("sdp_degenerate"),
                       "--num-delta", "10", "--json", str(tmp_path / "a.json")])

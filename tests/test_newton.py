@@ -17,7 +17,7 @@ from kktstab import (
 )
 from kktstab import newton as newton_mod
 from kktstab import problem as problem_mod
-from kktstab.newton import _probe_vector, semismooth_solve_rows
+from kktstab.newton import ElementStack, _probe_vector, semismooth_solve_rows
 from kktstab.verify import newton_start_grid
 
 
@@ -103,6 +103,65 @@ def test_degenerate_instance_newton_diagnostics():
             singular_traces += 1
     assert stagnations > 0
     assert singular_traces > 0
+
+
+def _ends(fn):
+    """(kind, trace) of a solve: 'converged' or the name of its NewtonError."""
+    try:
+        return "converged", fn()[1]
+    except NewtonError as exc:
+        return type(exc).__name__, exc.trace
+
+
+def test_degenerate_starts_end_as_with_dense_elements():
+    # the starts of test_degenerate_instance_newton_diagnostics: solve's
+    # framed steps end each one as the loop on dense elements does, with
+    # the same iterations and ridge decisions
+    problem, meta = load_battery("sdp_degenerate")
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(60):
+        start = meta.known_solution.stacked() + rng.uniform(-1.5, 1.5, 5)
+        got = _ends(lambda: solve(problem, start))
+        want = _ends(lambda: semismooth_solve_loop(
+            lambda z: problem_mod.signed_residual(problem, z),
+            lambda z: problem_mod.canonical_element(problem, z).matrix, start))
+        assert got[0] == want[0] and got[1].iterations == want[1].iterations
+        assert ([sv < 1e-10 for sv in got[1].element_min_sv]
+                == [sv < 1e-10 for sv in want[1].element_min_sv])
+        kinds.add(got[0])
+    assert kinds == {"converged", "NewtonStagnation", "NewtonNonConvergence"}
+
+
+def test_flagged_framed_row_takes_the_dense_ridge_step(monkeypatch):
+    # sdp_degenerate's start has an exactly singular element: the framed
+    # screen flags it, and the row takes the ridge step of the dense
+    # element, bit for bit as a solve on dense elements does
+    problem, meta = load_battery("sdp_degenerate")
+    start = meta.start.stacked()
+    points = []
+    signed_residual = problem_mod.signed_residual
+
+    def spied(problem, Z):
+        points.append(np.asarray(Z).tobytes())
+        return signed_residual(problem, Z)
+
+    monkeypatch.setattr(problem_mod, "signed_residual", spied)
+    formed = []
+    dense = problem_mod.FramedElements.dense
+    monkeypatch.setattr(problem_mod.FramedElements, "dense",
+                        lambda self, rows: formed.append(len(rows)) or dense(self, rows))
+    opts = NewtonOptions(max_iter=1)
+    got = _ends(lambda: solve(problem, start, opts))
+    framed_points = points[:]
+    points.clear()
+    want = _ends(lambda: semismooth_solve_loop(
+        lambda z: problem_mod.signed_residual(problem, z),
+        lambda z: problem_mod.canonical_element(problem, z).matrix, start, opts))
+    assert got[0] == want[0] and got[1] == want[1]
+    assert got[1].element_min_sv == [0.0]  # the svd confirmed a singular element
+    assert framed_points == points  # the same trial points, bit for bit
+    assert formed and formed[0] == 1  # the dense element was formed for the screen
 
 
 def test_local_rate_synthetic_traces():
@@ -288,10 +347,12 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
     """The one-row Newton loop, kept as the reference that the row driver
     must reproduce bit for bit.
 
-    ``discard``, when given, receives each trial point that the row
-    driver's line-search rounds evaluate past the line search's end: the
-    rest of the round (of 1, 2, 4, ... trials) in which a trial raised or
-    passed the Armijo test.  It changes nothing else."""
+    ``element`` returns a dense matrix, or an ElementStack of one row whose
+    screen, dense matrix and product take the place of the LU screen, the
+    matrix and ``E @ s``.  ``discard``, when given, receives each trial
+    point that the row driver's line-search rounds evaluate past the line
+    search's end: the rest of the round (of 1, 2, 4, ... trials) in which a
+    trial raised or passed the Armijo test.  It changes nothing else."""
     opts = opts or NewtonOptions()
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
@@ -306,11 +367,15 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
             trace.status = "converged"
             return z, trace
         E = element(z)
+        stack = isinstance(E, ElementStack)
         # the LU step and a solve against the probe bound sigma_min from
         # above; a low or non-finite bound is confirmed by the svd, and so
         # is every element after a singular one
         if min_sv < 1e-10:
             s, min_sv = np.full(z.size, np.nan), 0.0
+        elif stack:
+            s, min_sv = E.screen(r[None], np.dot(r, r)[None], _probe_vector)
+            s, min_sv = s[0], float(min_sv[0])
         else:
             try:
                 X = np.linalg.solve(E, np.stack([-r, _probe_vector(z.size)], axis=1))
@@ -321,6 +386,9 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
                 min_sv = float(np.minimum(np.sqrt(np.dot(r, r) / np.dot(s, s)),
                                           1.0 / np.sqrt(np.dot(y, y))))
         if not min_sv >= 1e-6:
+            if stack:
+                E = E.dense([0])[0]  # the rest of the iteration sees the matrix
+                stack = False
             svals = np.linalg.svd(E, compute_uv=False)
             min_sv = float(svals[-1])
             if min_sv < 1e-10:
@@ -329,7 +397,7 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
             elif not np.all(np.isfinite(s)):
                 s = np.linalg.solve(E, -r)
         merit = 0.5 * float(np.dot(r, r))
-        slope = float(np.dot(E @ s, r))
+        slope = float(np.dot(E.apply(s[None])[0] if stack else E @ s, r))
         if slope >= 0.0:
             slope = -2.0 * merit
         alpha, tried = 1.0, 0
@@ -698,8 +766,7 @@ def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
             got = exc
         try:
             want = semismooth_solve_loop(lambda z: problem_mod.signed_residual(problem, z),
-                                         lambda z: problem_mod.canonical_element(problem,
-                                                                                 z).matrix,
+                                         lambda z: problem_mod.framed_element(problem, z),
                                          start)
         except NewtonError as exc:
             want = exc

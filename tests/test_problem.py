@@ -26,7 +26,11 @@ from kktstab import (
     solve_linearized_ge,
     svec,
 )
-from kktstab.problem import as_point, solve_linearized_rows
+from kktstab.newton import SCREEN_SV, ElementStack, _probe_vector
+from kktstab.pieces import ClarkeFrame
+from kktstab.problem import (FramedElements, _FramedRow, as_point, framed_element,
+                             signed_residual, solve_linearized_rows)
+from kktstab.symmat import conjugation_matrix
 from test_pieces_prox import dedup_elements_loop
 
 
@@ -370,3 +374,176 @@ def test_residual_of_a_stack_equals_each_row():
         for z, r in zip(Z, want):
             assert residual(problem, z).tobytes() == r.tobytes()
         assert residual(problem, pt).tobytes() == want[0].tobytes()
+
+
+def _orthogonal(rng, k):
+    Q, R = np.linalg.qr(rng.standard_normal((k, k)))
+    return Q * np.sign(np.diag(R))
+
+
+def _psd_pencil(rng, order, n_beta):
+    """An epi-lifted PSD pencil with a quadratic objective, and a point whose
+    PSD block F(x) + mu has n_beta zero eigenvalues and the others of both
+    signs; the objective's multiplier is 1, as at a KKT point.  As in the
+    planted pencils, n exceeds the k(k+1)/2 coordinates of the zero and
+    negative eigenvalues' block, so the element is generically nonsingular."""
+    k = n_beta + (order - n_beta) // 2
+    n = k * (k + 1) // 2 + 2
+    Ms = [rng.standard_normal((order, order)) for _ in range(n + 1)]
+    M0, *Ms = [svec(M + M.T) for M in Ms]
+    A = np.array(Ms).T
+    G = rng.standard_normal((n, n))
+    Q, a = G @ G.T - np.eye(n), rng.standard_normal(n)
+    F = SmoothMap(n=n, m=1 + A.shape[0],
+                  eval=lambda x: np.concatenate([[0.5 * x @ Q @ x + a @ x], M0 + A @ x]),
+                  jacobian=lambda x: np.vstack([Q @ x + a, A]),
+                  weighted_hessian_fn=lambda x, mu: mu[0] * Q)
+    lam = np.zeros(order)
+    rest = order - n_beta
+    lam[:rest] = rng.uniform(0.5, 2.0, rest) * np.where(np.arange(rest) % 2, -1.0, 1.0)
+    P = _orthogonal(rng, order)
+    x = rng.standard_normal(n)
+    mu = np.concatenate([[1.0], svec((P * lam) @ P.T) - M0 - A @ x])
+    return CompositeProblem(F, [EpiSum(PSDConeIndicator(order))]), KKTPoint(x, mu)
+
+
+def _framed_cases():
+    """(name, problem, point) with a nonsingular canonical element: points
+    around each battery solution, planted PSD pencils with |beta| = 0, 1 and
+    2, and the mixed problem with separable kinks and an epi lift."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for name in ("nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy"):
+        problem, meta = load_battery(name)
+        z = meta.known_solution.stacked()
+        for k in range(6):
+            cases.append((f"{name}#{k}", problem, z + rng.standard_normal(z.size)))
+    for order, n_beta in ((3, 0), (4, 1), (5, 2), (6, 1), (6, 2)):
+        cases.append((f"pencil{order}b{n_beta}",) + _psd_pencil(rng, order, n_beta))
+    cases.append(("mixed_kinks",) + _mixed_kink_problem(False))
+    return [(name, problem, as_point(problem, z).stacked()) for name, problem, z in cases]
+
+
+def test_framed_steps_agree_with_dense_steps():
+    kept = set()
+    for name, problem, z in _framed_cases():
+        E = canonical_element(problem, z).matrix
+        if np.linalg.svd(E, compute_uv=False)[-1] < 1e-6:
+            continue  # no step to compare: the battery points include singular elements
+        kept.add(name.split("#")[0])
+        framed = framed_element(problem, z)
+        r = signed_residual(problem, z)
+        want = np.linalg.solve(E, -r)
+        got, low, high = framed.rows[0].step(r, _probe_vector)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        assert low >= SCREEN_SV, name  # the screen keeps the framed step
+        # min(b, 1) / (2c) and c min(b, 1): the record bounds sigma_min(E)
+        assert np.isclose(high / low, 2.0 * framed.rows[0].c ** 2), name
+        assert high >= np.linalg.svd(E, compute_uv=False)[-1], name
+        S, bound = framed.screen(r[None], np.dot(r, r)[None], _probe_vector)
+        assert S[0].tobytes() == got.tobytes() and bound[0] == high, name
+        Es = framed.apply(got[None])[0]
+        assert np.linalg.norm(Es - E @ got) <= 1e-12 * np.linalg.norm(E @ got), name
+        assert framed.rows[0].matrix is None  # no dense element was formed
+        assert framed.dense([0])[0].tobytes() == E.tobytes(), name
+    assert kept == {"nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy",
+                    "pencil3b0", "pencil4b1", "pencil5b2", "pencil6b1", "pencil6b2",
+                    "mixed_kinks"}
+
+
+def test_clarke_frame_coordinates_are_the_conjugation_matrix():
+    rng = np.random.default_rng(6)
+    for piece in (PSDConeIndicator(3), EpiSum(PSDConeIndicator(3)), EpiSum(L1Norm(2)),
+                  BoxIndicator([-1.0, 0.0], [1.0, 2.0])):
+        z = rng.standard_normal(piece.dim)
+        frame = piece.clarke_frame(z)
+        Q = np.eye(piece.dim)
+        if frame.eigvecs is not None:
+            Q[frame.lead:, frame.lead:] = conjugation_matrix(frame.eigvecs)
+        V = rng.standard_normal((4, piece.dim))
+        assert np.allclose(frame.coords(V), V @ Q, atol=1e-13)
+        assert np.allclose(frame.vectors(V), V @ Q.T, atol=1e-13)
+        assert np.allclose(Q @ np.diag(frame.weight) @ Q.T, frame.matrix(), atol=1e-13)
+        assert frame.matrix().tobytes() == piece.clarke_element(z).matrix.tobytes()
+
+
+def _random_framed_row(rng, scale):
+    """A framed element with random H, J, eigenvectors and weights (some
+    exactly 0, 1/2 and 1) over an epi-lifted PSD block and a box block."""
+    pieces = [EpiSum(PSDConeIndicator(3)), BoxIndicator([-1.0] * 3, [1.0] * 3)]
+    n, m = 3, sum(p.dim for p in pieces)
+    problem = CompositeProblem(SmoothMap(n=n, m=m, eval=None, jacobian=None), pieces)
+    G = rng.standard_normal((n, n))
+    H = G @ np.diag(rng.choice([1.0, 1e-4, 1e-9], n)) @ G.T * rng.choice([-1.0, 1.0])
+    J = scale * rng.standard_normal((m, n))
+    w = rng.choice([0.0, 0.5, 1.0, rng.uniform()], m)
+    w[0] = 1.0
+    frames = [ClarkeFrame(w[:7], _orthogonal(rng, 3)), ClarkeFrame(w[7:])]
+    return _FramedRow(problem, H, J, frames)
+
+
+def test_framed_sigma_min_factor():
+    # E ~ diag(Lam)^-1 [[I, -Y], [0, I]] diag(R, -I) [[I, 0], [-Z, I]] in the
+    # frame, with S before L, and min(s_R, 1) / (2c) <= s_E <= c min(s_R, 1)
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        row = _random_framed_row(rng, rng.choice([0.01, 1.0, 10.0, 100.0]))
+        n, w = row.H.shape[0], row.w
+        E = row.dense()
+        R, big = row.reduced()
+        Q = np.eye(w.size)
+        Q[1:7, 1:7] = conjugation_matrix(row.frames[0].eigvecs)
+        order = np.concatenate([np.arange(n), n + np.flatnonzero(~big), n + np.flatnonzero(big)])
+        rot = np.eye(n + w.size)
+        rot[n:, n:] = Q
+        Et = (rot.T @ E @ rot)[np.ix_(order, order)]
+        ws, wl, Jt = w[~big], w[big], Q.T @ row.J
+        ns, nl = ws.size, wl.size
+        k = n + ns
+        upper, lower = np.eye(k + nl), np.eye(k + nl)
+        upper[:n, k:] = -Jt[big].T
+        lower[k:, :n] = -((1.0 - wl) / wl)[:, None] * Jt[big]
+        middle = np.zeros((k + nl, k + nl))
+        middle[:k, :k] = R
+        middle[k:, k:] = -np.eye(nl)
+        lam = np.concatenate([np.ones(n), 1.0 / (1.0 - ws), 1.0 / wl])
+        assert np.all((1.0 <= lam) & (lam <= 2.0))
+        assert np.allclose(Et, (upper @ middle @ lower) / lam[:, None], atol=1e-12 * row.c)
+        s_e = np.linalg.svd(E, compute_uv=False)[-1]
+        s_r = min(np.linalg.svd(R, compute_uv=False)[-1], 1.0)
+        assert s_r / (2.0 * row.c) <= s_e * (1 + 1e-9) + 1e-13, trial
+        assert s_e <= row.c * s_r * (1 + 1e-9) + 1e-13, trial
+
+
+def test_flagged_framed_rows_take_the_dense_screen():
+    # a stack of a regular row and a nearly singular one (weights 1, so
+    # R = H with sigma_min 1e-9): only the second is flagged, and it gets
+    # the LU step and bound of its dense element, bit for bit
+    rng = np.random.default_rng(9)
+    rows = [_random_framed_row(rng, 1.0) for _ in range(2)]
+    rows[1].w[:] = 1.0
+    G = _orthogonal(rng, 3)
+    rows[1].H = G @ np.diag([1.0, -1.0, 1e-9]) @ G.T
+    stack = FramedElements(rows)
+    r = rng.standard_normal((2, 3 + rows[0].w.size))
+    rr = np.einsum("ij,ij->i", r, r)
+    S, bound = stack.screen(r, rr, _probe_vector)
+    step, low, high = rows[0].step(r[0], _probe_vector)
+    assert low >= SCREEN_SV and S[0].tobytes() == step.tobytes() and bound[0] == high
+    assert rows[0].matrix is None and rows[1].matrix is not None
+    assert rows[1].step(r[1], _probe_vector)[1] < SCREEN_SV
+    want_S, want_bound = ElementStack(rows[1].matrix[None]).screen(r[1:], rr[1:], _probe_vector)
+    assert S[1].tobytes() == want_S[0].tobytes() and bound[1] == want_bound[0]
+    want = (rows[1].matrix[None] @ S[1, None, :, None])[0, :, 0]  # the dense product
+    assert stack.apply(S)[1].tobytes() == want.tobytes()
+
+
+def test_framed_elements_select_and_join_rows():
+    rng = np.random.default_rng(8)
+    rows = [_random_framed_row(rng, 1.0) for _ in range(3)]
+    stack = FramedElements.concatenate([FramedElements(rows[:1]), FramedElements(rows[1:])])
+    assert len(stack) == 3 and stack[np.array([False, True, True])].rows == rows[1:]
+    assert len(stack[np.zeros(3, dtype=bool)]) == 0
+    S = rng.standard_normal((3, 3 + rows[0].w.size))
+    want = np.array([row.dense() @ s for row, s in zip(rows, S)])
+    assert np.allclose(stack.apply(S), want, atol=1e-12)
