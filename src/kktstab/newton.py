@@ -6,9 +6,11 @@ element callback returns dense matrices or an :class:`ElementStack`,
 which screens its own Newton steps (by LU on the dense matrices here, on
 a reduced system for the KKT elements kept in their blocks' frames) and
 bounds each element's least singular value from above through a solve
-against a fixed probe vector; only an element whose bound is small, or
-that follows a singular one, gets an exact svd of its dense matrix, and a
-singular one takes a ridge-regularized least-squares step.  The svd and
+against a fixed unit probe vector (in the frames' coordinates for framed
+elements); only an element whose bound is small, or that follows a
+singular one, gets an exact svd of its dense matrix, which only then is
+formed for a framed element, and a singular one takes a
+ridge-regularized least-squares step.  The svd and
 the ridge Gram matrix are computed once per distinct element over the
 current and the previous iteration, since rows of one stack, and
 consecutive iterates of one row, often hold the same element.  Steps are

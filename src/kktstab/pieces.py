@@ -22,11 +22,18 @@ A kind defines its canonical Clarke element once, in ``clarke_frame``:
 an orthonormal frame of the block and one weight in [0, 1] per frame
 coordinate (``ClarkeFrame``).  ``clarke_element`` is the dense matrix
 ``Q diag(weight) Q^T`` of that frame, formed in the base class.
+``prox_and_frame`` returns the prox and the frame at one point together,
+with the bits of the two calls, where one decomposition gives both: the
+PSD kind takes both from one ``eig_split`` and the lift from its inner
+piece.  The separable kinds share nothing between the two and return
+``prox`` with no frame, which a caller then takes from ``clarke_frame``
+only where it needs one.
 
-Points are plain 1-d float arrays.  ``prox``, ``clarke_frame`` and
-``clarke_element`` also act row-wise on stacks of points (..., dim), which
-the perturbation probe uses to run its Newton solves together.  Matrix
-pieces live in the svec coordinates of :mod:`kktstab.symmat`.
+Points are plain 1-d float arrays.  ``prox``, ``clarke_frame``,
+``prox_and_frame`` and ``clarke_element`` also act row-wise on stacks of
+points (..., dim), which the perturbation probe and the line search of
+``problem.solve`` use to evaluate several points together.  Matrix pieces
+live in the svec coordinates of :mod:`kktstab.symmat`.
 """
 
 from __future__ import annotations
@@ -133,6 +140,11 @@ class ClarkeFrame:
 
     def element(self) -> LinearOperatorElement:
         return LinearOperatorElement(self.matrix(), self.provenance)
+
+    def row(self, i: int) -> ClarkeFrame:
+        """The frame of row i of a stack."""
+        return ClarkeFrame(self.weight[i], None if self.eigvecs is None else self.eigvecs[i],
+                           self.provenance)
 
     def _conjugated(self, V: np.ndarray, P: np.ndarray) -> np.ndarray:
         if self.eigvecs is None:
@@ -373,7 +385,11 @@ class ConvexPiece:
         raise NotImplementedError
 
     def prox_conjugate(self, z: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-        """Prox of the conjugate function, always through the Moreau identity."""
+        """Prox of the conjugate function, always through the Moreau identity.
+
+        Kinds do not override it: ``CompositeProblem.prox_gstar_frames``
+        forms its sigma = 1 value, ``z - prox(z)``, from ``prox_and_frame``
+        and relies on this form for the bits of ``prox_gstar``."""
         z = np.asarray(z, dtype=float)
         _check_sigma(sigma)
         return z - sigma * self.prox(z / sigma, 1.0 / sigma)
@@ -401,6 +417,12 @@ class ConvexPiece:
     def clarke_element(self, z: np.ndarray) -> LinearOperatorElement:
         """The canonical Clarke element at z, the dense matrix of its frame."""
         return self.clarke_frame(z).element()
+
+    def prox_and_frame(self, z: np.ndarray) -> tuple[np.ndarray, ClarkeFrame | None]:
+        """``prox(z)`` and ``clarke_frame(z)``, with their bits, from one
+        decomposition of z; the frame is None where the kind has no
+        decomposition to share, and ``clarke_frame`` gives it."""
+        return self.prox(z), None
 
     def sample_clarke(self, z: np.ndarray, count: int, seed: int) -> list[LinearOperatorElement]:
         """Clarke elements at z, the canonical one first, deterministic
@@ -721,6 +743,11 @@ class L1Norm(_SeparablePiece):
 # Positive semidefinite cone piece
 
 
+def _psd_part(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """svec of P diag(lam^+) P^T, the PSD projection of an eigen-split."""
+    return svec(P @ _diagonal(np.maximum(lam, 0.0)) @ P.swapaxes(-1, -2))
+
+
 class PSDConeIndicator(ConvexPiece):
     """Indicator of the positive semidefinite cone in svec coordinates.
 
@@ -756,8 +783,7 @@ class PSDConeIndicator(ConvexPiece):
 
     def prox(self, z, sigma=1.0):
         _check_sigma(sigma)
-        lam, P, _ = eig_split(z)
-        return svec(P @ _diagonal(np.maximum(lam, 0.0)) @ P.swapaxes(-1, -2))
+        return _psd_part(*eig_split(z)[:2])
 
     def prox_conjugate_direct(self, z, sigma=1.0):
         # projection onto the negative semidefinite cone
@@ -792,11 +818,17 @@ class PSDConeIndicator(ConvexPiece):
         lay = svec_layout(self.order)
         return lam, conjugation_matrix(P), coupling(lam, lay.rows, lay.cols)
 
-    def clarke_frame(self, z):
+    def _frame(self, lam: np.ndarray, P: np.ndarray) -> ClarkeFrame:
         # the svec matrix of H -> P (Sigma o (P^T H P)) P^T: frame K, weights Sigma
-        lam, P, _ = eig_split(z)
         lay = svec_layout(self.order)
         return ClarkeFrame(coupling(lam, lay.rows, lay.cols), P, f"{self.kind}:canonical(beta=I)")
+
+    def clarke_frame(self, z):
+        return self._frame(*eig_split(z)[:2])
+
+    def prox_and_frame(self, z):
+        lam, P, _ = eig_split(z)
+        return _psd_part(lam, P), self._frame(lam, P)
 
     def sample_clarke(self, z, count, seed):
         # canonical, then base + K_beta Z K_beta^T (base: beta-beta weights zeroed)
@@ -912,12 +944,21 @@ class EpiSum(ConvexPiece):
         M[..., 1:, 1:] = el.matrix
         return LinearOperatorElement(M, f"epi({el.provenance})")
 
-    def clarke_frame(self, z):
+    @staticmethod
+    def _lifted(inner: ClarkeFrame) -> ClarkeFrame:
         # the scalar coordinate leads, with the identity frame and weight 1
-        inner = self.inner.clarke_frame(np.asarray(z, dtype=float)[..., 1:])
         lead = np.ones(inner.weight.shape[:-1] + (1,))
         return ClarkeFrame(np.concatenate([lead, inner.weight], axis=-1), inner.eigvecs,
                            f"epi({inner.provenance})")
+
+    def clarke_frame(self, z):
+        return self._lifted(self.inner.clarke_frame(np.asarray(z, dtype=float)[..., 1:]))
+
+    def prox_and_frame(self, z):
+        z = np.asarray(z, dtype=float)
+        p, inner = self.inner.prox_and_frame(z[..., 1:])
+        return (np.concatenate([z[..., :1] - 1.0, p], axis=-1),
+                None if inner is None else self._lifted(inner))
 
     def sample_clarke(self, z, count, seed):
         _, y = self._split(z)

@@ -9,7 +9,10 @@ front ends therefore iterate on the sign-adjusted residual whose elements
 these matrices are.  ``solve`` keeps its canonical elements in their
 blocks' Clarke frames (``FramedElements``) and takes each Newton step from
 a symmetric system of order n + |S|; the element sweep and the
-linearized solves use the dense matrices.
+linearized solves use the dense matrices.  ``solve`` evaluates each
+iterate once: the residual round that accepts a point also gives its
+Jacobian and its PSD blocks' frames, from which, with the separable
+blocks' frames at that point, the element is built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .newton import (SCREEN_SV, ElementStack, NewtonOptions, NewtonTrace, check_integer,
+from .newton import (ElementStack, NewtonOptions, NewtonTrace, check_integer,
                      semismooth_solve, semismooth_solve_rows)
 from .pieces import ClarkeFrame, ConvexPiece, LinearOperatorElement
 
@@ -101,6 +104,17 @@ class CompositeProblem:
             [p.prox_conjugate(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))],
             axis=-1)
 
+    def prox_gstar_frames(self, w: np.ndarray) -> tuple[np.ndarray, list[ClarkeFrame | None]]:
+        """``prox_gstar(w)``, with its bits, and the Clarke frame of each
+        block's prox at w, or None where the block's kind gives none, from
+        one ``prox_and_frame`` call per block; w is a point or a stack
+        (..., m)."""
+        wblocks = self.blocks(w)
+        parts = [p.prox_and_frame(wb) for p, wb in zip(self.pieces, wblocks)]
+        # the Moreau identity of ConvexPiece.prox_conjugate at sigma = 1
+        return (np.concatenate([wb - prox for wb, (prox, _) in zip(wblocks, parts)], axis=-1),
+                [frame for _, frame in parts])
+
 
 @dataclass(frozen=True)
 class KKTPoint:
@@ -128,6 +142,19 @@ def as_point(problem: CompositeProblem, z) -> KKTPoint:
     return KKTPoint(x, mu)
 
 
+def _smooth_parts(problem: CompositeProblem, z) -> tuple:
+    """J(x), J(x)^T mu, w = F(x) + mu and mu of a point; of a stack (k, n+m),
+    the list of the rows' Jacobians and the other three stacked."""
+    def parts(pt: KKTPoint) -> tuple[np.ndarray, ...]:
+        J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
+        return J, J.T @ pt.mu, np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu, pt.mu
+
+    if isinstance(z, KKTPoint) or np.ndim(z) < 2:
+        return parts(as_point(problem, z))
+    J, *rest = zip(*(parts(as_point(problem, row)) for row in np.asarray(z, dtype=float)))
+    return (list(J), *map(np.array, rest))
+
+
 def residual(problem: CompositeProblem, z) -> np.ndarray:
     """Stacked KKT residual (stationarity; mu - prox of conjugate at F(x)+mu)
     of a point, or of each row of a stack (k, n+m).
@@ -135,15 +162,7 @@ def residual(problem: CompositeProblem, z) -> np.ndarray:
     F and its Jacobian run per point and the prox once for all of them;
     each row has the bits of its one-point call.
     """
-    def parts(pt: KKTPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
-        return J.T @ pt.mu, np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu, pt.mu
-
-    if isinstance(z, KKTPoint) or np.ndim(z) < 2:
-        r1, w, mu = parts(as_point(problem, z))
-    else:
-        r1, w, mu = map(np.array, zip(*(parts(as_point(problem, row))
-                                       for row in np.asarray(z, dtype=float))))
+    _, r1, w, mu = _smooth_parts(problem, z)
     return np.concatenate([r1, mu - problem.prox_gstar(w)], axis=-1)
 
 
@@ -154,6 +173,24 @@ def signed_residual(problem: CompositeProblem, z) -> np.ndarray:
     out = r.copy()
     out[..., problem.n:] *= -1.0
     return out
+
+
+def evaluate(problem: CompositeProblem, z) -> tuple[np.ndarray, np.ndarray | list[np.ndarray],
+                                                    np.ndarray, list[ClarkeFrame | None]]:
+    """The signed residual of a point, or of each row of a stack (k, n+m),
+    with the Jacobian, w = F(x) + mu and the blocks' frames at each (see
+    ``prox_gstar_frames``): F and J once per point and one
+    ``prox_and_frame`` call per block.
+
+    The residual has the bits of ``signed_residual``; the Jacobians, w and
+    the frames (one stack per block, ``ClarkeFrame.row`` of each row) have
+    those of ``framed_element`` at each point.
+    """
+    J, r1, w, mu = _smooth_parts(problem, z)
+    gstar, frames = problem.prox_gstar_frames(w)
+    r = np.concatenate([r1, mu - gstar], axis=-1)
+    r[..., problem.n:] *= -1.0
+    return r, J, w, frames
 
 
 @dataclass
@@ -247,7 +284,6 @@ class _FramedRow:
         self.problem, self.H, self.J, self.frames = problem, H, J, frames
         self.w = np.concatenate([f.weight for f in frames])
         self.Jt = self.coords(J.T).T
-        self.c = (1.0 + float(np.linalg.norm(J))) ** 2
         self.matrix = None  # the dense element, once formed
 
     def coords(self, V: np.ndarray) -> np.ndarray:
@@ -267,8 +303,9 @@ class _FramedRow:
                                           [f.element() for f in self.frames])
         return self.matrix
 
-    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
-        """The reduced matrix R and the mask of the eliminated coordinates.
+    def reduced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reduced matrix R, the mask of the eliminated coordinates and
+        their rows ``J~_L`` of J~.
 
         In frame coordinates a row with weight w reads
         ``(1 - w) (J~ dx)_i - w dmu~_i = -r~_i``.  A coordinate with w > 1/2
@@ -288,31 +325,38 @@ class _FramedRow:
         R[:n, n:] = JS.T
         R[n:, :n] = JS
         R[n:, n:][np.diag_indices(wS.size)] = -wS / (1.0 - wS)
-        return R, big
+        return R, big, JL
 
-    def step(self, r: np.ndarray, probe) -> tuple[np.ndarray, float, float]:
-        """The Newton step ``E s = -r`` through R, and the lower and upper
-        ends ``min(b, 1) / (2c)`` and ``c min(b, 1)`` that the Dixon bound b
-        on sigma_min(R) gives for sigma_min(E) (see FramedElements)."""
-        n, w, Jt = self.problem.n, self.w, self.Jt
-        R, big = self.reduced()
-        rt = self.coords(r[n:])
+    def step(self, r: np.ndarray, rr: float, probe) -> tuple[np.ndarray, float]:
+        """The Newton step ``E s = -r`` through R, and the Dixon bound
+        ``min(|r| / |s|, 1 / |E^-1 g|)`` on sigma_min(E), ``rr = r . r``.
+
+        The unit probe g is ``probe(n + m)`` taken in frame coordinates (any
+        unit vector gives a bound); its column is eliminated and
+        back-substituted as the step's is, and its solution is measured in
+        frame coordinates, where Q keeps norms.
+        """
+        n, w = self.problem.n, self.w
+        R, big, JL = self.reduced()
+        wL, wS = w[big], w[~big]
+        rt, g = self.coords(r[n:]), probe(n + w.size)
         B = np.empty((len(R), 2))
-        B[:n, 0] = -r[:n] - Jt[big].T @ (rt[big] / w[big])
-        B[n:, 0] = -rt[~big] / (1.0 - w[~big])
-        B[:, 1] = probe(len(R))
+        for col, (t1, t2) in enumerate(((r[:n], rt), (g[:n], g[n:]))):  # E y = -t
+            B[:n, col] = -t1 - JL.T @ (t2[big] / wL)
+            B[n:, col] = -t2[~big] / (1.0 - wS)
         try:
-            y, g = np.linalg.solve(R, B).T
+            y, v = np.linalg.solve(R, B).T
         except np.linalg.LinAlgError:
-            return np.full(r.size, np.nan), np.nan, np.nan
-        dmu = np.empty(w.size)
-        dmu[~big] = y[n:]
-        dmu[big] = ((1.0 - w[big]) * (Jt[big] @ y[:n]) + rt[big]) / w[big]
+            return np.full(r.size, np.nan), np.nan
+        dmu, vmu = np.empty(w.size), np.empty(w.size)
+        for out, col, t2 in ((dmu, y, rt), (vmu, v, g[n:])):
+            out[~big] = col[n:]
+            out[big] = ((1.0 - wL) * (JL @ col[:n]) + t2[big]) / wL
+        s = np.concatenate([y[:n], self.vectors(dmu)])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b = np.minimum(np.sqrt(np.dot(B[:, 0], B[:, 0]) / np.dot(y, y)),
-                           1.0 / np.sqrt(np.dot(g, g)))
-        b = float(np.minimum(b, 1.0))  # NaN stays NaN
-        return np.concatenate([y[:n], self.vectors(dmu)]), b / (2.0 * self.c), self.c * b
+            b = np.minimum(np.sqrt(rr / np.dot(s, s)),
+                           1.0 / np.sqrt(np.dot(v[:n], v[:n]) + np.dot(vmu, vmu)))
+        return s, float(b)
 
     def apply(self, s: np.ndarray) -> np.ndarray:
         """``E s``, from the dense element once it is formed."""
@@ -335,18 +379,14 @@ class FramedElements(ElementStack):
 
         diag(Lam)^-1 [[I, -Y], [0, I]] diag(R, -I) [[I, 0], [-Z, I]],
 
-    ``Y = [J~_L^T; 0]`` and ``Z = [D_L J~_L, 0]``.  Both triangular factors
-    and their inverses have norm at most ``1 + |J|_F``, so with
-    ``c = (1 + |J|_F)^2``
+    ``Y = [J~_L^T; 0]`` and ``Z = [D_L J~_L, 0]``.  The outer factors are
+    nonsingular, so R and E are singular together.
 
-        min(sigma_min(R), 1) / (2c) <= sigma_min(E) <= c min(sigma_min(R), 1).
-
-    ``screen`` takes the LU step of R and the Dixon bound b on sigma_min(R)
-    from one solve against ``[b_R | probe]``.  A row with
-    ``min(b, 1) / (2c) >= SCREEN_SV`` keeps that step and reports
-    ``c min(b, 1)``, an upper bound on sigma_min(E) of at least SCREEN_SV.
-    Every other row is screened on its dense element by LU, with the bits
-    of a dense element's screen, and keeps that element for ``apply``.
+    ``screen`` solves R once against the step's column and a unit probe's,
+    and reports the Dixon bound on sigma_min(E) itself (``_FramedRow.step``).
+    A row whose bound falls below SCREEN_SV is one ``newton._newton_steps``
+    confirms by the svd of its dense element (``dense``), which ``apply``
+    then uses.
     """
 
     def __init__(self, rows: list[_FramedRow]):
@@ -363,13 +403,9 @@ class FramedElements(ElementStack):
         return FramedElements([row for stack in stacks for row in stack.rows])
 
     def screen(self, r, rr, probe):
-        S, low, bound = np.empty(r.shape), np.empty(len(r)), np.empty(len(r))
+        S, bound = np.empty(r.shape), np.empty(len(r))
         for i, row in enumerate(self.rows):
-            S[i], low[i], bound[i] = row.step(r[i], probe)
-        flagged = ~(low >= SCREEN_SV)
-        if flagged.any():
-            dense = ElementStack(self.dense(flagged.nonzero()[0]))
-            S[flagged], bound[flagged] = dense.screen(r[flagged], rr[flagged], probe)
+            S[i], bound[i] = row.step(r[i], rr[i], probe)
         return S, bound
 
     def dense(self, rows):
@@ -384,9 +420,15 @@ def framed_element(problem: CompositeProblem, z) -> FramedElements:
     its dense matrix has the bits of ``canonical_element(problem, z)``."""
     pt = as_point(problem, z)
     w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
-    H = problem.F.weighted_hessian(pt.x, pt.mu)
     J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
     frames = [p.clarke_frame(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
+    return _framed(problem, pt, J, frames)
+
+
+def _framed(problem: CompositeProblem, pt: KKTPoint, J: np.ndarray,
+            frames: list[ClarkeFrame]) -> FramedElements:
+    """The stack of one framed element at pt, given J(x) and the frames."""
+    H = problem.F.weighted_hessian(pt.x, pt.mu)
     return FramedElements([_FramedRow(problem, H, J, frames)])
 
 
@@ -514,17 +556,34 @@ def solve(problem: CompositeProblem, z0,
     Each iteration uses the canonical element at the current iterate, in
     its blocks' frames (:func:`framed_element`), and backtracks on half the
     squared residual norm.  The trials of a line-search round share one
-    prox call.
+    :func:`evaluate` call, which keeps each trial's Jacobian, w and frames,
+    keyed by the point's bytes, until the next element call; the element
+    at the accepted point is built from them, with the bits of
+    ``framed_element``, so each iterate is evaluated once.  A block whose
+    kind shares no decomposition between prox and frame gets its frame
+    there, at the accepted point only.
     """
     start = as_point(problem, z0)
+    evaluated: dict[bytes, tuple] = {}  # this iteration's points: (J, w, frames)
 
     def rho(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # a round of one trial keeps the one-point prox, cheaper than a
         # stack of one
-        return signed_residual(problem, Z[0])[None] if len(Z) == 1 else signed_residual(problem, Z)
+        if len(Z) == 1:
+            r, *parts = evaluate(problem, Z[0])
+            evaluated[Z[0].tobytes()] = parts
+            return r[None]
+        r, J, w, frames = evaluate(problem, Z)
+        for i, z in enumerate(Z):
+            evaluated[z.tobytes()] = J[i], w[i], [None if f is None else f.row(i) for f in frames]
+        return r
 
     def elem(Z: np.ndarray, rows: np.ndarray) -> FramedElements:
-        return framed_element(problem, Z[0])  # the one row
+        J, w, frames = evaluated[Z[0].tobytes()]  # the one row, a point the last rounds evaluated
+        evaluated.clear()
+        frames = [p.clarke_frame(wb) if f is None else f
+                  for p, wb, f in zip(problem.pieces, problem.blocks(w), frames)]
+        return _framed(problem, as_point(problem, Z[0]), J, frames)
 
     zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts, stacked=True)
     return KKTPoint(zsol[:problem.n], zsol[problem.n:]), trace

@@ -136,17 +136,20 @@ def test_degenerate_starts_end_as_with_dense_elements():
 def test_flagged_framed_row_takes_the_dense_ridge_step(monkeypatch):
     # sdp_degenerate's start has an exactly singular element: the framed
     # screen flags it, and the row takes the ridge step of the dense
-    # element, bit for bit as a solve on dense elements does
+    # element, bit for bit as a solve on dense elements does.  solve
+    # evaluates its trial points with evaluate, the loop with signed_residual
     problem, meta = load_battery("sdp_degenerate")
     start = meta.start.stacked()
     points = []
-    signed_residual = problem_mod.signed_residual
 
-    def spied(problem, Z):
-        points.append(np.asarray(Z).tobytes())
-        return signed_residual(problem, Z)
+    def spy(fn):
+        def spied(problem, Z):
+            points.append(np.asarray(Z).tobytes())
+            return fn(problem, Z)
+        return spied
 
-    monkeypatch.setattr(problem_mod, "signed_residual", spied)
+    for name in ("evaluate", "signed_residual"):
+        monkeypatch.setattr(problem_mod, name, spy(getattr(problem_mod, name)))
     formed = []
     dense = problem_mod.FramedElements.dense
     monkeypatch.setattr(problem_mod.FramedElements, "dense",
@@ -748,13 +751,14 @@ def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
 
         return semismooth_solve_rows(counted, element, Z0, opts)
 
-    prox_calls, prox_gstar = [], problem.prox_gstar
+    # solve's rounds take the prox and the frames from one call
+    prox_calls, prox_gstar_frames = [], problem.prox_gstar_frames
 
     def spied_prox(w, *args):
         prox_calls.append(w.shape)
-        return prox_gstar(w, *args)
+        return prox_gstar_frames(w, *args)
 
-    monkeypatch.setattr(problem, "prox_gstar", spied_prox)
+    monkeypatch.setattr(problem, "prox_gstar_frames", spied_prox)
     monkeypatch.setattr(newton_mod, "semismooth_solve_rows", spied_rows)
     for _ in range(20):
         d = rng.standard_normal(problem.n + problem.m)

@@ -136,6 +136,36 @@ def test_moreau_identity_dual_route():
                 assert np.linalg.norm(lhs - z) <= 1e-10, name
 
 
+def test_prox_and_frame_has_the_bits_of_prox_and_clarke_frame():
+    # random points and points on kinks (zero eigenvalues, coordinates at
+    # the box bounds and at +-1), one at a time and as a stack, whose rows
+    # also have the bits of the one-point calls.  The PSD kind and its lift
+    # give the frame; the separable kinds, which share no decomposition
+    # between the two, give None, and their frame is clarke_frame's
+    rng = np.random.default_rng(14)
+
+    def same(got, want, shares):
+        (p, f), g = got, want
+        if not shares:
+            return f is None and p.tobytes() == g[0].tobytes()
+        return (p.tobytes() == g[0].tobytes() and f.weight.tobytes() == g[1].weight.tobytes()
+                and f.provenance == g[1].provenance
+                and (g[1].eigvecs is None if f.eigvecs is None
+                     else f.eigvecs.tobytes() == g[1].eigvecs.tobytes()))
+
+    for name, piece in piece_battery():
+        shares = isinstance(getattr(piece, "inner", piece), PSDConeIndicator)
+        Z = np.vstack([2.0 * rng.standard_normal((6, piece.dim)), np.zeros(piece.dim),
+                       np.round(2.0 * rng.standard_normal((3, piece.dim)))])
+        for z in [*Z, Z]:
+            assert same(piece.prox_and_frame(z), (piece.prox(z), piece.clarke_frame(z)),
+                        shares), name
+        p, frame = piece.prox_and_frame(Z)
+        for i, z in enumerate(Z):
+            got = (p[i], frame.row(i) if shares else None)
+            assert same(got, (piece.prox(z), piece.clarke_frame(z)), shares), name
+
+
 def test_fenchel_young_inequality():
     rng = np.random.default_rng(12)
     for name, piece in piece_battery():

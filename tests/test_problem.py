@@ -26,10 +26,12 @@ from kktstab import (
     solve_linearized_ge,
     svec,
 )
-from kktstab.newton import SCREEN_SV, ElementStack, _probe_vector
+from kktstab.newton import RIDGE_SV, SCREEN_SV, ElementStack, _newton_steps, _probe_vector
 from kktstab.pieces import ClarkeFrame
-from kktstab.problem import (FramedElements, _FramedRow, as_point, framed_element,
-                             signed_residual, solve_linearized_rows)
+from kktstab import newton as newton_mod
+from kktstab import pieces as pieces_mod
+from kktstab.problem import (FramedElements, _FramedRow, as_point, evaluate, framed_element,
+                             signed_residual, solve, solve_linearized_rows)
 from kktstab.symmat import conjugation_matrix
 from test_pieces_prox import dedup_elements_loop
 
@@ -376,6 +378,106 @@ def test_residual_of_a_stack_equals_each_row():
         assert residual(problem, pt).tobytes() == want[0].tobytes()
 
 
+def _same_frames(got, want):
+    return all(g.weight.tobytes() == f.weight.tobytes() and g.provenance == f.provenance
+               and (g.eigvecs is None if f.eigvecs is None
+                    else g.eigvecs.tobytes() == f.eigvecs.tobytes())
+               for g, f in zip(got, want, strict=True))
+
+
+def test_evaluate_has_the_bits_of_the_residual_and_the_framed_element():
+    # one evaluation gives the signed residual, the Jacobian, w and the
+    # frames of a point, or of each row of a stack, with the bits of
+    # signed_residual and framed_element; a block with no frame (a
+    # separable kind) gets framed_element's from clarke_frame at w
+    rng = np.random.default_rng(2)
+    cases = [load_battery(name) for name in ("nlp_toy", "sdp_toy", "sdp_degenerate",
+                                             "l1_toy", "smooth_toy")]
+    cases = [(problem, meta.known_solution) for problem, meta in cases]
+    cases.append(_mixed_kink_problem(False))
+
+    def completed(problem, w, frames):
+        return [p.clarke_frame(wb) if f is None else f
+                for p, wb, f in zip(problem.pieces, problem.blocks(w), frames)]
+
+    for problem, pt in cases:
+        Z = pt.stacked() + np.vstack([np.zeros(problem.n + problem.m),
+                                      rng.standard_normal((4, problem.n + problem.m))])
+        r, J, w, frames = evaluate(problem, Z)
+        assert r.tobytes() == signed_residual(problem, Z).tobytes()
+        shares = [isinstance(getattr(p, "inner", p), PSDConeIndicator) for p in problem.pieces]
+        assert [f is not None for f in frames] == shares
+        for i, z in enumerate(Z):
+            want = framed_element(problem, z).rows[0]
+            assert J[i].tobytes() == want.J.tobytes()
+            rows = [None if f is None else f.row(i) for f in frames]
+            assert _same_frames(completed(problem, w[i], rows), want.frames)
+            r1, J1, w1, frames1 = evaluate(problem, z)
+            assert r1.tobytes() == r[i].tobytes() and J1.tobytes() == want.J.tobytes()
+            assert w1.tobytes() == w[i].tobytes()
+            assert _same_frames(completed(problem, w1, frames1), want.frames)
+
+
+def _psd_points_decomposed(monkeypatch):
+    """Spy on the PSD kind's eig_split: the number of points it decomposes,
+    and how many of them in the element calls of semismooth_solve_rows."""
+    count = {"points": 0, "in_element": 0}
+    inside = []
+    eig_split = pieces_mod.eig_split
+
+    def spied_eig(v):
+        count["points"] += 1 if np.ndim(v) == 1 else len(v)
+        count["in_element"] += bool(inside) * (1 if np.ndim(v) == 1 else len(v))
+        return eig_split(v)
+
+    rows = newton_mod.semismooth_solve_rows
+
+    def spied_rows(residual, element, Z0, opts=None):
+        def counted(Z, ix):
+            count["evaluated"] = count.get("evaluated", 0) + len(Z)
+            return residual(Z, ix)
+
+        def in_element(Z, ix):
+            inside.append(1)
+            try:
+                return element(Z, ix)
+            finally:
+                inside.pop()
+
+        return rows(counted, in_element, Z0, opts)
+
+    monkeypatch.setattr(pieces_mod, "eig_split", spied_eig)
+    monkeypatch.setattr(newton_mod, "semismooth_solve_rows", spied_rows)
+    return count
+
+
+@pytest.mark.parametrize("name", ["sdp_toy", "sdp_degenerate", "pencil12"])
+def test_solve_decomposes_each_evaluated_point_once(name, monkeypatch):
+    # each problem has one PSD block: solve's eig_split calls decompose one
+    # point per evaluated point, and none in the element, which reuses the
+    # frames of its residual's evaluation
+    rng = np.random.default_rng(4)
+    if name == "pencil12":
+        problem, pt = _psd_pencil(rng, 12, 0)
+        zbar = pt.stacked()
+    else:
+        problem, meta = load_battery(name)
+        zbar = meta.known_solution.stacked()
+    count = _psd_points_decomposed(monkeypatch)
+    iterations = 0
+    for _ in range(5):
+        d = rng.standard_normal(zbar.size)
+        try:
+            _, trace = solve(problem, zbar + 1.5 * d / np.linalg.norm(d), NewtonOptions(max_iter=8))
+        except NewtonError as exc:
+            trace = exc.trace
+        iterations += trace.iterations
+    # the starts' residuals and one trial per iteration, and more: some
+    # rounds tried several points
+    assert iterations > 0 and count["evaluated"] > iterations + 5
+    assert count["points"] == count["evaluated"] and count["in_element"] == 0
+
+
 def _orthogonal(rng, k):
     Q, R = np.linalg.qr(rng.standard_normal((k, k)))
     return Q * np.sign(np.diag(R))
@@ -428,20 +530,19 @@ def test_framed_steps_agree_with_dense_steps():
     kept = set()
     for name, problem, z in _framed_cases():
         E = canonical_element(problem, z).matrix
-        if np.linalg.svd(E, compute_uv=False)[-1] < 1e-6:
+        s_e = np.linalg.svd(E, compute_uv=False)[-1]
+        if s_e < 1e-6:
             continue  # no step to compare: the battery points include singular elements
         kept.add(name.split("#")[0])
         framed = framed_element(problem, z)
         r = signed_residual(problem, z)
         want = np.linalg.solve(E, -r)
-        got, low, high = framed.rows[0].step(r, _probe_vector)
+        got, bound = framed.rows[0].step(r, np.dot(r, r), _probe_vector)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
-        assert low >= SCREEN_SV, name  # the screen keeps the framed step
-        # min(b, 1) / (2c) and c min(b, 1): the record bounds sigma_min(E)
-        assert np.isclose(high / low, 2.0 * framed.rows[0].c ** 2), name
-        assert high >= np.linalg.svd(E, compute_uv=False)[-1], name
-        S, bound = framed.screen(r[None], np.dot(r, r)[None], _probe_vector)
-        assert S[0].tobytes() == got.tobytes() and bound[0] == high, name
+        assert bound >= SCREEN_SV, name  # the screen keeps the framed step
+        assert bound >= s_e * (1.0 - 1e-9), name  # the Dixon bound on E itself
+        S, bounds = framed.screen(r[None], np.dot(r, r)[None], _probe_vector)
+        assert S[0].tobytes() == got.tobytes() and bounds[0] == bound, name
         Es = framed.apply(got[None])[0]
         assert np.linalg.norm(Es - E @ got) <= 1e-12 * np.linalg.norm(E @ got), name
         assert framed.rows[0].matrix is None  # no dense element was formed
@@ -449,6 +550,31 @@ def test_framed_steps_agree_with_dense_steps():
     assert kept == {"nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy",
                     "pencil3b0", "pencil4b1", "pencil5b2", "pencil6b1", "pencil6b2",
                     "mixed_kinks"}
+    # 300 random nonsingular framed elements; the singular ones drawn on the
+    # way (sigma_min at rounding level) must be flagged
+    rng, checked = np.random.default_rng(10), 0
+    while checked < 300:
+        row = _random_framed_row(rng, rng.choice([0.01, 1.0, 10.0, 100.0]))
+        r = rng.standard_normal(row.H.shape[0] + row.w.size)
+        _, bound = row.step(r, np.dot(r, r), _probe_vector)
+        s_e = np.linalg.svd(row.dense(), compute_uv=False)[-1]
+        if s_e < RIDGE_SV:
+            assert not bound >= SCREEN_SV, (checked, s_e, bound)
+            continue
+        assert bound >= s_e * (1.0 - 1e-9), (checked, s_e, bound)
+        checked += 1
+
+
+def test_framed_bound_is_within_four_of_sigma_min_at_the_battery_starts():
+    # the Dixon bound on E itself is tight enough to read: at the starts of
+    # sdp_toy and nlp_toy it lies in [sigma_min(E), 4 sigma_min(E)]
+    for name in ("sdp_toy", "nlp_toy"):
+        problem, meta = load_battery(name)
+        z = meta.start.stacked()
+        r = signed_residual(problem, z)
+        _, bound = framed_element(problem, z).rows[0].step(r, np.dot(r, r), _probe_vector)
+        s_e = np.linalg.svd(canonical_element(problem, z).matrix, compute_uv=False)[-1]
+        assert s_e <= bound <= 4.0 * s_e, (name, bound, s_e)
 
 
 def test_clarke_frame_coordinates_are_the_conjugation_matrix():
@@ -485,12 +611,14 @@ def _random_framed_row(rng, scale):
 def test_framed_sigma_min_factor():
     # E ~ diag(Lam)^-1 [[I, -Y], [0, I]] diag(R, -I) [[I, 0], [-Z, I]] in the
     # frame, with S before L, and min(s_R, 1) / (2c) <= s_E <= c min(s_R, 1)
+    # with c = (1 + |J|_F)^2
     rng = np.random.default_rng(7)
     for trial in range(200):
         row = _random_framed_row(rng, rng.choice([0.01, 1.0, 10.0, 100.0]))
         n, w = row.H.shape[0], row.w
+        c = (1.0 + np.linalg.norm(row.J)) ** 2
         E = row.dense()
-        R, big = row.reduced()
+        R, big, _ = row.reduced()
         Q = np.eye(w.size)
         Q[1:7, 1:7] = conjugation_matrix(row.frames[0].eigvecs)
         order = np.concatenate([np.arange(n), n + np.flatnonzero(~big), n + np.flatnonzero(big)])
@@ -508,34 +636,55 @@ def test_framed_sigma_min_factor():
         middle[k:, k:] = -np.eye(nl)
         lam = np.concatenate([np.ones(n), 1.0 / (1.0 - ws), 1.0 / wl])
         assert np.all((1.0 <= lam) & (lam <= 2.0))
-        assert np.allclose(Et, (upper @ middle @ lower) / lam[:, None], atol=1e-12 * row.c)
+        assert np.allclose(Et, (upper @ middle @ lower) / lam[:, None], atol=1e-12 * c)
         s_e = np.linalg.svd(E, compute_uv=False)[-1]
         s_r = min(np.linalg.svd(R, compute_uv=False)[-1], 1.0)
-        assert s_r / (2.0 * row.c) <= s_e * (1 + 1e-9) + 1e-13, trial
-        assert s_e <= row.c * s_r * (1 + 1e-9) + 1e-13, trial
+        assert s_r / (2.0 * c) <= s_e * (1 + 1e-9) + 1e-13, trial
+        assert s_e <= c * s_r * (1 + 1e-9) + 1e-13, trial
 
 
-def test_flagged_framed_rows_take_the_dense_screen():
-    # a stack of a regular row and a nearly singular one (weights 1, so
-    # R = H with sigma_min 1e-9): only the second is flagged, and it gets
-    # the LU step and bound of its dense element, bit for bit
+def test_flagged_framed_rows_take_the_dense_svd():
+    # a stack of a regular row, a singular one and a near-singular one
+    # (weights 1, so E = [[H, J^T], [0, -I]], and H has sigma_min 1e-13 and
+    # 1e-9): the screen flags the last two and forms no dense element;
+    # _newton_steps forms them for the svd.  The singular row's ridge step
+    # and sigma_min have the bits they get on dense elements; the
+    # near-singular row gets the svd's exact sigma_min but keeps its framed
+    # step, and the regular row keeps its framed step and its bound
     rng = np.random.default_rng(9)
-    rows = [_random_framed_row(rng, 1.0) for _ in range(2)]
-    rows[1].w[:] = 1.0
-    G = _orthogonal(rng, 3)
-    rows[1].H = G @ np.diag([1.0, -1.0, 1e-9]) @ G.T
-    stack = FramedElements(rows)
-    r = rng.standard_normal((2, 3 + rows[0].w.size))
+    regular = _random_framed_row(rng, 1.0)
+
+    def weight_one_row(smallest):
+        G = _orthogonal(rng, 3)
+        return _FramedRow(regular.problem, G @ np.diag([1.0, -1.0, smallest]) @ G.T,
+                          rng.standard_normal(regular.J.shape),
+                          [ClarkeFrame(np.ones(7), _orthogonal(rng, 3)), ClarkeFrame(np.ones(3))])
+
+    singular, near = weight_one_row(1e-13), weight_one_row(1e-9)
+    stack = FramedElements([regular, singular, near])
+    r = rng.standard_normal((3, 3 + regular.w.size))
     rr = np.einsum("ij,ij->i", r, r)
     S, bound = stack.screen(r, rr, _probe_vector)
-    step, low, high = rows[0].step(r[0], _probe_vector)
-    assert low >= SCREEN_SV and S[0].tobytes() == step.tobytes() and bound[0] == high
-    assert rows[0].matrix is None and rows[1].matrix is not None
-    assert rows[1].step(r[1], _probe_vector)[1] < SCREEN_SV
-    want_S, want_bound = ElementStack(rows[1].matrix[None]).screen(r[1:], rr[1:], _probe_vector)
-    assert S[1].tobytes() == want_S[0].tobytes() and bound[1] == want_bound[0]
-    want = (rows[1].matrix[None] @ S[1, None, :, None])[0, :, 0]  # the dense product
-    assert stack.apply(S)[1].tobytes() == want.tobytes()
+    step, b = regular.step(r[0], rr[0], _probe_vector)
+    near_step, _ = near.step(r[2], rr[2], _probe_vector)
+    assert b >= SCREEN_SV and S[0].tobytes() == step.tobytes() and bound[0] == b
+    assert bound[1] < SCREEN_SV and bound[2] < SCREEN_SV
+    assert S[2].tobytes() == near_step.tobytes()
+    assert regular.matrix is None and singular.matrix is None and near.matrix is None
+    got_S, got_sv, errors, _ = _newton_steps(stack, r, rr, 1e-12, np.zeros(3, dtype=bool), {})
+    assert not errors and regular.matrix is None
+    assert singular.matrix is not None and near.matrix is not None
+    assert got_S[0].tobytes() == step.tobytes() and got_sv[0] == b
+    want_S, want_sv, _, _ = _newton_steps(ElementStack(singular.matrix[None]), r[1:2], rr[1:2],
+                                          1e-12, np.zeros(1, dtype=bool), {})
+    assert got_sv[1] < RIDGE_SV and got_sv[1] == want_sv[0]
+    assert got_S[1].tobytes() == want_S[0].tobytes()
+    assert got_sv[2] == np.linalg.svd(near.matrix, compute_uv=False)[-1]
+    assert RIDGE_SV <= got_sv[2] < SCREEN_SV
+    assert got_S[2].tobytes() == near_step.tobytes()
+    for i, row in ((1, singular), (2, near)):
+        want = (row.matrix[None] @ got_S[i, None, :, None])[0, :, 0]  # the dense product
+        assert stack.apply(got_S)[i].tobytes() == want.tobytes()
 
 
 def test_framed_elements_select_and_join_rows():
