@@ -432,16 +432,28 @@ def _framed(problem: CompositeProblem, pt: KKTPoint, J: np.ndarray,
     return FramedElements([_FramedRow(problem, H, J, frames)])
 
 
+class SampledElements(list):
+    """A list of JacobianElementR whose matrices are the rows of one stack
+    (k, N, N), kept as ``matrices``."""
+
+    def __init__(self, matrices: np.ndarray, provenances: list[tuple[str, ...]]):
+        super().__init__(JacobianElementR(M, p) for M, p in zip(matrices, provenances))
+        self.matrices = matrices
+
+
 def sample_elements_R(problem: CompositeProblem, z, count: int,
-                      seed: int) -> list[JacobianElementR]:
+                      seed: int) -> SampledElements:
     """Sampled elements of the residual's generalized Jacobian.
 
     Combines per-block prox-element samples, always including the fully
-    canonical combination; deterministic under the seed.  All combinations
-    are assembled in one stacked call.  They need no deduplication: each
-    block's samples are pairwise distinct (the contract of
-    ConvexPiece.sample_clarke), the combinations are distinct, and the -U
-    block of each element carries every block's matrix exactly.
+    canonical combination; deterministic under the seed.  Beyond the
+    canonical one, the combinations are the first distinct rows of
+    ``rng.integers(0, sizes, size=(count, blocks))`` batches, which draw
+    the stream of one ``rng.integers(0, size)`` per block and pick.  All
+    combinations are assembled in one stacked call.  They need no
+    deduplication: each block's samples are pairwise distinct (the
+    contract of ConvexPiece.sample_clarke), the combinations are distinct,
+    and the -U block of each element carries every block's matrix exactly.
     """
     check_integer("count", count, 1)
     check_integer("seed", seed, 0)
@@ -459,16 +471,16 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
         rng = np.random.default_rng(seed)
         seen = {combos[0]}
         while len(combos) < count:
-            pick = tuple(int(rng.integers(0, s)) for s in sizes)
-            if pick not in seen:
-                seen.add(pick)
-                combos.append(pick)
+            for pick in map(tuple, rng.integers(0, sizes, size=(count, len(sizes))).tolist()):
+                if pick not in seen and len(combos) < count:
+                    seen.add(pick)
+                    combos.append(pick)
     picks = np.array(combos).T
     stacks = [LinearOperatorElement(np.stack([el.matrix for el in s])[ix])
               for s, ix in zip(per_block, picks)]
     E = assemble_element(problem, pt, stacks).matrix
-    return [JacobianElementR(M, tuple(s[j].provenance for s, j in zip(per_block, combo)))
-            for M, combo in zip(E, combos)]
+    return SampledElements(E, [tuple(s[j].provenance for s, j in zip(per_block, combo))
+                               for combo in combos])
 
 
 def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:

@@ -7,22 +7,23 @@ the perturbation probe) is reported as evidence, never as a certificate:
 the wording is "all-sampled-nonsingular" and "heuristic-likely".
 
 rcq, srcq and multiplier uniqueness ask whether null(J^T) meets a cone
-only at the origin.  For a polyhedral (interval) cone the answer is exact:
-one rank test, then at most one bounded linear program.  A "fails" carries
-the point found; a "holds" carries a Farkas certificate from the program's
-duals, which one matrix-vector product checks.  When neither the point nor
-the certificate checks out, the verdict is "heuristic-likely".
+only at the origin.  Every cone is read in each block's frame (the
+identity for a polyhedral block), where it pins some coordinates, bounds
+some on one side and makes the rest NSD blocks, and is decided in one
+order.  A "holds" comes first and is exact: either the pinned coordinates
+are injective on null(J^T), or Gordan's alternative gives a y inside
+R_+ x PSD, orthogonal to the range of the remaining map, checked with one
+eigvalsh per block and a factor-2 margin.
 
-A cone with PSD blocks is read in each block's frame, where it pins some
-coordinates, bounds some on one side and makes the rest NSD blocks.  A
-"holds" there is exact too: either the pinned coordinates are injective
-on null(J^T), or Gordan's alternative gives a y inside R_+ x PSD,
-orthogonal to the range of the remaining map, checked with one eigvalsh
-per block and the same factor-2 margin as the Farkas certificate.  When
-it does not verify and the pinned coordinates leave one line of
-null(J^T), an exact test of that line's two rays finds the "fails" point.
-Only otherwise does the alternating-projection search run; it finds
-"fails" points, or leaves "heuristic-likely".
+When no certificate verifies, a polyhedral (interval) cone gets one rank
+test, then at most one bounded linear program.  A "fails" carries the
+point found; a "holds" carries a Farkas certificate from the program's
+duals, which one matrix-vector product checks.  When neither the point
+nor the certificate checks out, the verdict is "heuristic-likely".  A cone
+with PSD blocks gets the ray test instead: when the pinned coordinates
+leave one line of null(J^T), an exact test of that line's two rays finds
+the "fails" point.  Only otherwise does the alternating-projection search
+run; it finds "fails" points, or leaves "heuristic-likely".
 """
 
 from __future__ import annotations
@@ -280,22 +281,24 @@ class AnalysisPoint:
         status they support: 'fails' when one was found, else 'holds' or
         'heuristic-likely'.
 
-        An interval cone is decided by ``_lp_nonzero_points``.  Any other
-        cone first gets ``_gordan_certificate``, then ``_ray_witness``; a
-        'holds' or a ray found is exact, and kept per cone and tol.  When
-        neither decides, the alternating-projection search runs, kept per
-        cone, tol, budget and seed."""
+        Every cone is decided in one order: an empty null(J^T), then
+        ``_gordan_certificate`` on the frame rows, each an exact 'holds'.
+        Only when no certificate verifies does an interval cone go to
+        ``_lp_nonzero_points`` and any other cone to ``_ray_witness``.
+        These outcomes are exact and kept per cone and tol.  When the ray
+        test does not decide, the alternating-projection search runs, kept
+        per cone, tol, budget and seed."""
         check_integer("seed", seed, 0)
         cone, N = getattr(self, cone_name), self.adjoint_nullspace
         key = (cone_name, tol)
         if key not in self._searches:
-            if cone.polyhedral or N.shape[1] == 0:
-                self._searches[key] = _lp_nonzero_points(N, cone, tol)[:2]
-            else:
+            self._searches[key] = ([], "holds")
+            if N.shape[1]:
                 W, codes, groups = self._frame_rows(cone_name)
-                self._searches[key] = (
-                    ([], "holds") if _gordan_certificate(W, codes, groups)
-                    else _ray_witness(N @ nullspace(W[codes == PINNED]), cone, tol))
+                if not _gordan_certificate(W, codes, groups):
+                    self._searches[key] = (
+                        _lp_nonzero_points(N, cone, tol)[:2] if cone.polyhedral
+                        else _ray_witness(N @ nullspace(W[codes == PINNED]), cone, tol))
         if self._searches[key] is None:
             key += (budget, seed)
             if key not in self._searches:
@@ -392,7 +395,9 @@ def _coefficient_cone(N: np.ndarray, cone: ConeModel) -> tuple[np.ndarray, np.nd
 
 def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> LPSearch:
     """Exact search for a nonzero point of span(N) inside an interval cone,
-    with one rank test and at most one linear program.
+    with one rank test and at most one linear program.  ``cone_search``
+    calls it only for a cone that ``_gordan_certificate`` does not
+    certify, so there it mostly finds a witness.
 
     N has orthonormal columns, so t != 0 gives a nonzero point N t of the
     coefficient cone C = {t : E t = 0, G t <= 0}.  A null vector of
@@ -551,11 +556,12 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
                budget: int = 1000, seed: int = 0) -> Verdict:
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
-    set only at the origin.  A "holds" is exact, from the Farkas
-    certificate of an interval cone or, with PSD blocks, from the rank test
-    or Gordan certificate of ``_gordan_certificate`` (factor-2 margin).
-    Otherwise the exact ray test of ``_ray_witness`` or ``budget``
-    alternating-projection restarts look for a point."""
+    set only at the origin.  A "holds" is exact: from the rank test or
+    Gordan certificate of ``_gordan_certificate`` (factor-2 margin), tried
+    first on every cone, or from the Farkas certificate of an interval
+    cone's linear program.  Otherwise that program, or with PSD blocks the
+    exact ray test of ``_ray_witness`` and then ``budget``
+    alternating-projection restarts, look for a point."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     if not point.critical_polar_cone.polyhedral:
@@ -575,9 +581,9 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test,
-    decided as in ``srcq_check``: an exact "holds" from a checked
-    certificate, else the ray test or ``budget`` alternating-projection
-    restarts."""
+    decided as in ``srcq_check``: an exact "holds" from a checked Gordan
+    certificate, else an interval cone's linear program, or the ray test
+    and ``budget`` alternating-projection restarts."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)
@@ -660,15 +666,13 @@ def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 
 def nonsingularity_sweep(problem: CompositeProblem, zbar, count: int = 32,
                          seed: int = 0, tol: float = 1e-8) -> SweepStats:
+    """The least singular value over the sampled elements, from one svd of
+    their stack, and the provenance of the first element that attains it."""
     point = analysis_point(problem, zbar, tol)
     elements = sample_elements_R(problem, point.kkt, count, seed)
-    min_sv = float("inf")
-    argmin: tuple[str, ...] = ()
-    for el in elements:
-        sv = el.min_singular_value()
-        if sv < min_sv:
-            min_sv = sv
-            argmin = el.provenance
+    svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
+    i = int(np.argmin(svs))
+    min_sv, argmin = float(svs[i]), elements[i].provenance
     verdict = "singular-element-found" if min_sv <= tol else "all-sampled-nonsingular"
     return SweepStats(verdict, min_sv, len(elements), tol, argmin)
 

@@ -239,6 +239,53 @@ def test_sample_elements_R_many_blocks_does_not_overflow(monkeypatch):
         assert all(a.matrix.tobytes() == b.matrix.tobytes() for a, b in zip(new, old))
 
 
+def test_sampler_draws_its_picks_in_batches_of_the_per_block_stream(monkeypatch):
+    # rng.integers(0, sizes, size=(count, blocks)) yields, row by row, the
+    # picks of one rng.integers(0, size) call per block, blocks of size 1
+    # included; the sampler keeps the first distinct ones after the
+    # canonical pick, and each element's provenance names its pick
+    from kktstab import LinearOperatorElement
+
+    size_of = {}
+
+    def stub_sample_clarke(self, z, count, seed):
+        return [LinearOperatorElement(np.array([[k / 8.0]]), f"stub[{k}]")
+                for k in range(size_of[id(self)])]
+
+    monkeypatch.setattr(OrthantIndicator, "sample_clarke", stub_sample_clarke)
+    rng = np.random.default_rng(77)
+    enumerated = set()
+    for case in range(80):
+        blocks = int(rng.integers(1, 10))
+        sizes = rng.integers(1, 5, size=blocks).tolist()
+        if case % 4 == 0:
+            sizes = [int(rng.integers(1, 3))] * blocks
+        count, seed = int(rng.integers(1, 30)), int(rng.integers(0, 1000))
+        loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        loop = [tuple(int(loop_rng.integers(0, s)) for s in sizes) for _ in range(count)]
+        batch = batch_rng.integers(0, sizes, size=(count, blocks)).tolist()
+        assert list(map(tuple, batch)) == loop
+        assert batch_rng.integers(9) == loop_rng.integers(9)  # the same draws consumed
+        pieces = [OrthantIndicator(1) for _ in sizes]
+        size_of.update({id(p): s for p, s in zip(pieces, sizes)})
+        F = SmoothMap(n=1, m=blocks, eval=lambda x: np.full(blocks, x[0]),
+                      jacobian=lambda x: np.ones((blocks, 1)),
+                      weighted_hessian_fn=lambda x, mu: np.zeros((1, 1)))
+        els = sample_elements_R(CompositeProblem(F, pieces), np.zeros(1 + blocks), count, seed)
+        if math.prod(sizes) <= count:
+            want = list(np.ndindex(*sizes))
+        else:
+            want, draw = [(0,) * blocks], np.random.default_rng(seed)
+            while len(want) < count:
+                pick = tuple(int(draw.integers(0, s)) for s in sizes)
+                if pick not in want:
+                    want.append(pick)
+        assert [e.provenance for e in els] == [tuple(f"stub[{k}]" for k in p) for p in want]
+        assert all(e.matrix.tobytes() == M.tobytes() for e, M in zip(els, els.matrices))
+        enumerated.add(math.prod(sizes) <= count)
+    assert enumerated == {True, False}
+
+
 def sample_elements_loop(problem, z, count, seed):
     """The sweep's sampler with one assemble_element call per combination
     and a pairwise dedup of the assembled elements."""

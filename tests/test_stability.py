@@ -1,7 +1,9 @@
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +42,7 @@ from kktstab import (
     strong_regularity_probe,
     svec,
 )
-from kktstab.pieces import BLOCK, DOWN, FREE, PINNED, UP, BlockStructure
+from kktstab.pieces import _LOWER, _UPPER, BLOCK, DOWN, FREE, PINNED, UP, BlockStructure
 from kktstab.symmat import smat, svec_dim, svec_order
 from kktstab.stability import (
     AnalysisPoint,
@@ -166,6 +168,53 @@ def test_sweep_battery():
     s = nonsingularity_sweep(problem, meta.known_solution, count=32, seed=0)
     assert s.verdict == "singular-element-found"
     assert s.min_singular_value <= 1e-8
+
+
+def _planted_plants():
+    """(name, problem, meta) of small planted polyhedral and PSD-pencil
+    instances under every label, from the benchmark's generator, which
+    uses only numpy."""
+    if "planted" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "planted.py"
+        spec = importlib.util.spec_from_file_location("planted", path)
+        sys.modules["planted"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["planted"])
+    planted = sys.modules["planted"]
+    rng = np.random.default_rng(7)
+    out = []
+    for nd, so in ((True, True), (False, True), (True, False)):
+        for n, blocks in ((10, 5), (24, 10)):
+            data, _ = planted.polyhedral(rng, n, blocks, nd, so, name=f"nlp{n}-{nd}-{so}")
+            out.append(data)
+        for order, na, nb in ((2, 1, 1), (3, 0, 2), (4, 1, 2)):
+            data, _ = planted.psd_pencil(rng, order, na, nb, nd, so,
+                                         name=f"sdp{order}-{nd}-{so}")
+            out.append(data)
+    return [(data["name"],) + instance_from_dict(data) for data in out]
+
+
+def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
+    # the sweep takes every least singular value from one svd of the
+    # sampled stack, which the elements' matrices are views of
+    from kktstab.problem import JacobianElementR
+
+    cases = [(name,) + load_battery(name) for name in BATTERY_NAMES] + _planted_plants()
+    singular = set()
+    for name, problem, meta in cases:
+        z = meta.known_solution
+        elements = sample_elements_R(problem, z, 32, 7)
+        svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
+        loop = [el.min_singular_value() for el in elements]
+        assert svs.tobytes() == np.array(loop).tobytes(), name
+        assert all(np.shares_memory(el.matrix, elements.matrices) for el in elements), name
+        with monkeypatch.context() as mp:
+            mp.setattr(JacobianElementR, "min_singular_value", None)
+            sweep = nonsingularity_sweep(problem, z, count=32, seed=7)
+        i = int(np.argmin(loop))
+        assert (sweep.min_singular_value, sweep.argmin_provenance, sweep.n_elements) == (
+            loop[i], elements[i].provenance, len(elements)), name
+        singular.add(sweep.verdict)
+    assert singular == {"singular-element-found", "all-sampled-nonsingular"}
 
 
 def test_probe_battery():
@@ -466,22 +515,34 @@ def test_reduced_quadratic_form_matches_polarization():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported on the first linear program, not with the package
+    # scipy.optimize is imported on the first linear program, not with the
+    # package: nlp_toy's cone is certified without one, and the l1 kink's
+    # critical polar cone, which holds a point, reaches one
     import kktstab
 
-    code = ("import sys, kktstab\n"
+    code = ("import sys, numpy as np, kktstab\n"
             "print('scipy.optimize' in sys.modules)\n"
             "problem, meta = kktstab.load_battery('nlp_toy')\n"
             "v = kktstab.rcq_check(problem, meta.known_solution)\n"
             "print(v.status, v.detail)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "a, c = np.ones(2), np.zeros(2)\n"
+            "F = kktstab.SmoothMap(n=1, m=2, eval=lambda x: c + a * x[0],\n"
+            "                      jacobian=lambda x: a[:, None],\n"
+            "                      weighted_hessian_fn=lambda x, m: np.zeros((1, 1)))\n"
+            "problem = kktstab.CompositeProblem(F, [kktstab.L1Norm(2)])\n"
+            "v = kktstab.srcq_check(problem, kktstab.KKTPoint(np.zeros(1), np.array([1.0, -1.0])))\n"
+            "print(v.status)\n"
             "print('scipy.optimize' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kktstab.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    before, verdict, after = proc.stdout.splitlines()
+    before, verdict, certified, kink, after = proc.stdout.splitlines()
     assert before == "False"
     assert verdict.startswith("holds ") and verdict.endswith("(exact)")
+    assert certified == "False"
+    assert kink == "fails"
     assert after == "True"
 
 
@@ -489,14 +550,21 @@ def test_import_leaves_scipy_optimize_unloaded():
 # One analysis point per report
 
 
-def test_equivalence_report_checks_one_point_and_shares_the_lp_search(monkeypatch):
+def test_equivalence_report_checks_one_point_and_shares_each_cone_decision(monkeypatch):
     import kktstab.stability as st
 
     problem, meta = load_battery("nlp_toy")
-    checked, searched, uniqueness = [], [], []
+    checked, certificates, searched, uniqueness = [], [], [], []
     kkt = st.kkt_check
     monkeypatch.setattr(st, "kkt_check",
                         lambda p, z, tol=1e-8: checked.append(z) or kkt(p, z, tol))
+    gordan = st._gordan_certificate
+
+    def certificate(W, codes, groups):
+        certificates.append((codes.tobytes(), gordan(W, codes, groups)))
+        return certificates[-1][1]
+
+    monkeypatch.setattr(st, "_gordan_certificate", certificate)
     lp = st._lp_nonzero_points
     monkeypatch.setattr(st, "_lp_nonzero_points",
                         lambda N, cone, tol: searched.append(cone) or lp(N, cone, tol))
@@ -508,11 +576,13 @@ def test_equivalence_report_checks_one_point_and_shares_the_lp_search(monkeypatc
     # the unique multiplier leaves no candidate to check, so the one KKT
     # check is the analysis point's
     assert len(checked) == 1
-    # one exact search per cone: the domain normal cone (rcq) and the
-    # critical polar cone, shared by srcq and both uniqueness calls
+    # one decision per cone, each a verified certificate and no linear
+    # program: the domain normal cone (rcq) and the critical polar cone,
+    # shared by srcq and both uniqueness calls
     assert len(uniqueness) == 2 and uniqueness[0] is uniqueness[1]
-    assert len(searched) == 2
-    assert len({(c.lower.tobytes(), c.upper.tobytes()) for c in searched}) == 2
+    assert len(certificates) == 2 and all(ok for _, ok in certificates)
+    assert len({codes for codes, _ in certificates}) == 2
+    assert searched == []
 
 
 def _pair_battery_problem():
@@ -1038,7 +1108,9 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
         return res
 
     monkeypatch.setattr(st, "linprog", unsolved)
-    # both cones of the two-coordinate orthant kink reach the linear program
+    # with the certificate refused, both cones of the two-coordinate orthant
+    # kink reach the linear program
+    monkeypatch.setattr(st, "_gordan_certificate", lambda W, codes, groups: False)
     piece, a, ((c, mu), *_) = KINK_CASES[0]
     problem, pt = _kink_instance(piece, a, c, mu)
     point = AnalysisPoint(problem, pt)
@@ -1047,6 +1119,40 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
         assert (v.status, v.detail) == (
             "heuristic-likely", "no point found and no certificate verified (linear program)")
     assert multiplier_uniqueness(problem, point) == (True, None)
+
+
+def _interval_rows(N, cone):
+    """(W, codes, groups) of an interval cone read in the identity frame:
+    W = N and each row's class code from its interval."""
+    codes = np.array([next(c for c in (PINNED, FREE, UP, DOWN)
+                           if (_LOWER[c], _UPPER[c]) == (lo, hi))
+                      for lo, hi in zip(cone.lower, cone.upper)], dtype=int)
+    return N, codes, np.zeros(codes.size, dtype=int)
+
+
+def test_gordan_certificate_never_certifies_an_interval_cone_with_a_point():
+    from kktstab.stability import _gordan_certificate
+
+    seen = set()
+    for N, cone in _battery_cone_cases() + _cone_cases():
+        W, codes, groups = _interval_rows(N, cone)
+        if N.shape[1] and _gordan_certificate(W, codes, groups):
+            assert not lp_nonzero_points_coordinatewise(N, cone, 1e-8), (cone.lower, cone.upper)
+            # from the rank test of the pinned rows, or from Gordan's alternative
+            seen.add(nullspace(W[codes == PINNED]).shape[1] == 0)
+    assert seen == {True, False}
+    # an analysis point reads its interval cones in these rows, and its
+    # decision, certificate first, agrees with the coordinate LPs
+    for piece, a, points in KINK_CASES:
+        for c, mu in points:
+            point = AnalysisPoint(*_kink_instance(piece, a, c, mu))
+            for name in ("critical_polar_cone", "domain_normal_cone"):
+                N, cone = point.adjoint_nullspace, getattr(point, name)
+                W, codes, _ = point._frame_rows(name)
+                assert np.array_equal(W, N)
+                assert np.array_equal(codes, _interval_rows(N, cone)[1])
+                want = "fails" if lp_nonzero_points_coordinatewise(N, cone, 1e-8) else "holds"
+                assert point.cone_search(name, 1e-8, 20, 0)[1] == want, (piece.kind, c, mu)
 
 
 # ----------------------------------------------------------------------
