@@ -13,7 +13,6 @@ from .symmat import (
 )
 from .pieces import (
     BoxIndicator,
-    ConeModel,
     ConvexPiece,
     EpiSum,
     GammaDomainBoundaryWarning,

@@ -16,7 +16,9 @@ positive semidefinite in the critical cone and negative semidefinite in
 the cones derived from it).  ``BlockStructure`` derives the second-order
 objects from the codes in one place, and ``piece.structure(xbar, ubar)``
 is the one route to them: the critical cone's affine hull and lineality
-bases and membership, both derived cones and the curvature form.
+bases and membership, and the curvature form.  The critical polar cone
+and the domain normal cone are the codes themselves, which
+``stability.AnalysisPoint`` reads in each block's frame.
 
 A kind defines its canonical Clarke element once, in ``clarke_frame``:
 an orthonormal frame of the block and one weight in [0, 1] per frame
@@ -39,7 +41,7 @@ live in the svec coordinates of :mod:`kktstab.symmat`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,6 +73,7 @@ _DEDUP_TOL = 1e-12
 # each class's polar ({0} <-> R, [0, inf) <-> (-inf, 0], and a PSD block
 # to an NSD block), and the interval bounds of each class in a derived
 # cone, where a block coordinate is unbounded before its NSD projection
+# (``stability.AnalysisPoint.project``)
 PINNED, FREE, UP, DOWN, BLOCK = range(5)
 _POLAR = np.array([FREE, PINNED, DOWN, UP, BLOCK])
 _LOWER = np.array([0.0, -np.inf, 0.0, -np.inf, -np.inf])
@@ -160,40 +163,6 @@ class ClarkeFrame:
     def vectors(self, W: np.ndarray) -> np.ndarray:
         """``Q w`` for each row w of W (..., dim), at one point."""
         return self._conjugated(W, None if self.eigvecs is None else self.eigvecs.T)
-
-
-@dataclass
-class ConeModel:
-    """Closed convex cone given by an exact projection.
-
-    ``project`` maps a vector of shape (dim,) to its projection, and a
-    stack of shape (..., dim) row by row to a stack of the same shape.
-
-    When ``polyhedral`` is true the cone is a product of coordinate
-    intervals encoded by ``lower``/``upper`` (entries 0 or +-inf), which
-    enables the exact linear-programming decision path.
-    """
-
-    dim: int
-    polyhedral: bool
-    project: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    def residual(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v - self.project(v)))
-
-
-def _interval_cone(lower: np.ndarray, upper: np.ndarray) -> ConeModel:
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    return ConeModel(
-        dim=lower.size,
-        polyhedral=True,
-        project=lambda v: np.clip(v, lower, upper),
-        lower=lower,
-        upper=upper,
-    )
 
 
 def dedup_elements(elements: list) -> list:
@@ -301,32 +270,6 @@ class BlockStructure:
             return False
         block = w[c == BLOCK]
         return not block.size or bool(np.linalg.eigvalsh(smat(block))[0] >= -tol)
-
-    def critical_polar_cone(self) -> ConeModel:
-        """Polar of the critical cone (= tangent cone to the subdifferential at ubar)."""
-        return self._cone(_POLAR[self.critical])
-
-    def domain_normal_cone(self) -> ConeModel:
-        """Normal cone to the function domain at xbar."""
-        return self._cone(self.normal)
-
-    def _cone(self, codes: np.ndarray) -> ConeModel:
-        # an interval per coordinate, and an NSD projection of the block,
-        # whose coordinates in frame order are the svec image of the block
-        lower, upper = _LOWER[codes], _UPPER[codes]
-        if self.frame is None:
-            return _interval_cone(lower, upper)
-        frame, block = self.frame, codes == BLOCK
-
-        def project(v: np.ndarray) -> np.ndarray:
-            w = np.clip(np.asarray(v, dtype=float) @ frame, lower, upper)
-            if block.any():
-                lam, Q = np.linalg.eigh(smat(w[..., block]))
-                w[..., block] = svec((Q * np.minimum(lam, 0.0)[..., None, :])
-                                     @ Q.swapaxes(-1, -2))
-            return w @ frame.T
-
-        return ConeModel(dim=codes.size, polyhedral=False, project=project)
 
     def curvature_form(self, V: np.ndarray) -> np.ndarray:
         """Symmetric (k, k) matrix W^T diag(weight) W of the curvature term
@@ -602,7 +545,7 @@ class OrthantIndicator(_SeparablePiece):
     def _normal_codes(self, x):
         # interior coordinates contribute {0}; active ones the outward ray
         x = self.sign * x
-        active = x <= 1e-12 * (1.0 + np.linalg.norm(x))
+        active = x <= _kink_tol(x)
         return np.where(active, DOWN if self.sign > 0 else UP, PINNED)
 
 
@@ -682,8 +625,8 @@ class BoxIndicator(_SeparablePiece):
         return state, np.subtract(at_lo, at_hi, dtype=float)
 
     def _normal_codes(self, x):
-        s = 1e-12 * (1.0 + np.linalg.norm(x))
-        at_lo, at_hi = x <= self.lower + s, x >= self.upper - s
+        t = _kink_tol(x)
+        at_lo, at_hi = x <= self.lower + t, x >= self.upper - t
         return np.where(at_lo, np.where(at_hi, FREE, DOWN), np.where(at_hi, UP, PINNED))
 
 

@@ -15,15 +15,20 @@ are injective on null(J^T), or Gordan's alternative gives a y inside
 R_+ x PSD, orthogonal to the range of the remaining map, checked with one
 eigvalsh per block and a factor-2 margin.
 
-When no certificate verifies, a polyhedral (interval) cone gets one rank
-test, then at most one bounded linear program.  A "fails" carries the
-point found; a "holds" carries a Farkas certificate from the program's
-duals, which one matrix-vector product checks.  When neither the point
-nor the certificate checks out, the verdict is "heuristic-likely".  A cone
-with PSD blocks gets the ray test instead: when the pinned coordinates
-leave one line of null(J^T), an exact test of that line's two rays finds
-the "fails" point.  Only otherwise does the alternating-projection search
-run; it finds "fails" points, or leaves "heuristic-likely".
+A cone is its frame rows and their class codes, and nothing else: the
+point's one projection onto it (per block, the codes' intervals and an
+NSD projection in the frame) serves every witness test and search.  When
+no certificate verifies and the pinned coordinates leave one line of
+null(J^T), the cone's points in null(J^T) lie on that line, so an exact
+test of its two rays decides: a ray in the cone is the "fails" point, and
+no ray is an exact "holds".  Only a kernel of two or more dimensions goes
+further.  A polyhedral (interval) cone then gets one rank test and at
+most one bounded linear program: a "fails" carries the point found, a
+"holds" a Farkas certificate from the program's duals, which one
+matrix-vector product checks, and when neither checks out the verdict is
+"heuristic-likely".  A cone with PSD blocks gets the alternating-
+projection search, which finds "fails" points or leaves
+"heuristic-likely".
 """
 
 from __future__ import annotations
@@ -36,15 +41,15 @@ import numpy as np
 
 from .newton import NewtonError, NewtonOptions, check_integer, check_positive
 from .pieces import (
+    _LOWER,
     _POLAR,
+    _UPPER,
     BLOCK,
     DOWN,
     PINNED,
     UP,
-    ConeModel,
     ConvexPiece,
     LinearOperatorElement,
-    _interval_cone,
     sampled_gamma,
 )
 from .problem import (
@@ -203,9 +208,9 @@ class AnalysisPoint:
     the block pairs (piece, F(x)_b, mu_b).  ``tol`` is also the tolerance
     of the pieces' subgradient tests; ``None`` skips the KKT test and
     keeps their default 1e-8.  The block structures (which give the
-    critical-cone bases), the product cones, null(J^T) and each
-    cone-search result are computed on first use and kept, so checks that
-    share one point compute each of them once.
+    critical-cone bases and, through their class codes, the cones),
+    null(J^T) and each cone-search result are computed on first use and
+    kept, so checks that share one point compute each of them once.
     """
 
     def __init__(self, problem: CompositeProblem, z, tol: float | None = 1e-8):
@@ -232,12 +237,10 @@ class AnalysisPoint:
         return [p.structure(xb, ub, self.tol) for p, xb, ub in self.pairs]
 
     @functools.cached_property
-    def critical_polar_cone(self) -> ConeModel:
-        return _product_cone(self.problem, [s.critical_polar_cone() for s in self.structures])
-
-    @functools.cached_property
-    def domain_normal_cone(self) -> ConeModel:
-        return _product_cone(self.problem, [s.domain_normal_cone() for s in self.structures])
+    def polyhedral(self) -> bool:
+        """Whether every block's frame is the identity, so that both cones
+        are products of intervals."""
+        return all(st.frame is None for st in self.structures)
 
     @functools.cached_property
     def adjoint_nullspace(self) -> np.ndarray:
@@ -275,6 +278,25 @@ class AnalysisPoint:
                            [st.critical.size for st in self.structures])
         return W, codes, groups
 
+    def project(self, cone_name: str, V: np.ndarray) -> np.ndarray:
+        """The projection of a vector, or of each row of a stack (..., m),
+        onto the named product cone: per block into its frame, each
+        coordinate clipped to the interval of its class and the BLOCK
+        coordinates, the svec image of one block, projected onto the NSD
+        cone, and back out."""
+        parts = []
+        for st, Vb in zip(self.structures, self.problem.blocks(V)):
+            codes = _CONE_CODES[cone_name](st)
+            w = np.clip(Vb if st.frame is None else Vb @ st.frame,
+                        _LOWER[codes], _UPPER[codes])
+            block = codes == BLOCK
+            if block.any():
+                lam, Q = np.linalg.eigh(smat(w[..., block]))
+                w[..., block] = svec((Q * np.minimum(lam, 0.0)[..., None, :])
+                                     @ Q.swapaxes(-1, -2))
+            parts.append(w if st.frame is None else w @ st.frame.T)
+        return np.concatenate(parts, axis=-1)
+
     def cone_search(self, cone_name: str, tol: float, budget: int,
                     seed: int) -> tuple[list[np.ndarray], str]:
         """Nonzero points of null(J^T) inside the named product cone, and the
@@ -283,26 +305,29 @@ class AnalysisPoint:
 
         Every cone is decided in one order: an empty null(J^T), then
         ``_gordan_certificate`` on the frame rows, each an exact 'holds'.
-        Only when no certificate verifies does an interval cone go to
-        ``_lp_nonzero_points`` and any other cone to ``_ray_witness``.
-        These outcomes are exact and kept per cone and tol.  When the ray
-        test does not decide, the alternating-projection search runs, kept
-        per cone, tol, budget and seed."""
+        When no certificate verifies and the kernel T of the PINNED rows is
+        one line, ``_ray_decision`` decides exactly both ways.  Only a T of
+        two or more columns goes to ``_lp_nonzero_points`` (interval cones)
+        or the alternating-projection search (cones with PSD blocks).
+        Exact outcomes are kept per cone and tol, searches per cone, tol,
+        budget and seed."""
         check_integer("seed", seed, 0)
-        cone, N = getattr(self, cone_name), self.adjoint_nullspace
-        key = (cone_name, tol)
+        N, key = self.adjoint_nullspace, (cone_name, tol)
+        project = functools.partial(self.project, cone_name)
         if key not in self._searches:
             self._searches[key] = ([], "holds")
             if N.shape[1]:
                 W, codes, groups = self._frame_rows(cone_name)
-                if not _gordan_certificate(W, codes, groups):
+                T = nullspace(W[codes == PINNED])
+                if not _gordan_certificate(W, codes, groups, T):
                     self._searches[key] = (
-                        _lp_nonzero_points(N, cone, tol)[:2] if cone.polyhedral
-                        else _ray_witness(N @ nullspace(W[codes == PINNED]), cone, tol))
+                        _ray_decision(N @ T, project, tol) if T.shape[1] == 1
+                        else _lp_nonzero_points(N, codes, project, tol)[:2] if self.polyhedral
+                        else None)
         if self._searches[key] is None:
             key += (budget, seed)
             if key not in self._searches:
-                found = _ap_nonzero_points(N @ N.T, cone, budget, tol,
+                found = _ap_nonzero_points(N @ N.T, project, budget, tol,
                                            np.random.default_rng(seed))
                 self._searches[key] = (found, "fails" if found else "heuristic-likely")
         return self._searches[key]
@@ -352,18 +377,6 @@ def nondegeneracy_check(problem: CompositeProblem, zbar,
 # cone-subspace intersection searches
 
 
-def _product_cone(problem: CompositeProblem, models: list[ConeModel]) -> ConeModel:
-    if all(mo.polyhedral for mo in models):
-        return _interval_cone(np.concatenate([mo.lower for mo in models]),
-                              np.concatenate([mo.upper for mo in models]))
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [mo.project(vb) for mo, vb in zip(models, problem.blocks(v))], axis=-1)
-
-    return ConeModel(dim=problem.m, polyhedral=False, project=project)
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first use: importing
     scipy.optimize takes most of the package's import time, and only the
@@ -376,50 +389,48 @@ def linprog(*args, **kwargs):
 class LPSearch(NamedTuple):
     """Outcome of the exact search of an interval cone: the points found
     ([] or one witness), the status they support, and for 'holds' the
-    certificate (lam, nu) on the rows (G, E) of ``_coefficient_cone``."""
+    certificate (lam, nu) on the rows (G, E) of ``_lp_nonzero_points``."""
 
     points: list[np.ndarray]
     status: str
     certificate: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _coefficient_cone(N: np.ndarray, cone: ConeModel) -> tuple[np.ndarray, np.ndarray]:
-    """(E, G) with span(N) ∩ cone = {N t : E t = 0, G t <= 0}: E holds the
-    rows of N that the cone pins to 0, G the signed rows it bounds on one
-    side, in row order.  Free rows appear in neither."""
-    lo, hi = cone.lower, cone.upper
-    sign = np.where(np.isinf(lo) & (hi == 0.0), 1.0,
-                    np.where((lo == 0.0) & np.isinf(hi), -1.0, 0.0))
-    return N[(lo == 0.0) & (hi == 0.0)], sign[sign != 0.0, None] * N[sign != 0.0]
+def _in_cone(project, v: np.ndarray, tol: float) -> bool:
+    """The witness test: v lies within tol (1 + |v|) of its projection."""
+    return bool(np.linalg.norm(v - project(v)) <= tol * (1.0 + np.linalg.norm(v)))
 
 
-def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> LPSearch:
+def _lp_nonzero_points(N: np.ndarray, codes: np.ndarray, project, tol: float) -> LPSearch:
     """Exact search for a nonzero point of span(N) inside an interval cone,
-    with one rank test and at most one linear program.  ``cone_search``
-    calls it only for a cone that ``_gordan_certificate`` does not
-    certify, so there it mostly finds a witness.
+    with the class code of each row in ``codes`` and its projection
+    ``project``, by one rank test and at most one linear program.
+    ``cone_search`` calls it only for a cone that ``_gordan_certificate``
+    does not certify and whose PINNED rows leave two or more dimensions.
 
     N has orthonormal columns, so t != 0 gives a nonzero point N t of the
-    coefficient cone C = {t : E t = 0, G t <= 0}.  A null vector of
-    M = [E; G] is a witness.  Otherwise C is pointed and nontrivial iff
-    min 1^T G t over C with -G t <= 1 is negative.  When the optimum is 0,
-    the duals give lam >= 1 and nu with G^T lam + E^T nu = r.  For a unit
-    t in C, |G t| <= |G t|_1 <= -lam^T G t = -t^T r <= |r|, while
-    |G t| = |M t| >= sigma_min(M); so |r| < sigma_min(M) proves C = {0},
-    and one matrix-vector product checks it (with a factor 2 to spare for
-    rounding).  A witness that leaves the cone or a certificate that fails
-    the check gives 'heuristic-likely'.
+    coefficient cone C = {t : E t = 0, G t <= 0}, with E the PINNED rows
+    of N and G the UP rows negated and the DOWN rows, in row order.  A
+    null vector of M = [E; G] is a witness.  Otherwise C is pointed and
+    nontrivial iff min 1^T G t over C with -G t <= 1 is negative.  When the
+    optimum is 0, the duals give lam >= 1 and nu with G^T lam + E^T nu = r.
+    For a unit t in C, |G t| <= |G t|_1 <= -lam^T G t = -t^T r <= |r|,
+    while |G t| = |M t| >= sigma_min(M); so |r| < sigma_min(M) proves
+    C = {0}, and one matrix-vector product checks it (with a factor 2 to
+    spare for rounding).  A witness that fails ``_in_cone`` or a
+    certificate that fails the check gives 'heuristic-likely'.
     """
     if N.shape[1] == 0:
         return LPSearch([], "holds")
 
     def witness(t: np.ndarray) -> LPSearch:
         v = N @ t
-        if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
+        if _in_cone(project, v, tol):
             return LPSearch([v], "fails")
         return LPSearch([], "heuristic-likely")
 
-    E, G = _coefficient_cone(N, cone)
+    sign = np.where(codes == DOWN, 1.0, np.where(codes == UP, -1.0, 0.0))
+    E, G = N[codes == PINNED], sign[sign != 0.0, None] * N[sign != 0.0]
     M = np.vstack([E, G])
     null = nullspace(M)
     if null.shape[1]:
@@ -446,22 +457,23 @@ def _lp_nonzero_points(N: np.ndarray, cone: ConeModel, tol: float) -> LPSearch:
     return LPSearch([], "heuristic-likely")
 
 
-def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray) -> bool:
+def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray,
+                        T: np.ndarray) -> bool:
     """Whether t = 0 is the only t with W t in the cone, proved exactly;
     False when no proof verifies.  W has orthonormal columns; row i is a
     frame coordinate with class code codes[i], and the BLOCK rows of each
-    group, in row order, are the svec coordinates of one NSD block.
+    group, in row order, are the svec coordinates of one NSD block.  T is
+    an orthonormal basis of the kernel of the PINNED rows.
 
-    When the PINNED rows are injective, they alone force t = 0.  Otherwise
-    t = T s over an orthonormal basis T of their kernel, and the cone is
-    {s : A s in K} with K = R_+^g x (PSD blocks): A holds the UP rows, the
-    negated DOWN rows and the negated BLOCK rows, times T.  A kernel of A
-    leaves the question open.  For injective A, Gordan's alternative says
-    the cone is {0} iff some y in the interior of K has A^T y = 0; the
-    candidate is the projection of (1, ..., 1, svec(I) per block) onto
-    range(A)^perp, and ``_gordan_verifies`` checks it.
+    When the PINNED rows are injective (T has no column), they alone force
+    t = 0.  Otherwise t = T s, and the cone is {s : A s in K} with
+    K = R_+^g x (PSD blocks): A holds the UP rows, the negated DOWN rows
+    and the negated BLOCK rows, times T.  A kernel of A leaves the question
+    open.  For injective A, Gordan's alternative says the cone is {0} iff
+    some y in the interior of K has A^T y = 0; the candidate is the
+    projection of (1, ..., 1, svec(I) per block) onto range(A)^perp, and
+    ``_gordan_verifies`` checks it.
     """
-    T = nullspace(W[codes == PINNED])
     if T.shape[1] == 0:
         return True
     half = np.flatnonzero((codes == UP) | (codes == DOWN))
@@ -478,19 +490,16 @@ def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray) ->
     return _gordan_verifies(A, sv[-1], y - U @ (U.T @ y), sizes)
 
 
-def _ray_witness(NT: np.ndarray, cone: ConeModel,
-                 tol: float) -> tuple[list[np.ndarray], str] | None:
-    """([v], 'fails') for the first of v = N T[:, 0] and -v that passes the
-    witness test of ``_lp_nonzero_points``, when NT = N T has one column;
-    else None.  T spans the kernel of the PINNED rows, so every point of
-    span(N) in the cone lies on the line of N T: with one column, its two
-    rays are the only candidates, and an exact test of each replaces the
-    search."""
-    if NT.shape[1] == 1:
-        for v in (NT[:, 0], -NT[:, 0]):
-            if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
-                return [v], "fails"
-    return None
+def _ray_decision(NT: np.ndarray, project, tol: float) -> tuple[list[np.ndarray], str]:
+    """([v], 'fails') for the first of v = N T[:, 0] and -v that passes
+    ``_in_cone``, else ([], 'holds'), for NT = N T of one column.  T spans
+    the kernel of the PINNED rows, so every point of span(N) in the cone
+    lies on the line of N T: its two rays are the only candidates, and
+    their exact test decides the cone both ways."""
+    for v in (NT[:, 0], -NT[:, 0]):
+        if _in_cone(project, v, tol):
+            return [v], "fails"
+    return [], "holds"
 
 
 def _gordan_verifies(A: np.ndarray, sigma_min: float, y: np.ndarray,
@@ -520,27 +529,28 @@ def _gordan_verifies(A: np.ndarray, sigma_min: float, y: np.ndarray,
 _UNCERTIFIED = "no point found and no certificate verified (linear program)"
 
 
-def _ap_nonzero_points(P_sub: np.ndarray, cone: ConeModel, budget: int,
+def _ap_nonzero_points(P_sub: np.ndarray, project, budget: int,
                        tol: float, rng: np.random.Generator,
                        max_candidates: int = 8) -> list[np.ndarray]:
     """Normalized alternating projections between a subspace and a cone;
     heuristic, returns distinct intersection candidates.  P_sub is the
-    orthogonal (hence symmetric) projector onto the subspace.
+    orthogonal (hence symmetric) projector onto the subspace, and
+    ``project`` the cone's projection, row-wise on stacks.
 
     All restarts run together as the rows of one stack.  A restart whose
     iterate falls below norm 1e-13 is dropped; the survivors are kept in
     restart order, so candidates are chosen in that order.
     """
-    V = rng.standard_normal((budget, cone.dim))
+    V = rng.standard_normal((budget, P_sub.shape[0]))
     for _ in range(60):
-        V = cone.project(V) @ P_sub
+        V = project(V) @ P_sub
         norms = np.linalg.norm(V, axis=1)
         alive = norms >= 1e-13
         V = V[alive] / norms[alive, None]
         if not V.shape[0]:
             return []
     res = (np.linalg.norm(V - V @ P_sub, axis=1)
-           + np.linalg.norm(V - cone.project(V), axis=1))
+           + np.linalg.norm(V - project(V), axis=1))
     pool = V[res <= tol]
     found: list[np.ndarray] = []
     while pool.shape[0] and len(found) < max_candidates:
@@ -556,15 +566,16 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
                budget: int = 1000, seed: int = 0) -> Verdict:
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
-    set only at the origin.  A "holds" is exact: from the rank test or
-    Gordan certificate of ``_gordan_certificate`` (factor-2 margin), tried
-    first on every cone, or from the Farkas certificate of an interval
-    cone's linear program.  Otherwise that program, or with PSD blocks the
-    exact ray test of ``_ray_witness`` and then ``budget``
-    alternating-projection restarts, look for a point."""
+    set only at the origin, decided by ``AnalysisPoint.cone_search``.  A
+    "holds" is exact: from the rank test or Gordan certificate of
+    ``_gordan_certificate`` (factor-2 margin), tried first on every cone,
+    from the ray test of a one-line kernel, or from the Farkas certificate
+    of an interval cone's linear program.  Only a cone with PSD blocks and
+    a kernel of two or more dimensions gets ``budget``
+    alternating-projection restarts, which look for a point."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
-    if not point.critical_polar_cone.polyhedral:
+    if not point.polyhedral:
         # necessary span test: the Jacobian range plus the affine hull of
         # the critical set must already fill the image space
         rank = point.joint_rank([s.affine_hull_basis for s in point.structures], tol)
@@ -574,23 +585,23 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     return Verdict(status, tol, {
         "fails": "nonzero polar intersection point found",
         "holds": "polar intersection is trivial (exact)",
-        "heuristic-likely": (_UNCERTIFIED if point.critical_polar_cone.polyhedral
+        "heuristic-likely": (_UNCERTIFIED if point.polyhedral
                              else f"no polar point found in {budget} restarts")}[status])
 
 
 def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
               budget: int = 1000, seed: int = 0) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test,
-    decided as in ``srcq_check``: an exact "holds" from a checked Gordan
-    certificate, else an interval cone's linear program, or the ray test
-    and ``budget`` alternating-projection restarts."""
+    decided as in ``srcq_check``: the certificate, then the ray test of a
+    one-line kernel, then an interval cone's linear program or ``budget``
+    alternating-projection restarts."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar, tol)
     _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)
     return Verdict(status, tol, {
         "fails": "nonzero normal-cone intersection point found",
         "holds": "normal-cone intersection is trivial (exact)",
-        "heuristic-likely": (_UNCERTIFIED if point.domain_normal_cone.polyhedral
+        "heuristic-likely": (_UNCERTIFIED if point.polyhedral
                              else f"no intersection point found in {budget} restarts")}[status])
 
 

@@ -3,10 +3,12 @@ import pytest
 
 from kktstab import (
     BoxIndicator,
+    CompositeProblem,
     EpiSum,
     L1Norm,
     OrthantIndicator,
     PSDConeIndicator,
+    SmoothMap,
     eig_split,
     moreau_envelope,
     prox,
@@ -16,12 +18,15 @@ from kktstab import (
 )
 from kktstab.pieces import (
     _DEDUP_TOL,
+    _LOWER,
+    _UPPER,
     PIECE_KINDS,
     PSD_PATTERN_CAP,
     SEPARABLE_PATTERN_CAP,
     LinearOperatorElement,
     dedup_elements,
 )
+from kktstab.stability import AnalysisPoint
 from kktstab.symmat import SQRT2, coupling
 from kktstab.verify import piece_battery
 from test_symmat import conjugation_matrix_loop, svec_loop
@@ -348,15 +353,38 @@ def test_psd_cone_descriptor_bases_match_loop_oracle():
         assert np.max(np.abs(desc.lineality_basis - lin), initial=0.0) <= 1e-12, case
 
 
-def assert_projects_row_wise(cone, rng):
-    """cone.project on a stack equals projecting each row; 1-d stays 1-d."""
+def cone_point(structures, N=None):
+    """An analysis point whose blocks have the given structures, and whose
+    null(J^T) is span(N) when N is given: the point (0, 0) of a zero map
+    on L1Norm blocks of the structures' sizes, checked at no tolerance,
+    with its cached structures (and kernel) replaced."""
+    dims = [st.critical.size for st in structures]
+    m = sum(dims)
+    F = SmoothMap(n=1, m=m, eval=lambda x: np.zeros(m), jacobian=lambda x: np.zeros((m, 1)))
+    point = AnalysisPoint(CompositeProblem(F, [L1Norm(d) for d in dims]), np.zeros(1 + m),
+                          tol=None)
+    point.structures = structures
+    if N is not None:
+        point.adjoint_nullspace = N
+    return point
+
+
+def assert_projects_row_wise(project, dim, rng):
+    """project on a stack equals projecting each row; 1-d stays 1-d."""
     for shape in ((5,), (2, 3)):
-        V = rng.standard_normal(shape + (cone.dim,))
-        rows = np.array([cone.project(v) for v in V.reshape(-1, cone.dim)])
-        out = cone.project(V)
+        V = rng.standard_normal(shape + (dim,))
+        rows = np.array([project(v) for v in V.reshape(-1, dim)])
+        out = project(V)
         assert out.shape == V.shape
-        assert np.max(np.abs(out.reshape(-1, cone.dim) - rows)) <= 1e-12
-    assert cone.project(V[0, 0]).shape == (cone.dim,)
+        assert np.max(np.abs(out.reshape(-1, dim) - rows)) <= 1e-12
+    assert project(V[0, 0]).shape == (dim,)
+
+
+def _assert_point_projects_row_wise(st, rng):
+    point = cone_point([st])
+    for name in ("critical_polar_cone", "domain_normal_cone"):
+        assert_projects_row_wise(lambda V: point.project(name, V), st.critical.size, rng)
+    return point
 
 
 def test_cone_projections_act_row_wise_on_stacks():
@@ -366,20 +394,16 @@ def test_cone_projections_act_row_wise_on_stacks():
         lifted = EpiSum(piece)
         xbar = piece.prox(z)
         ubar = z - xbar
-        for name in ("critical_polar_cone", "domain_normal_cone"):
-            assert_projects_row_wise(getattr(piece.structure(xbar, ubar), name)(), rng)
-            lifted_st = lifted.structure(np.concatenate([[0.5], xbar]),
-                                         np.concatenate([[1.0], ubar]))
-            assert_projects_row_wise(getattr(lifted_st, name)(), rng)
+        _assert_point_projects_row_wise(piece.structure(xbar, ubar), rng)
+        lifted_st = lifted.structure(np.concatenate([[0.5], xbar]),
+                                     np.concatenate([[1.0], ubar]))
+        _assert_point_projects_row_wise(lifted_st, rng)
     for piece, z in ((OrthantIndicator(4), np.array([1.0, -1.0, 0.0, 2.0])),
                      (BoxIndicator([-1.0, 0.0, -np.inf], [1.0, 0.0, 2.0]),
                       np.array([0.5, 3.0, 2.0])),
                      (L1Norm(3), np.array([2.0, 1.0, -0.5]))):
         xbar = piece.prox(z)
-        st = piece.structure(xbar, z - xbar)
-        for cone in (st.critical_polar_cone(), st.domain_normal_cone()):
-            assert cone.polyhedral
-            assert_projects_row_wise(cone, rng)
+        assert _assert_point_projects_row_wise(piece.structure(xbar, z - xbar), rng).polyhedral
 
 
 # ----------------------------------------------------------------------
@@ -510,12 +534,12 @@ def test_box_array_forms_match_loop_oracle():
                 elif np.isfinite(lo) and z[i] < sigma * lo:
                     direct[i] = z[i] - sigma * lo
             assert np.array_equal(piece.prox_conjugate_direct(z, sigma), direct)
-        cone = piece.structure(piece.prox(z), z - piece.prox(z)).domain_normal_cone()
+        codes = piece.structure(piece.prox(z), z - piece.prox(z)).normal
         x = piece.prox(z)
-        s = 1e-12 * (1.0 + np.linalg.norm(x))
+        t = 1e-8 * max(1.0, float(np.max(np.abs(x))))
         for i in range(5):
-            assert cone.lower[i] == (-np.inf if x[i] <= piece.lower[i] + s else 0.0)
-            assert cone.upper[i] == (np.inf if x[i] >= piece.upper[i] - s else 0.0)
+            assert _LOWER[codes[i]] == (-np.inf if x[i] <= piece.lower[i] + t else 0.0)
+            assert _UPPER[codes[i]] == (np.inf if x[i] >= piece.upper[i] - t else 0.0)
 
 
 def test_kink_tolerance_scales_with_the_point_and_pins_narrow_boxes():

@@ -1,10 +1,10 @@
+import functools
 import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +48,6 @@ from kktstab.stability import (
     AnalysisPoint,
     CurvatureDomainError,
     _ap_nonzero_points,
-    _product_cone,
     mutual_span_residual,
     nullspace,
     reduced_quadratic_form,
@@ -60,7 +59,7 @@ from kktstab.verify import (
     pair_battery,
     run_suite,
 )
-from test_pieces_prox import _psd_structures, assert_projects_row_wise
+from test_pieces_prox import _psd_structures, assert_projects_row_wise, cone_point
 
 FAST = AnalyzerOptions(num_delta=20, srcq_budget=400)
 
@@ -301,14 +300,14 @@ def test_report_verdicts_carry_tolerances():
 # The batched alternating-projection search against its per-restart loop
 
 
-def ap_nonzero_points_loop(P_sub, cone, budget, tol, rng, max_candidates=8):
+def ap_nonzero_points_loop(P_sub, project, budget, tol, rng, max_candidates=8):
     """One restart at a time, one vector per projection."""
     found = []
     for _ in range(budget):
-        v = rng.standard_normal(cone.dim)
+        v = rng.standard_normal(P_sub.shape[0])
         ok = False
         for _ in range(60):
-            v = P_sub @ cone.project(v)
+            v = P_sub @ project(v)
             nv = float(np.linalg.norm(v))
             if nv < 1e-13:
                 break
@@ -316,7 +315,7 @@ def ap_nonzero_points_loop(P_sub, cone, budget, tol, rng, max_candidates=8):
             ok = True
         if not ok or float(np.linalg.norm(v)) < 0.5:
             continue
-        res = float(np.linalg.norm(v - P_sub @ v)) + cone.residual(v)
+        res = float(np.linalg.norm(v - P_sub @ v)) + float(np.linalg.norm(v - project(v)))
         if res <= tol:
             if all(np.linalg.norm(v - u) > 1e-6 and np.linalg.norm(v + u) > 1e-6
                    for u in found):
@@ -336,10 +335,10 @@ def _lifted_psd_pair(lam, rng):
     return piece, xbar, z - xbar
 
 
-def _assert_same_candidates(P_sub, cone, budget, seed, max_candidates=8):
-    new = _ap_nonzero_points(P_sub, cone, budget, 1e-8, np.random.default_rng(seed),
+def _assert_same_candidates(P_sub, project, budget, seed, max_candidates=8):
+    new = _ap_nonzero_points(P_sub, project, budget, 1e-8, np.random.default_rng(seed),
                              max_candidates)
-    old = ap_nonzero_points_loop(P_sub, cone, budget, 1e-8, np.random.default_rng(seed),
+    old = ap_nonzero_points_loop(P_sub, project, budget, 1e-8, np.random.default_rng(seed),
                                  max_candidates)
     assert len(new) == len(old)
     for a, b in zip(new, old):
@@ -347,19 +346,27 @@ def _assert_same_candidates(P_sub, cone, budget, seed, max_candidates=8):
     return len(new)
 
 
+def _projections(structures):
+    """The projections onto the critical polar and the domain normal cone
+    of an analysis point with the given block structures."""
+    point = cone_point(structures)
+    return [functools.partial(point.project, name)
+            for name in ("critical_polar_cone", "domain_normal_cone")]
+
+
 def test_ap_nonzero_points_matches_loop_oracle():
     rng = np.random.default_rng(5)
     counts = []
     for lam in ([2.0, 0.0, -1.0], [0.0, 0.0, -1.5, -0.5], [0.0, 0.0, 0.0]):
         piece, xbar, ubar = _lifted_psd_pair(lam, rng)
-        st = piece.structure(xbar, ubar)
-        for cone in (st.critical_polar_cone(), st.domain_normal_cone()):
-            for p in (2, cone.dim - 1):
-                N, _ = np.linalg.qr(rng.standard_normal((cone.dim, p)))
+        dim = piece.dim
+        for project in _projections([piece.structure(xbar, ubar)]):
+            for p in (2, dim - 1):
+                N, _ = np.linalg.qr(rng.standard_normal((dim, p)))
                 for seed in (0, 7):
-                    counts.append(_assert_same_candidates(N @ N.T, cone, 40, seed))
-            N, _ = np.linalg.qr(rng.standard_normal((cone.dim, cone.dim - 1)))
-            counts.append(_assert_same_candidates(N @ N.T, cone, 40, 3, max_candidates=3))
+                    counts.append(_assert_same_candidates(N @ N.T, project, 40, seed))
+            N, _ = np.linalg.qr(rng.standard_normal((dim, dim - 1)))
+            counts.append(_assert_same_candidates(N @ N.T, project, 40, 3, max_candidates=3))
     # both sides of the search are covered: nothing found, and the cut
     assert 0 in counts and 8 in counts and 3 in counts
 
@@ -373,32 +380,30 @@ def test_ap_nonzero_points_every_restart_dies():
     e0 = np.zeros((piece.dim, 1))
     e0[0, 0] = 1.0
     N, _ = np.linalg.qr(rng.standard_normal((piece.dim, 2)))
-    st = piece.structure(xbar, ubar)
-    for cone, P_sub in ((st.domain_normal_cone(), e0 @ e0.T),
-                        (st.critical_polar_cone(), N @ N.T)):
-        assert _assert_same_candidates(P_sub, cone, 30, 0) == 0
-
-
-def _blocks_problem(pieces):
-    m = sum(p.dim for p in pieces)
-    F = SmoothMap(n=1, m=m, eval=lambda x: np.zeros(m), jacobian=lambda x: np.zeros((m, 1)))
-    return CompositeProblem(F, pieces)
+    polar, normal = _projections([piece.structure(xbar, ubar)])
+    for project, P_sub in ((normal, e0 @ e0.T), (polar, N @ N.T)):
+        assert _assert_same_candidates(P_sub, project, 30, 0) == 0
 
 
 def test_product_cone_projects_row_wise():
+    # the point's projection acts block by block, as each block's own
+    # point projects, and row-wise on stacks
     rng = np.random.default_rng(9)
     psd, xp, up = _lifted_psd_pair([1.0, 0.0, -2.0], rng)
     orth = OrthantIndicator(2)
     zo = np.array([1.0, -1.0])
     pairs = [(psd, xp, up), (orth, orth.prox(zo), zo - orth.prox(zo)), (psd, xp, up)]
-    for name in ("critical_polar_cone", "domain_normal_cone"):
-        models = [getattr(p.structure(xb, ub), name)() for p, xb, ub in pairs]
-        cone = _product_cone(_blocks_problem([p for p, _, _ in pairs]), models)
-        assert not cone.polyhedral
-        assert_projects_row_wise(cone, rng)
-        cone = _product_cone(_blocks_problem([orth] * 3), [models[1]] * 3)
-        assert cone.polyhedral
-        assert_projects_row_wise(cone, rng)
+    structures = [p.structure(xb, ub) for p, xb, ub in pairs]
+    for blocks, polyhedral in ((structures, False), ([structures[1]] * 3, True)):
+        point = cone_point(blocks)
+        assert point.polyhedral == polyhedral
+        m = point.problem.m
+        for name in ("critical_polar_cone", "domain_normal_cone"):
+            assert_projects_row_wise(functools.partial(point.project, name), m, rng)
+            v = rng.standard_normal(m)
+            each = [cone_point([st]).project(name, vb)
+                    for st, vb in zip(blocks, point.problem.blocks(v))]
+            assert point.project(name, v).tobytes() == np.concatenate(each).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -516,8 +521,10 @@ def test_reduced_quadratic_form_matches_polarization():
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is imported on the first linear program, not with the
-    # package: nlp_toy's cone is certified without one, and the l1 kink's
-    # critical polar cone, which holds a point, reaches one
+    # package: nlp_toy's cone is certified without one, and the critical
+    # polar cone of two l1 kinks and one interior l1 coordinate, which holds
+    # a point and leaves a plane of null(J^T) after its PINNED rows (none),
+    # reaches one
     import kktstab
 
     code = ("import sys, numpy as np, kktstab\n"
@@ -526,12 +533,13 @@ def test_import_leaves_scipy_optimize_unloaded():
             "v = kktstab.rcq_check(problem, meta.known_solution)\n"
             "print(v.status, v.detail)\n"
             "print('scipy.optimize' in sys.modules)\n"
-            "a, c = np.ones(2), np.zeros(2)\n"
-            "F = kktstab.SmoothMap(n=1, m=2, eval=lambda x: c + a * x[0],\n"
+            "a, c = np.ones(3), np.zeros(3)\n"
+            "F = kktstab.SmoothMap(n=1, m=3, eval=lambda x: c + a * x[0],\n"
             "                      jacobian=lambda x: a[:, None],\n"
             "                      weighted_hessian_fn=lambda x, m: np.zeros((1, 1)))\n"
-            "problem = kktstab.CompositeProblem(F, [kktstab.L1Norm(2)])\n"
-            "v = kktstab.srcq_check(problem, kktstab.KKTPoint(np.zeros(1), np.array([1.0, -1.0])))\n"
+            "problem = kktstab.CompositeProblem(F, [kktstab.L1Norm(3)])\n"
+            "mu = np.array([1.0, -1.0, 0.0])\n"
+            "v = kktstab.srcq_check(problem, kktstab.KKTPoint(np.zeros(1), mu))\n"
             "print(v.status)\n"
             "print('scipy.optimize' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kktstab.__file__)))
@@ -560,14 +568,14 @@ def test_equivalence_report_checks_one_point_and_shares_each_cone_decision(monke
                         lambda p, z, tol=1e-8: checked.append(z) or kkt(p, z, tol))
     gordan = st._gordan_certificate
 
-    def certificate(W, codes, groups):
-        certificates.append((codes.tobytes(), gordan(W, codes, groups)))
+    def certificate(W, codes, groups, T):
+        certificates.append((codes.tobytes(), gordan(W, codes, groups, T)))
         return certificates[-1][1]
 
     monkeypatch.setattr(st, "_gordan_certificate", certificate)
     lp = st._lp_nonzero_points
     monkeypatch.setattr(st, "_lp_nonzero_points",
-                        lambda N, cone, tol: searched.append(cone) or lp(N, cone, tol))
+                        lambda N, codes, *a: searched.append(codes) or lp(N, codes, *a))
     unique = st.multiplier_uniqueness
     monkeypatch.setattr(st, "multiplier_uniqueness",
                         lambda *a, **k: uniqueness.append(a[1]) or unique(*a, **k))
@@ -911,17 +919,19 @@ def test_sampling_entry_points_reject_a_bad_count(name, count):
 # The polyhedral cone test: one rank test and one certified linear program
 
 
-def lp_nonzero_points_coordinatewise(N, cone, tol):
+def lp_nonzero_points_coordinatewise(N, codes, tol):
     """The exact search with up to 2p linear programs, one per coordinate
-    and sign, kept as the reference for the rank test plus one LP."""
+    and sign, kept as the reference for the rank test plus one LP.  Row i
+    of N lies in the interval of its class code codes[i]."""
     from scipy.optimize import linprog
 
     p = N.shape[1]
     if p == 0:
         return []
+    lower, upper = _LOWER[codes], _UPPER[codes]
     eq_rows, ub_rows = [], []
     for i in range(N.shape[0]):
-        lo, hi = cone.lower[i], cone.upper[i]
+        lo, hi = lower[i], upper[i]
         if lo == 0.0 and hi == 0.0:
             eq_rows.append(N[i])
         elif lo == 0.0 and np.isinf(hi):
@@ -940,21 +950,35 @@ def lp_nonzero_points_coordinatewise(N, cone, tol):
                           bounds=[(-1.0, 1.0)] * p, method="highs")
             if res.status == 0 and -res.fun > max(tol, 1e-9):
                 v = N @ res.x
-                if cone.residual(v) <= tol * (1.0 + np.linalg.norm(v)):
+                if np.linalg.norm(v - np.clip(v, lower, upper)) <= tol * (1.0 + np.linalg.norm(v)):
                     return [v]
     return []
 
 
-# (lower, upper) of a coordinate: pinned, nonnegative, nonpositive, free
-_ROW_KINDS = ((0.0, 0.0), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf))
+# the class code of a coordinate: pinned, nonnegative, nonpositive, free
+_ROW_KINDS = np.array([PINNED, UP, DOWN, FREE])
 
 
 def _cone_case(rng, m, p, kinds):
-    from kktstab.pieces import _interval_cone
-
     N = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :p]
-    lower, upper = np.array([_ROW_KINDS[k] for k in kinds]).T.reshape(2, m)
-    return N, _interval_cone(lower, upper)
+    return N, _ROW_KINDS[np.asarray(kinds, dtype=int)]
+
+
+def _interval_project(codes):
+    """The projection onto the interval cone of the codes, as an analysis
+    point with one identity-frame block makes it."""
+    st = BlockStructure(None, codes, codes, np.zeros(codes.size))
+    return functools.partial(cone_point([st]).project, "domain_normal_cone")
+
+
+def _coefficient_rows(N, codes):
+    """(E, G): the rows of N that the codes' intervals pin to 0, and the
+    signed rows they bound on one side, so that N t is in the cone iff
+    E t = 0 and G t <= 0."""
+    lo, hi = _LOWER[codes], _UPPER[codes]
+    sign = np.where(np.isinf(lo) & (hi == 0.0), 1.0,
+                    np.where((lo == 0.0) & np.isinf(hi), -1.0, 0.0))
+    return N[(lo == 0.0) & (hi == 0.0)], sign[sign != 0.0, None] * N[sign != 0.0]
 
 
 def _cone_cases():
@@ -978,19 +1002,17 @@ def _cone_cases():
     return cases
 
 
-def _assert_certified(N, cone, search, tol=1e-8, exact_duals=True):
+def _assert_certified(N, codes, search, tol=1e-8, exact_duals=True):
     """A 'holds' carries lam >= 1 and nu with G^T lam + E^T nu below half
     the smallest singular value of [E; G], which proves the coefficient
     cone is {0} (and, from the solver's own duals, near 0); a 'fails'
     carries a nonzero point of span(N) in the cone."""
-    from kktstab.stability import _coefficient_cone
-
     if search.status == "holds":
         assert search.points == []
         if N.shape[1] == 0:
             return
         lam, nu = search.certificate
-        E, G = _coefficient_cone(N, cone)
+        E, G = _coefficient_rows(N, codes)
         assert lam.shape == (G.shape[0],) and nu.shape == (E.shape[0],)
         assert np.all(lam >= 1.0)
         r = np.linalg.norm(G.T @ lam + E.T @ nu)
@@ -1002,25 +1024,23 @@ def _assert_certified(N, cone, search, tol=1e-8, exact_duals=True):
         assert search.certificate is None
         assert np.linalg.norm(v) > 0.5
         assert np.linalg.norm(v - N @ (N.T @ v)) <= 1e-9 * np.linalg.norm(v)
-        assert cone.residual(v) <= tol * (1.0 + np.linalg.norm(v))
+        lo, hi = _LOWER[codes], _UPPER[codes]
+        assert np.linalg.norm(v - np.clip(v, lo, hi)) <= tol * (1.0 + np.linalg.norm(v))
     else:
         raise AssertionError(f"uncertified search: {search}")
 
 
 def _battery_cone_cases():
-    cases = []
-    for name in ("nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy"):
-        problem, meta = load_battery(name)
-        point = AnalysisPoint(problem, meta.known_solution)
-        for cone in (point.critical_polar_cone, point.domain_normal_cone):
-            if cone.polyhedral:
-                cases.append((point.adjoint_nullspace, cone))
-    for piece, a, points in KINK_CASES:
-        for c, mu in points:
-            point = AnalysisPoint(*_kink_instance(piece, a, c, mu))
-            cases += [(point.adjoint_nullspace, point.critical_polar_cone),
-                      (point.adjoint_nullspace, point.domain_normal_cone)]
-    return cases
+    """(N, codes) of the interval cones of the battery points and of every
+    KINK_CASES point: null(J^T) and each row's class code."""
+    points = [AnalysisPoint(problem, meta.known_solution) for problem, meta in
+              map(load_battery, ("nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
+                                 "smooth_toy"))]
+    points += [AnalysisPoint(*_kink_instance(piece, a, c, mu))
+               for piece, a, cases in KINK_CASES for c, mu in cases]
+    return [(point.adjoint_nullspace, point._frame_rows(name)[1])
+            for point in points if point.polyhedral
+            for name in ("critical_polar_cone", "domain_normal_cone")]
 
 
 def test_one_lp_cone_test_agrees_with_the_coordinate_lps_and_is_certified(monkeypatch):
@@ -1031,28 +1051,26 @@ def test_one_lp_cone_test_agrees_with_the_coordinate_lps_and_is_certified(monkey
     monkeypatch.setattr(st, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
     cases = _battery_cone_cases() + _cone_cases()
     seen = set()
-    for N, cone in cases:
+    for N, codes in cases:
         before = len(calls)
-        search = st._lp_nonzero_points(N, cone, 1e-8)
+        search = st._lp_nonzero_points(N, codes, _interval_project(codes), 1e-8)
         assert len(calls) - before <= 1
-        want = "fails" if lp_nonzero_points_coordinatewise(N, cone, 1e-8) else "holds"
-        assert search.status == want, (N.shape, cone.lower, cone.upper)
-        _assert_certified(N, cone, search)
+        want = "fails" if lp_nonzero_points_coordinatewise(N, codes, 1e-8) else "holds"
+        assert search.status == want, (N.shape, codes)
+        _assert_certified(N, codes, search)
         seen.add((search.status, len(calls) > before))
     # every outcome occurs: rank-test and LP verdicts of both kinds
     assert seen == {("holds", False), ("holds", True), ("fails", False), ("fails", True)}
 
 
 def _lp_holds_cases():
-    from kktstab.stability import _coefficient_cone
-
     out = []
-    for N, cone in _cone_cases():
+    for N, codes in _cone_cases():
         if N.shape[1]:
-            E, G = _coefficient_cone(N, cone)
+            E, G = _coefficient_rows(N, codes)
             if G.shape[0] and np.linalg.matrix_rank(np.vstack([E, G])) == N.shape[1] \
-                    and not lp_nonzero_points_coordinatewise(N, cone, 1e-8):
-                out.append((N, cone))
+                    and not lp_nonzero_points_coordinatewise(N, codes, 1e-8):
+                out.append((N, codes))
     return out
 
 
@@ -1083,14 +1101,14 @@ def test_corrupted_duals_never_yield_holds(monkeypatch, corrupt):
 
     cases = _lp_holds_cases()
     assert len(cases) >= 20
-    for N, cone in cases:
-        assert st._lp_nonzero_points(N, cone, 1e-8).status == "holds"
+    for N, codes in cases:
+        assert st._lp_nonzero_points(N, codes, _interval_project(codes), 1e-8).status == "holds"
     monkeypatch.setattr(st, "linprog", corrupted)
     kept = 0
-    for N, cone in cases:
-        search = st._lp_nonzero_points(N, cone, 1e-8)
+    for N, codes in cases:
+        search = st._lp_nonzero_points(N, codes, _interval_project(codes), 1e-8)
         if search.status == "holds":
-            _assert_certified(N, cone, search, exact_duals=False)
+            _assert_certified(N, codes, search, exact_duals=False)
             kept += 1
         else:
             assert search == ([], "heuristic-likely", None)
@@ -1108,12 +1126,15 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
         return res
 
     monkeypatch.setattr(st, "linprog", unsolved)
-    # with the certificate refused, both cones of the two-coordinate orthant
-    # kink reach the linear program
-    monkeypatch.setattr(st, "_gordan_certificate", lambda W, codes, groups: False)
-    piece, a, ((c, mu), *_) = KINK_CASES[0]
-    problem, pt = _kink_instance(piece, a, c, mu)
+    # with the certificate refused, both cones of a three-coordinate orthant
+    # kink reach the linear program: they pin no row, so a plane of
+    # null(J^T) is left, too much for the ray test
+    monkeypatch.setattr(st, "_gordan_certificate", lambda W, codes, groups, T: False)
+    problem, pt = _kink_instance(OrthantIndicator(3, -1), [1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3)
     point = AnalysisPoint(problem, pt)
+    for name in ("critical_polar_cone", "domain_normal_cone"):
+        W, codes, _ = point._frame_rows(name)
+        assert nullspace(W[codes == PINNED]).shape[1] == 2
     for check in (rcq_check, srcq_check):
         v = check(problem, point)
         assert (v.status, v.detail) == (
@@ -1121,37 +1142,37 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
     assert multiplier_uniqueness(problem, point) == (True, None)
 
 
-def _interval_rows(N, cone):
-    """(W, codes, groups) of an interval cone read in the identity frame:
-    W = N and each row's class code from its interval."""
-    codes = np.array([next(c for c in (PINNED, FREE, UP, DOWN)
-                           if (_LOWER[c], _UPPER[c]) == (lo, hi))
-                      for lo, hi in zip(cone.lower, cone.upper)], dtype=int)
-    return N, codes, np.zeros(codes.size, dtype=int)
+def _certificate(W, codes, groups):
+    """``_gordan_certificate`` with the kernel of the PINNED rows."""
+    from kktstab.stability import _gordan_certificate
+
+    return _gordan_certificate(W, codes, groups, nullspace(W[codes == PINNED]))
 
 
 def test_gordan_certificate_never_certifies_an_interval_cone_with_a_point():
-    from kktstab.stability import _gordan_certificate
-
     seen = set()
-    for N, cone in _battery_cone_cases() + _cone_cases():
-        W, codes, groups = _interval_rows(N, cone)
-        if N.shape[1] and _gordan_certificate(W, codes, groups):
-            assert not lp_nonzero_points_coordinatewise(N, cone, 1e-8), (cone.lower, cone.upper)
+    for N, codes in _battery_cone_cases() + _cone_cases():
+        W, groups = N, np.zeros(codes.size, dtype=int)
+        if N.shape[1] and _certificate(W, codes, groups):
+            assert not lp_nonzero_points_coordinatewise(N, codes, 1e-8), codes
             # from the rank test of the pinned rows, or from Gordan's alternative
             seen.add(nullspace(W[codes == PINNED]).shape[1] == 0)
     assert seen == {True, False}
-    # an analysis point reads its interval cones in these rows, and its
-    # decision, certificate first, agrees with the coordinate LPs
+    # an analysis point reads its interval cones in the identity frame, W =
+    # N, projects onto them by clipping each row to its code's interval, and
+    # its decision, certificate first, agrees with the coordinate LPs
+    rng = np.random.default_rng(4)
     for piece, a, points in KINK_CASES:
         for c, mu in points:
             point = AnalysisPoint(*_kink_instance(piece, a, c, mu))
             for name in ("critical_polar_cone", "domain_normal_cone"):
-                N, cone = point.adjoint_nullspace, getattr(point, name)
+                N = point.adjoint_nullspace
                 W, codes, _ = point._frame_rows(name)
                 assert np.array_equal(W, N)
-                assert np.array_equal(codes, _interval_rows(N, cone)[1])
-                want = "fails" if lp_nonzero_points_coordinatewise(N, cone, 1e-8) else "holds"
+                v = rng.standard_normal(N.shape[0])
+                assert np.array_equal(point.project(name, v),
+                                      np.clip(v, _LOWER[codes], _UPPER[codes]))
+                want = "fails" if lp_nonzero_points_coordinatewise(N, codes, 1e-8) else "holds"
                 assert point.cone_search(name, 1e-8, 20, 0)[1] == want, (piece.kind, c, mu)
 
 
@@ -1173,18 +1194,18 @@ def _random_frame_structures(rng):
 
 
 def _frame_cone(structures):
-    """The product cone of the structures' domain normal cones, and the
-    map N -> (W, codes, groups) that ``AnalysisPoint._frame_rows`` gives."""
+    """The projection onto the product of the structures' domain normal
+    cones, and the map N -> (W, codes, groups) that
+    ``AnalysisPoint._frame_rows`` gives."""
     cuts = np.cumsum([st.normal.size for st in structures])
-    blocks = SimpleNamespace(m=int(cuts[-1]), blocks=lambda v: np.split(v, cuts[:-1], axis=-1))
-    cone = _product_cone(blocks, [st.domain_normal_cone() for st in structures])
 
     def rows(N):
-        W = np.vstack([st.coords(Nb.T) for st, Nb in zip(structures, blocks.blocks(N.T))])
+        W = np.vstack([st.coords(Nb.T) for st, Nb in zip(structures,
+                                                        np.split(N.T, cuts[:-1], axis=-1))])
         groups = np.repeat(np.arange(len(structures)), [st.normal.size for st in structures])
         return W, np.concatenate([st.normal for st in structures]), groups
 
-    return cone, rows
+    return _projections(structures)[1], rows
 
 
 def _frame_cone_point(structures, rng):
@@ -1204,25 +1225,24 @@ def _frame_cone_point(structures, rng):
 
 
 def test_gordan_certificate_never_certifies_a_planted_point_or_an_ap_witness():
-    from kktstab.stability import _gordan_certificate
-
     rng = np.random.default_rng(21)
     seen = set()
     for case in range(80):
         structures = _random_frame_structures(rng)
-        cone, rows = _frame_cone(structures)
-        cols = rng.standard_normal((cone.dim, int(rng.integers(1, max(2, cone.dim)))))
+        project, rows = _frame_cone(structures)
+        dim = sum(st.normal.size for st in structures)
+        cols = rng.standard_normal((dim, int(rng.integers(1, max(2, dim)))))
         planted = case % 2 == 0
         if planted:
-            cols[:, 0] = _frame_cone_point(structures, rng)
-            assert cone.residual(cols[:, 0]) <= 1e-12 * np.linalg.norm(cols[:, 0])
+            p = cols[:, 0] = _frame_cone_point(structures, rng)
+            assert np.linalg.norm(p - project(p)) <= 1e-12 * np.linalg.norm(p)
         N, _ = np.linalg.qr(cols)
         W, codes, groups = rows(N)
-        certified = _gordan_certificate(W, codes, groups)
+        certified = _certificate(W, codes, groups)
         if planted:
             assert not certified, case
         elif certified:
-            assert not _ap_nonzero_points(N @ N.T, cone, 1000, 1e-8,
+            assert not _ap_nonzero_points(N @ N.T, project, 1000, 1e-8,
                                           np.random.default_rng(case)), case
         pinned_rank = nullspace(W[codes == PINNED]).shape[1] == 0
         seen.add((planted, certified, certified and pinned_rank))
@@ -1292,16 +1312,18 @@ def test_ray_witness_finds_the_one_ray_of_a_single_line_intersection():
     # span(N) holds p and #PINNED generic columns, or #PINNED + 1 of them:
     # the kernel T of the PINNED rows is one line, p's when p is planted, and
     # then its ray is the cone's only nonzero point in span(N).  Gordan's
-    # alternative cannot decide that; the exact test of both rays does
-    from kktstab.stability import _gordan_certificate, _ray_witness
+    # alternative cannot decide that; the exact test of both rays does, and
+    # a generic line whose rays both leave the cone is an exact 'holds',
+    # where alternating projections find nothing either
+    from kktstab.stability import _ray_decision
 
     rng = np.random.default_rng(31)
     seen = set()
     for case in range(60):
         structures = _random_frame_structures(rng)
-        cone, rows = _frame_cone(structures)
+        project, rows = _frame_cone(structures)
         pinned = sum(int(np.count_nonzero(st.normal == PINNED)) for st in structures)
-        cols = rng.standard_normal((cone.dim, 1 + pinned))
+        cols = rng.standard_normal((sum(st.normal.size for st in structures), 1 + pinned))
         planted = case % 2 == 0
         if planted:
             p = _frame_cone_point(structures, rng)
@@ -1310,18 +1332,81 @@ def test_ray_witness_finds_the_one_ray_of_a_single_line_intersection():
         W, codes, groups = rows(N)
         T = nullspace(W[codes == PINNED])
         assert T.shape[1] == 1, case
-        found = _ray_witness(N @ T, cone, 1e-8)
+        found, status = _ray_decision(N @ T, project, 1e-8)
         if planted:
-            assert not _gordan_certificate(W, codes, groups), case
-            (v,), status = found
+            assert not _certificate(W, codes, groups), case
             assert status == "fails"
+            (v,) = found
             assert abs(v @ p) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(p))
-        if found is not None:
-            (v,), _ = found
-            assert cone.residual(v) <= 1e-8 * (1.0 + np.linalg.norm(v)), case
-        seen.add((planted, found is None))
-    # generic lines whose rays both leave the cone are left to the search
-    assert seen >= {(True, False), (False, True)}
+        if status == "fails":
+            (v,) = found
+            assert np.linalg.norm(v - project(v)) <= 1e-8 * (1.0 + np.linalg.norm(v)), case
+        else:
+            assert found == []
+            assert not _ap_nonzero_points(N @ N.T, project, 1000, 1e-8,
+                                          np.random.default_rng(case)), case
+        seen.add((planted, status))
+    assert seen >= {(True, "fails"), (False, "holds")}
+
+
+def _analyze_nlp_plants(seed):
+    """The analyze-nlp benchmark instances of a seed, as (problem, meta),
+    from ``perfbench/workloads.py`` loaded from its file read-only."""
+    _planted_plants()  # puts perfbench/planted.py in sys.modules
+    if "workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["workloads"])
+    workloads = sys.modules["workloads"]
+    return workloads.load(workloads.generate(workloads.WORKLOADS["analyze-nlp"], seed))
+
+
+def test_the_ray_decision_of_a_one_line_kernel_is_exact(monkeypatch):
+    # on every interval cone whose PINNED rows leave one line of span(N),
+    # the two rays decide as the coordinate LPs do, both ways
+    import kktstab.stability as st
+
+    seen = set()
+    for N, codes in _battery_cone_cases() + _cone_cases():
+        T = nullspace(N[codes == PINNED])
+        if T.shape[1] != 1:
+            continue
+        _, status = st._ray_decision(N @ T, _interval_project(codes), 1e-8)
+        want = "fails" if lp_nonzero_points_coordinatewise(N, codes, 1e-8) else "holds"
+        assert status == want, codes
+        seen.add(status)
+    assert seen == {"fails", "holds"}
+    # analyze-nlp seed 8 #13: the certificate's candidate has a negative
+    # entry on its domain normal cone, a one-line kernel whose rays both
+    # leave the cone; no linear program is needed to read it
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linear program called")
+
+    monkeypatch.setattr(st, "linprog", no_lp)
+    problem, meta = _analyze_nlp_plants(8)[13]
+    point = AnalysisPoint(problem, meta.known_solution)
+    W, codes, groups = point._frame_rows("domain_normal_cone")
+    assert nullspace(W[codes == PINNED]).shape[1] == 1
+    assert not _certificate(W, codes, groups)
+    v = rcq_check(problem, point)
+    assert (v.status, v.detail) == ("holds", "normal-cone intersection is trivial (exact)")
+
+
+@pytest.mark.parametrize("index", [37, 45])
+def test_rcq_fails_at_analyze_nlp_plants_moved_below_the_kink_tolerance(index):
+    # two ND-fail plants whose domain normal cones held a point only while
+    # an active coordinate sat within 1e-12 (1 + |x|) of its bound; the
+    # activity threshold is the kink tolerance, so a move of 1e-11 or 1e-9
+    # keeps the cone and rcq's "fails"
+    problem, meta = _analyze_nlp_plants(8)[index]
+    z = meta.known_solution.stacked()
+    assert rcq_check(problem, z).status == "fails"
+    rng = np.random.default_rng(index)
+    for scale in (1e-11, 1e-9):
+        d = rng.standard_normal(z.size)
+        v = rcq_check(problem, z + scale * d / np.linalg.norm(d))
+        assert v.status == "fails", (scale, v)
 
 
 _SINGLE_RAY_INSTANCE = {  # planted PSD pencil: order 3, |alpha| = |beta| = 1, degenerate
