@@ -4,7 +4,7 @@ non-uniqueness flags and solver failures."""
 
 import numpy as np
 
-from kktstab import load_battery, solve_linearized_ge, strong_regularity_probe
+from kktstab import AnalyzerOptions, load_battery, solve_linearized_ge, strong_regularity_probe
 from kktstab.newton import NewtonError
 
 print("== hand-checkable perturbations on the scalar soft-threshold instance")
@@ -17,7 +17,7 @@ for d1, d2 in ((0.3, -0.2), (-0.6, 0.4), (0.05, 0.0)):
 for name in ("l1_toy", "nlp_toy", "sdp_toy", "sdp_degenerate"):
     problem, meta = load_battery(name)
     stats = strong_regularity_probe(problem, meta.known_solution,
-                                    radius=0.05, num_delta=40, seed=0)
+                                    AnalyzerOptions(radius=0.05, num_delta=40, seed=0))
     print(f"== {name}: solved {stats.solved}/{stats.num_delta + 1}, "
           f"failures {stats.failures}, violations {stats.violations}, "
           f"modulus {stats.modulus:.3e}")

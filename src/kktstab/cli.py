@@ -204,8 +204,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_probe(args) -> int:
     problem, meta = load_instance(args.instance)
     point = _analysis_point(problem, meta, args.at)
-    stats = strong_regularity_probe(problem, point, radius=args.radius,
-                                    num_delta=args.num_delta, seed=args.seed, tol=args.tol)
+    stats = strong_regularity_probe(problem, point, AnalyzerOptions(
+        radius=args.radius, num_delta=args.num_delta, seed=args.seed, tol=args.tol))
     print(f"instance {meta.name}: probe over {stats.num_delta} perturbations, "
           f"radius {stats.radius}")
     print(f"  solved {stats.solved}, failures {stats.failures}, "

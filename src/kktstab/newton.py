@@ -310,8 +310,10 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
 
     Returns one entry per row: ``(z, trace)`` for a converged row, else the
     exception that ended it, as ``semismooth_solve`` raises it for that
-    row alone (NewtonNonConvergence, NewtonStagnation, a LinAlgError or an
-    error from a callback).  Every row takes the steps, the line-search
+    row alone (NewtonNonConvergence, NewtonStagnation, a LinAlgError, an
+    error from a callback, or a ValueError for a start that is not finite,
+    whose residual is not finite or whose squared residual norm
+    overflows).  Every row takes the steps, the line-search
     trials and the arithmetic of its own solve, bit for bit.  Each
     iteration makes one element call and one screen of the elements (for
     dense matrices, one stacked LU solve of the step and of a fixed probe
@@ -361,8 +363,16 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
         E = element(Z, rows)
         return E if isinstance(E, ElementStack) else ElementStack(np.asarray(E, dtype=float))
 
-    R, errors = _each_row(residual, Z, act)
+    # a start whose residual, or its squared norm, is not finite leaves no
+    # merit to descend on: it ends at once, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        R, errors = _each_row(residual, Z, act)
+        bad = [] if R is None else (~np.isfinite(_rowdot(R, R))).nonzero()[0]
     act, Z = drop(errors, act, act, Z)
+    act, Z, R = drop({j: ValueError("squared residual norm at the starting point overflows"
+                                    if np.isfinite(R[j]).all() else
+                                    "residual at the starting point is not finite")
+                      for j in bad}, act, act, Z, R)
     if not act.size:
         return outcomes
     rnorm = np.abs(R).max(axis=1)

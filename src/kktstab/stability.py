@@ -6,6 +6,10 @@ rests on sampling (element sweeps, the alternating-projection cone search,
 the perturbation probe) is reported as evidence, never as a certificate:
 the wording is "all-sampled-nonsingular" and "heuristic-likely".
 
+Every check takes ``(problem, zbar, opts=None)`` and reads its settings
+from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
+decides each cone once.
+
 rcq, srcq and multiplier uniqueness ask whether null(J^T) meets a cone
 only at the origin.  Every cone is read in each block's frame (the
 identity for a polyhedral block), where it pins some coordinates, bounds
@@ -83,10 +87,6 @@ class Verdict:
     tol: float
     detail: str = ""
 
-    @property
-    def holds(self) -> bool:
-        return self.status in ("holds", "heuristic-likely")
-
 
 @dataclass
 class CriticalSubspace:
@@ -101,10 +101,6 @@ class SsoscResult:
     min_eigenvalue: float
     subspace_dim: int
     detail: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
 
 
 @dataclass
@@ -142,22 +138,29 @@ class StabilityReport:
     tolerances: dict
 
 
+SWEEP_TOL = 1e-8  # an element with a smaller least singular value is singular
+UNIQUENESS_TOL = 1e-6  # the probe's bound on the spread of one delta's solutions
+
+
 @dataclass(frozen=True)
 class AnalyzerOptions:
+    """The settings of one analysis point: ``tol`` for its KKT, cone and
+    rank tests, ``srcq_budget`` and ``seed`` for a cone search, ``count``
+    for the sweep, ``num_delta``, ``radius`` and ``newton`` for the probe."""
+
     count: int = 32
     num_delta: int = 50
     radius: float = 0.05
     seed: int = 0
     tol: float = 1e-8
-    sweep_tol: float = 1e-8
     srcq_budget: int = 1000
-    uniqueness_tol: float = 1e-6
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
-        _check_probe_args(self.radius, self.num_delta, self.seed)
-        for name in ("tol", "sweep_tol", "uniqueness_tol"):
-            check_positive(name, getattr(self, name))
+        check_integer("num_delta", self.num_delta, 0)
+        check_integer("seed", self.seed, 0)
+        check_positive("radius", self.radius)
+        check_positive("tol", self.tol)
         for name in ("count", "srcq_budget"):
             check_integer(name, getattr(self, name), 1)
 
@@ -204,37 +207,35 @@ def mutual_span_residual(A: np.ndarray, B: np.ndarray) -> float:
 
 
 class AnalysisPoint:
-    """A point tested once against the KKT system at ``tol``, with J and
-    the block pairs (piece, F(x)_b, mu_b).  ``tol`` is also the tolerance
-    of the pieces' subgradient tests; ``None`` skips the KKT test and
-    keeps their default 1e-8.  The block structures (which give the
+    """A point tested once against the KKT system at ``opts.tol``, the
+    tolerance of every test at the point, with J and the block pairs
+    (piece, F(x)_b, mu_b).  The block structures (which give the
     critical-cone bases and, through their class codes, the cones),
-    null(J^T) and each cone-search result are computed on first use and
-    kept, so checks that share one point compute each of them once.
-    """
+    null(J^T) and each cone's decision are computed on first use and kept,
+    so the checks that share one point compute each of them once."""
 
-    def __init__(self, problem: CompositeProblem, z, tol: float | None = 1e-8):
+    def __init__(self, problem: CompositeProblem, z, opts: AnalyzerOptions | None = None,
+                 *, _kkt_test: bool = True):
         pt = as_point(problem, z)
         if not (np.isfinite(pt.x).all() and np.isfinite(pt.mu).all()):
             raise ValueError("point must be finite")
-        if tol is not None:
-            check_positive("tol", tol)
-            rep = kkt_check(problem, pt, tol)
+        self.opts = opts or AnalyzerOptions()
+        if _kkt_test:
+            rep = kkt_check(problem, pt, self.opts.tol)
             if not rep.ok:
                 raise ValueError(
-                    f"point is not a KKT point at tolerance {tol:.1e} "
+                    f"point is not a KKT point at tolerance {self.opts.tol:.1e} "
                     f"(stationarity {rep.stationarity_norm:.3e}, "
                     f"fixed point {rep.fixed_point_norm:.3e})")
         self.problem, self.kkt = problem, pt
-        self.tol = 1e-8 if tol is None else tol
         self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
         Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
         self.pairs = list(zip(problem.pieces, problem.blocks(Fbar), problem.blocks(pt.mu)))
-        self._searches: dict[tuple, tuple[list[np.ndarray], str] | None] = {}
+        self._searches: dict[str, tuple[list[np.ndarray], str]] = {}
 
     @functools.cached_property
     def structures(self) -> list:
-        return [p.structure(xb, ub, self.tol) for p, xb, ub in self.pairs]
+        return [p.structure(xb, ub, self.opts.tol) for p, xb, ub in self.pairs]
 
     @functools.cached_property
     def polyhedral(self) -> bool:
@@ -254,11 +255,11 @@ class AnalysisPoint:
             out[lo:lo + b.shape[0], c:c + b.shape[1]] = b
         return out
 
-    def joint_rank(self, bases: list[np.ndarray], tol: float) -> int:
-        """Numerical rank of [J, embedded bases] relative to its largest
-        singular value."""
+    def joint_rank(self, bases: list[np.ndarray]) -> int:
+        """Numerical rank of [J, embedded bases] at ``opts.tol``, relative to
+        its largest singular value."""
         s = np.linalg.svd(np.hstack([self.J, self.embed(bases)]), compute_uv=False)
-        return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+        return int(np.sum(s > self.opts.tol * max(1.0, s[0] if s.size else 0.0)))
 
     def preimage(self, bases: list[np.ndarray]) -> CriticalSubspace:
         """Directions d with J d inside the span of the blockwise orthonormal bases."""
@@ -297,55 +298,61 @@ class AnalysisPoint:
             parts.append(w if st.frame is None else w @ st.frame.T)
         return np.concatenate(parts, axis=-1)
 
-    def cone_search(self, cone_name: str, tol: float, budget: int,
-                    seed: int) -> tuple[list[np.ndarray], str]:
+    def cone_search(self, cone_name: str) -> tuple[list[np.ndarray], str]:
         """Nonzero points of null(J^T) inside the named product cone, and the
         status they support: 'fails' when one was found, else 'holds' or
         'heuristic-likely'.
 
-        Every cone is decided in one order: an empty null(J^T), then
-        ``_gordan_certificate`` on the frame rows, each an exact 'holds'.
-        When no certificate verifies and the kernel T of the PINNED rows is
-        one line, ``_ray_decision`` decides exactly both ways.  Only a T of
-        two or more columns goes to ``_lp_nonzero_points`` (interval cones)
-        or the alternating-projection search (cones with PSD blocks).
-        Exact outcomes are kept per cone and tol, searches per cone, tol,
-        budget and seed."""
-        check_integer("seed", seed, 0)
-        N, key = self.adjoint_nullspace, (cone_name, tol)
+        Every cone is decided once per point, in one order: an empty
+        null(J^T), then ``_gordan_certificate`` on the frame rows, each an
+        exact 'holds'.  When no certificate verifies and the kernel T of the
+        PINNED rows is one line, ``_ray_decision`` decides exactly both
+        ways.  Only a T of two or more columns goes to
+        ``_lp_nonzero_points`` (interval cones) or to ``opts.srcq_budget``
+        alternating-projection restarts drawn from ``opts.seed`` (cones with
+        PSD blocks), every test at ``opts.tol``."""
+        if cone_name not in self._searches:
+            self._searches[cone_name] = self._decide(cone_name)
+        return self._searches[cone_name]
+
+    def _decide(self, cone_name: str) -> tuple[list[np.ndarray], str]:
+        N, opts = self.adjoint_nullspace, self.opts
+        if not N.shape[1]:
+            return [], "holds"
+        W, codes, groups = self._frame_rows(cone_name)
+        T = nullspace(W[codes == PINNED])
+        if _gordan_certificate(W, codes, groups, T):
+            return [], "holds"
         project = functools.partial(self.project, cone_name)
-        if key not in self._searches:
-            self._searches[key] = ([], "holds")
-            if N.shape[1]:
-                W, codes, groups = self._frame_rows(cone_name)
-                T = nullspace(W[codes == PINNED])
-                if not _gordan_certificate(W, codes, groups, T):
-                    self._searches[key] = (
-                        _ray_decision(N @ T, project, tol) if T.shape[1] == 1
-                        else _lp_nonzero_points(N, codes, project, tol)[:2] if self.polyhedral
-                        else None)
-        if self._searches[key] is None:
-            key += (budget, seed)
-            if key not in self._searches:
-                found = _ap_nonzero_points(N @ N.T, project, budget, tol,
-                                           np.random.default_rng(seed))
-                self._searches[key] = (found, "fails" if found else "heuristic-likely")
-        return self._searches[key]
+        if T.shape[1] == 1:
+            return _ray_decision(N @ T, project, opts.tol)
+        if self.polyhedral:
+            return _lp_nonzero_points(N, codes, project, opts.tol)[:2]
+        found = _ap_nonzero_points(N @ N.T, project, opts.srcq_budget, opts.tol,
+                                   np.random.default_rng(opts.seed))
+        return found, "fails" if found else "heuristic-likely"
 
 
-def analysis_point(problem: CompositeProblem, z, tol: float | None = 1e-8) -> AnalysisPoint:
-    """z itself when it is an AnalysisPoint, else the point of z checked at tol."""
-    return z if isinstance(z, AnalysisPoint) else AnalysisPoint(problem, z, tol)
+def analysis_point(problem: CompositeProblem, z,
+                   opts: AnalyzerOptions | None = None) -> AnalysisPoint:
+    """z itself when it is an AnalysisPoint, else the point of z under opts;
+    a point built with other options raises ValueError."""
+    if not isinstance(z, AnalysisPoint):
+        return AnalysisPoint(problem, z, opts)
+    if opts is not None and opts != z.opts:
+        raise ValueError("the analysis point was built with other AnalyzerOptions")
+    return z
 
 
 # ----------------------------------------------------------------------
 # critical subspace and first-order conditions
 
 
-def critical_subspace(problem: CompositeProblem, zbar) -> CriticalSubspace:
+def critical_subspace(problem: CompositeProblem, zbar,
+                      opts: AnalyzerOptions | None = None) -> CriticalSubspace:
     """Primal directions mapped by the Jacobian into the blockwise affine
     hulls of the critical sets."""
-    point = analysis_point(problem, zbar)
+    point = analysis_point(problem, zbar, opts)
     return point.preimage([s.affine_hull_basis for s in point.structures])
 
 
@@ -364,13 +371,13 @@ def critical_subspace_from_samples(problem: CompositeProblem, zbar,
 
 
 def nondegeneracy_check(problem: CompositeProblem, zbar,
-                        tol: float = 1e-8) -> Verdict:
+                        opts: AnalyzerOptions | None = None) -> Verdict:
     """Rank test: the Jacobian range plus the blockwise lineality spaces
     must fill the whole image space."""
-    point = analysis_point(problem, zbar, tol)
-    rank = point.joint_rank([s.lineality_basis for s in point.structures], tol)
+    point = analysis_point(problem, zbar, opts)
+    rank = point.joint_rank([s.lineality_basis for s in point.structures])
     status = "holds" if rank == problem.m else "fails"
-    return Verdict(status, tol, f"rank {rank} of {problem.m}")
+    return Verdict(status, point.opts.tol, f"rank {rank} of {problem.m}")
 
 
 # ----------------------------------------------------------------------
@@ -529,6 +536,17 @@ def _gordan_verifies(A: np.ndarray, sigma_min: float, y: np.ndarray,
 _UNCERTIFIED = "no point found and no certificate verified (linear program)"
 
 
+def _cone_verdict(point: AnalysisPoint, cone_name: str, cone: str, searched: str) -> Verdict:
+    """The Verdict of the named cone's decision at the point, its detail
+    naming the ``cone`` and, after a search, the ``searched`` points."""
+    _, status = point.cone_search(cone_name)
+    missed = f"no {searched} point found in {point.opts.srcq_budget} restarts"
+    return Verdict(status, point.opts.tol, {
+        "fails": f"nonzero {cone} intersection point found",
+        "holds": f"{cone} intersection is trivial (exact)",
+        "heuristic-likely": _UNCERTIFIED if point.polyhedral else missed}[status])
+
+
 def _ap_nonzero_points(P_sub: np.ndarray, project, budget: int,
                        tol: float, rng: np.random.Generator,
                        max_candidates: int = 8) -> list[np.ndarray]:
@@ -562,8 +580,8 @@ def _ap_nonzero_points(P_sub: np.ndarray, project, budget: int,
     return found
 
 
-def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
-               budget: int = 1000, seed: int = 0) -> Verdict:
+def srcq_check(problem: CompositeProblem, zbar,
+               opts: AnalyzerOptions | None = None) -> Verdict:
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
     set only at the origin, decided by ``AnalysisPoint.cone_search``.  A
@@ -571,55 +589,42 @@ def srcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     ``_gordan_certificate`` (factor-2 margin), tried first on every cone,
     from the ray test of a one-line kernel, or from the Farkas certificate
     of an interval cone's linear program.  Only a cone with PSD blocks and
-    a kernel of two or more dimensions gets ``budget``
+    a kernel of two or more dimensions gets ``srcq_budget``
     alternating-projection restarts, which look for a point."""
-    check_integer("seed", seed, 0)
-    point = analysis_point(problem, zbar, tol)
+    point = analysis_point(problem, zbar, opts)
     if not point.polyhedral:
         # necessary span test: the Jacobian range plus the affine hull of
         # the critical set must already fill the image space
-        rank = point.joint_rank([s.affine_hull_basis for s in point.structures], tol)
+        rank = point.joint_rank([s.affine_hull_basis for s in point.structures])
         if rank < problem.m:
-            return Verdict("fails", tol, f"span test rank {rank} of {problem.m}")
-    _, status = point.cone_search("critical_polar_cone", tol, budget, seed)
-    return Verdict(status, tol, {
-        "fails": "nonzero polar intersection point found",
-        "holds": "polar intersection is trivial (exact)",
-        "heuristic-likely": (_UNCERTIFIED if point.polyhedral
-                             else f"no polar point found in {budget} restarts")}[status])
+            return Verdict("fails", point.opts.tol, f"span test rank {rank} of {problem.m}")
+    return _cone_verdict(point, "critical_polar_cone", "polar", "polar")
 
 
-def rcq_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
-              budget: int = 1000, seed: int = 0) -> Verdict:
+def rcq_check(problem: CompositeProblem, zbar,
+              opts: AnalyzerOptions | None = None) -> Verdict:
     """Robinson constraint qualification via the normal-cone polar test,
     decided as in ``srcq_check``: the certificate, then the ray test of a
-    one-line kernel, then an interval cone's linear program or ``budget``
-    alternating-projection restarts."""
-    check_integer("seed", seed, 0)
-    point = analysis_point(problem, zbar, tol)
-    _, status = point.cone_search("domain_normal_cone", tol, budget, seed + 1)
-    return Verdict(status, tol, {
-        "fails": "nonzero normal-cone intersection point found",
-        "holds": "normal-cone intersection is trivial (exact)",
-        "heuristic-likely": (_UNCERTIFIED if point.polyhedral
-                             else f"no intersection point found in {budget} restarts")}[status])
+    one-line kernel, then an interval cone's linear program or
+    ``srcq_budget`` alternating-projection restarts."""
+    point = analysis_point(problem, zbar, opts)
+    return _cone_verdict(point, "domain_normal_cone", "normal-cone", "intersection")
 
 
-def multiplier_uniqueness(problem: CompositeProblem, zbar, tol: float = 1e-8,
-                          budget: int = 1000, seed: int = 0
+def multiplier_uniqueness(problem: CompositeProblem, zbar,
+                          opts: AnalyzerOptions | None = None
                           ) -> tuple[bool, np.ndarray | None]:
-    """Search for a second multiplier along tangent directions of the
-    subdifferential; a candidate only counts once a perturbed multiplier
-    actually satisfies the KKT system."""
-    check_integer("seed", seed, 0)
-    point = analysis_point(problem, zbar, tol)
-    candidates, _ = point.cone_search("critical_polar_cone", tol, budget, seed + 2)
+    """Search for a second multiplier along the points of the critical
+    polar cone's one decision; a candidate only counts once a perturbed
+    multiplier actually satisfies the KKT system."""
+    point = analysis_point(problem, zbar, opts)
+    candidates, _ = point.cone_search("critical_polar_cone")
     scale = 1.0 + float(np.linalg.norm(point.kkt.mu))
     for v in candidates:
         vn = v / max(np.linalg.norm(v), 1e-300)
         for t in (1e-4, 1e-3, 1e-2, 1e-1):
             mu_t = point.kkt.mu + t * scale * vn
-            if kkt_check(problem, KKTPoint(point.kkt.x, mu_t), tol).ok:
+            if kkt_check(problem, KKTPoint(point.kkt.x, mu_t), point.opts.tol).ok:
                 return False, mu_t
     return True, None
 
@@ -633,7 +638,8 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
     """Symmetric matrix of d -> <mu, F''(d,d)> + curvature(J d) on the
     given subspace basis: the Hessian term plus one curvature form per
     block on the blocks of J basis.  The point need not be a KKT point."""
-    point = analysis_point(problem, zbar, tol=None)
+    point = zbar if isinstance(zbar, AnalysisPoint) else AnalysisPoint(
+        problem, zbar, _kkt_test=False)
     H = problem.F.weighted_hessian(point.kkt.x, point.kkt.mu)
     G = np.zeros((basis.shape[1], basis.shape[1]))
     for st, Wb in zip(point.structures, problem.blocks((point.J @ basis).T)):
@@ -646,8 +652,8 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
     return basis.T @ H @ basis + G
 
 
-def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
-                budget: int = 1000, seed: int = 0) -> SsoscResult:
+def ssosc_check(problem: CompositeProblem, zbar,
+                opts: AnalyzerOptions | None = None) -> SsoscResult:
     """Second-order verdict on the affine hull of the critical cone.
 
     Directions outside the curvature domain carry an infinite term and are
@@ -655,8 +661,9 @@ def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
     eigenvalue of the reduced form on the critical subspace; an empty
     subspace gives a vacuous 'holds'.
     """
-    point = analysis_point(problem, zbar, tol)
-    unique, _ = multiplier_uniqueness(problem, point, tol=tol, budget=budget, seed=seed)
+    point = analysis_point(problem, zbar, opts)
+    tol = point.opts.tol
+    unique, _ = multiplier_uniqueness(problem, point)
     if not unique:
         raise UnsupportedCaseError(
             "the multiplier set is not a singleton; the second-order "
@@ -675,45 +682,33 @@ def ssosc_check(problem: CompositeProblem, zbar, tol: float = 1e-8,
 # sampling sweeps and the perturbation probe
 
 
-def nonsingularity_sweep(problem: CompositeProblem, zbar, count: int = 32,
-                         seed: int = 0, tol: float = 1e-8) -> SweepStats:
-    """The least singular value over the sampled elements, from one svd of
-    their stack, and the provenance of the first element that attains it."""
-    point = analysis_point(problem, zbar, tol)
-    elements = sample_elements_R(problem, point.kkt, count, seed)
+def nonsingularity_sweep(problem: CompositeProblem, zbar,
+                         opts: AnalyzerOptions | None = None) -> SweepStats:
+    """The least singular value over ``count`` sampled elements, from one
+    svd of their stack, and the provenance of the first element that
+    attains it; a least singular value at most SWEEP_TOL is singular."""
+    point = analysis_point(problem, zbar, opts)
+    elements = sample_elements_R(problem, point.kkt, point.opts.count, point.opts.seed)
     svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
     i = int(np.argmin(svs))
     min_sv, argmin = float(svs[i]), elements[i].provenance
-    verdict = "singular-element-found" if min_sv <= tol else "all-sampled-nonsingular"
-    return SweepStats(verdict, min_sv, len(elements), tol, argmin)
+    verdict = "singular-element-found" if min_sv <= SWEEP_TOL else "all-sampled-nonsingular"
+    return SweepStats(verdict, min_sv, len(elements), SWEEP_TOL, argmin)
 
 
-def _check_probe_args(radius: float, num_delta: int, seed: int) -> None:
-    """Raise ValueError unless num_delta and seed are integers >= 0 and
-    radius is finite and positive."""
-    check_integer("num_delta", num_delta, 0)
-    check_integer("seed", seed, 0)
-    check_positive("radius", radius)
-
-
-def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.05,
-                            num_delta: int = 50, seed: int = 0,
-                            uniqueness_tol: float = 1e-6,
-                            newton: NewtonOptions | None = None,
-                            tol: float = 1e-8) -> ProbeStats:
+def strong_regularity_probe(problem: CompositeProblem, zbar,
+                            opts: AnalyzerOptions | None = None) -> ProbeStats:
     """Empirical strong-regularity evidence: unique Lipschitz solvability
     of the perturbed linearized inclusion over sampled perturbations.
 
-    The point is tested against the KKT system at ``tol``.  Each
-    perturbation is solved from three starts, and all the solves run as
-    one stack.  Solver failures are recorded, not raised.
+    Each perturbation is solved from three starts, and all the solves run
+    as one stack.  Solver failures are recorded, not raised.
     """
-    _check_probe_args(radius, num_delta, seed)
-    pt = analysis_point(problem, zbar, tol).kkt
-    newton = newton or NewtonOptions()
-    n, m = problem.n, problem.m
-    dim = n + m
-    rng = np.random.default_rng(seed)
+    point = analysis_point(problem, zbar, opts)
+    pt, opts = point.kkt, point.opts
+    radius, num_delta = opts.radius, opts.num_delta
+    dim = problem.n + problem.m
+    rng = np.random.default_rng(opts.seed)
     deltas = [np.zeros(dim)]
     for _ in range(num_delta):
         u = rng.standard_normal(dim)
@@ -727,7 +722,7 @@ def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.0
     k = len(offsets)
     outcomes = solve_linearized_rows(problem, pt, np.repeat(deltas, k, axis=0),
                                      np.tile(pt.stacked() + np.array(offsets), (len(deltas), 1)),
-                                     newton)
+                                     opts.newton)
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     violations = 0
     failures = 0
@@ -743,7 +738,7 @@ def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.0
         if len(sols) >= 2:
             spread = max(float(np.linalg.norm(a - b))
                          for i, a in enumerate(sols) for b in sols[i + 1:])
-            if spread > uniqueness_tol:
+            if spread > UNIQUENESS_TOL:
                 violations += 1
         if sols:
             solutions.append((delta, sols[0]))
@@ -755,7 +750,7 @@ def strong_regularity_probe(problem: CompositeProblem, zbar, radius: float = 0.0
                 modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
     return ProbeStats(modulus=modulus, violations=violations, failures=failures,
                       solved=len(solutions), num_delta=num_delta, radius=radius,
-                      uniqueness_tol=uniqueness_tol)
+                      uniqueness_tol=UNIQUENESS_TOL)
 
 
 # ----------------------------------------------------------------------
@@ -771,17 +766,15 @@ def equivalence_report(problem: CompositeProblem, zbar,
     The verdict is 'consistent' exactly when all legs agree; sampled legs
     count as evidence and are labeled as such in the detail fields.
     """
-    opts = opts or AnalyzerOptions()
-    point = analysis_point(problem, zbar, opts.tol)
-    rcq = rcq_check(problem, point, tol=opts.tol, budget=opts.srcq_budget, seed=opts.seed)
-    srcq = srcq_check(problem, point, tol=opts.tol, budget=opts.srcq_budget, seed=opts.seed)
-    nondeg = nondegeneracy_check(problem, point, tol=opts.tol)
-    unique, _ = multiplier_uniqueness(problem, point, tol=opts.tol,
-                                      budget=opts.srcq_budget, seed=opts.seed)
+    point = analysis_point(problem, zbar, opts)
+    opts = point.opts
+    rcq = rcq_check(problem, point)
+    srcq = srcq_check(problem, point)
+    nondeg = nondegeneracy_check(problem, point)
+    unique, _ = multiplier_uniqueness(problem, point)
     if unique:
-        ssosc = ssosc_check(problem, point, tol=opts.tol,
-                            budget=opts.srcq_budget, seed=opts.seed)
-        leg_a = nondeg.status == "holds" and ssosc.holds
+        ssosc = ssosc_check(problem, point)
+        leg_a = nondeg.status == ssosc.status == "holds"
     elif nondeg.status == "fails":
         # the conjunction is already decided; the second-order check would
         # need a unique multiplier and is skipped
@@ -791,12 +784,8 @@ def equivalence_report(problem: CompositeProblem, zbar,
         raise UnsupportedCaseError(
             "nondegeneracy holds but the multiplier is not unique; "
             "inconsistent instance data")
-    sweep = nonsingularity_sweep(problem, point, count=opts.count, seed=opts.seed,
-                                 tol=opts.sweep_tol)
-    probe = strong_regularity_probe(problem, point, radius=opts.radius,
-                                    num_delta=opts.num_delta, seed=opts.seed,
-                                    uniqueness_tol=opts.uniqueness_tol,
-                                    newton=opts.newton)
+    sweep = nonsingularity_sweep(problem, point)
+    probe = strong_regularity_probe(problem, point)
     leg_b = sweep.verdict == "all-sampled-nonsingular"
     leg_c = probe.violations == 0 and probe.failures == 0 and np.isfinite(probe.modulus)
     legs = {"a": leg_a, "b": leg_b, "c": leg_c}
@@ -821,8 +810,7 @@ def equivalence_report(problem: CompositeProblem, zbar,
         probe=probe,
         consistency=consistency,
         seed=opts.seed,
-        tolerances={"kkt": opts.tol, "sweep": opts.sweep_tol,
-                    "uniqueness": opts.uniqueness_tol},
+        tolerances={"kkt": opts.tol, "sweep": SWEEP_TOL, "uniqueness": UNIQUENESS_TOL},
     )
 
 

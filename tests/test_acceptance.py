@@ -165,7 +165,7 @@ def test_c6_domain_identity_under_srcq():
     checked = []
     for name in ("nlp_toy", "sdp_toy", "l1_toy", "smooth_toy"):
         problem, meta = load_battery(name)
-        v = srcq_check(problem, meta.known_solution, budget=500)
+        v = srcq_check(problem, meta.known_solution, AnalyzerOptions(srcq_budget=500))
         if v.status not in ("holds", "heuristic-likely"):
             continue
         s1 = critical_subspace(problem, meta.known_solution)

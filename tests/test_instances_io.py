@@ -206,6 +206,17 @@ def test_cli_start_override(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("start, message", [
+    ("1e308,1e308,1e308", "residual at the starting point is not finite"),
+    ("1,1e200,1", "squared residual norm at the starting point overflows"),
+])
+def test_cli_start_with_an_overflowing_residual_is_one_line_error(capsys, start, message):
+    rc = run_command(["solve", _battery_file("nlp_toy"), "--start", start])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_env_var_default_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KKTSTAB_SEED", "17")
     f = tmp_path / "env.json"

@@ -51,6 +51,35 @@ def test_solve_rejects_nonfinite_start():
         solve(problem, np.array([np.nan, 0.0, 0.0]))
 
 
+def test_a_start_whose_residual_is_not_finite_ends_at_once():
+    # a residual that overflows (or is NaN) and a finite residual whose
+    # squared norm overflows leave no merit to descend on: such a row ends
+    # with a ValueError before any element call, and the other rows run on
+    calls = []
+
+    def residual(Z, rows):
+        return Z * np.array([1.0, 1e200])
+
+    def element(Z, rows):
+        calls.append(rows.tolist())
+        return np.repeat(np.diag([1.0, 1e200])[None], len(Z), axis=0)
+
+    Z0 = np.array([[0.0, 1e150], [np.inf, 0.0], [1e300, 0.0], [1.0, 0.0]])
+    with np.errstate(all="raise"):  # and no overflow warning either
+        outcomes = semismooth_solve_rows(residual, element, Z0)
+    messages = [str(out) for out in outcomes[:3]]
+    assert all(isinstance(out, ValueError) for out in outcomes[:3])
+    assert messages == ["residual at the starting point is not finite",
+                        "starting point must be finite",
+                        "squared residual norm at the starting point overflows"]
+    z, trace = outcomes[3]
+    assert trace.status == "converged" and np.array_equal(z, [0.0, 0.0])
+    assert all(rows == [3] for rows in calls)
+    problem, _ = load_battery("nlp_toy")
+    with pytest.raises(ValueError, match="^residual at the starting point is not finite$"):
+        solve(problem, np.full(3, 1e308))
+
+
 def test_merit_monotone_and_deterministic():
     problem, meta = load_battery("sdp_toy")
     start = meta.known_solution.stacked() + 0.4

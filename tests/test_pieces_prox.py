@@ -356,13 +356,13 @@ def test_psd_cone_descriptor_bases_match_loop_oracle():
 def cone_point(structures, N=None):
     """An analysis point whose blocks have the given structures, and whose
     null(J^T) is span(N) when N is given: the point (0, 0) of a zero map
-    on L1Norm blocks of the structures' sizes, checked at no tolerance,
+    on L1Norm blocks of the structures' sizes, with no KKT test,
     with its cached structures (and kernel) replaced."""
     dims = [st.critical.size for st in structures]
     m = sum(dims)
     F = SmoothMap(n=1, m=m, eval=lambda x: np.zeros(m), jacobian=lambda x: np.zeros((m, 1)))
     point = AnalysisPoint(CompositeProblem(F, [L1Norm(d) for d in dims]), np.zeros(1 + m),
-                          tol=None)
+                          _kkt_test=False)
     point.structures = structures
     if N is not None:
         point.adjoint_nullspace = N

@@ -97,7 +97,7 @@ def test_srcq_battery():
     problem, meta = load_battery("sdp_degenerate")
     assert srcq_check(problem, meta.known_solution).status == "fails"
     problem, meta = load_battery("sdp_toy")
-    assert srcq_check(problem, meta.known_solution, budget=1000).status == "holds"
+    assert srcq_check(problem, meta.known_solution).status == "holds"
 
 
 def test_rcq_battery():
@@ -106,17 +106,17 @@ def test_rcq_battery():
         assert rcq_check(problem, meta.known_solution).status == "holds", name
     for name in ("sdp_toy", "sdp_degenerate"):
         problem, meta = load_battery(name)
-        v = rcq_check(problem, meta.known_solution, budget=400)
+        v = rcq_check(problem, meta.known_solution, FAST)
         assert v.status == "holds", (name, v)
 
 
 def test_multiplier_uniqueness():
     for name in ("nlp_toy", "sdp_toy", "l1_toy", "smooth_toy"):
         problem, meta = load_battery(name)
-        unique, witness = multiplier_uniqueness(problem, meta.known_solution, budget=400)
+        unique, witness = multiplier_uniqueness(problem, meta.known_solution, FAST)
         assert unique and witness is None, name
     problem, meta = load_battery("sdp_degenerate")
-    unique, witness = multiplier_uniqueness(problem, meta.known_solution, budget=400)
+    unique, witness = multiplier_uniqueness(problem, meta.known_solution, FAST)
     assert not unique
     # the witness is itself a multiplier for the same primal point
     assert kkt_check(problem, KKTPoint(meta.known_solution.x, witness), 1e-8).ok
@@ -125,12 +125,12 @@ def test_multiplier_uniqueness():
 def test_ssosc_battery():
     for name in ("nlp_toy", "sdp_toy", "l1_toy"):
         problem, meta = load_battery(name)
-        res = ssosc_check(problem, meta.known_solution, budget=400)
+        res = ssosc_check(problem, meta.known_solution, FAST)
         assert res.status == "holds", name
         assert res.subspace_dim == 0
         assert res.min_eigenvalue == np.inf
     problem, meta = load_battery("smooth_toy")
-    res = ssosc_check(problem, meta.known_solution, budget=400)
+    res = ssosc_check(problem, meta.known_solution, FAST)
     assert res.status == "holds"
     assert res.subspace_dim == 1
     assert np.isclose(res.min_eigenvalue, 1.0, atol=1e-10)
@@ -139,7 +139,7 @@ def test_ssosc_battery():
 def test_ssosc_rejects_nonunique_multiplier():
     problem, meta = load_battery("sdp_degenerate")
     with pytest.raises(UnsupportedCaseError):
-        ssosc_check(problem, meta.known_solution, budget=400)
+        ssosc_check(problem, meta.known_solution, FAST)
 
 
 def test_ssosc_invariant_under_rebasing():
@@ -157,14 +157,14 @@ def test_ssosc_invariant_under_rebasing():
 
 def test_sweep_battery():
     problem, meta = load_battery("l1_toy")
-    s = nonsingularity_sweep(problem, meta.known_solution, count=8, seed=0)
+    s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
     assert s.verdict == "all-sampled-nonsingular"
     assert np.isclose(s.min_singular_value, 1.0, atol=1e-12)
     problem, meta = load_battery("nlp_toy")
-    s = nonsingularity_sweep(problem, meta.known_solution, count=8, seed=0)
+    s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
     assert s.verdict == "all-sampled-nonsingular"
     problem, meta = load_battery("sdp_degenerate")
-    s = nonsingularity_sweep(problem, meta.known_solution, count=32, seed=0)
+    s = nonsingularity_sweep(problem, meta.known_solution)
     assert s.verdict == "singular-element-found"
     assert s.min_singular_value <= 1e-8
 
@@ -208,7 +208,7 @@ def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
         assert all(np.shares_memory(el.matrix, elements.matrices) for el in elements), name
         with monkeypatch.context() as mp:
             mp.setattr(JacobianElementR, "min_singular_value", None)
-            sweep = nonsingularity_sweep(problem, z, count=32, seed=7)
+            sweep = nonsingularity_sweep(problem, z, AnalyzerOptions(seed=7))
         i = int(np.argmin(loop))
         assert (sweep.min_singular_value, sweep.argmin_provenance, sweep.n_elements) == (
             loop[i], elements[i].provenance, len(elements)), name
@@ -218,27 +218,25 @@ def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
 
 def test_probe_battery():
     problem, meta = load_battery("l1_toy")
-    p = strong_regularity_probe(problem, meta.known_solution, radius=0.1,
-                                num_delta=25, seed=0)
+    p = strong_regularity_probe(problem, meta.known_solution,
+                                AnalyzerOptions(radius=0.1, num_delta=25))
     assert p.violations == 0 and p.failures == 0
     assert p.modulus <= 2.0
     problem, meta = load_battery("nlp_toy")
-    p = strong_regularity_probe(problem, meta.known_solution, radius=0.05,
-                                num_delta=25, seed=0)
+    p = strong_regularity_probe(problem, meta.known_solution, AnalyzerOptions(num_delta=25))
     assert p.violations == 0 and p.failures == 0 and np.isfinite(p.modulus)
     problem, meta = load_battery("sdp_degenerate")
-    p = strong_regularity_probe(problem, meta.known_solution, radius=0.05,
-                                num_delta=25, seed=0)
+    p = strong_regularity_probe(problem, meta.known_solution, AnalyzerOptions(num_delta=25))
     assert p.violations > 0 or p.failures > 0
 
 
 def test_probe_modulus_scale_covariance():
     for name in ("l1_toy", "nlp_toy"):
         problem, meta = load_battery(name)
-        p1 = strong_regularity_probe(problem, meta.known_solution, radius=0.05,
-                                     num_delta=40, seed=1)
-        p2 = strong_regularity_probe(problem, meta.known_solution, radius=0.10,
-                                     num_delta=40, seed=1)
+        p1 = strong_regularity_probe(problem, meta.known_solution,
+                                     AnalyzerOptions(radius=0.05, num_delta=40, seed=1))
+        p2 = strong_regularity_probe(problem, meta.known_solution,
+                                     AnalyzerOptions(radius=0.10, num_delta=40, seed=1))
         assert p1.violations == p2.violations == 0
         assert abs(p2.modulus - p1.modulus) <= 0.2 * p1.modulus, name
 
@@ -260,7 +258,7 @@ def test_nondegeneracy_implies_unique_multiplier_on_battery():
     for name in ("nlp_toy", "sdp_toy", "l1_toy", "smooth_toy"):
         problem, meta = load_battery(name)
         nd = nondegeneracy_check(problem, meta.known_solution)
-        unique, _ = multiplier_uniqueness(problem, meta.known_solution, budget=400)
+        unique, _ = multiplier_uniqueness(problem, meta.known_solution, FAST)
         if nd.status == "holds":
             assert unique, name
 
@@ -270,7 +268,7 @@ def test_srcq_domain_identity():
     # likely): the descriptor subspace equals the sampled-range subspace
     for name in ("nlp_toy", "sdp_toy", "l1_toy", "smooth_toy"):
         problem, meta = load_battery(name)
-        v = srcq_check(problem, meta.known_solution, budget=400)
+        v = srcq_check(problem, meta.known_solution, FAST)
         assert v.status in ("holds", "heuristic-likely"), name
         s1 = critical_subspace(problem, meta.known_solution)
         s2 = critical_subspace_from_samples(problem, meta.known_solution,
@@ -593,6 +591,44 @@ def test_equivalence_report_checks_one_point_and_shares_each_cone_decision(monke
     assert searched == []
 
 
+def test_each_cone_is_searched_once_per_report(monkeypatch):
+    # a PSD block of order 2 at the origin with J = svec(diag(1, 0)): both
+    # cones meet null(J^T), a plane, in the ray of diag(0, -1), which no
+    # certificate or ray test decides and which 20 restarts miss; the
+    # critical polar cone passes srcq's span test, so srcq and both
+    # uniqueness calls read its one search
+    import kktstab.stability as st
+
+    searched = []
+    ap = st._ap_nonzero_points
+    monkeypatch.setattr(st, "_ap_nonzero_points",
+                        lambda P, project, *a: searched.append(project.args[0])
+                        or ap(P, project, *a))
+    a = svec(np.diag([1.0, 0.0]))
+    F = SmoothMap(n=1, m=3, eval=lambda x: a * x[0], jacobian=lambda x: a[:, None],
+                  weighted_hessian_fn=lambda x, m: np.zeros((1, 1)))
+    problem = CompositeProblem(F, [PSDConeIndicator(2)])
+    rep = equivalence_report(problem, np.zeros(4), AnalyzerOptions(num_delta=2, srcq_budget=20))
+    assert (rep.rcq.status, rep.srcq.status, rep.multiplier_unique, rep.ssosc.status) == (
+        "heuristic-likely", "heuristic-likely", True, "fails")
+    assert sorted(searched) == ["critical_polar_cone", "domain_normal_cone"]
+    # the degenerate battery instance keeps its second multiplier
+    problem, meta = load_battery("sdp_degenerate")
+    assert not equivalence_report(problem, meta.known_solution, FAST).multiplier_unique
+
+
+@pytest.mark.parametrize("check", [rcq_check, srcq_check, nondegeneracy_check,
+                                   multiplier_uniqueness, ssosc_check, critical_subspace,
+                                   nonsingularity_sweep, strong_regularity_probe,
+                                   equivalence_report], ids=lambda f: f.__name__)
+def test_a_point_takes_no_other_options(check):
+    problem, meta = load_battery("nlp_toy")
+    point = AnalysisPoint(problem, meta.known_solution, FAST)
+    with pytest.raises(ValueError, match="^the analysis point was built with other"):
+        check(problem, point, AnalyzerOptions())
+    check(problem, point, AnalyzerOptions(num_delta=20, srcq_budget=400))
+
+
 def _pair_battery_problem():
     """One problem whose blocks are the verify pair battery's pairs, at a
     KKT point: F(x) = c + N x with c the stacked xbar and N an orthonormal
@@ -671,17 +707,17 @@ def test_checks_accept_an_array_a_kkt_point_or_an_analysis_point():
 
     problem, meta = load_battery("smooth_toy")
     pt = meta.known_solution
-    forms = (pt.stacked(), pt, AnalysisPoint(problem, pt))
+    opts = AnalyzerOptions(count=8, num_delta=3, srcq_budget=50)
+    forms = (pt.stacked(), pt, AnalysisPoint(problem, pt, opts))
     for check in (rcq_check, srcq_check, nondegeneracy_check, multiplier_uniqueness,
                   ssosc_check):
-        results = [check(problem, z, budget=50) if check is not nondegeneracy_check
-                   else check(problem, z) for z in forms]
+        results = [check(problem, z, opts) for z in forms]
         assert all(repr(r) == repr(results[0]) for r in results), check.__name__
-    subspaces = [critical_subspace(problem, z) for z in forms]
+    subspaces = [critical_subspace(problem, z, opts) for z in forms]
     assert all(np.array_equal(s.basis, subspaces[0].basis) for s in subspaces)
-    sweeps = [nonsingularity_sweep(problem, z, count=8) for z in forms]
+    sweeps = [nonsingularity_sweep(problem, z, opts) for z in forms]
     assert all(s == sweeps[0] for s in sweeps)
-    probes = [strong_regularity_probe(problem, z, num_delta=3) for z in forms]
+    probes = [strong_regularity_probe(problem, z, opts) for z in forms]
     assert all(p == probes[0] for p in probes)
     Q = [reduced_quadratic_form(problem, z, subspaces[0].basis) for z in forms]
     assert all(np.array_equal(q, Q[0]) for q in Q)
@@ -691,16 +727,11 @@ def test_each_check_tests_kkt_at_its_own_tol():
     # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
     problem, _ = load_battery("nlp_toy")
     z = np.array([1.0000003, 1.0, 1.0])
-    checks = (lambda tol: rcq_check(problem, z, tol=tol),
-              lambda tol: srcq_check(problem, z, tol=tol),
-              lambda tol: nondegeneracy_check(problem, z, tol=tol),
-              lambda tol: multiplier_uniqueness(problem, z, tol=tol),
-              lambda tol: ssosc_check(problem, z, tol=tol),
-              lambda tol: nonsingularity_sweep(problem, z, tol=tol))
-    for check in checks:
+    for check in (rcq_check, srcq_check, nondegeneracy_check, multiplier_uniqueness,
+                  ssosc_check, critical_subspace, nonsingularity_sweep):
         with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
-            check(1e-8)
-        check(1e-6)
+            check(problem, z, AnalyzerOptions(tol=1e-8))
+        check(problem, z, AnalyzerOptions(tol=1e-6))
     rep = equivalence_report(problem, z, AnalyzerOptions(num_delta=10, tol=1e-6))
     assert rep.consistency["verdict"] == "consistent"
     assert rep.nondegeneracy.status == "holds" and rep.ssosc.status == "holds"
@@ -771,12 +802,11 @@ def test_battery_verdicts_survive_perturbations_below_1e_10():
             assert _verdicts(equivalence_report(problem, z + dz, opts)) == want, (name, scale)
 
 
-def probe_one_at_a_time(problem, zbar, radius=0.05, num_delta=50, seed=0,
-                        uniqueness_tol=1e-6, newton=None, tol=1e-8):
+def probe_one_at_a_time(problem, zbar, opts=AnalyzerOptions()):
     """The probe with one linearized solve at a time, kept as the reference
     for the stacked probe."""
-    pt = AnalysisPoint(problem, zbar, tol).kkt
-    newton = newton or NewtonOptions()
+    pt = AnalysisPoint(problem, zbar, opts).kkt
+    radius, num_delta, seed, newton = opts.radius, opts.num_delta, opts.seed, opts.newton
     dim = problem.n + problem.m
     rng = np.random.default_rng(seed)
     deltas = [np.zeros(dim)]
@@ -803,7 +833,7 @@ def probe_one_at_a_time(problem, zbar, radius=0.05, num_delta=50, seed=0,
         if len(sols) >= 2:
             spread = max(float(np.linalg.norm(a - b))
                          for i, a in enumerate(sols) for b in sols[i + 1:])
-            if spread > uniqueness_tol:
+            if spread > 1e-6:
                 violations += 1
         if sols:
             solutions.append((delta, sols[0]))
@@ -815,7 +845,7 @@ def probe_one_at_a_time(problem, zbar, radius=0.05, num_delta=50, seed=0,
                 modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
     return ProbeStats(modulus=modulus, violations=violations, failures=failures,
                       solved=len(solutions), num_delta=num_delta, radius=radius,
-                      uniqueness_tol=uniqueness_tol)
+                      uniqueness_tol=1e-6)
 
 
 @pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
@@ -827,11 +857,10 @@ def test_stacked_probe_equals_one_solve_at_a_time(name):
     assert stats == probe_one_at_a_time(problem, meta.known_solution)
     if name == "sdp_degenerate":
         assert stats.failures >= 20
-    short = NewtonOptions(max_iter=3)
-    assert (strong_regularity_probe(problem, meta.known_solution, num_delta=6, seed=4,
-                                    radius=0.3, newton=short)
-            == probe_one_at_a_time(problem, meta.known_solution, num_delta=6, seed=4,
-                                   radius=0.3, newton=short))
+    short = AnalyzerOptions(num_delta=6, seed=4, radius=0.3,
+                            newton=NewtonOptions(max_iter=3))
+    assert (strong_regularity_probe(problem, meta.known_solution, short)
+            == probe_one_at_a_time(problem, meta.known_solution, short))
 
 
 def test_probe_tests_kkt_at_its_tol():
@@ -839,9 +868,10 @@ def test_probe_tests_kkt_at_its_tol():
     problem, _ = load_battery("nlp_toy")
     point = np.array([1.0000003, 1.0, 1.0])
     with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
-        strong_regularity_probe(problem, point, num_delta=5)
-    stats = strong_regularity_probe(problem, point, num_delta=5, tol=1e-6)
-    assert stats == probe_one_at_a_time(problem, point, num_delta=5, tol=1e-6)
+        strong_regularity_probe(problem, point, AnalyzerOptions(num_delta=5))
+    opts = AnalyzerOptions(num_delta=5, tol=1e-6)
+    stats = strong_regularity_probe(problem, point, opts)
+    assert stats == probe_one_at_a_time(problem, point, opts)
     assert stats.failures == stats.violations == 0 and stats.solved == 6
 
 
@@ -858,9 +888,6 @@ def test_probe_tests_kkt_at_its_tol():
     ({"seed": True}, "seed must be an integer of at least 0"),
 ])
 def test_probe_arguments_are_validated(kwargs, message):
-    problem, meta = load_battery("nlp_toy")
-    with pytest.raises(ValueError, match=message):
-        strong_regularity_probe(problem, meta.known_solution, **kwargs)
     with pytest.raises(ValueError, match=message):
         AnalyzerOptions(**kwargs)
 
@@ -877,7 +904,7 @@ def _sampling_calls(name):
         name == "l1_toy")
     calls = [lambda c, s: sample_elements_R(problem, z, c, s),
              lambda c, s: critical_subspace_from_samples(problem, z, count=c, seed=s),
-             lambda c, s: nonsingularity_sweep(problem, z, count=c, seed=s)]
+             lambda c, s: nonsingularity_sweep(problem, z, AnalyzerOptions(count=c, seed=s))]
     if name == "l1_toy":
         # its kink (0, 1), not a KKT point, where numpy used to object
         calls.append(lambda c, s: sample_elements_R(problem, np.array([0.0, 1.0]), c, s))
@@ -894,12 +921,7 @@ def _sampling_calls(name):
 @pytest.mark.parametrize("seed", [-1, -2, 1.0, True])
 def test_seeded_entry_points_reject_a_bad_seed(name, seed):
     problem, z, sampling = _sampling_calls(name)
-    calls = [lambda s: AnalysisPoint(problem, z).cone_search("critical_polar_cone", 1e-8, 10, s),
-             lambda s: rcq_check(problem, z, budget=10, seed=s),
-             lambda s: srcq_check(problem, z, budget=10, seed=s),
-             lambda s: multiplier_uniqueness(problem, z, budget=10, seed=s),
-             lambda s: ssosc_check(problem, z, budget=10, seed=s),
-             lambda s: run_suite("prox", seed=s)]
+    calls = [lambda s: AnalyzerOptions(seed=s), lambda s: run_suite("prox", seed=s)]
     calls += [lambda s, f=f: f(8, s) for f in sampling]
     for call in calls:
         with pytest.raises(ValueError, match=f"seed must be an integer of at least 0, got {seed!r}"):
@@ -1173,7 +1195,7 @@ def test_gordan_certificate_never_certifies_an_interval_cone_with_a_point():
                 assert np.array_equal(point.project(name, v),
                                       np.clip(v, _LOWER[codes], _UPPER[codes]))
                 want = "fails" if lp_nonzero_points_coordinatewise(N, codes, 1e-8) else "holds"
-                assert point.cone_search(name, 1e-8, 20, 0)[1] == want, (piece.kind, c, mu)
+                assert point.cone_search(name)[1] == want, (piece.kind, c, mu)
 
 
 # ----------------------------------------------------------------------
@@ -1298,9 +1320,9 @@ def test_one_psd_certificate_serves_srcq_and_uniqueness(monkeypatch):
                         lambda *a: certificates.append(1) or gordan(*a))
     problem, meta = load_battery("sdp_toy")
     point = AnalysisPoint(problem, meta.known_solution)
-    v = srcq_check(problem, point, seed=3)
+    v = srcq_check(problem, point)
     assert (v.status, v.detail) == ("holds", "polar intersection is trivial (exact)")
-    assert multiplier_uniqueness(problem, point, seed=11) == (True, None)
+    assert multiplier_uniqueness(problem, point) == (True, None)
     assert len(certificates) == 1
     rep = equivalence_report(problem, meta.known_solution, FAST)
     assert (rep.rcq.status, rep.srcq.status, rep.multiplier_unique) == ("holds", "holds", True)
@@ -1457,15 +1479,15 @@ def test_a_single_ray_cone_fails_and_uniqueness_finds_the_second_multiplier(monk
     monkeypatch.setattr(st, "_ap_nonzero_points",
                         lambda *a, **k: searches.append(1) or ap(*a, **k))
     problem, meta = instance_from_dict(_SINGLE_RAY_INSTANCE)
-    point = AnalysisPoint(problem, meta.known_solution)
-    v = srcq_check(problem, point, budget=20, seed=7)
+    opts = AnalyzerOptions(num_delta=4, srcq_budget=20, seed=7)
+    point = AnalysisPoint(problem, meta.known_solution, opts)
+    v = srcq_check(problem, point)
     assert (v.status, v.detail) == ("fails", "nonzero polar intersection point found")
-    unique, mu = multiplier_uniqueness(problem, point, budget=20, seed=7)
+    unique, mu = multiplier_uniqueness(problem, point)
     assert not unique
     assert np.max(np.abs(mu - meta.known_solution.mu)) > 1e-6
     assert kkt_check(problem, KKTPoint(meta.known_solution.x, mu)).ok
-    rep = equivalence_report(problem, meta.known_solution,
-                             AnalyzerOptions(num_delta=4, srcq_budget=20, seed=7))
+    rep = equivalence_report(problem, meta.known_solution, opts)
     assert (rep.srcq.status, rep.multiplier_unique, rep.ssosc.status) == (
         "fails", False, "skipped")
     assert not searches
@@ -1492,7 +1514,7 @@ def test_gamma_oracle_loops_test_each_pair_once(monkeypatch, check):
 # Tolerances, counts and the point are validated
 
 
-@pytest.mark.parametrize("field", ["tol", "sweep_tol", "uniqueness_tol"])
+@pytest.mark.parametrize("field", ["tol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_analyzer_tolerances_must_be_finite_and_positive(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite positive number"):
@@ -1511,11 +1533,8 @@ def test_analysis_point_rejects_a_bad_tol_and_a_non_finite_point():
     problem, meta = load_battery("nlp_toy")
     z = meta.known_solution.stacked()
     for tol in (0.0, -1.0, float("nan"), float("inf")):
-        for make in (lambda t: AnalysisPoint(problem, z, t),
-                     lambda t: rcq_check(problem, z, tol=t),
-                     lambda t: strong_regularity_probe(problem, z, num_delta=2, tol=t)):
-            with pytest.raises(ValueError, match="^tol must be a finite positive number"):
-                make(tol)
+        with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+            AnalysisPoint(problem, z, AnalyzerOptions(tol=tol))
     for bad in (np.nan, np.inf, -np.inf):
         for i in range(z.size):
             w = z.copy()
@@ -1523,5 +1542,5 @@ def test_analysis_point_rejects_a_bad_tol_and_a_non_finite_point():
             with pytest.raises(ValueError, match="^point must be finite$"):
                 AnalysisPoint(problem, w)
             with pytest.raises(ValueError, match="^point must be finite$"):
-                AnalysisPoint(problem, w, tol=None)
-    assert AnalysisPoint(problem, z, tol=None).tol == 1e-8
+                AnalysisPoint(problem, w, _kkt_test=False)
+    assert AnalysisPoint(problem, z, _kkt_test=False).opts == AnalyzerOptions()
