@@ -24,6 +24,7 @@ from .problem import DimensionError, residual
 from .reports import emit_report
 from .symmat import EigenDecompositionError
 from .stability import (
+    AnalysisPoint,
     AnalyzerOptions,
     CurvatureDomainError,
     UnsupportedCaseError,
@@ -82,7 +83,10 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--at", type=str, default=None,
                       help="comma separated n+m point; defaults to the "
                            "instance's known solution")
-    p_an.add_argument("--samples", type=int, default=32)
+    p_an.add_argument("--samples", type=int, default=32,
+                      help="elements sampled by the element sweep, which samples "
+                           "only at points with a PSD block; at a polyhedral "
+                           "point the sweep is exact and takes no samples")
     p_an.add_argument("--seed", type=int, default=None)
     p_an.add_argument("--tol", type=float, default=1e-8)
     p_an.add_argument("--num-delta", type=int, default=50)
@@ -177,7 +181,8 @@ def _cmd_analyze(args) -> int:
     check_integer("--samples", args.samples, 1)
     opts = AnalyzerOptions(count=args.samples, seed=args.seed, tol=args.tol,
                            num_delta=args.num_delta, radius=args.radius)
-    report = equivalence_report(problem, point, opts)
+    point = AnalysisPoint(problem, point, opts)
+    report = equivalence_report(problem, point)
     print(f"instance {meta.name}")
     print(f"  rcq            : {report.rcq.status} ({report.rcq.detail})")
     print(f"  srcq           : {report.srcq.status} ({report.srcq.detail})")
@@ -188,7 +193,8 @@ def _cmd_analyze(args) -> int:
     extra = f", min eig {ss.min_eigenvalue:.3e}" if hasattr(ss, "min_eigenvalue") else ""
     print(f"  second order   : {ss.status}{extra}")
     print(f"  element sweep  : {report.sweep.verdict} "
-          f"(min sv {report.sweep.min_singular_value:.3e} over "
+          f"({'exact' if point.polyhedral else 'sampled'}, "
+          f"min sv {report.sweep.min_singular_value:.3e} over "
           f"{report.sweep.n_elements} elements)")
     print(f"  probe          : modulus {report.probe.modulus:.3e}, "
           f"{report.probe.violations} violations, {report.probe.failures} failures")

@@ -361,6 +361,10 @@ class ConvexPiece:
         """The canonical Clarke element at z, the dense matrix of its frame."""
         return self.clarke_frame(z).element()
 
+    def provenance(self, tag: str) -> str:
+        """The provenance string of this kind's Clarke element named tag."""
+        return f"{self.kind}:{tag}"
+
     def prox_and_frame(self, z: np.ndarray) -> tuple[np.ndarray, ClarkeFrame | None]:
         """``prox(z)`` and ``clarke_frame(z)``, with their bits, from one
         decomposition of z; the frame is None where the kind has no
@@ -460,7 +464,7 @@ class _SeparablePiece(ConvexPiece):
     def _canonical(self, state: np.ndarray) -> ClarkeFrame:
         # the identity frame; ties at kinks resolve to 1, the limit from the
         # identity side
-        return ClarkeFrame(np.where(state == 0, 0.0, 1.0), None, f"{self.kind}:canonical")
+        return ClarkeFrame(np.where(state == 0, 0.0, 1.0), None, self.provenance("canonical"))
 
     def clarke_frame(self, z: np.ndarray) -> ClarkeFrame:
         return self._canonical(self._classify(np.asarray(z, dtype=float))[0])
@@ -476,7 +480,7 @@ class _SeparablePiece(ConvexPiece):
             return [self._canonical(state).element()]
         base = np.where(state == 1, 1.0, 0.0)
         elements = [self._canonical(state).element(),
-                    self._diag_element(base, f"{self.kind}:pattern-zeros")]
+                    self._diag_element(base, self.provenance("pattern-zeros"))]
         rng = np.random.default_rng(seed)
         if 2 ** n_k <= SEPARABLE_PATTERN_CAP:
             patterns = [np.array([(p >> i) & 1 for i in range(n_k)], dtype=float)
@@ -880,6 +884,9 @@ class EpiSum(ConvexPiece):
         _, y = self._split(z)
         dc, dy = self._split(d)
         return np.concatenate([[dc], self.inner.prox_dirderiv(y, dy)])
+
+    def provenance(self, tag):
+        return f"epi({self.inner.provenance(tag)})"
 
     def _lift_element(self, el: LinearOperatorElement) -> LinearOperatorElement:
         M = np.zeros(el.matrix.shape[:-2] + (self.dim, self.dim))

@@ -2,9 +2,13 @@
 cross-check of the stability equivalence at a KKT point.
 
 Verdicts always carry the tolerance they were decided at.  Everything that
-rests on sampling (element sweeps, the alternating-projection cone search,
-the perturbation probe) is reported as evidence, never as a certificate:
-the wording is "all-sampled-nonsingular" and "heuristic-likely".
+rests on sampling (the element sweep at a point with a PSD block, the
+alternating-projection cone search, the perturbation probe) is reported as
+evidence, never as a certificate: the wording is "all-sampled-nonsingular"
+and "heuristic-likely".  At a polyhedral point the element sweep is exact:
+two inertia computations decide every element of the product set that
+would be sampled, and the verdict reads "all-elements-nonsingular" or
+names a singular witness element.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -50,8 +54,10 @@ from .pieces import (
     _UPPER,
     BLOCK,
     DOWN,
+    FREE,
     PINNED,
     UP,
+    ClarkeFrame,
     ConvexPiece,
     LinearOperatorElement,
     sampled_gamma,
@@ -59,6 +65,7 @@ from .pieces import (
 from .problem import (
     CompositeProblem,
     KKTPoint,
+    _element_matrix,
     as_point,
     kkt_check,
     sample_elements_R,
@@ -242,6 +249,11 @@ class AnalysisPoint:
         """Whether every block's frame is the identity, so that both cones
         are products of intervals."""
         return all(st.frame is None for st in self.structures)
+
+    @functools.cached_property
+    def hessian(self) -> np.ndarray:
+        """The weighted Hessian sum_i mu_i Hess F_i(x) at the point."""
+        return self.problem.F.weighted_hessian(self.kkt.x, self.kkt.mu)
 
     @functools.cached_property
     def adjoint_nullspace(self) -> np.ndarray:
@@ -640,7 +652,6 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
     block on the blocks of J basis.  The point need not be a KKT point."""
     point = zbar if isinstance(zbar, AnalysisPoint) else AnalysisPoint(
         problem, zbar, _kkt_test=False)
-    H = problem.F.weighted_hessian(point.kkt.x, point.kkt.mu)
     G = np.zeros((basis.shape[1], basis.shape[1]))
     for st, Wb in zip(point.structures, problem.blocks((point.J @ basis).T)):
         form = st.curvature_form(Wb.T)
@@ -649,7 +660,7 @@ def reduced_quadratic_form(problem: CompositeProblem, zbar,
                 "curvature is infinite on the critical subspace; the "
                 "subspace and the curvature domain disagree numerically")
         G += form
-    return basis.T @ H @ basis + G
+    return basis.T @ point.hessian @ basis + G
 
 
 def ssosc_check(problem: CompositeProblem, zbar,
@@ -684,16 +695,122 @@ def ssosc_check(problem: CompositeProblem, zbar,
 
 def nonsingularity_sweep(problem: CompositeProblem, zbar,
                          opts: AnalyzerOptions | None = None) -> SweepStats:
-    """The least singular value over ``count`` sampled elements, from one
-    svd of their stack, and the provenance of the first element that
-    attains it; a least singular value at most SWEEP_TOL is singular."""
+    """Leg b: whether the residual's Clarke-Jacobian elements at the point
+    are nonsingular, an element with a least singular value of at most
+    SWEEP_TOL counting as singular.
+
+    The chain rule gives only an inclusion for Clarke's Jacobian of the
+    composite map: the elements tested are [[H, J^T], [(I-U) J, -U]] with
+    U in the product of the blocks' Clarke Jacobians, the set that
+    ``sample_elements_R`` samples.  At a polyhedral point
+    (``_exact_sweep``) that whole product set is decided exactly, and the
+    verdict is "all-elements-nonsingular" or "singular-element-found".
+    Elsewhere ``count`` elements are sampled, the least singular value
+    comes from one svd of their stack with the provenance of the first
+    element that attains it, and the verdict is "all-sampled-nonsingular"
+    or "singular-element-found"."""
     point = analysis_point(problem, zbar, opts)
+    if point.polyhedral:
+        return _exact_sweep(point)
     elements = sample_elements_R(problem, point.kkt, point.opts.count, point.opts.seed)
     svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
     i = int(np.argmin(svs))
     min_sv, argmin = float(svs[i]), elements[i].provenance
     verdict = "singular-element-found" if min_sv <= SWEEP_TOL else "all-sampled-nonsingular"
     return SweepStats(verdict, min_sv, len(elements), SWEEP_TOL, argmin)
+
+
+def _negative_count(A: np.ndarray) -> tuple[int, float]:
+    """The number of negative eigenvalues of a symmetric matrix and the
+    least distance of an eigenvalue from 0."""
+    lam = np.linalg.eigvalsh(A)
+    return int(np.sum(lam < 0.0)), float(np.min(np.abs(lam), initial=np.inf))
+
+
+def _exact_sweep(point: AnalysisPoint) -> SweepStats:
+    """Leg b at a polyhedral point, decided on the whole product set.
+
+    Every block's element is diag(u): u = 1 on the FREE coordinates, 0 on
+    the PINNED ones (P) and any u_i in [0, 1] on the kinks K, the
+    coordinates with a half-line critical code.  The element of u is
+    singular iff J_S has dependent rows or Z^T (H + J_R^T C J_R) Z is
+    singular, where S is P with the kinks of u_i = 0, Z spans null(J_S),
+    R holds the other kinks and C = diag((1 - u_i) / u_i).  Each c_i adds a
+    PSD rank-one term, so every eigenvalue is nondecreasing in it, and
+    u_i = 0 is its limit (Cauchy interlacing).  Hence every element is
+    nonsingular iff both extremes are, every kink free (u = 1, the
+    canonical element) and every kink pinned (u = 0, the pattern-zeros
+    element), and their reduced matrices Z0^T H Z0 on null(J_P) and
+    Z1^T H Z1 on null(J_{P+K}) have equally many negative eigenvalues.
+
+    A singular extreme (least singular value at most SWEEP_TOL, from one
+    svd of both) is the witness.  When the counts differ, the segment of
+    one common kink weight u holds a singular element: bisection on u
+    keeps a bracket whose ends differ in count until an eigenvalue of the
+    reduced matrix lies within SWEEP_TOL / 2 of 0, which bounds the
+    element's least singular value, and one svd confirms it.  Either way
+    the verdict is "singular-element-found", with the least singular value
+    and provenance of the element examined that is nearest singular.
+    ``n_elements`` counts the reduced matrices whose inertia was computed.
+    """
+    problem, H, J = point.problem, point.hessian, point.J
+    codes = np.concatenate([st.critical for st in point.structures])
+    pinned, free = codes == PINNED, codes == FREE
+    kink = ~(pinned | free)
+    Z0 = nullspace(J[pinned])
+    A0, G = Z0.T @ H @ Z0, J[kink] @ Z0
+    counts = [_negative_count(A0)[0]]
+    weights, tags = [np.where(pinned, 0.0, 1.0)], ["canonical"]
+    if kink.any():
+        Z1 = nullspace(G)  # null(J_{P+K}) in the coordinates of Z0
+        counts.append(_negative_count(Z1.T @ A0 @ Z1)[0])
+        weights.append(free.astype(float))
+        tags.append("pattern-zeros")
+    svs = _element_svs(point, weights)
+    n_elements = len(counts)
+    if min(svs) > SWEEP_TOL and counts[0] != counts[-1]:
+        u, steps = _bisect_common_weight(A0, G.T @ G, counts[0])
+        weights.append(np.where(kink, u, weights[0]))
+        tags.append(f"kink-weight({u!r})")
+        svs += _element_svs(point, weights[-1:])
+        n_elements += steps
+    i = int(np.argmin(svs))
+    singular = svs[i] <= SWEEP_TOL or counts[0] != counts[-1]
+    argmin = tuple(p.provenance(tags[i] if kb.any() else "canonical")
+                   for p, kb in zip(problem.pieces, problem.blocks(kink)))
+    verdict = "singular-element-found" if singular else "all-elements-nonsingular"
+    return SweepStats(verdict, float(svs[i]), n_elements, SWEEP_TOL, argmin)
+
+
+def _element_svs(point: AnalysisPoint, weights: list[np.ndarray]) -> list[float]:
+    """The least singular value of the element of each weight vector u
+    (every block's element diag(u_b)), from one svd of their stack."""
+    U = [ClarkeFrame(ub).element() for ub in point.problem.blocks(np.array(weights))]
+    E = _element_matrix(point.problem, point.hessian, point.J, U)
+    return np.linalg.svd(E, compute_uv=False)[:, -1].tolist()
+
+
+def _bisect_common_weight(A: np.ndarray, B: np.ndarray, count_hi: int) -> tuple[float, int]:
+    """(u, steps): bisection on the common kink weight u in (0, 1] for an
+    element near singular, where A + ((1 - u) / u) B is the reduced matrix
+    at u, count_hi its negative count at u = 1, and the count as u -> 0
+    differs.  The bracket keeps ends of different counts.  Ends after 64
+    steps, or as soon as an eigenvalue lies within SWEEP_TOL / 2 of 0; u is
+    the step nearest singular, ``steps`` the number of inertias computed."""
+    lo, hi = 0.0, 1.0
+    best, best_gap = 1.0, np.inf
+    for steps in range(1, 65):
+        u = 0.5 * (lo + hi)
+        count, gap = _negative_count(A + ((1.0 - u) / u) * B)
+        if gap < best_gap:
+            best, best_gap = u, gap
+        if gap <= 0.5 * SWEEP_TOL:
+            break
+        if count != count_hi:
+            lo = u
+        else:
+            hi = u
+    return best, steps
 
 
 def strong_regularity_probe(problem: CompositeProblem, zbar,
@@ -761,10 +878,13 @@ def equivalence_report(problem: CompositeProblem, zbar,
                        opts: AnalyzerOptions | None = None) -> StabilityReport:
     """Run every check and compare the three legs of the equivalence:
     (a) second-order condition with nondegeneracy, (b) nonsingularity of
-    the sampled elements, (c) the strong-regularity probe.
+    the elements of ``nonsingularity_sweep``, (c) the strong-regularity
+    probe.
 
-    The verdict is 'consistent' exactly when all legs agree; sampled legs
-    count as evidence and are labeled as such in the detail fields.
+    The verdict is 'consistent' exactly when all legs agree.  Leg b is
+    exact at a polyhedral point and sampled elsewhere; leg c is always
+    sampled.  The note says which legs are sampled evidence rather than
+    certificates.
     """
     point = analysis_point(problem, zbar, opts)
     opts = point.opts
@@ -786,7 +906,7 @@ def equivalence_report(problem: CompositeProblem, zbar,
             "inconsistent instance data")
     sweep = nonsingularity_sweep(problem, point)
     probe = strong_regularity_probe(problem, point)
-    leg_b = sweep.verdict == "all-sampled-nonsingular"
+    leg_b = sweep.verdict in ("all-elements-nonsingular", "all-sampled-nonsingular")
     leg_c = probe.violations == 0 and probe.failures == 0 and np.isfinite(probe.modulus)
     legs = {"a": leg_a, "b": leg_b, "c": leg_c}
     disagreement = next((f"{u} vs {v}" for u, v in (("a", "b"), ("a", "c"), ("b", "c"))
@@ -797,7 +917,8 @@ def equivalence_report(problem: CompositeProblem, zbar,
         "leg_c_probe_strong_regularity": leg_c,
         "verdict": "consistent" if not disagreement else "inconsistent",
         "disagreement": disagreement,
-        "note": "legs b and c are sampled evidence, not certificates",
+        "note": ("leg b is exact at this point; leg c is sampled evidence, not a certificate"
+                 if point.polyhedral else "legs b and c are sampled evidence, not certificates"),
     }
     return StabilityReport(
         instance=problem.name,

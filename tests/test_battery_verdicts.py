@@ -13,37 +13,41 @@ EXACT_RCQ = ("holds", "normal-cone intersection is trivial (exact)")
 EXACT_SRCQ = ("holds", "polar intersection is trivial (exact)")
 TRIVIAL_SUBSPACE = ("holds", float("inf"), 0, "critical subspace is trivial")
 CONSISTENT = (True, True, True, "consistent", "")
+# the consistency note: leg b is exact at the polyhedral toys
+EXACT_NOTE = "leg b is exact at this point; leg c is sampled evidence, not a certificate"
+SAMPLED_NOTE = "legs b and c are sampled evidence, not certificates"
 
 # name: (rcq, srcq, nondegeneracy, unique multiplier, second order,
 #        sweep (verdict, min sv, elements, argmin), probe (modulus,
 #        violations, failures, solved), consistency (legs a, b, c,
-#        verdict, disagreement))
+#        verdict, disagreement), note)
 EXPECTED = {
     "nlp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, TRIVIAL_SUBSPACE,
-        ("all-sampled-nonsingular", 0.5176380902050416, 1,
+        ("all-elements-nonsingular", 0.5176380902050416, 1,
          ("epi(orthant_indicator:canonical)",)),
-        (1.6167967978021782, 0, 0, 21), CONSISTENT),
+        (1.6167967978021782, 0, 0, 21), CONSISTENT, EXACT_NOTE),
     "sdp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
         ("all-sampled-nonsingular", 0.5000000000000001, 1,
          ("epi(psd_indicator:canonical(beta=I))",)),
-        (1.0042536775876894, 0, 0, 21), CONSISTENT),
+        (1.0042536775876894, 0, 0, 21), CONSISTENT, SAMPLED_NOTE),
     "sdp_degenerate": (
         EXACT_RCQ, ("fails", "span test rank 3 of 4"),
         ("fails", "rank 2 of 4"), False,
         ("skipped", "multiplier set is not a singleton"),
         ("singular-element-found", 0.0, 2, ("epi(psd_indicator:canonical(beta=I))",)),
-        (63.33650947463679, 1, 28, 21), (False, False, False, "consistent", "")),
+        (63.33650947463679, 1, 28, 21), (False, False, False, "consistent", ""),
+        SAMPLED_NOTE),
     "l1_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 1 of 1"), True, TRIVIAL_SUBSPACE,
-        ("all-sampled-nonsingular", 1.0, 1, ("l1_norm:canonical",)),
-        (1.0000000000000007, 0, 0, 21), CONSISTENT),
+        ("all-elements-nonsingular", 1.0, 1, ("l1_norm:canonical",)),
+        (1.0000000000000007, 0, 0, 21), CONSISTENT, EXACT_NOTE),
     "smooth_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, ("holds", 1.0, 1, ""),
-        ("all-sampled-nonsingular", 0.6180339887498949, 1,
+        ("all-elements-nonsingular", 0.6180339887498949, 1,
          ("epi(orthant_indicator:canonical)",)),
-        (0.9980308321202721, 0, 0, 21), CONSISTENT),
+        (0.9980308321202721, 0, 0, 21), CONSISTENT, EXACT_NOTE),
 }
 
 
@@ -53,7 +57,7 @@ def _approx(x):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_battery_report_is_pinned(name):
-    rcq, srcq, nondeg, unique, second, sweep, probe, consistency = EXPECTED[name]
+    rcq, srcq, nondeg, unique, second, sweep, probe, consistency, note = EXPECTED[name]
     problem, meta = load_battery(name)
     rep = equivalence_report(problem, meta.known_solution, FAST)
     assert (rep.rcq.status, rep.rcq.detail) == rcq
@@ -79,5 +83,5 @@ def test_battery_report_is_pinned(name):
     got = (c["leg_a_second_order_and_nondegeneracy"], c["leg_b_sampled_elements_nonsingular"],
            c["leg_c_probe_strong_regularity"], c["verdict"], c["disagreement"])
     assert tuple(bool(v) if isinstance(v, (bool, np.bool_)) else v for v in got) == consistency
-    assert c["note"] == "legs b and c are sampled evidence, not certificates"
+    assert c["note"] == note
     assert all(v.tol == 1e-8 for v in (rep.rcq, rep.srcq, rep.nondegeneracy, rep.ssosc))

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import os
 import re
 import subprocess
@@ -42,9 +43,11 @@ from kktstab import (
     strong_regularity_probe,
     svec,
 )
-from kktstab.pieces import _LOWER, _UPPER, BLOCK, DOWN, FREE, PINNED, UP, BlockStructure
+from kktstab.pieces import (_LOWER, _UPPER, BLOCK, DOWN, FREE, PINNED, UP, BlockStructure,
+                            LinearOperatorElement)
 from kktstab.symmat import smat, svec_dim, svec_order
 from kktstab.stability import (
+    SWEEP_TOL,
     AnalysisPoint,
     CurvatureDomainError,
     _ap_nonzero_points,
@@ -52,7 +55,7 @@ from kktstab.stability import (
     nullspace,
     reduced_quadratic_form,
 )
-from kktstab.problem import sample_elements_R
+from kktstab.problem import assemble_element, sample_elements_R
 from kktstab.verify import (
     check_gamma_fixed_point_bound,
     check_gamma_properties,
@@ -156,11 +159,15 @@ def test_ssosc_invariant_under_rebasing():
 
 
 def test_sweep_battery():
+    # the polyhedral toys have no kink: leg b is exact from their one element
     problem, meta = load_battery("l1_toy")
     s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
-    assert s.verdict == "all-sampled-nonsingular"
+    assert s.verdict == "all-elements-nonsingular"
     assert np.isclose(s.min_singular_value, 1.0, atol=1e-12)
     problem, meta = load_battery("nlp_toy")
+    s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
+    assert s.verdict == "all-elements-nonsingular"
+    problem, meta = load_battery("sdp_toy")
     s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
     assert s.verdict == "all-sampled-nonsingular"
     problem, meta = load_battery("sdp_degenerate")
@@ -192,13 +199,36 @@ def _planted_plants():
     return [(data["name"],) + instance_from_dict(data) for data in out]
 
 
+def _kink_weights(point, provenance):
+    """Per block, the weights u of the element diag(u) that the exact sweep
+    names by ``provenance`` at a polyhedral point: 1 on FREE and 0 on
+    PINNED coordinates, and on the kinks 1 (canonical), 0 (pattern-zeros)
+    or the common weight of a bisection witness."""
+    weights = []
+    for st, name in zip(point.structures, provenance):
+        tag, u = re.search(r":(canonical|pattern-zeros|kink-weight\((.+?)\))\)*$", name).groups()
+        kink = float(u) if u is not None else {"canonical": 1.0, "pattern-zeros": 0.0}[tag]
+        weights.append(np.where(st.critical == FREE, 1.0,
+                                np.where(st.critical == PINNED, 0.0, kink)))
+    return weights
+
+
+def _named_element(point, provenance):
+    """The element [[H, J^T], [(I-U) J, -U]] named by the exact sweep."""
+    return assemble_element(point.problem, point.kkt,
+                            [LinearOperatorElement(np.diag(u))
+                             for u in _kink_weights(point, provenance)])
+
+
 def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
-    # the sweep takes every least singular value from one svd of the
-    # sampled stack, which the elements' matrices are views of
+    # the sampled sweep takes every least singular value from one svd of
+    # the sampled stack, which the elements' matrices are views of; the
+    # exact sweep of a polyhedral point reports the least singular value of
+    # the element it names
     from kktstab.problem import JacobianElementR
 
     cases = [(name,) + load_battery(name) for name in BATTERY_NAMES] + _planted_plants()
-    singular = set()
+    verdicts = {True: set(), False: set()}
     for name, problem, meta in cases:
         z = meta.known_solution
         elements = sample_elements_R(problem, z, 32, 7)
@@ -206,14 +236,178 @@ def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
         loop = [el.min_singular_value() for el in elements]
         assert svs.tobytes() == np.array(loop).tobytes(), name
         assert all(np.shares_memory(el.matrix, elements.matrices) for el in elements), name
+        point = AnalysisPoint(problem, z, AnalyzerOptions(seed=7))
+        if point.polyhedral:
+            named = _named_element(point, nonsingularity_sweep(problem, point).argmin_provenance)
+            want = named.min_singular_value()
         with monkeypatch.context() as mp:
             mp.setattr(JacobianElementR, "min_singular_value", None)
             sweep = nonsingularity_sweep(problem, z, AnalyzerOptions(seed=7))
-        i = int(np.argmin(loop))
-        assert (sweep.min_singular_value, sweep.argmin_provenance, sweep.n_elements) == (
-            loop[i], elements[i].provenance, len(elements)), name
-        singular.add(sweep.verdict)
-    assert singular == {"singular-element-found", "all-sampled-nonsingular"}
+        if point.polyhedral:
+            assert sweep.min_singular_value == want, name
+        else:
+            i = int(np.argmin(loop))
+            assert (sweep.min_singular_value, sweep.argmin_provenance, sweep.n_elements) == (
+                loop[i], elements[i].provenance, len(elements)), name
+        verdicts[point.polyhedral].add(sweep.verdict)
+    assert verdicts == {True: {"singular-element-found", "all-elements-nonsingular"},
+                        False: {"singular-element-found", "all-sampled-nonsingular"}}
+
+
+def _vertex_oracle(point):
+    """Whether the product set of elements at a polyhedral point holds a
+    singular one, from all 2^K vertices u in {0, 1}^K of the kink weights:
+    a vertex element with a least singular value of at most SWEEP_TOL, or
+    two vertices whose reduced Hessians on null(J_S), S the coordinates
+    with u = 0, differ in their number of negative eigenvalues."""
+    problem, pt = point.problem, point.kkt
+    H = problem.F.weighted_hessian(pt.x, pt.mu)
+    J = problem.F.jacobian(pt.x)
+    codes = np.concatenate([st.critical for st in point.structures])
+    kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
+    singular, counts = False, set()
+    for bits in itertools.product((0.0, 1.0), repeat=kinks.size):
+        u = np.where(codes == PINNED, 0.0, 1.0)
+        u[kinks] = bits
+        E = assemble_element(problem, pt, [LinearOperatorElement(np.diag(ub))
+                                           for ub in problem.blocks(u)])
+        singular |= E.min_singular_value() <= SWEEP_TOL
+        Z = nullspace(J[u == 0.0])
+        counts.add(int(np.sum(np.linalg.eigvalsh(Z.T @ H @ Z) < 0.0)))
+    return singular or len(counts) > 1, kinks.size
+
+
+_COORDINATE_KINDS = ("orthant", "box", "l1")
+
+
+def _random_coordinate(rng, kind, state):
+    """(F_i, mu_i, bounds) of one coordinate of a separable block in the
+    given state, 0 free, 1 pinned or 2 at a kink, as in the planted
+    generator."""
+    s = rng.uniform(0.5, 2.0)
+    if kind == "orthant":  # y <= 0
+        return ((-s, 0.0), (0.0, s), (0.0, 0.0))[state] + (None,)
+    if kind == "box":
+        lo, hi = -rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        side = rng.uniform() < 0.5
+        y = hi if side else lo
+        return ((0.5 * (lo + hi), 0.0), (y, s if side else -s), (y, 0.0))[state] + ((lo, hi),)
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    return ((sign * s, sign), (0.0, rng.uniform(-0.9, 0.9)), (0.0, sign))[state] + (None,)
+
+
+def _random_polyhedral_point(rng, max_kinks=8):
+    """A random polyhedral KKT point x = 0 of F(x) = c + J x with a random
+    symmetric weighted Hessian.  Block 0 is an epi-lifted orthant whose
+    scalar row balances J^T mu; the others are orthant, box and l1 blocks
+    of 1-3 coordinates, some epi-lifted, each coordinate free, pinned or at
+    a kink (at most max_kinks).  In a third of the points one nonfree row
+    of J is a combination of two others."""
+    n = int(rng.integers(2, 7))
+    # block 0: the scalar row (set last) and one free orthant coordinate
+    pieces = [EpiSum(OrthantIndicator(1))]
+    c, mu, rows = [0.0, -1.0], [1.0, 0.0], [np.zeros(n), rng.standard_normal(n)]
+    nonfree, kinks = [], 0
+    for _ in range(int(rng.integers(1, 6))):
+        kind, dim = _COORDINATE_KINDS[rng.integers(3)], int(rng.integers(1, 4))
+        lift = rng.uniform() < 0.3
+        if lift:
+            c.append(rng.standard_normal())
+            mu.append(1.0)
+            rows.append(rng.standard_normal(n))
+        bounds = []
+        for _ in range(dim):
+            state = int(rng.choice(3, p=(0.3, 0.2, 0.5))) if kinks < max_kinks else 0
+            kinks += state == 2
+            y, u, b = _random_coordinate(rng, kind, state)
+            if state:
+                nonfree.append(len(c))
+            c.append(y)
+            mu.append(u)
+            rows.append(rng.standard_normal(n))
+            bounds.append(b)
+        if kind == "box":
+            piece = BoxIndicator(*zip(*bounds))
+        else:
+            piece = OrthantIndicator(dim, -1) if kind == "orthant" else L1Norm(dim)
+        pieces.append(EpiSum(piece) if lift else piece)
+    J, mu = np.array(rows), np.array(mu)
+    if len(nonfree) >= 3 and rng.uniform() < 1 / 3:
+        i, j, k = rng.choice(nonfree, size=3, replace=False)
+        J[i] = rng.uniform(0.5, 1.5) * J[j] + rng.uniform(-1.0, 1.0) * J[k]
+    J[0] = -(mu[1:] @ J[1:])
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    H = (Q * rng.uniform(-1.0, 2.0, n)) @ Q.T
+    c = np.array(c)
+    F = SmoothMap(n=n, m=c.size, eval=lambda x: c + J @ x, jacobian=lambda x: J,
+                  weighted_hessian_fn=lambda x, m: H)
+    return AnalysisPoint(CompositeProblem(F, pieces), KKTPoint(np.zeros(n), mu))
+
+
+def test_exact_sweep_agrees_with_the_vertex_oracle():
+    # every polyhedral planted plant and 120 random polyhedral points with at
+    # most 8 kinks: the exact verdict is the 2^K vertex oracle's; a point read
+    # nonsingular has no sampled element of least singular value at most
+    # SWEEP_TOL, and a witness has kink weights in [0, 1] and one
+    rng = np.random.default_rng(23)
+    points = [AnalysisPoint(problem, meta.known_solution)
+              for _, problem, meta in _planted_plants()]
+    points = [p for p in points if p.polyhedral]
+    assert len(points) == 6
+    points += [_random_polyhedral_point(rng) for _ in range(120)]
+    seen = set()
+    for k, point in enumerate(points):
+        assert point.polyhedral
+        problem = point.problem
+        sweep = nonsingularity_sweep(problem, point)
+        want, n_kinks = _vertex_oracle(point)
+        assert n_kinks <= 8
+        assert (sweep.verdict == "singular-element-found") == want, k
+        if not want:
+            assert sweep.verdict == "all-elements-nonsingular", k
+            elements = sample_elements_R(problem, point.kkt, 32, k)
+            svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
+            assert svs.min() > SWEEP_TOL, k
+            seen.add("nonsingular")
+            continue
+        weights = np.concatenate(_kink_weights(point, sweep.argmin_provenance))
+        assert ((0.0 <= weights) & (weights <= 1.0)).all(), k
+        sv = _named_element(point, sweep.argmin_provenance).min_singular_value()
+        assert sv == sweep.min_singular_value <= SWEEP_TOL, k
+        bisected = any("kink-weight(" in name for name in sweep.argmin_provenance)
+        seen.add("bisection witness" if bisected else "extreme witness")
+        if bisected:
+            # the two extremes, then one inertia per bisection step
+            assert sweep.n_elements > 2, k
+    assert seen == {"nonsingular", "extreme witness", "bisection witness"}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_leg_b_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, seed):
+    # the analyze-nlp benchmark plants with its analyzer options, labels from
+    # the planted generator: every nondegeneracy failure has a singular
+    # element and every strongly regular plant none, and no polyhedral point
+    # samples an element
+    import kktstab.stability as st
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("elements sampled at a polyhedral point")
+
+    monkeypatch.setattr(st, "sample_elements_R", no_sampling)
+    workloads = _benchmark_workloads()
+    w = workloads.WORKLOADS["analyze-nlp"]
+    instances = workloads.generate(w, seed)
+    opts = workloads.analyzer_options(w, seed)
+    labels = {"singular": 0, "nonsingular": 0}
+    for k, ((problem, meta), inst) in enumerate(zip(workloads.load(instances), instances)):
+        verdict = nonsingularity_sweep(problem, meta.known_solution, opts).verdict
+        if not inst.plant.nondegenerate:
+            assert verdict == "singular-element-found", k
+            labels["singular"] += 1
+        if inst.plant.strongly_regular:
+            assert verdict == "all-elements-nonsingular", k
+            labels["nonsingular"] += 1
+    assert labels == {"singular": 12, "nonsingular": 24}
 
 
 def test_probe_battery():
@@ -1371,16 +1565,20 @@ def test_ray_witness_finds_the_one_ray_of_a_single_line_intersection():
     assert seen >= {(True, "fails"), (False, "holds")}
 
 
-def _analyze_nlp_plants(seed):
-    """The analyze-nlp benchmark instances of a seed, as (problem, meta),
-    from ``perfbench/workloads.py`` loaded from its file read-only."""
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded from its file read-only."""
     _planted_plants()  # puts perfbench/planted.py in sys.modules
     if "workloads" not in sys.modules:
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("workloads", path)
         sys.modules["workloads"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules["workloads"])
-    workloads = sys.modules["workloads"]
+    return sys.modules["workloads"]
+
+
+def _analyze_nlp_plants(seed):
+    """The analyze-nlp benchmark instances of a seed, as (problem, meta)."""
+    workloads = _benchmark_workloads()
     return workloads.load(workloads.generate(workloads.WORKLOADS["analyze-nlp"], seed))
 
 
