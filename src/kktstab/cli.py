@@ -197,7 +197,8 @@ def _cmd_analyze(args) -> int:
           f"min sv {report.sweep.min_singular_value:.3e} over "
           f"{report.sweep.n_elements} elements)")
     print(f"  probe          : modulus {report.probe.modulus:.3e}, "
-          f"{report.probe.violations} violations, {report.probe.failures} failures")
+          f"{report.probe.violations} violations, {report.probe.failures} failures "
+          f"({_probe_method(report.probe)})")
     print(f"  consistency    : {report.consistency['verdict']}"
           + (f" ({report.consistency['disagreement']})"
              if report.consistency["disagreement"] else ""))
@@ -205,6 +206,15 @@ def _cmd_analyze(args) -> int:
         emit_report(report, args.json, kind="stability", seed=args.seed,
                     tolerances=report.tolerances)
     return 0 if report.consistency["verdict"] == "consistent" else 2
+
+
+def _probe_method(stats) -> str:
+    """How the probe decided: its method, the local pieces of the exact
+    path and the causes of failed Newton solves."""
+    if stats.method == "exact":
+        return f"exact, {stats.pieces} local pieces"
+    causes = ", ".join(f"{cause} {count}" for cause, count in stats.failure_causes.items())
+    return f"newton; failures by cause: {causes}" if stats.failures else "newton"
 
 
 def _cmd_probe(args) -> int:
@@ -217,6 +227,7 @@ def _cmd_probe(args) -> int:
     print(f"  solved {stats.solved}, failures {stats.failures}, "
           f"uniqueness violations {stats.violations}")
     print(f"  Lipschitz modulus estimate {stats.modulus:.6e}")
+    print(f"  method {_probe_method(stats)}")
     if args.json:
         emit_report(stats, args.json, kind="probe", seed=args.seed,
                     tolerances={"uniqueness": stats.uniqueness_tol})

@@ -484,16 +484,23 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
 
 
 def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:
-    """Residual of the linearization around the base point zbar."""
+    """Residual of the linearization around the base point zbar, at a point
+    z or at each row of a stack (k, n+m), with one prox call for all rows."""
     base = as_point(problem, zbar)
-    pt = as_point(problem, z)
+    if isinstance(z, KKTPoint) or np.ndim(z) < 2:
+        z = as_point(problem, z).stacked()
+    Z = np.asarray(z, dtype=float)
+    if Z.shape[-1] != problem.n + problem.m:
+        raise DimensionError(f"point has {Z.shape[-1]} entries, expected "
+                             f"n+m={problem.n + problem.m}")
     Hbar = problem.F.weighted_hessian(base.x, base.mu)
     Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
     Fbar = np.asarray(problem.F.eval(base.x), dtype=float)
-    w = Fbar + Jbar @ (pt.x - base.x) + pt.mu
-    r1 = Hbar @ (pt.x - base.x) + Jbar.T @ (pt.mu - base.mu)
-    r2 = pt.mu - problem.prox_gstar(w)
-    return np.concatenate([r1, r2])
+    dx, mu = Z[..., :problem.n] - base.x, Z[..., problem.n:]
+    w = Fbar + _apply(Jbar, dx) + mu
+    r1 = _apply(Hbar, dx) + _apply(Jbar.T, mu - base.mu)
+    r2 = mu - problem.prox_gstar(w)
+    return np.concatenate([r1, r2], axis=-1)
 
 
 def _apply(A: np.ndarray, V: np.ndarray) -> np.ndarray:

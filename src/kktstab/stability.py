@@ -8,7 +8,11 @@ evidence, never as a certificate: the wording is "all-sampled-nonsingular"
 and "heuristic-likely".  At a polyhedral point the element sweep is exact:
 two inertia computations decide every element of the product set that
 would be sampled, and the verdict reads "all-elements-nonsingular" or
-names a singular witness element.
+names a singular witness element.  There the probe, with at most
+EXACT_PROBE_MAX_KINKS kinks, solves each of its sampled perturbations
+exactly on the 2^K pieces of the local piecewise-affine model, from one
+eigendecomposition of a base piece; elsewhere, and where that cannot
+decide, it runs its stacked Newton solves.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -47,7 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .newton import NewtonError, NewtonOptions, check_integer, check_positive
+from .newton import (NewtonNonConvergence, NewtonOptions, NewtonStagnation, check_integer,
+                     check_positive)
 from .pieces import (
     _LOWER,
     _POLAR,
@@ -60,6 +65,7 @@ from .pieces import (
     ClarkeFrame,
     ConvexPiece,
     LinearOperatorElement,
+    _kink_tol,
     sampled_gamma,
 )
 from .problem import (
@@ -68,12 +74,17 @@ from .problem import (
     _element_matrix,
     as_point,
     kkt_check,
+    linearized_residual,
     sample_elements_R,
     solve_linearized_rows,
 )
 from .symmat import smat, svec, svec_order
 
 _RANK_TOL = 1e-10
+
+# the cause under which ProbeStats.failure_causes counts a failed Newton row
+_FAILURE_CAUSES = {"max_iter": NewtonNonConvergence, "stagnation": NewtonStagnation,
+                   "linalg_error": np.linalg.LinAlgError}
 
 # the class codes of each block's frame coordinates in the named product cone
 _CONE_CODES = {"critical_polar_cone": lambda st: _POLAR[st.critical],
@@ -121,6 +132,11 @@ class SweepStats:
 
 @dataclass
 class ProbeStats:
+    """The probe's tally over its num_delta + 1 perturbations.  ``method``
+    says how each was solved: "exact" on all ``pieces`` local pieces of a
+    polyhedral point, or "newton" from three starts, when
+    ``failure_causes`` counts the failed solves by cause."""
+
     modulus: float
     violations: int
     failures: int
@@ -128,6 +144,9 @@ class ProbeStats:
     num_delta: int
     radius: float
     uniqueness_tol: float
+    method: str
+    pieces: int
+    failure_causes: dict
 
 
 @dataclass
@@ -147,6 +166,8 @@ class StabilityReport:
 
 SWEEP_TOL = 1e-8  # an element with a smaller least singular value is singular
 UNIQUENESS_TOL = 1e-6  # the probe's bound on the spread of one delta's solutions
+EXACT_PROBE_MAX_KINKS = 12  # the most kinks at which the probe solves all 2^K local pieces
+_NO_SOLUTION_SCALE = 1e-3  # a delta with no local solution is tried again at this scale
 
 
 @dataclass(frozen=True)
@@ -815,63 +836,257 @@ def _bisect_common_weight(A: np.ndarray, B: np.ndarray, count_hi: int) -> tuple[
 
 def strong_regularity_probe(problem: CompositeProblem, zbar,
                             opts: AnalyzerOptions | None = None) -> ProbeStats:
-    """Empirical strong-regularity evidence: unique Lipschitz solvability
-    of the perturbed linearized inclusion over sampled perturbations.
+    """Leg c: unique Lipschitz solvability of the perturbed linearized
+    inclusion, tested at delta = 0 and at ``num_delta`` perturbations drawn
+    uniformly from the ball of ``radius``.
 
-    Each perturbation is solved from three starts, and all the solves run
-    as one stack.  Solver failures are recorded, not raised.
+    A delta whose solutions lie more than UNIQUENESS_TOL apart is a
+    violation, and the modulus is the largest difference quotient
+    |z1 - z2| / |d1 - d2| over the first solution of each solved delta.  At
+    a polyhedral point with at most EXACT_PROBE_MAX_KINKS kinks,
+    ``_exact_probe`` solves each delta on every piece of the local model
+    ("exact"); the deltas are still sampled.  Elsewhere, and wherever the
+    exact path cannot decide, each delta is solved by Newton from three
+    starts, all the solves as one stack ("newton"), and a failed solve is
+    counted by its cause, not raised.
     """
     point = analysis_point(problem, zbar, opts)
     pt, opts = point.kkt, point.opts
-    radius, num_delta = opts.radius, opts.num_delta
     dim = problem.n + problem.m
     rng = np.random.default_rng(opts.seed)
     deltas = [np.zeros(dim)]
-    for _ in range(num_delta):
+    for _ in range(opts.num_delta):
         u = rng.standard_normal(dim)
         u /= np.linalg.norm(u)
         r = rng.uniform() ** (1.0 / dim)
-        deltas.append(radius * r * u)
+        deltas.append(opts.radius * r * u)
+    exact = _exact_probe(point, np.array(deltas)) if point.polyhedral else None
+    if exact is not None:
+        return exact
     offsets = [np.zeros(dim)]
     for _ in range(2):
         u = rng.standard_normal(dim)
-        offsets.append(0.5 * radius * u / np.linalg.norm(u))
+        offsets.append(0.5 * opts.radius * u / np.linalg.norm(u))
     k = len(offsets)
     outcomes = solve_linearized_rows(problem, pt, np.repeat(deltas, k, axis=0),
                                      np.tile(pt.stacked() + np.array(offsets), (len(deltas), 1)),
                                      opts.newton)
+    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     violations = 0
-    failures = 0
     for j, delta in enumerate(deltas):
         sols = []
         for out in outcomes[j * k:(j + 1) * k]:
-            if isinstance(out, (NewtonError, np.linalg.LinAlgError)):
-                failures += 1
+            cause = next((c for c, kind in _FAILURE_CAUSES.items() if isinstance(out, kind)), None)
+            if cause is not None:
+                causes[cause] += 1
             elif isinstance(out, Exception):
                 raise out
             else:
                 sols.append(out.stacked())
-        if len(sols) >= 2:
-            spread = max(float(np.linalg.norm(a - b))
-                         for i, a in enumerate(sols) for b in sols[i + 1:])
-            if spread > UNIQUENESS_TOL:
-                violations += 1
+        violations += _spread(sols) > UNIQUENESS_TOL
         if sols:
             solutions.append((delta, sols[0]))
+    return _probe_stats(opts, solutions, violations, "newton", 0, causes)
+
+
+def _spread(sols) -> float:
+    """The largest distance between two of the solutions, 0 for fewer than two."""
+    return max((float(np.linalg.norm(a - b)) for i, a in enumerate(sols) for b in sols[i + 1:]),
+               default=0.0)
+
+
+def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.ndarray]],
+                 violations: int, method: str, pieces: int, causes: dict) -> ProbeStats:
+    """The ProbeStats of the (delta, solution) pairs, the modulus their
+    largest difference quotient."""
     modulus = 0.0
     for i, (d1, z1) in enumerate(solutions):
         for d2, z2 in solutions[i + 1:]:
             gap = float(np.linalg.norm(d1 - d2))
             if gap > 1e-12:
                 modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
-    return ProbeStats(modulus=modulus, violations=violations, failures=failures,
-                      solved=len(solutions), num_delta=num_delta, radius=radius,
-                      uniqueness_tol=UNIQUENESS_TOL)
+    return ProbeStats(modulus=modulus, violations=int(violations), failures=sum(causes.values()),
+                      solved=len(solutions), num_delta=opts.num_delta, radius=opts.radius,
+                      uniqueness_tol=UNIQUENESS_TOL, method=method, pieces=pieces,
+                      failure_causes=causes)
+
+
+def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
+    """Leg c at a polyhedral point, each delta (the rows of ``deltas``, the
+    first 0) solved exactly on the 2^K pieces of the local model; None
+    where the Newton probe decides.
+
+    Near the point each coordinate keeps to one affine branch of the prox:
+    a FREE one keeps dmu_i = 0 and a PINNED one J_i dx = -delta2_i.  A kink
+    i, of half-line sign s_i, either keeps dmu_i = 0 with its excess
+    e_i = J_i dx + delta2_i on the side s_i e_i >= 0, or has e_i = 0 with
+    s_i dmu_i <= 0.  A piece picks one branch per kink; with
+    H dx + J^T dmu = delta1 it is a square linear system, and its solutions
+    whose kinks keep to their sides, within ``_kink_tol`` of the point,
+    solve the linearized inclusion.
+
+    The base piece is the canonical one (every kink on its excess branch)
+    or, when that has one null vector, the one that switches the kink
+    moving most along it: the saddle S = [[H, J_B^T], [J_B, 0]] on its
+    rows B with e_i = 0, whose one eigendecomposition solves every delta
+    and the K kink columns.  With g the other branch's variables (-dmu_i
+    for a kink on its excess branch in the base, e_i for one on its
+    multiplier branch), each kink's base-branch variable is b = q + W g,
+    W = Psi S^-1 Psi^T symmetric (K, K) for the kinks' readout rows Psi,
+    and the piece that switches the kinks F solves W_FF g_F = -q_F with
+    b_F = 0: the pieces are the principal submatrices of W, decided by one
+    batched eigendecomposition per size (``_local_pieces``).
+
+    A delta reads a violation when no piece has a solution, nor at
+    _NO_SOLUTION_SCALE times it (where a solution is kept instead), when
+    two solutions lie more than UNIQUENESS_TOL apart, and, for delta = 0,
+    when a singular piece has a null vector keeping its kinks on their
+    sides, so that its solutions fill a ray.  A null vector of the
+    canonical piece along which no kink moves is one of every piece:
+    delta = 0 has a ray of solutions, and no delta off the canonical
+    piece's range has any.  Every solution is checked once, stacked, by
+    the linearized residual.  The Newton probe decides when K exceeds
+    EXACT_PROBE_MAX_KINKS, when no base piece is nonsingular, when a
+    singular piece has two or more null vectors or is consistent at some
+    delta != 0, and when a solution fails its residual check, which is
+    where the local model ends.
+    """
+    problem, H, J, opts = point.problem, point.hessian, point.J, point.opts
+    n = problem.n
+    codes = np.concatenate([st.critical for st in point.structures])
+    pinned = np.flatnonzero(codes == PINNED)
+    kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
+    if kinks.size > EXACT_PROBE_MAX_KINKS:
+        return None
+    side_tol = float(_kink_tol(np.concatenate([xb + ub for _, xb, ub in point.pairs]))[0])
+    d1, d2 = deltas[:, :n], deltas[:, n:]
+    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
+    base = np.zeros(kinks.size, dtype=bool)  # the base's kinks on their multiplier branch
+    lam, V = _saddle_eigh(H, J[pinned])
+    null = np.abs(lam) <= SWEEP_TOL
+    if null.sum() > 1:
+        return None
+    if null.any():
+        moved = np.abs(J[kinks] @ V[:n, null][:, 0])
+        if moved.max(initial=0.0) <= side_tol:
+            # every piece's saddle is symmetric and has this null vector
+            rhs = np.concatenate([d1, -d2[:, pinned]], axis=1)[1:]
+            if (np.abs(rhs @ V[:, null][:, 0]) <= SWEEP_TOL * np.linalg.norm(rhs, axis=1)).any():
+                return None
+            return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], len(deltas), "exact",
+                                2 ** kinks.size, causes)
+        base[np.argmax(moved)] = True
+        lam, V = _saddle_eigh(H, J[np.concatenate([pinned, kinks[base]])])
+        if (np.abs(lam) <= SWEEP_TOL).any():
+            return None
+    rows = np.concatenate([pinned, kinks[base]])
+    Psi = np.zeros((kinks.size, n + rows.size))
+    Psi[~base, :n] = J[kinks[~base]]
+    Psi[base, n + pinned.size:] = np.eye(base.sum())
+    Y0 = (V / lam) @ (V.T @ np.concatenate([d1, -d2[:, rows]], axis=1).T)
+    R = (V / lam) @ (V.T @ Psi.T)
+    q = Psi @ Y0 + np.where(base[:, None], 0.0, d2[:, kinks].T)
+    W = Psi @ R
+    sign = np.where(codes[kinks] == UP, 1.0, -1.0)
+    local = _local_pieces(0.5 * (W + W.T), q, sign, base, side_tol)
+    if local is None:
+        return None
+    g, m, miss, ray = local
+    ok = miss <= side_tol
+    ok[1:, 0] = False  # at delta = 0 every nonsingular piece has the point itself
+    retry = ~ok.any(axis=0)
+    ok[:, retry] = miss[:, retry] <= side_tol / _NO_SOLUTION_SCALE
+    scale = np.where(retry, _NO_SOLUTION_SCALE, 1.0)
+    piece, j = np.nonzero(ok)
+    y = Y0[:, j].T + g[piece, :, j] @ R.T
+    dz = np.zeros((j.size, deltas.shape[1]))
+    dz[:, :n], dz[:, n + pinned] = y[:, :n], y[:, n:n + pinned.size]
+    dz[:, n + kinks] = m[piece, :, j]
+    ds = deltas[j] * scale[j, None]
+    Z = point.kkt.stacked() + scale[j, None] * dz
+    shifted = Z.copy()
+    shifted[:, n:] += ds[:, n:]  # the inclusion's shifted multiplier mu + delta2
+    want = np.concatenate([ds[:, :n] + ds[:, n:] @ J, ds[:, n:]], axis=1)
+    if np.abs(linearized_residual(problem, point.kkt, shifted) - want).max(initial=0.0) > (
+            2.0 * (opts.tol + side_tol)):
+        return None
+    solutions, violations = [], 0
+    for i, delta in enumerate(deltas):
+        sols = Z[j == i]
+        violations += (i == 0 and ray) or not sols.size or _spread(sols) > UNIQUENESS_TOL
+        if sols.size:
+            solutions.append((scale[i] * delta, sols[0]))
+    return _probe_stats(opts, solutions, violations, "exact", 2 ** kinks.size, causes)
+
+
+def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of the saddle [[H, A^T], [A, 0]]."""
+    p = A.shape[0]
+    return np.linalg.eigh(np.block([[H, A.T], [A, np.zeros((p, p))]]))
+
+
+def _local_pieces(W: np.ndarray, q: np.ndarray, sign: np.ndarray, base: np.ndarray,
+                  side_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool] | None:
+    """(g, m, miss, ray) over the 2^K pieces of ``_exact_probe``, piece p
+    switching the kinks of the bits of p: the switched variables g and the
+    kink multipliers m, (2^K, K, deltas), the largest amount by which a
+    solution puts a kink on the wrong side (inf for a singular piece),
+    (2^K, deltas), and whether a singular piece's null vector keeps its
+    kinks on their sides.  A singular piece has an eigenvalue within
+    SWEEP_TOL max(1, |lambda|_max) of 0; None when one has two or more
+    null vectors, or is consistent at a delta != 0, its null vector v
+    giving |v . q_F| <= SWEEP_TOL |q_F|.
+    """
+    K = q.shape[0]
+    switched = (np.arange(2 ** K)[:, None] >> np.arange(K)) & 1 == 1
+    g = np.zeros((2 ** K,) + q.shape)
+    null = np.zeros((2 ** K, K, 1))  # the unit null vector of a singular piece
+    for k in range(1, K + 1):
+        sel = np.flatnonzero(switched.sum(axis=1) == k)
+        ix = np.nonzero(switched[sel])[1].reshape(sel.size, k)
+        lam, V = np.linalg.eigh(W[ix[:, :, None], ix[:, None, :]])
+        small = np.abs(lam) <= SWEEP_TOL * np.fmax(1.0, np.abs(lam).max(axis=1, keepdims=True))
+        if (small.sum(axis=1) > 1).any():
+            return None
+        inv = np.where(small, 0.0, 1.0 / np.where(small, 1.0, lam))
+        g[sel[:, None], ix] = -V @ (inv[..., None] * (V.swapaxes(1, 2) @ q[ix]))
+        singular = np.flatnonzero(small.any(axis=1))
+        v = V[singular, :, np.argmax(small[singular], axis=1)]
+        qs = q[ix[singular], 1:]
+        if (np.abs(np.einsum("sk,skd->sd", v, qs))
+                <= SWEEP_TOL * np.linalg.norm(qs, axis=1)).any():
+            return None
+        null[sel[singular, None], ix[singular], 0] = v
+
+    def branches(g: np.ndarray, q, switched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m, miss) of the switched variables g (pieces, K, d) of the pieces
+        that switch the kinks ``switched``, at the right side q."""
+        b = q + W @ g
+        b[switched] = 0.0
+        e, m = np.where(base[:, None], g, b), np.where(base[:, None], b, -g)
+        s = sign[:, None]
+        return m, np.concatenate([-s * e, s * m], axis=1).max(axis=1, initial=-np.inf)
+
+    m, miss = branches(g, q, switched)
+    singular = null.any(axis=(1, 2))
+    miss[singular] = np.inf
+    ray = np.minimum(*(branches(d, 0.0, switched[singular])[1]
+                       for d in (null[singular], -null[singular])))
+    return g, m, miss, bool((ray <= side_tol).any())
 
 
 # ----------------------------------------------------------------------
 # the equivalence cross-check
+
+
+# the consistency note of a report, by (polyhedral point, probe method)
+_NOTES = {
+    (True, "exact"): "leg b is exact at this point; leg c is exact for each sampled "
+                     "perturbation, not a certificate for all of them",
+    (True, "newton"): "leg b is exact at this point; leg c is sampled evidence, not a certificate",
+    (False, "newton"): "legs b and c are sampled evidence, not certificates",
+}
 
 
 def equivalence_report(problem: CompositeProblem, zbar,
@@ -882,9 +1097,10 @@ def equivalence_report(problem: CompositeProblem, zbar,
     probe.
 
     The verdict is 'consistent' exactly when all legs agree.  Leg b is
-    exact at a polyhedral point and sampled elsewhere; leg c is always
-    sampled.  The note says which legs are sampled evidence rather than
-    certificates.
+    exact at a polyhedral point and sampled elsewhere.  Leg c always tests
+    sampled perturbations; where the probe's method is "exact" it decides
+    each of them exactly, elsewhere by Newton solves.  The note says which
+    legs are sampled evidence rather than certificates.
     """
     point = analysis_point(problem, zbar, opts)
     opts = point.opts
@@ -917,8 +1133,7 @@ def equivalence_report(problem: CompositeProblem, zbar,
         "leg_c_probe_strong_regularity": leg_c,
         "verdict": "consistent" if not disagreement else "inconsistent",
         "disagreement": disagreement,
-        "note": ("leg b is exact at this point; leg c is sampled evidence, not a certificate"
-                 if point.polyhedral else "legs b and c are sampled evidence, not certificates"),
+        "note": _NOTES[point.polyhedral, probe.method],
     }
     return StabilityReport(
         instance=problem.name,

@@ -13,8 +13,10 @@ EXACT_RCQ = ("holds", "normal-cone intersection is trivial (exact)")
 EXACT_SRCQ = ("holds", "polar intersection is trivial (exact)")
 TRIVIAL_SUBSPACE = ("holds", float("inf"), 0, "critical subspace is trivial")
 CONSISTENT = (True, True, True, "consistent", "")
-# the consistency note: leg b is exact at the polyhedral toys
-EXACT_NOTE = "leg b is exact at this point; leg c is sampled evidence, not a certificate"
+# the consistency note: legs b and c are exact at the polyhedral toys, leg c
+# for each sampled perturbation
+EXACT_NOTE = ("leg b is exact at this point; leg c is exact for each sampled perturbation, "
+              "not a certificate for all of them")
 SAMPLED_NOTE = "legs b and c are sampled evidence, not certificates"
 
 # name: (rcq, srcq, nondegeneracy, unique multiplier, second order,
@@ -79,6 +81,9 @@ def test_battery_report_is_pinned(name):
     assert (rep.probe.violations, rep.probe.failures, rep.probe.solved) == (
         violations, failures, solved)
     assert rep.probe.modulus == _approx(modulus)
+    # the polyhedral toys have no kink: the exact probe solves one local piece
+    assert (rep.probe.method, rep.probe.pieces) == (
+        ("exact", 1) if note == EXACT_NOTE else ("newton", 0))
     c = rep.consistency
     got = (c["leg_a_second_order_and_nondegeneracy"], c["leg_b_sampled_elements_nonsingular"],
            c["leg_c_probe_strong_regularity"], c["verdict"], c["disagreement"])

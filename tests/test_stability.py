@@ -18,8 +18,9 @@ from kktstab import (
     EpiSum,
     KKTPoint,
     L1Norm,
-    NewtonError,
+    NewtonNonConvergence,
     NewtonOptions,
+    NewtonStagnation,
     OrthantIndicator,
     PSDConeIndicator,
     ProbeStats,
@@ -55,7 +56,7 @@ from kktstab.stability import (
     nullspace,
     reduced_quadratic_form,
 )
-from kktstab.problem import assemble_element, sample_elements_R
+from kktstab.problem import assemble_element, linearized_residual, sample_elements_R
 from kktstab.verify import (
     check_gamma_fixed_point_bound,
     check_gamma_properties,
@@ -408,6 +409,261 @@ def test_leg_b_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, s
             assert verdict == "all-elements-nonsingular", k
             labels["nonsingular"] += 1
     assert labels == {"singular": 12, "nonsingular": 24}
+
+
+def _probe_deltas(dim, opts):
+    """The probe's perturbations, delta = 0 and then num_delta drawn
+    uniformly from the ball of the radius, and the generator that drew
+    them."""
+    rng = np.random.default_rng(opts.seed)
+    deltas = [np.zeros(dim)]
+    for _ in range(opts.num_delta):
+        u = rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        r = rng.uniform() ** (1.0 / dim)
+        deltas.append(opts.radius * r * u)
+    return np.array(deltas), rng
+
+
+def _piece_oracle(point, deltas):
+    """Per delta, (solutions, delta used, violated) of the perturbed
+    linearized inclusion at a polyhedral point from every piece's dense
+    affine system: the element [[H, J^T], [(I-U) J, -U]] of the piece's 0/1
+    kink weights u with right side (delta1, -(1-u) delta2), solved by
+    lstsq.  A solution counts when its kinks keep to their sides within
+    the kink tolerance t (or within 1e3 t, when no piece has one, at delta
+    / 1e3).  A singular piece (least singular value at most
+    1e-8 max(1, largest)) whose null vector keeps its kinks on their sides
+    gives delta = 0 a ray of solutions.  Returns the reason instead where
+    the exact probe defers to Newton: a singular piece with two null
+    vectors or consistent at a delta != 0, or a solution that fails the
+    linearized residual, as one does that leaves the local model."""
+    problem, pt, H, J = point.problem, point.kkt, point.hessian, point.J
+    n, m = problem.n, problem.m
+    codes = np.concatenate([st.critical for st in point.structures])
+    kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
+    sign = np.where(codes[kinks] == UP, 1.0, -1.0)
+    t = 1e-8 * max(1.0, max(np.abs(xb + ub).max() for _, xb, ub in point.pairs))
+    found = [([], []) for _ in deltas]  # per delta: solutions within t, within 1e3 t
+    ray = multiple = False
+    shared = None  # the canonical piece's null vector while every piece has it, else False
+    for bits in itertools.product((1.0, 0.0), repeat=kinks.size):
+        u = np.where(codes == PINNED, 0.0, 1.0)
+        u[kinks] = bits
+
+        def miss(dz, d2):
+            e, dmu = J[kinks] @ dz[:n] + d2[kinks], dz[n + kinks]
+            return np.max(np.where(np.array(bits) == 1.0, -sign * e, sign * dmu), initial=-np.inf)
+
+        E = np.block([[H, J.T], [(1.0 - u)[:, None] * J, -np.diag(u)]])
+        _, s, Vt = np.linalg.svd(E)
+        null = Vt[s <= 1e-8 * max(1.0, s[0])]
+        if shared is None:  # the canonical piece comes first
+            shared = null[0] if len(null) == 1 else False
+        elif shared is not False and np.abs(E @ shared).max() > 1e-8:
+            shared = False
+        multiple |= len(null) > 1
+        if len(null) == 1 and min(miss(null[0], np.zeros(m)),
+                                  miss(-null[0], np.zeros(m))) <= t:
+            ray = True
+        rhs = np.concatenate([deltas[:, :n], -(1.0 - u) * deltas[:, n:]], axis=1)
+        sols = np.linalg.lstsq(E, rhs.T, rcond=None)[0].T
+        for i, (delta, r, dz) in enumerate(zip(deltas, rhs, sols)):
+            if np.linalg.norm(E @ dz - r) > 1e-10 * (1.0 + np.linalg.norm(r)):
+                continue
+            if len(null) and i:
+                return "consistent singular piece"
+            gap = miss(dz, delta[n:])
+            if gap <= 1e3 * t:
+                found[i][int(gap > t)].append(dz)
+    if multiple and shared is False:
+        # a null vector that every piece shares decides every delta alone
+        return "two null vectors"
+    out = []
+    for i, delta in enumerate(deltas):
+        scale = 1.0 if found[i][0] or not found[i][1] else 1e-3
+        sols = [pt.stacked() + scale * dz for dz in found[i][scale != 1.0]][:1 if i == 0 else None]
+        for z in sols:
+            d = scale * delta
+            shifted = np.concatenate([z[:n], z[n:] + d[n:]])
+            r = linearized_residual(problem, pt, shifted) - np.concatenate([d[:n] + J.T @ d[n:],
+                                                                           d[n:]])
+            if np.abs(r).max() > 2.0 * (point.opts.tol + t):
+                return "leaves the local model"
+        spread = max((np.linalg.norm(a - b) for k, a in enumerate(sols) for b in sols[k + 1:]),
+                     default=0.0)
+        out.append((sols, scale * delta, (i == 0 and ray) or not sols or spread > 1e-6))
+    return out
+
+
+def _rebuilt(point, J=None, H=None):
+    """A random polyhedral point of ``_random_polyhedral_point`` (F(x) =
+    c + J x at x = 0, mu_0 = 1) with its Jacobian or its weighted Hessian
+    replaced; the scalar row 0 of J balances J^T mu again."""
+    problem, mu = point.problem, point.kkt.mu
+    c, J, H = problem.F.eval(point.kkt.x), (point.J if J is None else J).copy(), (
+        point.hessian if H is None else H)
+    J[0] = -(mu[1:] @ J[1:])
+    F = SmoothMap(n=problem.n, m=problem.m, eval=lambda x: c + J @ x, jacobian=lambda x: J,
+                  weighted_hessian_fn=lambda x, m: H)
+    return AnalysisPoint(CompositeProblem(F, problem.pieces), point.kkt, point.opts)
+
+
+def _singular_canonical(point, rng):
+    """The point with a singular canonical element, or None: two pinned rows
+    of J made dependent on a third (a null vector shared by every piece),
+    or the weighted Hessian made singular on null(J_P) (one that is not)."""
+    codes = np.concatenate([st.critical for st in point.structures])
+    pinned = np.flatnonzero(codes == PINNED)
+    if rng.uniform() < 0.5:
+        if pinned.size < 3:
+            return None
+        i, j, k = rng.choice(pinned, size=3, replace=False)
+        J = point.J.copy()
+        J[i] = rng.uniform(0.5, 1.5) * J[j] + rng.uniform(-1.0, 1.0) * J[k]
+        return _rebuilt(point, J=J)
+    Z = nullspace(point.J[pinned])
+    if not Z.shape[1]:
+        return None
+    lam, W = np.linalg.eigh(Z.T @ point.hessian @ Z)
+    d = Z @ W[:, 0]
+    return _rebuilt(point, H=point.hessian - lam[0] * np.outer(d, d))
+
+
+def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
+    # the polyhedral planted plants and 150 random polyhedral points with at
+    # most 6 kinks, some with a singular canonical element: the exact probe
+    # reads the oracle's violations and solutions for each delta, and it
+    # defers to Newton only where the oracle names a reason
+    import kktstab.stability as st
+
+    tallies = []
+    real = st._probe_stats
+
+    def spy(opts, solutions, violations, *rest):
+        tallies.append((solutions, violations))
+        return real(opts, solutions, violations, *rest)
+
+    monkeypatch.setattr(st, "_probe_stats", spy)
+    rng = np.random.default_rng(31)
+    points = [AnalysisPoint(problem, meta.known_solution)
+              for _, problem, meta in _planted_plants()]
+    points = [p for p in points if p.polyhedral]
+    for _ in range(150):
+        point = _random_polyhedral_point(rng, max_kinks=6)
+        altered = _singular_canonical(point, rng) if rng.uniform() < 0.3 else None
+        points.append(altered or point)
+    seen = set()
+    for k, point in enumerate(points):
+        # every tenth radius reaches past the nearest breakpoints; a point
+        # that defers to Newton runs the benchmark's 10 iterations
+        opts = AnalyzerOptions(num_delta=8, seed=k, radius=0.5 if k % 10 == 9 else 0.05,
+                               newton=NewtonOptions(max_iter=10))
+        point = AnalysisPoint(point.problem, point.kkt, opts)
+        want = _piece_oracle(point, _probe_deltas(point.problem.n + point.problem.m, opts)[0])
+        stats = strong_regularity_probe(point.problem, point)
+        if isinstance(want, str):
+            assert stats.method == "newton", (k, want)
+            seen.add(want)
+            continue
+        solutions, violations = tallies[-1]
+        assert stats.method == "exact" and stats.failures == 0, k
+        assert violations == sum(v for _, _, v in want), k
+        assert stats.solved == len(solutions) == sum(bool(s) for s, _, _ in want), k
+        solved = [(d, s) for s, d, _ in want if s]
+        for (delta, z), (d, sols) in zip(solutions, solved):
+            assert np.array_equal(delta, d), k
+            assert min(np.abs(z - s).max() for s in sols) <= 1e-8 * (1.0 + np.abs(z).max()), k
+        canonical = np.linalg.svd(_named_element(point, [
+            p.provenance("canonical") for p in point.problem.pieces]).matrix,
+            compute_uv=False)[-1]
+        seen.add("singular canonical" if canonical <= 1e-8 else "regular canonical")
+        for i, (sols, _, violated) in enumerate(want):
+            if violated:
+                seen.add("ray" if i == 0 else "no solution" if not sols else "two solutions")
+    assert seen >= {"ray", "no solution", "two solutions", "singular canonical",
+                    "regular canonical"}, seen
+
+
+def _orthant_kinks(rows, h):
+    """The point x = 0, mu = 0 of F(x) = J x into a nonpositive orthant,
+    J of the given rows and weighted Hessian h I: every coordinate a kink."""
+    J = np.array(rows, dtype=float)
+    F = SmoothMap(n=J.shape[1], m=J.shape[0], eval=lambda x: J @ x, jacobian=lambda x: J,
+                  weighted_hessian_fn=lambda x, mu: h * np.eye(J.shape[1]))
+    problem = CompositeProblem(F, [OrthantIndicator(J.shape[0], -1)])
+    return AnalysisPoint(problem, KKTPoint(np.zeros(J.shape[1]), np.zeros(J.shape[0])))
+
+
+def test_exact_probe_retries_a_delta_at_a_thousandth_and_defers_consistent_singular_pieces(
+        monkeypatch):
+    # a fold, H = -1 with one kink: delta1 - delta2 < 0 has no solution and
+    # > 0 two.  A delta that misses both pieces' sides by 1e-7, between the
+    # kink tolerance 1e-8 and 1e3 times it, is solved at delta / 1e3 instead
+    import kktstab.stability as st
+
+    tallies = []
+    real = st._probe_stats
+    monkeypatch.setattr(st, "_probe_stats", lambda opts, sols, *rest: tallies.append(sols)
+                        or real(opts, sols, *rest))
+    fold = _orthant_kinks([[1.0]], -1.0)
+    deltas = np.array([[0.0, 0.0], [-1e-7, 0.0], [-1e-2, 0.0], [1e-2, 0.0]])
+    stats = st._exact_probe(fold, deltas)
+    assert (stats.method, stats.pieces, stats.violations, stats.solved) == ("exact", 2, 2, 3)
+    assert [list(d) for d, _ in tallies[-1]] == [[0.0, 0.0], [-1e-10, 0.0], [1e-2, 0.0]]
+    # two equal rows: the piece with both kinks switched is singular, and it
+    # is consistent exactly where delta2 has equal entries, which Newton decides
+    twin = _orthant_kinks([[1.0], [1.0]], 1.0)
+    assert st._exact_probe(twin, np.array([[0.0, 0.0, 0.0], [0.0, 1e-2, -1e-2]])) is not None
+    assert st._exact_probe(twin, np.array([[0.0, 0.0, 0.0], [0.0, 1e-2, 1e-2]])) is None
+    opts = AnalyzerOptions(num_delta=4)
+    assert strong_regularity_probe(twin.problem, twin.kkt, opts).method == "exact"
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_leg_c_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, seed):
+    # the analyze-nlp benchmark plants with its analyzer options, and no
+    # Newton solve allowed: every plant is decided exactly with no failed
+    # solve, leg c holds at every strongly regular plant and saddle, and a
+    # verified violation shows at every other plant except three
+    # nondegeneracy failures, whose singular pieces keep their null vectors
+    # off their own sides, so that each sampled delta has one solution
+    import kktstab.problem as pr
+    import kktstab.stability as st
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton probe at a polyhedral point")
+
+    monkeypatch.setattr(pr, "solve_linearized_rows", no_newton)
+    monkeypatch.setattr(st, "solve_linearized_rows", no_newton)
+    workloads = _benchmark_workloads()
+    w = workloads.WORKLOADS["analyze-nlp"]
+    instances = workloads.generate(w, seed)
+    opts = workloads.analyzer_options(w, seed)
+    unseen = {7: {33}, 8: {17, 25}}[seed]
+    so_fail = {7: set(), 8: {7, 23, 27}}[seed]
+    legs = []
+    for k, ((problem, meta), inst) in enumerate(zip(workloads.load(instances), instances)):
+        probe = strong_regularity_probe(problem, meta.known_solution, opts)
+        assert (probe.method, probe.failures) == ("exact", 0), k
+        plant = inst.plant
+        if plant.nondegenerate and k not in so_fail:
+            # strongly regular, or a saddle that is (leg b holds)
+            assert probe.violations == 0 and np.isfinite(probe.modulus), k
+            legs.append("c")
+        elif k in unseen:
+            assert not plant.nondegenerate and probe.violations == 0, k
+        else:
+            assert probe.violations > 0, k
+            legs.append("violation")
+        if not plant.second_order:
+            # the other second-order failures are strongly regular saddles:
+            # leg b finds no singular element there
+            sweep = nonsingularity_sweep(problem, meta.known_solution, opts)
+            assert (k in so_fail) == (probe.violations > 0), k
+            assert (k in so_fail) == (sweep.verdict == "singular-element-found"), k
+    assert len(legs) == 48 - len(unseen)
+    assert legs.count("violation") == 12 - len(unseen) + len(so_fail)
 
 
 def test_probe_battery():
@@ -1000,15 +1256,9 @@ def probe_one_at_a_time(problem, zbar, opts=AnalyzerOptions()):
     """The probe with one linearized solve at a time, kept as the reference
     for the stacked probe."""
     pt = AnalysisPoint(problem, zbar, opts).kkt
-    radius, num_delta, seed, newton = opts.radius, opts.num_delta, opts.seed, opts.newton
+    radius, num_delta, newton = opts.radius, opts.num_delta, opts.newton
     dim = problem.n + problem.m
-    rng = np.random.default_rng(seed)
-    deltas = [np.zeros(dim)]
-    for _ in range(num_delta):
-        u = rng.standard_normal(dim)
-        u /= np.linalg.norm(u)
-        r = rng.uniform() ** (1.0 / dim)
-        deltas.append(radius * r * u)
+    deltas, rng = _probe_deltas(dim, opts)
     offsets = [np.zeros(dim)]
     for _ in range(2):
         u = rng.standard_normal(dim)
@@ -1016,14 +1266,22 @@ def probe_one_at_a_time(problem, zbar, opts=AnalyzerOptions()):
     zbar_vec = pt.stacked()
     solutions = []
     violations = failures = 0
+    causes = {"max_iter": 0, "stagnation": 0, "linalg_error": 0}
     for delta in deltas:
         sols = []
         for off in offsets:
             try:
                 z = solve_linearized_ge(problem, pt, delta, start=zbar_vec + off, opts=newton)
                 sols.append(z.stacked())
-            except (NewtonError, np.linalg.LinAlgError):
-                failures += 1
+            except NewtonNonConvergence:
+                causes["max_iter"] += 1
+            except NewtonStagnation:
+                causes["stagnation"] += 1
+            except np.linalg.LinAlgError:
+                causes["linalg_error"] += 1
+            else:
+                continue
+            failures += 1
         if len(sols) >= 2:
             spread = max(float(np.linalg.norm(a - b))
                          for i, a in enumerate(sols) for b in sols[i + 1:])
@@ -1037,36 +1295,66 @@ def probe_one_at_a_time(problem, zbar, opts=AnalyzerOptions()):
             gap = float(np.linalg.norm(d1 - d2))
             if gap > 1e-12:
                 modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
+    assert failures == sum(causes.values())
     return ProbeStats(modulus=modulus, violations=violations, failures=failures,
                       solved=len(solutions), num_delta=num_delta, radius=radius,
-                      uniqueness_tol=1e-6)
+                      uniqueness_tol=1e-6, method="newton", pieces=0, failure_causes=causes)
+
+
+def _assert_same_solutions(exact, newton):
+    """The exact probe of a polyhedral point and its Newton probe, which
+    converged on every solve: the same tally and, up to the Newton
+    tolerance, the same modulus."""
+    assert (exact.method, newton.method, newton.failures) == ("exact", "newton", 0)
+    assert (exact.violations, exact.failures, exact.solved) == (
+        newton.violations, newton.failures, newton.solved)
+    assert exact.modulus == pytest.approx(newton.modulus, rel=1e-8)
 
 
 @pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
                                   "smooth_toy"])
-def test_stacked_probe_equals_one_solve_at_a_time(name):
-    # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail
+def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
+    # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail.  The
+    # polyhedral toys take the Newton path with the kink cap below 0, and
+    # their exact probe finds the Newton probe's solutions
+    import kktstab.stability as st
+
     problem, meta = load_battery(name)
+    short = AnalyzerOptions(num_delta=6, seed=4, radius=0.3,
+                            newton=NewtonOptions(max_iter=3))
+    exact = [strong_regularity_probe(problem, meta.known_solution, opts)
+             for opts in (AnalyzerOptions(), short)]
+    if AnalysisPoint(problem, meta.known_solution).polyhedral:
+        monkeypatch.setattr(st, "EXACT_PROBE_MAX_KINKS", -1)
     stats = strong_regularity_probe(problem, meta.known_solution)
     assert stats == probe_one_at_a_time(problem, meta.known_solution)
     if name == "sdp_degenerate":
         assert stats.failures >= 20
-    short = AnalyzerOptions(num_delta=6, seed=4, radius=0.3,
-                            newton=NewtonOptions(max_iter=3))
-    assert (strong_regularity_probe(problem, meta.known_solution, short)
-            == probe_one_at_a_time(problem, meta.known_solution, short))
+        assert stats.failure_causes["max_iter"] > 0
+    newton = strong_regularity_probe(problem, meta.known_solution, short)
+    assert newton == probe_one_at_a_time(problem, meta.known_solution, short)
+    if AnalysisPoint(problem, meta.known_solution).polyhedral:
+        _assert_same_solutions(exact[0], stats)
+        _assert_same_solutions(exact[1], newton)
+    else:
+        assert exact == [stats, newton]
 
 
-def test_probe_tests_kkt_at_its_tol():
+def test_probe_tests_kkt_at_its_tol(monkeypatch):
     # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
+    import kktstab.stability as st
+
     problem, _ = load_battery("nlp_toy")
     point = np.array([1.0000003, 1.0, 1.0])
     with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
         strong_regularity_probe(problem, point, AnalyzerOptions(num_delta=5))
     opts = AnalyzerOptions(num_delta=5, tol=1e-6)
     stats = strong_regularity_probe(problem, point, opts)
-    assert stats == probe_one_at_a_time(problem, point, opts)
     assert stats.failures == stats.violations == 0 and stats.solved == 6
+    monkeypatch.setattr(st, "EXACT_PROBE_MAX_KINKS", -1)
+    newton = strong_regularity_probe(problem, point, opts)
+    assert newton == probe_one_at_a_time(problem, point, opts)
+    _assert_same_solutions(stats, newton)
 
 
 @pytest.mark.parametrize("kwargs, message", [
