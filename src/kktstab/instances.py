@@ -152,7 +152,6 @@ def _affine_pencil_smooth_map(n: int, params: dict) -> SmoothMap:
 
 
 BUILTIN_MAPS = {
-    "polynomial": lambda n, params: _poly_smooth_map(n, params["outputs"]),
     "affine_pencil": _affine_pencil_smooth_map,
 }
 

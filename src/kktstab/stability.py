@@ -8,11 +8,14 @@ evidence, never as a certificate: the wording is "all-sampled-nonsingular"
 and "heuristic-likely".  At a polyhedral point the element sweep is exact:
 two inertia computations decide every element of the product set that
 would be sampled, and the verdict reads "all-elements-nonsingular" or
-names a singular witness element.  There the probe, with at most
-EXACT_PROBE_MAX_KINKS kinks, solves each of its sampled perturbations
-exactly on the 2^K pieces of the local piecewise-affine model, from one
-eigendecomposition of a base piece; elsewhere, and where that cannot
-decide, it runs its stacked Newton solves.
+names a singular witness element.  There the probe first decides whether
+the 2^K pieces of the local piecewise-affine model are coherently
+oriented, from one eigendecomposition of the canonical piece and the
+eigenvalues of one symmetric K x K matrix; where they are not, the point
+is not strongly regular, and leg c reads that certificate at any K.  At
+an oriented point with at most EXACT_PROBE_MAX_KINKS kinks it solves each
+sampled perturbation exactly on the pieces; elsewhere, and where the
+local model breaks down, it runs its stacked Newton solves.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -135,7 +138,10 @@ class ProbeStats:
     """The probe's tally over its num_delta + 1 perturbations.  ``method``
     says how each was solved: "exact" on all ``pieces`` local pieces of a
     polyhedral point, or "newton" from three starts, when
-    ``failure_causes`` counts the failed solves by cause."""
+    ``failure_causes`` counts the failed solves by cause.  An "exact"
+    probe whose pieces are not coherently oriented reads the certificate
+    that the point is not strongly regular: 1 violation and 1 solved (the
+    point itself at delta = 0), with modulus 0."""
 
     modulus: float
     violations: int
@@ -167,7 +173,6 @@ class StabilityReport:
 SWEEP_TOL = 1e-8  # an element with a smaller least singular value is singular
 UNIQUENESS_TOL = 1e-6  # the probe's bound on the spread of one delta's solutions
 EXACT_PROBE_MAX_KINKS = 12  # the most kinks at which the probe solves all 2^K local pieces
-_NO_SOLUTION_SCALE = 1e-3  # a delta with no local solution is tried again at this scale
 
 
 @dataclass(frozen=True)
@@ -843,10 +848,12 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
     A delta whose solutions lie more than UNIQUENESS_TOL apart is a
     violation, and the modulus is the largest difference quotient
     |z1 - z2| / |d1 - d2| over the first solution of each solved delta.  At
-    a polyhedral point with at most EXACT_PROBE_MAX_KINKS kinks,
-    ``_exact_probe`` solves each delta on every piece of the local model
-    ("exact"); the deltas are still sampled.  Elsewhere, and wherever the
-    exact path cannot decide, each delta is solved by Newton from three
+    a polyhedral point ``_exact_probe`` ("exact") first decides whether the
+    local pieces are coherently oriented; where they are not, it returns
+    the certificate at any number of kinks.  At an oriented point with at
+    most EXACT_PROBE_MAX_KINKS kinks it solves each delta on every piece of
+    the local model; the deltas are still sampled.  Elsewhere, and where
+    the local model breaks down, each delta is solved by Newton from three
     starts, all the solves as one stack ("newton"), and a failed solve is
     counted by its cause, not raised.
     """
@@ -913,9 +920,9 @@ def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.nda
 
 
 def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
-    """Leg c at a polyhedral point, each delta (the rows of ``deltas``, the
-    first 0) solved exactly on the 2^K pieces of the local model; None
-    where the Newton probe decides.
+    """Leg c at a polyhedral point: the orientation certificate, or each
+    delta (the rows of ``deltas``, the first 0) solved exactly on the 2^K
+    pieces of the local model; None where the Newton probe decides.
 
     Near the point each coordinate keeps to one affine branch of the prox:
     a FREE one keeps dmu_i = 0 and a PINNED one J_i dx = -delta2_i.  A kink
@@ -926,98 +933,79 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     whose kinks keep to their sides, within ``_kink_tol`` of the point,
     solve the linearized inclusion.
 
-    The base piece is the canonical one (every kink on its excess branch)
-    or, when that has one null vector, the one that switches the kink
-    moving most along it: the saddle S = [[H, J_B^T], [J_B, 0]] on its
-    rows B with e_i = 0, whose one eigendecomposition solves every delta
-    and the K kink columns.  With g the other branch's variables (-dmu_i
-    for a kink on its excess branch in the base, e_i for one on its
-    multiplier branch), each kink's base-branch variable is b = q + W g,
-    W = Psi S^-1 Psi^T symmetric (K, K) for the kinks' readout rows Psi,
-    and the piece that switches the kinks F solves W_FF g_F = -q_F with
-    b_F = 0: the pieces are the principal submatrices of W, decided by one
-    batched eigendecomposition per size (``_local_pieces``).
+    The canonical piece (every kink on its excess branch) is the saddle
+    S = [[H, J_P^T], [J_P, 0]], whose one eigendecomposition solves every
+    delta and the K kink columns.  With g_i = -dmu_i, each kink's excess is
+    e = q + W g, W = Psi S^-1 Psi^T symmetric (K, K) for the kinks' readout
+    rows Psi = [J_K, 0], and the piece that switches the kinks F solves
+    W_FF g_F = -q_F with e_F = 0.  By the Schur complement, the piece's
+    determinant is det(S) det(W_FF) up to one sign shared by every piece,
+    so the 2^K pieces are coherently oriented, which makes the point
+    strongly regular (Robinson 1992), iff S is nonsingular and every
+    principal minor of W is positive: W is a P-matrix, which for a
+    symmetric W means positive definite.
 
-    A delta reads a violation when no piece has a solution, nor at
-    _NO_SOLUTION_SCALE times it (where a solution is kept instead), when
-    two solutions lie more than UNIQUENESS_TOL apart, and, for delta = 0,
-    when a singular piece has a null vector keeping its kinks on their
-    sides, so that its solutions fill a ray.  A null vector of the
-    canonical piece along which no kink moves is one of every piece:
-    delta = 0 has a ray of solutions, and no delta off the canonical
-    piece's range has any.  Every solution is checked once, stacked, by
-    the linearized residual.  The Newton probe decides when K exceeds
-    EXACT_PROBE_MAX_KINKS, when no base piece is nonsingular, when a
-    singular piece has two or more null vectors or is consistent at some
-    delta != 0, and when a solution fails its residual check, which is
-    where the local model ends.
+    Where S has an eigenvalue within SWEEP_TOL of 0, or W's least
+    eigenvalue is at most SWEEP_TOL max(1, |lambda(W)|_max), the point is
+    not strongly regular, at any K: the stats are the certificate, one
+    violation at delta = 0 with the point itself as its one solution and no
+    Newton solve.  Otherwise each delta has exactly one local solution.  Up
+    to EXACT_PROBE_MAX_KINKS kinks one batched eigendecomposition per piece
+    size solves every piece (``_local_pieces``), and one stacked
+    linearized residual checks every solution.  The Newton probe decides
+    above the cap and where the local model breaks down: a solution fails
+    its residual check, or a delta has no solution or two more than
+    UNIQUENESS_TOL apart.
     """
     problem, H, J, opts = point.problem, point.hessian, point.J, point.opts
     n = problem.n
     codes = np.concatenate([st.critical for st in point.structures])
     pinned = np.flatnonzero(codes == PINNED)
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
+    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
+    lam, V = _saddle_eigh(H, J[pinned])
+    oriented = bool((np.abs(lam) > SWEEP_TOL).all())
+    if oriented:
+        Psi = np.zeros((kinks.size, n + pinned.size))
+        Psi[:, :n] = J[kinks]
+        R = (V / lam) @ (V.T @ Psi.T)
+        W = Psi @ R
+        W = 0.5 * (W + W.T)
+        ev = np.linalg.eigvalsh(W)
+        oriented = ev.min(initial=np.inf) > SWEEP_TOL * max(1.0, np.abs(ev).max(initial=0.0))
+    if not oriented:
+        return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, "exact",
+                            2 ** kinks.size, causes)
     if kinks.size > EXACT_PROBE_MAX_KINKS:
         return None
     side_tol = float(_kink_tol(np.concatenate([xb + ub for _, xb, ub in point.pairs]))[0])
     d1, d2 = deltas[:, :n], deltas[:, n:]
-    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
-    base = np.zeros(kinks.size, dtype=bool)  # the base's kinks on their multiplier branch
-    lam, V = _saddle_eigh(H, J[pinned])
-    null = np.abs(lam) <= SWEEP_TOL
-    if null.sum() > 1:
-        return None
-    if null.any():
-        moved = np.abs(J[kinks] @ V[:n, null][:, 0])
-        if moved.max(initial=0.0) <= side_tol:
-            # every piece's saddle is symmetric and has this null vector
-            rhs = np.concatenate([d1, -d2[:, pinned]], axis=1)[1:]
-            if (np.abs(rhs @ V[:, null][:, 0]) <= SWEEP_TOL * np.linalg.norm(rhs, axis=1)).any():
-                return None
-            return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], len(deltas), "exact",
-                                2 ** kinks.size, causes)
-        base[np.argmax(moved)] = True
-        lam, V = _saddle_eigh(H, J[np.concatenate([pinned, kinks[base]])])
-        if (np.abs(lam) <= SWEEP_TOL).any():
-            return None
-    rows = np.concatenate([pinned, kinks[base]])
-    Psi = np.zeros((kinks.size, n + rows.size))
-    Psi[~base, :n] = J[kinks[~base]]
-    Psi[base, n + pinned.size:] = np.eye(base.sum())
-    Y0 = (V / lam) @ (V.T @ np.concatenate([d1, -d2[:, rows]], axis=1).T)
-    R = (V / lam) @ (V.T @ Psi.T)
-    q = Psi @ Y0 + np.where(base[:, None], 0.0, d2[:, kinks].T)
-    W = Psi @ R
+    Y0 = (V / lam) @ (V.T @ np.concatenate([d1, -d2[:, pinned]], axis=1).T)
+    q = Psi @ Y0 + d2[:, kinks].T
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
-    local = _local_pieces(0.5 * (W + W.T), q, sign, base, side_tol)
-    if local is None:
-        return None
-    g, m, miss, ray = local
+    g, miss = _local_pieces(W, q, sign)
     ok = miss <= side_tol
-    ok[1:, 0] = False  # at delta = 0 every nonsingular piece has the point itself
-    retry = ~ok.any(axis=0)
-    ok[:, retry] = miss[:, retry] <= side_tol / _NO_SOLUTION_SCALE
-    scale = np.where(retry, _NO_SOLUTION_SCALE, 1.0)
+    ok[1:, 0] = False  # at delta = 0 every piece has the point itself
+    if not ok.any(axis=0).all():
+        return None
     piece, j = np.nonzero(ok)
     y = Y0[:, j].T + g[piece, :, j] @ R.T
     dz = np.zeros((j.size, deltas.shape[1]))
-    dz[:, :n], dz[:, n + pinned] = y[:, :n], y[:, n:n + pinned.size]
-    dz[:, n + kinks] = m[piece, :, j]
-    ds = deltas[j] * scale[j, None]
-    Z = point.kkt.stacked() + scale[j, None] * dz
+    dz[:, :n], dz[:, n + pinned] = y[:, :n], y[:, n:]
+    dz[:, n + kinks] = -g[piece, :, j]
+    ds = deltas[j]
+    Z = point.kkt.stacked() + dz
     shifted = Z.copy()
     shifted[:, n:] += ds[:, n:]  # the inclusion's shifted multiplier mu + delta2
     want = np.concatenate([ds[:, :n] + ds[:, n:] @ J, ds[:, n:]], axis=1)
     if np.abs(linearized_residual(problem, point.kkt, shifted) - want).max(initial=0.0) > (
             2.0 * (opts.tol + side_tol)):
         return None
-    solutions, violations = [], 0
-    for i, delta in enumerate(deltas):
-        sols = Z[j == i]
-        violations += (i == 0 and ray) or not sols.size or _spread(sols) > UNIQUENESS_TOL
-        if sols.size:
-            solutions.append((scale[i] * delta, sols[0]))
-    return _probe_stats(opts, solutions, violations, "exact", 2 ** kinks.size, causes)
+    sols = [Z[j == i] for i in range(len(deltas))]
+    if max(_spread(s) for s in sols) > UNIQUENESS_TOL:
+        return None
+    return _probe_stats(opts, [(d, s[0]) for d, s in zip(deltas, sols)], 0, "exact",
+                        2 ** kinks.size, causes)
 
 
 def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1026,54 +1014,24 @@ def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(np.block([[H, A.T], [A, np.zeros((p, p))]]))
 
 
-def _local_pieces(W: np.ndarray, q: np.ndarray, sign: np.ndarray, base: np.ndarray,
-                  side_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool] | None:
-    """(g, m, miss, ray) over the 2^K pieces of ``_exact_probe``, piece p
-    switching the kinks of the bits of p: the switched variables g and the
-    kink multipliers m, (2^K, K, deltas), the largest amount by which a
-    solution puts a kink on the wrong side (inf for a singular piece),
-    (2^K, deltas), and whether a singular piece's null vector keeps its
-    kinks on their sides.  A singular piece has an eigenvalue within
-    SWEEP_TOL max(1, |lambda|_max) of 0; None when one has two or more
-    null vectors, or is consistent at a delta != 0, its null vector v
-    giving |v . q_F| <= SWEEP_TOL |q_F|.
-    """
+def _local_pieces(W: np.ndarray, q: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, miss) over the 2^K pieces of ``_exact_probe`` at a positive
+    definite W, piece p switching the kinks of the bits of p: the switched
+    variables g = -dmu of the kinks, (2^K, K, deltas), and the largest
+    amount by which a solution puts a kink on the wrong side, (2^K,
+    deltas).  Every principal submatrix of W is positive definite too."""
     K = q.shape[0]
     switched = (np.arange(2 ** K)[:, None] >> np.arange(K)) & 1 == 1
     g = np.zeros((2 ** K,) + q.shape)
-    null = np.zeros((2 ** K, K, 1))  # the unit null vector of a singular piece
     for k in range(1, K + 1):
         sel = np.flatnonzero(switched.sum(axis=1) == k)
         ix = np.nonzero(switched[sel])[1].reshape(sel.size, k)
         lam, V = np.linalg.eigh(W[ix[:, :, None], ix[:, None, :]])
-        small = np.abs(lam) <= SWEEP_TOL * np.fmax(1.0, np.abs(lam).max(axis=1, keepdims=True))
-        if (small.sum(axis=1) > 1).any():
-            return None
-        inv = np.where(small, 0.0, 1.0 / np.where(small, 1.0, lam))
-        g[sel[:, None], ix] = -V @ (inv[..., None] * (V.swapaxes(1, 2) @ q[ix]))
-        singular = np.flatnonzero(small.any(axis=1))
-        v = V[singular, :, np.argmax(small[singular], axis=1)]
-        qs = q[ix[singular], 1:]
-        if (np.abs(np.einsum("sk,skd->sd", v, qs))
-                <= SWEEP_TOL * np.linalg.norm(qs, axis=1)).any():
-            return None
-        null[sel[singular, None], ix[singular], 0] = v
-
-    def branches(g: np.ndarray, q, switched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(m, miss) of the switched variables g (pieces, K, d) of the pieces
-        that switch the kinks ``switched``, at the right side q."""
-        b = q + W @ g
-        b[switched] = 0.0
-        e, m = np.where(base[:, None], g, b), np.where(base[:, None], b, -g)
-        s = sign[:, None]
-        return m, np.concatenate([-s * e, s * m], axis=1).max(axis=1, initial=-np.inf)
-
-    m, miss = branches(g, q, switched)
-    singular = null.any(axis=(1, 2))
-    miss[singular] = np.inf
-    ray = np.minimum(*(branches(d, 0.0, switched[singular])[1]
-                       for d in (null[singular], -null[singular])))
-    return g, m, miss, bool((ray <= side_tol).any())
+        g[sel[:, None], ix] = -V @ ((1.0 / lam)[..., None] * (V.swapaxes(1, 2) @ q[ix]))
+    e = q + W @ g
+    e[switched] = 0.0
+    s = sign[:, None]
+    return g, np.concatenate([-s * e, -s * g], axis=1).max(axis=1, initial=-np.inf)
 
 
 # ----------------------------------------------------------------------
@@ -1097,10 +1055,11 @@ def equivalence_report(problem: CompositeProblem, zbar,
     probe.
 
     The verdict is 'consistent' exactly when all legs agree.  Leg b is
-    exact at a polyhedral point and sampled elsewhere.  Leg c always tests
-    sampled perturbations; where the probe's method is "exact" it decides
-    each of them exactly, elsewhere by Newton solves.  The note says which
-    legs are sampled evidence rather than certificates.
+    exact at a polyhedral point and sampled elsewhere.  Where the probe's
+    method is "exact", leg c is false from the certificate that the local
+    pieces are not coherently oriented, or else decides each sampled
+    perturbation exactly; elsewhere it tests them by Newton solves.  The
+    note says which legs are sampled evidence rather than certificates.
     """
     point = analysis_point(problem, zbar, opts)
     opts = point.opts

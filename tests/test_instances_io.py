@@ -374,6 +374,17 @@ def test_malformed_builtin_params_are_format_errors(key, value, message):
         instance_from_dict(data)
 
 
+def test_polynomial_is_not_a_builtin_map_id(tmp_path, capsys):
+    # the polynomial map is the top-level key F.polynomial only
+    data = _nlp_dict()
+    data["F"] = {"builtin": {"id": "polynomial", "params": {"outputs": 3}}}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert run_command(["analyze", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: unknown builtin map id 'polynomial'\n"
+
+
 def test_integral_float_n_still_loads():
     data = _nlp_dict()
     data["n"] = 1.0

@@ -426,74 +426,64 @@ def _probe_deltas(dim, opts):
 
 
 def _piece_oracle(point, deltas):
-    """Per delta, (solutions, delta used, violated) of the perturbed
-    linearized inclusion at a polyhedral point from every piece's dense
-    affine system: the element [[H, J^T], [(I-U) J, -U]] of the piece's 0/1
-    kink weights u with right side (delta1, -(1-u) delta2), solved by
-    lstsq.  A solution counts when its kinks keep to their sides within
-    the kink tolerance t (or within 1e3 t, when no piece has one, at delta
-    / 1e3).  A singular piece (least singular value at most
-    1e-8 max(1, largest)) whose null vector keeps its kinks on their sides
-    gives delta = 0 a ray of solutions.  Returns the reason instead where
-    the exact probe defers to Newton: a singular piece with two null
-    vectors or consistent at a delta != 0, or a solution that fails the
-    linearized residual, as one does that leaves the local model."""
+    """(orientation, K, per delta) of the perturbed linearized inclusion at
+    a polyhedral point, from every piece's dense affine system: the element
+    [[H, J^T], [(I-U) J, -U]] of the piece's 0/1 kink weights u with right
+    side (delta1, -(1-u) delta2).
+
+    The orientation reads "singular canonical" or "singular switched
+    piece" when an element has a least singular value of at most
+    1e-8 max(1, largest), "reversed orientation" when the elements'
+    determinants take both signs, and else "regular".  Only a regular point
+    gets each delta's (solutions, delta): every piece's solution whose
+    kinks keep to their sides within the kink tolerance.  Per delta
+    stands the reason instead where the local model breaks down and the
+    exact probe defers to Newton: a solution that fails the linearized
+    residual, as one does that leaves the local model, a delta with no
+    solution, or one with two more than 1e-6 apart."""
     problem, pt, H, J = point.problem, point.kkt, point.hessian, point.J
-    n, m = problem.n, problem.m
+    n = problem.n
     codes = np.concatenate([st.critical for st in point.structures])
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
     t = 1e-8 * max(1.0, max(np.abs(xb + ub).max() for _, xb, ub in point.pairs))
-    found = [([], []) for _ in deltas]  # per delta: solutions within t, within 1e3 t
-    ray = multiple = False
-    shared = None  # the canonical piece's null vector while every piece has it, else False
-    for bits in itertools.product((1.0, 0.0), repeat=kinks.size):
+    pieces = []
+    for bits in itertools.product((1.0, 0.0), repeat=kinks.size):  # the canonical piece first
         u = np.where(codes == PINNED, 0.0, 1.0)
         u[kinks] = bits
-
-        def miss(dz, d2):
-            e, dmu = J[kinks] @ dz[:n] + d2[kinks], dz[n + kinks]
-            return np.max(np.where(np.array(bits) == 1.0, -sign * e, sign * dmu), initial=-np.inf)
-
-        E = np.block([[H, J.T], [(1.0 - u)[:, None] * J, -np.diag(u)]])
-        _, s, Vt = np.linalg.svd(E)
-        null = Vt[s <= 1e-8 * max(1.0, s[0])]
-        if shared is None:  # the canonical piece comes first
-            shared = null[0] if len(null) == 1 else False
-        elif shared is not False and np.abs(E @ shared).max() > 1e-8:
-            shared = False
-        multiple |= len(null) > 1
-        if len(null) == 1 and min(miss(null[0], np.zeros(m)),
-                                  miss(-null[0], np.zeros(m))) <= t:
-            ray = True
+        pieces.append((np.array(bits), u, np.block([[H, J.T], [(1.0 - u)[:, None] * J,
+                                                            -np.diag(u)]])))
+    s = [np.linalg.svd(E, compute_uv=False) for _, _, E in pieces]
+    singular = [v[-1] <= 1e-8 * max(1.0, v[0]) for v in s]
+    if singular[0]:
+        return "singular canonical", kinks.size, None
+    if any(singular):
+        return "singular switched piece", kinks.size, None
+    if len({np.linalg.slogdet(E)[0] for _, _, E in pieces}) > 1:
+        return "reversed orientation", kinks.size, None
+    found = [[] for _ in deltas]
+    for bits, u, E in pieces:
         rhs = np.concatenate([deltas[:, :n], -(1.0 - u) * deltas[:, n:]], axis=1)
-        sols = np.linalg.lstsq(E, rhs.T, rcond=None)[0].T
-        for i, (delta, r, dz) in enumerate(zip(deltas, rhs, sols)):
-            if np.linalg.norm(E @ dz - r) > 1e-10 * (1.0 + np.linalg.norm(r)):
-                continue
-            if len(null) and i:
-                return "consistent singular piece"
-            gap = miss(dz, delta[n:])
-            if gap <= 1e3 * t:
-                found[i][int(gap > t)].append(dz)
-    if multiple and shared is False:
-        # a null vector that every piece shares decides every delta alone
-        return "two null vectors"
+        for i, (delta, dz) in enumerate(zip(deltas, np.linalg.solve(E, rhs.T).T)):
+            e, dmu = J[kinks] @ dz[:n] + delta[n:][kinks], dz[n + kinks]
+            if np.max(np.where(bits == 1.0, -sign * e, sign * dmu), initial=-np.inf) <= t:
+                found[i].append(pt.stacked() + dz)
     out = []
     for i, delta in enumerate(deltas):
-        scale = 1.0 if found[i][0] or not found[i][1] else 1e-3
-        sols = [pt.stacked() + scale * dz for dz in found[i][scale != 1.0]][:1 if i == 0 else None]
+        sols = found[i][:1 if i == 0 else None]  # at delta = 0 every piece has the point
         for z in sols:
-            d = scale * delta
-            shifted = np.concatenate([z[:n], z[n:] + d[n:]])
-            r = linearized_residual(problem, pt, shifted) - np.concatenate([d[:n] + J.T @ d[n:],
-                                                                           d[n:]])
+            shifted = np.concatenate([z[:n], z[n:] + delta[n:]])
+            r = linearized_residual(problem, pt, shifted) - np.concatenate(
+                [delta[:n] + J.T @ delta[n:], delta[n:]])
             if np.abs(r).max() > 2.0 * (point.opts.tol + t):
-                return "leaves the local model"
-        spread = max((np.linalg.norm(a - b) for k, a in enumerate(sols) for b in sols[k + 1:]),
-                     default=0.0)
-        out.append((sols, scale * delta, (i == 0 and ray) or not sols or spread > 1e-6))
-    return out
+                return "regular", kinks.size, "leaves the local model"
+        if not sols:
+            return "regular", kinks.size, "no solution"
+        if max((np.linalg.norm(a - b) for k, a in enumerate(sols) for b in sols[k + 1:]),
+               default=0.0) > 1e-6:
+            return "regular", kinks.size, "two solutions"
+        out.append((sols, delta))
+    return "regular", kinks.size, out
 
 
 def _rebuilt(point, J=None, H=None):
@@ -530,11 +520,33 @@ def _singular_canonical(point, rng):
     return _rebuilt(point, H=point.hessian - lam[0] * np.outer(d, d))
 
 
+def _no_newton(monkeypatch):
+    """Replace the Newton probe's solver by one that raises, in
+    ``kktstab.problem`` and in ``kktstab.stability``."""
+    import kktstab.problem as pr
+    import kktstab.stability as st
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton probe at a polyhedral point")
+
+    monkeypatch.setattr(pr, "solve_linearized_rows", no_newton)
+    monkeypatch.setattr(st, "solve_linearized_rows", no_newton)
+
+
+def _assert_certificate(stats, pieces, label):
+    """The probe's certificate that a point is not strongly regular: one
+    violation, at delta = 0, whose one solution is the point itself."""
+    assert (stats.method, stats.pieces, stats.violations, stats.failures, stats.solved,
+            stats.modulus) == ("exact", pieces, 1, 0, 1, 0.0), label
+
+
 def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
     # the polyhedral planted plants and 150 random polyhedral points with at
-    # most 6 kinks, some with a singular canonical element: the exact probe
-    # reads the oracle's violations and solutions for each delta, and it
-    # defers to Newton only where the oracle names a reason
+    # most 6 kinks, some with a singular canonical element: where the
+    # oracle's pieces are not coherently oriented the probe reads the
+    # certificate with no Newton solve; elsewhere it reads each delta's
+    # solution, and defers to Newton only where the oracle sees the local
+    # model break down
     import kktstab.stability as st
 
     tallies = []
@@ -560,29 +572,30 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
         opts = AnalyzerOptions(num_delta=8, seed=k, radius=0.5 if k % 10 == 9 else 0.05,
                                newton=NewtonOptions(max_iter=10))
         point = AnalysisPoint(point.problem, point.kkt, opts)
-        want = _piece_oracle(point, _probe_deltas(point.problem.n + point.problem.m, opts)[0])
+        deltas = _probe_deltas(point.problem.n + point.problem.m, opts)[0]
+        orientation, n_kinks, want = _piece_oracle(point, deltas)
+        seen.add(orientation)
+        if orientation != "regular":
+            with monkeypatch.context() as mp:
+                _no_newton(mp)
+                stats = strong_regularity_probe(point.problem, point)
+            _assert_certificate(stats, 2 ** n_kinks, k)
+            (delta, z), = tallies[-1][0]
+            assert not delta.any() and np.array_equal(z, point.kkt.stacked()), k
+            continue
         stats = strong_regularity_probe(point.problem, point)
         if isinstance(want, str):
             assert stats.method == "newton", (k, want)
             seen.add(want)
             continue
         solutions, violations = tallies[-1]
-        assert stats.method == "exact" and stats.failures == 0, k
-        assert violations == sum(v for _, _, v in want), k
-        assert stats.solved == len(solutions) == sum(bool(s) for s, _, _ in want), k
-        solved = [(d, s) for s, d, _ in want if s]
-        for (delta, z), (d, sols) in zip(solutions, solved):
+        assert (stats.method, stats.failures, violations) == ("exact", 0, 0), k
+        assert stats.solved == len(solutions) == len(want) == len(deltas), k
+        for (delta, z), (sols, d) in zip(solutions, want):
             assert np.array_equal(delta, d), k
             assert min(np.abs(z - s).max() for s in sols) <= 1e-8 * (1.0 + np.abs(z).max()), k
-        canonical = np.linalg.svd(_named_element(point, [
-            p.provenance("canonical") for p in point.problem.pieces]).matrix,
-            compute_uv=False)[-1]
-        seen.add("singular canonical" if canonical <= 1e-8 else "regular canonical")
-        for i, (sols, _, violated) in enumerate(want):
-            if violated:
-                seen.add("ray" if i == 0 else "no solution" if not sols else "two solutions")
-    assert seen >= {"ray", "no solution", "two solutions", "singular canonical",
-                    "regular canonical"}, seen
+    assert seen >= {"singular canonical", "singular switched piece", "reversed orientation",
+                    "regular", "leaves the local model"}, seen
 
 
 def _orthant_kinks(rows, h):
@@ -595,52 +608,64 @@ def _orthant_kinks(rows, h):
     return AnalysisPoint(problem, KKTPoint(np.zeros(J.shape[1]), np.zeros(J.shape[0])))
 
 
-def test_exact_probe_retries_a_delta_at_a_thousandth_and_defers_consistent_singular_pieces(
-        monkeypatch):
-    # a fold, H = -1 with one kink: delta1 - delta2 < 0 has no solution and
-    # > 0 two.  A delta that misses both pieces' sides by 1e-7, between the
-    # kink tolerance 1e-8 and 1e3 times it, is solved at delta / 1e3 instead
+def test_a_fold_and_two_equal_kink_rows_read_the_certificate_without_newton(monkeypatch):
+    # a fold, H = -1 with one kink: W = -1, so the two pieces have opposite
+    # orientations (delta1 - delta2 < 0 has no solution and > 0 two).  Two
+    # equal orthant rows with H = 1: W = [[1, 1], [1, 1]] is singular, and so
+    # is the piece with both kinks switched, which is consistent exactly
+    # where delta2 has equal entries.  Neither needs a Newton solve
     import kktstab.stability as st
 
-    tallies = []
-    real = st._probe_stats
-    monkeypatch.setattr(st, "_probe_stats", lambda opts, sols, *rest: tallies.append(sols)
-                        or real(opts, sols, *rest))
+    _no_newton(monkeypatch)
     fold = _orthant_kinks([[1.0]], -1.0)
     deltas = np.array([[0.0, 0.0], [-1e-7, 0.0], [-1e-2, 0.0], [1e-2, 0.0]])
-    stats = st._exact_probe(fold, deltas)
-    assert (stats.method, stats.pieces, stats.violations, stats.solved) == ("exact", 2, 2, 3)
-    assert [list(d) for d, _ in tallies[-1]] == [[0.0, 0.0], [-1e-10, 0.0], [1e-2, 0.0]]
-    # two equal rows: the piece with both kinks switched is singular, and it
-    # is consistent exactly where delta2 has equal entries, which Newton decides
+    _assert_certificate(st._exact_probe(fold, deltas), 2, "fold")
     twin = _orthant_kinks([[1.0], [1.0]], 1.0)
-    assert st._exact_probe(twin, np.array([[0.0, 0.0, 0.0], [0.0, 1e-2, -1e-2]])) is not None
-    assert st._exact_probe(twin, np.array([[0.0, 0.0, 0.0], [0.0, 1e-2, 1e-2]])) is None
-    opts = AnalyzerOptions(num_delta=4)
-    assert strong_regularity_probe(twin.problem, twin.kkt, opts).method == "exact"
+    for d2 in ([1e-2, -1e-2], [1e-2, 1e-2]):
+        _assert_certificate(st._exact_probe(twin, np.array([[0.0, 0.0, 0.0], [0.0] + d2])), 4,
+                            d2)
+    _assert_certificate(strong_regularity_probe(twin.problem, twin.kkt,
+                                                AnalyzerOptions(num_delta=4)), 4, "twin")
+
+
+def test_the_certificate_comes_before_the_kink_cap(monkeypatch):
+    # a nondegeneracy failure with 100 blocks and 45 kinks, far above the
+    # cap, reads the certificate with no Newton solve; a strongly regular
+    # point above a smaller cap still goes to Newton
+    import kktstab.stability as st
+
+    planted = _benchmark_workloads().planted
+    data, plant = planted.polyhedral(np.random.default_rng(101), 250, 100, False, True)
+    assert not plant.nondegenerate
+    problem, meta = instance_from_dict(data)
+    point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
+    codes = np.concatenate([s.critical for s in point.structures])
+    assert np.sum((codes == UP) | (codes == DOWN)) == 45 > st.EXACT_PROBE_MAX_KINKS
+    with monkeypatch.context() as mp:
+        _no_newton(mp)
+        _assert_certificate(strong_regularity_probe(problem, point), 2 ** 45, "45 kinks")
+    name, problem, meta = _planted_plants()[0]
+    point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
+    codes = np.concatenate([s.critical for s in point.structures])
+    n_kinks = int(np.sum((codes == UP) | (codes == DOWN)))
+    assert point.polyhedral and n_kinks > 0, name
+    stats = strong_regularity_probe(problem, point)
+    assert (stats.method, stats.violations, stats.failures) == ("exact", 0, 0), name
+    monkeypatch.setattr(st, "EXACT_PROBE_MAX_KINKS", n_kinks - 1)
+    assert strong_regularity_probe(problem, point).method == "newton", name
 
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_leg_c_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, seed):
     # the analyze-nlp benchmark plants with its analyzer options, and no
     # Newton solve allowed: every plant is decided exactly with no failed
-    # solve, leg c holds at every strongly regular plant and saddle, and a
-    # verified violation shows at every other plant except three
-    # nondegeneracy failures, whose singular pieces keep their null vectors
-    # off their own sides, so that each sampled delta has one solution
-    import kktstab.problem as pr
-    import kktstab.stability as st
-
-    def no_newton(*args, **kwargs):
-        raise AssertionError("Newton probe at a polyhedral point")
-
-    monkeypatch.setattr(pr, "solve_linearized_rows", no_newton)
-    monkeypatch.setattr(st, "solve_linearized_rows", no_newton)
+    # solve, leg c holds at every strongly regular plant and saddle, and
+    # every other plant reads the certificate
+    _no_newton(monkeypatch)
     workloads = _benchmark_workloads()
     w = workloads.WORKLOADS["analyze-nlp"]
     instances = workloads.generate(w, seed)
     opts = workloads.analyzer_options(w, seed)
-    unseen = {7: {33}, 8: {17, 25}}[seed]
     so_fail = {7: set(), 8: {7, 23, 27}}[seed]
     legs = []
     for k, ((problem, meta), inst) in enumerate(zip(workloads.load(instances), instances)):
@@ -651,10 +676,8 @@ def test_leg_c_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, s
             # strongly regular, or a saddle that is (leg b holds)
             assert probe.violations == 0 and np.isfinite(probe.modulus), k
             legs.append("c")
-        elif k in unseen:
-            assert not plant.nondegenerate and probe.violations == 0, k
         else:
-            assert probe.violations > 0, k
+            assert (probe.violations, probe.solved) == (1, 1), k
             legs.append("violation")
         if not plant.second_order:
             # the other second-order failures are strongly regular saddles:
@@ -662,8 +685,8 @@ def test_leg_c_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, s
             sweep = nonsingularity_sweep(problem, meta.known_solution, opts)
             assert (k in so_fail) == (probe.violations > 0), k
             assert (k in so_fail) == (sweep.verdict == "singular-element-found"), k
-    assert len(legs) == 48 - len(unseen)
-    assert legs.count("violation") == 12 - len(unseen) + len(so_fail)
+    assert len(legs) == 48
+    assert legs.count("violation") == 12 + len(so_fail)
 
 
 def test_probe_battery():
