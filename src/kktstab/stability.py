@@ -13,9 +13,10 @@ the 2^K pieces of the local piecewise-affine model are coherently
 oriented, from one eigendecomposition of the canonical piece and the
 eigenvalues of one symmetric K x K matrix; where they are not, the point
 is not strongly regular, and leg c reads that certificate at any K.  At
-an oriented point with at most EXACT_PROBE_MAX_KINKS kinks it solves each
-sampled perturbation exactly on the pieces; elsewhere, and where the
-local model breaks down, it runs its stacked Newton solves.
+an oriented point it solves each sampled perturbation exactly, as one
+linear complementarity problem with a positive definite matrix; where the
+local model breaks down, and at a point with a PSD block, it runs its
+stacked Newton solves.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -136,9 +137,9 @@ class SweepStats:
 @dataclass
 class ProbeStats:
     """The probe's tally over its num_delta + 1 perturbations.  ``method``
-    says how each was solved: "exact" on all ``pieces`` local pieces of a
-    polyhedral point, or "newton" from three starts, when
-    ``failure_causes`` counts the failed solves by cause.  An "exact"
+    says how each was solved: "exact" on the local model of a polyhedral
+    point with ``pieces`` = 2^K local pieces, or "newton" from three
+    starts, when ``failure_causes`` counts the failed solves by cause.  An "exact"
     probe whose pieces are not coherently oriented reads the certificate
     that the point is not strongly regular: 1 violation and 1 solved (the
     point itself at delta = 0), with modulus 0."""
@@ -172,7 +173,6 @@ class StabilityReport:
 
 SWEEP_TOL = 1e-8  # an element with a smaller least singular value is singular
 UNIQUENESS_TOL = 1e-6  # the probe's bound on the spread of one delta's solutions
-EXACT_PROBE_MAX_KINKS = 12  # the most kinks at which the probe solves all 2^K local pieces
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,19 @@ class AnalysisPoint:
         return all(st.frame is None for st in self.structures)
 
     @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """The critical-cone class codes of every block's frame coordinates,
+        in block order."""
+        return np.concatenate([st.critical for st in self.structures])
+
+    @functools.cached_property
     def hessian(self) -> np.ndarray:
         """The weighted Hessian sum_i mu_i Hess F_i(x) at the point."""
         return self.problem.F.weighted_hessian(self.kkt.x, self.kkt.mu)
 
     @functools.cached_property
     def adjoint_nullspace(self) -> np.ndarray:
-        return nullspace(self.J.T)
+        return nullspace(self.J.T, self.opts.tol)
 
     def embed(self, bases: list[np.ndarray]) -> np.ndarray:
         """The blockwise bases as one block-diagonal matrix."""
@@ -358,7 +364,7 @@ class AnalysisPoint:
         if not N.shape[1]:
             return [], "holds"
         W, codes, groups = self._frame_rows(cone_name)
-        T = nullspace(W[codes == PINNED])
+        T = nullspace(W[codes == PINNED], opts.tol)
         if _gordan_certificate(W, codes, groups, T):
             return [], "holds"
         project = functools.partial(self.project, cone_name)
@@ -779,8 +785,7 @@ def _exact_sweep(point: AnalysisPoint) -> SweepStats:
     and provenance of the element examined that is nearest singular.
     ``n_elements`` counts the reduced matrices whose inertia was computed.
     """
-    problem, H, J = point.problem, point.hessian, point.J
-    codes = np.concatenate([st.critical for st in point.structures])
+    problem, H, J, codes = point.problem, point.hessian, point.J, point.codes
     pinned, free = codes == PINNED, codes == FREE
     kink = ~(pinned | free)
     Z0 = nullspace(J[pinned])
@@ -850,12 +855,12 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
     |z1 - z2| / |d1 - d2| over the first solution of each solved delta.  At
     a polyhedral point ``_exact_probe`` ("exact") first decides whether the
     local pieces are coherently oriented; where they are not, it returns
-    the certificate at any number of kinks.  At an oriented point with at
-    most EXACT_PROBE_MAX_KINKS kinks it solves each delta on every piece of
-    the local model; the deltas are still sampled.  Elsewhere, and where
-    the local model breaks down, each delta is solved by Newton from three
-    starts, all the solves as one stack ("newton"), and a failed solve is
-    counted by its cause, not raised.
+    the certificate at any number of kinks.  At an oriented point it solves
+    each delta's one local solution from one LCP; the deltas are still
+    sampled.  Where the local model breaks down, and at a point with a PSD
+    block, each delta is solved by Newton from three starts, all the solves
+    as one stack ("newton"), and a failed solve is counted by its cause,
+    not raised.
     """
     point = analysis_point(problem, zbar, opts)
     pt, opts = point.kkt, point.opts
@@ -921,8 +926,9 @@ def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.nda
 
 def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     """Leg c at a polyhedral point: the orientation certificate, or each
-    delta (the rows of ``deltas``, the first 0) solved exactly on the 2^K
-    pieces of the local model; None where the Newton probe decides.
+    delta (the rows of ``deltas``, the first 0) solved exactly on the local
+    model by one linear complementarity problem; None where the Newton probe
+    decides.
 
     Near the point each coordinate keeps to one affine branch of the prox:
     a FREE one keeps dmu_i = 0 and a PINNED one J_i dx = -delta2_i.  A kink
@@ -930,8 +936,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     e_i = J_i dx + delta2_i on the side s_i e_i >= 0, or has e_i = 0 with
     s_i dmu_i <= 0.  A piece picks one branch per kink; with
     H dx + J^T dmu = delta1 it is a square linear system, and its solutions
-    whose kinks keep to their sides, within ``_kink_tol`` of the point,
-    solve the linearized inclusion.
+    whose kinks keep to their sides solve the linearized inclusion.
 
     The canonical piece (every kink on its excess branch) is the saddle
     S = [[H, J_P^T], [J_P, 0]], whose one eigendecomposition solves every
@@ -949,17 +954,17 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     eigenvalue is at most SWEEP_TOL max(1, |lambda(W)|_max), the point is
     not strongly regular, at any K: the stats are the certificate, one
     violation at delta = 0 with the point itself as its one solution and no
-    Newton solve.  Otherwise each delta has exactly one local solution.  Up
-    to EXACT_PROBE_MAX_KINKS kinks one batched eigendecomposition per piece
-    size solves every piece (``_local_pieces``), and one stacked
-    linearized residual checks every solution.  The Newton probe decides
-    above the cap and where the local model breaks down: a solution fails
-    its residual check, or a delta has no solution or two more than
-    UNIQUENESS_TOL apart.
+    Newton solve.  Otherwise each delta has exactly one local solution: with
+    D = diag(s), y = D g solves the LCP y >= 0, D q + D W D y >= 0,
+    y^T (D q + D W D y) = 0, whose matrix is positive definite (Cottle,
+    Pang & Stone 1992, ch. 3), and ``_lcp`` finds it.  One stacked
+    linearized residual checks every solution against 2 (tol + the kink
+    tolerance ``_kink_tol``).  The Newton probe decides where the local
+    model breaks down: a solution fails that check, or an LCP does not end
+    within its bound.
     """
     problem, H, J, opts = point.problem, point.hessian, point.J, point.opts
-    n = problem.n
-    codes = np.concatenate([st.critical for st in point.structures])
+    n, codes = problem.n, point.codes
     pinned = np.flatnonzero(codes == PINNED)
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     causes = dict.fromkeys(_FAILURE_CAUSES, 0)
@@ -976,36 +981,28 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     if not oriented:
         return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, "exact",
                             2 ** kinks.size, causes)
-    if kinks.size > EXACT_PROBE_MAX_KINKS:
-        return None
     side_tol = float(_kink_tol(np.concatenate([xb + ub for _, xb, ub in point.pairs]))[0])
     d1, d2 = deltas[:, :n], deltas[:, n:]
     Y0 = (V / lam) @ (V.T @ np.concatenate([d1, -d2[:, pinned]], axis=1).T)
     q = Psi @ Y0 + d2[:, kinks].T
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
-    g, miss = _local_pieces(W, q, sign)
-    ok = miss <= side_tol
-    ok[1:, 0] = False  # at delta = 0 every piece has the point itself
-    if not ok.any(axis=0).all():
+    M = sign[:, None] * W * sign
+    ys = [_lcp(M, sign * qj) for qj in q.T]
+    if any(y is None for y in ys):
         return None
-    piece, j = np.nonzero(ok)
-    y = Y0[:, j].T + g[piece, :, j] @ R.T
-    dz = np.zeros((j.size, deltas.shape[1]))
+    g = sign * np.array(ys)
+    y = Y0.T + g @ R.T
+    dz = np.zeros_like(deltas)
     dz[:, :n], dz[:, n + pinned] = y[:, :n], y[:, n:]
-    dz[:, n + kinks] = -g[piece, :, j]
-    ds = deltas[j]
+    dz[:, n + kinks] = -g
     Z = point.kkt.stacked() + dz
     shifted = Z.copy()
-    shifted[:, n:] += ds[:, n:]  # the inclusion's shifted multiplier mu + delta2
-    want = np.concatenate([ds[:, :n] + ds[:, n:] @ J, ds[:, n:]], axis=1)
+    shifted[:, n:] += d2  # the inclusion's shifted multiplier mu + delta2
+    want = np.concatenate([d1 + d2 @ J, d2], axis=1)
     if np.abs(linearized_residual(problem, point.kkt, shifted) - want).max(initial=0.0) > (
             2.0 * (opts.tol + side_tol)):
         return None
-    sols = [Z[j == i] for i in range(len(deltas))]
-    if max(_spread(s) for s in sols) > UNIQUENESS_TOL:
-        return None
-    return _probe_stats(opts, [(d, s[0]) for d, s in zip(deltas, sols)], 0, "exact",
-                        2 ** kinks.size, causes)
+    return _probe_stats(opts, list(zip(deltas, Z)), 0, "exact", 2 ** kinks.size, causes)
 
 
 def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1014,24 +1011,21 @@ def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(np.block([[H, A.T], [A, np.zeros((p, p))]]))
 
 
-def _local_pieces(W: np.ndarray, q: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g, miss) over the 2^K pieces of ``_exact_probe`` at a positive
-    definite W, piece p switching the kinks of the bits of p: the switched
-    variables g = -dmu of the kinks, (2^K, K, deltas), and the largest
-    amount by which a solution puts a kink on the wrong side, (2^K,
-    deltas).  Every principal submatrix of W is positive definite too."""
-    K = q.shape[0]
-    switched = (np.arange(2 ** K)[:, None] >> np.arange(K)) & 1 == 1
-    g = np.zeros((2 ** K,) + q.shape)
-    for k in range(1, K + 1):
-        sel = np.flatnonzero(switched.sum(axis=1) == k)
-        ix = np.nonzero(switched[sel])[1].reshape(sel.size, k)
-        lam, V = np.linalg.eigh(W[ix[:, :, None], ix[:, None, :]])
-        g[sel[:, None], ix] = -V @ ((1.0 / lam)[..., None] * (V.swapaxes(1, 2) @ q[ix]))
-    e = q + W @ g
-    e[switched] = 0.0
-    s = sign[:, None]
-    return g, np.concatenate([-s * e, -s * g], axis=1).max(axis=1, initial=-np.inf)
+def _lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """The y with y >= 0, w = q + M y >= 0 and y^T w = 0, for a P-matrix M,
+    by Murty's (1974) least-index principal pivoting: the basic set B holds
+    the y_i that may be nonzero, y_B solves M_BB y_B = -q_B, and the least
+    index whose y_i (in B) or w_i (outside it) is negative switches sides.
+    None once all 2^K complementary bases could have been visited."""
+    basic = np.zeros(q.size, dtype=bool)
+    for _ in range(2 ** q.size):
+        y = np.zeros(q.size)
+        y[basic] = np.linalg.solve(M[np.ix_(basic, basic)], -q[basic])
+        wrong = np.flatnonzero(np.where(basic, y, q + M @ y) < 0.0)
+        if not wrong.size:
+            return y
+        basic[wrong[0]] = not basic[wrong[0]]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -1040,8 +1034,8 @@ def _local_pieces(W: np.ndarray, q: np.ndarray, sign: np.ndarray) -> tuple[np.nd
 
 # the consistency note of a report, by (polyhedral point, probe method)
 _NOTES = {
-    (True, "exact"): "leg b is exact at this point; leg c is exact for each sampled "
-                     "perturbation, not a certificate for all of them",
+    (True, "exact"): "leg b is exact at this point; so is leg c (coherent orientation), "
+                     "whose modulus is a sampled lower bound",
     (True, "newton"): "leg b is exact at this point; leg c is sampled evidence, not a certificate",
     (False, "newton"): "legs b and c are sampled evidence, not certificates",
 }
@@ -1056,10 +1050,11 @@ def equivalence_report(problem: CompositeProblem, zbar,
 
     The verdict is 'consistent' exactly when all legs agree.  Leg b is
     exact at a polyhedral point and sampled elsewhere.  Where the probe's
-    method is "exact", leg c is false from the certificate that the local
-    pieces are not coherently oriented, or else decides each sampled
-    perturbation exactly; elsewhere it tests them by Newton solves.  The
-    note says which legs are sampled evidence rather than certificates.
+    method is "exact", leg c is exact too: false from the certificate that
+    the local pieces are not coherently oriented, true where they are, with
+    each sampled perturbation solved exactly for the modulus; elsewhere it
+    tests them by Newton solves.  The note says which legs are sampled
+    evidence rather than certificates.
     """
     point = analysis_point(problem, zbar, opts)
     opts = point.opts

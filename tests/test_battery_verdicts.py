@@ -13,10 +13,10 @@ EXACT_RCQ = ("holds", "normal-cone intersection is trivial (exact)")
 EXACT_SRCQ = ("holds", "polar intersection is trivial (exact)")
 TRIVIAL_SUBSPACE = ("holds", float("inf"), 0, "critical subspace is trivial")
 CONSISTENT = (True, True, True, "consistent", "")
-# the consistency note: legs b and c are exact at the polyhedral toys, leg c
-# for each sampled perturbation
-EXACT_NOTE = ("leg b is exact at this point; leg c is exact for each sampled perturbation, "
-              "not a certificate for all of them")
+# the consistency note: legs b and c are exact at the polyhedral toys, the
+# probe's modulus sampled
+EXACT_NOTE = ("leg b is exact at this point; so is leg c (coherent orientation), whose modulus "
+              "is a sampled lower bound")
 SAMPLED_NOTE = "legs b and c are sampled evidence, not certificates"
 
 # name: (rcq, srcq, nondegeneracy, unique multiplier, second order,

@@ -264,7 +264,7 @@ def _vertex_oracle(point):
     problem, pt = point.problem, point.kkt
     H = problem.F.weighted_hessian(pt.x, pt.mu)
     J = problem.F.jacobian(pt.x)
-    codes = np.concatenate([st.critical for st in point.structures])
+    codes = point.codes
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     singular, counts = False, set()
     for bits in itertools.product((0.0, 1.0), repeat=kinks.size):
@@ -442,8 +442,7 @@ def _piece_oracle(point, deltas):
     residual, as one does that leaves the local model, a delta with no
     solution, or one with two more than 1e-6 apart."""
     problem, pt, H, J = point.problem, point.kkt, point.hessian, point.J
-    n = problem.n
-    codes = np.concatenate([st.critical for st in point.structures])
+    n, codes = problem.n, point.codes
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
     t = 1e-8 * max(1.0, max(np.abs(xb + ub).max() for _, xb, ub in point.pairs))
@@ -503,8 +502,7 @@ def _singular_canonical(point, rng):
     """The point with a singular canonical element, or None: two pinned rows
     of J made dependent on a third (a null vector shared by every piece),
     or the weighted Hessian made singular on null(J_P) (one that is not)."""
-    codes = np.concatenate([st.critical for st in point.structures])
-    pinned = np.flatnonzero(codes == PINNED)
+    pinned = np.flatnonzero(point.codes == PINNED)
     if rng.uniform() < 0.5:
         if pinned.size < 3:
             return None
@@ -628,31 +626,45 @@ def test_a_fold_and_two_equal_kink_rows_read_the_certificate_without_newton(monk
                                                 AnalyzerOptions(num_delta=4)), 4, "twin")
 
 
-def test_the_certificate_comes_before_the_kink_cap(monkeypatch):
-    # a nondegeneracy failure with 100 blocks and 45 kinks, far above the
-    # cap, reads the certificate with no Newton solve; a strongly regular
-    # point above a smaller cap still goes to Newton
+def test_the_exact_probe_decides_both_100_block_plants_without_newton(monkeypatch):
+    # 100 blocks and 45 kinks, with no Newton solve allowed: the strongly
+    # regular plant solves every delta's LCP and reads leg c true, and the
+    # nondegeneracy failure reads the certificate
+    planted = _benchmark_workloads().planted
+    _no_newton(monkeypatch)
+    for seed, nd in ((100, True), (101, False)):
+        data, plant = planted.polyhedral(np.random.default_rng(seed), 250, 100, nd, True)
+        assert plant.nondegenerate == plant.strongly_regular == nd
+        problem, meta = instance_from_dict(data)
+        point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
+        assert np.sum((point.codes == UP) | (point.codes == DOWN)) == 45
+        stats = strong_regularity_probe(problem, point)
+        if nd:
+            assert (stats.method, stats.pieces, stats.violations, stats.failures,
+                    stats.solved) == ("exact", 2 ** 45, 0, 0, 5)
+            assert 0.0 < stats.modulus < np.inf
+        else:
+            _assert_certificate(stats, 2 ** 45, "45 kinks")
+
+
+def test_lcp_solves_positive_definite_problems_up_to_100_kinks():
+    # y >= 0, w = q + M y >= 0 and y^T w = 0 for M = D W D, W symmetric
+    # positive definite and D a random sign matrix, so that M is a P-matrix
     import kktstab.stability as st
 
-    planted = _benchmark_workloads().planted
-    data, plant = planted.polyhedral(np.random.default_rng(101), 250, 100, False, True)
-    assert not plant.nondegenerate
-    problem, meta = instance_from_dict(data)
-    point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
-    codes = np.concatenate([s.critical for s in point.structures])
-    assert np.sum((codes == UP) | (codes == DOWN)) == 45 > st.EXACT_PROBE_MAX_KINKS
-    with monkeypatch.context() as mp:
-        _no_newton(mp)
-        _assert_certificate(strong_regularity_probe(problem, point), 2 ** 45, "45 kinks")
-    name, problem, meta = _planted_plants()[0]
-    point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
-    codes = np.concatenate([s.critical for s in point.structures])
-    n_kinks = int(np.sum((codes == UP) | (codes == DOWN)))
-    assert point.polyhedral and n_kinks > 0, name
-    stats = strong_regularity_probe(problem, point)
-    assert (stats.method, stats.violations, stats.failures) == ("exact", 0, 0), name
-    monkeypatch.setattr(st, "EXACT_PROBE_MAX_KINKS", n_kinks - 1)
-    assert strong_regularity_probe(problem, point).method == "newton", name
+    rng = np.random.default_rng(5)
+    for K in (0, 1, 2, 5, 10, 30, 60, 100):
+        for _ in range(4):
+            A = rng.standard_normal((K, K))
+            s = rng.choice([-1.0, 1.0], size=K)
+            M = s[:, None] * (A @ A.T + 0.1 * np.eye(K)) * s
+            q = rng.standard_normal(K)
+            y = st._lcp(M, q)
+            w = q + M @ y
+            scale = 1.0 + np.abs(q).max(initial=0.0)
+            assert y.shape == (K,) and y.min(initial=0.0) >= 0.0, K
+            assert w.min(initial=0.0) >= -1e-10 * scale, K
+            assert abs(y @ w) <= 1e-10 * scale * (1.0 + np.abs(y).sum()), K
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -1338,8 +1350,8 @@ def _assert_same_solutions(exact, newton):
                                   "smooth_toy"])
 def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
     # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail.  The
-    # polyhedral toys take the Newton path with the kink cap below 0, and
-    # their exact probe finds the Newton probe's solutions
+    # polyhedral toys take the Newton path with the exact probe deferring,
+    # and their exact probe finds the Newton probe's solutions
     import kktstab.stability as st
 
     problem, meta = load_battery(name)
@@ -1348,7 +1360,7 @@ def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
     exact = [strong_regularity_probe(problem, meta.known_solution, opts)
              for opts in (AnalyzerOptions(), short)]
     if AnalysisPoint(problem, meta.known_solution).polyhedral:
-        monkeypatch.setattr(st, "EXACT_PROBE_MAX_KINKS", -1)
+        monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
     stats = strong_regularity_probe(problem, meta.known_solution)
     assert stats == probe_one_at_a_time(problem, meta.known_solution)
     if name == "sdp_degenerate":
@@ -1374,7 +1386,7 @@ def test_probe_tests_kkt_at_its_tol(monkeypatch):
     opts = AnalyzerOptions(num_delta=5, tol=1e-6)
     stats = strong_regularity_probe(problem, point, opts)
     assert stats.failures == stats.violations == 0 and stats.solved == 6
-    monkeypatch.setattr(st, "EXACT_PROBE_MAX_KINKS", -1)
+    monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
     newton = strong_regularity_probe(problem, point, opts)
     assert newton == probe_one_at_a_time(problem, point, opts)
     _assert_same_solutions(stats, newton)
@@ -1938,6 +1950,34 @@ def test_rcq_fails_at_analyze_nlp_plants_moved_below_the_kink_tolerance(index):
         d = rng.standard_normal(z.size)
         v = rcq_check(problem, z + scale * d / np.linalg.norm(d))
         assert v.status == "fails", (scale, v)
+
+
+def _cone_verdicts(problem, z, opts):
+    """rcq, srcq, multiplier uniqueness and ssosc at z."""
+    point = AnalysisPoint(problem, z, opts)
+    unique, _ = multiplier_uniqueness(problem, point)
+    return (rcq_check(problem, point).status, srcq_check(problem, point).status, unique,
+            ssosc_check(problem, point).status if unique else None)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_cone_verdicts_of_analyze_sdp_plants_survive_sub_tolerance_moves(seed):
+    # plants with a |beta| = 1 block whose pinned rows, or J itself, have a
+    # zero singular value: a move of 1e-9 lifts it to about 1e-10, so rank
+    # decisions must be made at the analysis tol, not below it
+    workloads = _benchmark_workloads()
+    w = workloads.WORKLOADS["analyze-sdp"]
+    opts = workloads.analyzer_options(w, seed)
+    plants = workloads.load(workloads.generate(w, seed))
+    for k in (7, 11, 15, 23):
+        problem, meta = plants[k]
+        z = meta.known_solution.stacked()
+        want = _cone_verdicts(problem, z, opts)
+        for scale in (1e-11, 1e-9):
+            for r in range(2):
+                u = np.random.default_rng([seed, k, r]).standard_normal(z.size)
+                got = _cone_verdicts(problem, z + scale * u / np.linalg.norm(u), opts)
+                assert got == want, (k, scale, r)
 
 
 _SINGLE_RAY_INSTANCE = {  # planted PSD pencil: order 3, |alpha| = |beta| = 1, degenerate
