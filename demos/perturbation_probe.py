@@ -18,14 +18,15 @@ for name in ("l1_toy", "nlp_toy", "sdp_toy", "sdp_degenerate"):
     problem, meta = load_battery(name)
     stats = strong_regularity_probe(problem, meta.known_solution,
                                     AnalyzerOptions(radius=0.05, num_delta=40, seed=0))
-    print(f"== {name}: solved {stats.solved}/{stats.num_delta + 1}, "
+    print(f"== {name} ({stats.method}): solved {stats.solved}/{stats.num_delta + 1}, "
           f"failures {stats.failures}, violations {stats.violations}, "
           f"modulus {stats.modulus:.3e}")
 
 print()
-print("the degenerate instance shows why the probe matters: its linearized")
-print("inclusion admits multiple solutions, so different starting points")
-print("disagree and the modulus estimate blows up.")
+print("the degenerate instance shows why the probe matters: the pieces of its")
+print("local model are not coherently oriented, which the probe reads as one")
+print("violation, and its linearized inclusion admits multiple solutions, so")
+print("Newton solves from different starting points disagree or fail.")
 problem, meta = load_battery("sdp_degenerate")
 delta = np.array([0.01, 0.0, 0.0, 0.0, 0.0])
 sols = []

@@ -24,7 +24,6 @@ from .problem import DimensionError, residual
 from .reports import emit_report
 from .symmat import EigenDecompositionError
 from .stability import (
-    AnalysisPoint,
     AnalyzerOptions,
     CurvatureDomainError,
     UnsupportedCaseError,
@@ -84,9 +83,9 @@ def _build_parser() -> _Parser:
                       help="comma separated n+m point; defaults to the "
                            "instance's known solution")
     p_an.add_argument("--samples", type=int, default=32,
-                      help="elements sampled by the element sweep, which samples "
-                           "only at points with a PSD block; at a polyhedral "
-                           "point the sweep is exact and takes no samples")
+                      help="kept for compatibility; it no longer changes the "
+                           "analysis, since the element sweep is exact at every "
+                           "point and samples no element")
     p_an.add_argument("--seed", type=int, default=None)
     p_an.add_argument("--tol", type=float, default=1e-8)
     p_an.add_argument("--num-delta", type=int, default=50)
@@ -181,8 +180,7 @@ def _cmd_analyze(args) -> int:
     check_integer("--samples", args.samples, 1)
     opts = AnalyzerOptions(count=args.samples, seed=args.seed, tol=args.tol,
                            num_delta=args.num_delta, radius=args.radius)
-    point = AnalysisPoint(problem, point, opts)
-    report = equivalence_report(problem, point)
+    report = equivalence_report(problem, point, opts)
     print(f"instance {meta.name}")
     print(f"  rcq            : {report.rcq.status} ({report.rcq.detail})")
     print(f"  srcq           : {report.srcq.status} ({report.srcq.detail})")
@@ -193,8 +191,7 @@ def _cmd_analyze(args) -> int:
     extra = f", min eig {ss.min_eigenvalue:.3e}" if hasattr(ss, "min_eigenvalue") else ""
     print(f"  second order   : {ss.status}{extra}")
     print(f"  element sweep  : {report.sweep.verdict} "
-          f"({'exact' if point.polyhedral else 'sampled'}, "
-          f"min sv {report.sweep.min_singular_value:.3e} over "
+          f"(exact, min sv {report.sweep.min_singular_value:.3e} over "
           f"{report.sweep.n_elements} elements)")
     print(f"  probe          : modulus {report.probe.modulus:.3e}, "
           f"{report.probe.violations} violations, {report.probe.failures} failures "
@@ -209,10 +206,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _probe_method(stats) -> str:
-    """How the probe decided: its method, the local pieces of the exact
-    path and the causes of failed Newton solves."""
-    if stats.method == "exact":
-        return f"exact, {stats.pieces} local pieces"
+    """How the probe decided: its method, the local pieces of the local
+    model and the causes of failed Newton solves."""
+    if stats.method != "newton":
+        return f"{stats.method}, {stats.pieces} local pieces"
     causes = ", ".join(f"{cause} {count}" for cause, count in stats.failure_causes.items())
     return f"newton; failures by cause: {causes}" if stats.failures else "newton"
 

@@ -483,9 +483,19 @@ def sample_elements_R(problem: CompositeProblem, z, count: int,
                                for combo in combos])
 
 
-def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:
+def _base_parts(problem: CompositeProblem, base: KKTPoint) -> tuple[np.ndarray, ...]:
+    """The weighted Hessian, J and F at a base point, the data of its
+    linearization."""
+    return (problem.F.weighted_hessian(base.x, base.mu),
+            np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float)),
+            np.asarray(problem.F.eval(base.x), dtype=float))
+
+
+def linearized_residual(problem: CompositeProblem, zbar, z, parts=None) -> np.ndarray:
     """Residual of the linearization around the base point zbar, at a point
-    z or at each row of a stack (k, n+m), with one prox call for all rows."""
+    z or at each row of a stack (k, n+m), with one prox call for all rows.
+    ``parts`` is the weighted Hessian, J and F at zbar, when the caller
+    already holds them with the bits of their evaluation here."""
     base = as_point(problem, zbar)
     if isinstance(z, KKTPoint) or np.ndim(z) < 2:
         z = as_point(problem, z).stacked()
@@ -493,9 +503,7 @@ def linearized_residual(problem: CompositeProblem, zbar, z) -> np.ndarray:
     if Z.shape[-1] != problem.n + problem.m:
         raise DimensionError(f"point has {Z.shape[-1]} entries, expected "
                              f"n+m={problem.n + problem.m}")
-    Hbar = problem.F.weighted_hessian(base.x, base.mu)
-    Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
-    Fbar = np.asarray(problem.F.eval(base.x), dtype=float)
+    Hbar, Jbar, Fbar = parts or _base_parts(problem, base)
     dx, mu = Z[..., :problem.n] - base.x, Z[..., problem.n:]
     w = Fbar + _apply(Jbar, dx) + mu
     r1 = _apply(Hbar, dx) + _apply(Jbar.T, mu - base.mu)
@@ -526,9 +534,7 @@ def solve_linearized_rows(problem: CompositeProblem, zbar, deltas, starts=None,
               else np.array(starts, dtype=float, ndmin=2))
     if starts.shape != deltas.shape:
         raise DimensionError(f"starts have shape {starts.shape}, expected {deltas.shape}")
-    Hbar = problem.F.weighted_hessian(base.x, base.mu)
-    Jbar = np.atleast_2d(np.asarray(problem.F.jacobian(base.x), dtype=float))
-    Fbar = np.asarray(problem.F.eval(base.x), dtype=float)
+    Hbar, Jbar, Fbar = _base_parts(problem, base)
     rhs = np.concatenate([deltas[:, :n] + _apply(Jbar.T, deltas[:, n:]), deltas[:, n:]], axis=1)
 
     def res(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:

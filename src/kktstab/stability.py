@@ -2,21 +2,26 @@
 cross-check of the stability equivalence at a KKT point.
 
 Verdicts always carry the tolerance they were decided at.  Everything that
-rests on sampling (the element sweep at a point with a PSD block, the
-alternating-projection cone search, the perturbation probe) is reported as
-evidence, never as a certificate: the wording is "all-sampled-nonsingular"
-and "heuristic-likely".  At a polyhedral point the element sweep is exact:
-two inertia computations decide every element of the product set that
-would be sampled, and the verdict reads "all-elements-nonsingular" or
-names a singular witness element.  There the probe first decides whether
-the 2^K pieces of the local piecewise-affine model are coherently
-oriented, from one eigendecomposition of the canonical piece and the
-eigenvalues of one symmetric K x K matrix; where they are not, the point
-is not strongly regular, and leg c reads that certificate at any K.  At
-an oriented point it solves each sampled perturbation exactly, as one
-linear complementarity problem with a positive definite matrix; where the
-local model breaks down, and at a point with a PSD block, it runs its
-stacked Newton solves.
+rests on sampling (the alternating-projection cone search, the Newton
+probe) is reported as evidence, never as a certificate: the wording is
+"heuristic-likely", and the report's note says when leg c is sampled.
+Legs b and c read one local model of the point (``LocalModel``): J in
+every block's frame, the critical codes, and H with the curvature weights
+of the alpha-gamma coordinates of PSD blocks folded in.  The element sweep
+(leg b) is exact at every point: two inertia computations decide every
+element of a superset of the product set of Clarke elements, in which
+every PSD block's beta-beta part lies between 0 and I, and the verdict
+reads "all-elements-nonsingular" or names a singular witness element.  At
+a polyhedral point, and where every PSD block has |beta| <= 1 (a simple
+zero eigenvalue is one more kink of the projection's B-derivative), the
+probe first decides whether the 2^K pieces of the local piecewise-linear
+model are coherently oriented, from one eigendecomposition of the
+canonical piece and the eigenvalues of one symmetric K x K matrix; where
+they are not, the point is not strongly regular, and leg c reads that
+certificate at any K.  At an oriented point it solves each sampled
+perturbation exactly, as one linear complementarity problem with a
+positive definite matrix; where the local model breaks down, and at a
+point with a PSD block of |beta| >= 2, it runs its stacked Newton solves.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -69,6 +74,7 @@ from .pieces import (
     ClarkeFrame,
     ConvexPiece,
     LinearOperatorElement,
+    _gram,
     _kink_tol,
     sampled_gamma,
 )
@@ -79,7 +85,6 @@ from .problem import (
     as_point,
     kkt_check,
     linearized_residual,
-    sample_elements_R,
     solve_linearized_rows,
 )
 from .symmat import smat, svec, svec_order
@@ -137,12 +142,15 @@ class SweepStats:
 @dataclass
 class ProbeStats:
     """The probe's tally over its num_delta + 1 perturbations.  ``method``
-    says how each was solved: "exact" on the local model of a polyhedral
-    point with ``pieces`` = 2^K local pieces, or "newton" from three
-    starts, when ``failure_causes`` counts the failed solves by cause.  An "exact"
-    probe whose pieces are not coherently oriented reads the certificate
-    that the point is not strongly regular: 1 violation and 1 solved (the
-    point itself at delta = 0), with modulus 0."""
+    says how each was solved: on the local model with ``pieces`` = 2^K
+    local pieces, "exact" at a polyhedral point (the linearized inclusion)
+    or "b-derivative" where every PSD block has |beta| <= 1 (the
+    piecewise-linear equation of its B-derivative), or "newton" from three
+    starts, when ``failure_causes`` counts the failed solves by cause.  A
+    probe on the local model whose pieces are not coherently oriented
+    reads the certificate that the point is not strongly regular: 1
+    violation and 1 solved (the point itself at delta = 0), with modulus
+    0."""
 
     modulus: float
     violations: int
@@ -154,6 +162,26 @@ class ProbeStats:
     method: str
     pieces: int
     failure_causes: dict
+
+
+class LocalModel(NamedTuple):
+    """The local model of an analysis point, in every block's frame
+    (``AnalysisPoint.model``).  A Clarke element of the KKT map is, up to
+    the orthogonal frames, [[H0, J^T], [(I - U) J, -U]] with H0 the
+    weighted Hessian and U block diagonal: 0 on the PINNED coordinates, a
+    weight in [0, 1] on the UP and DOWN kinks, an operator between 0 and
+    I on each block's BLOCK coordinates (Pang, Sun & Sun 2003), and
+    1 / (1 + weight) on the FREE ones, below 1 on the alpha-gamma
+    coordinates of a PSD block.  Solving a FREE row for its multiplier
+    folds its weight into H = H0 + J^T diag(weight) J.  ``method`` says
+    how leg c is decided: "exact" at a polyhedral point, "b-derivative"
+    where every PSD block has |beta| <= 1, else "newton"."""
+
+    J: np.ndarray
+    H: np.ndarray
+    codes: np.ndarray
+    weight: np.ndarray
+    method: str
 
 
 @dataclass
@@ -178,8 +206,10 @@ UNIQUENESS_TOL = 1e-6  # the probe's bound on the spread of one delta's solution
 @dataclass(frozen=True)
 class AnalyzerOptions:
     """The settings of one analysis point: ``tol`` for its KKT, cone and
-    rank tests, ``srcq_budget`` and ``seed`` for a cone search, ``count``
-    for the sweep, ``num_delta``, ``radius`` and ``newton`` for the probe."""
+    rank tests, ``srcq_budget`` and ``seed`` for a cone search,
+    ``num_delta``, ``radius`` and ``newton`` for the probe.  ``count`` no
+    longer changes the analysis, since the sweep samples no element; it is
+    kept, and validated, for callers that still pass it."""
 
     count: int = 32
     num_delta: int = 50
@@ -262,8 +292,8 @@ class AnalysisPoint:
                     f"fixed point {rep.fixed_point_norm:.3e})")
         self.problem, self.kkt = problem, pt
         self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
-        Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
-        self.pairs = list(zip(problem.pieces, problem.blocks(Fbar), problem.blocks(pt.mu)))
+        self.Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
+        self.pairs = list(zip(problem.pieces, problem.blocks(self.Fbar), problem.blocks(pt.mu)))
         self._searches: dict[str, tuple[list[np.ndarray], str]] = {}
 
     @functools.cached_property
@@ -277,15 +307,41 @@ class AnalysisPoint:
         return all(st.frame is None for st in self.structures)
 
     @functools.cached_property
-    def codes(self) -> np.ndarray:
-        """The critical-cone class codes of every block's frame coordinates,
-        in block order."""
-        return np.concatenate([st.critical for st in self.structures])
-
-    @functools.cached_property
     def hessian(self) -> np.ndarray:
         """The weighted Hessian sum_i mu_i Hess F_i(x) at the point."""
         return self.problem.F.weighted_hessian(self.kkt.x, self.kkt.mu)
+
+    @functools.cached_property
+    def model(self) -> LocalModel:
+        """The local model of legs b and c, in every block's frame: J, H
+        with the curvature weights folded in, the critical codes (the one
+        BLOCK coordinate of a |beta| = 1 block read as UP) and the method
+        that decides leg c.  At a polyhedral point J and H are the
+        point's own."""
+        codes = np.concatenate([np.where(c == BLOCK, UP, c) if np.sum(c == BLOCK) == 1 else c
+                                for c in (st.critical for st in self.structures)])
+        weight = np.concatenate([st.weight for st in self.structures])
+        J, on = self.coords(self.J.T).T, weight > 0.0
+        H = self.hessian + _gram(J[on].T, weight[on]) if on.any() else self.hessian
+        method = ("exact" if self.polyhedral else
+                  "newton" if (codes == BLOCK).any() else "b-derivative")
+        return LocalModel(J, H, codes, weight, method)
+
+    def coords(self, V: np.ndarray) -> np.ndarray:
+        """Every block's frame coordinates of each row of a stack (..., m)."""
+        if self.polyhedral:
+            return V
+        return np.concatenate([Vb if st.frame is None else Vb @ st.frame
+                               for st, Vb in zip(self.structures, self.problem.blocks(V))],
+                              axis=-1)
+
+    def vectors(self, W: np.ndarray) -> np.ndarray:
+        """The vectors of each row of a stack (..., m) of frame coordinates."""
+        if self.polyhedral:
+            return W
+        return np.concatenate([Wb if st.frame is None else Wb @ st.frame.T
+                               for st, Wb in zip(self.structures, self.problem.blocks(W))],
+                              axis=-1)
 
     @functools.cached_property
     def adjoint_nullspace(self) -> np.ndarray:
@@ -733,23 +789,13 @@ def nonsingularity_sweep(problem: CompositeProblem, zbar,
 
     The chain rule gives only an inclusion for Clarke's Jacobian of the
     composite map: the elements tested are [[H, J^T], [(I-U) J, -U]] with
-    U in the product of the blocks' Clarke Jacobians, the set that
-    ``sample_elements_R`` samples.  At a polyhedral point
-    (``_exact_sweep``) that whole product set is decided exactly, and the
-    verdict is "all-elements-nonsingular" or "singular-element-found".
-    Elsewhere ``count`` elements are sampled, the least singular value
-    comes from one svd of their stack with the provenance of the first
-    element that attains it, and the verdict is "all-sampled-nonsingular"
-    or "singular-element-found"."""
-    point = analysis_point(problem, zbar, opts)
-    if point.polyhedral:
-        return _exact_sweep(point)
-    elements = sample_elements_R(problem, point.kkt, point.opts.count, point.opts.seed)
-    svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
-    i = int(np.argmin(svs))
-    min_sv, argmin = float(svs[i]), elements[i].provenance
-    verdict = "singular-element-found" if min_sv <= SWEEP_TOL else "all-sampled-nonsingular"
-    return SweepStats(verdict, min_sv, len(elements), SWEEP_TOL, argmin)
+    U in the product of the blocks' Clarke Jacobians.  ``_exact_sweep``
+    decides a superset of that product set exactly at every point, one
+    whose singular elements it finds inside the product set, so the
+    verdict is exact both ways: "all-elements-nonsingular" or
+    "singular-element-found".  No element is sampled, and ``count`` is
+    not read."""
+    return _exact_sweep(analysis_point(problem, zbar, opts))
 
 
 def _negative_count(A: np.ndarray) -> tuple[int, float]:
@@ -760,42 +806,49 @@ def _negative_count(A: np.ndarray) -> tuple[int, float]:
 
 
 def _exact_sweep(point: AnalysisPoint) -> SweepStats:
-    """Leg b at a polyhedral point, decided on the whole product set.
+    """Leg b, decided on a superset of the product set, in the local model
+    of ``AnalysisPoint.model``.
 
-    Every block's element is diag(u): u = 1 on the FREE coordinates, 0 on
-    the PINNED ones (P) and any u_i in [0, 1] on the kinks K, the
-    coordinates with a half-line critical code.  The element of u is
-    singular iff J_S has dependent rows or Z^T (H + J_R^T C J_R) Z is
-    singular, where S is P with the kinks of u_i = 0, Z spans null(J_S),
-    R holds the other kinks and C = diag((1 - u_i) / u_i).  Each c_i adds a
-    PSD rank-one term, so every eigenvalue is nondecreasing in it, and
-    u_i = 0 is its limit (Cauchy interlacing).  Hence every element is
-    nonsingular iff both extremes are, every kink free (u = 1, the
-    canonical element) and every kink pinned (u = 0, the pattern-zeros
-    element), and their reduced matrices Z0^T H Z0 on null(J_P) and
-    Z1^T H Z1 on null(J_{P+K}) have equally many negative eigenvalues.
+    In the blocks' frames an element has the weight u = 1 / (1 + weight)
+    on the FREE coordinates, 0 on the PINNED ones (P), any u_i in [0, 1]
+    on the UP and DOWN kinks and an operator 0 <= V <= I on each block's
+    BLOCK coordinates; the kinks K are the UP, DOWN and BLOCK coordinates
+    together.  Solving the FREE rows for their multipliers leaves H, which
+    holds their curvature weights.  The element is then singular iff J_S
+    has dependent rows or Z^T (H + J_R^T C J_R) Z is singular, where S is
+    P with the null directions of u, Z spans null(J_S), R holds the rest
+    of the kinks and C = u^-1 - I on them, a PSD matrix that decreases
+    with u in the Loewner order.  So every eigenvalue is monotone in u,
+    and u -> 0 is the limit on the smaller space (Cauchy interlacing).
+    Hence every element is nonsingular iff both extremes are, every kink
+    free (u = 1, V = I, the canonical element) and every kink pinned
+    (u = 0, V = 0, the pattern-zeros element), and their reduced matrices
+    Z0^T H Z0 on null(J_P) and Z1^T H Z1 on null(J_{P+K}) have equally
+    many negative eigenvalues.  Both extremes are B-elements, and the
+    segment of one common kink weight u, V = u I, lies in the product set.
 
     A singular extreme (least singular value at most SWEEP_TOL, from one
-    svd of both) is the witness.  When the counts differ, the segment of
-    one common kink weight u holds a singular element: bisection on u
-    keeps a bracket whose ends differ in count until an eigenvalue of the
-    reduced matrix lies within SWEEP_TOL / 2 of 0, which bounds the
-    element's least singular value, and one svd confirms it.  Either way
-    the verdict is "singular-element-found", with the least singular value
-    and provenance of the element examined that is nearest singular.
-    ``n_elements`` counts the reduced matrices whose inertia was computed.
+    svd of both, taken in the frames, which keep singular values) is the
+    witness.  When the counts differ, the segment holds a singular
+    element: bisection on u keeps a bracket whose ends differ in count
+    until an eigenvalue of the reduced matrix lies within SWEEP_TOL / 2 of
+    0, which bounds the element's least singular value, and one svd
+    confirms it.  Either way the verdict is "singular-element-found", with
+    the least singular value and provenance of the element examined that
+    is nearest singular.  ``n_elements`` counts the reduced matrices whose
+    inertia was computed.
     """
-    problem, H, J, codes = point.problem, point.hessian, point.J, point.codes
+    problem, (J, H, codes, weight, _) = point.problem, point.model
     pinned, free = codes == PINNED, codes == FREE
     kink = ~(pinned | free)
     Z0 = nullspace(J[pinned])
     A0, G = Z0.T @ H @ Z0, J[kink] @ Z0
     counts = [_negative_count(A0)[0]]
-    weights, tags = [np.where(pinned, 0.0, 1.0)], ["canonical"]
+    weights, tags = [np.where(pinned, 0.0, 1.0 / (1.0 + weight))], ["canonical"]
     if kink.any():
         Z1 = nullspace(G)  # null(J_{P+K}) in the coordinates of Z0
         counts.append(_negative_count(Z1.T @ A0 @ Z1)[0])
-        weights.append(free.astype(float))
+        weights.append(np.where(kink, 0.0, weights[0]))
         tags.append("pattern-zeros")
     svs = _element_svs(point, weights)
     n_elements = len(counts)
@@ -814,10 +867,11 @@ def _exact_sweep(point: AnalysisPoint) -> SweepStats:
 
 
 def _element_svs(point: AnalysisPoint, weights: list[np.ndarray]) -> list[float]:
-    """The least singular value of the element of each weight vector u
-    (every block's element diag(u_b)), from one svd of their stack."""
+    """The least singular value of the element of each weight vector u of
+    frame coordinates (every block's element diag(u_b) in its frame), from
+    one svd of their stack."""
     U = [ClarkeFrame(ub).element() for ub in point.problem.blocks(np.array(weights))]
-    E = _element_matrix(point.problem, point.hessian, point.J, U)
+    E = _element_matrix(point.problem, point.hessian, point.model.J, U)
     return np.linalg.svd(E, compute_uv=False)[:, -1].tolist()
 
 
@@ -853,14 +907,15 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
     A delta whose solutions lie more than UNIQUENESS_TOL apart is a
     violation, and the modulus is the largest difference quotient
     |z1 - z2| / |d1 - d2| over the first solution of each solved delta.  At
-    a polyhedral point ``_exact_probe`` ("exact") first decides whether the
-    local pieces are coherently oriented; where they are not, it returns
-    the certificate at any number of kinks.  At an oriented point it solves
+    a polyhedral point ("exact") and where every PSD block has |beta| <= 1
+    ("b-derivative"), ``_exact_probe`` first decides whether the local
+    pieces are coherently oriented; where they are not, it returns the
+    certificate at any number of kinks.  At an oriented point it solves
     each delta's one local solution from one LCP; the deltas are still
     sampled.  Where the local model breaks down, and at a point with a PSD
-    block, each delta is solved by Newton from three starts, all the solves
-    as one stack ("newton"), and a failed solve is counted by its cause,
-    not raised.
+    block of |beta| >= 2, each delta is solved by Newton from three starts,
+    all the solves as one stack ("newton"), and a failed solve is counted
+    by its cause, not raised.
     """
     point = analysis_point(problem, zbar, opts)
     pt, opts = point.kkt, point.opts
@@ -872,7 +927,7 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
         u /= np.linalg.norm(u)
         r = rng.uniform() ** (1.0 / dim)
         deltas.append(opts.radius * r * u)
-    exact = _exact_probe(point, np.array(deltas)) if point.polyhedral else None
+    exact = None if point.model.method == "newton" else _exact_probe(point, np.array(deltas))
     if exact is not None:
         return exact
     offsets = [np.zeros(dim)]
@@ -925,18 +980,28 @@ def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.nda
 
 
 def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
-    """Leg c at a polyhedral point: the orientation certificate, or each
-    delta (the rows of ``deltas``, the first 0) solved exactly on the local
-    model by one linear complementarity problem; None where the Newton probe
-    decides.
+    """Leg c on the local model of ``AnalysisPoint.model``, at a point
+    whose method is "exact" (polyhedral) or "b-derivative" (every PSD
+    block with |beta| <= 1): the orientation certificate, or each delta
+    (the rows of ``deltas``, the first 0) solved by one linear
+    complementarity problem; None where the Newton probe decides.
 
-    Near the point each coordinate keeps to one affine branch of the prox:
-    a FREE one keeps dmu_i = 0 and a PINNED one J_i dx = -delta2_i.  A kink
-    i, of half-line sign s_i, either keeps dmu_i = 0 with its excess
-    e_i = J_i dx + delta2_i on the side s_i e_i >= 0, or has e_i = 0 with
-    s_i dmu_i <= 0.  A piece picks one branch per kink; with
-    H dx + J^T dmu = delta1 it is a square linear system, and its solutions
-    whose kinks keep to their sides solve the linearized inclusion.
+    In the blocks' frames each coordinate keeps to one linear branch: a
+    FREE one has dmu_i = weight_i e_i for its excess e_i = J_i dx +
+    delta2_i, where the weight is 0 except on the alpha-gamma coordinates
+    of a PSD block, and a PINNED one has e_i = 0.  A kink i, of half-line
+    sign s_i, either keeps dmu_i = 0 with s_i e_i >= 0, or has e_i = 0 with
+    s_i dmu_i <= 0.  At a polyhedral point these branches are the prox near
+    the point, and their solutions solve the linearized inclusion.  With a
+    PSD block they are its B-derivative, the projection's directional
+    derivative at the point: a block with |beta| = 0 is smooth, and one
+    with |beta| = 1 has its simple zero eigenvalue as one UP kink.  The
+    projection is then piecewise smooth near the point, so the point is
+    strongly regular iff the B-derivative's piecewise-linear equation is
+    uniquely and Lipschitz solvable (Kummer 1991; Scholtes 2012, ch. 4),
+    and the probe solves that equation.  Solving the FREE rows for dmu
+    turns H into the model's H and delta1 into
+    delta1 - J^T diag(weight) delta2, in frame coordinates.
 
     The canonical piece (every kink on its excess branch) is the saddle
     S = [[H, J_P^T], [J_P, 0]], whose one eigendecomposition solves every
@@ -945,8 +1010,8 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     rows Psi = [J_K, 0], and the piece that switches the kinks F solves
     W_FF g_F = -q_F with e_F = 0.  By the Schur complement, the piece's
     determinant is det(S) det(W_FF) up to one sign shared by every piece,
-    so the 2^K pieces are coherently oriented, which makes the point
-    strongly regular (Robinson 1992), iff S is nonsingular and every
+    so the 2^K pieces are coherently oriented, which makes the map a
+    Lipschitz homeomorphism (Robinson 1992), iff S is nonsingular and every
     principal minor of W is positive: W is a P-matrix, which for a
     symmetric W means positive definite.
 
@@ -957,14 +1022,15 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     Newton solve.  Otherwise each delta has exactly one local solution: with
     D = diag(s), y = D g solves the LCP y >= 0, D q + D W D y >= 0,
     y^T (D q + D W D y) = 0, whose matrix is positive definite (Cottle,
-    Pang & Stone 1992, ch. 3), and ``_lcp`` finds it.  One stacked
-    linearized residual checks every solution against 2 (tol + the kink
-    tolerance ``_kink_tol``).  The Newton probe decides where the local
+    Pang & Stone 1992, ch. 3), and ``_lcp`` finds it.  One stacked residual
+    checks every solution against 2 (tol + the kink tolerance
+    ``_kink_tol``): the linearized residual at a polyhedral point, else
+    ``_b_derivative_residual``.  The Newton probe decides where the local
     model breaks down: a solution fails that check, or an LCP does not end
     within its bound.
     """
-    problem, H, J, opts = point.problem, point.hessian, point.J, point.opts
-    n, codes = problem.n, point.codes
+    problem, opts, (J, H, codes, weight, method) = point.problem, point.opts, point.model
+    n = problem.n
     pinned = np.flatnonzero(codes == PINNED)
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     causes = dict.fromkeys(_FAILURE_CAUSES, 0)
@@ -979,10 +1045,12 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
         ev = np.linalg.eigvalsh(W)
         oriented = ev.min(initial=np.inf) > SWEEP_TOL * max(1.0, np.abs(ev).max(initial=0.0))
     if not oriented:
-        return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, "exact",
+        return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, method,
                             2 ** kinks.size, causes)
     side_tol = float(_kink_tol(np.concatenate([xb + ub for _, xb, ub in point.pairs]))[0])
-    d1, d2 = deltas[:, :n], deltas[:, n:]
+    d1, d2 = deltas[:, :n], point.coords(deltas[:, n:])
+    if weight.any():
+        d1 = d1 - (weight * d2) @ J
     Y0 = (V / lam) @ (V.T @ np.concatenate([d1, -d2[:, pinned]], axis=1).T)
     q = Psi @ Y0 + d2[:, kinks].T
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
@@ -995,14 +1063,39 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     dz = np.zeros_like(deltas)
     dz[:, :n], dz[:, n + pinned] = y[:, :n], y[:, n:]
     dz[:, n + kinks] = -g
+    if weight.any():
+        dz[:, n:] += weight * (y[:, :n] @ J.T + d2)
+    dz[:, n:] = point.vectors(dz[:, n:])
     Z = point.kkt.stacked() + dz
-    shifted = Z.copy()
-    shifted[:, n:] += d2  # the inclusion's shifted multiplier mu + delta2
-    want = np.concatenate([d1 + d2 @ J, d2], axis=1)
-    if np.abs(linearized_residual(problem, point.kkt, shifted) - want).max(initial=0.0) > (
-            2.0 * (opts.tol + side_tol)):
+    if method == "exact":
+        shifted = Z.copy()
+        shifted[:, n:] += deltas[:, n:]  # the inclusion's shifted multiplier mu + delta2
+        want = np.concatenate([deltas[:, :n] + deltas[:, n:] @ point.J, deltas[:, n:]], axis=1)
+        r = linearized_residual(problem, point.kkt, shifted,
+                                (point.hessian, point.J, point.Fbar)) - want
+    else:
+        r = _b_derivative_residual(point, dz, deltas)
+    if np.abs(r).max(initial=0.0) > 2.0 * (opts.tol + side_tol):
         return None
-    return _probe_stats(opts, list(zip(deltas, Z)), 0, "exact", 2 ** kinks.size, causes)
+    return _probe_stats(opts, list(zip(deltas, Z)), 0, method, 2 ** kinks.size, causes)
+
+
+def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
+                           deltas: np.ndarray) -> np.ndarray:
+    """The residual of the B-derivative's equation at each row of dz:
+    H dx + J^T dmu - delta1 and e - Pi'(wbar; e + dmu) for the excess
+    e = J dx + delta2, with every block's ``prox_dirderiv`` at its
+    wbar = F(xbar)_b + mu_b."""
+    n = point.problem.n
+
+    def dirderiv(d: np.ndarray) -> np.ndarray:
+        return np.concatenate([p.prox_dirderiv(xb + ub, db)
+                               for (p, xb, ub), db in zip(point.pairs, point.problem.blocks(d))])
+
+    dx, dmu = dz[:, :n], dz[:, n:]
+    e = dx @ point.J.T + deltas[:, n:]
+    r1 = dx @ point.hessian + dmu @ point.J - deltas[:, :n]
+    return np.concatenate([r1, e - np.array([dirderiv(d) for d in e + dmu])], axis=1)
 
 
 def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1032,12 +1125,13 @@ def _lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray | None:
 # the equivalence cross-check
 
 
-# the consistency note of a report, by (polyhedral point, probe method)
+# the consistency note of a report, by probe method; leg b is exact everywhere
 _NOTES = {
-    (True, "exact"): "leg b is exact at this point; so is leg c (coherent orientation), "
-                     "whose modulus is a sampled lower bound",
-    (True, "newton"): "leg b is exact at this point; leg c is sampled evidence, not a certificate",
-    (False, "newton"): "legs b and c are sampled evidence, not certificates",
+    "exact": "leg b is exact at this point; so is leg c (coherent orientation), "
+             "whose modulus is a sampled lower bound",
+    "b-derivative": "leg b is exact at this point; so is leg c (coherent orientation of the "
+                    "B-derivative), whose modulus is a sampled lower bound",
+    "newton": "leg b is exact at this point; leg c is sampled evidence, not a certificate",
 }
 
 
@@ -1049,12 +1143,13 @@ def equivalence_report(problem: CompositeProblem, zbar,
     probe.
 
     The verdict is 'consistent' exactly when all legs agree.  Leg b is
-    exact at a polyhedral point and sampled elsewhere.  Where the probe's
-    method is "exact", leg c is exact too: false from the certificate that
+    exact at every point.  Where the probe's method is "exact" or
+    "b-derivative", leg c is exact too: false from the certificate that
     the local pieces are not coherently oriented, true where they are, with
-    each sampled perturbation solved exactly for the modulus; elsewhere it
-    tests them by Newton solves.  The note says which legs are sampled
-    evidence rather than certificates.
+    each sampled perturbation solved exactly for the modulus; elsewhere
+    (a PSD block with |beta| >= 2, or a local model that breaks down) it
+    tests them by Newton solves.  The note says whether leg c is sampled
+    evidence rather than a certificate.
     """
     point = analysis_point(problem, zbar, opts)
     opts = point.opts
@@ -1076,7 +1171,7 @@ def equivalence_report(problem: CompositeProblem, zbar,
             "inconsistent instance data")
     sweep = nonsingularity_sweep(problem, point)
     probe = strong_regularity_probe(problem, point)
-    leg_b = sweep.verdict in ("all-elements-nonsingular", "all-sampled-nonsingular")
+    leg_b = sweep.verdict == "all-elements-nonsingular"
     leg_c = probe.violations == 0 and probe.failures == 0 and np.isfinite(probe.modulus)
     legs = {"a": leg_a, "b": leg_b, "c": leg_c}
     disagreement = next((f"{u} vs {v}" for u, v in (("a", "b"), ("a", "c"), ("b", "c"))
@@ -1087,7 +1182,7 @@ def equivalence_report(problem: CompositeProblem, zbar,
         "leg_c_probe_strong_regularity": leg_c,
         "verdict": "consistent" if not disagreement else "inconsistent",
         "disagreement": disagreement,
-        "note": _NOTES[point.polyhedral, probe.method],
+        "note": _NOTES[probe.method],
     }
     return StabilityReport(
         instance=problem.name,

@@ -149,11 +149,9 @@ def test_c5_equivalence_cross_check():
             ok = ok and rep.sweep.min_singular_value <= 1e-8
             ok = ok and (rep.probe.violations > 0 or rep.probe.failures > 0)
         else:
-            # leg b is exact at the polyhedral toys and sampled at sdp_toy
-            exact = name != "sdp_toy"
+            # leg b is exact at every point, sdp_toy's PSD block included
             ok = ok and rep.consistency["leg_a_second_order_and_nondegeneracy"]
-            ok = ok and rep.sweep.verdict == (
-                "all-elements-nonsingular" if exact else "all-sampled-nonsingular")
+            ok = ok and rep.sweep.verdict == "all-elements-nonsingular"
             ok = ok and rep.sweep.min_singular_value > 1e-6
             ok = ok and rep.probe.violations == 0 and rep.probe.failures == 0
             ok = ok and np.isfinite(rep.probe.modulus)

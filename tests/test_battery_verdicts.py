@@ -13,43 +13,44 @@ EXACT_RCQ = ("holds", "normal-cone intersection is trivial (exact)")
 EXACT_SRCQ = ("holds", "polar intersection is trivial (exact)")
 TRIVIAL_SUBSPACE = ("holds", float("inf"), 0, "critical subspace is trivial")
 CONSISTENT = (True, True, True, "consistent", "")
-# the consistency note: legs b and c are exact at the polyhedral toys, the
-# probe's modulus sampled
+# the consistency note: leg b is exact everywhere, and so is leg c at the
+# polyhedral toys and, through the B-derivative, at the PSD ones (|beta| <= 1);
+# the probe's modulus is sampled
 EXACT_NOTE = ("leg b is exact at this point; so is leg c (coherent orientation), whose modulus "
               "is a sampled lower bound")
-SAMPLED_NOTE = "legs b and c are sampled evidence, not certificates"
+B_DERIVATIVE_NOTE = ("leg b is exact at this point; so is leg c (coherent orientation of the "
+                     "B-derivative), whose modulus is a sampled lower bound")
 
 # name: (rcq, srcq, nondegeneracy, unique multiplier, second order,
 #        sweep (verdict, min sv, elements, argmin), probe (modulus,
-#        violations, failures, solved), consistency (legs a, b, c,
-#        verdict, disagreement), note)
+#        violations, failures, solved, method, local pieces), consistency
+#        (legs a, b, c, verdict, disagreement), note)
 EXPECTED = {
     "nlp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, TRIVIAL_SUBSPACE,
         ("all-elements-nonsingular", 0.5176380902050416, 1,
          ("epi(orthant_indicator:canonical)",)),
-        (1.6167967978021782, 0, 0, 21), CONSISTENT, EXACT_NOTE),
+        (1.6167967978021782, 0, 0, 21, "exact", 1), CONSISTENT, EXACT_NOTE),
     "sdp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
-        ("all-sampled-nonsingular", 0.5000000000000001, 1,
-         ("epi(psd_indicator:canonical(beta=I))",)),
-        (1.0042536775876894, 0, 0, 21), CONSISTENT, SAMPLED_NOTE),
+        ("all-elements-nonsingular", 0.5, 1, ("epi(psd_indicator:canonical)",)),
+        (0.9984186711868456, 0, 0, 21, "b-derivative", 1), CONSISTENT, B_DERIVATIVE_NOTE),
     "sdp_degenerate": (
         EXACT_RCQ, ("fails", "span test rank 3 of 4"),
         ("fails", "rank 2 of 4"), False,
         ("skipped", "multiplier set is not a singleton"),
-        ("singular-element-found", 0.0, 2, ("epi(psd_indicator:canonical(beta=I))",)),
-        (63.33650947463679, 1, 28, 21), (False, False, False, "consistent", ""),
-        SAMPLED_NOTE),
+        ("singular-element-found", 0.0, 2, ("epi(psd_indicator:canonical)",)),
+        (0.0, 1, 0, 1, "b-derivative", 2), (False, False, False, "consistent", ""),
+        B_DERIVATIVE_NOTE),
     "l1_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 1 of 1"), True, TRIVIAL_SUBSPACE,
         ("all-elements-nonsingular", 1.0, 1, ("l1_norm:canonical",)),
-        (1.0000000000000007, 0, 0, 21), CONSISTENT, EXACT_NOTE),
+        (1.0000000000000007, 0, 0, 21, "exact", 1), CONSISTENT, EXACT_NOTE),
     "smooth_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, ("holds", 1.0, 1, ""),
         ("all-elements-nonsingular", 0.6180339887498949, 1,
          ("epi(orthant_indicator:canonical)",)),
-        (0.9980308321202721, 0, 0, 21), CONSISTENT, EXACT_NOTE),
+        (0.9980308321202721, 0, 0, 21, "exact", 1), CONSISTENT, EXACT_NOTE),
 }
 
 
@@ -77,13 +78,13 @@ def test_battery_report_is_pinned(name):
     assert (rep.sweep.verdict, rep.sweep.n_elements, rep.sweep.argmin_provenance) == (
         verdict, n_elements, argmin)
     assert rep.sweep.min_singular_value == _approx(min_sv)
-    modulus, violations, failures, solved = probe
+    modulus, violations, failures, solved, method, pieces = probe
     assert (rep.probe.violations, rep.probe.failures, rep.probe.solved) == (
         violations, failures, solved)
     assert rep.probe.modulus == _approx(modulus)
-    # the polyhedral toys have no kink: the exact probe solves one local piece
-    assert (rep.probe.method, rep.probe.pieces) == (
-        ("exact", 1) if note == EXACT_NOTE else ("newton", 0))
+    # only sdp_degenerate has a kink, its |beta| = 1 block: the others' local
+    # model has one piece
+    assert (rep.probe.method, rep.probe.pieces) == (method, pieces)
     c = rep.consistency
     got = (c["leg_a_second_order_and_nondegeneracy"], c["leg_b_sampled_elements_nonsingular"],
            c["leg_c_probe_strong_regularity"], c["verdict"], c["disagreement"])

@@ -17,6 +17,7 @@ from kktstab import (
 )
 from kktstab import newton as newton_mod
 from kktstab import problem as problem_mod
+from kktstab import stability as stability_mod
 from kktstab.newton import ElementStack, _probe_vector, semismooth_solve_rows
 from kktstab.verify import newton_start_grid
 
@@ -359,8 +360,12 @@ def test_probe_rows_ridge_exactly_where_the_element_is_singular(name, monkeypatc
         return out
 
     monkeypatch.setattr(problem_mod, "semismooth_solve_rows", spied_rows)
+    # both points have |beta| <= 1, where the probe solves its local model;
+    # the Newton probe runs with that path deferring
+    monkeypatch.setattr(stability_mod, "_exact_probe", lambda point, deltas: None)
     problem, meta = load_battery(name)
     strong_regularity_probe(problem, meta.known_solution)
+    assert outcomes
     singular = 0
     for i, out in enumerate(outcomes):
         recorded = out[1].element_min_sv if isinstance(out, tuple) else out.trace.element_min_sv

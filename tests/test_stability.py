@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ from kktstab import (
     svec,
 )
 from kktstab.pieces import (_LOWER, _UPPER, BLOCK, DOWN, FREE, PINNED, UP, BlockStructure,
-                            LinearOperatorElement)
-from kktstab.symmat import smat, svec_dim, svec_order
+                            ClarkeFrame, LinearOperatorElement)
+from kktstab.symmat import eig_split, smat, svec_dim, svec_order
 from kktstab.stability import (
     SWEEP_TOL,
     AnalysisPoint,
@@ -168,9 +169,10 @@ def test_sweep_battery():
     problem, meta = load_battery("nlp_toy")
     s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
     assert s.verdict == "all-elements-nonsingular"
+    # and so is sdp_toy's PSD block, with |beta| = 0
     problem, meta = load_battery("sdp_toy")
     s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
-    assert s.verdict == "all-sampled-nonsingular"
+    assert s.verdict == "all-elements-nonsingular"
     problem, meta = load_battery("sdp_degenerate")
     s = nonsingularity_sweep(problem, meta.known_solution)
     assert s.verdict == "singular-element-found"
@@ -201,31 +203,35 @@ def _planted_plants():
 
 
 def _kink_weights(point, provenance):
-    """Per block, the weights u of the element diag(u) that the exact sweep
-    names by ``provenance`` at a polyhedral point: 1 on FREE and 0 on
-    PINNED coordinates, and on the kinks 1 (canonical), 0 (pattern-zeros)
-    or the common weight of a bisection witness."""
+    """Per block, the frame weights u of the element that the exact sweep
+    names by ``provenance``: 1 / (1 + weight) on FREE and 0 on PINNED
+    coordinates, and on the kinks (UP, DOWN and BLOCK) 1 (canonical), 0
+    (pattern-zeros) or the common weight of a bisection witness."""
     weights = []
     for st, name in zip(point.structures, provenance):
         tag, u = re.search(r":(canonical|pattern-zeros|kink-weight\((.+?)\))\)*$", name).groups()
         kink = float(u) if u is not None else {"canonical": 1.0, "pattern-zeros": 0.0}[tag]
-        weights.append(np.where(st.critical == FREE, 1.0,
+        weights.append(np.where(st.critical == FREE, 1.0 / (1.0 + st.weight),
                                 np.where(st.critical == PINNED, 0.0, kink)))
     return weights
 
 
 def _named_element(point, provenance):
-    """The element [[H, J^T], [(I-U) J, -U]] named by the exact sweep."""
+    """The element [[H, J^T], [(I-U) J, -U]] named by the exact sweep, each
+    block's U = Q diag(u) Q^T in its frame Q."""
     return assemble_element(point.problem, point.kkt,
-                            [LinearOperatorElement(np.diag(u))
-                             for u in _kink_weights(point, provenance)])
+                            [LinearOperatorElement(np.diag(u) if st.frame is None
+                                                   else st.frame @ np.diag(u) @ st.frame.T)
+                             for st, u in zip(point.structures,
+                                              _kink_weights(point, provenance))])
 
 
 def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
-    # the sampled sweep takes every least singular value from one svd of
-    # the sampled stack, which the elements' matrices are views of; the
-    # exact sweep of a polyhedral point reports the least singular value of
-    # the element it names
+    # the sampler takes every least singular value from one svd of the
+    # sampled stack, which the elements' matrices are views of; the exact
+    # sweep reports the least singular value of the element it names, with
+    # its bits at a polyhedral point and within rounding at a PSD point,
+    # whose element it forms in the blocks' frames
     from kktstab.problem import JacobianElementR
 
     cases = [(name,) + load_battery(name) for name in BATTERY_NAMES] + _planted_plants()
@@ -238,21 +244,18 @@ def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
         assert svs.tobytes() == np.array(loop).tobytes(), name
         assert all(np.shares_memory(el.matrix, elements.matrices) for el in elements), name
         point = AnalysisPoint(problem, z, AnalyzerOptions(seed=7))
-        if point.polyhedral:
-            named = _named_element(point, nonsingularity_sweep(problem, point).argmin_provenance)
-            want = named.min_singular_value()
+        named = _named_element(point, nonsingularity_sweep(problem, point).argmin_provenance)
+        want = named.min_singular_value()
         with monkeypatch.context() as mp:
             mp.setattr(JacobianElementR, "min_singular_value", None)
             sweep = nonsingularity_sweep(problem, z, AnalyzerOptions(seed=7))
         if point.polyhedral:
             assert sweep.min_singular_value == want, name
         else:
-            i = int(np.argmin(loop))
-            assert (sweep.min_singular_value, sweep.argmin_provenance, sweep.n_elements) == (
-                loop[i], elements[i].provenance, len(elements)), name
+            assert abs(sweep.min_singular_value - want) <= 1e-12 * np.abs(named.matrix).max(), name
         verdicts[point.polyhedral].add(sweep.verdict)
     assert verdicts == {True: {"singular-element-found", "all-elements-nonsingular"},
-                        False: {"singular-element-found", "all-sampled-nonsingular"}}
+                        False: {"singular-element-found", "all-elements-nonsingular"}}
 
 
 def _vertex_oracle(point):
@@ -264,7 +267,7 @@ def _vertex_oracle(point):
     problem, pt = point.problem, point.kkt
     H = problem.F.weighted_hessian(pt.x, pt.mu)
     J = problem.F.jacobian(pt.x)
-    codes = point.codes
+    codes = point.model.codes
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     singular, counts = False, set()
     for bits in itertools.product((0.0, 1.0), repeat=kinks.size):
@@ -387,14 +390,14 @@ def test_exact_sweep_agrees_with_the_vertex_oracle():
 def test_leg_b_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, seed):
     # the analyze-nlp benchmark plants with its analyzer options, labels from
     # the planted generator: every nondegeneracy failure has a singular
-    # element and every strongly regular plant none, and no polyhedral point
-    # samples an element
-    import kktstab.stability as st
+    # element and every strongly regular plant none, and no point samples an
+    # element
+    import kktstab.problem as pr
 
     def no_sampling(*args, **kwargs):
-        raise AssertionError("elements sampled at a polyhedral point")
+        raise AssertionError("elements sampled")
 
-    monkeypatch.setattr(st, "sample_elements_R", no_sampling)
+    monkeypatch.setattr(pr, "sample_elements_R", no_sampling)
     workloads = _benchmark_workloads()
     w = workloads.WORKLOADS["analyze-nlp"]
     instances = workloads.generate(w, seed)
@@ -442,7 +445,7 @@ def _piece_oracle(point, deltas):
     residual, as one does that leaves the local model, a delta with no
     solution, or one with two more than 1e-6 apart."""
     problem, pt, H, J = point.problem, point.kkt, point.hessian, point.J
-    n, codes = problem.n, point.codes
+    n, codes = problem.n, point.model.codes
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
     t = 1e-8 * max(1.0, max(np.abs(xb + ub).max() for _, xb, ub in point.pairs))
@@ -502,7 +505,7 @@ def _singular_canonical(point, rng):
     """The point with a singular canonical element, or None: two pinned rows
     of J made dependent on a third (a null vector shared by every piece),
     or the weighted Hessian made singular on null(J_P) (one that is not)."""
-    pinned = np.flatnonzero(point.codes == PINNED)
+    pinned = np.flatnonzero(point.model.codes == PINNED)
     if rng.uniform() < 0.5:
         if pinned.size < 3:
             return None
@@ -531,11 +534,11 @@ def _no_newton(monkeypatch):
     monkeypatch.setattr(st, "solve_linearized_rows", no_newton)
 
 
-def _assert_certificate(stats, pieces, label):
+def _assert_certificate(stats, pieces, label, method="exact"):
     """The probe's certificate that a point is not strongly regular: one
     violation, at delta = 0, whose one solution is the point itself."""
     assert (stats.method, stats.pieces, stats.violations, stats.failures, stats.solved,
-            stats.modulus) == ("exact", pieces, 1, 0, 1, 0.0), label
+            stats.modulus) == (method, pieces, 1, 0, 1, 0.0), label
 
 
 def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
@@ -637,7 +640,7 @@ def test_the_exact_probe_decides_both_100_block_plants_without_newton(monkeypatc
         assert plant.nondegenerate == plant.strongly_regular == nd
         problem, meta = instance_from_dict(data)
         point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
-        assert np.sum((point.codes == UP) | (point.codes == DOWN)) == 45
+        assert np.sum((point.model.codes == UP) | (point.model.codes == DOWN)) == 45
         stats = strong_regularity_probe(problem, point)
         if nd:
             assert (stats.method, stats.pieces, stats.violations, stats.failures,
@@ -665,6 +668,25 @@ def test_lcp_solves_positive_definite_problems_up_to_100_kinks():
             assert y.shape == (K,) and y.min(initial=0.0) >= 0.0, K
             assert w.min(initial=0.0) >= -1e-10 * scale, K
             assert abs(y @ w) <= 1e-10 * scale * (1.0 + np.abs(y).sum()), K
+
+
+def test_the_exact_probe_checks_with_the_points_own_linearization(monkeypatch):
+    # the residual check of the exact probe takes the Hessian, J and F(xbar)
+    # that the analysis point holds, with the bits of their evaluation in
+    # linearized_residual, which it then does not repeat
+    import kktstab.problem as pr
+
+    for problem, meta in _analyze_nlp_plants(7)[:6]:
+        point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(num_delta=4))
+        dim = problem.n + problem.m
+        Z = point.kkt.stacked() + 1e-3 * np.random.default_rng(1).standard_normal((5, dim))
+        parts = (point.hessian, point.J, point.Fbar)
+        assert (linearized_residual(problem, point.kkt, Z, parts).tobytes()
+                == linearized_residual(problem, point.kkt, Z).tobytes())
+        with monkeypatch.context() as mp:
+            mp.setattr(pr, "_base_parts", None)
+            stats = strong_regularity_probe(problem, point)
+        assert stats.method == "exact" and stats.failures == 0
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -1114,11 +1136,12 @@ def test_a_point_takes_no_other_options(check):
     check(problem, point, AnalyzerOptions(num_delta=20, srcq_budget=400))
 
 
-def _pair_battery_problem():
-    """One problem whose blocks are the verify pair battery's pairs, at a
-    KKT point: F(x) = c + N x with c the stacked xbar and N an orthonormal
-    basis of the multiplier's complement, plus a definite Hessian."""
-    pairs = [(p, xb, ub) for _, p, xb, ub in pair_battery()]
+def _pair_battery_problem(keep=lambda name: True):
+    """One problem whose blocks are the verify pair battery's pairs (those
+    whose names ``keep`` accepts), at a KKT point: F(x) = c + N x with c the
+    stacked xbar and N an orthonormal basis of the multiplier's complement,
+    plus a definite Hessian."""
+    pairs = [(p, xb, ub) for name, p, xb, ub in pair_battery() if keep(name)]
     c = np.concatenate([xb for _, xb, _ in pairs])
     mu = np.concatenate([ub for _, _, ub in pairs])
     N = nullspace(mu[None, :])
@@ -1346,33 +1369,54 @@ def _assert_same_solutions(exact, newton):
     assert exact.modulus == pytest.approx(newton.modulus, rel=1e-8)
 
 
+def _beta2_pencil():
+    """(problem, meta) of a planted PSD pencil of order 3 with |beta| = 2 and
+    a nondegeneracy failure, where the probe runs Newton and about a fifth
+    of its solves fail."""
+    data, _ = _benchmark_workloads().planted.psd_pencil(np.random.default_rng(0), 3, 0, 2,
+                                                        False, True, name="beta2")
+    return instance_from_dict(data)
+
+
 @pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
-                                  "smooth_toy"])
+                                  "smooth_toy", "beta2_pencil"])
 def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
-    # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail.  The
-    # polyhedral toys take the Newton path with the exact probe deferring,
-    # and their exact probe finds the Newton probe's solutions
+    # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail, and
+    # on the |beta| = 2 pencil, which takes the Newton path itself, about 30
+    # too.  The other points take the Newton path with the probe on the
+    # local model deferring: the polyhedral toys' exact probe finds the
+    # Newton probe's solutions, and the B-derivative probe of the PSD toys
+    # (|beta| <= 1) reads the same leg c
     import kktstab.stability as st
 
-    problem, meta = load_battery(name)
+    problem, meta = _beta2_pencil() if name == "beta2_pencil" else load_battery(name)
     short = AnalyzerOptions(num_delta=6, seed=4, radius=0.3,
                             newton=NewtonOptions(max_iter=3))
     exact = [strong_regularity_probe(problem, meta.known_solution, opts)
              for opts in (AnalyzerOptions(), short)]
-    if AnalysisPoint(problem, meta.known_solution).polyhedral:
-        monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
+    method = AnalysisPoint(problem, meta.known_solution).model.method
+    assert method == {"sdp_toy": "b-derivative", "sdp_degenerate": "b-derivative",
+                      "beta2_pencil": "newton"}.get(name, "exact")
+    monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
     stats = strong_regularity_probe(problem, meta.known_solution)
     assert stats == probe_one_at_a_time(problem, meta.known_solution)
-    if name == "sdp_degenerate":
+    if name in ("sdp_degenerate", "beta2_pencil"):
         assert stats.failures >= 20
         assert stats.failure_causes["max_iter"] > 0
     newton = strong_regularity_probe(problem, meta.known_solution, short)
     assert newton == probe_one_at_a_time(problem, meta.known_solution, short)
-    if AnalysisPoint(problem, meta.known_solution).polyhedral:
+    if method == "exact":
         _assert_same_solutions(exact[0], stats)
         _assert_same_solutions(exact[1], newton)
+    elif method == "b-derivative":
+        assert [e.method for e in exact] == [method, method]
+        assert _leg_c(exact[0]) == _leg_c(stats) == (name == "sdp_toy")
     else:
         assert exact == [stats, newton]
+
+
+def _leg_c(stats):
+    return stats.violations == 0 and stats.failures == 0 and np.isfinite(stats.modulus)
 
 
 def test_probe_tests_kkt_at_its_tol(monkeypatch):
@@ -1386,10 +1430,21 @@ def test_probe_tests_kkt_at_its_tol(monkeypatch):
     opts = AnalyzerOptions(num_delta=5, tol=1e-6)
     stats = strong_regularity_probe(problem, point, opts)
     assert stats.failures == stats.violations == 0 and stats.solved == 6
-    monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
-    newton = strong_regularity_probe(problem, point, opts)
+    with monkeypatch.context() as mp:
+        mp.setattr(st, "_exact_probe", lambda point, deltas: None)
+        newton = strong_regularity_probe(problem, point, opts)
     assert newton == probe_one_at_a_time(problem, point, opts)
     _assert_same_solutions(stats, newton)
+    # the |beta| = 2 pencil, on the Newton path, with the lift's multiplier
+    # off by 1e-7, which leaves the PSD block's eigenvalues alone
+    problem, meta = _beta2_pencil()
+    point = meta.known_solution.stacked()
+    point[problem.n] += 1e-7
+    with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
+        strong_regularity_probe(problem, point, AnalyzerOptions(num_delta=5))
+    stats = strong_regularity_probe(problem, point, opts)
+    assert stats.method == "newton" and stats.solved > 0
+    assert stats == probe_one_at_a_time(problem, point, opts)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -1978,6 +2033,287 @@ def test_cone_verdicts_of_analyze_sdp_plants_survive_sub_tolerance_moves(seed):
                 u = np.random.default_rng([seed, k, r]).standard_normal(z.size)
                 got = _cone_verdicts(problem, z + scale * u / np.linalg.norm(u), opts)
                 assert got == want, (k, scale, r)
+
+
+def _analyze_sdp(seed):
+    """The analyze-sdp benchmark plants of a seed, as (problem, meta, plant),
+    and the benchmark's analyzer options."""
+    workloads = _benchmark_workloads()
+    w = workloads.WORKLOADS["analyze-sdp"]
+    instances = workloads.generate(w, seed)
+    return ([(problem, meta, inst.plant)
+             for (problem, meta), inst in zip(workloads.load(instances), instances)],
+            workloads.analyzer_options(w, seed))
+
+
+def _psd_segment(problem, pt, ts):
+    """The dense elements [[H, J^T], [(I-U) J, -U]] of an epi-lifted PSD
+    pencil along U_beta-beta = t I, one per t, built from the eigenvalues
+    and eigenvectors of the block alone: U D = P (Sigma o (P^T D P)) P^T
+    with Sigma 1 on alpha-alpha and alpha-beta, lam_i / (lam_i - lam_j) on
+    alpha-gamma, t on beta-beta and 0 elsewhere, and 1 on the lift."""
+    w = problem.F.eval(pt.x) + pt.mu
+    lam, P, _ = eig_split(w[1:])
+    pos, neg = np.maximum(lam, 0.0), np.maximum(-lam, 0.0)
+    ends = []
+    for t in (0.0, 1.0):
+        den = np.abs(lam)[:, None] + np.abs(lam)[None, :]
+        Sigma = np.where(den > 0.0, (pos[:, None] + pos[None, :]) / np.where(den > 0.0, den, 1.0),
+                         t)
+        Sigma[(neg[:, None] > 0.0) & (neg[None, :] > 0.0)] = 0.0
+        d = lam.size * (lam.size + 1) // 2
+        U = np.eye(d + 1)
+        U[1:, 1:] = np.array([svec(P @ (Sigma * (P.T @ smat(e) @ P)) @ P.T)
+                              for e in np.eye(d)]).T
+        ends.append(U)
+    U = ends[0] + ts[:, None, None] * (ends[1] - ends[0])  # affine in t
+    return assemble_element(problem, pt, [LinearOperatorElement(U)]).matrix
+
+
+def test_leg_b_is_the_segment_oracle_at_analyze_sdp_plants():
+    # every analyze-sdp plant of seeds 7 and 8 (|beta| 1 or 2) with the
+    # benchmark's options: leg b reads singular iff an extreme element
+    # (V = 0 or V = I) is, or the determinant changes sign along V = t I,
+    # read by slogdet on 801 values of t in [0, 1]; the sign changes are the
+    # second-order failures that sampled elements used to miss
+    ts = np.linspace(0.0, 1.0, 801)
+    seen = set()
+    for seed in (7, 8):
+        plants, opts = _analyze_sdp(seed)
+        for k, (problem, meta, plant) in enumerate(plants):
+            E = _psd_segment(problem, meta.known_solution, ts)
+            extreme = (np.linalg.svd(E[[0, -1]], compute_uv=False)[:, -1] <= SWEEP_TOL).any()
+            change = np.unique(np.linalg.slogdet(E)[0]).size > 1
+            sweep = nonsingularity_sweep(problem, meta.known_solution, opts)
+            assert (sweep.verdict == "singular-element-found") == (extreme or change), (seed, k)
+            case = "singular extreme" if extreme else "sign change" if change else "nonsingular"
+            seen.add((plant.structure["beta"], case))
+            if case == "sign change":
+                assert not plant.second_order, (seed, k)
+    assert seen == {(b, case) for b in (1, 2)
+                    for case in ("singular extreme", "sign change", "nonsingular")}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_legs_b_and_c_read_the_planted_labels_of_the_analyze_sdp_plants(monkeypatch, seed):
+    # the analyze-sdp plants with the benchmark's options: leg b finds no
+    # singular element at a strongly regular plant and one at every
+    # nondegeneracy failure; at |beta| = 1 the probe solves the B-derivative
+    # with no Newton solve allowed, leg c equals leg b, and it holds at every
+    # strongly regular plant
+    _no_newton(monkeypatch)
+    plants, opts = _analyze_sdp(seed)
+    tally = {"SR": 0, "ND-fail": 0, "|beta| = 1": 0}
+    for k, (problem, meta, plant) in enumerate(plants):
+        point = AnalysisPoint(problem, meta.known_solution, opts)
+        leg_b = nonsingularity_sweep(problem, point).verdict == "all-elements-nonsingular"
+        if plant.strongly_regular:
+            assert leg_b, k
+            tally["SR"] += 1
+        if not plant.nondegenerate:
+            assert not leg_b, k
+            tally["ND-fail"] += 1
+        if plant.structure["beta"] == 1:
+            probe = strong_regularity_probe(problem, point)
+            assert (probe.method, probe.pieces, probe.failures) == ("b-derivative", 2, 0), k
+            assert _leg_c(probe) == leg_b, k
+            tally["|beta| = 1"] += 1
+        else:
+            assert point.model.method == "newton", k
+    assert tally == {"SR": 12, "ND-fail": 6, "|beta| = 1": 16}
+
+
+def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypatch):
+    # sdp_toy (|beta| = 0), the strongly regular |beta| = 1 analyze-sdp
+    # plants of seed 7 and a mixed problem: each delta's solution of the
+    # B-derivative's equation lies within 50 radius^2 of the solution of the
+    # linearized inclusion that the Newton probe finds, at radii 1e-3 and
+    # 1e-4 (the largest gap is about 15 radius^2); a wrong frame or delta2
+    # term would leave a gap of order radius
+    import kktstab.stability as st
+
+    solved = []
+    real = st._probe_stats
+    monkeypatch.setattr(st, "_probe_stats",
+                        lambda opts, solutions, *rest: solved.append(solutions)
+                        or real(opts, solutions, *rest))
+    plants = [load_battery("sdp_toy") + (None,)] + [
+        p for p in _analyze_sdp(7)[0] if p[2].structure["beta"] == 1 and p[2].strongly_regular]
+    # and the pair battery without its |beta| = 2 pair: PSD blocks of orders
+    # 2 and 3, unlifted, next to orthant, box and l1 blocks
+    problem, z = _pair_battery_problem(lambda name: name != "psd2_origin")
+    plants.append((problem, SimpleNamespace(known_solution=z), None))
+    assert len(plants) == 10
+    compared = 0
+    for radius in (1e-3, 1e-4):
+        opts = AnalyzerOptions(num_delta=4, radius=radius, seed=3)
+        for problem, meta, _ in plants:
+            exact = strong_regularity_probe(problem, meta.known_solution, opts)
+            with monkeypatch.context() as mp:
+                mp.setattr(st, "_exact_probe", lambda point, deltas: None)
+                newton = strong_regularity_probe(problem, meta.known_solution, opts)
+            assert exact.method == "b-derivative" and _leg_c(exact)
+            if newton.failures:
+                continue
+            for (d1, z1), (d2, z2) in zip(*solved[-2:]):
+                assert np.array_equal(d1, d2)
+                assert np.abs(z1 - z2).max() <= 50.0 * radius ** 2, (problem.name, radius)
+                compared += 1
+    assert compared >= 90
+
+
+def test_the_b_derivative_check_hands_a_wrong_solution_to_newton(monkeypatch):
+    # with every LCP answered by y = 0 (each kink on its excess branch), a
+    # probe whose true solutions all have y = 0 is unchanged, and one where a
+    # delta switches the |beta| = 1 kink fails the B-derivative check and
+    # goes to Newton
+    import kktstab.stability as st
+
+    real, switched = st._lcp, []
+    monkeypatch.setattr(st, "_lcp", lambda M, q: switched.append(bool(real(M, q).any()))
+                        or np.zeros(q.size))
+    seen = set()
+    for problem, meta, plant in _analyze_sdp(7)[0]:
+        if plant.structure["beta"] != 1 or not plant.strongly_regular:
+            continue
+        switched.clear()
+        probe = strong_regularity_probe(problem, meta.known_solution,
+                                        AnalyzerOptions(num_delta=6, seed=2))
+        assert probe.method == ("newton" if any(switched) else "b-derivative"), problem.name
+        seen.add(probe.method)
+    assert seen == {"newton", "b-derivative"}
+
+
+def _random_mixed_point(rng):
+    """A random KKT point x = 0 of F(x) = c + J x over a random subset of the
+    pair battery's pairs, without its |beta| = 2 pair: PSD blocks with
+    |beta| <= 1 next to separable blocks with kinks.  J = N R with N an
+    orthonormal basis of the multiplier's complement, so J^T mu = 0, and
+    the weighted Hessian is random symmetric, indefinite in half the
+    points."""
+    pairs = [(p, xb, ub) for name, p, xb, ub in pair_battery()
+             if name != "psd2_origin" and rng.uniform() < 0.6]
+    pairs = pairs or [(p, xb, ub) for name, p, xb, ub in pair_battery()][:1]
+    c = np.concatenate([xb for _, xb, _ in pairs])
+    mu = np.concatenate([ub for _, _, ub in pairs])
+    N = nullspace(mu[None, :])
+    n = int(rng.integers(2, N.shape[1] + 1))
+    J = N[:, :n] @ rng.standard_normal((n, n))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    H = (Q * rng.uniform(-1.0 if rng.uniform() < 0.5 else 0.2, 2.0, n)) @ Q.T
+    F = SmoothMap(n=n, m=c.size, eval=lambda x: c + J @ x, jacobian=lambda x: J,
+                  weighted_hessian_fn=lambda x, m: H)
+    return CompositeProblem(F, [p for p, _, _ in pairs]), KKTPoint(np.zeros(n), mu)
+
+
+def _b_derivative_pieces(point, deltas):
+    """(orientation, K, per delta) of the B-derivative's equation at a point
+    whose PSD blocks have |beta| <= 1, from every piece's dense system in
+    the original coordinates: the element [[H, J^T], [(I-U) J, -U]] with
+    every block's U = Q diag(u) Q^T from its canonical ``clarke_frame``,
+    the kink weights (UP and DOWN coordinates, and a 1 x 1 beta-beta
+    block) set to the piece's 0/1 bits, and right side (delta1,
+    -(I-U) delta2).  The orientation reads "singular piece" or "reversed
+    orientation" as ``_piece_oracle``'s does, else "regular", which gets
+    each delta's solutions whose kinks keep to their sides in the frames."""
+    problem, pt, H, J = point.problem, point.kkt, point.hessian, point.J
+    n = problem.n
+    frames, kinks, signs = [], [], []
+    for (p, xb, ub), st in zip(point.pairs, point.structures):
+        codes = np.where(st.critical == BLOCK, UP, st.critical) if (
+            np.sum(st.critical == BLOCK) == 1) else st.critical
+        assert not (codes == BLOCK).any()
+        frames.append(p.clarke_frame(xb + ub))
+        kinks.append((codes == UP) | (codes == DOWN))
+        signs.append(np.where(codes == DOWN, -1.0, 1.0))
+    t = 1e-8 * max(1.0, max(np.abs(xb + ub).max() for _, xb, ub in point.pairs))
+    K = int(sum(k.sum() for k in kinks))
+    pieces = []
+    for bits in itertools.product((1.0, 0.0), repeat=K):
+        us, i = [], 0
+        for f, k in zip(frames, kinks):
+            u = f.weight.copy()
+            u[k] = bits[i:i + k.sum()]
+            i += k.sum()
+            us.append(u)
+        U = np.zeros((problem.m, problem.m))
+        for lo, f, u in zip(problem.offsets, frames, us):
+            U[lo:lo + u.size, lo:lo + u.size] = ClarkeFrame(u, f.eigvecs).matrix()
+        IU = np.eye(problem.m) - U
+        pieces.append((us, IU, np.block([[H, J.T], [IU @ J, -U]])))
+    svs = [np.linalg.svd(E, compute_uv=False) for _, _, E in pieces]
+    if any(v[-1] <= 1e-8 * max(1.0, v[0]) for v in svs):
+        return "singular piece", K, None
+    if len({np.linalg.slogdet(E)[0] for _, _, E in pieces}) > 1:
+        return "reversed orientation", K, None
+    out = []
+    for delta in deltas:
+        sols = []
+        for us, IU, E in pieces:
+            dz = np.linalg.solve(E, np.concatenate([delta[:n], -IU @ delta[n:]]))
+            e = problem.blocks(J @ dz[:n] + delta[n:])
+            dmu = problem.blocks(dz[n:])
+            ok = True
+            for f, k, s, u, eb, mb in zip(frames, kinks, signs, us, e, dmu):
+                ef, mf = f.coords(eb)[k], f.coords(mb)[k]
+                ok &= bool(np.all(np.where(u[k] == 1.0, -s[k] * ef, s[k] * mf) <= t))
+            if ok:
+                sols.append(pt.stacked() + dz)
+        out.append((sols, delta))
+    return "regular", K, out
+
+
+def test_b_derivative_probe_agrees_with_the_piece_oracle(monkeypatch):
+    # the |beta| = 1 analyze-sdp plants of seed 7 and 80 random mixed points
+    # of PSD (|beta| <= 1) and separable blocks: where the oracle's pieces
+    # are not coherently oriented the probe reads the certificate with no
+    # Newton solve; elsewhere each delta has one solution up to the kink
+    # tolerance, and the probe reads it
+    import kktstab.stability as st
+
+    tallies = []
+    real = st._probe_stats
+    monkeypatch.setattr(st, "_probe_stats", lambda opts, solutions, *rest:
+                        tallies.append(solutions) or real(opts, solutions, *rest))
+    _no_newton(monkeypatch)
+    rng = np.random.default_rng(41)
+    cases = [(problem, meta.known_solution) for problem, meta, plant in _analyze_sdp(7)[0]
+             if plant.structure["beta"] == 1]
+    cases += [_random_mixed_point(rng) for _ in range(80)]
+    seen = set()
+    for k, (problem, z) in enumerate(cases):
+        opts = AnalyzerOptions(num_delta=6, seed=k)
+        point = AnalysisPoint(problem, z, opts)
+        assert point.model.method in ("b-derivative", "exact"), k
+        deltas = _probe_deltas(problem.n + problem.m, opts)[0]
+        orientation, K, want = _b_derivative_pieces(point, deltas)
+        stats = strong_regularity_probe(problem, point)
+        seen.add((orientation, point.model.method, K > 1))
+        if orientation != "regular":
+            _assert_certificate(stats, 2 ** K, k, point.model.method)
+            continue
+        assert (stats.failures, stats.violations, stats.solved) == (0, 0, len(deltas)), k
+        for (delta, z1), (sols, d) in zip(tallies[-1], want):
+            assert np.array_equal(delta, d) and sols, k
+            scale = 1e-8 * (1.0 + np.abs(z1).max())
+            assert max(np.abs(a - b).max() for a in sols for b in sols) <= scale, k
+            assert np.abs(z1 - sols[0]).max() <= scale, k
+    assert {o for o, m, many in seen if m == "b-derivative" and many} == {
+        "singular piece", "reversed orientation", "regular"}, seen
+
+
+def test_leg_c_of_an_analyze_sdp_plant_survives_sub_tolerance_moves():
+    # analyze-sdp seed 8 #4 (|beta| = 1, strongly regular), whose Newton
+    # probe gained a failed solve under one 1e-9 move: moved twice by 1e-11
+    # and twice by 1e-9, the B-derivative probe keeps leg c
+    (problem, meta, plant), opts = _analyze_sdp(8)[0][4], _analyze_sdp(8)[1]
+    assert plant.structure["beta"] == 1 and plant.strongly_regular
+    z = meta.known_solution.stacked()
+    for scale in (0.0, 1e-11, 1e-9):
+        for r in range(2):
+            u = np.random.default_rng([8, 4, r]).standard_normal(z.size)
+            probe = strong_regularity_probe(problem, z + scale * u / np.linalg.norm(u), opts)
+            assert probe.method == "b-derivative" and _leg_c(probe), (scale, r)
 
 
 _SINGLE_RAY_INSTANCE = {  # planted PSD pencil: order 3, |alpha| = |beta| = 1, degenerate
