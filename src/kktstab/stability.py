@@ -5,9 +5,10 @@ Verdicts always carry the tolerance they were decided at.  Everything that
 rests on sampling (the alternating-projection cone search, the Newton
 probe) is reported as evidence, never as a certificate: the wording is
 "heuristic-likely", and the report's note says when leg c is sampled.
-Legs b and c read one local model of the point (``LocalModel``): J in
-every block's frame, the critical codes, and H with the curvature weights
-of the alpha-gamma coordinates of PSD blocks folded in.  The element sweep
+Every leg reads one local model of the point (``LocalModel``): J in
+every block's frame, the critical codes, H with the curvature weights of
+the alpha-gamma coordinates of PSD blocks folded in, and the two kernels
+that legs a and b and srcq's span test read.  The element sweep
 (leg b) is exact at every point: two inertia computations decide every
 element of a superset of the product set of Clarke elements, in which
 every PSD block's beta-beta part lies between 0 and I, and the verdict
@@ -76,6 +77,7 @@ from .pieces import (
     LinearOperatorElement,
     _gram,
     _kink_tol,
+    _outside_curvature_domain,
     sampled_gamma,
 )
 from .problem import (
@@ -175,13 +177,21 @@ class LocalModel(NamedTuple):
     coordinates of a PSD block.  Solving a FREE row for its multiplier
     folds its weight into H = H0 + J^T diag(weight) J.  ``method`` says
     how leg c is decided: "exact" at a polyhedral point, "b-derivative"
-    where every PSD block has |beta| <= 1, else "newton"."""
+    where every PSD block has |beta| <= 1, else "newton".  Its two kernels
+    at ``opts.tol``: Z0 spans null(J_P), the critical subspace, with
+    A0 = Z0^T H Z0 and its ascending eigenvalues ``lam``, and Z1 spans
+    null(G) for G = J_K Z0 on the kinks K (neither PINNED nor FREE)."""
 
     J: np.ndarray
     H: np.ndarray
     codes: np.ndarray
     weight: np.ndarray
     method: str
+    Z0: np.ndarray
+    A0: np.ndarray
+    lam: np.ndarray
+    G: np.ndarray
+    Z1: np.ndarray
 
 
 @dataclass
@@ -272,10 +282,10 @@ def mutual_span_residual(A: np.ndarray, B: np.ndarray) -> float:
 class AnalysisPoint:
     """A point tested once against the KKT system at ``opts.tol``, the
     tolerance of every test at the point, with J and the block pairs
-    (piece, F(x)_b, mu_b).  The block structures (which give the
-    critical-cone bases and, through their class codes, the cones),
-    null(J^T) and each cone's decision are computed on first use and kept,
-    so the checks that share one point compute each of them once."""
+    (piece, F(x)_b, mu_b).  The block structures (whose class codes give
+    the cones), the local model with its two kernels, null(J^T) and each
+    cone's decision are computed on first use and kept, so the checks that
+    share one point compute each of them once."""
 
     def __init__(self, problem: CompositeProblem, z, opts: AnalyzerOptions | None = None,
                  *, _kkt_test: bool = True):
@@ -313,11 +323,11 @@ class AnalysisPoint:
 
     @functools.cached_property
     def model(self) -> LocalModel:
-        """The local model of legs b and c, in every block's frame: J, H
-        with the curvature weights folded in, the critical codes (the one
-        BLOCK coordinate of a |beta| = 1 block read as UP) and the method
-        that decides leg c.  At a polyhedral point J and H are the
-        point's own."""
+        """The local model of every leg, in every block's frame: J, H with
+        the curvature weights folded in, the critical codes (the one BLOCK
+        coordinate of a |beta| = 1 block read as UP), the method that
+        decides leg c, and the two kernels.  At a polyhedral point J and H
+        are the point's own."""
         codes = np.concatenate([np.where(c == BLOCK, UP, c) if np.sum(c == BLOCK) == 1 else c
                                 for c in (st.critical for st in self.structures)])
         weight = np.concatenate([st.weight for st in self.structures])
@@ -325,7 +335,11 @@ class AnalysisPoint:
         H = self.hessian + _gram(J[on].T, weight[on]) if on.any() else self.hessian
         method = ("exact" if self.polyhedral else
                   "newton" if (codes == BLOCK).any() else "b-derivative")
-        return LocalModel(J, H, codes, weight, method)
+        pinned = codes == PINNED
+        Z0 = nullspace(J[pinned], self.opts.tol)
+        A0, G = Z0.T @ H @ Z0, J[~(pinned | (codes == FREE))] @ Z0
+        return LocalModel(J, H, codes, weight, method, Z0, A0, np.linalg.eigvalsh(A0), G,
+                          nullspace(G, self.opts.tol))
 
     def coords(self, V: np.ndarray) -> np.ndarray:
         """Every block's frame coordinates of each row of a stack (..., m)."""
@@ -346,26 +360,6 @@ class AnalysisPoint:
     @functools.cached_property
     def adjoint_nullspace(self) -> np.ndarray:
         return nullspace(self.J.T, self.opts.tol)
-
-    def embed(self, bases: list[np.ndarray]) -> np.ndarray:
-        """The blockwise bases as one block-diagonal matrix."""
-        cols = np.cumsum([0] + [b.shape[1] for b in bases])
-        out = np.zeros((self.problem.m, cols[-1]))
-        for lo, c, b in zip(self.problem.offsets, cols, bases):
-            out[lo:lo + b.shape[0], c:c + b.shape[1]] = b
-        return out
-
-    def joint_rank(self, bases: list[np.ndarray]) -> int:
-        """Numerical rank of [J, embedded bases] at ``opts.tol``, relative to
-        its largest singular value."""
-        s = np.linalg.svd(np.hstack([self.J, self.embed(bases)]), compute_uv=False)
-        return int(np.sum(s > self.opts.tol * max(1.0, s[0] if s.size else 0.0)))
-
-    def preimage(self, bases: list[np.ndarray]) -> CriticalSubspace:
-        """Directions d with J d inside the span of the blockwise orthonormal bases."""
-        B = self.embed(bases)
-        N = nullspace(self.J - B @ (B.T @ self.J))
-        return CriticalSubspace(basis=N, dim=N.shape[1])
 
     def _frame_rows(self, cone_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(W, codes, groups): the rows W = frame^T N of null(J^T) in every
@@ -451,9 +445,9 @@ def analysis_point(problem: CompositeProblem, z,
 def critical_subspace(problem: CompositeProblem, zbar,
                       opts: AnalyzerOptions | None = None) -> CriticalSubspace:
     """Primal directions mapped by the Jacobian into the blockwise affine
-    hulls of the critical sets."""
-    point = analysis_point(problem, zbar, opts)
-    return point.preimage([s.affine_hull_basis for s in point.structures])
+    hulls of the critical sets: Z0 of ``AnalysisPoint.model``."""
+    Z0 = analysis_point(problem, zbar, opts).model.Z0
+    return CriticalSubspace(basis=Z0, dim=Z0.shape[1])
 
 
 def critical_subspace_from_samples(problem: CompositeProblem, zbar,
@@ -463,19 +457,22 @@ def critical_subspace_from_samples(problem: CompositeProblem, zbar,
     cross-check of the domain identity."""
     check_integer("seed", seed, 0)
     point = analysis_point(problem, zbar)
-    bases = []
-    for i, (p, xb, ub) in enumerate(point.pairs):
+    rows = []
+    for i, ((p, xb, ub), Jb) in enumerate(zip(point.pairs, problem.blocks(point.J.T))):
         samples = p.sample_clarke(xb + ub, count, seed + 31 * i)
-        bases.append(orthonormal_span(np.hstack([el.matrix for el in samples])))
-    return point.preimage(bases)
+        B = orthonormal_span(np.hstack([el.matrix for el in samples]))
+        rows.append(Jb.T - B @ (B.T @ Jb.T))
+    N = nullspace(np.vstack(rows))
+    return CriticalSubspace(basis=N, dim=N.shape[1])
 
 
 def nondegeneracy_check(problem: CompositeProblem, zbar,
                         opts: AnalyzerOptions | None = None) -> Verdict:
     """Rank test: the Jacobian range plus the blockwise lineality spaces
-    must fill the whole image space."""
+    must fill the whole image space; its rank is #FREE + n - dim Z1 of
+    ``AnalysisPoint.model``."""
     point = analysis_point(problem, zbar, opts)
-    rank = point.joint_rank([s.lineality_basis for s in point.structures])
+    rank = int(np.sum(point.model.codes == FREE)) + problem.n - point.model.Z1.shape[1]
     status = "holds" if rank == problem.m else "fails"
     return Verdict(status, point.opts.tol, f"rank {rank} of {problem.m}")
 
@@ -690,12 +687,13 @@ def srcq_check(problem: CompositeProblem, zbar,
     from the ray test of a one-line kernel, or from the Farkas certificate
     of an interval cone's linear program.  Only a cone with PSD blocks and
     a kernel of two or more dimensions gets ``srcq_budget``
-    alternating-projection restarts, which look for a point."""
+    alternating-projection restarts, which look for a point.  At a point
+    with PSD blocks a span test comes first: the Jacobian range and the
+    critical cone's affine hull, of rank #not PINNED + n - dim Z0
+    (``AnalysisPoint.model``), must fill the image space."""
     point = analysis_point(problem, zbar, opts)
     if not point.polyhedral:
-        # necessary span test: the Jacobian range plus the affine hull of
-        # the critical set must already fill the image space
-        rank = point.joint_rank([s.affine_hull_basis for s in point.structures])
+        rank = int(np.sum(point.model.codes != PINNED)) + problem.n - point.model.Z0.shape[1]
         if rank < problem.m:
             return Verdict("fails", point.opts.tol, f"span test rank {rank} of {problem.m}")
     return _cone_verdict(point, "critical_polar_cone", "polar", "polar")
@@ -756,9 +754,10 @@ def ssosc_check(problem: CompositeProblem, zbar,
     """Second-order verdict on the affine hull of the critical cone.
 
     Directions outside the curvature domain carry an infinite term and are
-    satisfied automatically, so positivity is decided by the minimal
-    eigenvalue of the reduced form on the critical subspace; an empty
-    subspace gives a vacuous 'holds'.
+    satisfied automatically, so positivity is decided by the least
+    eigenvalue of A0 on the critical subspace Z0 (``AnalysisPoint.model``),
+    and a column of Z0 off that domain raises CurvatureDomainError; an
+    empty subspace gives a vacuous 'holds'.
     """
     point = analysis_point(problem, zbar, opts)
     tol = point.opts.tol
@@ -767,14 +766,16 @@ def ssosc_check(problem: CompositeProblem, zbar,
         raise UnsupportedCaseError(
             "the multiplier set is not a singleton; the second-order "
             "verdict is only supported for unique multipliers")
-    cs = critical_subspace(problem, point)
-    if cs.dim == 0:
+    m = point.model
+    if m.Z0.shape[1] == 0:
         return SsoscResult("holds", tol, float("inf"), 0,
                            "critical subspace is trivial")
-    Q = reduced_quadratic_form(problem, point, cs.basis)
-    min_eig = float(np.linalg.eigvalsh(Q)[0])
+    if _outside_curvature_domain(np.linalg.norm(m.J[m.codes == PINNED] @ m.Z0, axis=0),
+                                 np.linalg.norm(m.J @ m.Z0, axis=0)).any():
+        raise CurvatureDomainError("curvature is infinite on a direction of the critical subspace")
+    min_eig = float(m.lam[0])
     status = "holds" if min_eig > tol else "fails"
-    return SsoscResult(status, tol, min_eig, cs.dim)
+    return SsoscResult(status, tol, min_eig, m.Z0.shape[1])
 
 
 # ----------------------------------------------------------------------
@@ -823,9 +824,10 @@ def _exact_sweep(point: AnalysisPoint) -> SweepStats:
     Hence every element is nonsingular iff both extremes are, every kink
     free (u = 1, V = I, the canonical element) and every kink pinned
     (u = 0, V = 0, the pattern-zeros element), and their reduced matrices
-    Z0^T H Z0 on null(J_P) and Z1^T H Z1 on null(J_{P+K}) have equally
-    many negative eigenvalues.  Both extremes are B-elements, and the
-    segment of one common kink weight u, V = u I, lies in the product set.
+    A0 = Z0^T H Z0 on null(J_P) and Z1^T A0 Z1 on null(J_{P+K}), the
+    model's two kernels, have equally many negative eigenvalues.
+    Both extremes are B-elements, and the segment of one common kink
+    weight u, V = u I, lies in the product set.
 
     A singular extreme (least singular value at most SWEEP_TOL, from one
     svd of both, taken in the frames, which keep singular values) is the
@@ -838,22 +840,18 @@ def _exact_sweep(point: AnalysisPoint) -> SweepStats:
     is nearest singular.  ``n_elements`` counts the reduced matrices whose
     inertia was computed.
     """
-    problem, (J, H, codes, weight, _) = point.problem, point.model
-    pinned, free = codes == PINNED, codes == FREE
-    kink = ~(pinned | free)
-    Z0 = nullspace(J[pinned])
-    A0, G = Z0.T @ H @ Z0, J[kink] @ Z0
-    counts = [_negative_count(A0)[0]]
-    weights, tags = [np.where(pinned, 0.0, 1.0 / (1.0 + weight))], ["canonical"]
+    problem, m = point.problem, point.model
+    kink = (m.codes != PINNED) & (m.codes != FREE)
+    counts = [int(np.sum(m.lam < 0.0))]
+    weights, tags = [np.where(m.codes == PINNED, 0.0, 1.0 / (1.0 + m.weight))], ["canonical"]
     if kink.any():
-        Z1 = nullspace(G)  # null(J_{P+K}) in the coordinates of Z0
-        counts.append(_negative_count(Z1.T @ A0 @ Z1)[0])
+        counts.append(_negative_count(m.Z1.T @ m.A0 @ m.Z1)[0])
         weights.append(np.where(kink, 0.0, weights[0]))
         tags.append("pattern-zeros")
     svs = _element_svs(point, weights)
     n_elements = len(counts)
     if min(svs) > SWEEP_TOL and counts[0] != counts[-1]:
-        u, steps = _bisect_common_weight(A0, G.T @ G, counts[0])
+        u, steps = _bisect_common_weight(m.A0, m.G.T @ m.G, counts[0])
         weights.append(np.where(kink, u, weights[0]))
         tags.append(f"kink-weight({u!r})")
         svs += _element_svs(point, weights[-1:])
@@ -1029,7 +1027,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     model breaks down: a solution fails that check, or an LCP does not end
     within its bound.
     """
-    problem, opts, (J, H, codes, weight, method) = point.problem, point.opts, point.model
+    problem, opts, (J, H, codes, weight, method, *_) = point.problem, point.opts, point.model
     n = problem.n
     pinned = np.flatnonzero(codes == PINNED)
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))

@@ -473,8 +473,9 @@ def test_cli_eigendecomposition_error_exits_1(capsys, monkeypatch):
 def test_cli_infinite_curvature_exits_1(capsys, monkeypatch):
     import kktstab.pieces
 
-    monkeypatch.setattr(kktstab.pieces.BlockStructure, "curvature_form",
-                        lambda self, V: np.diag(np.full(V.shape[1], np.inf)))
+    # a negative residual tolerance puts every critical direction outside
+    # the curvature domain, so ssosc_check's domain guard raises
+    monkeypatch.setattr(kktstab.pieces, "DOM_RESIDUAL_TOL", -1.0)
     assert run_command(["analyze", _battery_file("smooth_toy"), "--num-delta", "2"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err

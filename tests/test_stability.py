@@ -2008,11 +2008,77 @@ def test_rcq_fails_at_analyze_nlp_plants_moved_below_the_kink_tolerance(index):
 
 
 def _cone_verdicts(problem, z, opts):
-    """rcq, srcq, multiplier uniqueness and ssosc at z."""
+    """rcq, srcq, nondegeneracy (status and detail), multiplier uniqueness,
+    ssosc with its subspace dimension, and the critical subspace's
+    dimension at z."""
     point = AnalysisPoint(problem, z, opts)
     unique, _ = multiplier_uniqueness(problem, point)
-    return (rcq_check(problem, point).status, srcq_check(problem, point).status, unique,
-            ssosc_check(problem, point).status if unique else None)
+    nd = nondegeneracy_check(problem, point)
+    ssosc = ssosc_check(problem, point) if unique else None
+    return (rcq_check(problem, point).status, srcq_check(problem, point).status,
+            (nd.status, nd.detail), unique, ssosc and ssosc.status,
+            ssosc and ssosc.subspace_dim, critical_subspace(problem, point).dim)
+
+
+def _embed(problem, bases):
+    """The blockwise bases as one block-diagonal matrix with m rows."""
+    out = np.zeros((problem.m, sum(b.shape[1] for b in bases)))
+    col = 0
+    for lo, b in zip(problem.offsets, bases):
+        out[lo:lo + b.shape[0], col:col + b.shape[1]] = b
+        col += b.shape[1]
+    return out
+
+
+def _joint_rank(point, B):
+    """Numerical rank of [J, B] at the point's tol, relative to its largest
+    singular value."""
+    s = np.linalg.svd(np.hstack([point.J, B]), compute_uv=False)
+    return int(np.sum(s > point.opts.tol * max(1.0, s[0] if s.size else 0.0)))
+
+
+def test_the_models_kernels_agree_with_the_per_block_routes():
+    # the critical subspace, ssosc, nondegeneracy and srcq's span test read
+    # the two kernels of AnalysisPoint.model; each must agree with the
+    # route it replaced: the preimage of the embedded affine hulls, the
+    # per-block curvature forms of reduced_quadratic_form, and the svd rank
+    # of J beside the embedded lineality or affine-hull bases
+    workloads = _benchmark_workloads()
+    cases = [(name, *load_battery(name), None)
+             for name in ("nlp_toy", "l1_toy", "smooth_toy", "sdp_toy", "sdp_degenerate")]
+    for name in ("analyze-nlp", "analyze-sdp"):
+        w = workloads.WORKLOADS[name]
+        opts = workloads.analyzer_options(w, 7)
+        cases += [(problem.name, problem, meta, opts)
+                  for problem, meta in workloads.load(workloads.generate(w, 7))]
+    assert len(cases) == 77
+    seen = set()
+    for name, problem, meta, opts in cases:
+        point = AnalysisPoint(problem, meta.known_solution, opts)
+        cs = critical_subspace(problem, point)
+        affine = _embed(problem, [st.affine_hull_basis for st in point.structures])
+        preimage = nullspace(point.J - affine @ (affine.T @ point.J))
+        assert cs.dim == preimage.shape[1], name
+        assert mutual_span_residual(cs.basis, preimage) <= 1e-10, name
+        lineality = _embed(problem, [st.lineality_basis for st in point.structures])
+        rank = _joint_rank(point, lineality)
+        assert nondegeneracy_check(problem, point).detail == f"rank {rank} of {problem.m}", name
+        seen.add(("nondegeneracy", rank == problem.m))
+        if not point.polyhedral:
+            rank = _joint_rank(point, affine)
+            span_failed = srcq_check(problem, point).detail.startswith("span test")
+            assert span_failed == (rank < problem.m), name
+            seen.add(("span test", span_failed))
+        unique, _ = multiplier_uniqueness(problem, point)
+        if unique and cs.dim:
+            Q = reduced_quadratic_form(problem, point, cs.basis)
+            got = ssosc_check(problem, point)
+            assert got.subspace_dim == cs.dim, name
+            scale = max(1.0, float(np.abs(Q).max()))
+            assert abs(got.min_eigenvalue - np.linalg.eigvalsh(Q)[0]) <= 1e-12 * scale, name
+            seen.add(("ssosc", got.status))
+    assert seen >= {("nondegeneracy", True), ("nondegeneracy", False), ("span test", False),
+                    ("ssosc", "holds"), ("ssosc", "fails")}
 
 
 @pytest.mark.parametrize("seed", [7, 8])
