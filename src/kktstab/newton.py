@@ -15,8 +15,10 @@ the ridge Gram matrix are computed once per distinct element over the
 current and the previous iteration, since rows of one stack, and
 consecutive iterates of one row, often hold the same element.  Steps are
 globalized by Armijo backtracking on half the squared residual norm, in
-rounds that try the next 1, 2, 4, ... step lengths of the backtracking
-sequence at once.
+rounds that try several step lengths of the backtracking sequence at once:
+round 0 runs from the full step down to the length that the row took in
+its previous iteration, and each later round tries twice as many of the
+row's next lengths as its round before.
 """
 
 from __future__ import annotations
@@ -289,6 +291,29 @@ def _newton_steps(E: ElementStack, r: np.ndarray, rr: np.ndarray, floor: float,
     return S, bound, errors, seen
 
 
+def _step_lengths(lengths: np.ndarray, k: int, opts: NewtonOptions) -> np.ndarray:
+    """The one-row loop's step lengths 1, f, f**2, ... (``alpha *= f`` for
+    the backtrack factor f), extended from ``lengths`` to k of them, or to
+    the last one not below ``min_step``."""
+    if lengths.size >= k:
+        return lengths
+    out = lengths.tolist()
+    while len(out) < k and out[-1] * opts.backtrack_factor >= opts.min_step:
+        out.append(out[-1] * opts.backtrack_factor)
+    return np.array(out)
+
+
+def _trials(rows: np.ndarray, start: np.ndarray,
+            count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trials of one line-search round in which rows[j] tries the step
+    lengths start[j], ..., start[j] + count[j] - 1 (count[j] >= 1): the row
+    and the length index of each trial, and the position of each row's
+    first trial."""
+    firsts = np.cumsum(count) - count
+    owner = np.repeat(rows, count)
+    return owner, np.arange(owner.size) + np.repeat(start - firsts, count), firsts
+
+
 def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           element: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           Z0: np.ndarray,
@@ -324,12 +349,16 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     and the previous iteration: the rows that hold the same matrix, bit for
     bit, share its svd and ridge Gram matrix, and its svd error.  Each
     line-search round makes one residual call for the rows still
-    searching: round 0 tries the full step, round r each row's next 2**r
-    step lengths of the one-row loop (``alpha *= backtrack_factor``, cut
-    at ``min_step``), so the ``residual`` stack may hold a row several
-    times.  A row takes its first trial, in order, that raises or passes
-    the Armijo test; the later trials of its round are discarded, and so
-    is an exception they raise.  A trace's ``element_min_sv`` holds, per
+    searching, each row on its own trials of the one-row loop's step
+    lengths 1, f, f**2, ... (``alpha *= backtrack_factor``, cut at
+    ``min_step``): round 0 tries every length from 1 down to the one the
+    row took in its previous iteration (only 1 in its first), and each
+    later round twice as many of the row's next lengths as its round
+    before, so the ``residual`` stack may hold a row several times.  Where
+    every row took the full step, round 0 is one trial per row.  A row
+    takes its first trial, in order, that raises or passes the Armijo
+    test; the later trials of its round are discarded, and so is an
+    exception they raise.  A trace's ``element_min_sv`` holds, per
     iteration, the exact sigma_min of the element where the svd ran and
     the upper bound elsewhere.
     """
@@ -379,6 +408,8 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
     for i, rn in zip(act.tolist(), rnorm.tolist()):
         traces[i].residual_norms.append(rn)
     min_sv = np.full(act.size, np.inf)  # of each row's previous element
+    back = np.zeros(act.size, dtype=int)  # the index of each row's previous step length
+    lengths = np.ones(1)  # the one-row loop's step lengths, as far as a row has tried them
     known: dict = {}  # the decompositions of the previous iteration's elements
 
     for _ in range(opts.max_iter):
@@ -387,77 +418,85 @@ def semismooth_solve_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarra
             for j in done.nonzero()[0]:
                 traces[act[j]].status = "converged"
                 outcomes[act[j]] = (Z[j].copy(), traces[act[j]])
-            act, Z, R, rnorm, min_sv = (a[~done] for a in (act, Z, R, rnorm, min_sv))
+            act, Z, R, rnorm, min_sv, back = (a[~done] for a in (act, Z, R, rnorm, min_sv, back))
             if not act.size:
                 break
         E, errors = _each_row(elements, Z, act)
-        act, Z, R, rnorm, min_sv = drop(errors, act, act, Z, R, rnorm, min_sv)
+        act, Z, R, rnorm, min_sv, back = drop(errors, act, act, Z, R, rnorm, min_sv, back)
         if not act.size:
             break
         rr = _rowdot(R, R)
         S, min_sv, errors, known = _newton_steps(E, R, rr, opts.regularization_floor,
                                                  min_sv < RIDGE_SV, known)
-        act, Z, R, rnorm, E, rr, S, min_sv = drop(errors, act, act, Z, R, rnorm, E, rr, S,
-                                                  min_sv)
+        act, Z, R, rnorm, E, rr, S, min_sv, back = drop(errors, act, act, Z, R, rnorm, E, rr,
+                                                        S, min_sv, back)
         if not act.size:
             break
         merit = 0.5 * rr
         slope = _rowdot(E.apply(S), R)  # derivative of the merit along s
         slope = np.where(slope >= 0.0, -2.0 * merit, slope)
 
-        # backtracking in rounds over the rows still searching: round 0
-        # tries the full step, round r the next 2**r step lengths of the
-        # one-row loop (the rows share them), all in one residual call.  A
-        # row takes its first trial that raises or passes the Armijo test;
-        # Z and R take each accepted trial in place
+        # backtracking in rounds over the rows still searching, each row on
+        # its own trials of the one-row loop's step lengths: round 0 tries
+        # 1 down to the length that the row took in its previous iteration,
+        # and each later round the row's next lengths, twice as many as in
+        # its previous round, all in one residual call.  A row takes its
+        # first trial that raises or passes the Armijo test; Z and R take
+        # each accepted trial in place
         alpha = np.empty(act.size)  # each row's accepted step length
         moved = np.zeros(act.size, dtype=bool)
-        search = owner = np.arange(act.size)  # owner: the row of each trial
-        trial = np.ones(act.size)  # the step length of each trial
-        Z_new = Z + S  # alpha = 1
+        search = np.arange(act.size)
+        count = back + 1  # each row's trials in its current round
+        nxt = np.zeros(act.size, dtype=int)  # the index of each row's first trial in it
+        if back.any():
+            owner, at, firsts = _trials(search, nxt, count)
+            Z_new = Z[owner] + lengths[at][:, None] * S[owner]
+        else:  # every row took the full step: one trial per row, of length index 0
+            owner = firsts = search
+            at, Z_new = nxt, Z + S  # read before nxt moves on
         while True:
-            w = owner.size // search.size  # trials per row
             R_new, errors = _each_row(residual, Z_new, act[owner])
             raised = np.zeros(owner.size, dtype=bool)
             if errors:
                 raised[list(errors)] = True
                 R_new = _nan_rows(R_new, errors, Z_new.shape)
+            trial = lengths[at]
             merit_new = 0.5 * _rowdot(R_new, R_new)
             ok = merit_new <= merit[owner] + opts.armijo_c * trial * slope[owner]
-            if not errors and ok[::w].all():
-                Z[search], R[search] = Z_new[::w], R_new[::w]
-                alpha[search] = trial[::w]
+            if not errors and ok[firsts].all():
+                Z[search], R[search] = Z_new[firsts], R_new[firsts]
+                alpha[search], back[search] = trial[firsts], at[firsts]
                 moved[search] = True
                 break
-            hit = (ok | raised).reshape(-1, w)
-            found, first = hit.any(axis=1), hit.argmax(axis=1)
-            pick = np.arange(search.size) * w + first  # each row's first hit
+            hits = np.where(ok | raised, np.arange(owner.size), owner.size)
+            pick = np.minimum.reduceat(hits, firsts)  # each row's first hit
+            found = pick < owner.size
+            pick[~found] = 0
             take = found & ~raised[pick]
             Z[search[take]], R[search[take]] = Z_new[pick[take]], R_new[pick[take]]
-            alpha[search[take]] = trial[pick[take]]
+            alpha[search[take]], back[search[take]] = trial[pick[take]], at[pick[take]]
             moved[search[take]] = True
             for j, t in zip(search[found & ~take], pick[found & ~take]):
                 outcomes[act[j]] = errors[t]
             search = search[~found]
             if not search.size:
                 break
-            steps, length = [], trial[-1]
-            for _ in range(2 * w):  # the loop's products, cut at min_step
-                length *= opts.backtrack_factor
-                if length < opts.min_step:
-                    break
-                steps.append(length)
-            if not steps:
-                for j in search:
-                    i = act[j]
-                    traces[i].status = "stagnated"
-                    outcomes[i] = NewtonStagnation(
-                        f"line search collapsed at residual {rnorm[j]:.3e}", traces[i])
+            nxt[search] += count[search]
+            count[search] *= 2
+            lengths = _step_lengths(lengths, int((nxt[search] + count[search]).max()), opts)
+            count[search] = np.minimum(count[search], lengths.size - nxt[search])
+            for j in search[count[search] == 0]:  # no length left above min_step
+                i = act[j]
+                traces[i].status = "stagnated"
+                outcomes[i] = NewtonStagnation(
+                    f"line search collapsed at residual {rnorm[j]:.3e}", traces[i])
+            search = search[count[search] > 0]
+            if not search.size:
                 break
-            owner, trial = np.repeat(search, len(steps)), np.tile(steps, search.size)
-            Z_new = Z[owner] + trial[:, None] * S[owner]
+            owner, at, firsts = _trials(search, nxt[search], count[search])
+            Z_new = Z[owner] + lengths[at][:, None] * S[owner]
         if not moved.all():
-            act, Z, R, alpha, min_sv = (a[moved] for a in (act, Z, R, alpha, min_sv))
+            act, Z, R, alpha, min_sv, back = (a[moved] for a in (act, Z, R, alpha, min_sv, back))
         rnorm = np.abs(R).max(axis=1)
         for i, rn, a, sv in zip(act.tolist(), rnorm.tolist(), alpha.tolist(), min_sv.tolist()):
             traces[i].residual_norms.append(rn)

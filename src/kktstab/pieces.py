@@ -351,6 +351,10 @@ class ConvexPiece:
 
     # -- first-order variational objects --------------------------------
     def prox_dirderiv(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The one-sided directional derivative of the prox at the point z
+        along d, or along each row of a stack of directions (..., dim): one
+        decomposition of z serves every row, and each row has the bits of
+        its one-direction call."""
         raise NotImplementedError
 
     def clarke_frame(self, z: np.ndarray) -> ClarkeFrame:
@@ -454,8 +458,8 @@ class _SeparablePiece(ConvexPiece):
         state, sign = self._classify(z)
         out = np.where(state == 1, d, 0.0)
         kink = state == 2
-        out[kink] = np.where(sign[kink] > 0, np.maximum(d[kink], 0.0),
-                             np.minimum(d[kink], 0.0))
+        out[..., kink] = np.where(sign[kink] > 0, np.maximum(d[..., kink], 0.0),
+                                  np.minimum(d[..., kink], 0.0))
         return out
 
     def _diag_element(self, diag: np.ndarray, provenance: str) -> LinearOperatorElement:
@@ -746,15 +750,18 @@ class PSDConeIndicator(ConvexPiece):
         return bool(nonzero.size and nonzero.min() < floor)
 
     def prox_dirderiv(self, z, d):
-        # Sigma o (P^T D P), its beta-beta block (Sigma = 1) projected onto the PSD cone
+        # Sigma o (P^T D P), its beta-beta block (Sigma = 1) projected onto the
+        # PSD cone: one eig_split of z, and one stacked eigh of the beta-beta
+        # blocks of a stack of directions
         lam, P, _ = eig_split(z)
         ix = np.arange(self.order)
         V = coupling(lam, ix[:, None], ix) * (P.T @ smat(d) @ P)
         b = np.flatnonzero(lam == 0.0)
         if b.size:
-            Dbb = V[np.ix_(b, b)]
-            w, Q = np.linalg.eigh(0.5 * (Dbb + Dbb.T))
-            V[np.ix_(b, b)] = Q @ np.diag(np.maximum(w, 0.0)) @ Q.T
+            bb = (..., b[:, None], b)
+            Dbb = V[bb]
+            w, Q = np.linalg.eigh(0.5 * (Dbb + Dbb.swapaxes(-1, -2)))
+            V[bb] = Q @ _diagonal(np.maximum(w, 0.0)) @ Q.swapaxes(-1, -2)
         return svec(P @ V @ P.T)
 
     # -- elements ---------------------------------------------------------
@@ -882,8 +889,8 @@ class EpiSum(ConvexPiece):
 
     def prox_dirderiv(self, z, d):
         _, y = self._split(z)
-        dc, dy = self._split(d)
-        return np.concatenate([[dc], self.inner.prox_dirderiv(y, dy)])
+        d = np.asarray(d, dtype=float)
+        return np.concatenate([d[..., :1], self.inner.prox_dirderiv(y, d[..., 1:])], axis=-1)
 
     def provenance(self, tag):
         return f"epi({self.inner.provenance(tag)})"

@@ -1,100 +1,124 @@
 """Canonical machine-readable reports.
 
 Emission is byte-deterministic: keys sorted, floats at 17 significant
-digits, two-space indentation.  Extended reals use the reserved sentinel
-strings "+inf", "-inf" and "nan", which the loader converts back, so
-infinite curvature values round-trip.
+digits, two-space indentation, strings as ``json.dumps`` writes them.
+``dumps_report`` writes the text in one pass over the report objects,
+with no intermediate tree of plain values.  Extended reals use the
+reserved sentinel strings "+inf", "-inf" and "nan", which the loader
+converts back, so infinite curvature values round-trip.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from ._version import __version__
 
-_SENTINELS = {"+inf": float("inf"), "-inf": float("-inf")}
+_INF = float("inf")
+_SENTINELS = {"+inf": _INF, "-inf": -_INF}
 
 
-def to_jsonable(obj):
-    """Recursively convert report objects to plain JSON values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The field names of a dataclass type, sorted, and their quoted keys."""
+    names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    return names, tuple(_quote(name) for name in names)
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
+    if x != x:
         return '"nan"'
-    if np.isinf(x):
-        return '"+inf"' if x > 0 else '"-inf"'
+    if x == _INF:
+        return '"+inf"'
+    if x == -_INF:
+        return '"-inf"'
     return format(x, ".17g")
 
 
-def _write(obj, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, float):
+def _write_block(values, keys, brackets: str, pad: str, out: list[str]) -> None:
+    """Append values, one per line nested at indentation pad, as a JSON
+    array (keys None) or as an object with the quoted keys."""
+    if not values:
+        out.append(brackets)
+        return
+    inner = pad + "  "
+    out.append(brackets[0] + "\n" + inner)
+    for i, v in enumerate(values):
+        if i:
+            out.append(",\n" + inner)
+        if keys is not None:
+            out.append(keys[i] + ": ")
+        _write(v, inner, out)
+    out.append("\n" + pad + brackets[1])
+
+
+def _write_dict(obj: dict, pad: str, out: list[str]) -> None:
+    if not all(type(k) is str for k in obj):
+        obj = {str(k): v for k, v in obj.items()}
+    keys = sorted(obj)
+    _write_block([obj[k] for k in keys], [_quote(k) for k in keys], "{}", pad, out)
+
+
+def _write(obj, pad: str, out: list[str]) -> None:
+    """Append the canonical text of a report value, nested at indentation
+    pad: a dataclass is an object of its fields, a tuple or an array a
+    list, and numpy scalars their Python values."""
+    t = type(obj)
+    if t is float:
         out.append(_fmt_float(obj))
-    elif isinstance(obj, int):
+    elif t is str:
+        out.append(_quote(obj))
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is int:
         out.append(str(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _write(v, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif t is list or t is tuple:
+        _write_block(obj, None, "[]", pad, out)
+    elif t is dict:
+        _write_dict(obj, pad, out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names, keys = _fields(t)
+        _write_block([getattr(obj, name) for name in names], keys, "{}", pad, out)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
-            out.append(pad + "  " + json.dumps(str(k)) + ": ")
-            _write(obj[k], indent + 1, out)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
+        _write_dict(obj, pad, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_block(obj, None, "[]", pad, out)
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            raise TypeError("cannot serialize a 0-d array canonically")
+        _write_block(obj.tolist(), None, "[]", pad, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (np.floating, float)):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, (np.integer, int)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+        raise TypeError(f"cannot serialize {t.__name__} canonically")
 
 
 def dumps_report(payload, kind: str, seed: int | None = None,
                  tolerances: dict | None = None) -> str:
+    """The canonical text of a report, written in one pass over it."""
     doc = {
         "tool": "kktstab",
         "version": __version__,
         "kind": kind,
         "seed": seed,
-        "tolerances": to_jsonable(tolerances or {}),
-        "payload": to_jsonable(payload),
+        "tolerances": tolerances or {},
+        "payload": payload,
     }
     out: list[str] = []
-    _write(doc, 0, out)
+    _write_dict(doc, "", out)
     out.append("\n")
     return "".join(out)
 

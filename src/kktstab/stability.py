@@ -925,7 +925,12 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
         u /= np.linalg.norm(u)
         r = rng.uniform() ** (1.0 / dim)
         deltas.append(opts.radius * r * u)
-    exact = None if point.model.method == "newton" else _exact_probe(point, np.array(deltas))
+    exact = None
+    if point.model.method != "newton":
+        # a delta so large that its solution overflows fails the exact
+        # probe's residual check, which hands it to the Newton probe
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = _exact_probe(point, np.array(deltas))
     if exact is not None:
         return exact
     offsets = [np.zeros(dim)]
@@ -964,13 +969,17 @@ def _spread(sols) -> float:
 def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.ndarray]],
                  violations: int, method: str, pieces: int, causes: dict) -> ProbeStats:
     """The ProbeStats of the (delta, solution) pairs, the modulus their
-    largest difference quotient."""
+    largest difference quotient, or NaN where one quotient is NaN (inf /
+    inf after an overflow)."""
     modulus = 0.0
-    for i, (d1, z1) in enumerate(solutions):
-        for d2, z2 in solutions[i + 1:]:
-            gap = float(np.linalg.norm(d1 - d2))
-            if gap > 1e-12:
-                modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (d1, z1) in enumerate(solutions):
+            for d2, z2 in solutions[i + 1:]:
+                gap = float(np.linalg.norm(d1 - d2))
+                if gap > 1e-12:
+                    q = float(np.linalg.norm(z1 - z2)) / gap
+                    if q > modulus or q != q:  # NaN stays once it appears
+                        modulus = q
     return ProbeStats(modulus=modulus, violations=int(violations), failures=sum(causes.values()),
                       solved=len(solutions), num_delta=opts.num_delta, radius=opts.radius,
                       uniqueness_tol=UNIQUENESS_TOL, method=method, pieces=pieces,
@@ -1073,7 +1082,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
                                 (point.hessian, point.J, point.Fbar)) - want
     else:
         r = _b_derivative_residual(point, dz, deltas)
-    if np.abs(r).max(initial=0.0) > 2.0 * (opts.tol + side_tol):
+    if not (np.abs(r) <= 2.0 * (opts.tol + side_tol)).all():  # NaN fails too
         return None
     return _probe_stats(opts, list(zip(deltas, Z)), 0, method, 2 ** kinks.size, causes)
 
@@ -1082,18 +1091,16 @@ def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
                            deltas: np.ndarray) -> np.ndarray:
     """The residual of the B-derivative's equation at each row of dz:
     H dx + J^T dmu - delta1 and e - Pi'(wbar; e + dmu) for the excess
-    e = J dx + delta2, with every block's ``prox_dirderiv`` at its
-    wbar = F(xbar)_b + mu_b."""
+    e = J dx + delta2, with each block's ``prox_dirderiv`` at its
+    wbar = F(xbar)_b + mu_b called once, on the stack of every row's
+    directions."""
     n = point.problem.n
-
-    def dirderiv(d: np.ndarray) -> np.ndarray:
-        return np.concatenate([p.prox_dirderiv(xb + ub, db)
-                               for (p, xb, ub), db in zip(point.pairs, point.problem.blocks(d))])
-
     dx, dmu = dz[:, :n], dz[:, n:]
     e = dx @ point.J.T + deltas[:, n:]
     r1 = dx @ point.hessian + dmu @ point.J - deltas[:, :n]
-    return np.concatenate([r1, e - np.array([dirderiv(d) for d in e + dmu])], axis=1)
+    dirderiv = [p.prox_dirderiv(xb + ub, db)
+                for (p, xb, ub), db in zip(point.pairs, point.problem.blocks(e + dmu))]
+    return np.concatenate([r1, e - np.concatenate(dirderiv, axis=1)], axis=1)
 
 
 def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

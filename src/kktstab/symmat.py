@@ -125,7 +125,9 @@ def eig_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Eigenvalues within the threshold 1e-8 * max(1, max|lambda|) of zero
     are set to exactly zero, so the positive, zero and negative index sets
-    are the signs of lambda.
+    are the signs of lambda.  ``eigh`` returns the spectrum in ascending
+    order, so the descending one is its reversal, copied into C-contiguous
+    arrays; no sort runs.
     """
     S = smat(v)
     try:
@@ -138,9 +140,7 @@ def eig_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"(Frobenius norm {norms.max():.3e}{where})"
         ) from exc
     tol = np.asarray(1e-8 * np.fmax(1.0, np.max(np.abs(w), axis=-1, initial=0.0)))
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    lam = np.take_along_axis(w, order, axis=-1)
-    P = np.take_along_axis(P, order[..., None, :], axis=-1)
+    lam, P = w[..., ::-1].copy(), P[..., ::-1].copy()
     lam[np.abs(lam) <= tol[..., None]] = 0.0
     return lam, P, tol
 

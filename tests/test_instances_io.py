@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import kktstab
 from kktstab import (
     BATTERY_NAMES,
     InstanceFormatError,
@@ -115,6 +118,131 @@ def test_report_float_precision_lossless():
     assert parsed["payload"]["vals"] == vals
 
 
+def _to_jsonable(obj):
+    """The plain JSON values of a report, as the writer once built them
+    before writing: part of the oracle of the one-pass writer."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+def _write_jsonable(obj, indent, out):
+    """The canonical text of plain JSON values: the rest of the oracle."""
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append('"nan"' if np.isnan(obj) else ('"+inf"' if obj > 0 else '"-inf"')
+                   if np.isinf(obj) else format(obj, ".17g"))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(pad + "  ")
+            _write_jsonable(v, indent + 1, out)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj)
+        for i, k in enumerate(keys):
+            out.append(pad + "  " + json.dumps(str(k)) + ": ")
+            _write_jsonable(obj[k], indent + 1, out)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def _dumps_oracle(payload, kind, seed=None, tolerances=None):
+    doc = {"tool": "kktstab", "version": kktstab.__version__, "kind": kind, "seed": seed,
+           "tolerances": _to_jsonable(tolerances or {}), "payload": _to_jsonable(payload)}
+    out = []
+    _write_jsonable(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+@dataclasses.dataclass
+class _Leaf:
+    zeta: float
+    alpha: tuple
+    mid: np.ndarray
+
+
+@dataclasses.dataclass
+class _Node:
+    leaf: _Leaf
+    leaves: list
+    table: dict
+    flag: np.bool_
+
+
+def test_one_pass_writer_has_the_bytes_of_the_jsonable_tree():
+    # the 5 battery reports, the 48 analyze-nlp and 24 analyze-sdp plants
+    # of seed 7 with the benchmark's options, and edge payloads
+    from test_stability import _benchmark_workloads
+
+    docs = []
+    for name in BATTERY_NAMES:
+        problem, meta = kktstab.load_battery(name)
+        rep = kktstab.equivalence_report(problem, meta.known_solution)
+        docs.append((rep, "stability", 0, rep.tolerances))
+        docs.append((rep.probe, "probe", None, None))
+    workloads = _benchmark_workloads()
+    for w in ("analyze-nlp", "analyze-sdp"):
+        opts = workloads.analyzer_options(workloads.WORKLOADS[w], 7)
+        for problem, meta in workloads.load(workloads.generate(workloads.WORKLOADS[w], 7)):
+            rep = kktstab.equivalence_report(problem, meta.known_solution, opts)
+            docs.append((rep, "stability", opts.seed, rep.tolerances))
+    assert len(docs) == 10 + 72
+    leaf = _Leaf(-0.0, (1, 2.5, "x", None), np.arange(6.0).reshape(2, 3))
+    edge = {
+        "reals": [float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, -0.0, 0.1],
+        "empty": [[], {}, (), np.zeros(0), np.zeros((2, 0)), _Leaf(1.0, (), np.zeros(0))],
+        "numpy": [np.float64(1.5), np.float32(0.1), np.int64(-3), np.uint8(7), np.bool_(True),
+                  np.bool_(False), np.float64("nan"), np.float64("-inf")],
+        "arrays": [np.array([True, False]), np.arange(3), np.array([[np.nan, np.inf]])],
+        "text": ["sigma \u03c3 \u2014 lambda \u03bb \u00fc", "\u2028 \"quoted\" \\ \n\t", ""],
+        "nested": _Node(leaf, [leaf, (leaf,)], {2: "two", "b": {"c": (True, None)}},
+                        np.bool_(True)),
+        1: "an int key", (2, 3): "a tuple key", "\u00e9": "a non-ASCII key",
+    }
+    docs += [(edge, "edge", 5, {"tol": np.float64(1e-8), "n": np.int32(4)}),
+             ([], "empty", None, {}), ({}, "empty", None, None), (leaf, "leaf", None, None)]
+    for payload, kind, seed, tolerances in docs:
+        want = _dumps_oracle(payload, kind, seed, tolerances)
+        assert dumps_report(payload, kind, seed, tolerances) == want, kind
+    for bad in ({1, 2}, 1j, np.array(2.0), object(), _Leaf):
+        with pytest.raises(TypeError):
+            _dumps_oracle({"x": bad}, "bad")
+        with pytest.raises(TypeError):
+            dumps_report({"x": bad}, "bad")
+
+
 def _battery_file(name):
     from kktstab import battery_path
     from importlib import resources
@@ -215,6 +343,21 @@ def test_cli_start_with_an_overflowing_residual_is_one_line_error(capsys, start,
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_cli_probe_whose_solutions_overflow_is_one_line_error(capsys, command):
+    # at radius 1e308 every difference quotient of nlp_toy's exact probe is
+    # inf / inf: its residual check fails on the non-finite entries and
+    # hands the probe to Newton, whose starting residuals overflow; no
+    # numpy warning reaches stderr, and no report reads leg c true
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_command([command, _battery_file("nlp_toy"), "--radius", "1e308"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: squared residual norm at the starting point overflows\n"
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_env_var_default_seed(tmp_path, capsys, monkeypatch):

@@ -388,8 +388,11 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
     screen, dense matrix and product take the place of the LU screen, the
     matrix and ``E @ s``.  ``discard``, when given, receives each trial
     point that the row driver's line-search rounds evaluate past the line
-    search's end: the rest of the round (of 1, 2, 4, ... trials) in which a
-    trial raised or passed the Armijo test.  It changes nothing else."""
+    search's end: the rest of the round in which a trial raised or passed
+    the Armijo test.  Round 0 tries every step length from 1 down to the
+    one the previous iteration took (k + 1 lengths for alpha = f**k), and
+    each later round twice as many as the one before.  It changes nothing
+    else."""
     opts = opts or NewtonOptions()
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
@@ -399,6 +402,7 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
     rnorm = float(np.linalg.norm(r, np.inf))
     trace.residual_norms.append(rnorm)
     min_sv = np.inf
+    back = 0  # the previous iteration's step length is backtrack_factor**back
     for _ in range(opts.max_iter):
         if rnorm <= opts.tol:
             trace.status = "converged"
@@ -437,11 +441,12 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
         slope = float(np.dot(E.apply(s[None])[0] if stack else E @ s, r))
         if slope >= 0.0:
             slope = -2.0 * merit
-        alpha, tried = 1.0, 0
+        alpha, tried, first = 1.0, 0, back + 1  # first: the size of round 0
 
         def rest_of_round():
             a, t = alpha, tried
-            while discard is not None and (t + 1) & t:  # until t == 2**k - 1
+            # rounds of first, 2 first, 4 first, ... trials end at t == first (2**k - 1)
+            while discard is not None and (t % first or (t // first + 1) & (t // first)):
                 a *= opts.backtrack_factor
                 if a < opts.min_step:
                     break
@@ -459,6 +464,7 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
             merit_new = 0.5 * float(np.dot(r_new, r_new))
             if merit_new <= merit + opts.armijo_c * alpha * slope:
                 rest_of_round()
+                back = tried - 1
                 break
             alpha *= opts.backtrack_factor
             if alpha < opts.min_step:
@@ -647,9 +653,12 @@ def test_row_driver_discards_the_trials_after_a_rows_first_hit():
     assert statuses == ["NewtonNonConvergence", "NewtonNonConvergence", "NewtonStagnation",
                         "NewtonStagnation"]
     assert outcomes[-2].trace.step_lengths == [1.0, 1.0]  # stagnated in its third iteration
-    # overshoot and trapped discard alpha = 1/4 in each of 8 iterations;
-    # trapped's first one raised, so it left no log entry
-    assert extras == 8 + 7
+    # overshoot and trapped take alpha = 1/2 in each of 8 iterations: the
+    # first one's round of 1/2 and 1/4 discards 1/4, and every later round
+    # 0, of 1 and 1/2, ends at its hit; trapped's discarded trial raised,
+    # so it left no log entry
+    assert [out.trace.step_lengths for out in outcomes[len(_ROWS):][:2]] == [[0.5] * 8] * 2
+    assert extras == 1
 
 
 def test_wrong_sign_row_searches_in_rounds_of_doubling_size():
@@ -664,6 +673,28 @@ def test_wrong_sign_row_searches_in_rounds_of_doubling_size():
                                  NewtonOptions(max_iter=8, min_step=1e-3))
     assert isinstance(out, NewtonStagnation)
     assert sizes == [1, 1, 2, 4, 3]  # the start, then alpha = 1 down to 2**-9
+
+
+def test_a_rows_round_0_runs_down_to_its_previous_step_length():
+    # the element 0.1 I makes each Newton step ten times too long: the first
+    # iteration takes alpha = 2**-3 in its third round (of 4 lengths), and
+    # each later round 0 tries 1, 1/2, 1/4 and 1/8, of which 1/8 passes
+    sizes = []
+
+    def residual(Z, rows):
+        sizes.append(len(Z))
+        return Z.copy()
+
+    opts = NewtonOptions(max_iter=3)
+    start = np.array([1.0, -0.5, 0.25])
+    out, = semismooth_solve_rows(residual, lambda Z, rows: np.array([0.1 * np.eye(3)] * len(Z)),
+                                 start[None], opts)
+    assert isinstance(out, NewtonNonConvergence)
+    assert out.trace.step_lengths == [0.125] * 3
+    assert sizes == [1, 1, 2, 4, 4, 4]
+    with pytest.raises(NewtonNonConvergence) as want:
+        semismooth_solve_loop(lambda z: z.copy(), lambda z: 0.1 * np.eye(3), start, opts)
+    _same_outcome(out, want.value)
 
 
 def test_row_driver_on_one_row_makes_no_retry_calls():

@@ -141,3 +141,51 @@ def test_psd_beta_block_samples_include_zero_element():
     provs = [e.provenance for e in els]
     assert any("canonical" in p for p in provs)
     assert any(np.allclose(e.matrix, 0.0) for e in els)
+
+
+def _assert_rows_are_one_direction_calls(piece, z, D, label):
+    S = piece.prox_dirderiv(z, D)
+    assert S.shape == D.shape, label
+    for d, s in zip(D, S):
+        assert piece.prox_dirderiv(z, d).tobytes() == s.tobytes(), label
+
+
+def test_stacked_prox_dirderiv_rows_are_the_one_direction_calls():
+    # each row of a stack of directions at one point has the bits of its
+    # own call: the separable kinds and their epigraph lifts at random
+    # points with about 40% of the coordinates on a kink, and the
+    # epi-lifted PSD blocks of the analyze-sdp plants of seeds 1-2 (|beta|
+    # 1 or 2) with their inner blocks, also shifted by 0.1 I (|beta| 0)
+    from kktstab import BoxIndicator, eig_split
+    from kktstab.stability import AnalysisPoint
+    from test_stability import _analyze_sdp
+
+    rng = np.random.default_rng(3)
+    separable = [(OrthantIndicator(8, 1), [0.0]), (OrthantIndicator(8, -1), [0.0]),
+                 (BoxIndicator(-np.ones(8), 2.0 * np.ones(8)), [-1.0, 2.0]),
+                 (L1Norm(8), [-1.0, 1.0])]
+    for piece, kinks in separable:
+        for case in range(20):
+            z = 3.0 * rng.standard_normal(8)
+            on = rng.random(8) < 0.4
+            z[on] = rng.choice(kinks, on.sum())
+            D = rng.standard_normal((7, 9))
+            D[0] = 0.0
+            _assert_rows_are_one_direction_calls(piece, z, D[:, 1:], (piece.kind, case))
+            _assert_rows_are_one_direction_calls(EpiSum(piece), np.r_[0.5, z], D,
+                                                 ("epi", piece.kind, case))
+    betas = set()
+    for seed in (1, 2):
+        plants, opts = _analyze_sdp(seed)
+        for k, (problem, meta, _) in enumerate(plants):
+            point = AnalysisPoint(problem, meta.known_solution, opts)
+            for p, xb, ub in point.pairs:
+                w = xb + ub
+                D = rng.standard_normal((9, p.dim))
+                D[0] = 0.0
+                _assert_rows_are_one_direction_calls(p, w, D, (seed, k))
+                shift = 0.1 * svec(np.eye(p.inner.order))
+                for z in (w[1:], w[1:] + shift):
+                    betas.add(int(np.count_nonzero(eig_split(z)[0] == 0.0)))
+                    _assert_rows_are_one_direction_calls(p.inner, z, D[:, 1:], (seed, k))
+    assert betas == {0, 1, 2}

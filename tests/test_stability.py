@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -2495,3 +2496,83 @@ def test_analysis_point_rejects_a_bad_tol_and_a_non_finite_point():
             with pytest.raises(ValueError, match="^point must be finite$"):
                 AnalysisPoint(problem, w, _kkt_test=False)
     assert AnalysisPoint(problem, z, _kkt_test=False).opts == AnalyzerOptions()
+
+
+def test_a_nan_difference_quotient_makes_the_probe_modulus_nan():
+    # d1 - d2 and z1 - z2 overflow, so their quotient is inf / inf: the
+    # modulus is NaN, not the 0.0 of max(0.0, nan), and leg c cannot read
+    # it as finite; quotients before or after it do not hide it
+    import kktstab.stability as st
+
+    big = np.full(3, 1e308)
+    small = np.array([0.0, 0.0, 1e-3])
+    causes = dict.fromkeys(st._FAILURE_CAUSES, 0)
+    for solutions in ([(big, big), (-big, -big)], [(small, small), (big, big), (-big, -big)],
+                      [(big, big), (-big, -big), (small, 2.0 * small)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = st._probe_stats(AnalyzerOptions(), solutions, 0, "exact", 1, causes)
+        assert np.isnan(stats.modulus), solutions
+    finite = st._probe_stats(AnalyzerOptions(), [(small, small), (2.0 * small, 3.0 * small)],
+                             0, "exact", 1, causes)
+    assert finite.modulus == 2.0
+
+
+def test_a_non_finite_exact_probe_residual_hands_the_probe_to_newton(monkeypatch):
+    # the exact probe's residual check passes only where every entry is
+    # finite and within its bound: one NaN or inf entry hands the point to
+    # the Newton probe, as a wrong solution does, at a polyhedral point
+    # (nlp_toy) and at a |beta| = 1 point (a strongly regular analyze-sdp
+    # plant of seed 7)
+    import kktstab.stability as st
+
+    plants, opts = _analyze_sdp(7)
+    problem, meta, _ = next(p for p in plants
+                            if p[2].structure["beta"] == 1 and p[2].strongly_regular)
+    cases = [(load_battery("nlp_toy"), AnalyzerOptions(), "linearized_residual"),
+             ((problem, meta), opts, "_b_derivative_residual")]
+    for (problem, meta), opts, name in cases:
+        point = AnalysisPoint(problem, meta.known_solution, opts)
+        deltas, _ = _probe_deltas(problem.n + problem.m, opts)
+        assert st._exact_probe(point, deltas) is not None, name
+        real = getattr(st, name)
+        for bad in (np.nan, np.inf, -np.inf):
+            def spoiled(*args, real=real, bad=bad):
+                r = real(*args)
+                r[-1, -1] = bad
+                return r
+
+            with monkeypatch.context() as mp:
+                mp.setattr(st, name, spoiled)
+                assert st._exact_probe(point, deltas) is None, (name, bad)
+
+
+def test_the_b_derivative_check_calls_each_blocks_prox_dirderiv_once(monkeypatch):
+    # the |beta| = 1 analyze-sdp plants of seed 7 and sdp_toy (|beta| = 0):
+    # at every oriented point the check takes each block's directional
+    # derivative once, on the stack of every delta's direction
+    import kktstab.stability as st
+
+    plants, opts = _analyze_sdp(7)
+    cases = [((problem, meta), opts) for problem, meta, plant in plants
+             if plant.structure["beta"] == 1]
+    cases.append((load_battery("sdp_toy"), AnalyzerOptions()))
+    checked = 0
+    for (problem, meta), opts in cases:
+        point = AnalysisPoint(problem, meta.known_solution, opts)
+        calls = []
+        for p, _, _ in point.pairs:
+            def counted(z, d, real=p.prox_dirderiv):
+                calls.append(np.shape(d))
+                return real(z, d)
+
+            monkeypatch.setattr(p, "prox_dirderiv", counted)
+        deltas, _ = _probe_deltas(problem.n + problem.m, opts)
+        stats = st._exact_probe(point, deltas)
+        assert stats is not None and stats.method == "b-derivative"
+        if stats.violations == 0:
+            assert calls == [(len(deltas), p.dim) for p, _, _ in point.pairs]
+            checked += 1
+        else:
+            assert calls == []  # the certificate needs no solution
+    assert checked == 13

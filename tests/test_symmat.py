@@ -173,6 +173,43 @@ def test_eig_split_stack_rows_match_one_row_calls_bit_for_bit():
             assert tol.tobytes() == one[2].tobytes(), (m, nb)
 
 
+def eig_split_sorted(v):
+    """``eig_split`` as it was, with the descending order taken by a stable
+    argsort of eigh's eigenvalues: the oracle of its sort-free reversal."""
+    w, P = np.linalg.eigh(smat(v))
+    tol = np.asarray(1e-8 * np.fmax(1.0, np.max(np.abs(w), axis=-1, initial=0.0)))
+    order = np.argsort(w, axis=-1, kind="stable")[..., ::-1]
+    lam = np.take_along_axis(w, order, axis=-1)
+    P = np.take_along_axis(P, order[..., None, :], axis=-1)
+    lam[np.abs(lam) <= tol[..., None]] = 0.0
+    return lam, P, tol
+
+
+def test_eig_split_has_the_bits_of_the_sorted_split():
+    # random stacks of orders 1-6, exactly repeated spectra (svec(I) and
+    # diagonal matrices with ties), and spectra with eigenvalues clamped
+    # to 0; one vector and a stack alike, the outputs C-contiguous
+    rng = np.random.default_rng(11)
+    cases = []
+    for m in range(1, 7):
+        cases.append(rng.standard_normal((5, m * (m + 1) // 2)))
+        cases.append(svec(np.eye(m)))
+        cases.append(svec(np.stack([np.diag(rng.choice([-2.0, 0.0, 1.0, 3.0], m))
+                                    for _ in range(6)])))
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        lam = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)
+        lam[: (m + 1) // 2] = rng.choice([0.0, 3e-9, -3e-9], (m + 1) // 2)
+        cases.append(svec((Q * lam) @ Q.T))
+    clamped = 0
+    for v in cases:
+        got, want = eig_split(v), eig_split_sorted(v)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), v
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+        clamped += np.count_nonzero(got[0] == 0.0)
+    assert clamped > 0
+
+
 def test_eigen_error_type_exists():
     assert issubclass(EigenDecompositionError, RuntimeError)
 
