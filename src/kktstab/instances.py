@@ -71,42 +71,55 @@ def _expect(value, kind: type, field: str):
 # smooth-map families
 
 
-def _poly_output(n: int, out: dict, label: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """(const, linear, symmetrized quadratic) of one polynomial output."""
+def _poly_output(n: int, out: dict, label: str) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """(const, linear, symmetrized quadratic) of one polynomial output; the
+    quadratic is None for an affine output, one with no "quadratic" or one
+    whose symmetrized quadratic is 0, after the same validation."""
     _expect(out, dict, label)
     c = float(_finite(out.get("const", 0.0), f"{label}: const"))
     a = _vector(out.get("linear", np.zeros(n)), f"{label}: linear part")
     if a.size != n:
         raise DimensionError(f"{label}: linear part has {a.size} entries, expected n={n}")
     if "quadratic" not in out:
-        return c, a, np.zeros((n, n))
+        return c, a, None
     Q = _finite(out["quadratic"], f"{label}: quadratic part")
     if Q.shape != (n, n):
         raise DimensionError(
             f"{label}: quadratic part has shape {Q.shape}, expected ({n}, {n})")
-    return c, a, 0.5 * (Q + Q.T)
+    Q = 0.5 * (Q + Q.T)
+    return c, a, Q if Q.any() else None
 
 
 def _poly_smooth_map(n: int, outputs: list[dict]) -> SmoothMap:
+    """The map of the outputs.  Only the curved outputs, those with a
+    nonzero quadratic, keep an n x n matrix and take a product in the value,
+    Jacobian and weighted Hessian; an affine output's quadratic term is the
+    +0.0 that its zero matrix gave, so every entry has the bits of the
+    dense per-output formulas c + a.x + x.Q.x / 2, a + Q x and
+    sum_i mu_i Q_i."""
     parts = [_poly_output(n, out, f"output {k}") for k, out in enumerate(outputs)]
-    consts = [c for c, _, _ in parts]
-    linears = [a for _, a, _ in parts]
-    quads = [Q for _, _, Q in parts]
+    curved = np.array([k for k, (_, _, Q) in enumerate(parts) if Q is not None], dtype=int)
+    quads = [parts[k][2] for k in curved]
     m = len(outputs)
-    A = np.array(linears)
-    c0 = np.array(consts)
+    A = np.array([a for _, a, _ in parts])
+    c0 = np.array([c for c, _, _ in parts])
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return c0 + A @ x + 0.5 * np.array([x @ Q @ x for Q in quads])
+        half = np.zeros(m)
+        half[curved] = [x @ Q @ x for Q in quads]
+        return c0 + A @ x + 0.5 * half
 
     def jac(x):
         x = np.asarray(x, dtype=float)
-        return A + np.array([Q @ x for Q in quads])
+        Qx = np.zeros((m, n))
+        for k, Q in zip(curved, quads):
+            Qx[k] = Q @ x
+        return A + Qx
 
     def whess(x, mu):
         H = np.zeros((n, n))
-        for mi, Q in zip(np.asarray(mu, dtype=float), quads):
+        for mi, Q in zip(np.asarray(mu, dtype=float)[curved], quads):
             if mi != 0.0:
                 H = H + mi * Q
         return H
@@ -117,6 +130,8 @@ def _poly_smooth_map(n: int, outputs: list[dict]) -> SmoothMap:
 def _affine_pencil_smooth_map(n: int, params: dict) -> SmoothMap:
     """Scalar objective output followed by svec of an affine matrix pencil."""
     c, a, Q = _poly_output(n, params["objective"], "objective")
+    if Q is None:
+        Q = np.zeros((n, n))
     M0 = _finite(params["pencil_const"], "pencil_const")
     if M0.ndim != 2 or M0.shape[0] != M0.shape[1]:
         raise InstanceFormatError(f"pencil_const must be a square matrix, got shape {M0.shape}")

@@ -392,24 +392,30 @@ class ConvexPiece:
         return False
 
     # -- second-order objects --------------------------------------------
-    def check_subgradient(self, xbar: np.ndarray, ubar: np.ndarray, tol: float = 1e-8) -> None:
+    def check_subgradient(self, xbar: np.ndarray, ubar: np.ndarray, tol: float = 1e-8,
+                          prox: np.ndarray | None = None) -> None:
+        """Raise SubgradientError unless prox(xbar + ubar) = xbar within tol;
+        ``prox`` is that prox when the caller already holds it."""
         xbar = np.asarray(xbar, dtype=float)
         ubar = np.asarray(ubar, dtype=float)
+        if prox is None:
+            prox = self.prox(xbar + ubar)
         # the max-norm, as kkt_check measures the fixed-point residual, so
         # that a point kkt_check accepts at tol passes here too
-        res = float(np.linalg.norm(self.prox(xbar + ubar) - xbar, np.inf))
+        res = float(np.linalg.norm(prox - xbar, np.inf))
         if res > tol * (1.0 + float(np.linalg.norm(xbar))):
             raise SubgradientError(
                 f"{self.kind}: ubar is not a subgradient at xbar "
                 f"(prox fixed-point residual {res:.3e})"
             )
 
-    def structure(self, xbar: np.ndarray, ubar: np.ndarray,
-                  tol: float = 1e-8) -> BlockStructure:
-        """The block structure at the pair, after its subgradient test at tol."""
+    def structure(self, xbar: np.ndarray, ubar: np.ndarray, tol: float = 1e-8,
+                  prox: np.ndarray | None = None) -> BlockStructure:
+        """The block structure at the pair, after its subgradient test at tol,
+        which reads ``prox``, the prox at xbar + ubar, when it is given."""
         xbar = np.asarray(xbar, dtype=float)
         ubar = np.asarray(ubar, dtype=float)
-        self.check_subgradient(xbar, ubar, tol)
+        self.check_subgradient(xbar, ubar, tol, prox)
         return self._structure(xbar, ubar)
 
     def _structure(self, xbar: np.ndarray, ubar: np.ndarray) -> BlockStructure:
@@ -931,8 +937,9 @@ class EpiSum(ConvexPiece):
             frame = np.zeros((self.dim, self.dim))
             frame[0, 0] = 1.0
             frame[1:, 1:] = inner.frame
-        return BlockStructure(frame, np.insert(inner.critical, 0, FREE),
-                              np.insert(inner.normal, 0, PINNED), np.insert(inner.weight, 0, 0.0))
+        return BlockStructure(frame, np.concatenate(([FREE], inner.critical)),
+                              np.concatenate(([PINNED], inner.normal)),
+                              np.concatenate(([0.0], inner.weight)))
 
 
 # ----------------------------------------------------------------------

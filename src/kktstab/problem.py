@@ -202,8 +202,27 @@ class KKTReport:
     residual: np.ndarray = field(repr=False)
 
 
-def kkt_check(problem: CompositeProblem, z, tol: float = 1e-8) -> KKTReport:
-    r = residual(problem, z)
+def block_prox(problem: CompositeProblem, w: np.ndarray) -> list[np.ndarray]:
+    """Each block's prox at its slice of the point w."""
+    return [p.prox(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
+
+
+def kkt_check(problem: CompositeProblem, z, tol: float = 1e-8, *,
+              parts: tuple[np.ndarray, np.ndarray] | None = None,
+              prox: list[np.ndarray] | None = None) -> KKTReport:
+    """The KKT test of a point at tol, in the max-norm of each residual
+    block.  ``parts`` = (J(x), F(x)) and ``prox``, each block's prox at
+    w = F(x) + mu (``block_prox``), are the caller's where it already
+    holds them, as an analysis point does for its x; the report has the
+    bits of the call without them."""
+    pt = as_point(problem, z)
+    J, Fx = parts or (np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float)),
+                      np.asarray(problem.F.eval(pt.x), dtype=float))
+    w = Fx + pt.mu
+    # prox_gstar(w), by the Moreau identity of ConvexPiece.prox_conjugate at sigma = 1
+    gstar = np.concatenate([wb - pb for wb, pb in zip(problem.blocks(w),
+                                                      prox or block_prox(problem, w))])
+    r = np.concatenate([J.T @ pt.mu, pt.mu - gstar])
     r1 = r[:problem.n]
     r2 = r[problem.n:]
     s = float(np.linalg.norm(r1, np.inf)) if r1.size else 0.0
@@ -517,10 +536,11 @@ def _apply(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def solve_linearized_rows(problem: CompositeProblem, zbar, deltas, starts=None,
-                          opts: NewtonOptions | None = None) -> list:
+                          opts: NewtonOptions | None = None, parts=None) -> list:
     """Solve the perturbed linearized generalized equation for each row of
     deltas (k, n+m), from the matching row of starts (the base point when
-    None), with one lock-step Newton iteration over all rows.
+    None), with one lock-step Newton iteration over all rows.  ``parts`` is
+    the weighted Hessian, J and F at zbar, as for ``linearized_residual``.
 
     Returns one entry per row: the KKTPoint that solve_linearized_ge returns
     for that row alone, or the exception it raises.
@@ -534,7 +554,7 @@ def solve_linearized_rows(problem: CompositeProblem, zbar, deltas, starts=None,
               else np.array(starts, dtype=float, ndmin=2))
     if starts.shape != deltas.shape:
         raise DimensionError(f"starts have shape {starts.shape}, expected {deltas.shape}")
-    Hbar, Jbar, Fbar = _base_parts(problem, base)
+    Hbar, Jbar, Fbar = parts or _base_parts(problem, base)
     rhs = np.concatenate([deltas[:, :n] + _apply(Jbar.T, deltas[:, n:]), deltas[:, n:]], axis=1)
 
     def res(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -5,10 +5,16 @@ Verdicts always carry the tolerance they were decided at.  Everything that
 rests on sampling (the alternating-projection cone search, the Newton
 probe) is reported as evidence, never as a certificate: the wording is
 "heuristic-likely", and the report's note says when leg c is sampled.
-Every leg reads one local model of the point (``LocalModel``): J in
-every block's frame, the critical codes, H with the curvature weights of
-the alpha-gamma coordinates of PSD blocks folded in, and the two kernels
-that legs a and b and srcq's span test read.  The element sweep
+The point is evaluated once (``AnalysisPoint``): F, J and each block's
+prox at wbar = F(x) + mu serve its KKT test, the blocks' subgradient
+tests, the uniqueness candidates' KKT tests and both probes'
+linearizations, so a report calls F, J and the weighted Hessian once
+each.  Every leg reads one local model of the point (``LocalModel``): J
+in every block's frame, the critical codes, H with the curvature weights
+of the alpha-gamma coordinates of PSD blocks folded in, and the two
+kernels that legs a and b and srcq's span test read, with the svd of the
+pinned rows J_P and the eigendecomposition of the reduced Hessian that
+they come from.  The element sweep
 (leg b) is exact at every point: two inertia computations decide every
 element of a superset of the product set of Clarke elements, in which
 every PSD block's beta-beta part lies between 0 and I, and the verdict
@@ -16,8 +22,9 @@ reads "all-elements-nonsingular" or names a singular witness element.  At
 a polyhedral point, and where every PSD block has |beta| <= 1 (a simple
 zero eigenvalue is one more kink of the projection's B-derivative), the
 probe first decides whether the 2^K pieces of the local piecewise-linear
-model are coherently oriented, from one eigendecomposition of the
-canonical piece and the eigenvalues of one symmetric K x K matrix; where
+model are coherently oriented, from the model's svd and
+eigendecomposition, which solve the canonical piece by the null-space
+method, and the eigenvalues of one symmetric K x K matrix; where
 they are not, the point is not strongly regular, and leg c reads that
 certificate at any K.  At an oriented point it solves each sampled
 perturbation exactly, as one linear complementarity problem with a
@@ -83,8 +90,10 @@ from .pieces import (
 from .problem import (
     CompositeProblem,
     KKTPoint,
+    KKTReport,
     _element_matrix,
     as_point,
+    block_prox,
     kkt_check,
     linearized_residual,
     solve_linearized_rows,
@@ -178,9 +187,12 @@ class LocalModel(NamedTuple):
     folds its weight into H = H0 + J^T diag(weight) J.  ``method`` says
     how leg c is decided: "exact" at a polyhedral point, "b-derivative"
     where every PSD block has |beta| <= 1, else "newton".  Its two kernels
-    at ``opts.tol``: Z0 spans null(J_P), the critical subspace, with
-    A0 = Z0^T H Z0 and its ascending eigenvalues ``lam``, and Z1 spans
-    null(G) for G = J_K Z0 on the kinks K (neither PINNED nor FREE)."""
+    at ``opts.tol``: Z0 spans null(J_P), the critical subspace, read from
+    the full svd ``svd_P`` = (U, s, Vh) of J_P, so that J_P has rank
+    n - dim Z0; A0 = Z0^T H Z0 has the ascending eigenvalues ``lam`` with
+    eigenvectors ``V0``; Z1 spans null(G) for G = J_K Z0 on the kinks K
+    (neither PINNED nor FREE).  The svd and V0 also give every solve with
+    the saddle [[H, J_P^T], [J_P, 0]] (``_exact_probe``)."""
 
     J: np.ndarray
     H: np.ndarray
@@ -188,8 +200,10 @@ class LocalModel(NamedTuple):
     weight: np.ndarray
     method: str
     Z0: np.ndarray
+    svd_P: tuple[np.ndarray, np.ndarray, np.ndarray]
     A0: np.ndarray
     lam: np.ndarray
+    V0: np.ndarray
     G: np.ndarray
     Z1: np.ndarray
 
@@ -244,13 +258,20 @@ class AnalyzerOptions:
 
 def nullspace(M: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the null space, columns of the result."""
+    return _kernel_svd(M, rtol)[0]
+
+
+def _kernel_svd(M: np.ndarray, rtol: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``nullspace(M, rtol)`` and the full svd (U, s, Vh) of M it is read
+    from, so M has rank n - (its columns); an M without a nonzero entry has
+    U = I, s = 0 and Vh = I."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    n = M.shape[1]
-    if M.shape[0] == 0 or not np.any(M):
-        return np.eye(n)
+    p, n = M.shape
+    if p == 0 or not np.any(M):
+        return np.eye(n), (np.eye(p), np.zeros(min(p, n)), np.eye(n))
     U, s, Vh = np.linalg.svd(M)
     rank = int(np.sum(s > rtol * max(1.0, s[0])))
-    return Vh[rank:].T
+    return Vh[rank:].T, (U, s, Vh)
 
 
 def orthonormal_span(columns: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
@@ -280,12 +301,18 @@ def mutual_span_residual(A: np.ndarray, B: np.ndarray) -> float:
 
 
 class AnalysisPoint:
-    """A point tested once against the KKT system at ``opts.tol``, the
-    tolerance of every test at the point, with J and the block pairs
-    (piece, F(x)_b, mu_b).  The block structures (whose class codes give
-    the cones), the local model with its two kernels, null(J^T) and each
-    cone's decision are computed on first use and kept, so the checks that
-    share one point compute each of them once."""
+    """A point evaluated once and tested once against the KKT system at
+    ``opts.tol``, the tolerance of every test at the point.  F(x), J(x)
+    and each block's prox at wbar = F(x) + mu (``prox``) are evaluated
+    here, and every reader at the point takes them from it: the KKT test,
+    each block's subgradient test in its structure, the KKT tests of the
+    multiplier-uniqueness candidates (only mu moves) and the
+    linearization of both probes.  It keeps the block pairs
+    (piece, F(x)_b, mu_b).  The weighted Hessian, the block structures
+    (whose class codes give the cones), the local model with its two
+    kernels, null(J^T) and each cone's decision are computed on first use
+    and kept, so the checks that share one point compute each of them
+    once, and a report calls F, J and the weighted Hessian once each."""
 
     def __init__(self, problem: CompositeProblem, z, opts: AnalyzerOptions | None = None,
                  *, _kkt_test: bool = True):
@@ -293,22 +320,36 @@ class AnalysisPoint:
         if not (np.isfinite(pt.x).all() and np.isfinite(pt.mu).all()):
             raise ValueError("point must be finite")
         self.opts = opts or AnalyzerOptions()
+        self.problem, self.kkt = problem, pt
+        self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
+        self.Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
+        self.wbar = self.Fbar + pt.mu
+        self.prox = block_prox(problem, self.wbar)
         if _kkt_test:
-            rep = kkt_check(problem, pt, self.opts.tol)
+            rep = self.kkt_test(pt.mu)
             if not rep.ok:
                 raise ValueError(
                     f"point is not a KKT point at tolerance {self.opts.tol:.1e} "
                     f"(stationarity {rep.stationarity_norm:.3e}, "
                     f"fixed point {rep.fixed_point_norm:.3e})")
-        self.problem, self.kkt = problem, pt
-        self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
-        self.Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
         self.pairs = list(zip(problem.pieces, problem.blocks(self.Fbar), problem.blocks(pt.mu)))
         self._searches: dict[str, tuple[list[np.ndarray], str]] = {}
 
+    def kkt_test(self, mu: np.ndarray) -> KKTReport:
+        """``kkt_check`` at (x, mu) for this point's x, at ``opts.tol``, from
+        the point's F and J; a block whose slice of F(x) + mu has the bits
+        of wbar's keeps the point's prox."""
+        w = self.problem.blocks(self.Fbar + mu)
+        prox = [pb if wb.tobytes() == vb.tobytes() else p.prox(wb)
+                for p, pb, wb, vb in zip(self.problem.pieces, self.prox, w,
+                                         self.problem.blocks(self.wbar))]
+        return kkt_check(self.problem, KKTPoint(self.kkt.x, mu), self.opts.tol,
+                         parts=(self.J, self.Fbar), prox=prox)
+
     @functools.cached_property
     def structures(self) -> list:
-        return [p.structure(xb, ub, self.opts.tol) for p, xb, ub in self.pairs]
+        return [p.structure(xb, ub, self.opts.tol, pb)
+                for (p, xb, ub), pb in zip(self.pairs, self.prox)]
 
     @functools.cached_property
     def polyhedral(self) -> bool:
@@ -336,9 +377,9 @@ class AnalysisPoint:
         method = ("exact" if self.polyhedral else
                   "newton" if (codes == BLOCK).any() else "b-derivative")
         pinned = codes == PINNED
-        Z0 = nullspace(J[pinned], self.opts.tol)
+        Z0, svd_P = _kernel_svd(J[pinned], self.opts.tol)
         A0, G = Z0.T @ H @ Z0, J[~(pinned | (codes == FREE))] @ Z0
-        return LocalModel(J, H, codes, weight, method, Z0, A0, np.linalg.eigvalsh(A0), G,
+        return LocalModel(J, H, codes, weight, method, Z0, svd_P, A0, *np.linalg.eigh(A0), G,
                           nullspace(G, self.opts.tol))
 
     def coords(self, V: np.ndarray) -> np.ndarray:
@@ -722,7 +763,7 @@ def multiplier_uniqueness(problem: CompositeProblem, zbar,
         vn = v / max(np.linalg.norm(v), 1e-300)
         for t in (1e-4, 1e-3, 1e-2, 1e-1):
             mu_t = point.kkt.mu + t * scale * vn
-            if kkt_check(problem, KKTPoint(point.kkt.x, mu_t), point.opts.tol).ok:
+            if point.kkt_test(mu_t).ok:
                 return False, mu_t
     return True, None
 
@@ -936,11 +977,14 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
     offsets = [np.zeros(dim)]
     for _ in range(2):
         u = rng.standard_normal(dim)
-        offsets.append(0.5 * opts.radius * u / np.linalg.norm(u))
+        # at a huge radius 0.5 * radius overflows before the division; the
+        # start is then not finite, which the solver reports as its error
+        with np.errstate(over="ignore"):
+            offsets.append(0.5 * opts.radius * u / np.linalg.norm(u))
     k = len(offsets)
     outcomes = solve_linearized_rows(problem, pt, np.repeat(deltas, k, axis=0),
                                      np.tile(pt.stacked() + np.array(offsets), (len(deltas), 1)),
-                                     opts.newton)
+                                     opts.newton, (point.hessian, point.J, point.Fbar))
     causes = dict.fromkeys(_FAILURE_CAUSES, 0)
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     violations = 0
@@ -1011,67 +1055,80 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     delta1 - J^T diag(weight) delta2, in frame coordinates.
 
     The canonical piece (every kink on its excess branch) is the saddle
-    S = [[H, J_P^T], [J_P, 0]], whose one eigendecomposition solves every
-    delta and the K kink columns.  With g_i = -dmu_i, each kink's excess is
-    e = q + W g, W = Psi S^-1 Psi^T symmetric (K, K) for the kinks' readout
-    rows Psi = [J_K, 0], and the piece that switches the kinks F solves
-    W_FF g_F = -q_F with e_F = 0.  By the Schur complement, the piece's
-    determinant is det(S) det(W_FF) up to one sign shared by every piece,
-    so the 2^K pieces are coherently oriented, which makes the map a
+    S = [[H, J_P^T], [J_P, 0]], solved by the null-space method (Benzi,
+    Golub & Liesen 2005, sec. 6) from the model's svd of J_P and
+    eigendecomposition A0 = V0 diag(lam) V0^T: S [y; nu] = [f; b] has
+    y = y_p + Z0 V0 diag(1/lam) (Z0 V0)^T (f - H y_p), y_p = J_P^+ b, and
+    nu = (J_P^T)^+ (f - H y).  S is nonsingular iff J_P has full row rank
+    |P| and A0 is nonsingular.  With g_i = -dmu_i, each kink's excess is
+    e = q + W g, W = Psi S^-1 Psi^T symmetric (K, K) for the kinks'
+    readout rows Psi = [J_K, 0], that is W = (G V0) diag(1/lam) (G V0)^T
+    with the model's G = J_K Z0, and the piece that switches the kinks F
+    solves W_FF g_F = -q_F with e_F = 0.  By the Schur complement, the
+    piece's determinant is det(S) det(W_FF) up to one sign shared by every
+    piece, so the 2^K pieces are coherently oriented, which makes the map a
     Lipschitz homeomorphism (Robinson 1992), iff S is nonsingular and every
     principal minor of W is positive: W is a P-matrix, which for a
     symmetric W means positive definite.
 
-    Where S has an eigenvalue within SWEEP_TOL of 0, or W's least
-    eigenvalue is at most SWEEP_TOL max(1, |lambda(W)|_max), the point is
-    not strongly regular, at any K: the stats are the certificate, one
-    violation at delta = 0 with the point itself as its one solution and no
-    Newton solve.  Otherwise each delta has exactly one local solution: with
-    D = diag(s), y = D g solves the LCP y >= 0, D q + D W D y >= 0,
-    y^T (D q + D W D y) = 0, whose matrix is positive definite (Cottle,
-    Pang & Stone 1992, ch. 3), and ``_lcp`` finds it.  One stacked residual
-    checks every solution against 2 (tol + the kink tolerance
-    ``_kink_tol``): the linearized residual at a polyhedral point, else
-    ``_b_derivative_residual``.  The Newton probe decides where the local
-    model breaks down: a solution fails that check, or an LCP does not end
-    within its bound.
+    Where J_P has rank below |P| (at ``opts.tol``), A0 has an eigenvalue
+    within SWEEP_TOL of 0, or W's least eigenvalue is at most SWEEP_TOL
+    max(1, |lambda(W)|_max), the point is not strongly regular, at any K:
+    the stats are the certificate, one violation at delta = 0 with the
+    point itself as its one solution and no Newton solve.  Otherwise each
+    delta has exactly one local solution: with D = diag(s), y = D g solves
+    the LCP y >= 0, D q + D W D y >= 0, y^T (D q + D W D y) = 0, whose
+    matrix is positive definite (Cottle, Pang & Stone 1992, ch. 3), and
+    ``_lcp`` finds it; one more solve with S gives the solution.  One
+    stacked residual checks every solution against 2 (tol + the kink
+    tolerance ``_kink_tol``): the linearized residual at a polyhedral
+    point, else ``_b_derivative_residual``.  The Newton probe decides where
+    the local model breaks down: a solution fails that check, or an LCP
+    does not end within its bound.
     """
-    problem, opts, (J, H, codes, weight, method, *_) = point.problem, point.opts, point.model
+    problem, opts, m = point.problem, point.opts, point.model
+    J, codes, weight, method = m.J, m.codes, m.weight, m.method
     n = problem.n
     pinned = np.flatnonzero(codes == PINNED)
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
     causes = dict.fromkeys(_FAILURE_CAUSES, 0)
-    lam, V = _saddle_eigh(H, J[pinned])
-    oriented = bool((np.abs(lam) > SWEEP_TOL).all())
+    oriented = n - m.Z0.shape[1] == pinned.size and bool((np.abs(m.lam) > SWEEP_TOL).all())
     if oriented:
-        Psi = np.zeros((kinks.size, n + pinned.size))
-        Psi[:, :n] = J[kinks]
-        R = (V / lam) @ (V.T @ Psi.T)
-        W = Psi @ R
+        GV = m.G @ m.V0
+        W = (GV / m.lam) @ GV.T
         W = 0.5 * (W + W.T)
         ev = np.linalg.eigvalsh(W)
         oriented = ev.min(initial=np.inf) > SWEEP_TOL * max(1.0, np.abs(ev).max(initial=0.0))
     if not oriented:
         return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, method,
                             2 ** kinks.size, causes)
+    U, s, Vh = m.svd_P
+    Vr, ZV = Vh[:pinned.size], m.Z0 @ m.V0
+
+    def saddle_y(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # the y of S [y; nu] = [f; b], on the rows of f (k, n) and b (k, |P|)
+        y = ((b @ U) / s) @ Vr
+        return y + (((f - y @ m.H) @ ZV) / m.lam) @ ZV.T
+
     side_tol = float(_kink_tol(np.concatenate([xb + ub for _, xb, ub in point.pairs]))[0])
     d1, d2 = deltas[:, :n], point.coords(deltas[:, n:])
     if weight.any():
         d1 = d1 - (weight * d2) @ J
-    Y0 = (V / lam) @ (V.T @ np.concatenate([d1, -d2[:, pinned]], axis=1).T)
-    q = Psi @ Y0 + d2[:, kinks].T
+    b = -d2[:, pinned]
+    q = J[kinks] @ saddle_y(d1, b).T + d2[:, kinks].T
     sign = np.where(codes[kinks] == UP, 1.0, -1.0)
     M = sign[:, None] * W * sign
     ys = [_lcp(M, sign * qj) for qj in q.T]
     if any(y is None for y in ys):
         return None
     g = sign * np.array(ys)
-    y = Y0.T + g @ R.T
+    f = d1 + g @ J[kinks]
+    y = saddle_y(f, b)
     dz = np.zeros_like(deltas)
-    dz[:, :n], dz[:, n + pinned] = y[:, :n], y[:, n:]
+    dz[:, :n], dz[:, n + pinned] = y, (((f - y @ m.H) @ Vr.T) / s) @ U.T  # nu
     dz[:, n + kinks] = -g
     if weight.any():
-        dz[:, n:] += weight * (y[:, :n] @ J.T + d2)
+        dz[:, n:] += weight * (y @ J.T + d2)
     dz[:, n:] = point.vectors(dz[:, n:])
     Z = point.kkt.stacked() + dz
     if method == "exact":
@@ -1101,12 +1158,6 @@ def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
     dirderiv = [p.prox_dirderiv(xb + ub, db)
                 for (p, xb, ub), db in zip(point.pairs, point.problem.blocks(e + dmu))]
     return np.concatenate([r1, e - np.concatenate(dirderiv, axis=1)], axis=1)
-
-
-def _saddle_eigh(H: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigendecomposition of the saddle [[H, A^T], [A, 0]]."""
-    p = A.shape[0]
-    return np.linalg.eigh(np.block([[H, A.T], [A, np.zeros((p, p))]]))
 
 
 def _lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray | None:

@@ -360,6 +360,21 @@ def test_cli_probe_whose_solutions_overflow_is_one_line_error(capsys, command):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_cli_newton_probe_offsets_that_overflow_are_one_line_error(capsys, command):
+    # at radius 1e308 sdp_toy's B-derivative probe fails its residual check
+    # and hands the probe to Newton, whose start offsets 0.5 * radius * u
+    # overflow before the division by |u|; the non-finite start is the one
+    # error line, with no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_command([command, _battery_file("sdp_toy"), "--radius", "1e308"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: starting point must be finite\n"
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_cli_env_var_default_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KKTSTAB_SEED", "17")
     f = tmp_path / "env.json"
@@ -596,6 +611,89 @@ def test_loader_box_bounds_may_be_infinite_but_not_nan():
     instance_from_dict(data)
     data["g"][0]["inner"]["lower"] = [float("nan")]
     with pytest.raises(ValueError, match="NaN"):
+        instance_from_dict(data)
+
+
+def _poly_dict(n: int, outputs: list) -> dict:
+    return {"name": "poly", "n": n, "F": {"polynomial": outputs},
+            "g": [{"kind": "l1_norm", "dim": len(outputs)}]}
+
+
+def _dense_polynomial(n: int, outputs: list):
+    """The oracle: value, Jacobian and weighted Hessian of the polynomial
+    map by the dense per-output formulas, with a zero matrix for each
+    output without a quadratic."""
+    c0 = np.array([float(out.get("const", 0.0)) for out in outputs])
+    A = np.array([np.asarray(out.get("linear", np.zeros(n)), dtype=float) for out in outputs])
+    quads = [0.5 * (Q + Q.T) for Q in (np.asarray(out.get("quadratic", np.zeros((n, n))),
+                                                  dtype=float) for out in outputs)]
+
+    def whess(mu):
+        H = np.zeros((n, n))
+        for mi, Q in zip(mu, quads):
+            if mi != 0.0:
+                H = H + mi * Q
+        return 0.5 * (H + H.T)
+
+    return (lambda x: c0 + A @ x + 0.5 * np.array([x @ Q @ x for Q in quads]),
+            lambda x: A + np.array([Q @ x for Q in quads]), whess)
+
+
+def test_polynomial_map_has_the_bits_of_the_dense_per_output_formulas():
+    # outputs without a quadratic, with an explicit zero one, with an
+    # antisymmetric one (whose symmetrization is 0), and curved ones; signed
+    # zeros in the data and points with negative and all-negative coordinates
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 8, 20):
+        for trial in range(4):
+            outputs = []
+            for k in range(2 * n + 3):
+                out = {"const": float(rng.choice([0.0, -0.0, rng.standard_normal()])),
+                       "linear": (rng.standard_normal(n) * rng.integers(0, 2, n)).tolist()}
+                shape = k % 5
+                if shape == 1:
+                    out["quadratic"] = np.zeros((n, n)).tolist()
+                elif shape == 2:
+                    S = rng.standard_normal((n, n))
+                    out["quadratic"] = (S - S.T).tolist()
+                elif shape == 3:
+                    out["quadratic"] = rng.standard_normal((n, n)).tolist()
+                elif shape == 4:
+                    Q = np.zeros((n, n))
+                    Q[rng.integers(n), rng.integers(n)] = -rng.uniform(1.0, 2.0)
+                    out["quadratic"] = Q.tolist()
+                if trial == 3 and k % 2:
+                    del out["linear"]
+                outputs.append(out)
+            problem, _ = instance_from_dict(_poly_dict(n, outputs))
+            value, jac, whess = _dense_polynomial(n, outputs)
+            points = [rng.standard_normal(n), -np.abs(rng.standard_normal(n)), -np.zeros(n),
+                      -1e150 * rng.uniform(1.0, 2.0, n)]
+            for x in points:
+                mu = rng.standard_normal(len(outputs)) * rng.integers(0, 2, len(outputs))
+                assert problem.F.eval(x).tobytes() == value(x).tobytes(), (n, trial, x)
+                assert problem.F.jacobian(x).tobytes() == jac(x).tobytes(), (n, trial, x)
+                assert (problem.F.weighted_hessian(x, mu).tobytes()
+                        == whess(mu).tobytes()), (n, trial, x)
+
+
+@pytest.mark.parametrize("quadratic, error, message", [
+    ([[float("nan")]], InstanceFormatError, "output 1: quadratic part has a non-finite entry"),
+    ([[0.0, float("inf")], [0.0, 0.0]], InstanceFormatError,
+     "output 1: quadratic part has a non-finite entry"),
+    (None, InstanceFormatError, "output 1: quadratic part has a non-finite entry"),
+    ([[0.0, 0.0], [0.0, 0.0]], DimensionError,
+     "output 1: quadratic part has shape (2, 2), expected (1, 1)"),
+    ([[1.0, 0.0], [0.0, 2.0]], DimensionError,
+     "output 1: quadratic part has shape (2, 2), expected (1, 1)"),
+    (0.0, DimensionError, "output 1: quadratic part has shape (), expected (1, 1)"),
+    ([0.0], DimensionError, "output 1: quadratic part has shape (1,), expected (1, 1)"),
+    ([[0.0], [0.0, 0.0]], ValueError, "inhomogeneous"),
+])
+def test_a_bad_quadratic_is_a_loader_error_zero_or_not(quadratic, error, message):
+    data = _nlp_dict()
+    data["F"]["polynomial"][1]["quadratic"] = quadratic
+    with pytest.raises(error, match=re.escape(message)):
         instance_from_dict(data)
 
 

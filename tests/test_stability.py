@@ -1070,8 +1070,10 @@ def test_equivalence_report_checks_one_point_and_shares_each_cone_decision(monke
     problem, meta = load_battery("nlp_toy")
     checked, certificates, searched, uniqueness = [], [], [], []
     kkt = st.kkt_check
+    # the point's KKT test reads its one evaluation: J, F and every prox
     monkeypatch.setattr(st, "kkt_check",
-                        lambda p, z, tol=1e-8: checked.append(z) or kkt(p, z, tol))
+                        lambda p, z, tol=1e-8, **parts: checked.append((z, sorted(parts)))
+                        or kkt(p, z, tol, **parts))
     gordan = st._gordan_certificate
 
     def certificate(W, codes, groups, T):
@@ -1089,7 +1091,7 @@ def test_equivalence_report_checks_one_point_and_shares_each_cone_decision(monke
     assert rep.multiplier_unique and rep.srcq.status == rep.rcq.status == "holds"
     # the unique multiplier leaves no candidate to check, so the one KKT
     # check is the analysis point's
-    assert len(checked) == 1
+    assert len(checked) == 1 and checked[0][1] == ["parts", "prox"]
     # one decision per cone, each a verified certificate and no linear
     # program: the domain normal cone (rcq) and the critical polar cone,
     # shared by srcq and both uniqueness calls
@@ -1192,6 +1194,49 @@ def test_each_block_is_handled_once_per_report(monkeypatch, name):
     assert sorted(map(id, calls["structure"])) == sorted(blocks)
     assert sorted(map(id, calls["check_subgradient"])) == sorted(blocks)
     assert len(calls["eig_split"]) == len(psd)
+
+
+@pytest.mark.parametrize("name", BATTERY_NAMES + ("pair_battery", "analyze-nlp", "analyze-sdp"))
+def test_each_report_evaluates_its_point_once(monkeypatch, name):
+    # F, J and the weighted Hessian run once per report, and each block's
+    # prox once at its slice of wbar = F(x) + mu: the analysis point's one
+    # evaluation serves the KKT test, the subgradient tests, the
+    # uniqueness candidates and both probes; the benchmark plants of seed
+    # 7 include 8 whose probe is Newton's (|beta| = 2)
+    if name == "pair_battery":
+        cases = [(*_pair_battery_problem(), FAST)]
+    elif name in BATTERY_NAMES:
+        problem, meta = load_battery(name)
+        cases = [(problem, meta.known_solution, FAST)]
+    else:
+        workloads = _benchmark_workloads()
+        w = workloads.WORKLOADS[name]
+        opts = workloads.analyzer_options(w, 7)
+        cases = [(problem, meta.known_solution, opts)
+                 for problem, meta in workloads.load(workloads.generate(w, 7))]
+    methods = []
+    for problem, z, opts in cases:
+        wbar = problem.F.eval(z.x) + z.mu
+        calls = dict.fromkeys(("eval", "jacobian", "weighted_hessian"), 0)
+        for attr in calls:
+            def counted(*args, _attr=attr, _fn=getattr(problem.F, attr)):
+                calls[_attr] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(problem.F, attr, counted)
+        at_wbar = [0] * len(problem.pieces)
+        for i, (p, wb) in enumerate(zip(problem.pieces, problem.blocks(wbar))):
+            def prox(v, *args, _i=i, _wb=wb, _prox=p.prox):
+                v = np.asarray(v, dtype=float)
+                at_wbar[_i] += v.shape == _wb.shape and v.tobytes() == _wb.tobytes()
+                return _prox(v, *args)
+
+            monkeypatch.setattr(p, "prox", prox)
+        methods.append(equivalence_report(problem, z, opts).probe.method)
+        assert calls == dict.fromkeys(calls, 1), (problem.name, calls)
+        assert at_wbar == [1] * len(problem.pieces), (problem.name, at_wbar)
+    if name == "analyze-sdp":
+        assert methods.count("newton") == 8 and len(methods) == 24
 
 
 @pytest.mark.parametrize("check", [check_gamma_properties, check_gamma_fixed_point_bound])
