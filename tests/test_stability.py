@@ -48,7 +48,7 @@ from kktstab import (
 )
 from kktstab.pieces import (_LOWER, _UPPER, BLOCK, DOWN, FREE, PINNED, UP, BlockStructure,
                             ClarkeFrame, LinearOperatorElement)
-from kktstab.symmat import eig_split, smat, svec_dim, svec_order
+from kktstab.symmat import eig_split, smat, svec_dim, svec_layout, svec_order
 from kktstab.stability import (
     SWEEP_TOL,
     AnalysisPoint,
@@ -430,8 +430,9 @@ def _probe_deltas(dim, opts):
 
 
 def _piece_oracle(point, deltas):
-    """(orientation, K, per delta) of the perturbed linearized inclusion at
-    a polyhedral point, from every piece's dense affine system: the element
+    """(orientation, K, per delta, left) of the perturbed linearized
+    inclusion at a polyhedral point, from every piece's dense affine
+    system: the element
     [[H, J^T], [(I-U) J, -U]] of the piece's 0/1 kink weights u with right
     side (delta1, -(1-u) delta2).
 
@@ -442,9 +443,11 @@ def _piece_oracle(point, deltas):
     gets each delta's (solutions, delta): every piece's solution whose
     kinks keep to their sides within the kink tolerance.  Per delta
     stands the reason instead where the local model breaks down and the
-    exact probe defers to Newton: a solution that fails the linearized
-    residual, as one does that leaves the local model, a delta with no
-    solution, or one with two more than 1e-6 apart."""
+    exact probe defers to Newton: a delta with no solution, or one with
+    two more than 1e-6 apart.  ``left`` says whether a solution fails the
+    linearized residual, as one does that leaves the local model; it still
+    solves the B-derivative's equation, on which the exact probe checks it
+    again and keeps it."""
     problem, pt, H, J = point.problem, point.kkt, point.hessian, point.J
     n, codes = problem.n, point.model.codes
     kinks = np.flatnonzero((codes == UP) | (codes == DOWN))
@@ -459,11 +462,11 @@ def _piece_oracle(point, deltas):
     s = [np.linalg.svd(E, compute_uv=False) for _, _, E in pieces]
     singular = [v[-1] <= 1e-8 * max(1.0, v[0]) for v in s]
     if singular[0]:
-        return "singular canonical", kinks.size, None
+        return "singular canonical", kinks.size, None, False
     if any(singular):
-        return "singular switched piece", kinks.size, None
+        return "singular switched piece", kinks.size, None, False
     if len({np.linalg.slogdet(E)[0] for _, _, E in pieces}) > 1:
-        return "reversed orientation", kinks.size, None
+        return "reversed orientation", kinks.size, None, False
     found = [[] for _ in deltas]
     for bits, u, E in pieces:
         rhs = np.concatenate([deltas[:, :n], -(1.0 - u) * deltas[:, n:]], axis=1)
@@ -471,22 +474,21 @@ def _piece_oracle(point, deltas):
             e, dmu = J[kinks] @ dz[:n] + delta[n:][kinks], dz[n + kinks]
             if np.max(np.where(bits == 1.0, -sign * e, sign * dmu), initial=-np.inf) <= t:
                 found[i].append(pt.stacked() + dz)
-    out = []
+    out, left = [], False
     for i, delta in enumerate(deltas):
         sols = found[i][:1 if i == 0 else None]  # at delta = 0 every piece has the point
         for z in sols:
             shifted = np.concatenate([z[:n], z[n:] + delta[n:]])
             r = linearized_residual(problem, pt, shifted) - np.concatenate(
                 [delta[:n] + J.T @ delta[n:], delta[n:]])
-            if np.abs(r).max() > 2.0 * (point.opts.tol + t):
-                return "regular", kinks.size, "leaves the local model"
+            left |= bool(np.abs(r).max() > 2.0 * (point.opts.tol + t))
         if not sols:
-            return "regular", kinks.size, "no solution"
+            return "regular", kinks.size, "no solution", left
         if max((np.linalg.norm(a - b) for k, a in enumerate(sols) for b in sols[k + 1:]),
                default=0.0) > 1e-6:
-            return "regular", kinks.size, "two solutions"
+            return "regular", kinks.size, "two solutions", left
         out.append((sols, delta))
-    return "regular", kinks.size, out
+    return "regular", kinks.size, out, left
 
 
 def _rebuilt(point, J=None, H=None):
@@ -529,7 +531,7 @@ def _no_newton(monkeypatch):
     import kktstab.stability as st
 
     def no_newton(*args, **kwargs):
-        raise AssertionError("Newton probe at a polyhedral point")
+        raise AssertionError("Newton probe at a point decided on its local model")
 
     monkeypatch.setattr(pr, "solve_linearized_rows", no_newton)
     monkeypatch.setattr(st, "solve_linearized_rows", no_newton)
@@ -547,8 +549,10 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
     # most 6 kinks, some with a singular canonical element: where the
     # oracle's pieces are not coherently oriented the probe reads the
     # certificate with no Newton solve; elsewhere it reads each delta's
-    # solution, and defers to Newton only where the oracle sees the local
-    # model break down
+    # solution, also where a solution leaves the local model (a radius past
+    # the nearest breakpoints), since the B-derivative's equation, which the
+    # probe then checks, still holds there; it defers to Newton only where
+    # the oracle finds no solution or two
     import kktstab.stability as st
 
     tallies = []
@@ -575,7 +579,7 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
                                newton=NewtonOptions(max_iter=10))
         point = AnalysisPoint(point.problem, point.kkt, opts)
         deltas = _probe_deltas(point.problem.n + point.problem.m, opts)[0]
-        orientation, n_kinks, want = _piece_oracle(point, deltas)
+        orientation, n_kinks, want, left = _piece_oracle(point, deltas)
         seen.add(orientation)
         if orientation != "regular":
             with monkeypatch.context() as mp:
@@ -590,6 +594,8 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
             assert stats.method == "newton", (k, want)
             seen.add(want)
             continue
+        if left:
+            seen.add("leaves the local model")
         solutions, violations = tallies[-1]
         assert (stats.method, stats.failures, violations) == ("exact", 0, 0), k
         assert stats.solved == len(solutions) == len(want) == len(deltas), k
@@ -1201,8 +1207,11 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
     # F, J and the weighted Hessian run once per report, and each block's
     # prox once at its slice of wbar = F(x) + mu: the analysis point's one
     # evaluation serves the KKT test, the subgradient tests, the
-    # uniqueness candidates and both probes; the benchmark plants of seed
-    # 7 include 8 whose probe is Newton's (|beta| = 2)
+    # uniqueness candidates and both probes; every analyze-sdp plant of seed
+    # 7 reads the B-derivative probe, and its 8 |beta| = 2 plants run again
+    # with the exact probe replaced by None, so that their probe is Newton's
+    import kktstab.stability as st
+
     if name == "pair_battery":
         cases = [(*_pair_battery_problem(), FAST)]
     elif name in BATTERY_NAMES:
@@ -1212,23 +1221,28 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
         workloads = _benchmark_workloads()
         w = workloads.WORKLOADS[name]
         opts = workloads.analyzer_options(w, 7)
+        insts = workloads.generate(w, 7)
         cases = [(problem, meta.known_solution, opts)
-                 for problem, meta in workloads.load(workloads.generate(w, 7))]
+                 for problem, meta in workloads.load(insts)]
+        cases += [case + (None,) for case, inst in zip(cases, insts)
+                  if inst.plant.structure.get("beta") == 2]
     methods = []
-    for problem, z, opts in cases:
+    for problem, z, opts, *exact in cases:
+        if exact:
+            monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
         wbar = problem.F.eval(z.x) + z.mu
         calls = dict.fromkeys(("eval", "jacobian", "weighted_hessian"), 0)
         for attr in calls:
-            def counted(*args, _attr=attr, _fn=getattr(problem.F, attr)):
-                calls[_attr] += 1
+            def counted(*args, _attr=attr, _fn=getattr(problem.F, attr), _calls=calls):
+                _calls[_attr] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(problem.F, attr, counted)
         at_wbar = [0] * len(problem.pieces)
         for i, (p, wb) in enumerate(zip(problem.pieces, problem.blocks(wbar))):
-            def prox(v, *args, _i=i, _wb=wb, _prox=p.prox):
+            def prox(v, *args, _i=i, _wb=wb, _prox=p.prox, _at_wbar=at_wbar):
                 v = np.asarray(v, dtype=float)
-                at_wbar[_i] += v.shape == _wb.shape and v.tobytes() == _wb.tobytes()
+                _at_wbar[_i] += v.shape == _wb.shape and v.tobytes() == _wb.tobytes()
                 return _prox(v, *args)
 
             monkeypatch.setattr(p, "prox", prox)
@@ -1236,7 +1250,7 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
         assert calls == dict.fromkeys(calls, 1), (problem.name, calls)
         assert at_wbar == [1] * len(problem.pieces), (problem.name, at_wbar)
     if name == "analyze-sdp":
-        assert methods.count("newton") == 8 and len(methods) == 24
+        assert methods == ["b-derivative"] * 24 + ["newton"] * 8
 
 
 @pytest.mark.parametrize("check", [check_gamma_properties, check_gamma_fixed_point_bound])
@@ -1417,8 +1431,8 @@ def _assert_same_solutions(exact, newton):
 
 def _beta2_pencil():
     """(problem, meta) of a planted PSD pencil of order 3 with |beta| = 2 and
-    a nondegeneracy failure, where the probe runs Newton and about a fifth
-    of its solves fail."""
+    a nondegeneracy failure, where the Newton probe (with the exact probe
+    replaced by None) sees about a fifth of its solves fail."""
     data, _ = _benchmark_workloads().planted.psd_pencil(np.random.default_rng(0), 3, 0, 2,
                                                         False, True, name="beta2")
     return instance_from_dict(data)
@@ -1428,11 +1442,12 @@ def _beta2_pencil():
                                   "smooth_toy", "beta2_pencil"])
 def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
     # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail, and
-    # on the |beta| = 2 pencil, which takes the Newton path itself, about 30
-    # too.  The other points take the Newton path with the probe on the
-    # local model deferring: the polyhedral toys' exact probe finds the
-    # Newton probe's solutions, and the B-derivative probe of the PSD toys
-    # (|beta| <= 1) reads the same leg c
+    # on the |beta| = 2 pencil about 30 too.  Every point takes the Newton
+    # path only with the probe on the local model replaced by None, since
+    # each decides on its local model: the polyhedral toys' exact probe
+    # finds the Newton probe's solutions, and the B-derivative probe of the
+    # PSD toys (|beta| <= 1) and of the |beta| = 2 pencil (its conic
+    # complementarity problem) reads the same leg c
     import kktstab.stability as st
 
     problem, meta = _beta2_pencil() if name == "beta2_pencil" else load_battery(name)
@@ -1442,7 +1457,7 @@ def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
              for opts in (AnalyzerOptions(), short)]
     method = AnalysisPoint(problem, meta.known_solution).model.method
     assert method == {"sdp_toy": "b-derivative", "sdp_degenerate": "b-derivative",
-                      "beta2_pencil": "newton"}.get(name, "exact")
+                      "beta2_pencil": "b-derivative"}.get(name, "exact")
     monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
     stats = strong_regularity_probe(problem, meta.known_solution)
     assert stats == probe_one_at_a_time(problem, meta.known_solution)
@@ -1454,11 +1469,9 @@ def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
     if method == "exact":
         _assert_same_solutions(exact[0], stats)
         _assert_same_solutions(exact[1], newton)
-    elif method == "b-derivative":
+    else:
         assert [e.method for e in exact] == [method, method]
         assert _leg_c(exact[0]) == _leg_c(stats) == (name == "sdp_toy")
-    else:
-        assert exact == [stats, newton]
 
 
 def _leg_c(stats):
@@ -1481,14 +1494,18 @@ def test_probe_tests_kkt_at_its_tol(monkeypatch):
         newton = strong_regularity_probe(problem, point, opts)
     assert newton == probe_one_at_a_time(problem, point, opts)
     _assert_same_solutions(stats, newton)
-    # the |beta| = 2 pencil, on the Newton path, with the lift's multiplier
-    # off by 1e-7, which leaves the PSD block's eigenvalues alone
+    # the |beta| = 2 pencil with the lift's multiplier off by 1e-7, which
+    # leaves the PSD block's eigenvalues alone: its B-derivative probe, and
+    # the Newton path with the exact probe replaced by None
     problem, meta = _beta2_pencil()
     point = meta.known_solution.stacked()
     point[problem.n] += 1e-7
     with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
         strong_regularity_probe(problem, point, AnalyzerOptions(num_delta=5))
-    stats = strong_regularity_probe(problem, point, opts)
+    assert strong_regularity_probe(problem, point, opts).method == "b-derivative"
+    with monkeypatch.context() as mp:
+        mp.setattr(st, "_exact_probe", lambda point, deltas: None)
+        stats = strong_regularity_probe(problem, point, opts)
     assert stats.method == "newton" and stats.solved > 0
     assert stats == probe_one_at_a_time(problem, point, opts)
 
@@ -2128,22 +2145,27 @@ def test_the_models_kernels_agree_with_the_per_block_routes():
 
 
 @pytest.mark.parametrize("seed", [7, 8])
-def test_cone_verdicts_of_analyze_sdp_plants_survive_sub_tolerance_moves(seed):
-    # plants with a |beta| = 1 block whose pinned rows, or J itself, have a
-    # zero singular value: a move of 1e-9 lifts it to about 1e-10, so rank
-    # decisions must be made at the analysis tol, not below it
-    workloads = _benchmark_workloads()
-    w = workloads.WORKLOADS["analyze-sdp"]
-    opts = workloads.analyzer_options(w, seed)
-    plants = workloads.load(workloads.generate(w, seed))
-    for k in (7, 11, 15, 23):
-        problem, meta = plants[k]
+def test_cone_verdicts_of_analyze_sdp_plants_survive_sub_tolerance_moves(monkeypatch, seed):
+    # every plant, among them those with a |beta| = 1 block whose pinned
+    # rows, or J itself, have a zero singular value (#7, #11, #15 and #23):
+    # a move of 1e-9 lifts it to about 1e-10, so rank decisions must be made
+    # at the analysis tol, not below it.  Leg c, from the B-derivative probe
+    # with no Newton solve allowed, keeps its verdict too, also at the
+    # |beta| = 2 plants whose Newton probe flipped under such moves (seed 7
+    # #2, #10 and #17; seed 8 #12 and #17)
+    _no_newton(monkeypatch)
+    plants, opts = _analyze_sdp(seed)
+    for k, (problem, meta, _) in enumerate(plants):
         z = meta.known_solution.stacked()
-        want = _cone_verdicts(problem, z, opts)
-        for scale in (1e-11, 1e-9):
-            for r in range(2):
+        want = None
+        for scale in (0.0, 1e-11, 1e-9):
+            for r in range(1 if scale == 0.0 else 2):
                 u = np.random.default_rng([seed, k, r]).standard_normal(z.size)
-                got = _cone_verdicts(problem, z + scale * u / np.linalg.norm(u), opts)
+                moved = z + scale * u / np.linalg.norm(u)
+                probe = strong_regularity_probe(problem, moved, opts)
+                assert (probe.method, probe.failures) == ("b-derivative", 0), (k, scale, r)
+                got = _cone_verdicts(problem, moved, opts) + (_leg_c(probe),)
+                want = want or got
                 assert got == want, (k, scale, r)
 
 
@@ -2210,12 +2232,13 @@ def test_leg_b_is_the_segment_oracle_at_analyze_sdp_plants():
 def test_legs_b_and_c_read_the_planted_labels_of_the_analyze_sdp_plants(monkeypatch, seed):
     # the analyze-sdp plants with the benchmark's options: leg b finds no
     # singular element at a strongly regular plant and one at every
-    # nondegeneracy failure; at |beta| = 1 the probe solves the B-derivative
-    # with no Newton solve allowed, leg c equals leg b, and it holds at every
-    # strongly regular plant
+    # nondegeneracy failure; at every plant, |beta| = 1 (one half-line kink,
+    # 2 pieces) and |beta| = 2 (one PSD factor, no half-line kink), the
+    # probe solves the B-derivative with no Newton solve allowed, leg c
+    # equals leg b, and it holds at every strongly regular plant
     _no_newton(monkeypatch)
     plants, opts = _analyze_sdp(seed)
-    tally = {"SR": 0, "ND-fail": 0, "|beta| = 1": 0}
+    tally = {"SR": 0, "ND-fail": 0, "|beta| = 1": 0, "|beta| = 2": 0, "leg c": 0}
     for k, (problem, meta, plant) in enumerate(plants):
         point = AnalysisPoint(problem, meta.known_solution, opts)
         leg_b = nonsingularity_sweep(problem, point).verdict == "all-elements-nonsingular"
@@ -2225,19 +2248,43 @@ def test_legs_b_and_c_read_the_planted_labels_of_the_analyze_sdp_plants(monkeypa
         if not plant.nondegenerate:
             assert not leg_b, k
             tally["ND-fail"] += 1
-        if plant.structure["beta"] == 1:
-            probe = strong_regularity_probe(problem, point)
-            assert (probe.method, probe.pieces, probe.failures) == ("b-derivative", 2, 0), k
-            assert _leg_c(probe) == leg_b, k
-            tally["|beta| = 1"] += 1
-        else:
-            assert point.model.method == "newton", k
-    assert tally == {"SR": 12, "ND-fail": 6, "|beta| = 1": 16}
+        beta = plant.structure["beta"]
+        probe = strong_regularity_probe(problem, point)
+        assert (probe.method, probe.pieces, probe.failures) == (
+            "b-derivative", 2 if beta == 1 else 1, 0), k
+        assert _leg_c(probe) == leg_b, k
+        tally[f"|beta| = {beta}"] += 1
+        tally["leg c"] += _leg_c(probe)
+    # leg c holds at the 12 strongly regular plants and the strongly regular
+    # saddles (second-order failures with leg b true): 5 at seed 7, 3 at 8
+    assert tally == {"SR": 12, "ND-fail": 6, "|beta| = 1": 16, "|beta| = 2": 8,
+                     "leg c": 17 if seed == 7 else 15}
+
+
+@pytest.mark.parametrize("rng_seed, na, nb", [(5, 14, 2), (6, 13, 3)])
+@pytest.mark.parametrize("nondegenerate", [True, False])
+def test_leg_c_equals_leg_b_on_order_30_pencils(monkeypatch, rng_seed, na, nb, nondegenerate):
+    # planted PSD pencils of order 30 (N = 603) with |beta| = 2 and 3, the
+    # strongly regular plant and its nondegeneracy failure, at the
+    # benchmark's options: no Newton solve, leg c equal to leg b and to the
+    # planted label
+    _no_newton(monkeypatch)
+    workloads = _benchmark_workloads()
+    data, plant = workloads.planted.psd_pencil(np.random.default_rng(rng_seed), 30, na, nb,
+                                               nondegenerate, True)
+    problem, meta = instance_from_dict(data)
+    opts = workloads.analyzer_options(workloads.WORKLOADS["analyze-sdp"], 7)
+    point = AnalysisPoint(problem, meta.known_solution, opts)
+    leg_b = nonsingularity_sweep(problem, point).verdict == "all-elements-nonsingular"
+    probe = strong_regularity_probe(problem, point)
+    assert (probe.method, probe.failures) == ("b-derivative", 0)
+    assert _leg_c(probe) == leg_b == plant.strongly_regular == nondegenerate
 
 
 def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypatch):
-    # sdp_toy (|beta| = 0), the strongly regular |beta| = 1 analyze-sdp
-    # plants of seed 7 and a mixed problem: each delta's solution of the
+    # sdp_toy (|beta| = 0), the strongly regular |beta| = 1 and |beta| = 2
+    # analyze-sdp plants of seed 7 and a mixed problem: each delta's
+    # solution of the
     # B-derivative's equation lies within 50 radius^2 of the solution of the
     # linearized inclusion that the Newton probe finds, at radii 1e-3 and
     # 1e-4 (the largest gap is about 15 radius^2); a wrong frame or delta2
@@ -2250,12 +2297,12 @@ def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypa
                         lambda opts, solutions, *rest: solved.append(solutions)
                         or real(opts, solutions, *rest))
     plants = [load_battery("sdp_toy") + (None,)] + [
-        p for p in _analyze_sdp(7)[0] if p[2].structure["beta"] == 1 and p[2].strongly_regular]
+        p for p in _analyze_sdp(7)[0] if p[2].strongly_regular]
     # and the pair battery without its |beta| = 2 pair: PSD blocks of orders
     # 2 and 3, unlifted, next to orthant, box and l1 blocks
     problem, z = _pair_battery_problem(lambda name: name != "psd2_origin")
     plants.append((problem, SimpleNamespace(known_solution=z), None))
-    assert len(plants) == 10
+    assert len(plants) == 14
     compared = 0
     for radius in (1e-3, 1e-4):
         opts = AnalyzerOptions(num_delta=4, radius=radius, seed=3)
@@ -2271,7 +2318,107 @@ def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypa
                 assert np.array_equal(d1, d2)
                 assert np.abs(z1 - z2).max() <= 50.0 * radius ** 2, (problem.name, radius)
                 compared += 1
-    assert compared >= 90
+    assert compared >= 130
+
+
+def _in_product_cone(v, cones, tol):
+    """Whether v lies within tol of R_+ on the coordinates outside the PSD
+    factors ``cones`` and of S+ on each, read from eigenvalues."""
+    half = np.ones(v.size, dtype=bool)
+    for idx, _ in cones:
+        half[idx] = False
+    return bool((v[half] >= -tol).all()
+                and all(np.linalg.eigvalsh(smat(v[idx]))[0] >= -tol for idx, _ in cones))
+
+
+def test_conic_solutions_at_the_strongly_regular_beta2_plants(monkeypatch):
+    # each delta of the strongly regular |beta| = 2 analyze-sdp plants of
+    # seed 7, at the benchmark's options and at the CLI defaults: y and
+    # w = q + M y lie in the cone and <y, w> <= 1e-12, read from
+    # eigenvalues, and the B-derivative residual of every solution is within
+    # the probe's bound; the BLOCK kinks of the block, in order, are the
+    # beta-beta coordinates of its frame in the svec layout of |beta|
+    import kktstab.stability as st
+
+    solves, residuals = [], []
+    real_solve, real_residual = st._conic_complementarity, st._b_derivative_residual
+    monkeypatch.setattr(st, "_conic_complementarity", lambda M, Q, cones: solves.append(
+        (M, Q, cones, real_solve(M, Q, cones))) or solves[-1][-1])
+    monkeypatch.setattr(st, "_b_derivative_residual", lambda *args: residuals.append(
+        real_residual(*args)) or residuals[-1])
+    _no_newton(monkeypatch)
+    plants, bench = _analyze_sdp(7)
+    plants = [p for p in plants if p[2].structure["beta"] == 2 and p[2].strongly_regular]
+    assert len(plants) == 4
+    rows = 0
+    for problem, meta, _ in plants:
+        for opts in (bench, AnalyzerOptions(seed=7)):
+            point = AnalysisPoint(problem, meta.known_solution, opts)
+            codes = point.model.codes
+            kinks = np.flatnonzero((codes != PINNED) & (codes != FREE))
+            assert (codes[kinks] == BLOCK).all() and kinks.size == 3
+            lam = eig_split((point.wbar)[1:])[0]  # the lifted block's eigenvalues
+            lay, beta = svec_layout(lam.size), np.flatnonzero(lam == 0.0)
+            sub = svec_layout(beta.size)
+            assert np.array_equal(lay.rows[kinks - 1] - beta[0], sub.rows)
+            assert np.array_equal(lay.cols[kinks - 1] - beta[0], sub.cols)
+            probe = strong_regularity_probe(problem, point)
+            assert (probe.method, probe.violations, probe.failures) == ("b-derivative", 0, 0)
+            M, Q, cones, Y = solves[-1]
+            assert [(idx.tolist(), cone.order) for idx, cone in cones] == [([0, 1, 2], 2)]
+            for q, y in zip(Q, Y):
+                w = q + M @ y
+                assert _in_product_cone(y, cones, 1e-12) and _in_product_cone(w, cones, 1e-12)
+                assert abs(y @ w) <= 1e-12
+                rows += 1
+            side_tol = 1e-8 * max(1.0, np.abs(point.wbar).max())
+            assert np.abs(residuals[-1]).max() <= 2.0 * (opts.tol + side_tol)
+    assert rows == 4 * (5 + 51)
+
+
+def test_conic_complementarity_solves_random_positive_definite_problems():
+    # orthant coordinates next to one or two PSD factors of orders 2-4, with
+    # a positive definite M of condition number up to 1e3: every row's
+    # solution lies in the cone with w = q + M y, complementary to 1e-10,
+    # scales with q, and q = 0 has y = 0
+    import kktstab.stability as st
+
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        k1, orders = int(rng.integers(0, 4)), rng.integers(2, 5, size=rng.integers(1, 3))
+        dims = [svec_dim(int(o)) for o in orders]
+        K = k1 + sum(dims)
+        Qo = np.linalg.qr(rng.standard_normal((K, K)))[0]
+        M = (Qo * np.exp(rng.uniform(0.0, np.log(1e3), K))) @ Qo.T
+        M = 0.5 * (M + M.T)
+        starts = k1 + np.cumsum([0] + dims[:-1])
+        cones = [(np.arange(a, a + d), PSDConeIndicator(int(o)))
+                 for a, d, o in zip(starts, dims, orders)]
+        Q = rng.standard_normal((6, K))
+        Q[0] = 0.0
+        Y = st._conic_complementarity(M, Q, cones)
+        assert Y is not None, case
+        assert not Y[0].any()
+        for q, y in zip(Q, Y):
+            w = q + M @ y
+            scale = 1e-10 * (1.0 + np.linalg.norm(y)) * (1.0 + np.linalg.norm(w))
+            assert _in_product_cone(y, cones, scale) and _in_product_cone(w, cones, scale), case
+            assert abs(y @ w) <= scale, case
+        Y3 = st._conic_complementarity(M, 3.0 * Q, cones)
+        assert np.allclose(Y3, 3.0 * Y, rtol=1e-9, atol=1e-12), case
+
+
+def test_a_conic_solve_that_does_not_converge_hands_the_probe_to_newton(monkeypatch):
+    # with one Newton iteration allowed, the conic solves of the strongly
+    # regular |beta| = 2 plants of seed 7 end unconverged, and the Newton
+    # probe decides, as it does where a solution fails its check
+    import kktstab.stability as st
+
+    monkeypatch.setattr(st, "_CONIC_MAX_ITER", 1)
+    plants, opts = _analyze_sdp(7)
+    for problem, meta, plant in plants:
+        if plant.structure["beta"] == 2 and plant.strongly_regular:
+            assert strong_regularity_probe(problem, meta.known_solution, opts).method == "newton"
 
 
 def test_the_b_derivative_check_hands_a_wrong_solution_to_newton(monkeypatch):
@@ -2563,33 +2710,62 @@ def test_a_nan_difference_quotient_makes_the_probe_modulus_nan():
     assert finite.modulus == 2.0
 
 
+def test_a_polyhedral_solution_off_the_local_pieces_keeps_the_exact_probe(monkeypatch):
+    # analyze-nlp seed 8 #43, slot (19, 8, True, False), a strongly regular
+    # saddle, at the CLI defaults (50 deltas, radius 0.05): some delta's
+    # local solution leaves the pieces around the point and fails the
+    # linearized residual, but it solves the B-derivative's equation, so
+    # leg c stays true on the exact probe with no Newton row
+    import kktstab.stability as st
+
+    checked = []
+    real = st._b_derivative_residual
+    monkeypatch.setattr(st, "_b_derivative_residual", lambda point, dz, deltas:
+                        checked.append(len(dz)) or real(point, dz, deltas))
+    _no_newton(monkeypatch)
+    problem, meta = _analyze_nlp_plants(8)[43]
+    point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(seed=8))
+    probe = strong_regularity_probe(problem, point)
+    assert (probe.method, probe.failures, probe.solved) == ("exact", 0, 51)
+    assert _leg_c(probe) and checked and 0 < checked[0] < 51, checked
+    assert nonsingularity_sweep(problem, point).verdict == "all-elements-nonsingular"
+
+
 def test_a_non_finite_exact_probe_residual_hands_the_probe_to_newton(monkeypatch):
     # the exact probe's residual check passes only where every entry is
     # finite and within its bound: one NaN or inf entry hands the point to
     # the Newton probe, as a wrong solution does, at a polyhedral point
-    # (nlp_toy) and at a |beta| = 1 point (a strongly regular analyze-sdp
-    # plant of seed 7)
+    # (nlp_toy), a |beta| = 1 point and a |beta| = 2 point (strongly
+    # regular analyze-sdp plants of seed 7).  At the polyhedral point a row
+    # that fails the linearized residual is checked again on the
+    # B-derivative's equation, so only both spoiled hand it over
     import kktstab.stability as st
 
     plants, opts = _analyze_sdp(7)
-    problem, meta, _ = next(p for p in plants
-                            if p[2].structure["beta"] == 1 and p[2].strongly_regular)
-    cases = [(load_battery("nlp_toy"), AnalyzerOptions(), "linearized_residual"),
-             ((problem, meta), opts, "_b_derivative_residual")]
-    for (problem, meta), opts, name in cases:
+    cases = [(load_battery("nlp_toy"), AnalyzerOptions(),
+              ("linearized_residual", "_b_derivative_residual"))]
+    for beta in (1, 2):
+        problem, meta, _ = next(p for p in plants
+                                if p[2].structure["beta"] == beta and p[2].strongly_regular)
+        cases.append(((problem, meta), opts, ("_b_derivative_residual",)))
+    for (problem, meta), opts, names in cases:
         point = AnalysisPoint(problem, meta.known_solution, opts)
         deltas, _ = _probe_deltas(problem.n + problem.m, opts)
-        assert st._exact_probe(point, deltas) is not None, name
-        real = getattr(st, name)
+        clean = st._exact_probe(point, deltas)
+        assert clean is not None and clean.violations == 0, names
         for bad in (np.nan, np.inf, -np.inf):
-            def spoiled(*args, real=real, bad=bad):
-                r = real(*args)
-                r[-1, -1] = bad
-                return r
-
             with monkeypatch.context() as mp:
-                mp.setattr(st, name, spoiled)
-                assert st._exact_probe(point, deltas) is None, (name, bad)
+                for name in names:
+                    def spoiled(*args, real=getattr(st, name), bad=bad):
+                        r = real(*args)
+                        r[-1, -1] = bad
+                        return r
+
+                    mp.setattr(st, name, spoiled)
+                    spoiled_all = name == names[-1]
+                    assert (st._exact_probe(point, deltas) is None) == spoiled_all, (name, bad)
+                    if not spoiled_all:
+                        assert st._exact_probe(point, deltas) == clean, (name, bad)
 
 
 def test_the_b_derivative_check_calls_each_blocks_prox_dirderiv_once(monkeypatch):
