@@ -18,7 +18,7 @@ for name in ("l1_toy", "nlp_toy", "sdp_toy", "sdp_degenerate"):
     problem, meta = load_battery(name)
     stats = strong_regularity_probe(problem, meta.known_solution,
                                     AnalyzerOptions(radius=0.05, num_delta=40, seed=0))
-    print(f"== {name} ({stats.method}): solved {stats.solved}/{stats.num_delta + 1}, "
+    print(f"== {name} ({stats.pieces} local pieces): solved {stats.solved}/{stats.num_delta + 1}, "
           f"failures {stats.failures}, violations {stats.violations}, "
           f"modulus {stats.modulus:.3e}")
 

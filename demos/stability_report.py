@@ -23,7 +23,7 @@ for name in BATTERY_NAMES:
           f"{rep.probe.failures} solver failures")
     legs = rep.consistency
     print(f"   legs: a={legs['leg_a_second_order_and_nondegeneracy']} "
-          f"b={legs['leg_b_sampled_elements_nonsingular']} "
+          f"b={legs['leg_b_elements_nonsingular']} "
           f"c={legs['leg_c_probe_strong_regularity']} "
           f"-> {legs['verdict']}")
     print()

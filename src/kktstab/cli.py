@@ -2,10 +2,10 @@
 
 Subcommands: solve, analyze, probe, verify.  Exit codes: 0 on success (and
 on a consistent equivalence report), 2 when the equivalence report is
-inconsistent, 1 on errors, 64 on usage errors.  The default seed comes
-from the KKTSTAB_SEED environment variable when a command omits --seed;
-a seed that is not an integer of at least 0, in either place, is a usage
-error.
+inconsistent or undecided, 1 on errors, 64 on usage errors.  The default
+seed comes from the KKTSTAB_SEED environment variable when a command
+omits --seed; a seed that is not an integer of at least 0, in either
+place, is a usage error.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def _cmd_analyze(args) -> int:
           f"{report.sweep.n_elements} elements)")
     print(f"  probe          : modulus {report.probe.modulus:.3e}, "
           f"{report.probe.violations} violations, {report.probe.failures} failures "
-          f"({_probe_method(report.probe)})")
+          f"({_probe_detail(report.probe)})")
     print(f"  consistency    : {report.consistency['verdict']}"
           + (f" ({report.consistency['disagreement']})"
              if report.consistency["disagreement"] else ""))
@@ -205,13 +205,9 @@ def _cmd_analyze(args) -> int:
     return 0 if report.consistency["verdict"] == "consistent" else 2
 
 
-def _probe_method(stats) -> str:
-    """How the probe decided: its method, the local pieces of the local
-    model and the causes of failed Newton solves."""
-    if stats.method != "newton":
-        return f"{stats.method}, {stats.pieces} local pieces"
-    causes = ", ".join(f"{cause} {count}" for cause, count in stats.failure_causes.items())
-    return f"newton; failures by cause: {causes}" if stats.failures else "newton"
+def _probe_detail(stats) -> str:
+    """The local pieces of the probe's local model, and its first failure."""
+    return f"{stats.pieces} local pieces" + (f"; {stats.failure}" if stats.failure else "")
 
 
 def _cmd_probe(args) -> int:
@@ -224,10 +220,10 @@ def _cmd_probe(args) -> int:
     print(f"  solved {stats.solved}, failures {stats.failures}, "
           f"uniqueness violations {stats.violations}")
     print(f"  Lipschitz modulus estimate {stats.modulus:.6e}")
-    print(f"  method {_probe_method(stats)}")
+    print(f"  local model: {_probe_detail(stats)}")
     if args.json:
         emit_report(stats, args.json, kind="probe", seed=args.seed,
-                    tolerances={"uniqueness": stats.uniqueness_tol})
+                    tolerances={"kkt": args.tol})
     return 0
 
 

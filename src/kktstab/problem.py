@@ -7,12 +7,12 @@ opposite sign of the literal derivative of the residual's second block,
 which leaves singular values and nonsingularity untouched.  The Newton
 front ends therefore iterate on the sign-adjusted residual whose elements
 these matrices are.  ``solve`` keeps its canonical elements in their
-blocks' Clarke frames (``FramedElements``) and takes each Newton step from
-a symmetric system of order n + |S|; the element sweep and the
-linearized solves use the dense matrices.  ``solve`` evaluates each
-iterate once: the residual round that accepts a point also gives its
-Jacobian and its PSD blocks' frames, from which, with the separable
-blocks' frames at that point, the element is built.
+blocks' Clarke frames (``FramedElement``) and takes each Newton step from
+a symmetric system of order n + |S|; ``solve_linearized_ge`` uses the
+dense matrices.  ``solve`` evaluates each iterate once: the residual
+round that accepts a point also gives its Jacobian and its PSD blocks'
+frames, from which, with the separable blocks' frames at that point, the
+element is built.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .newton import (ElementStack, NewtonOptions, NewtonTrace, check_integer,
-                     semismooth_solve, semismooth_solve_rows)
+from .newton import NewtonOptions, NewtonTrace, check_integer, semismooth_solve
 from .pieces import ClarkeFrame, ConvexPiece, LinearOperatorElement
 
 FD_HESS_STEP = 1e-5
@@ -292,11 +291,26 @@ def canonical_element(problem: CompositeProblem, z) -> JacobianElementR:
     return assemble_element(problem, pt, _canonical_prox_elements(problem, w))
 
 
-class _FramedRow:
+class FramedElement:
     """One point's canonical element [[H, J^T], [(I-U) J, -U]] with
     U = Q diag(w) Q^T kept as the blocks' Clarke frames: Q is block
     diagonal and orthogonal, and the frame coordinates of J are
-    ``J~ = Q^T J``, one ``P^T smat(J_col) P`` per column of a PSD block."""
+    ``J~ = Q^T J``, one ``P^T smat(J_col) P`` per column of a PSD block.
+
+    It has the operations of ``newton.DenseElement``.  A Newton step
+    solves the reduced matrix R of order n + |S| (see ``reduced``) and
+    back-substitutes.  With the row scales ``Lam = 1 / (1 - w_S)`` and
+    ``1 / w_L``, all in [1, 2], E in frame coordinates, with the S
+    coordinates before the L ones, is
+
+        diag(Lam)^-1 [[I, -Y], [0, I]] diag(R, -I) [[I, 0], [-Z, I]],
+
+    ``Y = [J~_L^T; 0]`` and ``Z = [D_L J~_L, 0]``.  The outer factors are
+    nonsingular, so R and E are singular together.  ``step`` solves R
+    once against the step's column and a unit probe's, and reports the
+    Dixon bound on sigma_min(E) itself.  An element whose bound falls
+    below ``newton.SCREEN_SV`` is one the driver confirms by the svd of
+    its dense matrix (``dense``), which ``apply`` then uses."""
 
     def __init__(self, problem: CompositeProblem, H: np.ndarray, J: np.ndarray,
                  frames: list[ClarkeFrame]):
@@ -388,55 +402,9 @@ class _FramedRow:
         return np.concatenate([self.H @ dx + self.J.T @ dmu, Jdx - U])
 
 
-class FramedElements(ElementStack):
-    """Canonical KKT elements kept in their blocks' frames, one per row.
-
-    A Newton step solves the reduced matrix R of order n + |S| (see
-    ``_FramedRow.reduced``) and back-substitutes.  With the row scales
-    ``Lam = 1 / (1 - w_S)`` and ``1 / w_L``, all in [1, 2], E in frame
-    coordinates, with the S coordinates before the L ones, is
-
-        diag(Lam)^-1 [[I, -Y], [0, I]] diag(R, -I) [[I, 0], [-Z, I]],
-
-    ``Y = [J~_L^T; 0]`` and ``Z = [D_L J~_L, 0]``.  The outer factors are
-    nonsingular, so R and E are singular together.
-
-    ``screen`` solves R once against the step's column and a unit probe's,
-    and reports the Dixon bound on sigma_min(E) itself (``_FramedRow.step``).
-    A row whose bound falls below SCREEN_SV is one ``newton._newton_steps``
-    confirms by the svd of its dense element (``dense``), which ``apply``
-    then uses.
-    """
-
-    def __init__(self, rows: list[_FramedRow]):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, rows) -> FramedElements:
-        return FramedElements([self.rows[i] for i in np.arange(len(self.rows))[rows]])
-
-    @staticmethod
-    def concatenate(stacks: list[FramedElements]) -> FramedElements:
-        return FramedElements([row for stack in stacks for row in stack.rows])
-
-    def screen(self, r, rr, probe):
-        S, bound = np.empty(r.shape), np.empty(len(r))
-        for i, row in enumerate(self.rows):
-            S[i], bound[i] = row.step(r[i], rr[i], probe)
-        return S, bound
-
-    def dense(self, rows):
-        return np.array([self.rows[i].dense() for i in rows])
-
-    def apply(self, S):
-        return np.array([row.apply(s) for row, s in zip(self.rows, S)])
-
-
-def framed_element(problem: CompositeProblem, z) -> FramedElements:
-    """The canonical element at z in its blocks' frames, a stack of one row;
-    its dense matrix has the bits of ``canonical_element(problem, z)``."""
+def framed_element(problem: CompositeProblem, z) -> FramedElement:
+    """The canonical element at z in its blocks' frames; its dense matrix
+    has the bits of ``canonical_element(problem, z)``."""
     pt = as_point(problem, z)
     w = np.asarray(problem.F.eval(pt.x), dtype=float) + pt.mu
     J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
@@ -445,10 +413,9 @@ def framed_element(problem: CompositeProblem, z) -> FramedElements:
 
 
 def _framed(problem: CompositeProblem, pt: KKTPoint, J: np.ndarray,
-            frames: list[ClarkeFrame]) -> FramedElements:
-    """The stack of one framed element at pt, given J(x) and the frames."""
-    H = problem.F.weighted_hessian(pt.x, pt.mu)
-    return FramedElements([_FramedRow(problem, H, J, frames)])
+            frames: list[ClarkeFrame]) -> FramedElement:
+    """The framed element at pt, given J(x) and the frames."""
+    return FramedElement(problem, problem.F.weighted_hessian(pt.x, pt.mu), J, frames)
 
 
 class SampledElements(list):
@@ -535,63 +502,40 @@ def _apply(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (A @ V[..., None])[..., 0]
 
 
-def solve_linearized_rows(problem: CompositeProblem, zbar, deltas, starts=None,
-                          opts: NewtonOptions | None = None, parts=None) -> list:
-    """Solve the perturbed linearized generalized equation for each row of
-    deltas (k, n+m), from the matching row of starts (the base point when
-    None), with one lock-step Newton iteration over all rows.  ``parts`` is
-    the weighted Hessian, J and F at zbar, as for ``linearized_residual``.
-
-    Returns one entry per row: the KKTPoint that solve_linearized_ge returns
-    for that row alone, or the exception it raises.
-    """
-    base = as_point(problem, zbar)
-    n, m = problem.n, problem.m
-    deltas = np.array(deltas, dtype=float, ndmin=2)
-    if deltas.shape[-1] != n + m:
-        raise DimensionError(f"delta has {deltas.shape[-1]} entries, expected {n + m}")
-    starts = (np.tile(base.stacked(), (len(deltas), 1)) if starts is None
-              else np.array(starts, dtype=float, ndmin=2))
-    if starts.shape != deltas.shape:
-        raise DimensionError(f"starts have shape {starts.shape}, expected {deltas.shape}")
-    Hbar, Jbar, Fbar = parts or _base_parts(problem, base)
-    rhs = np.concatenate([deltas[:, :n] + _apply(Jbar.T, deltas[:, n:]), deltas[:, n:]], axis=1)
-
-    def res(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # sign-adjusted so that elem() below is its derivative element;
-        # zeros coincide with solutions of (linearized residual) == rhs
-        dx, nu = Z[:, :n] - base.x, Z[:, n:]
-        Fx = Fbar + _apply(Jbar, dx)
-        r1 = _apply(Hbar, dx) + _apply(Jbar.T, nu - base.mu) - rhs[rows, :n]
-        r2 = Fx - problem.prox_g(Fx + nu) + rhs[rows, n:]
-        return np.concatenate([r1, r2], axis=1)
-
-    def elem(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        w = Fbar + _apply(Jbar, Z[:, :n] - base.x) + Z[:, n:]
-        return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
-
-    outcomes = semismooth_solve_rows(res, elem, starts, opts)
-    return [out if isinstance(out, Exception)
-            else KKTPoint(out[0][:n], out[0][n:] - delta[n:])
-            for out, delta in zip(outcomes, deltas)]
-
-
 def solve_linearized_ge(problem: CompositeProblem, zbar, delta,
                         start=None, opts: NewtonOptions | None = None) -> KKTPoint:
     """Solve the canonically perturbed linearized generalized equation.
 
     The perturbed inclusion is translated into the nonsmooth equation for
-    the shifted dual variable nu = mu + delta_2; the returned point undoes
-    the shift.  Non-convergence of the inner Newton iteration propagates,
-    signalling probable failure of strong regularity.  This is the one-row
-    case of :func:`solve_linearized_rows`.
+    the shifted dual variable nu = mu + delta_2, solved by semismooth
+    Newton from ``start`` (the base point when None); the returned point
+    undoes the shift.  Non-convergence of the Newton iteration propagates,
+    signalling probable failure of strong regularity.
     """
-    delta = np.asarray(delta, dtype=float).reshape(1, -1)
-    starts = None if start is None else as_point(problem, start).stacked()
-    out, = solve_linearized_rows(problem, zbar, delta, starts, opts)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    base = as_point(problem, zbar)
+    n, m = problem.n, problem.m
+    delta = np.asarray(delta, dtype=float).ravel()
+    if delta.size != n + m:
+        raise DimensionError(f"delta has {delta.size} entries, expected {n + m}")
+    z0 = base.stacked() if start is None else as_point(problem, start).stacked()
+    Hbar, Jbar, Fbar = _base_parts(problem, base)
+    rhs = np.concatenate([delta[:n] + Jbar.T @ delta[n:], delta[n:]])
+
+    def res(Z: np.ndarray) -> np.ndarray:
+        # sign-adjusted so that elem() below is its derivative element;
+        # zeros coincide with solutions of (linearized residual) == rhs
+        dx, nu = Z[:, :n] - base.x, Z[:, n:]
+        Fx = Fbar + _apply(Jbar, dx)
+        r1 = _apply(Hbar, dx) + _apply(Jbar.T, nu - base.mu) - rhs[:n]
+        r2 = Fx - problem.prox_g(Fx + nu) + rhs[n:]
+        return np.concatenate([r1, r2], axis=1)
+
+    def elem(z: np.ndarray) -> np.ndarray:
+        w = Fbar + Jbar @ (z[:n] - base.x) + z[n:]
+        return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
+
+    z, _ = semismooth_solve(res, elem, z0, opts, stacked=True)
+    return KKTPoint(z[:n], z[n:] - delta[n:])
 
 
 def solve(problem: CompositeProblem, z0,
@@ -611,7 +555,7 @@ def solve(problem: CompositeProblem, z0,
     start = as_point(problem, z0)
     evaluated: dict[bytes, tuple] = {}  # this iteration's points: (J, w, frames)
 
-    def rho(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def rho(Z: np.ndarray) -> np.ndarray:
         # a round of one trial keeps the one-point prox, cheaper than a
         # stack of one
         if len(Z) == 1:
@@ -623,12 +567,12 @@ def solve(problem: CompositeProblem, z0,
             evaluated[z.tobytes()] = J[i], w[i], [None if f is None else f.row(i) for f in frames]
         return r
 
-    def elem(Z: np.ndarray, rows: np.ndarray) -> FramedElements:
-        J, w, frames = evaluated[Z[0].tobytes()]  # the one row, a point the last rounds evaluated
+    def elem(z: np.ndarray) -> FramedElement:
+        J, w, frames = evaluated[z.tobytes()]  # a point the last rounds evaluated
         evaluated.clear()
         frames = [p.clarke_frame(wb) if f is None else f
                   for p, wb, f in zip(problem.pieces, problem.blocks(w), frames)]
-        return _framed(problem, as_point(problem, Z[0]), J, frames)
+        return _framed(problem, as_point(problem, z), J, frames)
 
     zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts, stacked=True)
     return KKTPoint(zsol[:problem.n], zsol[problem.n:]), trace

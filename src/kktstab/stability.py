@@ -2,9 +2,8 @@
 cross-check of the stability equivalence at a KKT point.
 
 Verdicts always carry the tolerance they were decided at.  Everything that
-rests on sampling (the alternating-projection cone search, the Newton
-probe) is reported as evidence, never as a certificate: the wording is
-"heuristic-likely", and the report's note says when leg c is sampled.
+rests on sampling (the alternating-projection cone search) is reported as
+evidence, never as a certificate: the wording is "heuristic-likely".
 The point is evaluated once (``AnalysisPoint``): F, J and each block's
 prox at wbar = F(x) + mu serve its KKT test, the blocks' subgradient
 tests, the uniqueness candidates' KKT tests and both probes'
@@ -18,9 +17,9 @@ they come from.  The element sweep
 (leg b) is exact at every point: two inertia computations decide every
 element of a superset of the product set of Clarke elements, in which
 every PSD block's beta-beta part lies between 0 and I, and the verdict
-reads "all-elements-nonsingular" or names a singular witness element.  At
-a polyhedral point and at every point with PSD blocks, the probe first
-decides whether one symmetric K x K matrix W over the kinks is positive
+reads "all-elements-nonsingular" or names a singular witness element.  So
+is the probe (leg c), on the same model: it first decides
+whether one symmetric K x K matrix W over the kinks is positive
 definite, from the model's svd and eigendecomposition, which solve the
 canonical piece by the null-space method.  A simple zero eigenvalue of a
 PSD block is one more half-line kink of the projection's B-derivative,
@@ -31,8 +30,8 @@ definite iff leg b holds.  Where W is not, the point is not strongly
 regular, and leg c reads that certificate at any K.  Otherwise it solves
 each sampled perturbation exactly, as one complementarity problem with a
 positive definite matrix, over an orthant (an LCP) or over an orthant
-times PSD cones; only where the local model breaks down does it run its
-stacked Newton solves.
+times PSD cones, and checks each solution; a solve that does not
+converge, or a solution that fails its check, leaves leg c undecided.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -71,8 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .newton import (NewtonNonConvergence, NewtonOptions, NewtonStagnation, check_integer,
-                     check_positive)
+from .newton import NewtonOptions, check_integer, check_positive
 from .pieces import (
     _LOWER,
     _POLAR,
@@ -100,16 +98,11 @@ from .problem import (
     block_prox,
     kkt_check,
     linearized_residual,
-    solve_linearized_rows,
 )
 from .symmat import smat, svec, svec_order
 
 _RANK_TOL = 1e-10
 _CONIC_MAX_ITER = 50  # Newton iterations of one conic complementarity solve
-
-# the cause under which ProbeStats.failure_causes counts a failed Newton row
-_FAILURE_CAUSES = {"max_iter": NewtonNonConvergence, "stagnation": NewtonStagnation,
-                   "linalg_error": np.linalg.LinAlgError}
 
 # the class codes of each block's frame coordinates in the named product cone
 _CONE_CODES = {"critical_polar_cone": lambda st: _POLAR[st.critical],
@@ -157,19 +150,17 @@ class SweepStats:
 
 @dataclass
 class ProbeStats:
-    """The probe's tally over its num_delta + 1 perturbations.  ``method``
-    says how each was solved: on the local model, "exact" at a polyhedral
-    point (the linearized inclusion) or "b-derivative" at a point with PSD
-    blocks (the equation of the projection's B-derivative), or "newton"
-    from three starts where the local model breaks down, when
-    ``failure_causes`` counts the failed solves by cause.  ``pieces`` is
-    2^K for the K half-line kinks of the local model (0 on the Newton
-    path): each one doubles the pieces of a piecewise-linear map, while
-    the beta-beta factor of a PSD block with |beta| >= 2 is a projection
-    onto a PSD cone, not piecewise linear, and adds no factor.  A probe on
-    the local model whose W is not positive definite reads the certificate
-    that the point is not strongly regular: 1 violation and 1 solved (the
-    point itself at delta = 0), with modulus 0."""
+    """The probe's tally over its num_delta + 1 perturbations, each solved
+    on the local model (``_exact_probe``).  ``pieces`` is 2^K for the K
+    half-line kinks of the local model: each one doubles the pieces of a
+    piecewise-linear map, while the beta-beta factor of a PSD block with
+    |beta| >= 2 is a projection onto a PSD cone, not piecewise linear, and
+    adds no factor.  A probe whose W is not positive definite reads the
+    certificate that the point is not strongly regular: 1 violation and 1
+    solved (the point itself at delta = 0), with modulus 0.  ``failures``
+    counts the perturbations left undecided, whose solve did not converge
+    or whose solution failed its check, and ``failure`` names the first of
+    them ("" when there is none); any failure leaves leg c undecided."""
 
     modulus: float
     violations: int
@@ -177,10 +168,8 @@ class ProbeStats:
     solved: int
     num_delta: int
     radius: float
-    uniqueness_tol: float
-    method: str
     pieces: int
-    failure_causes: dict
+    failure: str
 
 
 class LocalModel(NamedTuple):
@@ -192,10 +181,8 @@ class LocalModel(NamedTuple):
     I on each block's BLOCK coordinates (Pang, Sun & Sun 2003), and
     1 / (1 + weight) on the FREE ones, below 1 on the alpha-gamma
     coordinates of a PSD block.  Solving a FREE row for its multiplier
-    folds its weight into H = H0 + J^T diag(weight) J.  ``method`` says
-    how leg c is decided: "exact" at a polyhedral point, else
-    "b-derivative"; the Newton probe runs only where the model breaks down
-    (``_exact_probe``).  Its two kernels at ``opts.tol``: Z0 spans
+    folds its weight into H = H0 + J^T diag(weight) J.  Its two kernels at
+    ``opts.tol``: Z0 spans
     null(J_P), the critical subspace, read from the full svd ``svd_P`` =
     (U, s, Vh) of J_P, so that J_P has rank n - dim Z0; A0 = Z0^T H Z0 has the ascending eigenvalues ``lam`` with
     eigenvectors ``V0``; Z1 spans null(G) for G = J_K Z0 on the kinks K
@@ -206,7 +193,6 @@ class LocalModel(NamedTuple):
     H: np.ndarray
     codes: np.ndarray
     weight: np.ndarray
-    method: str
     Z0: np.ndarray
     svd_P: tuple[np.ndarray, np.ndarray, np.ndarray]
     A0: np.ndarray
@@ -232,16 +218,16 @@ class StabilityReport:
 
 
 SWEEP_TOL = 1e-8  # an element with a smaller least singular value is singular
-UNIQUENESS_TOL = 1e-6  # the probe's bound on the spread of one delta's solutions
 
 
 @dataclass(frozen=True)
 class AnalyzerOptions:
     """The settings of one analysis point: ``tol`` for its KKT, cone and
     rank tests, ``srcq_budget`` and ``seed`` for a cone search,
-    ``num_delta``, ``radius`` and ``newton`` for the probe.  ``count`` no
-    longer changes the analysis, since the sweep samples no element; it is
-    kept, and validated, for callers that still pass it."""
+    ``num_delta`` and ``radius`` for the probe.  ``count`` and ``newton``
+    no longer change the analysis, since the sweep samples no element and
+    the probe solves each perturbation on the local model; they are kept,
+    and validated, for callers that still pass them."""
 
     count: int = 32
     num_delta: int = 50
@@ -374,19 +360,18 @@ class AnalysisPoint:
     def model(self) -> LocalModel:
         """The local model of every leg, in every block's frame: J, H with
         the curvature weights folded in, the critical codes (the one BLOCK
-        coordinate of a |beta| = 1 block read as UP, a half-line kink), the
-        method that decides leg c, and the two kernels.  At a polyhedral
-        point J and H are the point's own."""
+        coordinate of a |beta| = 1 block read as UP, a half-line kink) and
+        the two kernels.  At a polyhedral point J and H are the point's
+        own."""
         codes = np.concatenate([np.where(c == BLOCK, UP, c) if np.sum(c == BLOCK) == 1 else c
                                 for c in (st.critical for st in self.structures)])
         weight = np.concatenate([st.weight for st in self.structures])
         J, on = self.coords(self.J.T).T, weight > 0.0
         H = self.hessian + _gram(J[on].T, weight[on]) if on.any() else self.hessian
-        method = "exact" if self.polyhedral else "b-derivative"
         pinned = codes == PINNED
         Z0, svd_P = _kernel_svd(J[pinned], self.opts.tol)
         A0, G = Z0.T @ H @ Z0, J[~(pinned | (codes == FREE))] @ Z0
-        return LocalModel(J, H, codes, weight, method, Z0, svd_P, A0, *np.linalg.eigh(A0), G,
+        return LocalModel(J, H, codes, weight, Z0, svd_P, A0, *np.linalg.eigh(A0), G,
                           nullspace(G, self.opts.tol))
 
     def coords(self, V: np.ndarray) -> np.ndarray:
@@ -950,22 +935,17 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
     inclusion, tested at delta = 0 and at ``num_delta`` perturbations drawn
     uniformly from the ball of ``radius``.
 
-    A delta whose solutions lie more than UNIQUENESS_TOL apart is a
-    violation, and the modulus is the largest difference quotient
-    |z1 - z2| / |d1 - d2| over the first solution of each solved delta.  At
-    a polyhedral point ("exact") and at a point with PSD blocks
-    ("b-derivative"), ``_exact_probe`` first decides whether the model's W
-    is positive definite; where it is not, it returns the certificate that
-    the point is not strongly regular, at any number of kinks.  Otherwise
-    it solves each delta's one local solution from one complementarity
-    problem, an LCP or, at a PSD block of |beta| >= 2, a conic one; the
-    deltas are still sampled.  Only where the local model breaks down is
-    each delta solved by Newton from three starts, all the solves as one
-    stack ("newton"), and a failed solve is counted by its cause, not
-    raised.
+    ``_exact_probe`` first decides whether the local model's W is positive
+    definite; where it is not, it returns the certificate that the point
+    is not strongly regular, at any number of kinks.  Otherwise it solves
+    each delta's one local solution from one complementarity problem, an
+    LCP or, at a PSD block of |beta| >= 2, a conic one, and the modulus is
+    the largest difference quotient |z1 - z2| / |d1 - d2| over them.  A
+    delta whose solve does not converge, or whose solution fails its
+    check, is counted as a failure, which leaves leg c undecided.
     """
     point = analysis_point(problem, zbar, opts)
-    pt, opts = point.kkt, point.opts
+    opts = point.opts
     dim = problem.n + problem.m
     rng = np.random.default_rng(opts.seed)
     deltas = [np.zeros(dim)]
@@ -974,52 +954,15 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
         u /= np.linalg.norm(u)
         r = rng.uniform() ** (1.0 / dim)
         deltas.append(opts.radius * r * u)
-    exact = None
-    if point.model.method != "newton":
-        # a delta so large that its solution overflows fails the exact
-        # probe's residual check, which hands it to the Newton probe
-        with np.errstate(over="ignore", invalid="ignore"):
-            exact = _exact_probe(point, np.array(deltas))
-    if exact is not None:
-        return exact
-    offsets = [np.zeros(dim)]
-    for _ in range(2):
-        u = rng.standard_normal(dim)
-        # at a huge radius 0.5 * radius overflows before the division; the
-        # start is then not finite, which the solver reports as its error
-        with np.errstate(over="ignore"):
-            offsets.append(0.5 * opts.radius * u / np.linalg.norm(u))
-    k = len(offsets)
-    outcomes = solve_linearized_rows(problem, pt, np.repeat(deltas, k, axis=0),
-                                     np.tile(pt.stacked() + np.array(offsets), (len(deltas), 1)),
-                                     opts.newton, (point.hessian, point.J, point.Fbar))
-    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
-    solutions: list[tuple[np.ndarray, np.ndarray]] = []
-    violations = 0
-    for j, delta in enumerate(deltas):
-        sols = []
-        for out in outcomes[j * k:(j + 1) * k]:
-            cause = next((c for c, kind in _FAILURE_CAUSES.items() if isinstance(out, kind)), None)
-            if cause is not None:
-                causes[cause] += 1
-            elif isinstance(out, Exception):
-                raise out
-            else:
-                sols.append(out.stacked())
-        violations += _spread(sols) > UNIQUENESS_TOL
-        if sols:
-            solutions.append((delta, sols[0]))
-    return _probe_stats(opts, solutions, violations, "newton", 0, causes)
-
-
-def _spread(sols) -> float:
-    """The largest distance between two of the solutions, 0 for fewer than two."""
-    return max((float(np.linalg.norm(a - b)) for i, a in enumerate(sols) for b in sols[i + 1:]),
-               default=0.0)
+    # a delta so large that its solution overflows raises a ValueError,
+    # without numpy's warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _exact_probe(point, np.array(deltas))
 
 
 def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.ndarray]],
-                 violations: int, method: str, pieces: int, causes: dict) -> ProbeStats:
+                 violations: int, pieces: int, failures: int = 0,
+                 failure: str = "") -> ProbeStats:
     """The ProbeStats of the (delta, solution) pairs, the modulus their
     largest difference quotient, or NaN where one quotient is NaN (inf /
     inf after an overflow)."""
@@ -1032,18 +975,16 @@ def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.nda
                     q = float(np.linalg.norm(z1 - z2)) / gap
                     if q > modulus or q != q:  # NaN stays once it appears
                         modulus = q
-    return ProbeStats(modulus=modulus, violations=int(violations), failures=sum(causes.values()),
+    return ProbeStats(modulus=modulus, violations=int(violations), failures=int(failures),
                       solved=len(solutions), num_delta=opts.num_delta, radius=opts.radius,
-                      uniqueness_tol=UNIQUENESS_TOL, method=method, pieces=pieces,
-                      failure_causes=causes)
+                      pieces=pieces, failure=failure)
 
 
-def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
-    """Leg c on the local model of ``AnalysisPoint.model``, at a polyhedral
-    point ("exact") or a point with PSD blocks ("b-derivative"): the
+def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
+    """Leg c on the local model of ``AnalysisPoint.model``: the
     certificate that the point is not strongly regular, or each delta (the
     rows of ``deltas``, the first 0) solved by one complementarity problem
-    over the kinks; None where the Newton probe decides.
+    over the kinks.
 
     In the blocks' frames each coordinate keeps to one linear branch: a
     FREE one has dmu_i = weight_i e_i for its excess e_i = J_i dx +
@@ -1089,7 +1030,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     within SWEEP_TOL of 0, or W's least eigenvalue is at most SWEEP_TOL
     max(1, |lambda(W)|_max), the point is not strongly regular, at any K:
     the stats are the certificate, one violation at delta = 0 with the
-    point itself as its one solution and no Newton solve.  With BLOCK
+    point itself as its one solution.  With BLOCK
     kinks this rests on leg b.  A singular S is a singular canonical
     element.  Otherwise, for the bordered matrix [[A0, G^T], [G, 0]],
     Haynsworth's inertia identity gives neg(Z1^T A0 Z1) = neg(A0) +
@@ -1107,22 +1048,25 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
     & Pang 2003, ch. 2).  ``_lcp`` solves it where C is an orthant,
     ``_conic_complementarity`` where it has PSD factors, and one more
     solve with S gives the solution.  One stacked residual checks every
-    solution against 2 (tol + the kink tolerance ``_kink_tol``): at a
-    polyhedral point the linearized residual, and the rows that fail it
-    ``_b_derivative_residual``, which is positively homogeneous and so
-    does not test whether the radius is local; with a PSD block,
-    ``_b_derivative_residual``.  The Newton probe decides where the local
-    model breaks down: a solution fails that check, or a solve does not
-    end within its bound.
+    solution against 2 (tol + the kink tolerance ``_kink_tol``) max(1,
+    |delta|_inf), since the rounding of the B-derivative's equation, which
+    is positively homogeneous, grows with |delta|.  With a PSD block the
+    check is ``_b_derivative_residual``.  At a polyhedral point it is the
+    linearized residual, and ``_b_derivative_residual`` only on the rows
+    that fail it, where a delta leaves the local pieces, which does not
+    make the solution wrong.  A delta whose solve does not converge, or whose
+    solution fails the check, is a failure, and ``failure`` names the
+    first.  A huge radius overflows the arithmetic, the norm of q that
+    ``_conic_complementarity`` scales by, a solution or a difference
+    quotient, and raises a ValueError.
     """
     problem, opts, m = point.problem, point.opts, point.model
-    J, codes, weight, method = m.J, m.codes, m.weight, m.method
+    J, codes, weight = m.J, m.codes, m.weight
     n = problem.n
     pinned = np.flatnonzero(codes == PINNED)
     kinks = np.flatnonzero((codes != PINNED) & (codes != FREE))
     block = codes[kinks] == BLOCK
     pieces = 2 ** int(np.sum(~block))
-    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
     oriented = n - m.Z0.shape[1] == pinned.size and bool((np.abs(m.lam) > SWEEP_TOL).all())
     if oriented:
         GV = m.G @ m.V0
@@ -1131,7 +1075,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
         ev = np.linalg.eigvalsh(W)
         oriented = ev.min(initial=np.inf) > SWEEP_TOL * max(1.0, np.abs(ev).max(initial=0.0))
     if not oriented:
-        return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, method, pieces, causes)
+        return _probe_stats(opts, [(deltas[0], point.kkt.stacked())], 1, pieces)
     U, s, Vh = m.svd_P
     Vr, ZV = Vh[:pinned.size], m.Z0 @ m.V0
 
@@ -1146,6 +1090,10 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
         d1 = d1 - (weight * d2) @ J
     b = -d2[:, pinned]
     q = J[kinks] @ saddle_y(d1, b).T + d2[:, kinks].T
+    overflow = ValueError(f"the probe overflows at radius {opts.radius:.3g}; "
+                          f"take a smaller radius")
+    if not np.isfinite(np.linalg.norm(q, axis=0)).all():
+        raise overflow
     sign = np.where(codes[kinks] == DOWN, -1.0, 1.0)
     M = sign[:, None] * W * sign
     if block.any():
@@ -1155,10 +1103,8 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
         ys = _conic_complementarity(M, sign * q.T, [(r, PSDConeIndicator(svec_order(r.size)))
                                                      for r in runs])
     else:
-        ys = [_lcp(M, sign * qj) for qj in q.T]
-        ys = None if any(y is None for y in ys) else np.array(ys)
-    if ys is None:
-        return None
+        ys = np.array([_lcp(M, sign * qj) for qj in q.T])
+    unsolved = np.isnan(ys).any(axis=1)
     g = sign * ys
     f = d1 + g @ J[kinks]
     y = saddle_y(f, b)
@@ -1169,21 +1115,37 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats | None:
         dz[:, n:] += weight * (y @ J.T + d2)
     dz[:, n:] = point.vectors(dz[:, n:])
     Z = point.kkt.stacked() + dz
-    bound = 2.0 * (opts.tol + side_tol)
-    if method == "exact":
-        shifted = Z.copy()
-        shifted[:, n:] += deltas[:, n:]  # the inclusion's shifted multiplier mu + delta2
-        want = np.concatenate([deltas[:, :n] + deltas[:, n:] @ point.J, deltas[:, n:]], axis=1)
-        r = linearized_residual(problem, point.kkt, shifted,
-                                (point.hessian, point.J, point.Fbar)) - want
-        off = ~(np.abs(r) <= bound).all(axis=1)  # NaN rows too
-        if off.any():
-            r = _b_derivative_residual(point, dz[off], deltas[off])
-    else:
-        r = _b_derivative_residual(point, dz, deltas)
-    if not (np.abs(r) <= bound).all():  # NaN fails too
-        return None
-    return _probe_stats(opts, list(zip(deltas, Z)), 0, method, pieces, causes)
+    rows = np.flatnonzero(~unsolved)
+    if not np.isfinite(Z[rows]).all():
+        raise overflow
+    bound = 2.0 * (opts.tol + side_tol) * np.maximum(1.0, np.abs(deltas).max(axis=1))
+    err = np.full(len(deltas), np.nan)  # each solved row's largest residual entry
+    if point.polyhedral:
+        # one prox call, cheaper here than a directional derivative per block
+        # (analyze-nlp); at a PSD block the B-derivative's solution solves
+        # the linearized inclusion only to first order (analyze-sdp)
+        shifted = Z[rows]
+        shifted[:, n:] += deltas[rows, n:]  # the inclusion's shifted multiplier mu + delta2
+        want = np.concatenate([deltas[rows, :n] + deltas[rows, n:] @ point.J, deltas[rows, n:]],
+                              axis=1)
+        err[rows] = np.abs(linearized_residual(problem, point.kkt, shifted,
+                                               (point.hessian, point.J, point.Fbar))
+                           - want).max(axis=1)
+        rows = rows[~(err[rows] <= bound[rows])]  # the rows that fail it, NaN ones too
+    if rows.size:
+        err[rows] = np.abs(_b_derivative_residual(point, dz[rows], deltas[rows])).max(axis=1)
+    failed = np.flatnonzero(~(err <= bound))  # unsolved rows and NaN residuals too
+    failure = ""
+    if failed.size:
+        j = failed[0]
+        failure = (f"delta {j}: the {'conic complementarity' if block.any() else 'LCP'} "
+                   f"solve did not converge" if unsolved[j] else
+                   f"delta {j}: residual {err[j]:.3e} above its bound {bound[j]:.3e}")
+    keep = np.delete(np.arange(len(deltas)), failed)
+    stats = _probe_stats(opts, list(zip(deltas[keep], Z[keep])), 0, pieces, failed.size, failure)
+    if not np.isfinite(stats.modulus):
+        raise overflow
+    return stats
 
 
 def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
@@ -1207,7 +1169,7 @@ def _lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     by Murty's (1974) least-index principal pivoting: the basic set B holds
     the y_i that may be nonzero, y_B solves M_BB y_B = -q_B, and the least
     index whose y_i (in B) or w_i (outside it) is negative switches sides.
-    None once all 2^K complementary bases could have been visited."""
+    NaN once all 2^K complementary bases could have been visited."""
     basic = np.zeros(q.size, dtype=bool)
     for _ in range(2 ** q.size):
         y = np.zeros(q.size)
@@ -1216,14 +1178,14 @@ def _lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray | None:
         if not wrong.size:
             return y
         basic[wrong[0]] = not basic[wrong[0]]
-    return None
+    return np.full(q.size, np.nan)
 
 
-def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndarray | None:
+def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndarray:
     """The y of each row q of Q with y in C, w = q + M y in C and <y, w> = 0,
     for a symmetric positive definite M, where C is R_+ on every coordinate
     outside the PSD factors ``cones``, pairs (index, PSDConeIndicator) of a
-    run of svec coordinates; None where a row does not converge.
+    run of svec coordinates; a NaN row where a row does not converge.
 
     This is the optimality system of min f(y) = y^T M y / 2 + q^T y over
     the self-dual cone C.  Its solution is positively homogeneous in q, so
@@ -1241,7 +1203,9 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
     falls by 1e-4 of its first-order prediction, or |F|^2 by the fraction
     1e-4 of the step, which keeps full steps near the solution, where phi
     is within rounding of its minimum.  A row ends when |F| is at most
-    1e-12 (|y| + gamma |w|).  All rows run as one stack."""
+    1e-12 (|y| + gamma |w|); one whose line search collapses, or that is
+    still running after _CONIC_MAX_ITER iterations or when a stacked
+    Newton solve raises, did not converge.  All rows run as one stack."""
     K = M.shape[0]
     half = np.ones(K, dtype=bool)
     for idx, _ in cones:
@@ -1265,6 +1229,7 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
 
     scale = np.linalg.norm(Q, axis=1)
     out = np.zeros_like(Q)
+    out[scale > 0.0] = np.nan
     rows = np.flatnonzero(scale > 0.0)
     q = Q[rows] / scale[rows, None]
     S = state(np.zeros_like(q), q)
@@ -1275,17 +1240,20 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
         out[rows[done]] = y[done] * scale[rows[done], None]
         rows, q, S = rows[~done], q[~done], [a[~done] for a in S]
         if not rows.size:
-            return out
+            break
         y, w, r, rr, e, E = S
         try:
             d = -np.linalg.solve(E, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            return None
+            break
         slope = np.sum((r @ A) * d, axis=1) / gamma
         t, search = 1.0, np.arange(rows.size)
         while search.size:
-            if t < 1e-10:
-                return None
+            if t < 1e-10:  # the rows still searching end unsolved
+                keep = np.ones(rows.size, dtype=bool)
+                keep[search] = False
+                rows, q, S = rows[keep], q[keep], [a[keep] for a in S]
+                break
             trial = state(y[search] + t * d[search], q[search])
             ds = d[search]
             drop = (t * np.sum(ds * w[search], axis=1) + 0.5 * t * t * np.sum((ds @ M) * ds, axis=1)
@@ -1295,25 +1263,27 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
             for a, b in zip(S, trial):
                 a[search[ok]] = b[ok]
             search, t = search[~ok], 0.5 * t
-    return None
+    return out
 
 
 # ----------------------------------------------------------------------
 # the equivalence cross-check
 
 
-# the consistency note of a report, by probe method, and "conic" for the
-# B-derivative at a PSD block of |beta| >= 2, which is not piecewise linear;
-# leg b is exact everywhere, and leg c wherever the local model decides it
+# the consistency note of a report: at a polyhedral point, at a point with
+# PSD blocks, and at one with BLOCK kinks (a PSD block of |beta| >= 2, where
+# the B-derivative is not piecewise linear); leg b is exact everywhere, and
+# so is leg c unless a perturbation leaves it undecided
 _NOTES = {
-    "exact": "leg b is exact at this point; so is leg c (coherent orientation), "
-             "whose modulus is a sampled lower bound",
-    "b-derivative": "leg b is exact at this point; so is leg c (coherent orientation of the "
-                    "B-derivative), whose modulus is a sampled lower bound",
+    "polyhedral": "leg b is exact at this point; so is leg c (coherent orientation), "
+                  "whose modulus is a sampled lower bound",
+    "psd": "leg b is exact at this point; so is leg c (coherent orientation of the "
+           "B-derivative), whose modulus is a sampled lower bound",
     "conic": "leg b is exact at this point; so is leg c (a positive definite W, one solution "
              "of the B-derivative's conic complementarity problem per perturbation), whose "
              "modulus is a sampled lower bound",
-    "newton": "leg b is exact at this point; leg c is sampled evidence, not a certificate",
+    "undecided": "leg b is exact at this point; leg c is undecided, since a perturbation's "
+                 "local solve failed (see the probe's failure)",
 }
 
 
@@ -1324,16 +1294,15 @@ def equivalence_report(problem: CompositeProblem, zbar,
     the elements of ``nonsingularity_sweep``, (c) the strong-regularity
     probe.
 
-    The verdict is 'consistent' exactly when all legs agree.  Leg b is
-    exact at every point.  Where the probe's method is "exact" or
-    "b-derivative", that is wherever the local model holds, leg c is exact
-    too: false from the certificate that W is not positive definite (the
-    local pieces are not coherently oriented, or at a PSD block of
-    |beta| >= 2 the inertia identity that makes leg b false), true where
-    it is, with each sampled perturbation solved exactly for the modulus;
-    only where the local model breaks down does it test them by Newton
-    solves.  The note says which certificate leg c reads, or that it is
-    sampled evidence.
+    Legs b and c are exact at every point.  Leg c is false from the
+    certificate that W is not positive definite (the local pieces are not
+    coherently oriented, or at a PSD block of |beta| >= 2 the inertia
+    identity that makes leg b false), true where it is, with each sampled
+    perturbation solved exactly for the modulus, and undecided (None)
+    where a perturbation's solve fails.  The verdict is 'undecided' when
+    leg c is, else 'consistent' exactly when all legs agree; the
+    disagreement names the first pair of decided legs that differ.  The
+    note says which certificate leg c reads, or that it is undecided.
     """
     point = analysis_point(problem, zbar, opts)
     opts = point.opts
@@ -1356,18 +1325,19 @@ def equivalence_report(problem: CompositeProblem, zbar,
     sweep = nonsingularity_sweep(problem, point)
     probe = strong_regularity_probe(problem, point)
     leg_b = sweep.verdict == "all-elements-nonsingular"
-    leg_c = probe.violations == 0 and probe.failures == 0 and np.isfinite(probe.modulus)
+    leg_c = None if probe.failures else probe.violations == 0
     legs = {"a": leg_a, "b": leg_b, "c": leg_c}
     disagreement = next((f"{u} vs {v}" for u, v in (("a", "b"), ("a", "c"), ("b", "c"))
-                         if legs[u] != legs[v]), "")
+                         if None not in (legs[u], legs[v]) and legs[u] != legs[v]), "")
     consistency = {
         "leg_a_second_order_and_nondegeneracy": leg_a,
-        "leg_b_sampled_elements_nonsingular": leg_b,
+        "leg_b_elements_nonsingular": leg_b,
         "leg_c_probe_strong_regularity": leg_c,
-        "verdict": "consistent" if not disagreement else "inconsistent",
+        "verdict": ("undecided" if leg_c is None else
+                    "inconsistent" if disagreement else "consistent"),
         "disagreement": disagreement,
-        "note": _NOTES["conic" if probe.method == "b-derivative"
-                       and (point.model.codes == BLOCK).any() else probe.method],
+        "note": _NOTES["undecided" if leg_c is None else "polyhedral" if point.polyhedral
+                       else "conic" if (point.model.codes == BLOCK).any() else "psd"],
     }
     return StabilityReport(
         instance=problem.name,
@@ -1380,7 +1350,7 @@ def equivalence_report(problem: CompositeProblem, zbar,
         probe=probe,
         consistency=consistency,
         seed=opts.seed,
-        tolerances={"kkt": opts.tol, "sweep": SWEEP_TOL, "uniqueness": UNIQUENESS_TOL},
+        tolerances={"kkt": opts.tol, "sweep": SWEEP_TOL},
     )
 
 

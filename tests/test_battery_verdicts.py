@@ -23,34 +23,34 @@ B_DERIVATIVE_NOTE = ("leg b is exact at this point; so is leg c (coherent orient
 
 # name: (rcq, srcq, nondegeneracy, unique multiplier, second order,
 #        sweep (verdict, min sv, elements, argmin), probe (modulus,
-#        violations, failures, solved, method, local pieces), consistency
+#        violations, failures, solved, local pieces), consistency
 #        (legs a, b, c, verdict, disagreement), note)
 EXPECTED = {
     "nlp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, TRIVIAL_SUBSPACE,
         ("all-elements-nonsingular", 0.5176380902050416, 1,
          ("epi(orthant_indicator:canonical)",)),
-        (1.6167967978021782, 0, 0, 21, "exact", 1), CONSISTENT, EXACT_NOTE),
+        (1.6167967978021782, 0, 0, 21, 1), CONSISTENT, EXACT_NOTE),
     "sdp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
         ("all-elements-nonsingular", 0.5, 1, ("epi(psd_indicator:canonical)",)),
-        (0.9984186711868456, 0, 0, 21, "b-derivative", 1), CONSISTENT, B_DERIVATIVE_NOTE),
+        (0.9984186711868456, 0, 0, 21, 1), CONSISTENT, B_DERIVATIVE_NOTE),
     "sdp_degenerate": (
         EXACT_RCQ, ("fails", "span test rank 3 of 4"),
         ("fails", "rank 2 of 4"), False,
         ("skipped", "multiplier set is not a singleton"),
         ("singular-element-found", 0.0, 2, ("epi(psd_indicator:canonical)",)),
-        (0.0, 1, 0, 1, "b-derivative", 2), (False, False, False, "consistent", ""),
+        (0.0, 1, 0, 1, 2), (False, False, False, "consistent", ""),
         B_DERIVATIVE_NOTE),
     "l1_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 1 of 1"), True, TRIVIAL_SUBSPACE,
         ("all-elements-nonsingular", 1.0, 1, ("l1_norm:canonical",)),
-        (1.0000000000000007, 0, 0, 21, "exact", 1), CONSISTENT, EXACT_NOTE),
+        (1.0000000000000007, 0, 0, 21, 1), CONSISTENT, EXACT_NOTE),
     "smooth_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, ("holds", 1.0, 1, ""),
         ("all-elements-nonsingular", 0.6180339887498949, 1,
          ("epi(orthant_indicator:canonical)",)),
-        (0.9980308321202721, 0, 0, 21, "exact", 1), CONSISTENT, EXACT_NOTE),
+        (0.9980308321202721, 0, 0, 21, 1), CONSISTENT, EXACT_NOTE),
 }
 
 
@@ -78,15 +78,15 @@ def test_battery_report_is_pinned(name):
     assert (rep.sweep.verdict, rep.sweep.n_elements, rep.sweep.argmin_provenance) == (
         verdict, n_elements, argmin)
     assert rep.sweep.min_singular_value == _approx(min_sv)
-    modulus, violations, failures, solved, method, pieces = probe
+    modulus, violations, failures, solved, pieces = probe
     assert (rep.probe.violations, rep.probe.failures, rep.probe.solved) == (
         violations, failures, solved)
     assert rep.probe.modulus == _approx(modulus)
     # only sdp_degenerate has a kink, its |beta| = 1 block: the others' local
     # model has one piece
-    assert (rep.probe.method, rep.probe.pieces) == (method, pieces)
+    assert (rep.probe.pieces, rep.probe.failure) == (pieces, "")
     c = rep.consistency
-    got = (c["leg_a_second_order_and_nondegeneracy"], c["leg_b_sampled_elements_nonsingular"],
+    got = (c["leg_a_second_order_and_nondegeneracy"], c["leg_b_elements_nonsingular"],
            c["leg_c_probe_strong_regularity"], c["verdict"], c["disagreement"])
     assert tuple(bool(v) if isinstance(v, (bool, np.bool_)) else v for v in got) == consistency
     assert c["note"] == note

@@ -345,33 +345,44 @@ def test_cli_start_with_an_overflowing_residual_is_one_line_error(capsys, start,
     assert captured.err == f"error: {message}\n"
 
 
+OVERFLOW = "error: the probe overflows at radius 1e+308; take a smaller radius\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "probe"])
 def test_cli_probe_whose_solutions_overflow_is_one_line_error(capsys, command):
-    # at radius 1e308 every difference quotient of nlp_toy's exact probe is
-    # inf / inf: its residual check fails on the non-finite entries and
-    # hands the probe to Newton, whose starting residuals overflow; no
-    # numpy warning reaches stderr, and no report reads leg c true
+    # at radius 1e308 every difference quotient of nlp_toy's probe is
+    # inf / inf: the probe raises its overflow error, no numpy warning
+    # reaches stderr, and no report reads leg c true
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run_command([command, _battery_file("nlp_toy"), "--radius", "1e308"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == "error: squared residual norm at the starting point overflows\n"
+    assert captured.err == OVERFLOW
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "probe"])
-def test_cli_newton_probe_offsets_that_overflow_are_one_line_error(capsys, command):
-    # at radius 1e308 sdp_toy's B-derivative probe fails its residual check
-    # and hands the probe to Newton, whose start offsets 0.5 * radius * u
-    # overflow before the division by |u|; the non-finite start is the one
+@pytest.mark.parametrize("name", ["sdp_toy", "beta2_pencil"])
+def test_cli_psd_probes_that_overflow_are_one_line_errors(tmp_path, capsys, name, command):
+    # at radius 1e308 the data of the local model's complementarity
+    # problem overflows, at sdp_toy's B-derivative probe (|beta| = 1) and
+    # at the conic probe of a strongly regular pencil with |beta| = 2: one
     # error line, with no numpy warning
+    if name == "beta2_pencil":
+        from test_stability import _benchmark_workloads
+        data, _ = _benchmark_workloads().planted.psd_pencil(np.random.default_rng(0), 3, 0, 2,
+                                                            True, True)
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(data))
+    else:
+        path = _battery_file(name)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = run_command([command, _battery_file("sdp_toy"), "--radius", "1e308"])
+        rc = run_command([command, str(path), "--radius", "1e308"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == "error: starting point must be finite\n"
+    assert captured.err == OVERFLOW
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 

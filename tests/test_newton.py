@@ -13,12 +13,10 @@ from kktstab import (
     residual,
     semismooth_solve,
     solve,
-    strong_regularity_probe,
 )
 from kktstab import newton as newton_mod
 from kktstab import problem as problem_mod
-from kktstab import stability as stability_mod
-from kktstab.newton import ElementStack, _probe_vector, semismooth_solve_rows
+from kktstab.newton import _probe_vector
 from kktstab.verify import newton_start_grid
 
 
@@ -54,28 +52,28 @@ def test_solve_rejects_nonfinite_start():
 
 def test_a_start_whose_residual_is_not_finite_ends_at_once():
     # a residual that overflows (or is NaN) and a finite residual whose
-    # squared norm overflows leave no merit to descend on: such a row ends
-    # with a ValueError before any element call, and the other rows run on
+    # squared norm overflows leave no merit to descend on: such a start
+    # ends with a ValueError before any element call
     calls = []
 
-    def residual(Z, rows):
+    def residual(Z):
         return Z * np.array([1.0, 1e200])
 
-    def element(Z, rows):
-        calls.append(rows.tolist())
-        return np.repeat(np.diag([1.0, 1e200])[None], len(Z), axis=0)
+    def element(z):
+        calls.append(z.tolist())
+        return np.diag([1.0, 1e200])
 
-    Z0 = np.array([[0.0, 1e150], [np.inf, 0.0], [1e300, 0.0], [1.0, 0.0]])
-    with np.errstate(all="raise"):  # and no overflow warning either
-        outcomes = semismooth_solve_rows(residual, element, Z0)
-    messages = [str(out) for out in outcomes[:3]]
-    assert all(isinstance(out, ValueError) for out in outcomes[:3])
-    assert messages == ["residual at the starting point is not finite",
-                        "starting point must be finite",
-                        "squared residual norm at the starting point overflows"]
-    z, trace = outcomes[3]
+    for start, message in (
+            ([0.0, 1e150], "residual at the starting point is not finite"),
+            ([np.inf, 0.0], "starting point must be finite"),
+            ([1e300, 0.0], "squared residual norm at the starting point overflows")):
+        with np.errstate(all="raise"):  # and no overflow warning either
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                semismooth_solve(residual, element, np.array(start), stacked=True)
+    assert not calls
+    z, trace = semismooth_solve(residual, element, np.array([1.0, 0.0]), stacked=True)
     assert trace.status == "converged" and np.array_equal(z, [0.0, 0.0])
-    assert all(rows == [3] for rows in calls)
+    assert calls == [[1.0, 0.0]]
     problem, _ = load_battery("nlp_toy")
     with pytest.raises(ValueError, match="^residual at the starting point is not finite$"):
         solve(problem, np.full(3, 1e308))
@@ -181,9 +179,9 @@ def test_flagged_framed_row_takes_the_dense_ridge_step(monkeypatch):
     for name in ("evaluate", "signed_residual"):
         monkeypatch.setattr(problem_mod, name, spy(getattr(problem_mod, name)))
     formed = []
-    dense = problem_mod.FramedElements.dense
-    monkeypatch.setattr(problem_mod.FramedElements, "dense",
-                        lambda self, rows: formed.append(len(rows)) or dense(self, rows))
+    dense = problem_mod.FramedElement.dense
+    monkeypatch.setattr(problem_mod.FramedElement, "dense",
+                        lambda self: formed.append(1) or dense(self))
     opts = NewtonOptions(max_iter=1)
     got = _ends(lambda: solve(problem, start, opts))
     framed_points = points[:]
@@ -194,7 +192,7 @@ def test_flagged_framed_row_takes_the_dense_ridge_step(monkeypatch):
     assert got[0] == want[0] and got[1] == want[1]
     assert got[1].element_min_sv == [0.0]  # the svd confirmed a singular element
     assert framed_points == points  # the same trial points, bit for bit
-    assert formed and formed[0] == 1  # the dense element was formed for the screen
+    assert formed  # the dense element was formed for the screen
 
 
 def test_local_rate_synthetic_traces():
@@ -345,51 +343,64 @@ def test_the_element_after_a_singular_one_goes_straight_to_the_svd():
 
 
 @pytest.mark.parametrize("name", ["sdp_toy", "sdp_degenerate"])
-def test_probe_rows_ridge_exactly_where_the_element_is_singular(name, monkeypatch):
-    exact, outcomes = {}, []
+def test_linearized_solves_ridge_exactly_where_the_element_is_singular(name, monkeypatch):
+    # solve_linearized_ge from three starts at each of ten perturbations:
+    # every iteration's element takes a ridge step exactly where its exact
+    # sigma_min is below the ridge threshold
+    exact, traces = [], []
 
-    def spied_rows(residual, element, Z0, opts=None):
-        def spied_element(Z, rows):
-            E = element(Z, rows)
-            for i, sv in zip(rows, np.linalg.svd(E, compute_uv=False)):
-                exact.setdefault(int(i), []).append(sv[-1])
+    def spied_solve(residual, element, z0, opts=None, **kwargs):
+        calls = []
+
+        def spied_element(z):
+            E = element(z)
+            calls.append(np.linalg.svd(E, compute_uv=False)[-1])
             return E
 
-        out = semismooth_solve_rows(residual, spied_element, Z0, opts)
-        outcomes.extend(out)
+        exact.append(calls)
+        try:
+            out = newton_mod.semismooth_solve(residual, spied_element, z0, opts, **kwargs)
+        except NewtonError as exc:
+            traces.append(exc.trace)
+            raise
+        traces.append(out[1])
         return out
 
-    monkeypatch.setattr(problem_mod, "semismooth_solve_rows", spied_rows)
-    # both points have |beta| <= 1, where the probe solves its local model;
-    # the Newton probe runs with that path deferring
-    monkeypatch.setattr(stability_mod, "_exact_probe", lambda point, deltas: None)
+    monkeypatch.setattr(problem_mod, "semismooth_solve", spied_solve)
     problem, meta = load_battery(name)
-    strong_regularity_probe(problem, meta.known_solution)
-    assert outcomes
+    zbar = meta.known_solution.stacked()
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        delta = 0.05 * rng.standard_normal(zbar.size)
+        for offset in (0.0, 0.025, -0.025):
+            try:
+                problem_mod.solve_linearized_ge(problem, meta.known_solution, delta,
+                                                zbar + offset * rng.standard_normal(zbar.size))
+            except NewtonError:
+                pass
     singular = 0
-    for i, out in enumerate(outcomes):
-        recorded = out[1].element_min_sv if isinstance(out, tuple) else out.trace.element_min_sv
-        calls = exact.get(i, [])
-        # a stagnated row's last element has no trace entry
-        assert len(calls) - len(recorded) in (0, 1)
-        for value, sv in zip(recorded, calls):
+    for calls, trace in zip(exact, traces):
+        # a stagnated solve's last element has no trace entry
+        assert len(calls) - len(trace.element_min_sv) in (0, 1)
+        for value, sv in zip(trace.element_min_sv, calls):
             assert (value < 1e-10) == (sv < 1e-10)  # ridged iff singular
             if sv < 1e-10:
                 assert value == sv
                 singular += 1
+    assert len(traces) == 30
     assert singular > 0 or name == "sdp_toy"
 
 
 def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
-    """The one-row Newton loop, kept as the reference that the row driver
-    must reproduce bit for bit.
+    """The Newton loop with one trial per residual call, kept as the
+    reference that semismooth_solve must reproduce bit for bit.
 
-    ``element`` returns a dense matrix, or an ElementStack of one row whose
-    screen, dense matrix and product take the place of the LU screen, the
-    matrix and ``E @ s``.  ``discard``, when given, receives each trial
-    point that the row driver's line-search rounds evaluate past the line
-    search's end: the rest of the round in which a trial raised or passed
-    the Armijo test.  Round 0 tries every step length from 1 down to the
+    ``element`` returns a dense matrix, or a framed element whose step,
+    dense matrix and product take the place of the LU screen, the matrix
+    and ``E @ s``.  ``discard``, when given, receives each trial point that
+    semismooth_solve's line-search rounds evaluate past the line search's
+    end: the rest of the round in which a trial raised or passed the
+    Armijo test.  Round 0 tries every step length from 1 down to the
     one the previous iteration took (k + 1 lengths for alpha = f**k), and
     each later round twice as many as the one before.  It changes nothing
     else."""
@@ -408,15 +419,14 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
             trace.status = "converged"
             return z, trace
         E = element(z)
-        stack = isinstance(E, ElementStack)
+        framed = hasattr(E, "step")
         # the LU step and a solve against the probe bound sigma_min from
         # above; a low or non-finite bound is confirmed by the svd, and so
         # is every element after a singular one
         if min_sv < 1e-10:
             s, min_sv = np.full(z.size, np.nan), 0.0
-        elif stack:
-            s, min_sv = E.screen(r[None], np.dot(r, r)[None], _probe_vector)
-            s, min_sv = s[0], float(min_sv[0])
+        elif framed:
+            s, min_sv = E.step(r, np.dot(r, r), _probe_vector)
         else:
             try:
                 X = np.linalg.solve(E, np.stack([-r, _probe_vector(z.size)], axis=1))
@@ -427,9 +437,9 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
                 min_sv = float(np.minimum(np.sqrt(np.dot(r, r) / np.dot(s, s)),
                                           1.0 / np.sqrt(np.dot(y, y))))
         if not min_sv >= 1e-6:
-            if stack:
-                E = E.dense([0])[0]  # the rest of the iteration sees the matrix
-                stack = False
+            if framed:
+                E = E.dense()  # the rest of the iteration sees the matrix
+                framed = False
             svals = np.linalg.svd(E, compute_uv=False)
             min_sv = float(svals[-1])
             if min_sv < 1e-10:
@@ -438,7 +448,7 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
             elif not np.all(np.isfinite(s)):
                 s = np.linalg.solve(E, -r)
         merit = 0.5 * float(np.dot(r, r))
-        slope = float(np.dot(E.apply(s[None])[0] if stack else E @ s, r))
+        slope = float(np.dot(E.apply(s) if framed else E @ s, r))
         if slope >= 0.0:
             slope = -2.0 * merit
         alpha, tried, first = 1.0, 0, back + 1  # first: the size of round 0
@@ -545,59 +555,56 @@ def _same_outcome(got, want):
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
-def _logged_row_calls(kinds, log):
-    def residual(Z, rows):
-        # logs only completed evaluations, so a failed stacked call logs
-        # nothing and the driver's row-by-row retry logs each point once
-        out = [_row_residual(kinds[i], z) for z, i in zip(Z, rows)]
-        for z, i in zip(Z, rows):
-            log[i].append(z.tobytes())
-        return np.array(out)
-
-    def element(Z, rows):
-        return np.array([_row_element(kinds[i], z) for z, i in zip(Z, rows)])
-
-    return residual, element
+def _outcome(fn):
+    """What a solve returns, or the exception that ends it."""
+    try:
+        return fn()
+    except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
+        return exc
 
 
-def test_row_driver_reproduces_each_row_bit_for_bit():
+def _logged_calls(kind, log):
+    """A row kind's residual as a stacked callback, and its element."""
+    def residual(Z):
+        # logs only completed evaluations, so a round whose call raises
+        # logs nothing and its one-at-a-time retry logs each point it runs
+        out = np.array([_row_residual(kind, z) for z in Z])
+        log.extend(z.tobytes() for z in Z)
+        return out
+
+    return residual, lambda z: _row_element(kind, z)
+
+
+def test_each_way_a_solve_ends_matches_the_loop_bit_for_bit():
     opts = NewtonOptions(max_iter=8, min_step=1e-3)
-    kinds = [kind for kind, _ in _ROWS]
-    Z0 = np.array([start for _, start in _ROWS])
-    log = [[] for _ in _ROWS]
-    outcomes = semismooth_solve_rows(*_logged_row_calls(kinds, log), Z0, opts)
-    assert len(outcomes) == len(_ROWS)
-    statuses = []
-    for i, (kind, start) in enumerate(_ROWS):
-        calls = []
+    statuses, ridged = [], []
+    for kind, start in _ROWS:
+        log, calls = [], []
 
         def logged_residual(z, kind=kind):
             r = _row_residual(kind, z)
             calls.append(z.tobytes())
             return r
 
-        try:
-            want = semismooth_solve_loop(logged_residual,
-                                         lambda z, kind=kind: _row_element(kind, z),
-                                         np.array(start), opts)
-        except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
-            want = exc
-        _same_outcome(outcomes[i], want)
-        assert log[i] == calls, kind  # iterates and trial points
-        try:
-            single = semismooth_solve(lambda z, kind=kind: _row_residual(kind, z),
-                                      lambda z, kind=kind: _row_element(kind, z),
-                                      np.array(start), opts)
-        except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
-            single = exc
+        got = _outcome(lambda: semismooth_solve(*_logged_calls(kind, log), np.array(start),
+                                                opts, stacked=True))
+        want = _outcome(lambda: semismooth_solve_loop(
+            logged_residual, lambda z, kind=kind: _row_element(kind, z), np.array(start), opts))
+        _same_outcome(got, want)
+        assert log == calls, kind  # iterates and trial points
+        single = _outcome(lambda: semismooth_solve(lambda z, kind=kind: _row_residual(kind, z),
+                                                   lambda z, kind=kind: _row_element(kind, z),
+                                                   np.array(start), opts))
         _same_outcome(single, want)
         statuses.append(type(want).__name__ if isinstance(want, Exception)
                         else want[1].status)
-    # the stack mixes every way a row can end
+        if kind == "singular":
+            ridged.append(want.trace.element_min_sv[0])
+    # every way a solve can end
     assert statuses == ["converged", "NewtonNonConvergence", "NewtonStagnation",
                         "LinAlgError", "converged", "LinAlgError", "NewtonNonConvergence",
                         "ValueError", "ValueError", "converged"]
-    assert outcomes[6].trace.element_min_sv[0] == 0.0  # a ridge step was taken
+    assert ridged == [0.0]  # a ridge step was taken
 
 
 _GALLOP_ROWS = [  # (kind, start) of rows that backtrack past the full step
@@ -608,16 +615,11 @@ _GALLOP_ROWS = [  # (kind, start) of rows that backtrack past the full step
 ]
 
 
-def test_row_driver_discards_the_trials_after_a_rows_first_hit():
+def test_a_round_discards_the_trials_after_its_first_hit():
     opts = NewtonOptions(max_iter=8, min_step=1e-3)
-    rows = _ROWS + _GALLOP_ROWS
-    kinds = [kind for kind, _ in rows]
-    log = [[] for _ in rows]
-    outcomes = semismooth_solve_rows(*_logged_row_calls(kinds, log),
-                                     np.array([start for _, start in rows]), opts)
-    extras = 0
-    for i, (kind, start) in enumerate(rows):
-        calls = []
+    extras, outcomes = 0, []
+    for kind, start in _ROWS + _GALLOP_ROWS:
+        log, calls = [], []
 
         def logged_residual(z, kind=kind, tag="loop"):
             r = _row_residual(kind, z)
@@ -632,22 +634,19 @@ def test_row_driver_discards_the_trials_after_a_rows_first_hit():
 
         args = (logged_residual, lambda z, kind=kind: _row_element(kind, z), np.array(start),
                 opts)
-        try:
-            want = semismooth_solve_loop(*args, discard=discard)
-        except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
-            want = exc
-        _same_outcome(outcomes[i], want)
-        assert log[i] == [z for _, z in calls], kind
+        got = _outcome(lambda: semismooth_solve(*_logged_calls(kind, log), np.array(start),
+                                                opts, stacked=True))
+        want = _outcome(lambda: semismooth_solve_loop(*args, discard=discard))
+        _same_outcome(got, want)
+        assert log == [z for _, z in calls], kind
         # the loop's own points are the ordered subsequence that the extra
         # trials of each round leave
         loop_calls = [z for tag, z in calls if tag == "loop"]
         calls.clear()
-        try:
-            semismooth_solve_loop(*args)
-        except (NewtonError, np.linalg.LinAlgError, ValueError):
-            pass
+        _outcome(lambda: semismooth_solve_loop(*args))
         assert [z for _, z in calls] == loop_calls, kind
-        extras += len(log[i]) - len(loop_calls)
+        extras += len(log) - len(loop_calls)
+        outcomes.append(got)
     statuses = [type(out).__name__ if isinstance(out, Exception) else out[1].status
                 for out in outcomes[len(_ROWS):]]
     assert statuses == ["NewtonNonConvergence", "NewtonNonConvergence", "NewtonStagnation",
@@ -656,22 +655,50 @@ def test_row_driver_discards_the_trials_after_a_rows_first_hit():
     # overshoot and trapped take alpha = 1/2 in each of 8 iterations: the
     # first one's round of 1/2 and 1/4 discards 1/4, and every later round
     # 0, of 1 and 1/2, ends at its hit; trapped's discarded trial raised,
-    # so it left no log entry
+    # so its round's call raised and the retry stopped at the hit
     assert [out.trace.step_lengths for out in outcomes[len(_ROWS):][:2]] == [[0.5] * 8] * 2
     assert extras == 1
 
 
+def test_a_trial_that_raises_ends_the_solve_only_as_its_rounds_first_hit():
+    # the element 0.1 I makes each Newton step ten times too long, so the
+    # rounds try 1, then 1/2 and 1/4, then 1/8 (which passes) to 1/64.  A
+    # trial that raises makes its round's call raise, and the trials then
+    # run one at a time up to the first hit: a trap at 1/16, after the
+    # pass, never runs, and one at 1/2 ends the solve, as in the loop
+    opts = NewtonOptions(max_iter=1, tol=0.5)
+    for trap, want_sizes in ((1 / 16, [1, 1, 2, 4, 1]), (1 / 2, [1, 1, 2, 1])):
+        sizes = []
+
+        def residual(z, trap=trap):
+            if z[0] == 1.0 - 10.0 * trap:
+                raise ValueError("residual undefined on the trap")
+            return z.copy()
+
+        def stacked(Z):
+            sizes.append(len(Z))
+            return np.array([residual(z) for z in Z])
+
+        got = _outcome(lambda: semismooth_solve(stacked, lambda z: 0.1 * np.eye(2),
+                                                np.array([1.0, 0.0]), opts, stacked=True))
+        want = _outcome(lambda: semismooth_solve_loop(residual, lambda z: 0.1 * np.eye(2),
+                                                      np.array([1.0, 0.0]), opts))
+        _same_outcome(got, want)
+        assert sizes == want_sizes
+        assert isinstance(got, ValueError) == (trap == 1 / 2)
+
+
 def test_wrong_sign_row_searches_in_rounds_of_doubling_size():
     sizes = []
-    residual, element = _logged_row_calls(["wrong_sign"], [[]])
+    residual, element = _logged_calls("wrong_sign", [])
 
-    def counted(Z, rows):
+    def counted(Z):
         sizes.append(len(Z))
-        return residual(Z, rows)
+        return residual(Z)
 
-    out, = semismooth_solve_rows(counted, element, np.array([[1.0, 0.25, 0.0]]),
-                                 NewtonOptions(max_iter=8, min_step=1e-3))
-    assert isinstance(out, NewtonStagnation)
+    with pytest.raises(NewtonStagnation):
+        semismooth_solve(counted, element, np.array([1.0, 0.25, 0.0]),
+                         NewtonOptions(max_iter=8, min_step=1e-3), stacked=True)
     assert sizes == [1, 1, 2, 4, 3]  # the start, then alpha = 1 down to 2**-9
 
 
@@ -681,20 +708,19 @@ def test_a_rows_round_0_runs_down_to_its_previous_step_length():
     # each later round 0 tries 1, 1/2, 1/4 and 1/8, of which 1/8 passes
     sizes = []
 
-    def residual(Z, rows):
+    def residual(Z):
         sizes.append(len(Z))
         return Z.copy()
 
     opts = NewtonOptions(max_iter=3)
     start = np.array([1.0, -0.5, 0.25])
-    out, = semismooth_solve_rows(residual, lambda Z, rows: np.array([0.1 * np.eye(3)] * len(Z)),
-                                 start[None], opts)
-    assert isinstance(out, NewtonNonConvergence)
-    assert out.trace.step_lengths == [0.125] * 3
+    with pytest.raises(NewtonNonConvergence) as got:
+        semismooth_solve(residual, lambda z: 0.1 * np.eye(3), start, opts, stacked=True)
+    assert got.value.trace.step_lengths == [0.125] * 3
     assert sizes == [1, 1, 2, 4, 4, 4]
     with pytest.raises(NewtonNonConvergence) as want:
         semismooth_solve_loop(lambda z: z.copy(), lambda z: 0.1 * np.eye(3), start, opts)
-    _same_outcome(out, want.value)
+    _same_outcome(got.value, want.value)
 
 
 def test_row_driver_on_one_row_makes_no_retry_calls():
@@ -743,61 +769,34 @@ def _spy_svd(monkeypatch):
     return seen
 
 
-def test_rows_decompose_each_singular_element_once_per_two_iterations(monkeypatch):
+def test_an_element_held_in_consecutive_iterations_is_decomposed_once(monkeypatch):
+    # an exactly singular element gets its svd and ridge Gram matrix once
+    # while consecutive iterations hold it, and again when it comes back
+    # after a gap
     opts = NewtonOptions(max_iter=len(_SCHEDULES[0]))
     names = {M.tobytes(): name for name, M in _SINGULAR.items()}
-    svds = _spy_svd(monkeypatch)
-    per_iteration = []
-    row_elements = [_scheduled(s) for s in _SCHEDULES]
+    decomposed = []
+    for schedule, start in zip(_SCHEDULES, _SCHEDULE_STARTS):
+        svds = _spy_svd(monkeypatch)
+        per_iteration, scheduled = [], _scheduled(schedule)
 
-    def element(Z, rows):
+        def element(z, scheduled=scheduled):
+            per_iteration.append(len(svds))
+            return scheduled(z)
+
+        with pytest.raises(NewtonNonConvergence) as got:
+            semismooth_solve(lambda z: z.copy(), element, np.array(start), opts)
         per_iteration.append(len(svds))
-        return np.array([row_elements[i](z) for z, i in zip(Z, rows)])
-
-    outcomes = semismooth_solve_rows(lambda Z, rows: Z.copy(), element,
-                                     np.array(_SCHEDULE_STARTS), opts)
-    per_iteration.append(len(svds))
-    decomposed = ["".join(sorted(names[m] for m in svds[a:b]))
-                  for a, b in zip(per_iteration, per_iteration[1:])]
-    # each element once at its first iteration, and again when it comes
-    # back after a gap; never once per row
-    assert decomposed == ["ABC", "", "B", "", "C"]
-    monkeypatch.undo()
-    for out, schedule, start in zip(outcomes, _SCHEDULES, _SCHEDULE_STARTS):
+        decomposed.append(["".join(names[m] for m in svds[a:b])
+                           for a, b in zip(per_iteration, per_iteration[1:])])
+        monkeypatch.undo()
         with pytest.raises(NewtonNonConvergence) as want:
             semismooth_solve_loop(lambda z: z.copy(), _scheduled(schedule), np.array(start),
                                   opts)
-        _same_outcome(out, want.value)
-        assert out.trace.element_min_sv == [0.0] * opts.max_iter  # ridge steps throughout
-
-
-def test_an_svd_error_ends_every_row_that_shares_the_element(monkeypatch):
-    # rows 0 and 2 share a NaN element from their second iteration on; row
-    # 1 holds a singular one
-    def element(kind):
-        return lambda z: (np.full((3, 3), np.nan) if kind == "nan" and abs(z[0]) < 0.5
-                          else _SINGULAR["A"])
-
-    kinds = ["nan", "singular", "nan"]
-    starts = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [-1.0, 0.5, 1.0]])
-    svds = _spy_svd(monkeypatch)
-    outcomes = semismooth_solve_rows(
-        lambda Z, rows: Z.copy(),
-        lambda Z, rows: np.array([element(kinds[i])(z) for z, i in zip(Z, rows)]),
-        starts, NewtonOptions(max_iter=4))
-    nan_svds = sum(np.isnan(np.frombuffer(m)).any() for m in svds)
-    assert nan_svds == 1  # one svd for the two rows that share the element
-    monkeypatch.undo()
-    for out, kind, start in zip(outcomes, kinds, starts):
-        try:
-            want = semismooth_solve_loop(lambda z: z.copy(), element(kind), start,
-                                         NewtonOptions(max_iter=4))
-        except (NewtonError, np.linalg.LinAlgError) as exc:
-            want = exc
-        _same_outcome(out, want)
-    assert [type(out).__name__ for out in outcomes] == ["LinAlgError", "NewtonNonConvergence",
-                                                       "LinAlgError"]
-    assert str(outcomes[0]) == "SVD did not converge"
+        _same_outcome(got.value, want.value)
+        assert got.value.trace.element_min_sv == [0.0] * opts.max_iter  # ridge steps throughout
+    assert decomposed == [["A", "", "", "", ""], ["A", "", "B", "", "A"],
+                          ["B", "C", "", "A", ""], ["C", "", "", "B", "C"]]
 
 
 @pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
@@ -807,14 +806,14 @@ def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
     rng = np.random.default_rng(0)
     rounds = []  # the trials and the prox calls of each residual call of solve
 
-    def spied_rows(residual, element, Z0, opts=None):
-        def counted(Z, rows):
+    def spied_solve(residual, element, z0, opts=None, **kwargs):
+        def counted(Z):
             before = len(prox_calls)
-            out = residual(Z, rows)
+            out = residual(Z)
             rounds.append((len(Z), prox_calls[before:]))
             return out
 
-        return semismooth_solve_rows(counted, element, Z0, opts)
+        return newton_mod.semismooth_solve(counted, element, z0, opts, **kwargs)
 
     # solve's rounds take the prox and the frames from one call
     prox_calls, prox_gstar_frames = [], problem.prox_gstar_frames
@@ -824,7 +823,7 @@ def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
         return prox_gstar_frames(w, *args)
 
     monkeypatch.setattr(problem, "prox_gstar_frames", spied_prox)
-    monkeypatch.setattr(newton_mod, "semismooth_solve_rows", spied_rows)
+    monkeypatch.setattr(problem_mod, "semismooth_solve", spied_solve)
     for _ in range(20):
         d = rng.standard_normal(problem.n + problem.m)
         start = meta.known_solution.stacked() + 3.0 * d / np.linalg.norm(d)

@@ -26,12 +26,13 @@ from kktstab import (
     solve_linearized_ge,
     svec,
 )
-from kktstab.newton import RIDGE_SV, SCREEN_SV, ElementStack, _newton_steps, _probe_vector
+from kktstab.newton import RIDGE_SV, SCREEN_SV, DenseElement, _newton_step, _probe_vector
 from kktstab.pieces import ClarkeFrame
 from kktstab import newton as newton_mod
 from kktstab import pieces as pieces_mod
-from kktstab.problem import (FramedElements, _FramedRow, as_point, evaluate, framed_element,
-                             signed_residual, solve, solve_linearized_rows)
+from kktstab import problem as problem_mod
+from kktstab.problem import (FramedElement, as_point, evaluate, framed_element, signed_residual,
+                             solve)
 from kktstab.symmat import conjugation_matrix
 from test_pieces_prox import dedup_elements_loop
 
@@ -152,6 +153,8 @@ def test_solve_ge_zero_delta_returns_base():
                                 np.zeros(problem.n + problem.m))
         gap = np.linalg.norm(z.stacked() - meta.known_solution.stacked())
         assert gap <= 1e-10, name
+    with pytest.raises(DimensionError, match="delta has 2 entries"):
+        solve_linearized_ge(problem, meta.known_solution, np.zeros(2))
 
 
 def test_solve_ge_l1_hand_solution():
@@ -355,33 +358,6 @@ def test_stacked_sampler_equals_the_per_combination_loop():
     assert sampled == {True, False}
 
 
-def test_solve_linearized_rows_matches_one_row_solves():
-    opts = NewtonOptions(max_iter=6)
-    rng = np.random.default_rng(3)
-    kinds = set()
-    for name in ("sdp_degenerate", "nlp_toy"):
-        problem, meta = load_battery(name)
-        N = problem.n + problem.m
-        deltas = 0.3 * rng.standard_normal((7, N))
-        starts = meta.known_solution.stacked() + 0.5 * rng.standard_normal((7, N))
-        starts[4, 0] = np.inf
-        outs = solve_linearized_rows(problem, meta.known_solution, deltas, starts, opts)
-        for out, delta, start in zip(outs, deltas, starts):
-            try:
-                want = solve_linearized_ge(problem, meta.known_solution, delta, start, opts)
-            except (NewtonError, np.linalg.LinAlgError, ValueError) as exc:
-                assert type(out) is type(exc) and str(out) == str(exc)
-                kinds.add(type(exc).__name__)
-                continue
-            assert out.stacked().tobytes() == want.stacked().tobytes()
-            kinds.add("solved")
-    assert kinds == {"solved", "ValueError", "NewtonNonConvergence"}
-    with pytest.raises(DimensionError, match="delta has 2 entries"):
-        solve_linearized_rows(problem, meta.known_solution, np.zeros((3, 2)))
-    with pytest.raises(DimensionError, match="starts have shape"):
-        solve_linearized_rows(problem, meta.known_solution, np.zeros((3, N)), np.zeros((2, N)))
-
-
 def test_prox_gstar_of_a_stack_equals_each_row():
     # random rows and rows on the kinks of each piece: F(x*) + mu* and its
     # sign flips, for every battery instance and for a problem of five
@@ -455,7 +431,7 @@ def test_evaluate_has_the_bits_of_the_residual_and_the_framed_element():
         shares = [isinstance(getattr(p, "inner", p), PSDConeIndicator) for p in problem.pieces]
         assert [f is not None for f in frames] == shares
         for i, z in enumerate(Z):
-            want = framed_element(problem, z).rows[0]
+            want = framed_element(problem, z)
             assert J[i].tobytes() == want.J.tobytes()
             rows = [None if f is None else f.row(i) for f in frames]
             assert _same_frames(completed(problem, w[i], rows), want.frames)
@@ -467,7 +443,7 @@ def test_evaluate_has_the_bits_of_the_residual_and_the_framed_element():
 
 def _psd_points_decomposed(monkeypatch):
     """Spy on the PSD kind's eig_split: the number of points it decomposes,
-    and how many of them in the element calls of semismooth_solve_rows."""
+    and how many of them in the element calls of solve's semismooth_solve."""
     count = {"points": 0, "in_element": 0}
     inside = []
     eig_split = pieces_mod.eig_split
@@ -477,24 +453,22 @@ def _psd_points_decomposed(monkeypatch):
         count["in_element"] += bool(inside) * (1 if np.ndim(v) == 1 else len(v))
         return eig_split(v)
 
-    rows = newton_mod.semismooth_solve_rows
-
-    def spied_rows(residual, element, Z0, opts=None):
-        def counted(Z, ix):
+    def spied_solve(residual, element, z0, opts=None, **kwargs):
+        def counted(Z):
             count["evaluated"] = count.get("evaluated", 0) + len(Z)
-            return residual(Z, ix)
+            return residual(Z)
 
-        def in_element(Z, ix):
+        def in_element(z):
             inside.append(1)
             try:
-                return element(Z, ix)
+                return element(z)
             finally:
                 inside.pop()
 
-        return rows(counted, in_element, Z0, opts)
+        return newton_mod.semismooth_solve(counted, in_element, z0, opts, **kwargs)
 
     monkeypatch.setattr(pieces_mod, "eig_split", spied_eig)
-    monkeypatch.setattr(newton_mod, "semismooth_solve_rows", spied_rows)
+    monkeypatch.setattr(problem_mod, "semismooth_solve", spied_solve)
     return count
 
 
@@ -584,16 +558,14 @@ def test_framed_steps_agree_with_dense_steps():
         framed = framed_element(problem, z)
         r = signed_residual(problem, z)
         want = np.linalg.solve(E, -r)
-        got, bound = framed.rows[0].step(r, np.dot(r, r), _probe_vector)
+        got, bound = framed.step(r, np.dot(r, r), _probe_vector)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
         assert bound >= SCREEN_SV, name  # the screen keeps the framed step
         assert bound >= s_e * (1.0 - 1e-9), name  # the Dixon bound on E itself
-        S, bounds = framed.screen(r[None], np.dot(r, r)[None], _probe_vector)
-        assert S[0].tobytes() == got.tobytes() and bounds[0] == bound, name
-        Es = framed.apply(got[None])[0]
+        Es = framed.apply(got)
         assert np.linalg.norm(Es - E @ got) <= 1e-12 * np.linalg.norm(E @ got), name
-        assert framed.rows[0].matrix is None  # no dense element was formed
-        assert framed.dense([0])[0].tobytes() == E.tobytes(), name
+        assert framed.matrix is None  # no dense element was formed
+        assert framed.dense().tobytes() == E.tobytes(), name
     assert kept == {"nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy",
                     "pencil3b0", "pencil4b1", "pencil5b2", "pencil6b1", "pencil6b2",
                     "mixed_kinks"}
@@ -619,7 +591,7 @@ def test_framed_bound_is_within_four_of_sigma_min_at_the_battery_starts():
         problem, meta = load_battery(name)
         z = meta.start.stacked()
         r = signed_residual(problem, z)
-        _, bound = framed_element(problem, z).rows[0].step(r, np.dot(r, r), _probe_vector)
+        _, bound = framed_element(problem, z).step(r, np.dot(r, r), _probe_vector)
         s_e = np.linalg.svd(canonical_element(problem, z).matrix, compute_uv=False)[-1]
         assert s_e <= bound <= 4.0 * s_e, (name, bound, s_e)
 
@@ -652,7 +624,7 @@ def _random_framed_row(rng, scale):
     w = rng.choice([0.0, 0.5, 1.0, rng.uniform()], m)
     w[0] = 1.0
     frames = [ClarkeFrame(w[:7], _orthogonal(rng, 3)), ClarkeFrame(w[7:])]
-    return _FramedRow(problem, H, J, frames)
+    return FramedElement(problem, H, J, frames)
 
 
 def test_framed_sigma_min_factor():
@@ -690,56 +662,42 @@ def test_framed_sigma_min_factor():
         assert s_e <= c * s_r * (1 + 1e-9) + 1e-13, trial
 
 
-def test_flagged_framed_rows_take_the_dense_svd():
-    # a stack of a regular row, a singular one and a near-singular one
-    # (weights 1, so E = [[H, J^T], [0, -I]], and H has sigma_min 1e-13 and
-    # 1e-9): the screen flags the last two and forms no dense element;
-    # _newton_steps forms them for the svd.  The singular row's ridge step
-    # and sigma_min have the bits they get on dense elements; the
-    # near-singular row gets the svd's exact sigma_min but keeps its framed
-    # step, and the regular row keeps its framed step and its bound
+def test_flagged_framed_elements_take_the_dense_svd():
+    # a regular element, a singular one and a near-singular one (weights
+    # 1, so E = [[H, J^T], [0, -I]], and H has sigma_min 1e-13 and 1e-9):
+    # the screen flags the last two and forms no dense element;
+    # _newton_step forms them for the svd.  The singular one's ridge step
+    # and sigma_min have the bits they get on its dense matrix; the
+    # near-singular one gets the svd's exact sigma_min but keeps its
+    # framed step, and the regular one keeps its framed step and its bound
     rng = np.random.default_rng(9)
     regular = _random_framed_row(rng, 1.0)
 
     def weight_one_row(smallest):
         G = _orthogonal(rng, 3)
-        return _FramedRow(regular.problem, G @ np.diag([1.0, -1.0, smallest]) @ G.T,
-                          rng.standard_normal(regular.J.shape),
-                          [ClarkeFrame(np.ones(7), _orthogonal(rng, 3)), ClarkeFrame(np.ones(3))])
+        return FramedElement(regular.problem, G @ np.diag([1.0, -1.0, smallest]) @ G.T,
+                             rng.standard_normal(regular.J.shape),
+                             [ClarkeFrame(np.ones(7), _orthogonal(rng, 3)),
+                              ClarkeFrame(np.ones(3))])
 
     singular, near = weight_one_row(1e-13), weight_one_row(1e-9)
-    stack = FramedElements([regular, singular, near])
+    elements = [regular, singular, near]
     r = rng.standard_normal((3, 3 + regular.w.size))
     rr = np.einsum("ij,ij->i", r, r)
-    S, bound = stack.screen(r, rr, _probe_vector)
-    step, b = regular.step(r[0], rr[0], _probe_vector)
-    near_step, _ = near.step(r[2], rr[2], _probe_vector)
-    assert b >= SCREEN_SV and S[0].tobytes() == step.tobytes() and bound[0] == b
-    assert bound[1] < SCREEN_SV and bound[2] < SCREEN_SV
-    assert S[2].tobytes() == near_step.tobytes()
+    (step, b), (_, b1), (near_step, b2) = [E.step(ri, rri, _probe_vector)
+                                           for E, ri, rri in zip(elements, r, rr)]
+    assert b >= SCREEN_SV and b1 < SCREEN_SV and b2 < SCREEN_SV
     assert regular.matrix is None and singular.matrix is None and near.matrix is None
-    got_S, got_sv, errors, _ = _newton_steps(stack, r, rr, 1e-12, np.zeros(3, dtype=bool), {})
-    assert not errors and regular.matrix is None
+    got = [_newton_step(E, ri, rri, 1e-12, False, {}) for E, ri, rri in zip(elements, r, rr)]
+    assert regular.matrix is None
     assert singular.matrix is not None and near.matrix is not None
-    assert got_S[0].tobytes() == step.tobytes() and got_sv[0] == b
-    want_S, want_sv, _, _ = _newton_steps(ElementStack(singular.matrix[None]), r[1:2], rr[1:2],
-                                          1e-12, np.zeros(1, dtype=bool), {})
-    assert got_sv[1] < RIDGE_SV and got_sv[1] == want_sv[0]
-    assert got_S[1].tobytes() == want_S[0].tobytes()
-    assert got_sv[2] == np.linalg.svd(near.matrix, compute_uv=False)[-1]
-    assert RIDGE_SV <= got_sv[2] < SCREEN_SV
-    assert got_S[2].tobytes() == near_step.tobytes()
-    for i, row in ((1, singular), (2, near)):
-        want = (row.matrix[None] @ got_S[i, None, :, None])[0, :, 0]  # the dense product
-        assert stack.apply(got_S)[i].tobytes() == want.tobytes()
-
-
-def test_framed_elements_select_and_join_rows():
-    rng = np.random.default_rng(8)
-    rows = [_random_framed_row(rng, 1.0) for _ in range(3)]
-    stack = FramedElements.concatenate([FramedElements(rows[:1]), FramedElements(rows[1:])])
-    assert len(stack) == 3 and stack[np.array([False, True, True])].rows == rows[1:]
-    assert len(stack[np.zeros(3, dtype=bool)]) == 0
-    S = rng.standard_normal((3, 3 + rows[0].w.size))
-    want = np.array([row.dense() @ s for row, s in zip(rows, S)])
-    assert np.allclose(stack.apply(S), want, atol=1e-12)
+    assert got[0][0].tobytes() == step.tobytes() and got[0][1] == b
+    want_s, want_sv, _ = _newton_step(DenseElement(singular.matrix), r[1], rr[1], 1e-12, False, {})
+    assert got[1][1] < RIDGE_SV and got[1][1] == want_sv
+    assert got[1][0].tobytes() == want_s.tobytes()
+    assert got[2][1] == np.linalg.svd(near.matrix, compute_uv=False)[-1]
+    assert RIDGE_SV <= got[2][1] < SCREEN_SV
+    assert got[2][0].tobytes() == near_step.tobytes()
+    for E, (s, _, _) in ((singular, got[1]), (near, got[2])):
+        want = (E.matrix[None] @ s[None, :, None])[0, :, 0]  # the dense product
+        assert E.apply(s).tobytes() == want.tobytes()

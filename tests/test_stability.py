@@ -20,12 +20,10 @@ from kktstab import (
     EpiSum,
     KKTPoint,
     L1Norm,
-    NewtonNonConvergence,
+    NewtonError,
     NewtonOptions,
-    NewtonStagnation,
     OrthantIndicator,
     PSDConeIndicator,
-    ProbeStats,
     SmoothMap,
     UnsupportedCaseError,
     assumption_check,
@@ -525,23 +523,23 @@ def _singular_canonical(point, rng):
 
 
 def _no_newton(monkeypatch):
-    """Replace the Newton probe's solver by one that raises, in
-    ``kktstab.problem`` and in ``kktstab.stability``."""
+    """Replace the semismooth Newton solver by one that raises, in
+    ``kktstab.newton`` and in ``kktstab.problem``, whose solves call it."""
+    import kktstab.newton as nw
     import kktstab.problem as pr
-    import kktstab.stability as st
 
     def no_newton(*args, **kwargs):
-        raise AssertionError("Newton probe at a point decided on its local model")
+        raise AssertionError("Newton solve in the analyzer")
 
-    monkeypatch.setattr(pr, "solve_linearized_rows", no_newton)
-    monkeypatch.setattr(st, "solve_linearized_rows", no_newton)
+    monkeypatch.setattr(nw, "semismooth_solve", no_newton)
+    monkeypatch.setattr(pr, "semismooth_solve", no_newton)
 
 
-def _assert_certificate(stats, pieces, label, method="exact"):
+def _assert_certificate(stats, pieces, label):
     """The probe's certificate that a point is not strongly regular: one
     violation, at delta = 0, whose one solution is the point itself."""
-    assert (stats.method, stats.pieces, stats.violations, stats.failures, stats.solved,
-            stats.modulus) == (method, pieces, 1, 0, 1, 0.0), label
+    assert (stats.pieces, stats.violations, stats.failures, stats.failure, stats.solved,
+            stats.modulus) == (pieces, 1, 0, "", 1, 0.0), label
 
 
 def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
@@ -551,8 +549,8 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
     # certificate with no Newton solve; elsewhere it reads each delta's
     # solution, also where a solution leaves the local model (a radius past
     # the nearest breakpoints), since the B-derivative's equation, which the
-    # probe then checks, still holds there; it defers to Newton only where
-    # the oracle finds no solution or two
+    # probe then checks, still holds there; it reads leg c undecided only
+    # where the oracle finds no solution or two
     import kktstab.stability as st
 
     tallies = []
@@ -573,10 +571,8 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
         points.append(altered or point)
     seen = set()
     for k, point in enumerate(points):
-        # every tenth radius reaches past the nearest breakpoints; a point
-        # that defers to Newton runs the benchmark's 10 iterations
-        opts = AnalyzerOptions(num_delta=8, seed=k, radius=0.5 if k % 10 == 9 else 0.05,
-                               newton=NewtonOptions(max_iter=10))
+        # every tenth radius reaches past the nearest breakpoints
+        opts = AnalyzerOptions(num_delta=8, seed=k, radius=0.5 if k % 10 == 9 else 0.05)
         point = AnalysisPoint(point.problem, point.kkt, opts)
         deltas = _probe_deltas(point.problem.n + point.problem.m, opts)[0]
         orientation, n_kinks, want, left = _piece_oracle(point, deltas)
@@ -591,13 +587,13 @@ def test_exact_probe_agrees_with_the_piece_oracle(monkeypatch):
             continue
         stats = strong_regularity_probe(point.problem, point)
         if isinstance(want, str):
-            assert stats.method == "newton", (k, want)
+            assert stats.failures > 0 and stats.failure, (k, want)
             seen.add(want)
             continue
         if left:
             seen.add("leaves the local model")
         solutions, violations = tallies[-1]
-        assert (stats.method, stats.failures, violations) == ("exact", 0, 0), k
+        assert (stats.failures, stats.failure, violations) == (0, "", 0), k
         assert stats.solved == len(solutions) == len(want) == len(deltas), k
         for (delta, z), (sols, d) in zip(solutions, want):
             assert np.array_equal(delta, d), k
@@ -650,8 +646,8 @@ def test_the_exact_probe_decides_both_100_block_plants_without_newton(monkeypatc
         assert np.sum((point.model.codes == UP) | (point.model.codes == DOWN)) == 45
         stats = strong_regularity_probe(problem, point)
         if nd:
-            assert (stats.method, stats.pieces, stats.violations, stats.failures,
-                    stats.solved) == ("exact", 2 ** 45, 0, 0, 5)
+            assert (stats.pieces, stats.violations, stats.failures, stats.solved) == (
+                2 ** 45, 0, 0, 5)
             assert 0.0 < stats.modulus < np.inf
         else:
             _assert_certificate(stats, 2 ** 45, "45 kinks")
@@ -693,7 +689,7 @@ def test_the_exact_probe_checks_with_the_points_own_linearization(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(pr, "_base_parts", None)
             stats = strong_regularity_probe(problem, point)
-        assert stats.method == "exact" and stats.failures == 0
+        assert stats.failures == 0
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -711,7 +707,7 @@ def test_leg_c_reads_the_planted_labels_of_the_analyze_nlp_plants(monkeypatch, s
     legs = []
     for k, ((problem, meta), inst) in enumerate(zip(workloads.load(instances), instances)):
         probe = strong_regularity_probe(problem, meta.known_solution, opts)
-        assert (probe.method, probe.failures) == ("exact", 0), k
+        assert probe.failures == 0, k
         plant = inst.plant
         if plant.nondegenerate and k not in so_fail:
             # strongly regular, or a saddle that is (leg b holds)
@@ -762,7 +758,7 @@ def test_equivalence_battery_consistent():
         rep = equivalence_report(problem, meta.known_solution, FAST)
         assert rep.consistency["verdict"] == "consistent", name
         legs = (rep.consistency["leg_a_second_order_and_nondegeneracy"],
-                rep.consistency["leg_b_sampled_elements_nonsingular"],
+                rep.consistency["leg_b_elements_nonsingular"],
                 rep.consistency["leg_c_probe_strong_regularity"])
         assert all(legs) == (name in positive), (name, legs)
         assert not any(legs) == (name not in positive), (name, legs)
@@ -1207,11 +1203,7 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
     # F, J and the weighted Hessian run once per report, and each block's
     # prox once at its slice of wbar = F(x) + mu: the analysis point's one
     # evaluation serves the KKT test, the subgradient tests, the
-    # uniqueness candidates and both probes; every analyze-sdp plant of seed
-    # 7 reads the B-derivative probe, and its 8 |beta| = 2 plants run again
-    # with the exact probe replaced by None, so that their probe is Newton's
-    import kktstab.stability as st
-
+    # uniqueness candidates and the probe
     if name == "pair_battery":
         cases = [(*_pair_battery_problem(), FAST)]
     elif name in BATTERY_NAMES:
@@ -1224,12 +1216,7 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
         insts = workloads.generate(w, 7)
         cases = [(problem, meta.known_solution, opts)
                  for problem, meta in workloads.load(insts)]
-        cases += [case + (None,) for case, inst in zip(cases, insts)
-                  if inst.plant.structure.get("beta") == 2]
-    methods = []
-    for problem, z, opts, *exact in cases:
-        if exact:
-            monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
+    for problem, z, opts in cases:
         wbar = problem.F.eval(z.x) + z.mu
         calls = dict.fromkeys(("eval", "jacobian", "weighted_hessian"), 0)
         for attr in calls:
@@ -1246,11 +1233,9 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
                 return _prox(v, *args)
 
             monkeypatch.setattr(p, "prox", prox)
-        methods.append(equivalence_report(problem, z, opts).probe.method)
+        equivalence_report(problem, z, opts)
         assert calls == dict.fromkeys(calls, 1), (problem.name, calls)
         assert at_wbar == [1] * len(problem.pieces), (problem.name, at_wbar)
-    if name == "analyze-sdp":
-        assert methods == ["b-derivative"] * 24 + ["newton"] * 8
 
 
 @pytest.mark.parametrize("check", [check_gamma_properties, check_gamma_fixed_point_bound])
@@ -1370,118 +1355,20 @@ def test_battery_verdicts_survive_perturbations_below_1e_10():
             assert _verdicts(equivalence_report(problem, z + dz, opts)) == want, (name, scale)
 
 
-def probe_one_at_a_time(problem, zbar, opts=AnalyzerOptions()):
-    """The probe with one linearized solve at a time, kept as the reference
-    for the stacked probe."""
-    pt = AnalysisPoint(problem, zbar, opts).kkt
-    radius, num_delta, newton = opts.radius, opts.num_delta, opts.newton
-    dim = problem.n + problem.m
-    deltas, rng = _probe_deltas(dim, opts)
-    offsets = [np.zeros(dim)]
-    for _ in range(2):
-        u = rng.standard_normal(dim)
-        offsets.append(0.5 * radius * u / np.linalg.norm(u))
-    zbar_vec = pt.stacked()
-    solutions = []
-    violations = failures = 0
-    causes = {"max_iter": 0, "stagnation": 0, "linalg_error": 0}
-    for delta in deltas:
-        sols = []
-        for off in offsets:
-            try:
-                z = solve_linearized_ge(problem, pt, delta, start=zbar_vec + off, opts=newton)
-                sols.append(z.stacked())
-            except NewtonNonConvergence:
-                causes["max_iter"] += 1
-            except NewtonStagnation:
-                causes["stagnation"] += 1
-            except np.linalg.LinAlgError:
-                causes["linalg_error"] += 1
-            else:
-                continue
-            failures += 1
-        if len(sols) >= 2:
-            spread = max(float(np.linalg.norm(a - b))
-                         for i, a in enumerate(sols) for b in sols[i + 1:])
-            if spread > 1e-6:
-                violations += 1
-        if sols:
-            solutions.append((delta, sols[0]))
-    modulus = 0.0
-    for i, (d1, z1) in enumerate(solutions):
-        for d2, z2 in solutions[i + 1:]:
-            gap = float(np.linalg.norm(d1 - d2))
-            if gap > 1e-12:
-                modulus = max(modulus, float(np.linalg.norm(z1 - z2)) / gap)
-    assert failures == sum(causes.values())
-    return ProbeStats(modulus=modulus, violations=violations, failures=failures,
-                      solved=len(solutions), num_delta=num_delta, radius=radius,
-                      uniqueness_tol=1e-6, method="newton", pieces=0, failure_causes=causes)
-
-
-def _assert_same_solutions(exact, newton):
-    """The exact probe of a polyhedral point and its Newton probe, which
-    converged on every solve: the same tally and, up to the Newton
-    tolerance, the same modulus."""
-    assert (exact.method, newton.method, newton.failures) == ("exact", "newton", 0)
-    assert (exact.violations, exact.failures, exact.solved) == (
-        newton.violations, newton.failures, newton.solved)
-    assert exact.modulus == pytest.approx(newton.modulus, rel=1e-8)
-
-
 def _beta2_pencil():
     """(problem, meta) of a planted PSD pencil of order 3 with |beta| = 2 and
-    a nondegeneracy failure, where the Newton probe (with the exact probe
-    replaced by None) sees about a fifth of its solves fail."""
+    a nondegeneracy failure."""
     data, _ = _benchmark_workloads().planted.psd_pencil(np.random.default_rng(0), 3, 0, 2,
                                                         False, True, name="beta2")
     return instance_from_dict(data)
-
-
-@pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
-                                  "smooth_toy", "beta2_pencil"])
-def test_stacked_probe_equals_one_solve_at_a_time(name, monkeypatch):
-    # CLI defaults; on sdp_degenerate about 30 of the 153 solves fail, and
-    # on the |beta| = 2 pencil about 30 too.  Every point takes the Newton
-    # path only with the probe on the local model replaced by None, since
-    # each decides on its local model: the polyhedral toys' exact probe
-    # finds the Newton probe's solutions, and the B-derivative probe of the
-    # PSD toys (|beta| <= 1) and of the |beta| = 2 pencil (its conic
-    # complementarity problem) reads the same leg c
-    import kktstab.stability as st
-
-    problem, meta = _beta2_pencil() if name == "beta2_pencil" else load_battery(name)
-    short = AnalyzerOptions(num_delta=6, seed=4, radius=0.3,
-                            newton=NewtonOptions(max_iter=3))
-    exact = [strong_regularity_probe(problem, meta.known_solution, opts)
-             for opts in (AnalyzerOptions(), short)]
-    method = AnalysisPoint(problem, meta.known_solution).model.method
-    assert method == {"sdp_toy": "b-derivative", "sdp_degenerate": "b-derivative",
-                      "beta2_pencil": "b-derivative"}.get(name, "exact")
-    monkeypatch.setattr(st, "_exact_probe", lambda point, deltas: None)
-    stats = strong_regularity_probe(problem, meta.known_solution)
-    assert stats == probe_one_at_a_time(problem, meta.known_solution)
-    if name in ("sdp_degenerate", "beta2_pencil"):
-        assert stats.failures >= 20
-        assert stats.failure_causes["max_iter"] > 0
-    newton = strong_regularity_probe(problem, meta.known_solution, short)
-    assert newton == probe_one_at_a_time(problem, meta.known_solution, short)
-    if method == "exact":
-        _assert_same_solutions(exact[0], stats)
-        _assert_same_solutions(exact[1], newton)
-    else:
-        assert [e.method for e in exact] == [method, method]
-        assert _leg_c(exact[0]) == _leg_c(stats) == (name == "sdp_toy")
 
 
 def _leg_c(stats):
     return stats.violations == 0 and stats.failures == 0 and np.isfinite(stats.modulus)
 
 
-def test_probe_tests_kkt_at_its_tol(monkeypatch):
+def test_probe_tests_kkt_at_its_tol():
     # off the known solution by 3e-7: a KKT point at 1e-6 but not at 1e-8
-    import kktstab.stability as st
-
     problem, _ = load_battery("nlp_toy")
     point = np.array([1.0000003, 1.0, 1.0])
     with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
@@ -1489,25 +1376,15 @@ def test_probe_tests_kkt_at_its_tol(monkeypatch):
     opts = AnalyzerOptions(num_delta=5, tol=1e-6)
     stats = strong_regularity_probe(problem, point, opts)
     assert stats.failures == stats.violations == 0 and stats.solved == 6
-    with monkeypatch.context() as mp:
-        mp.setattr(st, "_exact_probe", lambda point, deltas: None)
-        newton = strong_regularity_probe(problem, point, opts)
-    assert newton == probe_one_at_a_time(problem, point, opts)
-    _assert_same_solutions(stats, newton)
     # the |beta| = 2 pencil with the lift's multiplier off by 1e-7, which
-    # leaves the PSD block's eigenvalues alone: its B-derivative probe, and
-    # the Newton path with the exact probe replaced by None
+    # leaves the PSD block's eigenvalues alone: its conic probe reads the
+    # certificate of its nondegeneracy failure
     problem, meta = _beta2_pencil()
     point = meta.known_solution.stacked()
     point[problem.n] += 1e-7
     with pytest.raises(ValueError, match="not a KKT point at tolerance 1.0e-08"):
         strong_regularity_probe(problem, point, AnalyzerOptions(num_delta=5))
-    assert strong_regularity_probe(problem, point, opts).method == "b-derivative"
-    with monkeypatch.context() as mp:
-        mp.setattr(st, "_exact_probe", lambda point, deltas: None)
-        stats = strong_regularity_probe(problem, point, opts)
-    assert stats.method == "newton" and stats.solved > 0
-    assert stats == probe_one_at_a_time(problem, point, opts)
+    _assert_certificate(strong_regularity_probe(problem, point, opts), 1, "beta2")
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -1525,6 +1402,19 @@ def test_probe_tests_kkt_at_its_tol(monkeypatch):
 def test_probe_arguments_are_validated(kwargs, message):
     with pytest.raises(ValueError, match=message):
         AnalyzerOptions(**kwargs)
+
+
+def test_the_newton_options_of_an_analysis_change_nothing():
+    # AnalyzerOptions still accepts its Newton options, validated by
+    # NewtonOptions itself, but the analyzer runs no Newton solve
+    with pytest.raises(ValueError, match="max_iter"):
+        AnalyzerOptions(newton=NewtonOptions(max_iter=0))
+    for name in ("nlp_toy", "sdp_toy"):
+        problem, meta = load_battery(name)
+        reports = [equivalence_report(problem, meta.known_solution,
+                                      AnalyzerOptions(num_delta=5, newton=newton))
+                   for newton in (NewtonOptions(), NewtonOptions(max_iter=1, tol=1.0))]
+        assert reports[0] == reports[1], name
 
 
 def _sampling_calls(name):
@@ -2151,7 +2041,7 @@ def test_cone_verdicts_of_analyze_sdp_plants_survive_sub_tolerance_moves(monkeyp
     # a move of 1e-9 lifts it to about 1e-10, so rank decisions must be made
     # at the analysis tol, not below it.  Leg c, from the B-derivative probe
     # with no Newton solve allowed, keeps its verdict too, also at the
-    # |beta| = 2 plants whose Newton probe flipped under such moves (seed 7
+    # |beta| = 2 plants whose leg c used to flip under such moves (seed 7
     # #2, #10 and #17; seed 8 #12 and #17)
     _no_newton(monkeypatch)
     plants, opts = _analyze_sdp(seed)
@@ -2163,7 +2053,7 @@ def test_cone_verdicts_of_analyze_sdp_plants_survive_sub_tolerance_moves(monkeyp
                 u = np.random.default_rng([seed, k, r]).standard_normal(z.size)
                 moved = z + scale * u / np.linalg.norm(u)
                 probe = strong_regularity_probe(problem, moved, opts)
-                assert (probe.method, probe.failures) == ("b-derivative", 0), (k, scale, r)
+                assert probe.failures == 0, (k, scale, r)
                 got = _cone_verdicts(problem, moved, opts) + (_leg_c(probe),)
                 want = want or got
                 assert got == want, (k, scale, r)
@@ -2250,8 +2140,7 @@ def test_legs_b_and_c_read_the_planted_labels_of_the_analyze_sdp_plants(monkeypa
             tally["ND-fail"] += 1
         beta = plant.structure["beta"]
         probe = strong_regularity_probe(problem, point)
-        assert (probe.method, probe.pieces, probe.failures) == (
-            "b-derivative", 2 if beta == 1 else 1, 0), k
+        assert (probe.pieces, probe.failures) == (2 if beta == 1 else 1, 0), k
         assert _leg_c(probe) == leg_b, k
         tally[f"|beta| = {beta}"] += 1
         tally["leg c"] += _leg_c(probe)
@@ -2277,18 +2166,18 @@ def test_leg_c_equals_leg_b_on_order_30_pencils(monkeypatch, rng_seed, na, nb, n
     point = AnalysisPoint(problem, meta.known_solution, opts)
     leg_b = nonsingularity_sweep(problem, point).verdict == "all-elements-nonsingular"
     probe = strong_regularity_probe(problem, point)
-    assert (probe.method, probe.failures) == ("b-derivative", 0)
+    assert probe.failures == 0
     assert _leg_c(probe) == leg_b == plant.strongly_regular == nondegenerate
 
 
 def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypatch):
     # sdp_toy (|beta| = 0), the strongly regular |beta| = 1 and |beta| = 2
     # analyze-sdp plants of seed 7 and a mixed problem: each delta's
-    # solution of the
-    # B-derivative's equation lies within 50 radius^2 of the solution of the
-    # linearized inclusion that the Newton probe finds, at radii 1e-3 and
-    # 1e-4 (the largest gap is about 15 radius^2); a wrong frame or delta2
-    # term would leave a gap of order radius
+    # solution of the B-derivative's equation lies within 50 radius^2 of
+    # the solution of the linearized inclusion that solve_linearized_ge
+    # finds by semismooth Newton from the point, at radii 1e-3 and 1e-4
+    # (the largest gap is about 15 radius^2); a wrong frame or delta2 term
+    # would leave a gap of order radius
     import kktstab.stability as st
 
     solved = []
@@ -2308,14 +2197,12 @@ def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypa
         opts = AnalyzerOptions(num_delta=4, radius=radius, seed=3)
         for problem, meta, _ in plants:
             exact = strong_regularity_probe(problem, meta.known_solution, opts)
-            with monkeypatch.context() as mp:
-                mp.setattr(st, "_exact_probe", lambda point, deltas: None)
-                newton = strong_regularity_probe(problem, meta.known_solution, opts)
-            assert exact.method == "b-derivative" and _leg_c(exact)
-            if newton.failures:
-                continue
-            for (d1, z1), (d2, z2) in zip(*solved[-2:]):
-                assert np.array_equal(d1, d2)
+            assert _leg_c(exact)
+            for delta, z1 in solved[-1]:
+                try:
+                    z2 = solve_linearized_ge(problem, meta.known_solution, delta).stacked()
+                except NewtonError:
+                    continue
                 assert np.abs(z1 - z2).max() <= 50.0 * radius ** 2, (problem.name, radius)
                 compared += 1
     assert compared >= 130
@@ -2363,7 +2250,7 @@ def test_conic_solutions_at_the_strongly_regular_beta2_plants(monkeypatch):
             assert np.array_equal(lay.rows[kinks - 1] - beta[0], sub.rows)
             assert np.array_equal(lay.cols[kinks - 1] - beta[0], sub.cols)
             probe = strong_regularity_probe(problem, point)
-            assert (probe.method, probe.violations, probe.failures) == ("b-derivative", 0, 0)
+            assert (probe.violations, probe.failures) == (0, 0)
             M, Q, cones, Y = solves[-1]
             assert [(idx.tolist(), cone.order) for idx, cone in cones] == [([0, 1, 2], 2)]
             for q, y in zip(Q, Y):
@@ -2372,7 +2259,9 @@ def test_conic_solutions_at_the_strongly_regular_beta2_plants(monkeypatch):
                 assert abs(y @ w) <= 1e-12
                 rows += 1
             side_tol = 1e-8 * max(1.0, np.abs(point.wbar).max())
-            assert np.abs(residuals[-1]).max() <= 2.0 * (opts.tol + side_tol)
+            deltas = _probe_deltas(problem.n + problem.m, opts)[0]
+            bound = 2.0 * (opts.tol + side_tol) * np.maximum(1.0, np.abs(deltas).max(axis=1))
+            assert (np.abs(residuals[-1]).max(axis=1) <= bound).all()
     assert rows == 4 * (5 + 51)
 
 
@@ -2397,7 +2286,7 @@ def test_conic_complementarity_solves_random_positive_definite_problems():
         Q = rng.standard_normal((6, K))
         Q[0] = 0.0
         Y = st._conic_complementarity(M, Q, cones)
-        assert Y is not None, case
+        assert np.isfinite(Y).all(), case
         assert not Y[0].any()
         for q, y in zip(Q, Y):
             w = q + M @ y
@@ -2408,24 +2297,69 @@ def test_conic_complementarity_solves_random_positive_definite_problems():
         assert np.allclose(Y3, 3.0 * Y, rtol=1e-9, atol=1e-12), case
 
 
-def test_a_conic_solve_that_does_not_converge_hands_the_probe_to_newton(monkeypatch):
-    # with one Newton iteration allowed, the conic solves of the strongly
-    # regular |beta| = 2 plants of seed 7 end unconverged, and the Newton
-    # probe decides, as it does where a solution fails its check
+def test_a_conic_solve_that_does_not_converge_reads_undecided(monkeypatch):
+    # with one Newton iteration allowed, the conic solves at the strongly
+    # regular |beta| = 2 plants of seed 7 end unconverged, except where y = 0
+    # solves (delta 0, whose q is 0, and a q inside the cone): each is a
+    # failure, the first is named, and the report reads leg c undecided
     import kktstab.stability as st
 
     monkeypatch.setattr(st, "_CONIC_MAX_ITER", 1)
     plants, opts = _analyze_sdp(7)
+    seen = 0
     for problem, meta, plant in plants:
         if plant.structure["beta"] == 2 and plant.strongly_regular:
-            assert strong_regularity_probe(problem, meta.known_solution, opts).method == "newton"
+            rep = equivalence_report(problem, meta.known_solution, opts)
+            assert rep.probe.failures > 0
+            assert rep.probe.failures + rep.probe.solved == opts.num_delta + 1
+            assert re.fullmatch(r"delta [1-9]\d*: the conic complementarity solve did not "
+                                r"converge", rep.probe.failure), rep.probe.failure
+            c = rep.consistency
+            assert c["leg_c_probe_strong_regularity"] is None and c["verdict"] == "undecided"
+            assert c["note"].startswith("leg b is exact at this point; leg c is undecided")
+            seen += 1
+    assert seen == 4
 
 
-def test_the_b_derivative_check_hands_a_wrong_solution_to_newton(monkeypatch):
+def test_the_probe_check_scales_with_the_perturbation():
+    # the strongly regular |beta| = 2 pencil of order 3: the B-derivative's
+    # equation is positively homogeneous, so its rounding grows with |delta|
+    # and the check's bound with max(1, |delta|_inf); from radius 0.05 to
+    # 1e100 every delta is solved and passes, with the same modulus
+    problem, meta = instance_from_dict(_benchmark_workloads().planted.psd_pencil(
+        np.random.default_rng(0), 3, 0, 2, True, True)[0])
+    want = strong_regularity_probe(problem, meta.known_solution)
+    assert (want.violations, want.failures) == (0, 0)
+    for radius in (1e3, 1e6, 1e10, 1e100):
+        rep = equivalence_report(problem, meta.known_solution, AnalyzerOptions(radius=radius))
+        assert rep.consistency["leg_c_probe_strong_regularity"] is True, radius
+        assert (rep.probe.failures, rep.probe.failure) == (0, ""), radius
+        assert rep.probe.modulus == pytest.approx(want.modulus, rel=1e-9), radius
+
+
+def test_the_analyzer_imports_no_newton_solver():
+    # strong regularity is decided on the local model: kktstab.stability
+    # takes only the options class and two validators from kktstab.newton
+    import ast
+
+    import kktstab.stability as st
+
+    tree = ast.parse(Path(st.__file__).read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for module, name in imported if module and module.endswith("newton")} == {
+        "NewtonOptions", "check_integer", "check_positive"}
+    assert not any(isinstance(node, ast.Import) and any("newton" in a.name for a in node.names)
+                   for node in ast.walk(tree))
+    assert not any(module == "problem" and name.startswith("solve")
+                   for module, name in imported)
+
+
+def test_the_b_derivative_check_reads_a_wrong_solution_undecided(monkeypatch):
     # with every LCP answered by y = 0 (each kink on its excess branch), a
     # probe whose true solutions all have y = 0 is unchanged, and one where a
-    # delta switches the |beta| = 1 kink fails the B-derivative check and
-    # goes to Newton
+    # delta switches the |beta| = 1 kink fails the B-derivative check there:
+    # leg c is undecided, and the failure names a switched delta
     import kktstab.stability as st
 
     real, switched = st._lcp, []
@@ -2438,9 +2372,13 @@ def test_the_b_derivative_check_hands_a_wrong_solution_to_newton(monkeypatch):
         switched.clear()
         probe = strong_regularity_probe(problem, meta.known_solution,
                                         AnalyzerOptions(num_delta=6, seed=2))
-        assert probe.method == ("newton" if any(switched) else "b-derivative"), problem.name
-        seen.add(probe.method)
-    assert seen == {"newton", "b-derivative"}
+        assert (probe.failures > 0) == any(switched), problem.name
+        assert probe.failures <= sum(switched) and probe.solved == 7 - probe.failures
+        if probe.failures:
+            j = int(re.match(r"delta (\d+): residual .* above its bound ", probe.failure)[1])
+            assert switched[j], probe.failure
+        seen.add(probe.failures > 0)
+    assert seen == {True, False}
 
 
 def _random_mixed_point(rng):
@@ -2543,13 +2481,12 @@ def test_b_derivative_probe_agrees_with_the_piece_oracle(monkeypatch):
     for k, (problem, z) in enumerate(cases):
         opts = AnalyzerOptions(num_delta=6, seed=k)
         point = AnalysisPoint(problem, z, opts)
-        assert point.model.method in ("b-derivative", "exact"), k
         deltas = _probe_deltas(problem.n + problem.m, opts)[0]
         orientation, K, want = _b_derivative_pieces(point, deltas)
         stats = strong_regularity_probe(problem, point)
-        seen.add((orientation, point.model.method, K > 1))
+        seen.add((orientation, point.polyhedral, K > 1))
         if orientation != "regular":
-            _assert_certificate(stats, 2 ** K, k, point.model.method)
+            _assert_certificate(stats, 2 ** K, k)
             continue
         assert (stats.failures, stats.violations, stats.solved) == (0, 0, len(deltas)), k
         for (delta, z1), (sols, d) in zip(tallies[-1], want):
@@ -2557,7 +2494,7 @@ def test_b_derivative_probe_agrees_with_the_piece_oracle(monkeypatch):
             scale = 1e-8 * (1.0 + np.abs(z1).max())
             assert max(np.abs(a - b).max() for a in sols for b in sols) <= scale, k
             assert np.abs(z1 - sols[0]).max() <= scale, k
-    assert {o for o, m, many in seen if m == "b-derivative" and many} == {
+    assert {o for o, polyhedral, many in seen if not polyhedral and many} == {
         "singular piece", "reversed orientation", "regular"}, seen
 
 
@@ -2572,7 +2509,7 @@ def test_leg_c_of_an_analyze_sdp_plant_survives_sub_tolerance_moves():
         for r in range(2):
             u = np.random.default_rng([8, 4, r]).standard_normal(z.size)
             probe = strong_regularity_probe(problem, z + scale * u / np.linalg.norm(u), opts)
-            assert probe.method == "b-derivative" and _leg_c(probe), (scale, r)
+            assert _leg_c(probe), (scale, r)
 
 
 _SINGLE_RAY_INSTANCE = {  # planted PSD pencil: order 3, |alpha| = |beta| = 1, degenerate
@@ -2698,15 +2635,14 @@ def test_a_nan_difference_quotient_makes_the_probe_modulus_nan():
 
     big = np.full(3, 1e308)
     small = np.array([0.0, 0.0, 1e-3])
-    causes = dict.fromkeys(st._FAILURE_CAUSES, 0)
     for solutions in ([(big, big), (-big, -big)], [(small, small), (big, big), (-big, -big)],
                       [(big, big), (-big, -big), (small, 2.0 * small)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = st._probe_stats(AnalyzerOptions(), solutions, 0, "exact", 1, causes)
+            stats = st._probe_stats(AnalyzerOptions(), solutions, 0, 1)
         assert np.isnan(stats.modulus), solutions
     finite = st._probe_stats(AnalyzerOptions(), [(small, small), (2.0 * small, 3.0 * small)],
-                             0, "exact", 1, causes)
+                             0, 1)
     assert finite.modulus == 2.0
 
 
@@ -2726,19 +2662,19 @@ def test_a_polyhedral_solution_off_the_local_pieces_keeps_the_exact_probe(monkey
     problem, meta = _analyze_nlp_plants(8)[43]
     point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(seed=8))
     probe = strong_regularity_probe(problem, point)
-    assert (probe.method, probe.failures, probe.solved) == ("exact", 0, 51)
+    assert (probe.failures, probe.solved) == (0, 51)
     assert _leg_c(probe) and checked and 0 < checked[0] < 51, checked
     assert nonsingularity_sweep(problem, point).verdict == "all-elements-nonsingular"
 
 
-def test_a_non_finite_exact_probe_residual_hands_the_probe_to_newton(monkeypatch):
+def test_a_non_finite_exact_probe_residual_reads_undecided(monkeypatch):
     # the exact probe's residual check passes only where every entry is
-    # finite and within its bound: one NaN or inf entry hands the point to
-    # the Newton probe, as a wrong solution does, at a polyhedral point
-    # (nlp_toy), a |beta| = 1 point and a |beta| = 2 point (strongly
-    # regular analyze-sdp plants of seed 7).  At the polyhedral point a row
-    # that fails the linearized residual is checked again on the
-    # B-derivative's equation, so only both spoiled hand it over
+    # finite and within its bound: one NaN or inf entry in the last delta's
+    # row makes that delta a failure, as a wrong solution does, at a
+    # polyhedral point (nlp_toy), a |beta| = 1 point and a |beta| = 2 point
+    # (strongly regular analyze-sdp plants of seed 7).  At the polyhedral
+    # point a row that fails the linearized residual is checked again on
+    # the B-derivative's equation, so only both spoiled make it fail
     import kktstab.stability as st
 
     plants, opts = _analyze_sdp(7)
@@ -2752,7 +2688,7 @@ def test_a_non_finite_exact_probe_residual_hands_the_probe_to_newton(monkeypatch
         point = AnalysisPoint(problem, meta.known_solution, opts)
         deltas, _ = _probe_deltas(problem.n + problem.m, opts)
         clean = st._exact_probe(point, deltas)
-        assert clean is not None and clean.violations == 0, names
+        assert (clean.violations, clean.failures, clean.solved) == (0, 0, len(deltas)), names
         for bad in (np.nan, np.inf, -np.inf):
             with monkeypatch.context() as mp:
                 for name in names:
@@ -2762,10 +2698,13 @@ def test_a_non_finite_exact_probe_residual_hands_the_probe_to_newton(monkeypatch
                         return r
 
                     mp.setattr(st, name, spoiled)
-                    spoiled_all = name == names[-1]
-                    assert (st._exact_probe(point, deltas) is None) == spoiled_all, (name, bad)
-                    if not spoiled_all:
-                        assert st._exact_probe(point, deltas) == clean, (name, bad)
+                    stats = st._exact_probe(point, deltas)
+                    if name != names[-1]:
+                        assert stats == clean, (name, bad)
+                        continue
+                    assert (stats.failures, stats.solved) == (1, len(deltas) - 1), (name, bad)
+                    assert stats.failure.startswith(
+                        f"delta {len(deltas) - 1}: residual {abs(bad)} above its bound"), stats
 
 
 def test_the_b_derivative_check_calls_each_blocks_prox_dirderiv_once(monkeypatch):
@@ -2790,7 +2729,7 @@ def test_the_b_derivative_check_calls_each_blocks_prox_dirderiv_once(monkeypatch
             monkeypatch.setattr(p, "prox_dirderiv", counted)
         deltas, _ = _probe_deltas(problem.n + problem.m, opts)
         stats = st._exact_probe(point, deltas)
-        assert stats is not None and stats.method == "b-derivative"
+        assert stats.failures == 0
         if stats.violations == 0:
             assert calls == [(len(deltas), p.dim) for p, _, _ in point.pairs]
             checked += 1
