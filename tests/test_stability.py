@@ -1404,17 +1404,19 @@ def test_probe_arguments_are_validated(kwargs, message):
         AnalyzerOptions(**kwargs)
 
 
-def test_the_newton_options_of_an_analysis_change_nothing():
+@pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate"])
+def test_the_newton_options_of_an_analysis_change_nothing(name):
     # AnalyzerOptions still accepts its Newton options, validated by
-    # NewtonOptions itself, but the analyzer runs no Newton solve
+    # NewtonOptions itself, but the analyzer runs no Newton solve: not at a
+    # polyhedral point, nor at a PSD point, nor at the degenerate PSD point
+    # where Newton rows used to run out of iterations
     with pytest.raises(ValueError, match="max_iter"):
         AnalyzerOptions(newton=NewtonOptions(max_iter=0))
-    for name in ("nlp_toy", "sdp_toy"):
-        problem, meta = load_battery(name)
-        reports = [equivalence_report(problem, meta.known_solution,
-                                      AnalyzerOptions(num_delta=5, newton=newton))
-                   for newton in (NewtonOptions(), NewtonOptions(max_iter=1, tol=1.0))]
-        assert reports[0] == reports[1], name
+    problem, meta = load_battery(name)
+    reports = [equivalence_report(problem, meta.known_solution,
+                                  AnalyzerOptions(num_delta=5, newton=newton))
+               for newton in (NewtonOptions(), NewtonOptions(max_iter=1, tol=1.0))]
+    assert reports[0] == reports[1]
 
 
 def _sampling_calls(name):
@@ -2321,20 +2323,20 @@ def test_a_conic_solve_that_does_not_converge_reads_undecided(monkeypatch):
     assert seen == 4
 
 
-def test_the_probe_check_scales_with_the_perturbation():
+@pytest.mark.parametrize("radius", [1e3, 1e6, 1e10, 1e100])
+def test_the_probe_check_scales_with_the_perturbation(radius):
     # the strongly regular |beta| = 2 pencil of order 3: the B-derivative's
     # equation is positively homogeneous, so its rounding grows with |delta|
-    # and the check's bound with max(1, |delta|_inf); from radius 0.05 to
-    # 1e100 every delta is solved and passes, with the same modulus
+    # and the check's bound with max(1, |delta|_inf); at every radius up to
+    # 1e100 every delta is solved and passes, with the modulus of radius 0.05
     problem, meta = instance_from_dict(_benchmark_workloads().planted.psd_pencil(
         np.random.default_rng(0), 3, 0, 2, True, True)[0])
     want = strong_regularity_probe(problem, meta.known_solution)
     assert (want.violations, want.failures) == (0, 0)
-    for radius in (1e3, 1e6, 1e10, 1e100):
-        rep = equivalence_report(problem, meta.known_solution, AnalyzerOptions(radius=radius))
-        assert rep.consistency["leg_c_probe_strong_regularity"] is True, radius
-        assert (rep.probe.failures, rep.probe.failure) == (0, ""), radius
-        assert rep.probe.modulus == pytest.approx(want.modulus, rel=1e-9), radius
+    rep = equivalence_report(problem, meta.known_solution, AnalyzerOptions(radius=radius))
+    assert rep.consistency["leg_c_probe_strong_regularity"] is True
+    assert (rep.probe.failures, rep.probe.failure) == (0, "")
+    assert rep.probe.modulus == pytest.approx(want.modulus, rel=1e-9)
 
 
 def test_the_analyzer_imports_no_newton_solver():
