@@ -16,8 +16,8 @@ for name in BATTERY_NAMES:
           f"multiplier {'unique' if rep.multiplier_unique else 'not unique'}")
     print(f"   second-order: {ss.status}"
           + (f" (min reduced eigenvalue {eig:.3e})" if eig is not None else ""))
-    print(f"   element sweep: {rep.sweep.verdict}, min singular value "
-          f"{rep.sweep.min_singular_value:.3e} over {rep.sweep.n_elements} elements")
+    print(f"   element sweep: {rep.sweep.verdict}, margin "
+          f"{rep.sweep.margin:.3e} over {rep.sweep.n_elements} elements")
     print(f"   probe: modulus {rep.probe.modulus:.3e}, "
           f"{rep.probe.violations} uniqueness violations, "
           f"{rep.probe.failures} solver failures")

@@ -191,7 +191,7 @@ def _cmd_analyze(args) -> int:
     extra = f", min eig {ss.min_eigenvalue:.3e}" if hasattr(ss, "min_eigenvalue") else ""
     print(f"  second order   : {ss.status}{extra}")
     print(f"  element sweep  : {report.sweep.verdict} "
-          f"(exact, min sv {report.sweep.min_singular_value:.3e} over "
+          f"(exact, margin {report.sweep.margin:.3e} over "
           f"{report.sweep.n_elements} elements)")
     print(f"  probe          : modulus {report.probe.modulus:.3e}, "
           f"{report.probe.violations} violations, {report.probe.failures} failures "

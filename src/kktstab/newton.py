@@ -242,9 +242,10 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
     lengths as its round before, in one residual call.  The iteration
     takes the round's first trial, in order, that passes the Armijo test;
     when the round's call raises, its trials run one at a time up to the
-    first that passes, or raises.  A trace's ``element_min_sv`` holds, per
-    iteration, the exact sigma_min of the element where the svd ran and
-    the upper bound elsewhere.
+    first that passes, or raises, and one that passes without lowering the
+    merit ends the solve as a stagnation.  A trace's ``element_min_sv``
+    holds, per iteration, the exact sigma_min of the element where the svd
+    ran and the upper bound elsewhere.
 
     Raises NewtonNonConvergence, NewtonStagnation, a LinAlgError, an error
     from a callback, or a ValueError for a start that is not finite, whose
@@ -302,8 +303,11 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
                 trace.status = "stagnated"
                 raise NewtonStagnation(f"line search collapsed at residual {rnorm:.3e}", trace)
         i, r = hit
-        back, z = first + i, trials[i]
-        rr = _rowdot(r[None], r[None])[0]
+        rr_new = _rowdot(r[None], r[None])[0]
+        if not 0.5 * rr_new < merit:  # an Armijo term that rounds to 0
+            trace.status = "stagnated"
+            raise NewtonStagnation(f"step does not lower the merit at residual {rnorm:.3e}", trace)
+        back, z, rr = first + i, trials[i], rr_new
         rnorm = float(np.abs(r).max())
         trace.residual_norms.append(rnorm)
         trace.step_lengths.append(float(t[i]))

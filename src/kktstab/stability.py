@@ -80,7 +80,6 @@ from .pieces import (
     FREE,
     PINNED,
     UP,
-    ClarkeFrame,
     ConvexPiece,
     LinearOperatorElement,
     PSDConeIndicator,
@@ -93,7 +92,6 @@ from .problem import (
     CompositeProblem,
     KKTPoint,
     KKTReport,
-    _element_matrix,
     as_point,
     block_prox,
     kkt_check,
@@ -141,8 +139,10 @@ class SsoscResult:
 
 @dataclass
 class SweepStats:
+    """Leg b's verdict, the element it names and its ``margin`` (``_exact_sweep``)."""
+
     verdict: str
-    min_singular_value: float
+    margin: float
     n_elements: int
     tol: float
     argmin_provenance: tuple[str, ...] = ()
@@ -187,7 +187,8 @@ class LocalModel(NamedTuple):
     (U, s, Vh) of J_P, so that J_P has rank n - dim Z0; A0 = Z0^T H Z0 has the ascending eigenvalues ``lam`` with
     eigenvectors ``V0``; Z1 spans null(G) for G = J_K Z0 on the kinks K
     (neither PINNED nor FREE), the probe's kinks.  The svd and V0 also give
-    every solve with the saddle [[H, J_P^T], [J_P, 0]] (``_exact_probe``)."""
+    every solve with the saddle [[H, J_P^T], [J_P, 0]] (``_exact_probe``),
+    and ``sv_G`` are G's singular values, from the svd that Z1 is read from."""
 
     J: np.ndarray
     H: np.ndarray
@@ -200,6 +201,12 @@ class LocalModel(NamedTuple):
     V0: np.ndarray
     G: np.ndarray
     Z1: np.ndarray
+    sv_G: np.ndarray
+
+    def saddle_nonsingular(self) -> bool:
+        """Whether the saddle [[H, J_P^T], [J_P, 0]], the canonical element, is nonsingular."""
+        return (self.J.shape[1] - self.Z0.shape[1] == np.count_nonzero(self.codes == PINNED)
+                and bool((np.abs(self.lam) > SWEEP_TOL).all()))
 
 
 @dataclass
@@ -217,7 +224,7 @@ class StabilityReport:
     tolerances: dict
 
 
-SWEEP_TOL = 1e-8  # an element with a smaller least singular value is singular
+SWEEP_TOL = 1e-8  # an element whose reduced matrix has an eigenvalue this near 0 is singular
 
 
 @dataclass(frozen=True)
@@ -257,15 +264,15 @@ def nullspace(M: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
 
 def _kernel_svd(M: np.ndarray, rtol: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """``nullspace(M, rtol)`` and the full svd (U, s, Vh) of M it is read
-    from, so M has rank n - (its columns); an M without a nonzero entry has
-    U = I, s = 0 and Vh = I."""
+    from, so M has rank n - (its columns); s has one value per row, 0 past
+    the columns, and an M without a nonzero entry has U = I, s = 0 and Vh = I."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     p, n = M.shape
     if p == 0 or not np.any(M):
-        return np.eye(n), (np.eye(p), np.zeros(min(p, n)), np.eye(n))
+        return np.eye(n), (np.eye(p), np.zeros(p), np.eye(n))
     U, s, Vh = np.linalg.svd(M)
     rank = int(np.sum(s > rtol * max(1.0, s[0])))
-    return Vh[rank:].T, (U, s, Vh)
+    return Vh[rank:].T, (U, np.concatenate([s, np.zeros(p - s.size)]), Vh)
 
 
 def orthonormal_span(columns: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
@@ -371,8 +378,8 @@ class AnalysisPoint:
         pinned = codes == PINNED
         Z0, svd_P = _kernel_svd(J[pinned], self.opts.tol)
         A0, G = Z0.T @ H @ Z0, J[~(pinned | (codes == FREE))] @ Z0
-        return LocalModel(J, H, codes, weight, Z0, svd_P, A0, *np.linalg.eigh(A0), G,
-                          nullspace(G, self.opts.tol))
+        Z1, (_, sv_G, _) = _kernel_svd(G, self.opts.tol)
+        return LocalModel(J, H, codes, weight, Z0, svd_P, A0, *np.linalg.eigh(A0), G, Z1, sv_G)
 
     def coords(self, V: np.ndarray) -> np.ndarray:
         """Every block's frame coordinates of each row of a stack (..., m)."""
@@ -818,8 +825,8 @@ def ssosc_check(problem: CompositeProblem, zbar,
 def nonsingularity_sweep(problem: CompositeProblem, zbar,
                          opts: AnalyzerOptions | None = None) -> SweepStats:
     """Leg b: whether the residual's Clarke-Jacobian elements at the point
-    are nonsingular, an element with a least singular value of at most
-    SWEEP_TOL counting as singular.
+    are nonsingular, read from the local model's decompositions at
+    ``opts.tol`` and SWEEP_TOL.
 
     The chain rule gives only an inclusion for Clarke's Jacobian of the
     composite map: the elements tested are [[H, J^T], [(I-U) J, -U]] with
@@ -827,8 +834,8 @@ def nonsingularity_sweep(problem: CompositeProblem, zbar,
     decides a superset of that product set exactly at every point, one
     whose singular elements it finds inside the product set, so the
     verdict is exact both ways: "all-elements-nonsingular" or
-    "singular-element-found".  No element is sampled, and ``count`` is
-    not read."""
+    "singular-element-found".  No element is sampled or formed, and
+    ``count`` is not read."""
     return _exact_sweep(analysis_point(problem, zbar, opts))
 
 
@@ -862,57 +869,46 @@ def _exact_sweep(point: AnalysisPoint) -> SweepStats:
     Both extremes are B-elements, and the segment of one common kink
     weight u, V = u I, lies in the product set.
 
-    A singular extreme (least singular value at most SWEEP_TOL, from one
-    svd of both, taken in the frames, which keep singular values) is the
-    witness.  When the counts differ, the segment holds a singular
-    element: bisection on u keeps a bracket whose ends differ in count
-    until an eigenvalue of the reduced matrix lies within SWEEP_TOL / 2 of
-    0, which bounds the element's least singular value, and one svd
-    confirms it.  Either way the verdict is "singular-element-found", with
-    the least singular value and provenance of the element examined that
-    is nearest singular.  ``n_elements`` counts the reduced matrices whose
-    inertia was computed.
+    No element is formed.  The canonical extreme is singular iff J_P has
+    rank below |P| at ``opts.tol`` or A0 an eigenvalue within SWEEP_TOL of
+    0 (``LocalModel.saddle_nonsingular``); where J_P has full row rank,
+    the pattern-zeros one iff G = J_K Z0 has rank below |K| or Z1^T A0 Z1
+    an eigenvalue within SWEEP_TOL of 0.  A singular extreme is a witness,
+    and so, when the counts differ, is the bisection step on u nearest
+    singular.  The stats name the witness, or else the extreme, of least
+    margin: min(sigma_min(J_P), |lambda(A0)|) or min(sigma_min(G),
+    |lambda(Z1^T A0 Z1)|), sigma_min reading 0 where there are more rows
+    than columns, and min |lambda| of its reduced matrix at a witness.
+    ``n_elements`` counts the inertias computed.
     """
     problem, m = point.problem, point.model
     kink = (m.codes != PINNED) & (m.codes != FREE)
     counts = [int(np.sum(m.lam < 0.0))]
-    weights, tags = [np.where(m.codes == PINNED, 0.0, 1.0 / (1.0 + m.weight))], ["canonical"]
+    seen = [(not m.saddle_nonsingular(),  # (singular, margin, tag) of each element examined
+             np.min(np.concatenate([m.svd_P[1], np.abs(m.lam)]), initial=np.inf), "canonical")]
     if kink.any():
-        counts.append(_negative_count(m.Z1.T @ m.A0 @ m.Z1)[0])
-        weights.append(np.where(kink, 0.0, weights[0]))
-        tags.append("pattern-zeros")
-    svs = _element_svs(point, weights)
-    n_elements = len(counts)
-    if min(svs) > SWEEP_TOL and counts[0] != counts[-1]:
-        u, steps = _bisect_common_weight(m.A0, m.G.T @ m.G, counts[0])
-        weights.append(np.where(kink, u, weights[0]))
-        tags.append(f"kink-weight({u!r})")
-        svs += _element_svs(point, weights[-1:])
-        n_elements += steps
-    i = int(np.argmin(svs))
-    singular = svs[i] <= SWEEP_TOL or counts[0] != counts[-1]
-    argmin = tuple(p.provenance(tags[i] if kb.any() else "canonical")
+        count, gap = _negative_count(m.Z1.T @ m.A0 @ m.Z1)
+        counts.append(count)
+        seen.append((m.Z0.shape[1] - m.Z1.shape[1] != np.sum(kink) or gap <= SWEEP_TOL,
+                     np.min(m.sv_G, initial=gap), "pattern-zeros"))
+    steps = 0
+    if counts[0] != counts[-1] and not any(e[0] for e in seen):
+        u, gap, steps = _bisect_common_weight(m.A0, m.G.T @ m.G, counts[0])
+        seen.append((True, gap, f"kink-weight({u!r})"))
+    singular, margin, tag = min(seen, key=lambda e: (not e[0], e[1]))
+    argmin = tuple(p.provenance(tag if kb.any() else "canonical")
                    for p, kb in zip(problem.pieces, problem.blocks(kink)))
     verdict = "singular-element-found" if singular else "all-elements-nonsingular"
-    return SweepStats(verdict, float(svs[i]), n_elements, SWEEP_TOL, argmin)
+    return SweepStats(verdict, float(margin), len(counts) + steps, SWEEP_TOL, argmin)
 
 
-def _element_svs(point: AnalysisPoint, weights: list[np.ndarray]) -> list[float]:
-    """The least singular value of the element of each weight vector u of
-    frame coordinates (every block's element diag(u_b) in its frame), from
-    one svd of their stack."""
-    U = [ClarkeFrame(ub).element() for ub in point.problem.blocks(np.array(weights))]
-    E = _element_matrix(point.problem, point.hessian, point.model.J, U)
-    return np.linalg.svd(E, compute_uv=False)[:, -1].tolist()
-
-
-def _bisect_common_weight(A: np.ndarray, B: np.ndarray, count_hi: int) -> tuple[float, int]:
-    """(u, steps): bisection on the common kink weight u in (0, 1] for an
-    element near singular, where A + ((1 - u) / u) B is the reduced matrix
-    at u, count_hi its negative count at u = 1, and the count as u -> 0
-    differs.  The bracket keeps ends of different counts.  Ends after 64
-    steps, or as soon as an eigenvalue lies within SWEEP_TOL / 2 of 0; u is
-    the step nearest singular, ``steps`` the number of inertias computed."""
+def _bisect_common_weight(A: np.ndarray, B: np.ndarray, count_hi: int) -> tuple[float, float, int]:
+    """(u, gap, steps): bisection on the common kink weight u in (0, 1] for
+    an element near singular, where A + ((1 - u) / u) B is the reduced
+    matrix at u, count_hi its negative count at u = 1, and the count as u
+    -> 0 differs.  The bracket keeps ends of different counts.  Ends after
+    64 steps, or as soon as an eigenvalue lies within SWEEP_TOL / 2 of 0;
+    u is the step nearest singular, gap its least |eigenvalue|."""
     lo, hi = 0.0, 1.0
     best, best_gap = 1.0, np.inf
     for steps in range(1, 65):
@@ -926,7 +922,7 @@ def _bisect_common_weight(A: np.ndarray, B: np.ndarray, count_hi: int) -> tuple[
             lo = u
         else:
             hi = u
-    return best, steps
+    return best, best_gap, steps
 
 
 def strong_regularity_probe(problem: CompositeProblem, zbar,
@@ -1026,13 +1022,12 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
     homeomorphism (Robinson 1992), iff S is nonsingular and W is a
     P-matrix, which for a symmetric W means positive definite.
 
-    Where J_P has rank below |P| (at ``opts.tol``), A0 has an eigenvalue
-    within SWEEP_TOL of 0, or W's least eigenvalue is at most SWEEP_TOL
+    Where S is singular (``LocalModel.saddle_nonsingular``, leg b's test
+    of the canonical element) or W's least eigenvalue is at most SWEEP_TOL
     max(1, |lambda(W)|_max), the point is not strongly regular, at any K:
     the stats are the certificate, one violation at delta = 0 with the
-    point itself as its one solution.  With BLOCK
-    kinks this rests on leg b.  A singular S is a singular canonical
-    element.  Otherwise, for the bordered matrix [[A0, G^T], [G, 0]],
+    point itself as its one solution.  With BLOCK kinks this rests on leg
+    b.  Otherwise, for the bordered matrix [[A0, G^T], [G, 0]],
     Haynsworth's inertia identity gives neg(Z1^T A0 Z1) = neg(A0) +
     pos(W) - rank G, so a W that is not positive definite has pos(W) <
     rank G, or rank G below K, and both leave the extremes of
@@ -1067,7 +1062,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
     kinks = np.flatnonzero((codes != PINNED) & (codes != FREE))
     block = codes[kinks] == BLOCK
     pieces = 2 ** int(np.sum(~block))
-    oriented = n - m.Z0.shape[1] == pinned.size and bool((np.abs(m.lam) > SWEEP_TOL).all())
+    oriented = m.saddle_nonsingular()
     if oriented:
         GV = m.G @ m.V0
         W = (GV / m.lam) @ GV.T

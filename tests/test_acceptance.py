@@ -146,13 +146,13 @@ def test_c5_equivalence_cross_check():
         if name == "sdp_degenerate":
             ok = ok and rep.nondegeneracy.status == "fails"
             ok = ok and rep.sweep.verdict == "singular-element-found"
-            ok = ok and rep.sweep.min_singular_value <= 1e-8
+            ok = ok and rep.sweep.margin <= 1e-8
             ok = ok and (rep.probe.violations > 0 or rep.probe.failures > 0)
         else:
             # leg b is exact at every point, sdp_toy's PSD block included
             ok = ok and rep.consistency["leg_a_second_order_and_nondegeneracy"]
             ok = ok and rep.sweep.verdict == "all-elements-nonsingular"
-            ok = ok and rep.sweep.min_singular_value > 1e-6
+            ok = ok and rep.sweep.margin > 1e-6
             ok = ok and rep.probe.violations == 0 and rep.probe.failures == 0
             ok = ok and np.isfinite(rep.probe.modulus)
         details.append(f"{name}={rep.consistency['verdict']}")

@@ -22,18 +22,18 @@ B_DERIVATIVE_NOTE = ("leg b is exact at this point; so is leg c (coherent orient
                      "B-derivative), whose modulus is a sampled lower bound")
 
 # name: (rcq, srcq, nondegeneracy, unique multiplier, second order,
-#        sweep (verdict, min sv, elements, argmin), probe (modulus,
+#        sweep (verdict, margin, elements, argmin), probe (modulus,
 #        violations, failures, solved, local pieces), consistency
 #        (legs a, b, c, verdict, disagreement), note)
 EXPECTED = {
     "nlp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, TRIVIAL_SUBSPACE,
-        ("all-elements-nonsingular", 0.5176380902050416, 1,
+        ("all-elements-nonsingular", 1.0, 1,
          ("epi(orthant_indicator:canonical)",)),
         (1.6167967978021782, 0, 0, 21, 1), CONSISTENT, EXACT_NOTE),
     "sdp_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 4 of 4"), True, TRIVIAL_SUBSPACE,
-        ("all-elements-nonsingular", 0.5, 1, ("epi(psd_indicator:canonical)",)),
+        ("all-elements-nonsingular", 1.0, 1, ("epi(psd_indicator:canonical)",)),
         (0.9984186711868456, 0, 0, 21, 1), CONSISTENT, B_DERIVATIVE_NOTE),
     "sdp_degenerate": (
         EXACT_RCQ, ("fails", "span test rank 3 of 4"),
@@ -48,7 +48,7 @@ EXPECTED = {
         (1.0000000000000007, 0, 0, 21, 1), CONSISTENT, EXACT_NOTE),
     "smooth_toy": (
         EXACT_RCQ, EXACT_SRCQ, ("holds", "rank 2 of 2"), True, ("holds", 1.0, 1, ""),
-        ("all-elements-nonsingular", 0.6180339887498949, 1,
+        ("all-elements-nonsingular", 1.0, 1,
          ("epi(orthant_indicator:canonical)",)),
         (0.9980308321202721, 0, 0, 21, 1), CONSISTENT, EXACT_NOTE),
 }
@@ -74,10 +74,10 @@ def test_battery_report_is_pinned(name):
         assert (rep.ssosc.status, rep.ssosc.subspace_dim, rep.ssosc.detail) == (
             status, dim, detail)
         assert rep.ssosc.min_eigenvalue == _approx(min_eig)
-    verdict, min_sv, n_elements, argmin = sweep
+    verdict, margin, n_elements, argmin = sweep
     assert (rep.sweep.verdict, rep.sweep.n_elements, rep.sweep.argmin_provenance) == (
         verdict, n_elements, argmin)
-    assert rep.sweep.min_singular_value == _approx(min_sv)
+    assert rep.sweep.margin == _approx(margin)
     modulus, violations, failures, solved, pieces = probe
     assert (rep.probe.violations, rep.probe.failures, rep.probe.solved) == (
         violations, failures, solved)

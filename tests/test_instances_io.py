@@ -263,7 +263,8 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
 
 def test_cli_solve_failure_lists_sigma_min_per_iteration(capsys):
     # the second of the unit directions from default_rng(0), 3.0 away from
-    # the l1_toy solution: the solve stagnates on exactly singular elements
+    # the l1_toy solution: the solve stagnates on exactly singular elements,
+    # at the second ridge step, which leaves the merit as it is
     problem, meta = load_battery("l1_toy")
     rng = np.random.default_rng(0)
     d = [rng.standard_normal(problem.n + problem.m) for _ in range(2)][1]
@@ -272,11 +273,11 @@ def test_cli_solve_failure_lists_sigma_min_per_iteration(capsys):
                       "--start", ",".join(repr(float(v)) for v in start)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "line search collapsed at residual 5.000e-01" in out
+    assert "step does not lower the merit at residual 5.000e-01" in out
     lines = [line for line in out.splitlines() if line.lstrip().startswith("iter")]
-    assert len(lines) == 3  # the start and two ridge steps
-    assert all("sigma_min 0.000e+00" in line for line in lines[:2])
-    assert "sigma_min" not in lines[2]  # the collapsed search recorded no element
+    assert len(lines) == 2  # the start and one ridge step
+    assert "sigma_min 0.000e+00" in lines[0]
+    assert "sigma_min" not in lines[1]  # the flat step recorded no element
 
 
 def test_cli_analyze_consistent_negative_instance(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_degenerate_starts_end_as_with_dense_elements():
     # the same iterations and ridge decisions
     problem, meta = load_battery("sdp_degenerate")
     rng = np.random.default_rng(11)
-    kinds = set()
+    kinds, stalled = set(), []
     for _ in range(60):
         start = meta.known_solution.stacked() + rng.uniform(-1.5, 1.5, 5)
         got = _ends(lambda: solve(problem, start))
@@ -158,7 +158,12 @@ def test_degenerate_starts_end_as_with_dense_elements():
         assert ([sv < 1e-10 for sv in got[1].element_min_sv]
                 == [sv < 1e-10 for sv in want[1].element_min_sv])
         kinds.add(got[0])
-    assert kinds == {"converged", "NewtonStagnation", "NewtonNonConvergence"}
+        if got[0] == "NewtonStagnation":
+            stalled.append(got[1].iterations)
+    # no start runs to max_iter on a flat merit: each that does not converge
+    # stagnates within 3 iterations
+    assert kinds == {"converged", "NewtonStagnation"}
+    assert len(stalled) == 5 and max(stalled) <= 3
 
 
 def test_flagged_framed_row_takes_the_dense_ridge_step(monkeypatch):
@@ -313,6 +318,32 @@ def test_an_exactly_singular_element_takes_ridge_steps():
                          lambda z: _row_element("singular", z),
                          np.array([1.0, 1.0, 1.0]), NewtonOptions(max_iter=8))
     assert info.value.trace.element_min_sv == [0.0] * 8
+
+
+def test_a_step_that_does_not_lower_the_merit_ends_as_a_stagnation():
+    # the first ridge step zeroes the regular coordinates of z; the second
+    # passes the Armijo test with a slope of 0 and leaves the merit as it
+    # is, which ends the solve at once, not after max_iter iterations
+    with pytest.raises(NewtonStagnation) as info:
+        semismooth_solve(lambda z: _row_residual("flat", z), lambda z: _row_element("flat", z),
+                         np.array([1.0, 1.0, 1.0]), NewtonOptions(max_iter=8))
+    trace = info.value.trace
+    assert trace.status == "stagnated"
+    assert (trace.residual_norms, trace.step_lengths, trace.element_min_sv) == (
+        [1.0, 1.0], [1.0], [0.0])
+    assert str(info.value) == "step does not lower the merit at residual 1.000e+00"
+
+
+def test_a_huge_start_stagnates_on_its_flat_merit():
+    # nlp_toy from x = 1e100: one step drops the residual to about 1, where
+    # ridge steps on singular elements leave the merit flat; the solve
+    # stagnates within 3 iterations instead of running all 100
+    problem, _ = load_battery("nlp_toy")
+    with pytest.raises(NewtonStagnation, match="does not lower the merit") as info:
+        solve(problem, np.array([1e100, 1.0, 1.0]))
+    trace = info.value.trace
+    assert trace.iterations <= 3
+    assert trace.residual_norms[0] == 1e100 and abs(trace.residual_norms[-1] - 1.0) < 1e-6
 
 
 def test_a_flagged_regular_element_keeps_its_lu_step():
@@ -480,6 +511,9 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
             if alpha < opts.min_step:
                 trace.status = "stagnated"
                 raise NewtonStagnation(f"line search collapsed at residual {rnorm:.3e}", trace)
+        if not merit_new < merit:
+            trace.status = "stagnated"
+            raise NewtonStagnation(f"step does not lower the merit at residual {rnorm:.3e}", trace)
         z = z_new
         r = r_new
         rnorm = float(np.linalg.norm(r, np.inf))
@@ -504,6 +538,8 @@ def _row_residual(kind, z):
         raise ValueError("residual undefined on the trap")  # only a discarded trial lands here
     if kind == "residual_error" and np.max(np.abs(z)) < 0.3:
         raise ValueError("residual undefined near the origin")
+    if kind == "singular":
+        return 0.5 * z  # each ridge step halves the regular coordinates
     return z.copy()
 
 
@@ -522,8 +558,10 @@ def _row_element(kind, z):
         # full steps halve z until the element turns to ascent, where the
         # line search collapses after three of its eight-trial round
         return -np.eye(3) if np.max(np.abs(z)) < 0.3 else 2.0 * np.eye(3)
-    if kind == "singular":
-        return np.diag([1.0, 0.0, 1.0])  # ridge steps that never reach the target
+    if kind in ("singular", "flat"):
+        # ridge steps that never reach the target; at "flat" the first one
+        # zeroes the regular coordinates and the next leaves the merit as it is
+        return np.diag([1.0, 0.0, 1.0])
     if kind == "element_error" and np.max(np.abs(z)) < 0.3:
         raise np.linalg.LinAlgError("element undefined near the origin")
     if kind == "svd_error" and np.max(np.abs(z)) < 0.3:
@@ -539,6 +577,7 @@ _ROWS = [  # (kind, start)
     ("cubic", [-1.0, 0.5, 3.0]),
     ("svd_error", [1.0, 0.5, 1.0]),
     ("singular", [1.0, 1.0, 1.0]),
+    ("flat", [1.0, 1.0, 1.0]),
     ("residual_error", [1.0, -1.0, 1.0]),
     ("cubic", [np.nan, 0.0, 0.0]),
     ("zero", [0.0, 0.0, 0.0]),
@@ -603,7 +642,7 @@ def test_each_way_a_solve_ends_matches_the_loop_bit_for_bit():
     # every way a solve can end
     assert statuses == ["converged", "NewtonNonConvergence", "NewtonStagnation",
                         "LinAlgError", "converged", "LinAlgError", "NewtonNonConvergence",
-                        "ValueError", "ValueError", "converged"]
+                        "NewtonStagnation", "ValueError", "ValueError", "converged"]
     assert ridged == [0.0]  # a ridge step was taken
 
 
@@ -785,13 +824,13 @@ def test_an_element_held_in_consecutive_iterations_is_decomposed_once(monkeypatc
             return scheduled(z)
 
         with pytest.raises(NewtonNonConvergence) as got:
-            semismooth_solve(lambda z: z.copy(), element, np.array(start), opts)
+            semismooth_solve(lambda z: 0.5 * z, element, np.array(start), opts)
         per_iteration.append(len(svds))
         decomposed.append(["".join(names[m] for m in svds[a:b])
                            for a, b in zip(per_iteration, per_iteration[1:])])
         monkeypatch.undo()
         with pytest.raises(NewtonNonConvergence) as want:
-            semismooth_solve_loop(lambda z: z.copy(), _scheduled(schedule), np.array(start),
+            semismooth_solve_loop(lambda z: 0.5 * z, _scheduled(schedule), np.array(start),
                                   opts)
         _same_outcome(got.value, want.value)
         assert got.value.trace.element_min_sv == [0.0] * opts.max_iter  # ridge steps throughout

@@ -164,7 +164,7 @@ def test_sweep_battery():
     problem, meta = load_battery("l1_toy")
     s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
     assert s.verdict == "all-elements-nonsingular"
-    assert np.isclose(s.min_singular_value, 1.0, atol=1e-12)
+    assert np.isclose(s.margin, 1.0, atol=1e-12)
     problem, meta = load_battery("nlp_toy")
     s = nonsingularity_sweep(problem, meta.known_solution, AnalyzerOptions(count=8))
     assert s.verdict == "all-elements-nonsingular"
@@ -175,7 +175,7 @@ def test_sweep_battery():
     problem, meta = load_battery("sdp_degenerate")
     s = nonsingularity_sweep(problem, meta.known_solution)
     assert s.verdict == "singular-element-found"
-    assert s.min_singular_value <= 1e-8
+    assert s.margin <= 1e-8
 
 
 def _planted_plants():
@@ -225,36 +225,138 @@ def _named_element(point, provenance):
                                               _kink_weights(point, provenance))])
 
 
-def test_sweep_has_the_bits_of_each_elements_min_singular_value(monkeypatch):
-    # the sampler takes every least singular value from one svd of the
-    # sampled stack, which the elements' matrices are views of; the exact
-    # sweep reports the least singular value of the element it names, with
-    # its bits at a polyhedral point and within rounding at a PSD point,
-    # whose element it forms in the blocks' frames
-    from kktstab.problem import JacobianElementR
+def _extreme_provenance(point, tag):
+    """The provenance of the extreme element named tag, "canonical" or
+    "pattern-zeros", as the exact sweep writes it."""
+    codes = point.model.codes
+    kink = (codes != PINNED) & (codes != FREE)
+    return tuple(p.provenance(tag if kb.any() else "canonical")
+                 for p, kb in zip(point.problem.pieces, point.problem.blocks(kink)))
 
+
+def _dense_sweep_oracle(point):
+    """Whether leg b fails, read from the dense svd of both extreme
+    elements, each formed in full and singular at a least singular value
+    of at most SWEEP_TOL, and from the count test, the negative counts of
+    A0 and Z1^T A0 Z1."""
+    m = point.model
+    kink = (m.codes != PINNED) & (m.codes != FREE)
+    tags = ["canonical"] + (["pattern-zeros"] if kink.any() else [])
+    svs = [_named_element(point, _extreme_provenance(point, tag)).min_singular_value()
+           for tag in tags]
+    counts = {int(np.sum(m.lam < 0.0))}
+    if kink.any():
+        counts.add(int(np.sum(np.linalg.eigvalsh(m.Z1.T @ m.A0 @ m.Z1) < 0.0)))
+    return min(svs) <= SWEEP_TOL or len(counts) > 1
+
+
+def _model_margin(point, provenance):
+    """The margin of the element named by ``provenance``, from the local
+    model: sigma_min(J_P) and min |lambda(A0)| at the canonical extreme,
+    sigma_min(G) and min |lambda(Z1^T A0 Z1)| at the pattern-zeros one (a
+    sigma_min of more rows than columns is 0), min |lambda| of the reduced
+    matrix A0 + ((1 - u) / u) G^T G at a bisection witness of weight u."""
+    m = point.model
+    n_pinned, n_kinks = np.sum(m.codes == PINNED), np.sum((m.codes != PINNED) & (m.codes != FREE))
+    tag = re.search(r"(pattern-zeros|kink-weight\((.+?)\))", " ".join(provenance))
+    if tag is None:
+        sv = 0.0 if n_pinned > m.J.shape[1] else np.min(m.svd_P[1], initial=np.inf)
+        return min(sv, np.min(np.abs(m.lam), initial=np.inf))
+    if tag.group(2) is None:
+        sv = 0.0 if n_kinks > m.Z0.shape[1] else np.min(m.sv_G, initial=np.inf)
+        return min(sv, np.min(np.abs(np.linalg.eigvalsh(m.Z1.T @ m.A0 @ m.Z1)), initial=np.inf))
+    u = float(tag.group(2))
+    return np.min(np.abs(np.linalg.eigvalsh(m.A0 + ((1.0 - u) / u) * (m.G.T @ m.G))))
+
+
+def _more_pinned_rows_than_variables():
+    """A polyhedral KKT point with n = 1 and three pinned rows: an
+    epi-lifted orthant whose scalar row balances J^T mu, and two pinned
+    coordinates of an orthant, rows 1 and 2."""
+    J = np.array([[-5.0], [0.0], [1.0], [2.0]])
+    c, mu = np.array([0.0, -1.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0, 2.0])
+    F = SmoothMap(n=1, m=4, eval=lambda x: c + J @ x, jacobian=lambda x: J,
+                  weighted_hessian_fn=lambda x, m: np.eye(1))
+    return CompositeProblem(F, [EpiSum(OrthantIndicator(1)), OrthantIndicator(2, -1)]), \
+        KKTPoint(np.zeros(1), mu)
+
+
+def test_sweep_reads_the_dense_oracle_and_reports_the_models_margin():
+    # the sampler takes every least singular value from one svd of the
+    # sampled stack, which the elements' matrices are views of.  The exact
+    # sweep forms no element: its verdict is that of the dense svd of both
+    # extremes and the count test, at every battery point, planted plant
+    # and seed-7 analyze plant and at a point with more pinned rows than
+    # variables; its margin has the bits of the local model's quantity, and
+    # a singular verdict names an element whose dense least singular value
+    # is at most SWEEP_TOL
     cases = [(name,) + load_battery(name) for name in BATTERY_NAMES] + _planted_plants()
-    verdicts = {True: set(), False: set()}
     for name, problem, meta in cases:
-        z = meta.known_solution
-        elements = sample_elements_R(problem, z, 32, 7)
+        elements = sample_elements_R(problem, meta.known_solution, 32, 7)
         svs = np.linalg.svd(elements.matrices, compute_uv=False)[:, -1]
         loop = [el.min_singular_value() for el in elements]
         assert svs.tobytes() == np.array(loop).tobytes(), name
         assert all(np.shares_memory(el.matrix, elements.matrices) for el in elements), name
-        point = AnalysisPoint(problem, z, AnalyzerOptions(seed=7))
-        named = _named_element(point, nonsingularity_sweep(problem, point).argmin_provenance)
-        want = named.min_singular_value()
-        with monkeypatch.context() as mp:
-            mp.setattr(JacobianElementR, "min_singular_value", None)
-            sweep = nonsingularity_sweep(problem, z, AnalyzerOptions(seed=7))
-        if point.polyhedral:
-            assert sweep.min_singular_value == want, name
-        else:
-            assert abs(sweep.min_singular_value - want) <= 1e-12 * np.abs(named.matrix).max(), name
+    workloads = _benchmark_workloads()
+    for name in ("analyze-nlp", "analyze-sdp"):
+        insts = workloads.generate(workloads.WORKLOADS[name], 7)
+        cases += [(problem.name, problem, meta) for problem, meta in workloads.load(insts)]
+    more_rows, z = _more_pinned_rows_than_variables()
+    cases.append(("more-rows", more_rows, SimpleNamespace(known_solution=z)))
+    assert len(cases) == 5 + 15 + 72 + 1
+    verdicts = {True: set(), False: set()}
+    for name, problem, meta in cases:
+        point = AnalysisPoint(problem, meta.known_solution, AnalyzerOptions(seed=7))
+        singular = _dense_sweep_oracle(point)
+        sweep = nonsingularity_sweep(problem, point)
+        assert (sweep.verdict == "singular-element-found") == singular, name
+        assert sweep.margin == _model_margin(point, sweep.argmin_provenance), name
+        if singular:
+            named = _named_element(point, sweep.argmin_provenance)
+            assert named.min_singular_value() <= SWEEP_TOL, name
         verdicts[point.polyhedral].add(sweep.verdict)
     assert verdicts == {True: {"singular-element-found", "all-elements-nonsingular"},
                         False: {"singular-element-found", "all-elements-nonsingular"}}
+    # more pinned rows than variables: J_P has no full row rank, and its
+    # least singular value reads 0
+    point = AnalysisPoint(more_rows, z)
+    assert np.sum(point.model.codes == PINNED) > more_rows.n
+    sweep = nonsingularity_sweep(more_rows, point)
+    assert (sweep.verdict, sweep.margin) == ("singular-element-found", 0.0)
+    assert sweep.argmin_provenance == _extreme_provenance(point, "canonical")
+
+
+# leg b at the 48 analyze-nlp and 24 analyze-sdp plants of seed 7, with the
+# benchmark's analyzer options, T where every element is nonsingular; these
+# are the verdicts the sweep read while it formed both extreme elements
+_SEED7_LEG_B = {"analyze-nlp": "TFTTTFTTTFTTTFTTTFTTTFTTTFTTTFTTTFTTTFTTTFTTTFTT",
+                "analyze-sdp": "TTTFTTTFTFTFTTTFTTTFTTTF"}
+
+
+def test_the_analyzer_forms_no_dense_element(monkeypatch):
+    # with the dense element assembly and the canonical frame's element
+    # replaced by functions that raise, every battery report and every
+    # report of the seed-7 analyze plants completes, with the leg-b verdict
+    # the sweep read while it formed elements
+    import kktstab.problem as pr
+
+    def no_element(*args, **kwargs):
+        raise AssertionError("dense element formed")
+
+    monkeypatch.setattr(pr, "_element_matrix", no_element)
+    monkeypatch.setattr(ClarkeFrame, "element", no_element)
+    for name in BATTERY_NAMES:
+        problem, meta = load_battery(name)
+        rep = equivalence_report(problem, meta.known_solution, FAST)
+        assert rep.consistency["leg_b_elements_nonsingular"] == (name != "sdp_degenerate"), name
+    workloads = _benchmark_workloads()
+    for name, want in _SEED7_LEG_B.items():
+        w = workloads.WORKLOADS[name]
+        opts = workloads.analyzer_options(w, 7)
+        got = "".join("T" if workloads.analyze(problem, meta, opts)[0].consistency[
+                          "leg_b_elements_nonsingular"] else "F"
+                      for problem, meta in workloads.load(workloads.generate(w, 7)))
+        assert got == want, name
 
 
 def _vertex_oracle(point):
@@ -376,7 +478,7 @@ def test_exact_sweep_agrees_with_the_vertex_oracle():
         weights = np.concatenate(_kink_weights(point, sweep.argmin_provenance))
         assert ((0.0 <= weights) & (weights <= 1.0)).all(), k
         sv = _named_element(point, sweep.argmin_provenance).min_singular_value()
-        assert sv == sweep.min_singular_value <= SWEEP_TOL, k
+        assert sv <= SWEEP_TOL and sweep.margin <= SWEEP_TOL, k
         bisected = any("kink-weight(" in name for name in sweep.argmin_provenance)
         seen.add("bisection witness" if bisected else "extreme witness")
         if bisected:
