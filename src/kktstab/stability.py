@@ -39,27 +39,27 @@ decides each cone once.
 
 rcq, srcq and multiplier uniqueness ask whether null(J^T) meets a cone
 only at the origin.  Every cone is read in each block's frame (the
-identity for a polyhedral block), where it pins some coordinates, bounds
+identity for a polyhedral block), where it pins some coordinates P, bounds
 some on one side and makes the rest NSD blocks, and is decided in one
-order.  A "holds" comes first and is exact: either the pinned coordinates
-are injective on null(J^T), or Gordan's alternative gives a y inside
-R_+ x PSD, orthogonal to the range of the remaining map, checked with one
-eigvalsh per block and a factor-2 margin.
+order.  Its points in null(J^T) lie in B = null(J_f[~P]^T), J_f being J
+in every block's frame: one svd per set P.  A "holds" comes first and is
+exact: either B is {0}, or Gordan's alternative gives a y inside R_+ x
+PSD, orthogonal to the range of B's one-sided and NSD rows, checked with
+one eigvalsh per block and a factor-2 margin.
 
-A cone is its frame rows and their class codes, and nothing else: the
-point's one projection onto it (per block, the codes' intervals and an
-NSD projection in the frame) serves every witness test and search.  When
-no certificate verifies and the pinned coordinates leave one line of
-null(J^T), the cone's points in null(J^T) lie on that line, so an exact
-test of its two rays decides: a ray in the cone is the "fails" point, and
-no ray is an exact "holds".  Only a kernel of two or more dimensions goes
-further.  A polyhedral (interval) cone then gets one rank test and at
-most one bounded linear program: a "fails" carries the point found, a
-"holds" a Farkas certificate from the program's duals, which one
-matrix-vector product checks, and when neither checks out the verdict is
-"heuristic-likely".  A cone with PSD blocks gets the alternating-
-projection search, which finds "fails" points or leaves
-"heuristic-likely".
+A cone is its kernel B and its class codes, and nothing else: the point's
+one projection onto it (per block, the codes' intervals and an NSD
+projection in the frame) serves every witness test and search.  When no
+certificate verifies and B is one line, the cone's points in null(J^T)
+lie on that line, so an exact test of its two rays decides: a ray in the
+cone is the "fails" point, and no ray is an exact "holds".  Only a kernel
+of two or more dimensions goes further.  A polyhedral (interval) cone
+then gets one rank test and at most one bounded linear program: a "fails"
+carries the point found, a "holds" a Farkas certificate from the
+program's duals, which one matrix-vector product checks, and when neither
+checks out the verdict is "heuristic-likely".  A cone with PSD blocks
+gets the alternating-projection search, which finds "fails" points or
+leaves "heuristic-likely".
 """
 
 from __future__ import annotations
@@ -310,10 +310,10 @@ class AnalysisPoint:
     multiplier-uniqueness candidates (only mu moves) and the
     linearization of both probes.  It keeps the block pairs
     (piece, F(x)_b, mu_b).  The weighted Hessian, the block structures
-    (whose class codes give the cones), the local model with its two
-    kernels, null(J^T) and each cone's decision are computed on first use
-    and kept, so the checks that share one point compute each of them
-    once, and a report calls F, J and the weighted Hessian once each."""
+    (whose class codes give the cones), J_f, the local model, and each
+    cone's kernel and decision are computed on first use and kept, so the
+    checks that share one point compute each of them once, and a report
+    calls F, J and the weighted Hessian once each."""
 
     def __init__(self, problem: CompositeProblem, z, opts: AnalyzerOptions | None = None,
                  *, _kkt_test: bool = True):
@@ -335,6 +335,7 @@ class AnalysisPoint:
                     f"fixed point {rep.fixed_point_norm:.3e})")
         self.pairs = list(zip(problem.pieces, problem.blocks(self.Fbar), problem.blocks(pt.mu)))
         self._searches: dict[str, tuple[list[np.ndarray], str]] = {}
+        self._kernels: dict[bytes, np.ndarray] = {}
 
     def kkt_test(self, mu: np.ndarray) -> KKTReport:
         """``kkt_check`` at (x, mu) for this point's x, at ``opts.tol``, from
@@ -364,6 +365,11 @@ class AnalysisPoint:
         return self.problem.F.weighted_hessian(self.kkt.x, self.kkt.mu)
 
     @functools.cached_property
+    def J_f(self) -> np.ndarray:
+        """J in every block's frame; its left kernel is null(J^T) there."""
+        return self.coords(self.J.T).T
+
+    @functools.cached_property
     def model(self) -> LocalModel:
         """The local model of every leg, in every block's frame: J, H with
         the curvature weights folded in, the critical codes (the one BLOCK
@@ -373,7 +379,7 @@ class AnalysisPoint:
         codes = np.concatenate([np.where(c == BLOCK, UP, c) if np.sum(c == BLOCK) == 1 else c
                                 for c in (st.critical for st in self.structures)])
         weight = np.concatenate([st.weight for st in self.structures])
-        J, on = self.coords(self.J.T).T, weight > 0.0
+        J, on = self.J_f, weight > 0.0
         H = self.hessian + _gram(J[on].T, weight[on]) if on.any() else self.hessian
         pinned = codes == PINNED
         Z0, svd_P = _kernel_svd(J[pinned], self.opts.tol)
@@ -397,21 +403,22 @@ class AnalysisPoint:
                                for st, Wb in zip(self.structures, self.problem.blocks(W))],
                               axis=-1)
 
-    @functools.cached_property
-    def adjoint_nullspace(self) -> np.ndarray:
-        return nullspace(self.J.T, self.opts.tol)
-
-    def _frame_rows(self, cone_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W, codes, groups): the rows W = frame^T N of null(J^T) in every
-        block's frame coordinates, each row's class code in the named cone,
-        and the index of the block it belongs to."""
-        N = self.adjoint_nullspace
-        W = np.vstack([st.coords(Nb.T) for st, Nb in zip(self.structures,
-                                                        self.problem.blocks(N.T))])
+    def cone_kernel(self, cone_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(B, codes, groups): each frame row's class code in the named
+        cone and its block's index, and the orthonormal B = null(J_f[~P]^T)
+        at ``opts.tol`` on the rows outside the PINNED rows P and 0 on P:
+        the points of null(J^T) that are 0 on P, in frame coordinates,
+        computed once per P."""
         codes = np.concatenate([_CONE_CODES[cone_name](st) for st in self.structures])
         groups = np.repeat(np.arange(len(self.structures)),
                            [st.critical.size for st in self.structures])
-        return W, codes, groups
+        free = codes != PINNED
+        key = free.tobytes()
+        if key not in self._kernels:
+            K = nullspace(self.J_f[free].T, self.opts.tol)
+            B = self._kernels[key] = np.zeros((free.size, K.shape[1]))
+            B[free] = K
+        return self._kernels[key], codes, groups
 
     def project(self, cone_name: str, V: np.ndarray) -> np.ndarray:
         """The projection of a vector, or of each row of a stack (..., m),
@@ -437,29 +444,26 @@ class AnalysisPoint:
         status they support: 'fails' when one was found, else 'holds' or
         'heuristic-likely'.
 
-        Every cone is decided once per point, in one order: an empty
-        null(J^T), then ``_gordan_certificate`` on the frame rows, each an
-        exact 'holds'.  When no certificate verifies and the kernel T of the
-        PINNED rows is one line, ``_ray_decision`` decides exactly both
-        ways.  Only a T of two or more columns goes to
-        ``_lp_nonzero_points`` (interval cones) or to ``opts.srcq_budget``
-        alternating-projection restarts drawn from ``opts.seed`` (cones with
-        PSD blocks), every test at ``opts.tol``."""
+        Every cone is decided once per point, in one order, on its kernel
+        B (``cone_kernel``): an empty B, then ``_gordan_certificate``, each
+        an exact 'holds'.  When no certificate verifies and B is one line,
+        ``_ray_decision`` decides exactly both ways.  Only a B of two or
+        more columns goes, as vectors, to ``_lp_nonzero_points`` (interval
+        cones) or to ``opts.srcq_budget`` alternating-projection restarts
+        drawn from ``opts.seed`` (cones with PSD blocks), every test at
+        ``opts.tol``."""
         if cone_name not in self._searches:
             self._searches[cone_name] = self._decide(cone_name)
         return self._searches[cone_name]
 
     def _decide(self, cone_name: str) -> tuple[list[np.ndarray], str]:
-        N, opts = self.adjoint_nullspace, self.opts
-        if not N.shape[1]:
+        B, codes, groups = self.cone_kernel(cone_name)
+        if _gordan_certificate(B, codes, groups):
             return [], "holds"
-        W, codes, groups = self._frame_rows(cone_name)
-        T = nullspace(W[codes == PINNED], opts.tol)
-        if _gordan_certificate(W, codes, groups, T):
-            return [], "holds"
-        project = functools.partial(self.project, cone_name)
-        if T.shape[1] == 1:
-            return _ray_decision(N @ T, project, opts.tol)
+        project, opts = functools.partial(self.project, cone_name), self.opts
+        N = self.vectors(B.T).T
+        if N.shape[1] == 1:
+            return _ray_decision(N, project, opts.tol)
         if self.polyhedral:
             return _lp_nonzero_points(N, codes, project, opts.tol)[:2]
         found = _ap_nonzero_points(N @ N.T, project, opts.srcq_budget, opts.tol,
@@ -549,8 +553,8 @@ def _lp_nonzero_points(N: np.ndarray, codes: np.ndarray, project, tol: float) ->
     """Exact search for a nonzero point of span(N) inside an interval cone,
     with the class code of each row in ``codes`` and its projection
     ``project``, by one rank test and at most one linear program.
-    ``cone_search`` calls it only for a cone that ``_gordan_certificate``
-    does not certify and whose PINNED rows leave two or more dimensions.
+    ``cone_search`` calls it only for a cone kernel N of two or more
+    columns, 0 on the PINNED rows, that ``_gordan_certificate`` leaves.
 
     N has orthonormal columns, so t != 0 gives a nonzero point N t of the
     coefficient cone C = {t : E t = 0, G t <= 0}, with E the PINNED rows
@@ -601,29 +605,27 @@ def _lp_nonzero_points(N: np.ndarray, codes: np.ndarray, project, tol: float) ->
     return LPSearch([], "heuristic-likely")
 
 
-def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray,
-                        T: np.ndarray) -> bool:
-    """Whether t = 0 is the only t with W t in the cone, proved exactly;
-    False when no proof verifies.  W has orthonormal columns; row i is a
-    frame coordinate with class code codes[i], and the BLOCK rows of each
-    group, in row order, are the svec coordinates of one NSD block.  T is
-    an orthonormal basis of the kernel of the PINNED rows.
+def _gordan_certificate(B: np.ndarray, codes: np.ndarray, groups: np.ndarray) -> bool:
+    """Whether s = 0 is the only s with B s in the cone, proved exactly;
+    False when no proof verifies.  B has orthonormal columns and 0 on the
+    PINNED rows; row i is a frame coordinate with class code codes[i], and
+    the BLOCK rows of each group, in row order, are the svec coordinates
+    of one NSD block.
 
-    When the PINNED rows are injective (T has no column), they alone force
-    t = 0.  Otherwise t = T s, and the cone is {s : A s in K} with
-    K = R_+^g x (PSD blocks): A holds the UP rows, the negated DOWN rows
-    and the negated BLOCK rows, times T.  A kernel of A leaves the question
-    open.  For injective A, Gordan's alternative says the cone is {0} iff
-    some y in the interior of K has A^T y = 0; the candidate is the
-    projection of (1, ..., 1, svec(I) per block) onto range(A)^perp, and
-    ``_gordan_verifies`` checks it.
+    When B has no column, the cone meets span(B) only at 0.  Otherwise the
+    cone is {s : A s in K} with K = R_+^g x (PSD blocks): A holds the UP
+    rows, the negated DOWN rows and the negated BLOCK rows of B.  A kernel
+    of A leaves the question open.  For injective A, Gordan's alternative
+    says the cone is {0} iff some y in the interior of K has A^T y = 0;
+    the candidate is the projection of (1, ..., 1, svec(I) per block) onto
+    range(A)^perp, and ``_gordan_verifies`` checks it.
     """
-    if T.shape[1] == 0:
+    if B.shape[1] == 0:
         return True
     half = np.flatnonzero((codes == UP) | (codes == DOWN))
     block = np.flatnonzero(codes == BLOCK)
     rows = np.concatenate([half, block])
-    A = np.where(codes[rows] == UP, 1.0, -1.0)[:, None] * W[rows] @ T
+    A = np.where(codes[rows] == UP, 1.0, -1.0)[:, None] * B[rows]
     if A.shape[0] < A.shape[1]:
         return False
     U, sv, _ = np.linalg.svd(A, full_matrices=False)
@@ -634,13 +636,13 @@ def _gordan_certificate(W: np.ndarray, codes: np.ndarray, groups: np.ndarray,
     return _gordan_verifies(A, sv[-1], y - U @ (U.T @ y), sizes)
 
 
-def _ray_decision(NT: np.ndarray, project, tol: float) -> tuple[list[np.ndarray], str]:
-    """([v], 'fails') for the first of v = N T[:, 0] and -v that passes
-    ``_in_cone``, else ([], 'holds'), for NT = N T of one column.  T spans
-    the kernel of the PINNED rows, so every point of span(N) in the cone
-    lies on the line of N T: its two rays are the only candidates, and
-    their exact test decides the cone both ways."""
-    for v in (NT[:, 0], -NT[:, 0]):
+def _ray_decision(N: np.ndarray, project, tol: float) -> tuple[list[np.ndarray], str]:
+    """([v], 'fails') for the first of v = N[:, 0] and -v that passes
+    ``_in_cone``, else ([], 'holds'), for N of one column.  N spans every
+    point of null(J^T) that is 0 on the cone's PINNED rows, so every point
+    of null(J^T) in the cone lies on its line: its two rays are the only
+    candidates, and their exact test decides the cone both ways."""
+    for v in (N[:, 0], -N[:, 0]):
         if _in_cone(project, v, tol):
             return [v], "fails"
     return [], "holds"
@@ -722,7 +724,7 @@ def srcq_check(problem: CompositeProblem, zbar,
     """Strict constraint qualification via the polar test: the null space
     of the adjoint Jacobian must meet the polar of the critical direction
     set only at the origin, decided by ``AnalysisPoint.cone_search``.  A
-    "holds" is exact: from the rank test or Gordan certificate of
+    "holds" is exact: from an empty cone kernel or the certificate of
     ``_gordan_certificate`` (factor-2 margin), tried first on every cone,
     from the ray test of a one-line kernel, or from the Farkas certificate
     of an interval cone's linear program.  Only a cone with PSD blocks and

@@ -26,7 +26,7 @@ from kktstab.pieces import (
     LinearOperatorElement,
     dedup_elements,
 )
-from kktstab.stability import AnalysisPoint
+from kktstab.stability import AnalysisPoint, nullspace
 from kktstab.symmat import SQRT2, coupling
 from kktstab.verify import piece_battery
 from test_symmat import conjugation_matrix_loop, svec_loop
@@ -353,19 +353,22 @@ def test_psd_cone_descriptor_bases_match_loop_oracle():
         assert np.max(np.abs(desc.lineality_basis - lin), initial=0.0) <= 1e-12, case
 
 
-def cone_point(structures, N=None):
-    """An analysis point whose blocks have the given structures, and whose
-    null(J^T) is span(N) when N is given: the point (0, 0) of a zero map
-    on L1Norm blocks of the structures' sizes, with no KKT test,
-    with its cached structures (and kernel) replaced."""
+def cone_point(structures, N=None, opts=None):
+    """An analysis point under opts whose blocks have the given
+    structures: the point (0, 0) of a linear map x -> J x on L1Norm blocks
+    of the structures' sizes, with no KKT test and with its cached
+    structures replaced.  J is 0 (one column), so null(J^T) is everything,
+    or, when N is given, an orthonormal basis of span(N)^perp, so null(J^T)
+    is span(N) and the point decides each cone on it."""
     dims = [st.critical.size for st in structures]
     m = sum(dims)
-    F = SmoothMap(n=1, m=m, eval=lambda x: np.zeros(m), jacobian=lambda x: np.zeros((m, 1)))
-    point = AnalysisPoint(CompositeProblem(F, [L1Norm(d) for d in dims]), np.zeros(1 + m),
-                          _kkt_test=False)
+    J = np.zeros((m, 1)) if N is None else nullspace(N.T)
+    if not J.shape[1]:
+        J = np.zeros((m, 1))
+    F = SmoothMap(n=J.shape[1], m=m, eval=lambda x: J @ x, jacobian=lambda x: J)
+    point = AnalysisPoint(CompositeProblem(F, [L1Norm(d) for d in dims]),
+                          np.zeros(J.shape[1] + m), opts, _kkt_test=False)
     point.structures = structures
-    if N is not None:
-        point.adjoint_nullspace = N
     return point
 
 

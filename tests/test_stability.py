@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -1180,8 +1181,8 @@ def test_equivalence_report_checks_one_point_and_shares_each_cone_decision(monke
                         or kkt(p, z, tol, **parts))
     gordan = st._gordan_certificate
 
-    def certificate(W, codes, groups, T):
-        certificates.append((codes.tobytes(), gordan(W, codes, groups, T)))
+    def certificate(B, codes, groups):
+        certificates.append((codes.tobytes(), gordan(B, codes, groups)))
         return certificates[-1][1]
 
     monkeypatch.setattr(st, "_gordan_certificate", certificate)
@@ -1681,17 +1682,51 @@ def _assert_certified(N, codes, search, tol=1e-8, exact_duals=True):
         raise AssertionError(f"uncertified search: {search}")
 
 
-def _battery_cone_cases():
-    """(N, codes) of the interval cones of the battery points and of every
-    KINK_CASES point: null(J^T) and each row's class code."""
+def _battery_and_kink_points():
+    """The analysis points of the five battery instances and of every
+    KINK_CASES point, at the default options."""
     points = [AnalysisPoint(problem, meta.known_solution) for problem, meta in
               map(load_battery, ("nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
                                  "smooth_toy"))]
-    points += [AnalysisPoint(*_kink_instance(piece, a, c, mu))
-               for piece, a, cases in KINK_CASES for c, mu in cases]
-    return [(point.adjoint_nullspace, point._frame_rows(name)[1])
-            for point in points if point.polyhedral
-            for name in ("critical_polar_cone", "domain_normal_cone")]
+    return points + [AnalysisPoint(*_kink_instance(piece, a, c, mu))
+                     for piece, a, cases in KINK_CASES for c, mu in cases]
+
+
+def _battery_cone_cases():
+    """(N, codes) of the interval cones of the battery points and of every
+    KINK_CASES point: null(J^T) and each row's class code, from the
+    two-svd oracle."""
+    cones = [_two_svd_cone(point, name) for point in _battery_and_kink_points()
+             if point.polyhedral for name in ("critical_polar_cone", "domain_normal_cone")]
+    return [(cone.N, cone.codes) for cone in cones]
+
+
+class TwoSvdCone(NamedTuple):
+    """A cone's kernels as two svds give them: N = null(J^T) at the point's
+    tol, W its rows in every block's frame, each row's class code and block
+    index, and T = null(W_P) for the PINNED rows P at the same tol.  W T
+    spans the part of null(J^T) in frame coordinates that is 0 on P, the
+    span that ``AnalysisPoint.cone_kernel`` reads from one svd of J_f[~P]."""
+
+    N: np.ndarray
+    W: np.ndarray
+    codes: np.ndarray
+    groups: np.ndarray
+    T: np.ndarray
+
+
+def _two_svd_cone(point, name):
+    """The TwoSvdCone of the named cone at an analysis point."""
+    from kktstab.stability import _CONE_CODES
+
+    tol = point.opts.tol
+    N = nullspace(point.J.T, tol)
+    W = np.vstack([st.coords(Nb.T) for st, Nb in zip(point.structures,
+                                                    point.problem.blocks(N.T))])
+    codes = np.concatenate([_CONE_CODES[name](st) for st in point.structures])
+    groups = np.repeat(np.arange(len(point.structures)),
+                       [st.critical.size for st in point.structures])
+    return TwoSvdCone(N, W, codes, groups, nullspace(W[codes == PINNED], tol))
 
 
 def test_one_lp_cone_test_agrees_with_the_coordinate_lps_and_is_certified(monkeypatch):
@@ -1780,12 +1815,12 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
     # with the certificate refused, both cones of a three-coordinate orthant
     # kink reach the linear program: they pin no row, so a plane of
     # null(J^T) is left, too much for the ray test
-    monkeypatch.setattr(st, "_gordan_certificate", lambda W, codes, groups, T: False)
+    monkeypatch.setattr(st, "_gordan_certificate", lambda B, codes, groups: False)
     problem, pt = _kink_instance(OrthantIndicator(3, -1), [1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3)
     point = AnalysisPoint(problem, pt)
     for name in ("critical_polar_cone", "domain_normal_cone"):
-        W, codes, _ = point._frame_rows(name)
-        assert nullspace(W[codes == PINNED]).shape[1] == 2
+        assert _two_svd_cone(point, name).T.shape[1] == 2
+        assert point.cone_kernel(name)[0].shape[1] == 2
     for check in (rcq_check, srcq_check):
         v = check(problem, point)
         assert (v.status, v.detail) == (
@@ -1794,10 +1829,10 @@ def test_an_uncertified_polyhedral_search_reads_heuristic_likely(monkeypatch):
 
 
 def _certificate(W, codes, groups):
-    """``_gordan_certificate`` with the kernel of the PINNED rows."""
+    """``_gordan_certificate`` on W T, for T the kernel of W's PINNED rows."""
     from kktstab.stability import _gordan_certificate
 
-    return _gordan_certificate(W, codes, groups, nullspace(W[codes == PINNED]))
+    return _gordan_certificate(W @ nullspace(W[codes == PINNED]), codes, groups)
 
 
 def test_gordan_certificate_never_certifies_an_interval_cone_with_a_point():
@@ -1817,8 +1852,7 @@ def test_gordan_certificate_never_certifies_an_interval_cone_with_a_point():
         for c, mu in points:
             point = AnalysisPoint(*_kink_instance(piece, a, c, mu))
             for name in ("critical_polar_cone", "domain_normal_cone"):
-                N = point.adjoint_nullspace
-                W, codes, _ = point._frame_rows(name)
+                N, W, codes, _, _ = _two_svd_cone(point, name)
                 assert np.array_equal(W, N)
                 v = rng.standard_normal(N.shape[0])
                 assert np.array_equal(point.project(name, v),
@@ -1846,8 +1880,8 @@ def _random_frame_structures(rng):
 
 def _frame_cone(structures):
     """The projection onto the product of the structures' domain normal
-    cones, and the map N -> (W, codes, groups) that
-    ``AnalysisPoint._frame_rows`` gives."""
+    cones, and the map N -> (W, codes, groups) of the two-svd oracle
+    ``_two_svd_cone``."""
     cuts = np.cumsum([st.normal.size for st in structures])
 
     def rows(N):
@@ -1890,9 +1924,14 @@ def test_gordan_certificate_never_certifies_a_planted_point_or_an_ap_witness():
         N, _ = np.linalg.qr(cols)
         W, codes, groups = rows(N)
         certified = _certificate(W, codes, groups)
+        # an analysis point whose null(J^T) is span(N) decides the same cone
+        # from its own kernel
+        status = cone_point(structures, N, AnalyzerOptions(srcq_budget=20)).cone_search(
+            "domain_normal_cone")[1]
         if planted:
-            assert not certified, case
+            assert not certified and status != "holds", case
         elif certified:
+            assert status == "holds", case
             assert not _ap_nonzero_points(N @ N.T, project, 1000, 1e-8,
                                           np.random.default_rng(case)), case
         pinned_rank = nullspace(W[codes == PINNED]).shape[1] == 0
@@ -1984,6 +2023,7 @@ def test_ray_witness_finds_the_one_ray_of_a_single_line_intersection():
         T = nullspace(W[codes == PINNED])
         assert T.shape[1] == 1, case
         found, status = _ray_decision(N @ T, project, 1e-8)
+        assert cone_point(structures, N).cone_search("domain_normal_cone")[1] == status, case
         if planted:
             assert not _certificate(W, codes, groups), case
             assert status == "fails"
@@ -2041,8 +2081,8 @@ def test_the_ray_decision_of_a_one_line_kernel_is_exact(monkeypatch):
     monkeypatch.setattr(st, "linprog", no_lp)
     problem, meta = _analyze_nlp_plants(8)[13]
     point = AnalysisPoint(problem, meta.known_solution)
-    W, codes, groups = point._frame_rows("domain_normal_cone")
-    assert nullspace(W[codes == PINNED]).shape[1] == 1
+    _, W, codes, groups, T = _two_svd_cone(point, "domain_normal_cone")
+    assert T.shape[1] == 1 and point.cone_kernel("domain_normal_cone")[0].shape[1] == 1
     assert not _certificate(W, codes, groups)
     v = rcq_check(problem, point)
     assert (v.status, v.detail) == ("holds", "normal-cone intersection is trivial (exact)")
@@ -2272,6 +2312,125 @@ def test_leg_c_equals_leg_b_on_order_30_pencils(monkeypatch, rng_seed, na, nb, n
     probe = strong_regularity_probe(problem, point)
     assert probe.failures == 0
     assert _leg_c(probe) == leg_b == plant.strongly_regular == nondegenerate
+
+
+@functools.cache
+def _north_star_plants():
+    """(problem, meta, plant, opts) of the planted order-30 PSD pencils
+    with |beta| = 1, 2 and 3, each strongly regular and failing
+    nondegeneracy, and of both 100-block polyhedral plants, under the
+    benchmark's analyzer options of seed 7."""
+    workloads = _benchmark_workloads()
+    plants = [(workloads.planted.psd_pencil(np.random.default_rng(rng_seed), 30, na, nb, nd,
+                                            True), "analyze-sdp")
+              for rng_seed, na, nb in ((5, 14, 1), (5, 14, 2), (6, 13, 3))
+              for nd in (True, False)]
+    plants += [(workloads.planted.polyhedral(np.random.default_rng(seed), 250, 100, nd, True),
+                "analyze-nlp") for seed, nd in ((100, True), (101, False))]
+    return [(*instance_from_dict(data), plant,
+             workloads.analyzer_options(workloads.WORKLOADS[name], 7))
+            for (data, plant), name in plants]
+
+
+def _two_svd_decision(point, name):
+    """The named cone's status as the analyzer decided it from the two-svd
+    oracle ``_two_svd_cone``, in the order of ``AnalysisPoint.cone_search``:
+    an empty N, the certificate on W T, the rays of a one-column T, then
+    the linear program or the alternating projections on span(N)."""
+    import kktstab.stability as st
+
+    N, W, codes, groups, T = _two_svd_cone(point, name)
+    opts = point.opts
+    if not N.shape[1] or st._gordan_certificate(W @ T, codes, groups):
+        return "holds"
+    project = functools.partial(point.project, name)
+    if T.shape[1] == 1:
+        return st._ray_decision(N @ T, project, opts.tol)[1]
+    if point.polyhedral:
+        return st._lp_nonzero_points(N, codes, project, opts.tol).status
+    found = st._ap_nonzero_points(N @ N.T, project, opts.srcq_budget, opts.tol,
+                                  np.random.default_rng(opts.seed))
+    return "fails" if found else "heuristic-likely"
+
+
+def test_each_cone_kernel_spans_the_two_svd_oracles_kernel():
+    # B = null(J_f[~P]^T), one svd, against W T from the svd of J^T and the
+    # kernel T of the PINNED frame rows W_P: the same dimension, the same
+    # span, and the same decision of the cone, on both cones of the battery
+    # and kink points, the 72 seed-7 analyze plants and the north-star plants
+    workloads = _benchmark_workloads()
+    points = _battery_and_kink_points()
+    for name in ("analyze-nlp", "analyze-sdp"):
+        w = workloads.WORKLOADS[name]
+        opts = workloads.analyzer_options(w, 7)
+        points += [AnalysisPoint(problem, meta.known_solution, opts)
+                   for problem, meta in workloads.load(workloads.generate(w, 7))]
+    points += [AnalysisPoint(problem, meta.known_solution, opts)
+               for problem, meta, _, opts in _north_star_plants()]
+    # a three-coordinate orthant kink, whose cones pin no row: a plane of
+    # null(J^T), decided by the linear program
+    points.append(AnalysisPoint(*_kink_instance(OrthantIndicator(3, -1), [1.0, 1.0, 1.0],
+                                                [0.0] * 3, [0.0] * 3)))
+    assert len(points) == 5 + 13 + 72 + 8 + 1
+    seen = set()
+    for point in points:
+        for name in ("critical_polar_cone", "domain_normal_cone"):
+            cone = _two_svd_cone(point, name)
+            B, codes, groups = point.cone_kernel(name)
+            assert np.array_equal(codes, cone.codes) and np.array_equal(groups, cone.groups)
+            assert B.shape == (point.problem.m, cone.T.shape[1]), point.problem.name
+            assert not B[codes == PINNED].any()
+            assert np.abs(B.T @ B - np.eye(B.shape[1])).max(initial=0.0) <= 1e-12
+            assert mutual_span_residual(B, cone.W @ cone.T) <= 1e-8, point.problem.name
+            status = point.cone_search(name)[1]
+            assert status == _two_svd_decision(point, name), (point.problem.name, name)
+            seen.add((point.polyhedral, min(B.shape[1], 2), status))
+    # empty, one-line and wider kernels, decided every way at both kinds of point
+    assert seen == {(True, 0, "holds"), (True, 1, "holds"), (True, 1, "fails"), (True, 2, "holds"),
+                    (False, 0, "holds"), (False, 1, "holds"), (False, 1, "fails"),
+                    (False, 2, "holds"), (False, 2, "fails")}
+
+
+def test_the_north_star_reports_run_no_svd_of_j_transpose(monkeypatch):
+    # every np.linalg.svd operand of the reports of the order-30 pencils and
+    # of the 100-block plants: none has m rows or m columns, as J^T (n x m)
+    # did, and both cones of a PSD plant pin the same rows, so its report
+    # runs one cone-kernel svd, of J_f[~P]^T (n x |~P|); leg b keeps the
+    # planted label
+    from kktstab.stability import _CONE_CODES
+
+    shapes = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: shapes.append(np.shape(a)) or real(a, *args, **kw))
+    for problem, meta, plant, opts in _north_star_plants():
+        shapes.clear()
+        point = AnalysisPoint(problem, meta.known_solution, opts)
+        rep = equivalence_report(problem, point)
+        assert rep.consistency["leg_b_elements_nonsingular"] == plant.strongly_regular
+        assert shapes and all(problem.m not in shape for shape in shapes), (problem.name, shapes)
+        widths = {int(np.sum(np.concatenate([_CONE_CODES[name](st) for st in point.structures])
+                             != PINNED)) for name in ("critical_polar_cone", "domain_normal_cone")}
+        if not point.polyhedral:
+            assert len(widths) == 1 and shapes.count((problem.n, *widths)) == 1, shapes
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_cone_verdicts_of_analyze_nlp_plants_survive_sub_tolerance_moves(seed):
+    # every analyze-nlp plant: the cone kernels are read at the analysis tol
+    # from J_f on the rows a cone does not pin, whose scale is J's, so a
+    # move of 1e-11 or 1e-9 changes no rcq, srcq or uniqueness verdict, nor
+    # nondegeneracy, ssosc or the critical subspace
+    workloads = _benchmark_workloads()
+    opts = workloads.analyzer_options(workloads.WORKLOADS["analyze-nlp"], seed)
+    for k, (problem, meta) in enumerate(_analyze_nlp_plants(seed)):
+        z = meta.known_solution.stacked()
+        want = _cone_verdicts(problem, z, opts)
+        for scale in (1e-11, 1e-9):
+            for r in range(2):
+                u = np.random.default_rng([seed, k, r]).standard_normal(z.size)
+                got = _cone_verdicts(problem, z + scale * u / np.linalg.norm(u), opts)
+                assert got == want, (k, scale, r)
 
 
 def test_b_derivative_solutions_are_the_newton_solutions_to_first_order(monkeypatch):
