@@ -18,8 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .instances import InstanceFormatError, load_instance
-from .newton import (InsufficientTraceError, NewtonError, NewtonOptions, check_integer,
-                     local_rate)
+from .newton import InsufficientTraceError, NewtonError, NewtonOptions, local_rate
 from .problem import DimensionError, residual
 from .reports import emit_report
 from .symmat import EigenDecompositionError
@@ -82,10 +81,6 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--at", type=str, default=None,
                       help="comma separated n+m point; defaults to the "
                            "instance's known solution")
-    p_an.add_argument("--samples", type=int, default=32,
-                      help="kept for compatibility; it no longer changes the "
-                           "analysis, since the element sweep is exact at every "
-                           "point and samples no element")
     p_an.add_argument("--seed", type=int, default=None)
     p_an.add_argument("--tol", type=float, default=1e-8)
     p_an.add_argument("--num-delta", type=int, default=50)
@@ -176,10 +171,8 @@ def _cmd_solve(args) -> int:
 def _cmd_analyze(args) -> int:
     problem, meta = load_instance(args.instance)
     point = _analysis_point(problem, meta, args.at)
-    # AnalyzerOptions would name the field count, not the option
-    check_integer("--samples", args.samples, 1)
-    opts = AnalyzerOptions(count=args.samples, seed=args.seed, tol=args.tol,
-                           num_delta=args.num_delta, radius=args.radius)
+    opts = AnalyzerOptions(seed=args.seed, tol=args.tol, num_delta=args.num_delta,
+                           radius=args.radius)
     report = equivalence_report(problem, point, opts)
     print(f"instance {meta.name}")
     print(f"  rcq            : {report.rcq.status} ({report.rcq.detail})")

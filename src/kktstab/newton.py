@@ -10,13 +10,11 @@ through a solve against a fixed unit probe vector (in the frames'
 coordinates for a framed element); only an element whose bound is small,
 or that follows a singular one, gets an exact svd of its dense matrix,
 which only then is formed for a framed element, and a singular one takes
-a ridge-regularized least-squares step.  The svd and the ridge Gram
-matrix are kept for the next iteration, since consecutive iterates often
-hold the same element.  Steps are globalized by Armijo backtracking on
-half the squared residual norm, in rounds that try several step lengths
-of the backtracking sequence at once: round 0 runs from the full step
-down to the length that the previous iteration took, and each later
-round tries twice as many of the next lengths as its round before.
+a ridge-regularized least-squares step.  Steps are globalized by Armijo
+backtracking on half the squared residual norm: the step lengths 1, f,
+f**2, ... are tried in order, one residual call each, and the first that
+passes is taken.  The driver keeps nothing from one iteration to the next
+but the iterate, its residual and the previous element's sigma_min.
 """
 
 from __future__ import annotations
@@ -89,11 +87,6 @@ class InsufficientTraceError(ValueError):
     """The trace is too short for rate classification."""
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each pair of rows, with the bits of np.dot on one pair."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 RIDGE_SV = 1e-10  # an element with sigma_min below this takes a ridge step
 SCREEN_SV = 1e-6  # an element whose bound on sigma_min falls below this gets an svd
 
@@ -138,8 +131,8 @@ class DenseElement:
         return self.matrix @ s
 
 
-def _newton_step(E, r: np.ndarray, rr: float, floor: float, was_singular: bool,
-                 known: dict) -> tuple[np.ndarray, float, dict]:
+def _newton_step(E, r: np.ndarray, rr: float, floor: float,
+                 was_singular: bool) -> tuple[np.ndarray, float]:
     """The Newton step ``E s = -r``, screened for a near singular element.
 
     ``E.step`` screens the element, except after a singular one
@@ -147,71 +140,32 @@ def _newton_step(E, r: np.ndarray, rr: float, floor: float, was_singular: bool,
     SCREEN_SV (which includes a solve that raised or is not finite) gets
     the exact sigma_min of the dense element: below RIDGE_SV the step is
     the ridge-regularized least-squares one, else the screened step, solved
-    again by LU only if that raised, is not finite or was skipped.
-
-    ``known`` holds the previous iteration's svd result, keyed by its
-    element's bytes: (sigma_min, the ridge Gram matrix ``E^T E + tau I`` or
-    None); an svd that raises ends the solve.  Returns
-    the step, the exact sigma_min where the svd ran and the bound elsewhere
-    (so always exact below SCREEN_SV), and this iteration's svd result.
+    again by LU only if that raised, is not finite or was skipped.  An svd
+    that raises ends the solve.  Returns the step and the exact sigma_min
+    where the svd ran, the bound elsewhere (so always exact below
+    SCREEN_SV).
     """
     if was_singular:  # a bound of 0 sends the element to the svd
         s, bound = np.full(r.size, np.nan), 0.0
     else:
         s, bound = E.step(r, rr, _probe_vector)
     if bound >= SCREEN_SV:  # a non-finite step makes the bound 0 or NaN
-        return s, bound, {}
+        return s, bound
     M = E.dense()
-    key = M.tobytes()
-    if key in known:
-        bound, gram = known[key]
-    else:
-        sv = np.linalg.svd(M, compute_uv=False)
-        bound, gram = float(sv[-1]), None
-        if bound < RIDGE_SV:
-            # ridge-regularized least squares keeps the iteration alive in
-            # degenerate regions; the analyzer reports the degeneracy itself
-            tau = max(floor, 1e-10 * float(sv[0]))
-            gram = M.T @ M + tau * np.eye(r.size)
-    if gram is not None:
-        s = np.linalg.solve(gram, -M.T @ r)
+    sv = np.linalg.svd(M, compute_uv=False)
+    bound = float(sv[-1])
+    if bound < RIDGE_SV:
+        # ridge-regularized least squares keeps the iteration alive in
+        # degenerate regions; the analyzer reports the degeneracy itself
+        tau = max(floor, 1e-10 * float(sv[0]))
+        s = np.linalg.solve(M.T @ M + tau * np.eye(r.size), -M.T @ r)
     elif not np.isfinite(s).all():
         s = np.linalg.solve(M, -r)
-    return s, bound, {key: (bound, gram)}
-
-
-def _step_lengths(lengths: list[float], k: int, opts: NewtonOptions) -> list[float]:
-    """The step lengths 1, f, f**2, ... (``alpha *= f`` for the backtrack
-    factor f), extended in place to k of them, or to the last one not below
-    ``min_step``."""
-    while len(lengths) < k and lengths[-1] * opts.backtrack_factor >= opts.min_step:
-        lengths.append(lengths[-1] * opts.backtrack_factor)
-    return lengths
-
-
-def _first_pass(residual: Callable, trials: np.ndarray,
-                bound: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """The index and residual of the first trial, in order, whose half
-    squared residual norm is at most its bound, or None.  The trials run
-    in one residual call; when that raises, one at a time up to the first
-    that passes, or raises."""
-    try:
-        R = residual(trials)
-    except Exception:  # any error of the callback, raised again by the retry
-        if len(trials) == 1:
-            raise
-        for i in range(len(trials)):
-            r = residual(trials[i:i + 1])
-            if 0.5 * _rowdot(r, r)[0] <= bound[i]:
-                return i, r[0]
-        return None
-    passed = np.flatnonzero(0.5 * _rowdot(R, R) <= bound)
-    return (int(passed[0]), R[passed[0]]) if passed.size else None
+    return s, bound
 
 
 def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
-                     opts: NewtonOptions | None = None, *,
-                     stacked: bool = False) -> tuple[np.ndarray, NewtonTrace]:
+                     opts: NewtonOptions | None = None) -> tuple[np.ndarray, NewtonTrace]:
     """Drive z to a zero of the residual map.
 
     Parameters
@@ -221,43 +175,29 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
     element : callable
         Maps a point to one generalized-derivative element of the
         residual: a dense matrix, or an object with the operations of
-        :class:`DenseElement`.
+        :class:`DenseElement`.  It is called only at the point of the last
+        residual call.
     z0 : ndarray
         Finite starting point.
-    stacked : bool
-        When true, ``residual`` maps a stack of points (k, N) to their
-        residuals (k, N), so that each line-search round evaluates its
-        trials in one call.
 
     Each iteration makes one element call and one screen of the element
     (for a dense matrix, one LU solve of the step and of a fixed probe
     vector); only an element whose bound on sigma_min falls below
-    SCREEN_SV, or that follows a singular one, gets an svd, and the same
-    element, bit for bit, in two consecutive iterations shares it (see
+    SCREEN_SV, or that follows a singular one, gets an svd (see
     :func:`_newton_step`).  The line search backtracks on half the squared
-    residual norm in rounds of the step lengths 1, f, f**2, ...
-    (``alpha *= backtrack_factor``, cut at ``min_step``): round 0 tries
-    every length from 1 down to the one the previous iteration took (only
-    1 in the first), and each later round twice as many of the next
-    lengths as its round before, in one residual call.  The iteration
-    takes the round's first trial, in order, that passes the Armijo test;
-    when the round's call raises, its trials run one at a time up to the
-    first that passes, or raises, and one that passes without lowering the
-    merit ends the solve as a stagnation.  A trace's ``element_min_sv``
-    holds, per iteration, the exact sigma_min of the element where the svd
-    ran and the upper bound elsewhere.
+    residual norm over the step lengths 1, f, f**2, ...
+    (``alpha *= backtrack_factor``, cut at ``min_step``), one trial point
+    per residual call, and takes the first that passes the Armijo test.
+    One that passes without lowering the merit ends the solve as a
+    stagnation.  A trace's ``element_min_sv`` holds, per iteration, the
+    exact sigma_min of the element where the svd ran and the upper bound
+    elsewhere.
 
     Raises NewtonNonConvergence, NewtonStagnation, a LinAlgError, an error
     from a callback, or a ValueError for a start that is not finite, whose
     residual is not finite or whose squared residual norm overflows.
     """
     opts = opts or NewtonOptions()
-    if not stacked:
-        point_residual = residual
-
-        def residual(Z: np.ndarray) -> np.ndarray:
-            return np.array([point_residual(z) for z in Z])
-
     z = np.array(z0, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("starting point must be finite")
@@ -265,8 +205,8 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
     # a start whose residual, or its squared norm, is not finite leaves no
     # merit to descend on: it ends at once, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        r = residual(z[None])[0]
-        rr = _rowdot(r[None], r[None])[0]
+        r = residual(z)
+        rr = np.dot(r, r)
     if not np.isfinite(rr):
         raise ValueError("squared residual norm at the starting point overflows"
                          if np.isfinite(r).all()
@@ -274,9 +214,6 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
     rnorm = float(np.abs(r).max())
     trace.residual_norms.append(rnorm)
     min_sv = np.inf  # of the previous element
-    back = 0  # the index of the previous step length
-    lengths = [1.0]  # the step lengths, as far as the line search has tried them
-    known: dict = {}  # the svd result of the previous element
 
     for _ in range(opts.max_iter):
         if rnorm <= opts.tol:
@@ -284,33 +221,29 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
         E = element(z)
         if not hasattr(E, "step"):
             E = DenseElement(np.asarray(E, dtype=float))
-        s, min_sv, known = _newton_step(E, r, rr, opts.regularization_floor,
-                                        min_sv < RIDGE_SV, known)
+        s, min_sv = _newton_step(E, r, rr, opts.regularization_floor, min_sv < RIDGE_SV)
         merit = 0.5 * rr
         slope = np.dot(E.apply(s), r)  # derivative of the merit along s
         if slope >= 0.0:
             slope = -2.0 * merit
-        first, count = 0, back + 1  # the length indices of the round
+        alpha = 1.0
         while True:
-            t = np.array(lengths[first:first + count])
-            trials = z + t[:, None] * s
-            hit = _first_pass(residual, trials, merit + opts.armijo_c * t * slope)
-            if hit is not None:
+            z_new = z + alpha * s
+            r_new = residual(z_new)
+            rr_new = np.dot(r_new, r_new)
+            if 0.5 * rr_new <= merit + opts.armijo_c * alpha * slope:
                 break
-            first += count
-            count = min(2 * count, len(_step_lengths(lengths, first + 2 * count, opts)) - first)
-            if not count:  # no length left above min_step
+            alpha *= opts.backtrack_factor
+            if alpha < opts.min_step:
                 trace.status = "stagnated"
                 raise NewtonStagnation(f"line search collapsed at residual {rnorm:.3e}", trace)
-        i, r = hit
-        rr_new = _rowdot(r[None], r[None])[0]
         if not 0.5 * rr_new < merit:  # an Armijo term that rounds to 0
             trace.status = "stagnated"
             raise NewtonStagnation(f"step does not lower the merit at residual {rnorm:.3e}", trace)
-        back, z, rr = first + i, trials[i], rr_new
+        z, r, rr = z_new, r_new, rr_new
         rnorm = float(np.abs(r).max())
         trace.residual_norms.append(rnorm)
-        trace.step_lengths.append(float(t[i]))
+        trace.step_lengths.append(alpha)
         trace.element_min_sv.append(float(min_sv))
 
     if rnorm <= opts.tol:

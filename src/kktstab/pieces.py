@@ -144,11 +144,6 @@ class ClarkeFrame:
     def element(self) -> LinearOperatorElement:
         return LinearOperatorElement(self.matrix(), self.provenance)
 
-    def row(self, i: int) -> ClarkeFrame:
-        """The frame of row i of a stack."""
-        return ClarkeFrame(self.weight[i], None if self.eigvecs is None else self.eigvecs[i],
-                           self.provenance)
-
     def _conjugated(self, V: np.ndarray, P: np.ndarray) -> np.ndarray:
         if self.eigvecs is None:
             return V

@@ -10,7 +10,7 @@ these matrices are.  ``solve`` keeps its canonical elements in their
 blocks' Clarke frames (``FramedElement``) and takes each Newton step from
 a symmetric system of order n + |S|; ``solve_linearized_ge`` uses the
 dense matrices.  ``solve`` evaluates each iterate once: the residual
-round that accepts a point also gives its Jacobian and its PSD blocks'
+call that accepts a point also gives its Jacobian and its PSD blocks'
 frames, from which, with the separable blocks' frames at that point, the
 element is built.
 """
@@ -174,16 +174,14 @@ def signed_residual(problem: CompositeProblem, z) -> np.ndarray:
     return out
 
 
-def evaluate(problem: CompositeProblem, z) -> tuple[np.ndarray, np.ndarray | list[np.ndarray],
-                                                    np.ndarray, list[ClarkeFrame | None]]:
-    """The signed residual of a point, or of each row of a stack (k, n+m),
-    with the Jacobian, w = F(x) + mu and the blocks' frames at each (see
-    ``prox_gstar_frames``): F and J once per point and one
-    ``prox_and_frame`` call per block.
+def evaluate(problem: CompositeProblem, z) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                    list[ClarkeFrame | None]]:
+    """The signed residual of a point with its Jacobian, w = F(x) + mu and
+    the blocks' frames there (see ``prox_gstar_frames``): F and J once and
+    one ``prox_and_frame`` call per block.
 
-    The residual has the bits of ``signed_residual``; the Jacobians, w and
-    the frames (one stack per block, ``ClarkeFrame.row`` of each row) have
-    those of ``framed_element`` at each point.
+    The residual has the bits of ``signed_residual``; the Jacobian, w and
+    the frames have those of ``framed_element`` at the point.
     """
     J, r1, w, mu = _smooth_parts(problem, z)
     gstar, frames = problem.prox_gstar_frames(w)
@@ -521,20 +519,20 @@ def solve_linearized_ge(problem: CompositeProblem, zbar, delta,
     Hbar, Jbar, Fbar = _base_parts(problem, base)
     rhs = np.concatenate([delta[:n] + Jbar.T @ delta[n:], delta[n:]])
 
-    def res(Z: np.ndarray) -> np.ndarray:
+    def res(z: np.ndarray) -> np.ndarray:
         # sign-adjusted so that elem() below is its derivative element;
         # zeros coincide with solutions of (linearized residual) == rhs
-        dx, nu = Z[:, :n] - base.x, Z[:, n:]
-        Fx = Fbar + _apply(Jbar, dx)
-        r1 = _apply(Hbar, dx) + _apply(Jbar.T, nu - base.mu) - rhs[:n]
+        dx, nu = z[:n] - base.x, z[n:]
+        Fx = Fbar + Jbar @ dx
+        r1 = Hbar @ dx + Jbar.T @ (nu - base.mu) - rhs[:n]
         r2 = Fx - problem.prox_g(Fx + nu) + rhs[n:]
-        return np.concatenate([r1, r2], axis=1)
+        return np.concatenate([r1, r2])
 
     def elem(z: np.ndarray) -> np.ndarray:
         w = Fbar + Jbar @ (z[:n] - base.x) + z[n:]
         return _element_matrix(problem, Hbar, Jbar, _canonical_prox_elements(problem, w))
 
-    z, _ = semismooth_solve(res, elem, z0, opts, stacked=True)
+    z, _ = semismooth_solve(res, elem, z0, opts)
     return KKTPoint(z[:n], z[n:] - delta[n:])
 
 
@@ -544,35 +542,30 @@ def solve(problem: CompositeProblem, z0,
 
     Each iteration uses the canonical element at the current iterate, in
     its blocks' frames (:func:`framed_element`), and backtracks on half the
-    squared residual norm.  The trials of a line-search round share one
-    :func:`evaluate` call, which keeps each trial's Jacobian, w and frames,
-    keyed by the point's bytes, until the next element call; the element
-    at the accepted point is built from them, with the bits of
+    squared residual norm.  Each trial point gets one :func:`evaluate`
+    call, and the last one is kept: the driver asks for the element only
+    at the point it evaluated last, the accepted one, and builds it from
+    that call's Jacobian, w and frames, with the bits of
     ``framed_element``, so each iterate is evaluated once.  A block whose
     kind shares no decomposition between prox and frame gets its frame
     there, at the accepted point only.
     """
     start = as_point(problem, z0)
-    evaluated: dict[bytes, tuple] = {}  # this iteration's points: (J, w, frames)
+    last = ()  # the last point evaluated, its Jacobian, w and frames
 
-    def rho(Z: np.ndarray) -> np.ndarray:
-        # a round of one trial keeps the one-point prox, cheaper than a
-        # stack of one
-        if len(Z) == 1:
-            r, *parts = evaluate(problem, Z[0])
-            evaluated[Z[0].tobytes()] = parts
-            return r[None]
-        r, J, w, frames = evaluate(problem, Z)
-        for i, z in enumerate(Z):
-            evaluated[z.tobytes()] = J[i], w[i], [None if f is None else f.row(i) for f in frames]
+    def rho(z: np.ndarray) -> np.ndarray:
+        nonlocal last
+        r, *parts = evaluate(problem, z)
+        last = z, *parts
         return r
 
     def elem(z: np.ndarray) -> FramedElement:
-        J, w, frames = evaluated[z.tobytes()]  # a point the last rounds evaluated
-        evaluated.clear()
+        at, J, w, frames = last
+        if at.tobytes() != z.tobytes():
+            raise ValueError("the element is asked for a point other than the last one evaluated")
         frames = [p.clarke_frame(wb) if f is None else f
                   for p, wb, f in zip(problem.pieces, problem.blocks(w), frames)]
         return _framed(problem, as_point(problem, z), J, frames)
 
-    zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts, stacked=True)
+    zsol, trace = semismooth_solve(rho, elem, start.stacked(), opts)
     return KKTPoint(zsol[:problem.n], zsol[problem.n:]), trace

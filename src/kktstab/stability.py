@@ -258,8 +258,19 @@ class AnalyzerOptions:
 
 
 def nullspace(M: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the null space, columns of the result."""
-    return _kernel_svd(M, rtol)[0]
+    """Orthonormal basis of the null space, columns of the result.  The svd
+    forms the full factors only for an M with more columns than rows, whose
+    kernel needs all of Vh; a tall M's U stops at its columns."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[0] == 0 or not np.any(M):
+        return np.eye(M.shape[1])
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return _kernel(s, Vh, rtol)
+
+
+def _kernel(s: np.ndarray, Vh: np.ndarray, rtol: float) -> np.ndarray:
+    """The rows of Vh past the numerical rank of s, as columns."""
+    return Vh[int(np.sum(s > rtol * max(1.0, s[0]))):].T
 
 
 def _kernel_svd(M: np.ndarray, rtol: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -271,8 +282,7 @@ def _kernel_svd(M: np.ndarray, rtol: float) -> tuple[np.ndarray, tuple[np.ndarra
     if p == 0 or not np.any(M):
         return np.eye(n), (np.eye(p), np.zeros(p), np.eye(n))
     U, s, Vh = np.linalg.svd(M)
-    rank = int(np.sum(s > rtol * max(1.0, s[0])))
-    return Vh[rank:].T, (U, np.concatenate([s, np.zeros(p - s.size)]), Vh)
+    return _kernel(s, Vh, rtol), (U, np.concatenate([s, np.zeros(p - s.size)]), Vh)
 
 
 def orthonormal_span(columns: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:

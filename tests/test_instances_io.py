@@ -838,11 +838,12 @@ def test_cli_tolerance_and_point_are_one_line_errors(capsys, command, option, va
     assert captured.err == f"error: {message}\n"
 
 
-def test_cli_analyze_rejects_a_sample_count_below_one(capsys):
-    assert run_command(["analyze", _battery_file("nlp_toy"), "--samples", "0"]) == 1
+def test_cli_analyze_has_no_samples_option(capsys):
+    # the element sweep samples no element, so the option had no effect
+    assert run_command(["analyze", _battery_file("nlp_toy"), "--samples", "32"]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --samples must be an integer of at least 1, got 0\n"
+    assert captured.err.startswith("error: unrecognized arguments: --samples 32\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "analyze", "probe", "verify"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,8 @@ def test_a_start_whose_residual_is_not_finite_ends_at_once():
     # ends with a ValueError before any element call
     calls = []
 
-    def residual(Z):
-        return Z * np.array([1.0, 1e200])
+    def residual(z):
+        return z * np.array([1.0, 1e200])
 
     def element(z):
         calls.append(z.tolist())
@@ -69,9 +71,9 @@ def test_a_start_whose_residual_is_not_finite_ends_at_once():
             ([1e300, 0.0], "squared residual norm at the starting point overflows")):
         with np.errstate(all="raise"):  # and no overflow warning either
             with pytest.raises(ValueError, match=f"^{message}$"):
-                semismooth_solve(residual, element, np.array(start), stacked=True)
+                semismooth_solve(residual, element, np.array(start))
     assert not calls
-    z, trace = semismooth_solve(residual, element, np.array([1.0, 0.0]), stacked=True)
+    z, trace = semismooth_solve(residual, element, np.array([1.0, 0.0]))
     assert trace.status == "converged" and np.array_equal(z, [0.0, 0.0])
     assert calls == [[1.0, 0.0]]
     problem, _ = load_battery("nlp_toy")
@@ -422,19 +424,13 @@ def test_linearized_solves_ridge_exactly_where_the_element_is_singular(name, mon
     assert singular > 0 or name == "sdp_toy"
 
 
-def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
-    """The Newton loop with one trial per residual call, kept as the
+def semismooth_solve_loop(residual, element, z0, opts=None):
+    """The plain Newton loop, one trial per residual call, kept as the
     reference that semismooth_solve must reproduce bit for bit.
 
     ``element`` returns a dense matrix, or a framed element whose step,
     dense matrix and product take the place of the LU screen, the matrix
-    and ``E @ s``.  ``discard``, when given, receives each trial point that
-    semismooth_solve's line-search rounds evaluate past the line search's
-    end: the rest of the round in which a trial raised or passed the
-    Armijo test.  Round 0 tries every step length from 1 down to the
-    one the previous iteration took (k + 1 lengths for alpha = f**k), and
-    each later round twice as many as the one before.  It changes nothing
-    else."""
+    and ``E @ s``."""
     opts = opts or NewtonOptions()
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
@@ -444,7 +440,6 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
     rnorm = float(np.linalg.norm(r, np.inf))
     trace.residual_norms.append(rnorm)
     min_sv = np.inf
-    back = 0  # the previous iteration's step length is backtrack_factor**back
     for _ in range(opts.max_iter):
         if rnorm <= opts.tol:
             trace.status = "converged"
@@ -482,30 +477,12 @@ def semismooth_solve_loop(residual, element, z0, opts=None, discard=None):
         slope = float(np.dot(E.apply(s) if framed else E @ s, r))
         if slope >= 0.0:
             slope = -2.0 * merit
-        alpha, tried, first = 1.0, 0, back + 1  # first: the size of round 0
-
-        def rest_of_round():
-            a, t = alpha, tried
-            # rounds of first, 2 first, 4 first, ... trials end at t == first (2**k - 1)
-            while discard is not None and (t % first or (t // first + 1) & (t // first)):
-                a *= opts.backtrack_factor
-                if a < opts.min_step:
-                    break
-                t += 1
-                discard(z + a * s)
-
+        alpha = 1.0
         while True:
             z_new = z + alpha * s
-            tried += 1
-            try:
-                r_new = residual(z_new)
-            except Exception:
-                rest_of_round()
-                raise
+            r_new = residual(z_new)
             merit_new = 0.5 * float(np.dot(r_new, r_new))
             if merit_new <= merit + opts.armijo_c * alpha * slope:
-                rest_of_round()
-                back = tried - 1
                 break
             alpha *= opts.backtrack_factor
             if alpha < opts.min_step:
@@ -535,7 +512,8 @@ def _row_residual(kind, z):
     if kind == "cubic":
         return z + 0.3 * z ** 3 - _CUBIC_C
     if kind == "trapped" and np.all((0.16 < z) & (z < 0.17)):
-        raise ValueError("residual undefined on the trap")  # only a discarded trial lands here
+        # only a trial past the first one that passes would land here
+        raise ValueError("residual undefined on the trap")
     if kind == "residual_error" and np.max(np.abs(z)) < 0.3:
         raise ValueError("residual undefined near the origin")
     if kind == "singular":
@@ -551,12 +529,12 @@ def _row_element(kind, z):
     if kind == "wrong_sign":
         return -np.eye(3)  # every step is an ascent step
     if kind in ("overshoot", "trapped"):
-        # the full step overshoots to -7/3 z; alpha = 1/2 is accepted (-2/3 z)
-        # and the other trial of its round, z / 6, is discarded
+        # the full step overshoots to -7/3 z; alpha = 1/2 is accepted
+        # (-2/3 z), so the trial at 1/4, z / 6, never runs
         return 0.3 * np.eye(3)
     if kind == "turns":
         # full steps halve z until the element turns to ascent, where the
-        # line search collapses after three of its eight-trial round
+        # line search collapses
         return -np.eye(3) if np.max(np.abs(z)) < 0.3 else 2.0 * np.eye(3)
     if kind in ("singular", "flat"):
         # ridge steps that never reach the target; at "flat" the first one
@@ -565,7 +543,7 @@ def _row_element(kind, z):
     if kind == "element_error" and np.max(np.abs(z)) < 0.3:
         raise np.linalg.LinAlgError("element undefined near the origin")
     if kind == "svd_error" and np.max(np.abs(z)) < 0.3:
-        return np.full((3, 3), np.nan)  # the svd of the whole stack fails
+        return np.full((3, 3), np.nan)  # the svd fails
     return 2.0 * np.eye(3)
 
 
@@ -581,6 +559,10 @@ _ROWS = [  # (kind, start)
     ("residual_error", [1.0, -1.0, 1.0]),
     ("cubic", [np.nan, 0.0, 0.0]),
     ("zero", [0.0, 0.0, 0.0]),
+    # rows that backtrack past the full step
+    ("overshoot", [1.0, -0.5, 0.25]),
+    ("trapped", [1.0, 1.0, 1.0]),
+    ("turns", [1.0, 1.0, 1.0]),
 ]
 
 
@@ -603,166 +585,123 @@ def _outcome(fn):
 
 
 def _logged_calls(kind, log):
-    """A row kind's residual as a stacked callback, and its element."""
-    def residual(Z):
-        # logs only completed evaluations, so a round whose call raises
-        # logs nothing and its one-at-a-time retry logs each point it runs
-        out = np.array([_row_residual(kind, z) for z in Z])
-        log.extend(z.tobytes() for z in Z)
-        return out
+    """A row kind's residual, which logs the shape and the bytes of each
+    point it is called with, and its element."""
+    def residual(z):
+        log.append((np.shape(z), z.tobytes()))
+        return _row_residual(kind, z)
 
     return residual, lambda z: _row_element(kind, z)
 
 
+def _trace(out):
+    return out.trace if isinstance(out, NewtonError) else out[1]
+
+
 def test_each_way_a_solve_ends_matches_the_loop_bit_for_bit():
     opts = NewtonOptions(max_iter=8, min_step=1e-3)
-    statuses, ridged = [], []
+    outcomes, ridged = [], []
     for kind, start in _ROWS:
         log, calls = [], []
-
-        def logged_residual(z, kind=kind):
-            r = _row_residual(kind, z)
-            calls.append(z.tobytes())
-            return r
-
-        got = _outcome(lambda: semismooth_solve(*_logged_calls(kind, log), np.array(start),
-                                                opts, stacked=True))
-        want = _outcome(lambda: semismooth_solve_loop(
-            logged_residual, lambda z, kind=kind: _row_element(kind, z), np.array(start), opts))
+        got = _outcome(lambda: semismooth_solve(*_logged_calls(kind, log), np.array(start), opts))
+        want = _outcome(lambda: semismooth_solve_loop(*_logged_calls(kind, calls),
+                                                      np.array(start), opts))
         _same_outcome(got, want)
-        assert log == calls, kind  # iterates and trial points
-        single = _outcome(lambda: semismooth_solve(lambda z, kind=kind: _row_residual(kind, z),
-                                                   lambda z, kind=kind: _row_element(kind, z),
-                                                   np.array(start), opts))
-        _same_outcome(single, want)
-        statuses.append(type(want).__name__ if isinstance(want, Exception)
-                        else want[1].status)
+        assert log == calls, kind  # iterates and trial points, in order
+        assert all(shape == (3,) for shape, _ in log), kind  # one point per residual call
+        outcomes.append(want)
         if kind == "singular":
             ridged.append(want.trace.element_min_sv[0])
     # every way a solve can end
+    statuses = [type(out).__name__ if isinstance(out, Exception) else out[1].status
+                for out in outcomes]
     assert statuses == ["converged", "NewtonNonConvergence", "NewtonStagnation",
                         "LinAlgError", "converged", "LinAlgError", "NewtonNonConvergence",
-                        "NewtonStagnation", "ValueError", "ValueError", "converged"]
+                        "NewtonStagnation", "ValueError", "ValueError", "converged",
+                        "NewtonNonConvergence", "NewtonNonConvergence", "NewtonStagnation"]
     assert ridged == [0.0]  # a ridge step was taken
+    # overshoot and trapped take alpha = 1/2 in each of 8 iterations, and
+    # turns stagnates in its third
+    assert [_trace(out).step_lengths for out in outcomes[-3:]] == [[0.5] * 8, [0.5] * 8,
+                                                                   [1.0, 1.0]]
 
 
-_GALLOP_ROWS = [  # (kind, start) of rows that backtrack past the full step
-    ("overshoot", [1.0, -0.5, 0.25]),
-    ("trapped", [1.0, 1.0, 1.0]),
-    ("turns", [1.0, 1.0, 1.0]),
-    ("wrong_sign", [1.0, 0.25, 0.0]),
-]
-
-
-def test_a_round_discards_the_trials_after_its_first_hit():
+def test_the_line_search_evaluates_no_trial_past_its_first_hit():
+    # an iteration that takes alpha = 2**-k makes k + 1 residual calls, so
+    # a solve that returns or runs out of iterations makes 1 + sum(k + 1);
+    # trapped's trap lies at the trial after its first hit and never runs
     opts = NewtonOptions(max_iter=8, min_step=1e-3)
-    extras, outcomes = 0, []
-    for kind, start in _ROWS + _GALLOP_ROWS:
-        log, calls = [], []
-
-        def logged_residual(z, kind=kind, tag="loop"):
-            r = _row_residual(kind, z)
-            calls.append((tag, z.tobytes()))
-            return r
-
-        def discard(z):
-            try:
-                logged_residual(z, tag="discarded")
-            except ValueError:
-                pass  # a discarded trial that raises leaves no log entry
-
-        args = (logged_residual, lambda z, kind=kind: _row_element(kind, z), np.array(start),
-                opts)
-        got = _outcome(lambda: semismooth_solve(*_logged_calls(kind, log), np.array(start),
-                                                opts, stacked=True))
-        want = _outcome(lambda: semismooth_solve_loop(*args, discard=discard))
-        _same_outcome(got, want)
-        assert log == [z for _, z in calls], kind
-        # the loop's own points are the ordered subsequence that the extra
-        # trials of each round leave
-        loop_calls = [z for tag, z in calls if tag == "loop"]
-        calls.clear()
-        _outcome(lambda: semismooth_solve_loop(*args))
-        assert [z for _, z in calls] == loop_calls, kind
-        extras += len(log) - len(loop_calls)
-        outcomes.append(got)
-    statuses = [type(out).__name__ if isinstance(out, Exception) else out[1].status
-                for out in outcomes[len(_ROWS):]]
-    assert statuses == ["NewtonNonConvergence", "NewtonNonConvergence", "NewtonStagnation",
-                        "NewtonStagnation"]
-    assert outcomes[-2].trace.step_lengths == [1.0, 1.0]  # stagnated in its third iteration
-    # overshoot and trapped take alpha = 1/2 in each of 8 iterations: the
-    # first one's round of 1/2 and 1/4 discards 1/4, and every later round
-    # 0, of 1 and 1/2, ends at its hit; trapped's discarded trial raised,
-    # so its round's call raised and the retry stopped at the hit
-    assert [out.trace.step_lengths for out in outcomes[len(_ROWS):][:2]] == [[0.5] * 8] * 2
-    assert extras == 1
+    counted = []
+    for kind, start in _ROWS:
+        log = []
+        out = _outcome(lambda: semismooth_solve(*_logged_calls(kind, log), np.array(start), opts))
+        if isinstance(out, NewtonNonConvergence) or not isinstance(out, Exception):
+            lengths = _trace(out).step_lengths
+            assert len(log) == 1 + sum(round(-math.log2(a)) + 1 for a in lengths), kind
+            counted.append(kind)
+    assert counted == ["cubic", "slow", "cubic", "singular", "zero", "overshoot", "trapped"]
 
 
-def test_a_trial_that_raises_ends_the_solve_only_as_its_rounds_first_hit():
+def test_a_trial_that_raises_ends_the_solve_only_before_the_first_hit():
     # the element 0.1 I makes each Newton step ten times too long, so the
-    # rounds try 1, then 1/2 and 1/4, then 1/8 (which passes) to 1/64.  A
-    # trial that raises makes its round's call raise, and the trials then
-    # run one at a time up to the first hit: a trap at 1/16, after the
-    # pass, never runs, and one at 1/2 ends the solve, as in the loop
+    # line search tries 1, 1/2, 1/4 and 1/8, which passes, one point per
+    # residual call: a trap at 1/16, past the hit, never runs, and one at
+    # 1/2 ends the solve, as in the loop
     opts = NewtonOptions(max_iter=1, tol=0.5)
-    for trap, want_sizes in ((1 / 16, [1, 1, 2, 4, 1]), (1 / 2, [1, 1, 2, 1])):
-        sizes = []
+    for trap, want_calls in ((1 / 16, 5), (1 / 2, 3)):
+        log = []
 
         def residual(z, trap=trap):
+            log.append((np.shape(z), z.tobytes()))
             if z[0] == 1.0 - 10.0 * trap:
                 raise ValueError("residual undefined on the trap")
             return z.copy()
 
-        def stacked(Z):
-            sizes.append(len(Z))
-            return np.array([residual(z) for z in Z])
-
-        got = _outcome(lambda: semismooth_solve(stacked, lambda z: 0.1 * np.eye(2),
-                                                np.array([1.0, 0.0]), opts, stacked=True))
+        got = _outcome(lambda: semismooth_solve(residual, lambda z: 0.1 * np.eye(2),
+                                                np.array([1.0, 0.0]), opts))
+        got_log, log[:] = log[:], []
         want = _outcome(lambda: semismooth_solve_loop(residual, lambda z: 0.1 * np.eye(2),
                                                       np.array([1.0, 0.0]), opts))
         _same_outcome(got, want)
-        assert sizes == want_sizes
+        assert got_log == log and len(log) == want_calls
+        assert all(shape == (2,) for shape, _ in log)
         assert isinstance(got, ValueError) == (trap == 1 / 2)
 
 
-def test_wrong_sign_row_searches_in_rounds_of_doubling_size():
-    sizes = []
-    residual, element = _logged_calls("wrong_sign", [])
-
-    def counted(Z):
-        sizes.append(len(Z))
-        return residual(Z)
-
-    with pytest.raises(NewtonStagnation):
-        semismooth_solve(counted, element, np.array([1.0, 0.25, 0.0]),
-                         NewtonOptions(max_iter=8, min_step=1e-3), stacked=True)
-    assert sizes == [1, 1, 2, 4, 3]  # the start, then alpha = 1 down to 2**-9
+def test_wrong_sign_row_tries_each_step_length_once():
+    # the step of -I at the residual z is s = z, so the trials are
+    # (1 + alpha) z for alpha = 1 down to 2**-9, the last above min_step
+    log = []
+    residual, element = _logged_calls("wrong_sign", log)
+    start = np.array([1.0, 0.25, 0.0])
+    with pytest.raises(NewtonStagnation, match="line search collapsed"):
+        semismooth_solve(residual, element, start, NewtonOptions(max_iter=8, min_step=1e-3))
+    trials = [start] + [start + 2.0 ** -k * start for k in range(10)]
+    assert log == [((3,), z.tobytes()) for z in trials]
 
 
-def test_a_rows_round_0_runs_down_to_its_previous_step_length():
-    # the element 0.1 I makes each Newton step ten times too long: the first
-    # iteration takes alpha = 2**-3 in its third round (of 4 lengths), and
-    # each later round 0 tries 1, 1/2, 1/4 and 1/8, of which 1/8 passes
-    sizes = []
+def test_each_line_search_starts_at_the_full_step():
+    # the element 0.1 I makes each Newton step ten times too long: each
+    # iteration tries 1, 1/2, 1/4 and 1/8, of which 1/8 passes, one point
+    # per residual call
+    shapes = []
 
-    def residual(Z):
-        sizes.append(len(Z))
-        return Z.copy()
+    def residual(z):
+        shapes.append(np.shape(z))
+        return z.copy()
 
     opts = NewtonOptions(max_iter=3)
     start = np.array([1.0, -0.5, 0.25])
     with pytest.raises(NewtonNonConvergence) as got:
-        semismooth_solve(residual, lambda z: 0.1 * np.eye(3), start, opts, stacked=True)
+        semismooth_solve(residual, lambda z: 0.1 * np.eye(3), start, opts)
     assert got.value.trace.step_lengths == [0.125] * 3
-    assert sizes == [1, 1, 2, 4, 4, 4]
+    assert shapes == [(3,)] * (1 + 3 * 4)
     with pytest.raises(NewtonNonConvergence) as want:
         semismooth_solve_loop(lambda z: z.copy(), lambda z: 0.1 * np.eye(3), start, opts)
     _same_outcome(got.value, want.value)
 
 
-def test_row_driver_on_one_row_makes_no_retry_calls():
+def test_a_trial_whose_residual_raises_is_evaluated_once():
     calls = []
     with pytest.raises(ValueError, match="residual undefined"):
         semismooth_solve(_counted(lambda z: _row_residual("residual_error", z), calls),
@@ -784,8 +723,8 @@ def test_newton_options_reject_bad_values(field, value):
 # three exactly singular elements with different Gram matrices
 _SINGULAR = {"A": np.diag([1.0, 0.0, 1.0]), "B": np.diag([2.0, 0.0, 1.0]),
              "C": np.diag([1.0, 0.0, 3.0])}
-# the element of each row at each iteration: B comes back at iteration 2
-# and C at iteration 4, each two iterations after it was last held
+# the element of each solve at each iteration: some repeat from one
+# iteration to the next, B comes back at iteration 2 and C at iteration 4
 _SCHEDULES = ["AAAAA", "AABBA", "BCCAA", "CCCBC"]
 _SCHEDULE_STARTS = [[1.0, 1.0, 1.0], [2.0, -1.0, 0.5], [-1.0, 0.5, 3.0], [0.5, 2.0, -1.0]]
 
@@ -808,10 +747,10 @@ def _spy_svd(monkeypatch):
     return seen
 
 
-def test_an_element_held_in_consecutive_iterations_is_decomposed_once(monkeypatch):
-    # an exactly singular element gets its svd and ridge Gram matrix once
-    # while consecutive iterations hold it, and again when it comes back
-    # after a gap
+def test_each_iteration_decomposes_its_own_singular_element(monkeypatch):
+    # an exactly singular element gets its svd in every iteration that
+    # holds it, also when the iteration before held the same one: the
+    # driver keeps no decomposition from one iteration to the next
     opts = NewtonOptions(max_iter=len(_SCHEDULES[0]))
     names = {M.tobytes(): name for name, M in _SINGULAR.items()}
     decomposed = []
@@ -826,35 +765,34 @@ def test_an_element_held_in_consecutive_iterations_is_decomposed_once(monkeypatc
         with pytest.raises(NewtonNonConvergence) as got:
             semismooth_solve(lambda z: 0.5 * z, element, np.array(start), opts)
         per_iteration.append(len(svds))
-        decomposed.append(["".join(names[m] for m in svds[a:b])
-                           for a, b in zip(per_iteration, per_iteration[1:])])
+        decomposed.append("".join("".join(names[m] for m in svds[a:b])
+                                  for a, b in zip(per_iteration, per_iteration[1:])))
         monkeypatch.undo()
         with pytest.raises(NewtonNonConvergence) as want:
             semismooth_solve_loop(lambda z: 0.5 * z, _scheduled(schedule), np.array(start),
                                   opts)
         _same_outcome(got.value, want.value)
         assert got.value.trace.element_min_sv == [0.0] * opts.max_iter  # ridge steps throughout
-    assert decomposed == [["A", "", "", "", ""], ["A", "", "B", "", "A"],
-                          ["B", "C", "", "A", ""], ["C", "", "", "B", "C"]]
+    assert decomposed == _SCHEDULES  # one svd per iteration, of its own element
 
 
 @pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
                                   "smooth_toy"])
-def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
+def test_solve_matches_the_loop_with_one_prox_call_per_trial(name, monkeypatch):
     problem, meta = load_battery(name)
     rng = np.random.default_rng(0)
-    rounds = []  # the trials and the prox calls of each residual call of solve
+    calls = []  # the point and the prox calls of each residual call of solve
 
     def spied_solve(residual, element, z0, opts=None, **kwargs):
-        def counted(Z):
+        def counted(z):
             before = len(prox_calls)
-            out = residual(Z)
-            rounds.append((len(Z), prox_calls[before:]))
+            out = residual(z)
+            calls.append((np.shape(z), prox_calls[before:]))
             return out
 
         return newton_mod.semismooth_solve(counted, element, z0, opts, **kwargs)
 
-    # solve's rounds take the prox and the frames from one call
+    # solve takes the prox and the frames of a trial from one call
     prox_calls, prox_gstar_frames = [], problem.prox_gstar_frames
 
     def spied_prox(w, *args):
@@ -878,8 +816,37 @@ def test_solve_matches_the_loop_with_one_prox_call_per_round(name, monkeypatch):
         except NewtonError as exc:
             want = exc
         _same_outcome(got, want)
-    # each residual call, a whole line-search round, made one prox call: on
-    # the stack of its trials, or on the point itself for a single trial
-    assert all(calls == [(size, problem.m) if size > 1 else (problem.m,)]
-               for size, calls in rounds)
-    assert max(size for size, _ in rounds) > 1  # some round tried several lengths
+    # each residual call, of one trial point, made one prox call on that point
+    assert calls and all(shape == (problem.n + problem.m,) and prox == [(problem.m,)]
+                         for shape, prox in calls)
+
+
+def test_solve_backtracks_with_one_evaluate_call_per_trial(monkeypatch):
+    # smooth_toy from (-1, -1, -2) backtracks in three of its six
+    # iterations; one that takes alpha = 2**-k evaluates its k + 1 trial
+    # points one at a time, after the start's one evaluation
+    problem, _ = load_battery("smooth_toy")
+    shapes, evaluate = [], problem_mod.evaluate
+
+    def spied(problem, z):
+        shapes.append(np.shape(z))
+        return evaluate(problem, z)
+
+    monkeypatch.setattr(problem_mod, "evaluate", spied)
+    _, trace = solve(problem, np.array([-1.0, -1.0, -2.0]))
+    assert trace.status == "converged"
+    assert trace.step_lengths == [0.5, 1.0, 0.125, 0.5, 1.0, 1.0]
+    assert 1 + sum(round(-math.log2(a)) + 1 for a in trace.step_lengths) == 12
+    assert shapes == [(3,)] * 12
+
+
+def test_solve_builds_the_element_only_at_the_last_evaluated_point(monkeypatch):
+    def spied_solve(residual, element, z0, opts=None):
+        residual(z0)
+        residual(z0 + 1.0)
+        return element(z0)
+
+    monkeypatch.setattr(problem_mod, "semismooth_solve", spied_solve)
+    problem, meta = load_battery("nlp_toy")
+    with pytest.raises(ValueError, match="other than the last one evaluated"):
+        solve(problem, meta.start)

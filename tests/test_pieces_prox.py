@@ -23,6 +23,7 @@ from kktstab.pieces import (
     PIECE_KINDS,
     PSD_PATTERN_CAP,
     SEPARABLE_PATTERN_CAP,
+    ClarkeFrame,
     LinearOperatorElement,
     dedup_elements,
 )
@@ -167,7 +168,8 @@ def test_prox_and_frame_has_the_bits_of_prox_and_clarke_frame():
                         shares), name
         p, frame = piece.prox_and_frame(Z)
         for i, z in enumerate(Z):
-            got = (p[i], frame.row(i) if shares else None)
+            got = (p[i], ClarkeFrame(frame.weight[i], frame.eigvecs[i], frame.provenance)
+                   if shares else None)
             assert same(got, (piece.prox(z), piece.clarke_frame(z)), shares), name
 
 

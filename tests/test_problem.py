@@ -410,9 +410,9 @@ def _same_frames(got, want):
 
 def test_evaluate_has_the_bits_of_the_residual_and_the_framed_element():
     # one evaluation gives the signed residual, the Jacobian, w and the
-    # frames of a point, or of each row of a stack, with the bits of
-    # signed_residual and framed_element; a block with no frame (a
-    # separable kind) gets framed_element's from clarke_frame at w
+    # frames of a point, with the bits of signed_residual and
+    # framed_element; a block with no frame (a separable kind) gets
+    # framed_element's from clarke_frame at w
     rng = np.random.default_rng(2)
     cases = [load_battery(name) for name in ("nlp_toy", "sdp_toy", "sdp_degenerate",
                                              "l1_toy", "smooth_toy")]
@@ -426,19 +426,16 @@ def test_evaluate_has_the_bits_of_the_residual_and_the_framed_element():
     for problem, pt in cases:
         Z = pt.stacked() + np.vstack([np.zeros(problem.n + problem.m),
                                       rng.standard_normal((4, problem.n + problem.m))])
-        r, J, w, frames = evaluate(problem, Z)
-        assert r.tobytes() == signed_residual(problem, Z).tobytes()
         shares = [isinstance(getattr(p, "inner", p), PSDConeIndicator) for p in problem.pieces]
-        assert [f is not None for f in frames] == shares
-        for i, z in enumerate(Z):
+        for z in Z:
+            r, J, w, frames = evaluate(problem, z)
             want = framed_element(problem, z)
-            assert J[i].tobytes() == want.J.tobytes()
-            rows = [None if f is None else f.row(i) for f in frames]
-            assert _same_frames(completed(problem, w[i], rows), want.frames)
-            r1, J1, w1, frames1 = evaluate(problem, z)
-            assert r1.tobytes() == r[i].tobytes() and J1.tobytes() == want.J.tobytes()
-            assert w1.tobytes() == w[i].tobytes()
-            assert _same_frames(completed(problem, w1, frames1), want.frames)
+            assert r.tobytes() == signed_residual(problem, z).tobytes()
+            assert J.tobytes() == want.J.tobytes()
+            assert w.tobytes() == (np.asarray(problem.F.eval(z[:problem.n]), dtype=float)
+                                  + z[problem.n:]).tobytes()
+            assert [f is not None for f in frames] == shares
+            assert _same_frames(completed(problem, w, frames), want.frames)
 
 
 def _psd_points_decomposed(monkeypatch):
@@ -454,9 +451,9 @@ def _psd_points_decomposed(monkeypatch):
         return eig_split(v)
 
     def spied_solve(residual, element, z0, opts=None, **kwargs):
-        def counted(Z):
-            count["evaluated"] = count.get("evaluated", 0) + len(Z)
-            return residual(Z)
+        def counted(z):
+            count["evaluated"] = count.get("evaluated", 0) + 1
+            return residual(z)
 
         def in_element(z):
             inside.append(1)
@@ -494,7 +491,7 @@ def test_solve_decomposes_each_evaluated_point_once(name, monkeypatch):
             trace = exc.trace
         iterations += trace.iterations
     # the starts' residuals and one trial per iteration, and more: some
-    # rounds tried several points
+    # iterations backtracked
     assert iterations > 0 and count["evaluated"] > iterations + 5
     assert count["points"] == count["evaluated"] and count["in_element"] == 0
 
@@ -688,16 +685,16 @@ def test_flagged_framed_elements_take_the_dense_svd():
                                            for E, ri, rri in zip(elements, r, rr)]
     assert b >= SCREEN_SV and b1 < SCREEN_SV and b2 < SCREEN_SV
     assert regular.matrix is None and singular.matrix is None and near.matrix is None
-    got = [_newton_step(E, ri, rri, 1e-12, False, {}) for E, ri, rri in zip(elements, r, rr)]
+    got = [_newton_step(E, ri, rri, 1e-12, False) for E, ri, rri in zip(elements, r, rr)]
     assert regular.matrix is None
     assert singular.matrix is not None and near.matrix is not None
     assert got[0][0].tobytes() == step.tobytes() and got[0][1] == b
-    want_s, want_sv, _ = _newton_step(DenseElement(singular.matrix), r[1], rr[1], 1e-12, False, {})
+    want_s, want_sv = _newton_step(DenseElement(singular.matrix), r[1], rr[1], 1e-12, False)
     assert got[1][1] < RIDGE_SV and got[1][1] == want_sv
     assert got[1][0].tobytes() == want_s.tobytes()
     assert got[2][1] == np.linalg.svd(near.matrix, compute_uv=False)[-1]
     assert RIDGE_SV <= got[2][1] < SCREEN_SV
     assert got[2][0].tobytes() == near_step.tobytes()
-    for E, (s, _, _) in ((singular, got[1]), (near, got[2])):
+    for E, (s, _) in ((singular, got[1]), (near, got[2])):
         want = (E.matrix[None] @ s[None, :, None])[0, :, 0]  # the dense product
         assert E.apply(s).tobytes() == want.tobytes()
