@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,11 @@ from . import problem as problem_mod
 
 USAGE_EXIT = 64
 
+# the options that take a point, and the start of a value that reads as a
+# negative number: "-1,2", "-.5;1" or "-inf,0"
+_POINT_OPTIONS = ("--start", "--at")
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
 
 class _UsageError(Exception):
     pass
@@ -42,6 +48,21 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _joined_points(argv: list[str]) -> list[str]:
+    """argv with each point option, or its abbreviation, followed by a value
+    that begins like a negative number written as one token,
+    ``--start=value``: argparse reads such a value, unless it is one plain
+    number, as an option, and the point option as missing its value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in _POINT_OPTIONS)
+                and _NEGATIVE.match(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _seed(args) -> int:
@@ -236,7 +257,7 @@ def _cmd_verify(args) -> int:
 def run_command(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_points(argv))
         if args.command is not None:
             args.seed = _seed(args)
     except _UsageError as exc:

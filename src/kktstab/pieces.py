@@ -15,10 +15,18 @@ d >= 0 and d <= 0) and BLOCK (a coordinate of one symmetric block,
 positive semidefinite in the critical cone and negative semidefinite in
 the cones derived from it).  ``BlockStructure`` derives the second-order
 objects from the codes in one place, and ``piece.structure(xbar, ubar)``
-is the one route to them: the critical cone's affine hull and lineality
-bases and membership, and the curvature form.  The critical polar cone
-and the domain normal cone are the codes themselves, which
-``stability.AnalysisPoint`` reads in each block's frame.
+is the one route to them for one block: the critical cone's affine hull
+and lineality bases and membership, and the curvature form.  The
+critical polar cone and the domain normal cone are the codes themselves,
+which ``stability.AnalysisPoint`` reads in each block's frame.
+
+``BlockGroups`` gives every block's structure at a point of a problem,
+with the bits of ``piece.structure``: the separable blocks of one kind
+(orthant per sign, box, l1, each alone or lifted) join into one piece
+of the kind (``_joined``), whose ``_codes`` classify them all in one
+call, each block at its own kink tolerance, and a separable block's
+``_structure`` is that call for a group of one.  Any other block keeps
+its own ``_structure``.
 
 A kind defines its canonical Clarke element once, in ``clarke_frame``:
 an orthonormal frame of the block and one weight in [0, 1] per frame
@@ -197,11 +205,17 @@ def _outside_curvature_domain(res, vnorm) -> np.ndarray:
     return outside
 
 
-def _kink_tol(z: np.ndarray) -> np.ndarray:
+def _kink_tol(z: np.ndarray, blocks: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> np.ndarray:
     """Distance from a kink within which a coordinate counts as on it,
     1e-8 * max(1, max|z|) like the PSD eigenvalue tolerance; one per row of
-    a stack, kept as a trailing axis of length 1."""
-    return 1e-8 * np.fmax(1.0, np.max(np.abs(z), axis=-1, keepdims=True, initial=0.0))
+    a stack, kept as a trailing axis of length 1.  With ``blocks`` =
+    (starts, sizes), z is the blocks of one joined piece laid end to end,
+    and each coordinate gets its own block's tolerance."""
+    if blocks is None:
+        return 1e-8 * np.fmax(1.0, np.max(np.abs(z), axis=-1, keepdims=True, initial=0.0))
+    starts, sizes = blocks
+    return np.repeat(1e-8 * np.fmax(1.0, np.maximum.reduceat(np.abs(z), starts)), sizes)
 
 
 def _diagonal(v: np.ndarray) -> np.ndarray:
@@ -438,20 +452,46 @@ class _SeparablePiece(ConvexPiece):
     free -> R, pinned -> {0}, kink -> a half line whose sign the subclass
     reports (+1 for d >= 0, -1 for d <= 0).  The frame is the identity,
     and the curvature weights are 0.
+
+    Blocks of one ``_join_key`` join into one piece of the kind over their
+    coordinates laid end to end (``_joined``), which classifies them all
+    at once, each block at its own kink tolerance (``BlockGroups``).
     """
 
-    def _classify(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (state, halfline_sign); state in {1: free, 0: pinned, 2: kink}."""
+    def _classify(self, z: np.ndarray, t: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Return (state, halfline_sign); state in {1: free, 0: pinned, 2: kink},
+        at the kink tolerance t (default ``_kink_tol(z)``)."""
         raise NotImplementedError
 
-    def _normal_codes(self, x: np.ndarray) -> np.ndarray:
-        """Class code of each coordinate in the domain normal cone at x."""
+    def _normal_codes(self, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+        """Class code of each coordinate in the domain normal cone at x, at
+        the kink tolerance t (default ``_kink_tol(x)``)."""
         raise NotImplementedError
+
+    def _join_key(self) -> tuple:
+        """Pieces with equal keys join into one piece (``_joined``)."""
+        return (self.kind,)
+
+    @classmethod
+    def _joined(cls, pieces: list[_SeparablePiece]) -> _SeparablePiece:
+        """One piece over the coordinates of pieces of one key, in order."""
+        raise NotImplementedError
+
+    def _codes(self, z: np.ndarray, x: np.ndarray,
+               blocks: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(critical, normal): each coordinate's class code in the critical
+        cone at z = xbar + ubar and in the domain normal cone at x = xbar;
+        with ``blocks``, of a joined piece, each block at its own kink
+        tolerance (``_kink_tol``)."""
+        tz, tx = (None, None) if blocks is None else (_kink_tol(z, blocks), _kink_tol(x, blocks))
+        state, sign = self._classify(z, tz)
+        critical = np.where(state == 2, np.where(sign > 0, UP, DOWN), state)
+        return critical, self._normal_codes(x, tx)
 
     def _structure(self, xbar, ubar):
-        state, sign = self._classify(xbar + ubar)
-        critical = np.where(state == 2, np.where(sign > 0, UP, DOWN), state)
-        return BlockStructure(None, critical, self._normal_codes(xbar), np.zeros(self.dim))
+        return BlockStructure(None, *self._codes(xbar + ubar, xbar), np.zeros(self.dim))
 
     def prox_dirderiv(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -545,16 +585,23 @@ class OrthantIndicator(_SeparablePiece):
     def smooth_at(self, z, margin=1e-3):
         return bool(np.min(np.abs(z)) > margin)
 
-    def _classify(self, z):
+    def _join_key(self):
+        return (self.kind, self.sign)
+
+    @classmethod
+    def _joined(cls, pieces):
+        return cls(sum(p.dim for p in pieces), pieces[0].sign)
+
+    def _classify(self, z, t=None):
         w = self.sign * np.asarray(z, dtype=float)
-        t = _kink_tol(w)
+        t = _kink_tol(w) if t is None else t
         state = np.where(w > t, 1, np.where(w < -t, 0, 2))
         return state, np.where(state == 2, float(self.sign), 0.0)
 
-    def _normal_codes(self, x):
+    def _normal_codes(self, x, t=None):
         # interior coordinates contribute {0}; active ones the outward ray
         x = self.sign * x
-        active = x <= _kink_tol(x)
+        active = x <= (_kink_tol(x) if t is None else t)
         return np.where(active, DOWN if self.sign > 0 else UP, PINNED)
 
 
@@ -620,11 +667,16 @@ class BoxIndicator(_SeparablePiece):
         gap = np.minimum(np.abs(z - self.lower), np.abs(z - self.upper))
         return bool(np.all((gap > margin) | (self.lower == self.upper)))
 
-    def _classify(self, z):
+    @classmethod
+    def _joined(cls, pieces):
+        return cls(np.concatenate([p.lower for p in pieces]),
+                   np.concatenate([p.upper for p in pieces]))
+
+    def _classify(self, z, t=None):
         # a box narrower than twice the kink tolerance counts as one value,
         # like lower == upper: its coordinate is pinned
         z = np.asarray(z, dtype=float)
-        t = _kink_tol(z)
+        t = _kink_tol(z) if t is None else t
         lo, hi = self.lower, self.upper
         open_box = hi - lo > 2.0 * t
         at_lo = (np.abs(z - lo) <= t) & open_box
@@ -633,8 +685,8 @@ class BoxIndicator(_SeparablePiece):
         state[at_lo | at_hi] = 2
         return state, np.subtract(at_lo, at_hi, dtype=float)
 
-    def _normal_codes(self, x):
-        t = _kink_tol(x)
+    def _normal_codes(self, x, t=None):
+        t = _kink_tol(x) if t is None else t
         at_lo, at_hi = x <= self.lower + t, x >= self.upper - t
         return np.where(at_lo, np.where(at_hi, FREE, DOWN), np.where(at_hi, UP, PINNED))
 
@@ -677,16 +729,20 @@ class L1Norm(_SeparablePiece):
     def smooth_at(self, z, margin=1e-3):
         return bool(np.min(np.abs(np.abs(z) - 1.0)) > margin)
 
-    def _classify(self, z):
+    @classmethod
+    def _joined(cls, pieces):
+        return cls(sum(p.dim for p in pieces))
+
+    def _classify(self, z, t=None):
         # classification of the soft threshold at unit sigma, the scale at
         # which all second-order analysis happens
         z = np.asarray(z, dtype=float)
         a = np.abs(z)
-        t = _kink_tol(z)
+        t = _kink_tol(z) if t is None else t
         state = np.where(a > 1.0 + t, 1, np.where(a < 1.0 - t, 0, 2))
         return state, np.where(state == 2, np.sign(z), 0.0)
 
-    def _normal_codes(self, x):
+    def _normal_codes(self, x, t=None):
         # full domain, normal cone is trivial
         return np.full(self.dim, PINNED)
 
@@ -935,6 +991,75 @@ class EpiSum(ConvexPiece):
         return BlockStructure(frame, np.concatenate(([FREE], inner.critical)),
                               np.concatenate(([PINNED], inner.normal)),
                               np.concatenate(([0.0], inner.weight)))
+
+
+# ----------------------------------------------------------------------
+# The blocks of a problem grouped by kind
+
+
+class BlockGroups:
+    """The blocks of a problem, the pieces laid end to end from ``offsets``,
+    grouped once for their structures at any pair.  The blocks of one
+    separable key (orthant per sign, box, l1), alone or as the inner piece
+    of an epi lift, form one group: one joined piece over their inner
+    coordinates, which one ``_codes`` call classifies.  Every other block
+    keeps its own ``_structure``."""
+
+    def __init__(self, pieces: list[ConvexPiece], offsets: np.ndarray):
+        self.pieces, self.offsets = pieces, offsets
+        members: dict[tuple, list[tuple[_SeparablePiece, np.ndarray]]] = {}
+        self.joined = []
+        for p, lo, hi in zip(pieces, offsets[:-1], offsets[1:]):
+            lifted = isinstance(p, EpiSum)
+            inner = p.inner if lifted else p
+            self.joined.append(isinstance(inner, _SeparablePiece))
+            if self.joined[-1]:
+                members.setdefault(inner._join_key(), []).append(
+                    (inner, np.arange(lo + lifted, hi)))
+        # per group: the joined piece, its coordinates in the blocks, and
+        # each block's start and size among them
+        self.groups = []
+        for blocks in members.values():
+            inner, index = zip(*blocks)
+            sizes = np.array([q.dim for q in inner])
+            self.groups.append((type(inner[0])._joined(list(inner)), np.concatenate(index),
+                                (np.cumsum(sizes) - sizes, sizes)))
+
+    def check_subgradients(self, xbar: np.ndarray, ubar: np.ndarray, tol: float,
+                           prox: list[np.ndarray]) -> None:
+        """Each block's ``check_subgradient`` at its slices of the pairs xbar
+        and ubar, in block order, ``prox`` holding each block's prox at
+        xbar + ubar.  The blocks' residuals and norms are taken at once,
+        the norms as square roots of sums of squares, which may round
+        otherwise than ``np.linalg.norm``: a block within a relative 1e-9
+        of its threshold, or whose norm is not finite, takes its own test."""
+        starts = self.offsets[:-1]
+        res = np.maximum.reduceat(np.abs(np.concatenate(prox) - xbar), starts)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.add.reduceat(xbar * xbar, starts))
+        passed = np.isfinite(norm) & (res <= tol * (1.0 + norm) * (1.0 - 1e-9))
+        for i in np.flatnonzero(~passed):
+            lo, hi = self.offsets[i], self.offsets[i + 1]
+            self.pieces[i].check_subgradient(xbar[lo:hi], ubar[lo:hi], tol, prox[i])
+
+    def structures(self, xbar: np.ndarray, ubar: np.ndarray, tol: float,
+                   prox: list[np.ndarray]) -> list[BlockStructure]:
+        """The bits of ``[p.structure(xb, ub, tol, pb) ...]`` over the blocks,
+        from the pair of float vectors (xbar, ubar) and each block's prox at
+        xbar + ubar: every subgradient test first, then one ``_codes`` call
+        per group."""
+        self.check_subgradients(xbar, ubar, tol, prox)
+        # an epi lift's scalar coordinate is free in the critical cone and
+        # pinned in the normal cone, as in EpiSum._structure
+        critical, normal = np.full(xbar.size, FREE), np.full(xbar.size, PINNED)
+        for piece, index, blocks in self.groups:
+            x = xbar[index]
+            critical[index], normal[index] = piece._codes(x + ubar[index], x, blocks)
+        weight = np.zeros(xbar.size)
+        return [BlockStructure(None, critical[lo:hi], normal[lo:hi], weight[lo:hi]) if joined
+                else p._structure(xbar[lo:hi], ubar[lo:hi])
+                for p, joined, lo, hi in zip(self.pieces, self.joined, self.offsets[:-1],
+                                              self.offsets[1:])]
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ element is built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .newton import NewtonOptions, NewtonTrace, check_integer, semismooth_solve
-from .pieces import ClarkeFrame, ConvexPiece, LinearOperatorElement
+from .pieces import BlockGroups, ClarkeFrame, ConvexPiece, LinearOperatorElement
 
 FD_HESS_STEP = 1e-5
 
@@ -78,6 +79,11 @@ class CompositeProblem:
         self.pieces = list(pieces)
         self.name = name
         self.offsets = np.cumsum([0] + [p.dim for p in pieces])
+
+    @functools.cached_property
+    def block_groups(self) -> BlockGroups:
+        """The blocks grouped by kind for their structures, built on first use."""
+        return BlockGroups(self.pieces, self.offsets)
 
     @property
     def n(self) -> int:

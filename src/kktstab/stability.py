@@ -320,7 +320,9 @@ class AnalysisPoint:
     multiplier-uniqueness candidates (only mu moves) and the
     linearization of both probes.  It keeps the block pairs
     (piece, F(x)_b, mu_b).  The weighted Hessian, the block structures
-    (whose class codes give the cones), J_f, the local model, and each
+    (whose class codes give the cones; every block's subgradient test and
+    one classification per group of separable blocks of one kind, from
+    the problem's ``block_groups``), J_f, the local model, and each
     cone's kernel and decision are computed on first use and kept, so the
     checks that share one point compute each of them once, and a report
     calls F, J and the weighted Hessian once each."""
@@ -360,8 +362,11 @@ class AnalysisPoint:
 
     @functools.cached_property
     def structures(self) -> list:
-        return [p.structure(xb, ub, self.opts.tol, pb)
-                for (p, xb, ub), pb in zip(self.pairs, self.prox)]
+        """Each block's ``structure`` at the point, with its bits, from the
+        problem's ``block_groups``: one classification per group of
+        separable blocks of one kind, each block at its own kink tolerance."""
+        return self.problem.block_groups.structures(self.Fbar, self.kkt.mu, self.opts.tol,
+                                                    self.prox)
 
     @functools.cached_property
     def polyhedral(self) -> bool:
@@ -972,20 +977,50 @@ def _probe_stats(opts: AnalyzerOptions, solutions: list[tuple[np.ndarray, np.nda
                  violations: int, pieces: int, failures: int = 0,
                  failure: str = "") -> ProbeStats:
     """The ProbeStats of the (delta, solution) pairs, the modulus their
-    largest difference quotient, or NaN where one quotient is NaN (inf /
-    inf after an overflow)."""
+    largest difference quotient (``_modulus``)."""
     modulus = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, (d1, z1) in enumerate(solutions):
-            for d2, z2 in solutions[i + 1:]:
-                gap = float(np.linalg.norm(d1 - d2))
-                if gap > 1e-12:
-                    q = float(np.linalg.norm(z1 - z2)) / gap
-                    if q > modulus or q != q:  # NaN stays once it appears
-                        modulus = q
+    if len(solutions) > 1:
+        modulus = _modulus(*(np.array(stack) for stack in zip(*solutions)))
     return ProbeStats(modulus=modulus, violations=int(violations), failures=int(failures),
                       solved=len(solutions), num_delta=opts.num_delta, radius=opts.radius,
                       pieces=pieces, failure=failure)
+
+
+def _modulus(D: np.ndarray, Z: np.ndarray) -> float:
+    """The largest quotient |Z_i - Z_j| / |D_i - D_j| over the pairs i < j of
+    rows whose gap |D_i - D_j| exceeds 1e-12, 0 when none does, or NaN
+    where one quotient is NaN (inf / inf after an overflow): the scalar
+    formula taken pair by pair in order.
+
+    Past 15 pairs (6 rows), where the stack costs less than the pairs it
+    spares, every pair's quotient is first taken at once, from row sums of
+    squares, which may round otherwise than ``np.linalg.norm``.  The scalar
+    formula then runs only on the pairs where that can matter: a quotient
+    within a relative 1e-9 of the largest one, a gap within a relative
+    1e-9 of the cut, and a sum of squares that is not finite or lies near
+    overflow or underflow.  So every bit is the scalar formula's."""
+    band = 1e-9
+    i, j = np.nonzero(np.arange(len(Z))[:, None] < np.arange(len(Z)))  # the pairs, in order
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if i.size > 15:
+            dd, dz = D[i] - D[j], Z[i] - Z[j]
+            gap2, num2 = np.einsum("pk,pk->p", dd, dd), np.einsum("pk,pk->p", dz, dz)
+            gaps = np.sqrt(gap2)
+            quotients = np.sqrt(num2) / gaps
+            unsafe = ~((gap2 < 1e290) & (num2 < 1e290)) | ((num2 > 0.0) & (num2 < 1e-290))
+            near_cut = np.abs(gaps - 1e-12) <= band * 1e-12
+            sure = (gaps > 1e-12) & ~near_cut & ~unsafe
+            top = quotients[sure].max(initial=0.0)
+            check = unsafe | near_cut | (sure & (quotients >= (1.0 - band) * top))
+            i, j = i[check], j[check]
+        modulus = 0.0
+        for a, b in zip(i.tolist(), j.tolist()):
+            gap = float(np.linalg.norm(D[a] - D[b]))
+            if gap > 1e-12:
+                q = float(np.linalg.norm(Z[a] - Z[b])) / gap
+                if q > modulus or q != q:  # NaN stays once it appears
+                    modulus = q
+    return modulus
 
 
 def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:

@@ -335,6 +335,29 @@ def test_cli_start_override(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command, option, name, value", [
+    ("solve", "--start", "smooth_toy", "-1,-1,-2"),
+    ("analyze", "--at", "l1_toy", "-0,-0"),
+    ("probe", "--at", "l1_toy", "-0.0,0"),
+    ("solve", "--sta", "smooth_toy", "-1,-1,-2"),
+])
+def test_cli_point_with_a_negative_first_value_takes_either_form(tmp_path, capsys, command,
+                                                                  option, name, value):
+    # "--start -1,-1,-2" is "--start=-1,-1,-2", abbreviated or not: the same
+    # exit code and the same --json dump; a point option with no value
+    # stays a usage error
+    dumps = []
+    for form in ([option, value], [f"{option}={value}"]):
+        path = tmp_path / f"{len(dumps)}.json"
+        rc = run_command([command, _battery_file(name), *form, "--json", str(path)])
+        dumps.append((rc, path.read_bytes()))
+    capsys.readouterr()
+    assert dumps[0] == dumps[1] and dumps[0][0] in (0, 2)
+    for tail in ([option], [option, "--json", str(tmp_path / "x.json")]):
+        assert run_command([command, _battery_file(name), *tail]) == 64
+        assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start, message", [
     ("1e308,1e308,1e308", "residual at the starting point is not finite"),
     ("1,1e200,1", "squared residual norm at the starting point overflows"),

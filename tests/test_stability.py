@@ -1264,23 +1264,37 @@ def _pair_battery_problem(keep=lambda name: True):
 def test_each_block_is_handled_once_per_report(monkeypatch, name):
     import kktstab.pieces as pc
 
-    # eig_split calls are counted where the structure itself makes them,
-    # not in the prox of its subgradient test
-    calls = {"structure": [], "check_subgradient": [], "eig_split": []}
+    # a report takes every structure from the problem's block groups once:
+    # one stacked subgradient pass, one _codes call per group of separable
+    # blocks and one _structure call per other block, whose eig_split runs
+    # once (eig_split calls are counted where the structure itself makes
+    # them, not in the prox of a subgradient test); no piece.structure
+    calls = {attr: [] for attr in ("structures", "check_subgradients", "check_subgradient",
+                                   "structure", "_codes", "_structure", "eig_split")}
     active = []
-    for attr in ("structure", "check_subgradient"):
-        def counted(self, *args, _attr=attr, _method=getattr(pc.ConvexPiece, attr), **kwargs):
-            calls[_attr].append(self)
+
+    def count(cls, attr):
+        def counted(self, *args, _attr=attr, _method=getattr(cls, attr), **kwargs):
+            if not active or _attr != active[-1]:  # an epi lift's inner call is its own
+                calls[_attr].append(self)
             active.append(_attr)
             try:
                 return _method(self, *args, **kwargs)
             finally:
                 active.pop()
 
-        monkeypatch.setattr(pc.ConvexPiece, attr, counted)
+        monkeypatch.setattr(cls, attr, counted)
+
+    for attr in ("structures", "check_subgradients"):
+        count(pc.BlockGroups, attr)
+    for attr in ("structure", "check_subgradient"):
+        count(pc.ConvexPiece, attr)
+    count(pc._SeparablePiece, "_codes")
+    for cls in pc.PIECE_KINDS.values():
+        count(cls, "_structure")
 
     def counted_split(v, _split=pc.eig_split):
-        if active and active[-1] == "structure":
+        if active and active[-1] == "_structure":
             calls["eig_split"].append(v)
         return _split(v)
 
@@ -1294,11 +1308,171 @@ def test_each_block_is_handled_once_per_report(monkeypatch, name):
            if isinstance(p, PSDConeIndicator) or isinstance(getattr(p, "inner", None),
                                                             PSDConeIndicator)]
     equivalence_report(problem, z, FAST)
-    # the element layer (sample_clarke, clarke_element) tests no subgradient pair
-    blocks = [id(p) for p in problem.pieces]
-    assert sorted(map(id, calls["structure"])) == sorted(blocks)
-    assert sorted(map(id, calls["check_subgradient"])) == sorted(blocks)
+    groups = problem.block_groups
+    assert calls["structures"] == calls["check_subgradients"] == [groups]
+    assert len(set(map(id, calls["check_subgradient"]))) == len(calls["check_subgradient"])
+    assert calls["structure"] == []
+    assert sorted(map(id, calls["_codes"])) == sorted(id(g[0]) for g in groups.groups)
+    assert sorted(map(id, calls["_structure"])) == sorted(map(id, psd))
     assert len(calls["eig_split"]) == len(psd)
+
+
+def _assert_same_structures(got, want, label):
+    """Structure for structure, array for array: the same frames, codes and
+    weights, dtypes and bits."""
+    assert len(got) == len(want), label
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert (a.frame is None) == (b.frame is None), (label, k)
+        for field in ("frame", "critical", "normal", "weight"):
+            u, v = getattr(a, field), getattr(b, field)
+            if u is not None:
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), (
+                    label, k, field)
+
+
+def _per_block_structures(point):
+    return [p.structure(xb, ub, point.opts.tol, pb)
+            for (p, xb, ub), pb in zip(point.pairs, point.prox)]
+
+
+def _kink_block(rng, kind, sign):
+    """A separable piece of the kind and a pair (xbar, ubar) at it whose
+    z = xbar + ubar has one coordinate of modulus S in {3, 1e8, 3e9}, which
+    sets the block's kink tolerance t = 1e-8 S, and the others at a kink
+    plus c t, c in {-2, -1, -1/2, 0, 1/2, 1, 2}: exactly +-t from a kink
+    among them.  A box mixes infinite bounds, boxes narrower than, exactly
+    and wider than 2t, and bounds away from 0."""
+    S = float(rng.choice([3.0, 1e8, 3e9]))
+    t = 1e-8 * S
+    c = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=int(rng.integers(2, 7)))
+    top = S * rng.choice([-1.0, 1.0])
+    if kind == "orthant":
+        piece, z = OrthantIndicator(c.size + 1, sign), np.append(c * t, top)
+    elif kind == "l1":
+        kinks = rng.choice([-1.0, 1.0], size=c.size)
+        piece, z = L1Norm(c.size + 1), np.append(kinks + c * t, top)
+    else:
+        menu = [(0.0, 1.0), (-1.0, 0.0), (-np.inf, 0.0), (0.0, np.inf), (-2.0, 1.5),
+                (0.0, 1.5 * t), (0.0, 2.0 * t), (-2.0 * t, 0.0), (0.0, 3.0 * t)]
+        lo, hi = np.array([menu[k] for k in rng.integers(len(menu), size=c.size)]).T
+        kink = np.where(np.isfinite(lo) & (rng.uniform(size=c.size) < 0.5) | ~np.isfinite(hi),
+                        lo, hi)
+        piece = BoxIndicator(np.append(lo, -np.inf), np.append(hi, np.inf))
+        z = np.append(kink + c * t, top)
+    perm = rng.permutation(z.size)
+    if kind == "box":
+        piece = BoxIndicator(piece.lower[perm], piece.upper[perm])
+    z = z[perm]
+    xbar = piece.prox(z)
+    return piece, xbar, z - xbar
+
+
+def _kink_problem(rng, psd=False):
+    """A problem F(x) = c of orthant (both signs), box and l1 blocks from
+    ``_kink_block``, a third of them epi-lifted with a scalar coordinate up
+    to 1e12, which is outside the inner tolerance, and with ``psd`` PSD
+    blocks, alone and lifted, among them; and its pair (xbar, ubar)."""
+    blocks = []
+    for _ in range(int(rng.integers(3, 9))):
+        kind = ["orthant", "box", "l1"][rng.integers(3)]
+        piece, xb, ub = _kink_block(rng, kind, int(rng.choice([-1, 1])))
+        if rng.uniform() < 0.35:
+            c = float(rng.choice([0.5, 1e9, 1e12]))
+            piece, xb, ub = EpiSum(piece), np.append(c, xb), np.append(1.0, ub)
+        blocks.append((piece, xb, ub))
+    if psd:
+        for lifted in (False, True):
+            piece = PSDConeIndicator(int(rng.integers(2, 4)))
+            z = rng.standard_normal(piece.dim)
+            xb = piece.prox(z)
+            if lifted:
+                piece, xb, z = EpiSum(piece), np.append(2.0, xb), np.append(3.0, z)
+            blocks.insert(int(rng.integers(len(blocks) + 1)), (piece, xb, z - xb))
+    pieces = [p for p, _, _ in blocks]
+    xbar = np.concatenate([xb for _, xb, _ in blocks])
+    ubar = np.concatenate([ub for _, _, ub in blocks])
+    m = xbar.size
+    F = SmoothMap(n=1, m=m, eval=lambda x: xbar, jacobian=lambda x: np.zeros((m, 1)))
+    return CompositeProblem(F, pieces), KKTPoint(np.zeros(1), ubar)
+
+
+def test_grouped_structures_have_the_bits_of_each_blocks_structure():
+    # the analysis point classifies the separable blocks of one kind in one
+    # call; its structures equal piece.structure block by block, at the
+    # planted polyhedral plants of both labels and at hand-built points
+    # with coordinates +-t from a kink in blocks of different tolerances
+    cases = [(name, problem, meta.known_solution, AnalyzerOptions())
+             for name, problem, meta in _planted_plants() if name.startswith("nlp")]
+    cases += [(f"analyze-nlp-{k}", problem, meta.known_solution, AnalyzerOptions())
+              for k, (problem, meta) in enumerate(_analyze_nlp_plants(7))]
+    assert {name.split("-")[1] for name, *_ in cases[:6]} == {"True", "False"}
+    for name, problem, z, opts in cases:
+        point = AnalysisPoint(problem, z, opts)
+        _assert_same_structures(point.structures, _per_block_structures(point), name)
+    rng = np.random.default_rng(5)
+    kinds, codes = set(), set()
+    for k in range(60):
+        problem, z = _kink_problem(rng, psd=k % 4 == 0)
+        kinds.update((type(g[0]).__name__, getattr(g[0], "sign", 0))
+                     for g in problem.block_groups.groups)
+        point = AnalysisPoint(problem, z, _kkt_test=False)
+        want = _per_block_structures(point)
+        _assert_same_structures(point.structures, want, k)
+        codes.update((c, n) for st in want for c, n in zip(st.critical, st.normal))
+    assert kinds == {("OrthantIndicator", -1), ("OrthantIndicator", 1), ("BoxIndicator", 0),
+                     ("L1Norm", 0)}
+    assert {c for c, _ in codes} == {PINNED, FREE, UP, DOWN}
+    assert {n for _, n in codes} == {PINNED, FREE, UP, DOWN, BLOCK}
+
+
+def test_grouped_subgradient_tests_raise_as_each_block_does():
+    # a pair that fails one block's subgradient test raises that block's
+    # message, the first failing block's in block order; a residual within
+    # rounding of its threshold decides as the block's own test does
+    from kktstab import SubgradientError
+
+    def outcome(fn):
+        try:
+            fn()
+        except SubgradientError as exc:
+            return str(exc)
+        return None
+
+    rng = np.random.default_rng(9)
+    raised = 0
+    for k in range(40):
+        problem, z = _kink_problem(rng, psd=k % 2 == 0)
+        mu = z.mu.copy()
+        for b in rng.choice(len(problem.pieces), size=int(rng.integers(1, 3)), replace=False):
+            mu[problem.offsets[b] + rng.integers(problem.pieces[b].dim)] += rng.choice([-3.0, 3.0])
+        point = AnalysisPoint(problem, KKTPoint(z.x, mu), _kkt_test=False)
+        want = outcome(lambda: _per_block_structures(point))
+        assert outcome(lambda: point.structures) == want, k
+        raised += want is not None
+    assert 10 <= raised < 40
+    # an orthant(+1) block at xbar = (p, -r), ubar = 0, between an l1 and a
+    # box block: its residual r against tol (1 + |xbar|), r within a few
+    # ulps of the threshold, where a norm summed in another order than
+    # np.linalg.norm's can decide otherwise
+    tol = 1e-6
+    decided = set()
+    for k in range(300):
+        p = rng.uniform(0.5, 2.0, size=int(rng.integers(1, 6)))
+        r0 = tol
+        for _ in range(4):  # r0 = tol (1 + |(p, -r0)|)
+            r0 = tol * (1.0 + np.linalg.norm(np.append(p, -r0)))
+        for r in r0 * (1.0 + np.arange(-6, 7) * 2.0 ** -52):
+            pieces = [L1Norm(2), OrthantIndicator(p.size + 1, 1), BoxIndicator([0.0], [1.0])]
+            xbar = np.concatenate([[0.0, 0.0], p, [-r, 0.5]])
+            m = xbar.size
+            F = SmoothMap(n=1, m=m, eval=lambda x: xbar, jacobian=lambda x: np.zeros((m, 1)))
+            point = AnalysisPoint(CompositeProblem(F, pieces),
+                                  KKTPoint(np.zeros(1), np.zeros(m)), AnalyzerOptions(tol=tol),
+                                  _kkt_test=False)
+            want = outcome(lambda: _per_block_structures(point))
+            assert outcome(lambda: point.structures) == want, (k, r)
+            decided.add(want is None)
+    assert decided == {True, False}
 
 
 @pytest.mark.parametrize("name", BATTERY_NAMES + ("pair_battery", "analyze-nlp", "analyze-sdp"))
@@ -2907,6 +3081,53 @@ def test_a_nan_difference_quotient_makes_the_probe_modulus_nan():
     finite = st._probe_stats(AnalyzerOptions(), [(small, small), (2.0 * small, 3.0 * small)],
                              0, 1)
     assert finite.modulus == 2.0
+
+
+def _modulus_loop(solutions):
+    """The probe's modulus as the scalar double loop over the pairs in
+    order: the reference of ``_modulus``."""
+    modulus = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (d1, z1) in enumerate(solutions):
+            for d2, z2 in solutions[i + 1:]:
+                gap = float(np.linalg.norm(d1 - d2))
+                if gap > 1e-12:
+                    q = float(np.linalg.norm(z1 - z2)) / gap
+                    if q > modulus or q != q:
+                        modulus = q
+    return modulus
+
+
+def test_the_stacked_modulus_has_the_bits_of_the_scalar_loop():
+    # random stacks whose quotients tie up to rounding (Z = D Q, Q
+    # orthogonal, so every quotient is 1 up to an ulp or so), with repeated
+    # deltas, gaps within a few ulps of the 1e-12 cut, and overflowing or
+    # NaN rows: the modulus has the bits of the scalar loop, with no warning
+    import kktstab.stability as st
+
+    rng = np.random.default_rng(17)
+    for k in range(400):
+        n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 40))
+        D = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 3)
+        Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0] * 10.0 ** rng.integers(-2, 3)
+        Z = D @ Q + (0.0 if k % 2 else 1e-13 * rng.standard_normal((n, dim)))
+        if k % 3 == 0:
+            D[rng.integers(n, size=2)] = D[0]
+        if k % 5 == 0:
+            e = np.zeros(dim)
+            e[0] = 1e-12 * (1.0 + rng.integers(-4, 5) * 2.0 ** -52)
+            D[-1] = D[0] + e
+        if k % 7 == 0:
+            Z[rng.integers(n)] = rng.choice([1e200, np.nan, np.inf])
+        if k % 11 == 0:
+            D[rng.integers(n)] = 1e308
+        solutions = list(zip(D, Z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = st._probe_stats(AnalyzerOptions(), solutions, 0, 1).modulus
+        want = _modulus_loop(solutions)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, got, want)
+    assert st._probe_stats(AnalyzerOptions(), [], 0, 1).modulus == 0.0
 
 
 def test_a_polyhedral_solution_off_the_local_pieces_keeps_the_exact_probe(monkeypatch):
