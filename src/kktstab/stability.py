@@ -29,9 +29,10 @@ PSD kink, where the inertia identity that leg b reads makes W positive
 definite iff leg b holds.  Where W is not, the point is not strongly
 regular, and leg c reads that certificate at any K.  Otherwise it solves
 each sampled perturbation exactly, as one complementarity problem with a
-positive definite matrix, over an orthant (an LCP) or over an orthant
-times PSD cones, and checks each solution; a solve that does not
-converge, or a solution that fails its check, leaves leg c undecided.
+positive definite matrix over an orthant times one PSD cone per block
+with |beta| >= 2, all perturbations in one stacked semismooth Newton
+solve, and checks each solution; a solve that does not converge, or a
+solution that fails its check, leaves leg c undecided.
 
 Every check takes ``(problem, zbar, opts=None)`` and reads its settings
 from the one ``AnalyzerOptions`` of the ``AnalysisPoint`` it runs at, which
@@ -951,8 +952,9 @@ def strong_regularity_probe(problem: CompositeProblem, zbar,
     ``_exact_probe`` first decides whether the local model's W is positive
     definite; where it is not, it returns the certificate that the point
     is not strongly regular, at any number of kinks.  Otherwise it solves
-    each delta's one local solution from one complementarity problem, an
-    LCP or, at a PSD block of |beta| >= 2, a conic one, and the modulus is
+    each delta's one local solution from one complementarity problem over
+    an orthant times one PSD cone per block of |beta| >= 2, all deltas as
+    one stack of ``_conic_complementarity``, and the modulus is
     the largest difference quotient |z1 - z2| / |d1 - d2| over them.  A
     delta whose solve does not converge, or whose solution fails its
     check, is counted as a failure, which leaves leg c undecided.
@@ -1087,9 +1089,9 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
     the self-dual cone C = R_+^{K1} x (one S+^|beta| per BLOCK run), the
     optimality system of a strictly convex quadratic program, whose matrix
     D W D is positive definite (Cottle, Pang & Stone 1992, ch. 3; Facchinei
-    & Pang 2003, ch. 2).  ``_lcp`` solves it where C is an orthant,
-    ``_conic_complementarity`` where it has PSD factors, and one more
-    solve with S gives the solution.  One stacked residual checks every
+    & Pang 2003, ch. 2).  One ``_conic_complementarity`` call solves it
+    for every delta, with no PSD factor where no kink is BLOCK, and one
+    more solve with S gives the solution.  One stacked residual checks every
     solution against 2 (tol + the kink tolerance ``_kink_tol``) max(1,
     |delta|_inf), since the rounding of the B-derivative's equation, which
     is positively homogeneous, grows with |delta|.  With a PSD block the
@@ -1138,14 +1140,11 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
         raise overflow
     sign = np.where(codes[kinks] == DOWN, -1.0, 1.0)
     M = sign[:, None] * W * sign
-    if block.any():
-        # one PSD factor per block's run of BLOCK kinks
-        owner = np.searchsorted(problem.offsets, kinks[block], side="right")
-        runs = np.split(np.flatnonzero(block), np.flatnonzero(np.diff(owner)) + 1)
-        ys = _conic_complementarity(M, sign * q.T, [(r, PSDConeIndicator(svec_order(r.size)))
-                                                     for r in runs])
-    else:
-        ys = np.array([_lcp(M, sign * qj) for qj in q.T])
+    # one PSD factor per block's run of BLOCK kinks, none at an orthant-only point
+    owner = np.searchsorted(problem.offsets, kinks[block], side="right")
+    runs = np.split(np.flatnonzero(block), np.flatnonzero(np.diff(owner)) + 1)
+    ys = _conic_complementarity(M, sign * q.T, [(r, PSDConeIndicator(svec_order(r.size)))
+                                                 for r in runs if r.size])
     unsolved = np.isnan(ys).any(axis=1)
     g = sign * ys
     f = d1 + g @ J[kinks]
@@ -1180,8 +1179,8 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
     failure = ""
     if failed.size:
         j = failed[0]
-        failure = (f"delta {j}: the {'conic complementarity' if block.any() else 'LCP'} "
-                   f"solve did not converge" if unsolved[j] else
+        failure = (f"delta {j}: the conic complementarity solve did not converge"
+                   if unsolved[j] else
                    f"delta {j}: residual {err[j]:.3e} above its bound {bound[j]:.3e}")
     keep = np.delete(np.arange(len(deltas)), failed)
     stats = _probe_stats(opts, list(zip(deltas[keep], Z[keep])), 0, pieces, failed.size, failure)
@@ -1204,23 +1203,6 @@ def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
     dirderiv = [p.prox_dirderiv(xb + ub, db)
                 for (p, xb, ub), db in zip(point.pairs, point.problem.blocks(e + dmu))]
     return np.concatenate([r1, e - np.concatenate(dirderiv, axis=1)], axis=1)
-
-
-def _lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """The y with y >= 0, w = q + M y >= 0 and y^T w = 0, for a P-matrix M,
-    by Murty's (1974) least-index principal pivoting: the basic set B holds
-    the y_i that may be nonzero, y_B solves M_BB y_B = -q_B, and the least
-    index whose y_i (in B) or w_i (outside it) is negative switches sides.
-    NaN once all 2^K complementary bases could have been visited."""
-    basic = np.zeros(q.size, dtype=bool)
-    for _ in range(2 ** q.size):
-        y = np.zeros(q.size)
-        y[basic] = np.linalg.solve(M[np.ix_(basic, basic)], -q[basic])
-        wrong = np.flatnonzero(np.where(basic, y, q + M @ y) < 0.0)
-        if not wrong.size:
-            return y
-        basic[wrong[0]] = not basic[wrong[0]]
-    return np.full(q.size, np.nan)
 
 
 def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndarray:
@@ -1247,13 +1229,17 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
     is within rounding of its minimum.  A row ends when |F| is at most
     1e-12 (|y| + gamma |w|); one whose line search collapses, or that is
     still running after _CONIC_MAX_ITER iterations or when a stacked
-    Newton solve raises, did not converge.  All rows run as one stack."""
+    Newton solve raises, did not converge.  All rows run as one stack.
+    With no coordinate (K = 0) every y is empty."""
     K = M.shape[0]
+    if not K:
+        return np.zeros_like(Q)
     half = np.ones(K, dtype=bool)
     for idx, _ in cones:
         half[idx] = False
     gamma = 0.95 / np.linalg.eigvalsh(M)[-1]
-    A = np.eye(K) - gamma * M
+    eye = np.eye(K)
+    A = eye - gamma * M
 
     def state(y: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
         # per row: y, w, F, |F|^2, phi - f(y) and the Newton matrix I - V A
@@ -1266,45 +1252,47 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
             p[:, idx], frame = cone.prox_and_frame(z[:, idx])
             V[:, idx[:, None], idx] = frame.matrix()
         r = y - p
-        rr = np.sum(r * r, axis=1)
-        return [y, w, r, rr, rr / (2.0 * gamma) - np.sum(w * r, axis=1), np.eye(K) - V @ A]
+        rr = (r * r).sum(axis=1)
+        return [y, w, r, rr, rr / (2.0 * gamma) - (w * r).sum(axis=1), eye - V @ A]
 
-    scale = np.linalg.norm(Q, axis=1)
-    out = np.zeros_like(Q)
-    out[scale > 0.0] = np.nan
+    # row norms as square roots of row sums, the bits of np.linalg.norm
+    scale = np.sqrt((Q * Q).sum(axis=1))
     rows = np.flatnonzero(scale > 0.0)
+    out = np.zeros_like(Q)
+    out[rows] = np.nan
     q = Q[rows] / scale[rows, None]
     S = state(np.zeros_like(q), q)
+    stalled = np.zeros(rows.size, dtype=bool)
     for _ in range(_CONIC_MAX_ITER):
         y, w, r, rr, e, E = S
-        done = rr <= (1e-12 * (np.linalg.norm(y, axis=1)
-                               + gamma * np.linalg.norm(w, axis=1))) ** 2
+        done = rr <= (1e-12 * (np.sqrt((y * y).sum(axis=1))
+                               + gamma * np.sqrt((w * w).sum(axis=1)))) ** 2
         out[rows[done]] = y[done] * scale[rows[done], None]
-        rows, q, S = rows[~done], q[~done], [a[~done] for a in S]
+        keep = ~(done | stalled)  # one filter: the rows solved and the rows stalled
+        rows = rows[keep]
         if not rows.size:
             break
+        if not keep.all():
+            q, S = q[keep], [a[keep] for a in S]
         y, w, r, rr, e, E = S
         try:
             d = -np.linalg.solve(E, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
-        slope = np.sum((r @ A) * d, axis=1) / gamma
+        slope = ((r @ A) * d).sum(axis=1) / gamma
         t, search = 1.0, np.arange(rows.size)
-        while search.size:
-            if t < 1e-10:  # the rows still searching end unsolved
-                keep = np.ones(rows.size, dtype=bool)
-                keep[search] = False
-                rows, q, S = rows[keep], q[keep], [a[keep] for a in S]
-                break
+        while search.size and t >= 1e-10:
             trial = state(y[search] + t * d[search], q[search])
             ds = d[search]
-            drop = (t * np.sum(ds * w[search], axis=1) + 0.5 * t * t * np.sum((ds @ M) * ds, axis=1)
+            drop = (t * (ds * w[search]).sum(axis=1) + 0.5 * t * t * ((ds @ M) * ds).sum(axis=1)
                     + trial[4] - e[search])
             ok = ((drop <= 1e-4 * t * slope[search])
                   | (trial[3] <= (1.0 - 1e-4 * t) * rr[search]))  # NaN fails both
             for a, b in zip(S, trial):
                 a[search[ok]] = b[ok]
             search, t = search[~ok], 0.5 * t
+        stalled = np.zeros(rows.size, dtype=bool)
+        stalled[search] = True  # a collapsed line search ends its row unsolved
     return out
 
 

@@ -737,8 +737,9 @@ def test_a_fold_and_two_equal_kink_rows_read_the_certificate_without_newton(monk
 
 def test_the_exact_probe_decides_both_100_block_plants_without_newton(monkeypatch):
     # 100 blocks and 45 kinks, with no Newton solve allowed: the strongly
-    # regular plant solves every delta's LCP and reads leg c true, and the
-    # nondegeneracy failure reads the certificate
+    # regular plant solves every delta's complementarity problem over the
+    # orthant and reads leg c true, and the nondegeneracy failure reads the
+    # certificate
     planted = _benchmark_workloads().planted
     _no_newton(monkeypatch)
     for seed, nd in ((100, True), (101, False)):
@@ -754,26 +755,6 @@ def test_the_exact_probe_decides_both_100_block_plants_without_newton(monkeypatc
             assert 0.0 < stats.modulus < np.inf
         else:
             _assert_certificate(stats, 2 ** 45, "45 kinks")
-
-
-def test_lcp_solves_positive_definite_problems_up_to_100_kinks():
-    # y >= 0, w = q + M y >= 0 and y^T w = 0 for M = D W D, W symmetric
-    # positive definite and D a random sign matrix, so that M is a P-matrix
-    import kktstab.stability as st
-
-    rng = np.random.default_rng(5)
-    for K in (0, 1, 2, 5, 10, 30, 60, 100):
-        for _ in range(4):
-            A = rng.standard_normal((K, K))
-            s = rng.choice([-1.0, 1.0], size=K)
-            M = s[:, None] * (A @ A.T + 0.1 * np.eye(K)) * s
-            q = rng.standard_normal(K)
-            y = st._lcp(M, q)
-            w = q + M @ y
-            scale = 1.0 + np.abs(q).max(initial=0.0)
-            assert y.shape == (K,) and y.min(initial=0.0) >= 0.0, K
-            assert w.min(initial=0.0) >= -1e-10 * scale, K
-            assert abs(y @ w) <= 1e-10 * scale * (1.0 + np.abs(y).sum()), K
 
 
 def test_the_exact_probe_checks_with_the_points_own_linearization(monkeypatch):
@@ -2734,28 +2715,74 @@ def test_conic_complementarity_solves_random_positive_definite_problems():
         assert np.allclose(Y3, 3.0 * Y, rtol=1e-9, atol=1e-12), case
 
 
+def test_conic_complementarity_solves_orthant_problems_up_to_100_kinks():
+    # with no PSD factor the cone is the orthant: y >= 0, w = q + M y >= 0
+    # and y^T w = 0 for M = D W D, W symmetric positive definite and D a
+    # random sign matrix; with no kink every y is empty
+    import kktstab.stability as st
+
+    rng = np.random.default_rng(5)
+    for K in (0, 1, 2, 5, 10, 30, 60, 100):
+        for _ in range(4):
+            A = rng.standard_normal((K, K))
+            s = rng.choice([-1.0, 1.0], size=K)
+            M = s[:, None] * (A @ A.T + 0.1 * np.eye(K)) * s
+            q = rng.standard_normal(K)
+            Y = st._conic_complementarity(M, q[None], [])
+            assert Y.shape == (1, K), K
+            y = Y[0]
+            w = q + M @ y
+            scale = 1.0 + np.abs(q).max(initial=0.0)
+            assert y.min(initial=0.0) >= 0.0, K
+            assert w.min(initial=0.0) >= -1e-10 * scale, K
+            assert abs(y @ w) <= 1e-10 * scale * (1.0 + np.abs(y).sum()), K
+
+
+def test_conic_complementarity_solves_the_worst_case_of_least_index_pivoting():
+    # M = L^T L with L = I + 2 tril(ones, -1) and q = -1 make least-index
+    # principal pivoting visit all 2^K complementary bases (Fathi 1979);
+    # the solution is y = e_K with w = (1, ..., 1, 0)
+    import kktstab.stability as st
+
+    K = 30
+    L = np.eye(K) + 2.0 * np.tril(np.ones((K, K)), -1)
+    M, q = L.T @ L, -np.ones(K)
+    y = st._conic_complementarity(M, q[None], [])[0]
+    w = q + M @ y
+    assert np.abs(y - np.eye(K)[-1]).max() <= 1e-10
+    assert w.min() >= -1e-10 and abs(y @ w) <= 1e-10
+    assert np.abs(w - np.append(np.ones(K - 1), 0.0)).max() <= 1e-10
+
+
 def test_a_conic_solve_that_does_not_converge_reads_undecided(monkeypatch):
-    # with one Newton iteration allowed, the conic solves at the strongly
-    # regular |beta| = 2 plants of seed 7 end unconverged, except where y = 0
-    # solves (delta 0, whose q is 0, and a q inside the cone): each is a
-    # failure, the first is named, and the report reads leg c undecided
+    # with one Newton iteration allowed, the solves end unconverged, except
+    # where y = 0 solves (delta 0, whose q is 0, and a q inside the cone), at
+    # the strongly regular |beta| = 2 plants of seed 7 and at every analyze-nlp
+    # plant of seed 7 whose probe solves its deltas (leg b holds and it has a
+    # kink): each is a failure, the first is named, and the report reads leg
+    # c undecided
     import kktstab.stability as st
 
     monkeypatch.setattr(st, "_CONIC_MAX_ITER", 1)
     plants, opts = _analyze_sdp(7)
-    seen = 0
-    for problem, meta, plant in plants:
-        if plant.structure["beta"] == 2 and plant.strongly_regular:
-            rep = equivalence_report(problem, meta.known_solution, opts)
-            assert rep.probe.failures > 0
-            assert rep.probe.failures + rep.probe.solved == opts.num_delta + 1
-            assert re.fullmatch(r"delta [1-9]\d*: the conic complementarity solve did not "
-                                r"converge", rep.probe.failure), rep.probe.failure
-            c = rep.consistency
-            assert c["leg_c_probe_strong_regularity"] is None and c["verdict"] == "undecided"
-            assert c["note"].startswith("leg b is exact at this point; leg c is undecided")
-            seen += 1
-    assert seen == 4
+    cases = [(problem, meta, "analyze-sdp") for problem, meta, plant in plants
+             if plant.structure["beta"] == 2 and plant.strongly_regular]
+    cases += [(problem, meta, "analyze-nlp") for problem, meta in _analyze_nlp_plants(7)]
+    seen = {"analyze-sdp": 0, "analyze-nlp": 0}
+    for problem, meta, name in cases:
+        rep = equivalence_report(problem, meta.known_solution, opts)
+        c = rep.consistency
+        if name == "analyze-nlp" and not (c["leg_b_elements_nonsingular"]
+                                          and rep.probe.pieces > 1):
+            continue  # the certificate, or no kink: no solve runs
+        assert rep.probe.failures > 0
+        assert rep.probe.failures + rep.probe.solved == opts.num_delta + 1
+        assert re.fullmatch(r"delta [1-9]\d*: the conic complementarity solve did not "
+                            r"converge", rep.probe.failure), rep.probe.failure
+        assert c["leg_c_probe_strong_regularity"] is None and c["verdict"] == "undecided"
+        assert c["note"].startswith("leg b is exact at this point; leg c is undecided")
+        seen[name] += 1
+    assert seen == {"analyze-sdp": 4, "analyze-nlp": 36}
 
 
 @pytest.mark.parametrize("radius", [1e3, 1e6, 1e10, 1e100])
@@ -2793,15 +2820,16 @@ def test_the_analyzer_imports_no_newton_solver():
 
 
 def test_the_b_derivative_check_reads_a_wrong_solution_undecided(monkeypatch):
-    # with every LCP answered by y = 0 (each kink on its excess branch), a
-    # probe whose true solutions all have y = 0 is unchanged, and one where a
-    # delta switches the |beta| = 1 kink fails the B-derivative check there:
-    # leg c is undecided, and the failure names a switched delta
+    # with every delta's complementarity problem answered by y = 0 (each kink
+    # on its excess branch), a probe whose true solutions all have y = 0 is
+    # unchanged, and one where a delta switches the |beta| = 1 kink fails the
+    # B-derivative check there: leg c is undecided, and the failure names a
+    # switched delta
     import kktstab.stability as st
 
-    real, switched = st._lcp, []
-    monkeypatch.setattr(st, "_lcp", lambda M, q: switched.append(bool(real(M, q).any()))
-                        or np.zeros(q.size))
+    real, switched = st._conic_complementarity, []
+    monkeypatch.setattr(st, "_conic_complementarity", lambda M, Q, cones: switched.extend(
+        real(M, Q, cones).any(axis=1).tolist()) or np.zeros_like(Q))
     seen = set()
     for problem, meta, plant in _analyze_sdp(7)[0]:
         if plant.structure["beta"] != 1 or not plant.strongly_regular:
