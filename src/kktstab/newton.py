@@ -13,8 +13,12 @@ which only then is formed for a framed element, and a singular one takes
 a ridge-regularized least-squares step.  Steps are globalized by Armijo
 backtracking on half the squared residual norm: the step lengths 1, f,
 f**2, ... are tried in order, one residual call each, and the first that
-passes is taken.  The driver keeps nothing from one iteration to the next
-but the iterate, its residual and the previous element's sigma_min.
+passes is taken.  The merit's slope along a step that solves ``E s = -r``
+is ``-r . r``, read off the step's own equation; only a ridge step, which
+does not solve it, takes ``r . (M s)`` from the dense matrix M it was
+solved with.  So no iteration multiplies the element by a vector.  The
+driver keeps nothing from one iteration to the next but the iterate, its
+residual and the previous element's sigma_min.
 """
 
 from __future__ import annotations
@@ -103,9 +107,9 @@ def _probe_vector(n: int) -> np.ndarray:
 class DenseElement:
     """A generalized-derivative element as the driver uses it, here a dense
     matrix.  An element kept in another form (``problem.FramedElement``)
-    supplies the same three operations: ``step`` (the Newton step and an
-    upper bound on sigma_min), ``dense`` (the matrix, for the svd and the
-    ridge step) and ``apply`` (the element times a vector)."""
+    supplies the same two operations: ``step`` (the Newton step and an
+    upper bound on sigma_min) and ``dense`` (the matrix, for the svd and
+    the ridge step)."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
@@ -127,12 +131,9 @@ class DenseElement:
     def dense(self) -> np.ndarray:
         return self.matrix
 
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        return self.matrix @ s
-
 
 def _newton_step(E, r: np.ndarray, rr: float, floor: float,
-                 was_singular: bool) -> tuple[np.ndarray, float]:
+                 was_singular: bool) -> tuple[np.ndarray, float, float]:
     """The Newton step ``E s = -r``, screened for a near singular element.
 
     ``E.step`` screens the element, except after a singular one
@@ -141,16 +142,18 @@ def _newton_step(E, r: np.ndarray, rr: float, floor: float,
     the exact sigma_min of the dense element: below RIDGE_SV the step is
     the ridge-regularized least-squares one, else the screened step, solved
     again by LU only if that raised, is not finite or was skipped.  An svd
-    that raises ends the solve.  Returns the step and the exact sigma_min
-    where the svd ran, the bound elsewhere (so always exact below
-    SCREEN_SV).
+    that raises ends the solve.  Returns the step, the exact sigma_min
+    where the svd ran and the bound elsewhere (so always exact below
+    SCREEN_SV), and the slope ``r . (E s)`` of half the squared residual
+    norm along the step: ``-rr`` for every step that solves ``E s = -r``,
+    ``r . (M s)`` with the dense M for a ridge step.
     """
     if was_singular:  # a bound of 0 sends the element to the svd
         s, bound = np.full(r.size, np.nan), 0.0
     else:
         s, bound = E.step(r, rr, _probe_vector)
     if bound >= SCREEN_SV:  # a non-finite step makes the bound 0 or NaN
-        return s, bound
+        return s, bound, -rr
     M = E.dense()
     sv = np.linalg.svd(M, compute_uv=False)
     bound = float(sv[-1])
@@ -159,9 +162,10 @@ def _newton_step(E, r: np.ndarray, rr: float, floor: float,
         # degenerate regions; the analyzer reports the degeneracy itself
         tau = max(floor, 1e-10 * float(sv[0]))
         s = np.linalg.solve(M.T @ M + tau * np.eye(r.size), -M.T @ r)
-    elif not np.isfinite(s).all():
+        return s, bound, np.dot(M @ s, r)
+    if not np.isfinite(s).all():
         s = np.linalg.solve(M, -r)
-    return s, bound
+    return s, bound, -rr
 
 
 def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
@@ -221,9 +225,9 @@ def semismooth_solve(residual: Callable, element: Callable, z0: np.ndarray,
         E = element(z)
         if not hasattr(E, "step"):
             E = DenseElement(np.asarray(E, dtype=float))
-        s, min_sv = _newton_step(E, r, rr, opts.regularization_floor, min_sv < RIDGE_SV)
+        s, min_sv, slope = _newton_step(E, r, rr, opts.regularization_floor,
+                                        min_sv < RIDGE_SV)
         merit = 0.5 * rr
-        slope = np.dot(E.apply(s), r)  # derivative of the merit along s
         if slope >= 0.0:
             slope = -2.0 * merit
         alpha = 1.0

@@ -753,7 +753,7 @@ class L1Norm(_SeparablePiece):
 
 def _psd_part(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
     """svec of P diag(lam^+) P^T, the PSD projection of an eigen-split."""
-    return svec(P @ _diagonal(np.maximum(lam, 0.0)) @ P.swapaxes(-1, -2))
+    return svec((P * np.maximum(lam, 0.0)[..., None, :]) @ P.swapaxes(-1, -2))
 
 
 class PSDConeIndicator(ConvexPiece):

@@ -314,7 +314,9 @@ class FramedElement:
     once against the step's column and a unit probe's, and reports the
     Dixon bound on sigma_min(E) itself.  An element whose bound falls
     below ``newton.SCREEN_SV`` is one the driver confirms by the svd of
-    its dense matrix (``dense``), which ``apply`` then uses."""
+    its dense matrix (``dense``), formed only then.  The driver never
+    multiplies the element by a vector: the slope of a solved step is
+    ``-r . r``, and a ridge step's comes from the dense matrix."""
 
     def __init__(self, problem: CompositeProblem, H: np.ndarray, J: np.ndarray,
                  frames: list[ClarkeFrame]):
@@ -394,16 +396,6 @@ class FramedElement:
             b = np.minimum(np.sqrt(rr / np.dot(s, s)),
                            1.0 / np.sqrt(np.dot(v[:n], v[:n]) + np.dot(vmu, vmu)))
         return s, float(b)
-
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        """``E s``, from the dense element once it is formed."""
-        if self.matrix is not None:
-            return (self.matrix[None] @ s[None, :, None])[0, :, 0]
-        n = self.problem.n
-        dx, dmu = s[:n], s[n:]
-        Jdx = self.J @ dx
-        U = self.vectors(self.w * self.coords(Jdx + dmu))  # U (J dx + dmu)
-        return np.concatenate([self.H @ dx + self.J.T @ dmu, Jdx - U])
 
 
 def framed_element(problem: CompositeProblem, z) -> FramedElement:

@@ -995,18 +995,30 @@ def _modulus(D: np.ndarray, Z: np.ndarray) -> float:
     formula taken pair by pair in order.
 
     Past 15 pairs (6 rows), where the stack costs less than the pairs it
-    spares, every pair's quotient is first taken at once, from row sums of
-    squares, which may round otherwise than ``np.linalg.norm``.  The scalar
-    formula then runs only on the pairs where that can matter: a quotient
-    within a relative 1e-9 of the largest one, a gap within a relative
-    1e-9 of the cut, and a sum of squares that is not finite or lies near
-    overflow or underflow.  So every bit is the scalar formula's."""
+    spares, every pair's quotient is first taken from row sums of squares,
+    which may round otherwise than ``np.linalg.norm``: row i's pairs (i, j),
+    j > i, from one stack of the differences of [D_i, Z_i] from the later
+    rows, so for k rows the memory is bounded by k (dim D + dim Z), not
+    by k^2 times that.  The scalar formula then runs only on
+    the pairs where that can matter: a quotient within a relative 1e-9 of
+    the largest one, a gap within a relative 1e-9 of the cut, and a sum of
+    squares that is not finite or lies near overflow or underflow.  So
+    every bit is the scalar formula's."""
     band = 1e-9
-    i, j = np.nonzero(np.arange(len(Z))[:, None] < np.arange(len(Z)))  # the pairs, in order
+    k = len(Z)
+    i, j = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # the pairs, in order
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if i.size > 15:
-            dd, dz = D[i] - D[j], Z[i] - Z[j]
-            gap2, num2 = np.einsum("pk,pk->p", dd, dd), np.einsum("pk,pk->p", dz, dz)
+            DZ, parts = np.concatenate([D, Z], axis=1), (0, D.shape[1])
+            sums = np.empty((i.size, 2))  # per pair: |D_i - D_j|^2, |Z_i - Z_j|^2
+            start = 0
+            for a in range(k - 1):  # row a's pairs (a, a + 1), ..., (a, k - 1)
+                end = start + k - 1 - a
+                diff = DZ[a] - DZ[a + 1:]
+                diff *= diff
+                np.add.reduceat(diff, parts, axis=1, out=sums[start:end])
+                start = end
+            gap2, num2 = sums.T
             gaps = np.sqrt(gap2)
             quotients = np.sqrt(num2) / gaps
             unsafe = ~((gap2 < 1e290) & (num2 < 1e290)) | ((num2 > 0.0) & (num2 < 1e-290))
@@ -1205,6 +1217,26 @@ def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
     return np.concatenate([r1, e - np.concatenate(dirderiv, axis=1)], axis=1)
 
 
+def _projection_and_newton_matrix(z: np.ndarray, A: np.ndarray, eye: np.ndarray,
+                                   half: np.ndarray, cones: list
+                                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Pi_C of each row of z (rows, K) and the Newton matrix I - V A there,
+    V the Clarke element of Pi_C, for the cone C of ``_conic_complementarity``
+    (``half`` marks its orthant coordinates, ``eye`` is I).
+
+    V is block diagonal and is not formed: on the orthant it is 0 or 1 on
+    the diagonal, so a row of I - V A is a row of I - A or of I, and a PSD
+    factor's rows are ``I[idx] - V_idx A[idx]`` with its frame's element
+    V_idx.  That is O(rows K^2) where the product with a dense V stack is
+    O(rows K^3), and the bits are the same."""
+    p = np.maximum(z, 0.0)
+    E = eye - ((z > 0.0) & half)[..., None] * A
+    for idx, cone in cones:
+        p[:, idx], frame = cone.prox_and_frame(z[:, idx])
+        E[:, idx] = eye[idx] - frame.matrix() @ A[idx]
+    return p, E
+
+
 def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndarray:
     """The y of each row q of Q with y in C, w = q + M y in C and <y, w> = 0,
     for a symmetric positive definite M, where C is R_+ on every coordinate
@@ -1229,8 +1261,9 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
     is within rounding of its minimum.  A row ends when |F| is at most
     1e-12 (|y| + gamma |w|); one whose line search collapses, or that is
     still running after _CONIC_MAX_ITER iterations or when a stacked
-    Newton solve raises, did not converge.  All rows run as one stack.
-    With no coordinate (K = 0) every y is empty."""
+    Newton solve raises, did not converge.  All rows run as one stack,
+    whose Newton matrices ``_projection_and_newton_matrix`` forms with no
+    stack of V.  With no coordinate (K = 0) every y is empty."""
     K = M.shape[0]
     if not K:
         return np.zeros_like(Q)
@@ -1245,15 +1278,10 @@ def _conic_complementarity(M: np.ndarray, Q: np.ndarray, cones: list) -> np.ndar
         # per row: y, w, F, |F|^2, phi - f(y) and the Newton matrix I - V A
         w = q + y @ M
         z = y - gamma * w
-        p = np.maximum(z, 0.0)
-        V = np.zeros(z.shape + (K,))
-        V[:, half, half] = z[:, half] > 0.0
-        for idx, cone in cones:
-            p[:, idx], frame = cone.prox_and_frame(z[:, idx])
-            V[:, idx[:, None], idx] = frame.matrix()
+        p, E = _projection_and_newton_matrix(z, A, eye, half, cones)
         r = y - p
         rr = (r * r).sum(axis=1)
-        return [y, w, r, rr, rr / (2.0 * gamma) - (w * r).sum(axis=1), eye - V @ A]
+        return [y, w, r, rr, rr / (2.0 * gamma) - (w * r).sum(axis=1), E]
 
     # row norms as square roots of row sums, the bits of np.linalg.norm
     scale = np.sqrt((Q * Q).sum(axis=1))

@@ -44,6 +44,7 @@ def svec_dim(order: int) -> int:
     return order * (order + 1) // 2
 
 
+@functools.cache
 def svec_order(dim: int) -> int:
     """Matrix order m with m(m+1)/2 == dim."""
     m = int(round((np.sqrt(8 * dim + 1) - 1) / 2))

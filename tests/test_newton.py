@@ -428,9 +428,9 @@ def semismooth_solve_loop(residual, element, z0, opts=None):
     """The plain Newton loop, one trial per residual call, kept as the
     reference that semismooth_solve must reproduce bit for bit.
 
-    ``element`` returns a dense matrix, or a framed element whose step,
-    dense matrix and product take the place of the LU screen, the matrix
-    and ``E @ s``."""
+    ``element`` returns a dense matrix, or a framed element whose step
+    and dense matrix take the place of the LU screen and the matrix.  The
+    slope is the textbook ``(E s) . r``, from the dense matrix."""
     opts = opts or NewtonOptions()
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
@@ -474,7 +474,7 @@ def semismooth_solve_loop(residual, element, z0, opts=None):
             elif not np.all(np.isfinite(s)):
                 s = np.linalg.solve(E, -r)
         merit = 0.5 * float(np.dot(r, r))
-        slope = float(np.dot(E.apply(s) if framed else E @ s, r))
+        slope = float(np.dot((E.dense() if framed else E) @ s, r))
         if slope >= 0.0:
             slope = -2.0 * merit
         alpha = 1.0
@@ -776,11 +776,35 @@ def test_each_iteration_decomposes_its_own_singular_element(monkeypatch):
     assert decomposed == _SCHEDULES  # one svd per iteration, of its own element
 
 
-@pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
-                                  "smooth_toy"])
-def test_solve_matches_the_loop_with_one_prox_call_per_trial(name, monkeypatch):
+def _solve_sdp_plants(seed):
+    """(problem, start) of the solve-sdp benchmark instances of a seed."""
+    from test_stability import _benchmark_workloads
+
+    workloads = _benchmark_workloads()
+    insts = workloads.generate(workloads.WORKLOADS["solve-sdp"], seed)
+    return [(problem, inst.start) for (problem, _), inst in zip(workloads.load(insts), insts)]
+
+
+def _loop_cases(name):
+    """(problem, start) of the loop comparison: 20 starts 3.0 away from a
+    battery toy's solution, or each solve-sdp plant of seed 7 from its own
+    start."""
+    if name == "solve-sdp-7":
+        return _solve_sdp_plants(7)
     problem, meta = load_battery(name)
     rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(20):
+        d = rng.standard_normal(problem.n + problem.m)
+        cases.append((problem, meta.known_solution.stacked() + 3.0 * d / np.linalg.norm(d)))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy",
+                                  "smooth_toy", "solve-sdp-7"])
+def test_solve_matches_the_loop_with_one_prox_call_per_trial(name, monkeypatch):
+    # the driver's slope -r . r of a solved step against the loop's
+    # textbook (E s) . r: every outcome has the loop's bits
     calls = []  # the point and the prox calls of each residual call of solve
 
     def spied_solve(residual, element, z0, opts=None, **kwargs):
@@ -793,17 +817,22 @@ def test_solve_matches_the_loop_with_one_prox_call_per_trial(name, monkeypatch):
         return newton_mod.semismooth_solve(counted, element, z0, opts, **kwargs)
 
     # solve takes the prox and the frames of a trial from one call
-    prox_calls, prox_gstar_frames = [], problem.prox_gstar_frames
+    prox_calls = []
 
-    def spied_prox(w, *args):
-        prox_calls.append(w.shape)
-        return prox_gstar_frames(w, *args)
+    def spied_prox(real):
+        def spied(w, *args):
+            prox_calls.append(w.shape)
+            return real(w, *args)
 
-    monkeypatch.setattr(problem, "prox_gstar_frames", spied_prox)
+        return spied
+
     monkeypatch.setattr(problem_mod, "semismooth_solve", spied_solve)
-    for _ in range(20):
-        d = rng.standard_normal(problem.n + problem.m)
-        start = meta.known_solution.stacked() + 3.0 * d / np.linalg.norm(d)
+    cases = _loop_cases(name)
+    assert len(cases) == (21 if name == "solve-sdp-7" else 20)
+    for problem in {id(problem): problem for problem, _ in cases}.values():
+        monkeypatch.setattr(problem, "prox_gstar_frames", spied_prox(problem.prox_gstar_frames))
+    for problem, start in cases:
+        before = len(calls)
         try:
             pt, trace = solve(problem, start)
             got = (pt.stacked(), trace)
@@ -816,9 +845,38 @@ def test_solve_matches_the_loop_with_one_prox_call_per_trial(name, monkeypatch):
         except NewtonError as exc:
             want = exc
         _same_outcome(got, want)
-    # each residual call, of one trial point, made one prox call on that point
-    assert calls and all(shape == (problem.n + problem.m,) and prox == [(problem.m,)]
-                         for shape, prox in calls)
+        # each residual call, of one trial point, made one prox call on that point
+        assert len(calls) > before and all(
+            shape == (problem.n + problem.m,) and prox == [(problem.m,)]
+            for shape, prox in calls[before:])
+
+
+def test_each_solve_sdp_iteration_conjugates_three_times_and_forms_no_matrix(monkeypatch):
+    # the solve-sdp plants of seed 7 (one PSD block each, strongly regular,
+    # from near the planted point): each Newton iteration conjugates by the
+    # block's frame three times, J^T into frame coordinates when its framed
+    # element is built, and the step's r in and dmu out.  The slope of the
+    # solved step is -r . r, so nothing else multiplies the element by a
+    # vector, and no element forms its dense matrix
+    from kktstab.pieces import ClarkeFrame
+
+    log = []
+    for name in ("coords", "vectors"):
+        monkeypatch.setattr(ClarkeFrame, name, lambda self, V, _real=getattr(ClarkeFrame, name),
+                            _name=name: log.append(_name) or _real(self, V))
+    elements, init = [], problem_mod.FramedElement.__init__
+    monkeypatch.setattr(problem_mod.FramedElement, "__init__",
+                        lambda self, *args: elements.append(self) or init(self, *args))
+    plants = _solve_sdp_plants(7)
+    assert len(plants) == 21
+    for problem, start in plants:
+        del log[:], elements[:]
+        _, trace = solve(problem, start, NewtonOptions(tol=1e-10))
+        assert trace.status == "converged" and trace.iterations > 0
+        assert len(elements) == trace.iterations
+        assert log.count("coords") == 2 * trace.iterations
+        assert log.count("vectors") == trace.iterations
+        assert all(E.matrix is None for E in elements)
 
 
 def test_solve_backtracks_with_one_evaluate_call_per_trial(monkeypatch):

@@ -559,8 +559,8 @@ def test_framed_steps_agree_with_dense_steps():
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
         assert bound >= SCREEN_SV, name  # the screen keeps the framed step
         assert bound >= s_e * (1.0 - 1e-9), name  # the Dixon bound on E itself
-        Es = framed.apply(got)
-        assert np.linalg.norm(Es - E @ got) <= 1e-12 * np.linalg.norm(E @ got), name
+        # the step solves E s = -r, so the driver's slope -r . r is its own
+        assert np.linalg.norm(E @ got + r) <= 1e-12 * np.linalg.norm(r), name
         assert framed.matrix is None  # no dense element was formed
         assert framed.dense().tobytes() == E.tobytes(), name
     assert kept == {"nlp_toy", "sdp_toy", "sdp_degenerate", "l1_toy", "smooth_toy",
@@ -663,10 +663,11 @@ def test_flagged_framed_elements_take_the_dense_svd():
     # a regular element, a singular one and a near-singular one (weights
     # 1, so E = [[H, J^T], [0, -I]], and H has sigma_min 1e-13 and 1e-9):
     # the screen flags the last two and forms no dense element;
-    # _newton_step forms them for the svd.  The singular one's ridge step
-    # and sigma_min have the bits they get on its dense matrix; the
+    # _newton_step forms them for the svd.  The singular one's ridge step,
+    # sigma_min and slope have the bits they get on its dense matrix; the
     # near-singular one gets the svd's exact sigma_min but keeps its
-    # framed step, and the regular one keeps its framed step and its bound
+    # framed step, and the regular one keeps its framed step and its
+    # bound.  Both solved steps take the slope -r . r
     rng = np.random.default_rng(9)
     regular = _random_framed_row(rng, 1.0)
 
@@ -689,12 +690,12 @@ def test_flagged_framed_elements_take_the_dense_svd():
     assert regular.matrix is None
     assert singular.matrix is not None and near.matrix is not None
     assert got[0][0].tobytes() == step.tobytes() and got[0][1] == b
-    want_s, want_sv = _newton_step(DenseElement(singular.matrix), r[1], rr[1], 1e-12, False)
+    want_s, want_sv, want_slope = _newton_step(DenseElement(singular.matrix), r[1], rr[1],
+                                               1e-12, False)
     assert got[1][1] < RIDGE_SV and got[1][1] == want_sv
     assert got[1][0].tobytes() == want_s.tobytes()
+    assert got[1][2] == want_slope == np.dot(singular.matrix @ want_s, r[1])
     assert got[2][1] == np.linalg.svd(near.matrix, compute_uv=False)[-1]
     assert RIDGE_SV <= got[2][1] < SCREEN_SV
     assert got[2][0].tobytes() == near_step.tobytes()
-    for E, (s, _) in ((singular, got[1]), (near, got[2])):
-        want = (E.matrix[None] @ s[None, :, None])[0, :, 0]  # the dense product
-        assert E.apply(s).tobytes() == want.tobytes()
+    assert got[0][2] == -rr[0] and got[2][2] == -rr[2]

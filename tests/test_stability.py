@@ -2715,6 +2715,69 @@ def test_conic_complementarity_solves_random_positive_definite_problems():
         assert np.allclose(Y3, 3.0 * Y, rtol=1e-9, atol=1e-12), case
 
 
+def _projection_and_dense_v_newton_matrix(z, A, eye, half, cones):
+    """Pi_C and I - V A through the dense (rows, K, K) stack of the Clarke
+    elements V: the reference of ``_projection_and_newton_matrix``."""
+    K = A.shape[0]
+    p = np.maximum(z, 0.0)
+    V = np.zeros(z.shape + (K,))
+    V[:, half, half] = z[:, half] > 0.0
+    for idx, cone in cones:
+        p[:, idx], frame = cone.prox_and_frame(z[:, idx])
+        V[:, idx[:, None], idx] = frame.matrix()
+    return p, eye - V @ A
+
+
+def test_the_conic_newton_matrices_have_the_bits_of_the_dense_clarke_stack():
+    # random stacks of points over the orthant alone (K = 0 to 60), and
+    # over PSD factors of orders 2-4 beside 0-40 orthant coordinates, each
+    # factor's first row built with |beta| = 2 (two zero eigenvalues), A =
+    # I - gamma M as the solver takes it.  The projections and the orthant
+    # rows have the bits of the dense V stack's at every K: such a row of
+    # V A has one nonzero term.  A factor's rows sum the same products, but
+    # BLAS may sum them in another order once the (K, K) product takes an
+    # edge kernel (OpenBLAS: from K = 9 with its Haswell kernels, K = 17
+    # with its SkylakeX ones), so they have its bits up to K = 8, which
+    # covers the probe's K = 3 at a |beta| = 2 block, and agree to rounding
+    # past it
+    import kktstab.stability as st
+
+    rng = np.random.default_rng(23)
+    for case in range(100):  # case 0 has K = 0
+        if case < 20:
+            k1, orders = (case and int(rng.integers(0, 61))), []
+        else:
+            k1 = int(rng.integers(0, 41 if case >= 60 else 3))
+            orders = [int(o) for o in rng.integers(2, 5 if case >= 60 else 3,
+                                                   size=rng.integers(1, 3))]
+        dims = [svec_dim(o) for o in orders]
+        K = k1 + sum(dims)
+        starts = k1 + np.cumsum([0] + dims[:-1])
+        cones = [(np.arange(a, a + d), PSDConeIndicator(o))
+                 for a, d, o in zip(starts, dims, orders)]
+        half = np.ones(K, dtype=bool)
+        for idx, _ in cones:
+            half[idx] = False
+        G = rng.standard_normal((K, K))
+        M = G @ G.T + 0.1 * np.eye(K)
+        eye = np.eye(K)
+        A = eye - 0.95 / max(np.linalg.eigvalsh(M)[-1], 1.0) * M if K else eye
+        z = rng.standard_normal((7, K))
+        for (idx, _), o in zip(cones, orders):
+            P = np.linalg.qr(rng.standard_normal((o, o)))[0]
+            z[0, idx] = svec((P * np.append(rng.standard_normal(o - 2), [0.0, 0.0])) @ P.T)
+        (p, E), (p_want, E_want) = (
+            f(z, A, eye, half, cones)
+            for f in (st._projection_and_newton_matrix, _projection_and_dense_v_newton_matrix))
+        assert p.tobytes() == p_want.tobytes(), case
+        assert E.shape == E_want.shape == (7, K, K), case
+        if K <= 8:
+            assert E.tobytes() == E_want.tobytes(), case
+        else:
+            assert E[:, half].tobytes() == E_want[:, half].tobytes(), case
+            assert np.abs(E - E_want).max() <= 1e-15, case
+
+
 def test_conic_complementarity_solves_orthant_problems_up_to_100_kinks():
     # with no PSD factor the cone is the orthant: y >= 0, w = q + M y >= 0
     # and y^T w = 0 for M = D W D, W symmetric positive definite and D a
@@ -3130,12 +3193,16 @@ def test_the_stacked_modulus_has_the_bits_of_the_scalar_loop():
     # random stacks whose quotients tie up to rounding (Z = D Q, Q
     # orthogonal, so every quotient is 1 up to an ulp or so), with repeated
     # deltas, gaps within a few ulps of the 1e-12 cut, and overflowing or
-    # NaN rows: the modulus has the bits of the scalar loop, with no warning
+    # NaN rows: the modulus has the bits of the scalar loop, with no warning.
+    # The last two stacks have the probe's 51 rows at the CLI defaults and
+    # 1,200 columns, about the 400-block plant's n + m
     import kktstab.stability as st
 
     rng = np.random.default_rng(17)
-    for k in range(400):
+    for k in range(402):
         n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 40))
+        if k >= 400:
+            n, dim = 51, 1200
         D = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 3)
         Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0] * 10.0 ** rng.integers(-2, 3)
         Z = D @ Q + (0.0 if k % 2 else 1e-13 * rng.standard_normal((n, dim)))
