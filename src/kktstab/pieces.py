@@ -20,13 +20,14 @@ and lineality bases and membership, and the curvature form.  The
 critical polar cone and the domain normal cone are the codes themselves,
 which ``stability.AnalysisPoint`` reads in each block's frame.
 
-``BlockGroups`` gives every block's structure at a point of a problem,
-with the bits of ``piece.structure``: the separable blocks of one kind
-(orthant per sign, box, l1, each alone or lifted) join into one piece
-of the kind (``_joined``), whose ``_codes`` classify them all in one
-call, each block at its own kink tolerance, and a separable block's
-``_structure`` is that call for a group of one.  Any other block keeps
-its own ``_structure``.
+``BlockGroups`` gives every blockwise map at a point of a problem, with
+the bits of the per-block calls: the prox, its conjugate and its
+directional derivative, and every block's structure.  The separable
+blocks of one kind (orthant per sign, box, l1, each alone or lifted)
+join into one piece of the kind (``_joined``), which one call serves,
+each block at its own kink tolerance where the map reads one (``_codes``
+classify them all, and a separable block's ``_structure`` is that call
+for a group of one).  Any other block keeps its own call.
 
 A kind defines its canonical Clarke element once, in ``clarke_frame``:
 an orthonormal frame of the block and one weight in [0, 1] per frame
@@ -494,9 +495,13 @@ class _SeparablePiece(ConvexPiece):
         return BlockStructure(None, *self._codes(xbar + ubar, xbar), np.zeros(self.dim))
 
     def prox_dirderiv(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        d = np.asarray(d, dtype=float)
-        state, sign = self._classify(z)
+        return self._dirderiv(np.asarray(z, dtype=float), np.asarray(d, dtype=float))
+
+    def _dirderiv(self, z: np.ndarray, d: np.ndarray,
+                  blocks: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """``prox_dirderiv`` of float arrays; with ``blocks``, of a joined
+        piece, each block at its own kink tolerance (``_kink_tol``)."""
+        state, sign = self._classify(z, None if blocks is None else _kink_tol(z, blocks))
         out = np.where(state == 1, d, 0.0)
         kink = state == 2
         out[..., kink] = np.where(sign[kink] > 0, np.maximum(d[..., kink], 0.0),
@@ -999,16 +1004,19 @@ class EpiSum(ConvexPiece):
 
 class BlockGroups:
     """The blocks of a problem, the pieces laid end to end from ``offsets``,
-    grouped once for their structures at any pair.  The blocks of one
-    separable key (orthant per sign, box, l1), alone or as the inner piece
-    of an epi lift, form one group: one joined piece over their inner
-    coordinates, which one ``_codes`` call classifies.  Every other block
-    keeps its own ``_structure``."""
+    grouped once by kind for every blockwise map at a point.  The blocks of
+    one separable key (orthant per sign, box, l1), alone or as the inner
+    piece of an epi lift, form one group: one joined piece over their inner
+    coordinates, which one call serves, each block at its own kink
+    tolerance where a kink tolerance is read.  An epi lift's scalar
+    coordinate in a group is read directly, and every other block, PSD
+    alone or lifted, keeps its own call.  Each map has the bits of its
+    per-block calls: a separable kind maps coordinate by coordinate."""
 
     def __init__(self, pieces: list[ConvexPiece], offsets: np.ndarray):
         self.pieces, self.offsets = pieces, offsets
         members: dict[tuple, list[tuple[_SeparablePiece, np.ndarray]]] = {}
-        self.joined = []
+        self.joined, lifts, self.own = [], [], []
         for p, lo, hi in zip(pieces, offsets[:-1], offsets[1:]):
             lifted = isinstance(p, EpiSum)
             inner = p.inner if lifted else p
@@ -1016,8 +1024,14 @@ class BlockGroups:
             if self.joined[-1]:
                 members.setdefault(inner._join_key(), []).append(
                     (inner, np.arange(lo + lifted, hi)))
-        # per group: the joined piece, its coordinates in the blocks, and
-        # each block's start and size among them
+                if lifted:
+                    lifts.append(lo)
+            else:
+                self.own.append((p, slice(lo, hi)))
+        # the scalar coordinates of the lifts in the groups; per group: the
+        # joined piece, its coordinates in the blocks, and each block's
+        # start and size among them
+        self.lifts = np.array(lifts, dtype=int)
         self.groups = []
         for blocks in members.values():
             inner, index = zip(*blocks)
@@ -1025,29 +1039,79 @@ class BlockGroups:
             self.groups.append((type(inner[0])._joined(list(inner)), np.concatenate(index),
                                 (np.cumsum(sizes) - sizes, sizes)))
 
+    def prox(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """Each block's prox at its slice of w, or of each row of a stack
+        (..., m): one call per group, w - sigma on a lift's scalar
+        coordinate (``EpiSum.prox``) and each other block's own call."""
+        _check_sigma(sigma)
+        w = np.asarray(w, dtype=float)
+        out = np.empty_like(w)
+        for piece, index, _ in self.groups:
+            out[..., index] = piece.prox(w[..., index], sigma)
+        out[..., self.lifts] = w[..., self.lifts] - sigma
+        for p, block in self.own:
+            out[..., block] = p.prox(w[..., block], sigma)
+        return out
+
+    def prox_update(self, w: np.ndarray, wbar: np.ndarray, prox: np.ndarray) -> np.ndarray:
+        """``prox(w)`` of a point w, from ``prox = prox(wbar)``: each group
+        and each other block whose part of w keeps the bits of wbar's keeps
+        its part of ``prox``, and only the parts that moved are projected
+        again."""
+        out = prox.copy()
+        for piece, index, *_ in [*self.groups, *self.own]:
+            if w[index].tobytes() != wbar[index].tobytes():
+                out[index] = piece.prox(w[index])
+        out[self.lifts] = w[self.lifts] - 1.0
+        return out
+
+    def prox_conjugate(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """Each block's ``prox_conjugate`` at its slice of w, or of each row
+        of a stack (..., m), by the Moreau identity of
+        ``ConvexPiece.prox_conjugate`` over all blocks at once."""
+        w = np.asarray(w, dtype=float)
+        _check_sigma(sigma)
+        return w - sigma * self.prox(w / sigma, 1.0 / sigma)
+
+    def prox_dirderiv(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Each block's ``prox_dirderiv`` at its slice of the point z along
+        its slice of d, or of each row of a stack of directions (..., m):
+        one call per group, each block classified at its own kink
+        tolerance (``_kink_tol(z, blocks)``, as ``_codes`` does), d on a
+        lift's scalar coordinate and each other block's own call."""
+        z = np.asarray(z, dtype=float)
+        d = np.asarray(d, dtype=float)
+        out = np.empty_like(d)
+        for piece, index, blocks in self.groups:
+            out[..., index] = piece._dirderiv(z[index], d[..., index], blocks)
+        out[..., self.lifts] = d[..., self.lifts]
+        for p, block in self.own:
+            out[..., block] = p.prox_dirderiv(z[block], d[..., block])
+        return out
+
     def check_subgradients(self, xbar: np.ndarray, ubar: np.ndarray, tol: float,
-                           prox: list[np.ndarray]) -> None:
+                           prox: np.ndarray) -> None:
         """Each block's ``check_subgradient`` at its slices of the pairs xbar
-        and ubar, in block order, ``prox`` holding each block's prox at
-        xbar + ubar.  The blocks' residuals and norms are taken at once,
-        the norms as square roots of sums of squares, which may round
-        otherwise than ``np.linalg.norm``: a block within a relative 1e-9
-        of its threshold, or whose norm is not finite, takes its own test."""
+        and ubar, in block order, ``prox`` being the prox at xbar + ubar.
+        The blocks' residuals and norms are taken at once, the norms as
+        square roots of sums of squares, which may round otherwise than
+        ``np.linalg.norm``: a block within a relative 1e-9 of its
+        threshold, or whose norm is not finite, takes its own test."""
         starts = self.offsets[:-1]
-        res = np.maximum.reduceat(np.abs(np.concatenate(prox) - xbar), starts)
+        res = np.maximum.reduceat(np.abs(prox - xbar), starts)
         with np.errstate(over="ignore"):
             norm = np.sqrt(np.add.reduceat(xbar * xbar, starts))
         passed = np.isfinite(norm) & (res <= tol * (1.0 + norm) * (1.0 - 1e-9))
         for i in np.flatnonzero(~passed):
             lo, hi = self.offsets[i], self.offsets[i + 1]
-            self.pieces[i].check_subgradient(xbar[lo:hi], ubar[lo:hi], tol, prox[i])
+            self.pieces[i].check_subgradient(xbar[lo:hi], ubar[lo:hi], tol, prox[lo:hi])
 
     def structures(self, xbar: np.ndarray, ubar: np.ndarray, tol: float,
-                   prox: list[np.ndarray]) -> list[BlockStructure]:
+                   prox: np.ndarray) -> list[BlockStructure]:
         """The bits of ``[p.structure(xb, ub, tol, pb) ...]`` over the blocks,
-        from the pair of float vectors (xbar, ubar) and each block's prox at
-        xbar + ubar: every subgradient test first, then one ``_codes`` call
-        per group."""
+        from the pair of float vectors (xbar, ubar) and the prox at
+        xbar + ubar (``prox``): every subgradient test first, then one
+        ``_codes`` call per group."""
         self.check_subgradients(xbar, ubar, tol, prox)
         # an epi lift's scalar coordinate is free in the critical cone and
         # pinned in the normal cone, as in EpiSum._structure

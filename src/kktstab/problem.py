@@ -82,7 +82,7 @@ class CompositeProblem:
 
     @functools.cached_property
     def block_groups(self) -> BlockGroups:
-        """The blocks grouped by kind for their structures, built on first use."""
+        """The blocks grouped by kind for every blockwise map, built on first use."""
         return BlockGroups(self.pieces, self.offsets)
 
     @property
@@ -99,15 +99,16 @@ class CompositeProblem:
         return [y[..., self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.pieces))]
 
     def prox_g(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-        """Blockwise prox of w, or of each row of a stack (..., m)."""
-        return np.concatenate(
-            [p.prox(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))], axis=-1)
+        """Blockwise prox of w, or of each row of a stack (..., m), with the
+        bits of each block's ``prox``: one call per group of separable
+        blocks of one kind (``block_groups``)."""
+        return self.block_groups.prox(w, sigma)
 
     def prox_gstar(self, w: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-        """Blockwise prox of the conjugate of w, or of each row of a stack (..., m)."""
-        return np.concatenate(
-            [p.prox_conjugate(wb, sigma) for p, wb in zip(self.pieces, self.blocks(w))],
-            axis=-1)
+        """Blockwise prox of the conjugate of w, or of each row of a stack
+        (..., m), with the bits of each block's ``prox_conjugate``: one call
+        per group of separable blocks of one kind (``block_groups``)."""
+        return self.block_groups.prox_conjugate(w, sigma)
 
     def prox_gstar_frames(self, w: np.ndarray) -> tuple[np.ndarray, list[ClarkeFrame | None]]:
         """``prox_gstar(w)``, with its bits, and the Clarke frame of each
@@ -205,17 +206,12 @@ class KKTReport:
     residual: np.ndarray = field(repr=False)
 
 
-def block_prox(problem: CompositeProblem, w: np.ndarray) -> list[np.ndarray]:
-    """Each block's prox at its slice of the point w."""
-    return [p.prox(wb) for p, wb in zip(problem.pieces, problem.blocks(w))]
-
-
 def kkt_check(problem: CompositeProblem, z, tol: float = 1e-8, *,
               parts: tuple[np.ndarray, np.ndarray] | None = None,
-              prox: list[np.ndarray] | None = None) -> KKTReport:
+              prox: np.ndarray | None = None) -> KKTReport:
     """The KKT test of a point at tol, in the max-norm of each residual
-    block.  ``parts`` = (J(x), F(x)) and ``prox``, each block's prox at
-    w = F(x) + mu (``block_prox``), are the caller's where it already
+    block.  ``parts`` = (J(x), F(x)) and ``prox``, the m-vector
+    ``prox_g(w)`` at w = F(x) + mu, are the caller's where it already
     holds them, as an analysis point does for its x; the report has the
     bits of the call without them."""
     pt = as_point(problem, z)
@@ -223,8 +219,7 @@ def kkt_check(problem: CompositeProblem, z, tol: float = 1e-8, *,
                       np.asarray(problem.F.eval(pt.x), dtype=float))
     w = Fx + pt.mu
     # prox_gstar(w), by the Moreau identity of ConvexPiece.prox_conjugate at sigma = 1
-    gstar = np.concatenate([wb - pb for wb, pb in zip(problem.blocks(w),
-                                                      prox or block_prox(problem, w))])
+    gstar = w - (problem.prox_g(w) if prox is None else prox)
     r = np.concatenate([J.T @ pt.mu, pt.mu - gstar])
     r1 = r[:problem.n]
     r2 = r[problem.n:]

@@ -4,7 +4,7 @@ cross-check of the stability equivalence at a KKT point.
 Verdicts always carry the tolerance they were decided at.  Everything that
 rests on sampling (the alternating-projection cone search) is reported as
 evidence, never as a certificate: the wording is "heuristic-likely".
-The point is evaluated once (``AnalysisPoint``): F, J and each block's
+The point is evaluated once (``AnalysisPoint``): F, J and the blockwise
 prox at wbar = F(x) + mu serve its KKT test, the blocks' subgradient
 tests, the uniqueness candidates' KKT tests and both probes'
 linearizations, so a report calls F, J and the weighted Hessian once
@@ -94,7 +94,6 @@ from .problem import (
     KKTPoint,
     KKTReport,
     as_point,
-    block_prox,
     kkt_check,
     linearized_residual,
 )
@@ -103,7 +102,8 @@ from .symmat import smat, svec, svec_order
 _RANK_TOL = 1e-10
 _CONIC_MAX_ITER = 50  # Newton iterations of one conic complementarity solve
 
-# the class codes of each block's frame coordinates in the named product cone
+# the class codes of frame coordinates in the named product cone, from a
+# block's structure or from the point's ``FrameCodes``
 _CONE_CODES = {"critical_polar_cone": lambda st: _POLAR[st.critical],
                "domain_normal_cone": lambda st: st.normal}
 
@@ -171,6 +171,16 @@ class ProbeStats:
     radius: float
     pieces: int
     failure: str
+
+
+class FrameCodes(NamedTuple):
+    """Each frame coordinate of an analysis point, over all blocks: its
+    class code in the critical cone and in the domain normal cone, and its
+    block's index (``AnalysisPoint.codes``)."""
+
+    critical: np.ndarray
+    normal: np.ndarray
+    block: np.ndarray
 
 
 class LocalModel(NamedTuple):
@@ -315,18 +325,19 @@ def mutual_span_residual(A: np.ndarray, B: np.ndarray) -> float:
 class AnalysisPoint:
     """A point evaluated once and tested once against the KKT system at
     ``opts.tol``, the tolerance of every test at the point.  F(x), J(x)
-    and each block's prox at wbar = F(x) + mu (``prox``) are evaluated
-    here, and every reader at the point takes them from it: the KKT test,
-    each block's subgradient test in its structure, the KKT tests of the
-    multiplier-uniqueness candidates (only mu moves) and the
-    linearization of both probes.  It keeps the block pairs
-    (piece, F(x)_b, mu_b).  The weighted Hessian, the block structures
-    (whose class codes give the cones; every block's subgradient test and
-    one classification per group of separable blocks of one kind, from
-    the problem's ``block_groups``), J_f, the local model, and each
-    cone's kernel and decision are computed on first use and kept, so the
-    checks that share one point compute each of them once, and a report
-    calls F, J and the weighted Hessian once each."""
+    and the blockwise prox at wbar = F(x) + mu (``prox``, one m-vector
+    from one call per group of separable blocks of one kind, by the
+    problem's ``block_groups``) are evaluated here, and every reader at
+    the point takes them from it: the KKT test, each block's subgradient
+    test in its structure, the KKT tests of the multiplier-uniqueness
+    candidates (only mu moves) and the linearization of both probes.  The
+    weighted Hessian, the block structures (whose class codes give the
+    cones; every block's subgradient test and one classification per
+    group), the frame coordinates' class codes with their blocks'
+    indices, J_f, the local model, each cone's kernel and decision, and
+    the block pairs (piece, F(x)_b, mu_b) are computed on first use and
+    kept, so the checks that share one point compute each of them once,
+    and a report calls F, J and the weighted Hessian once each."""
 
     def __init__(self, problem: CompositeProblem, z, opts: AnalyzerOptions | None = None,
                  *, _kkt_test: bool = True):
@@ -338,7 +349,7 @@ class AnalysisPoint:
         self.J = np.atleast_2d(np.asarray(problem.F.jacobian(pt.x), dtype=float))
         self.Fbar = np.asarray(problem.F.eval(pt.x), dtype=float)
         self.wbar = self.Fbar + pt.mu
-        self.prox = block_prox(problem, self.wbar)
+        self.prox = problem.prox_g(self.wbar)
         if _kkt_test:
             rep = self.kkt_test(pt.mu)
             if not rep.ok:
@@ -346,18 +357,21 @@ class AnalysisPoint:
                     f"point is not a KKT point at tolerance {self.opts.tol:.1e} "
                     f"(stationarity {rep.stationarity_norm:.3e}, "
                     f"fixed point {rep.fixed_point_norm:.3e})")
-        self.pairs = list(zip(problem.pieces, problem.blocks(self.Fbar), problem.blocks(pt.mu)))
         self._searches: dict[str, tuple[list[np.ndarray], str]] = {}
         self._kernels: dict[bytes, np.ndarray] = {}
 
+    @functools.cached_property
+    def pairs(self) -> list[tuple[ConvexPiece, np.ndarray, np.ndarray]]:
+        """Each block's (piece, F(x)_b, mu_b)."""
+        return list(zip(self.problem.pieces, self.problem.blocks(self.Fbar),
+                        self.problem.blocks(self.kkt.mu)))
+
     def kkt_test(self, mu: np.ndarray) -> KKTReport:
         """``kkt_check`` at (x, mu) for this point's x, at ``opts.tol``, from
-        the point's F and J; a block whose slice of F(x) + mu has the bits
-        of wbar's keeps the point's prox."""
-        w = self.problem.blocks(self.Fbar + mu)
-        prox = [pb if wb.tobytes() == vb.tobytes() else p.prox(wb)
-                for p, pb, wb, vb in zip(self.problem.pieces, self.prox, w,
-                                         self.problem.blocks(self.wbar))]
+        the point's F and J; each group and each other block of the
+        problem's ``block_groups`` whose part of F(x) + mu keeps the bits of
+        wbar's keeps the point's prox (``BlockGroups.prox_update``)."""
+        prox = self.problem.block_groups.prox_update(self.Fbar + mu, self.wbar, self.prox)
         return kkt_check(self.problem, KKTPoint(self.kkt.x, mu), self.opts.tol,
                          parts=(self.J, self.Fbar), prox=prox)
 
@@ -368,6 +382,14 @@ class AnalysisPoint:
         separable blocks of one kind, each block at its own kink tolerance."""
         return self.problem.block_groups.structures(self.Fbar, self.kkt.mu, self.opts.tol,
                                                     self.prox)
+
+    @functools.cached_property
+    def codes(self) -> FrameCodes:
+        """Every block's class codes and index, laid end to end once."""
+        sts = self.structures
+        return FrameCodes(np.concatenate([st.critical for st in sts]),
+                          np.concatenate([st.normal for st in sts]),
+                          np.repeat(np.arange(len(sts)), [st.critical.size for st in sts]))
 
     @functools.cached_property
     def polyhedral(self) -> bool:
@@ -392,8 +414,10 @@ class AnalysisPoint:
         coordinate of a |beta| = 1 block read as UP, a half-line kink) and
         the two kernels.  At a polyhedral point J and H are the point's
         own."""
-        codes = np.concatenate([np.where(c == BLOCK, UP, c) if np.sum(c == BLOCK) == 1 else c
-                                for c in (st.critical for st in self.structures)])
+        critical, _, index = self.codes
+        block = critical == BLOCK
+        single = np.bincount(index[block], minlength=len(self.structures)) == 1
+        codes = np.where(block & single[index], UP, critical)
         weight = np.concatenate([st.weight for st in self.structures])
         J, on = self.J_f, weight > 0.0
         H = self.hessian + _gram(J[on].T, weight[on]) if on.any() else self.hessian
@@ -425,9 +449,7 @@ class AnalysisPoint:
         at ``opts.tol`` on the rows outside the PINNED rows P and 0 on P:
         the points of null(J^T) that are 0 on P, in frame coordinates,
         computed once per P."""
-        codes = np.concatenate([_CONE_CODES[cone_name](st) for st in self.structures])
-        groups = np.repeat(np.arange(len(self.structures)),
-                           [st.critical.size for st in self.structures])
+        codes, groups = _CONE_CODES[cone_name](self.codes), self.codes.block
         free = codes != PINNED
         key = free.tobytes()
         if key not in self._kernels:
@@ -996,10 +1018,19 @@ def _modulus(D: np.ndarray, Z: np.ndarray) -> float:
 
     Past 15 pairs (6 rows), where the stack costs less than the pairs it
     spares, every pair's quotient is first taken from row sums of squares,
-    which may round otherwise than ``np.linalg.norm``: row i's pairs (i, j),
-    j > i, from one stack of the differences of [D_i, Z_i] from the later
-    rows, so for k rows the memory is bounded by k (dim D + dim Z), not
-    by k^2 times that.  The scalar formula then runs only on
+    which may round otherwise than ``np.linalg.norm``, over the rows in
+    chunks: the pairs (i, j), j > i, of as many consecutive rows i as keep
+    one stack of the differences of [D_i, Z_i] from the later rows within
+    2^13 entries (64 KB), or of one row.  So a small stack takes few
+    chunks, and for k rows the memory is bounded by max(2^13, k (dim D +
+    dim Z)) entries, not by k^2 (dim D + dim Z); chunks of 2^15 entries
+    or more measured slower than single rows on the probe's stacks of 46
+    to 214 columns.  A chunk of several rows gathers its pairs by index,
+    and a one-row chunk subtracts a view of the later rows, with the same
+    bits: on the 36 stacks of the seed-7 analyze-nlp reports at the CLI
+    defaults, gathering the one-row chunks too measured 37.6 ms against
+    31.3 ms (medians of 20 alternating passes on a 2-vCPU shared host, one
+    BLAS thread), and on a 51 x 1200 stack 2.97 against 2.73 ms.  The scalar formula then runs only on
     the pairs where that can matter: a quotient within a relative 1e-9 of
     the largest one, a gap within a relative 1e-9 of the cut, and a sum of
     squares that is not finite or lies near overflow or underflow.  So
@@ -1011,10 +1042,12 @@ def _modulus(D: np.ndarray, Z: np.ndarray) -> float:
         if i.size > 15:
             DZ, parts = np.concatenate([D, Z], axis=1), (0, D.shape[1])
             sums = np.empty((i.size, 2))  # per pair: |D_i - D_j|^2, |Z_i - Z_j|^2
+            rows = max(1, (1 << 13) // (k * DZ.shape[1]))  # rows per chunk
             start = 0
-            for a in range(k - 1):  # row a's pairs (a, a + 1), ..., (a, k - 1)
-                end = start + k - 1 - a
-                diff = DZ[a] - DZ[a + 1:]
+            for a in range(0, k - 1, rows):  # rows a, ..., b - 1: pairs start, ..., end - 1
+                b = min(a + rows, k - 1)
+                end = start + (b - a) * (2 * k - a - b - 1) // 2
+                diff = DZ[a] - DZ[a + 1:] if rows == 1 else DZ[i[start:end]] - DZ[j[start:end]]
                 diff *= diff
                 np.add.reduceat(diff, parts, axis=1, out=sums[start:end])
                 start = end
@@ -1140,7 +1173,7 @@ def _exact_probe(point: AnalysisPoint, deltas: np.ndarray) -> ProbeStats:
         y = ((b @ U) / s) @ Vr
         return y + (((f - y @ m.H) @ ZV) / m.lam) @ ZV.T
 
-    side_tol = float(_kink_tol(np.concatenate([xb + ub for _, xb, ub in point.pairs]))[0])
+    side_tol = float(_kink_tol(point.wbar)[0])
     d1, d2 = deltas[:, :n], point.coords(deltas[:, n:])
     if weight.any():
         d1 = d1 - (weight * d2) @ J
@@ -1205,16 +1238,16 @@ def _b_derivative_residual(point: AnalysisPoint, dz: np.ndarray,
                            deltas: np.ndarray) -> np.ndarray:
     """The residual of the B-derivative's equation at each row of dz:
     H dx + J^T dmu - delta1 and e - Pi'(wbar; e + dmu) for the excess
-    e = J dx + delta2, with each block's ``prox_dirderiv`` at its
-    wbar = F(xbar)_b + mu_b called once, on the stack of every row's
-    directions."""
+    e = J dx + delta2, from one ``prox_dirderiv`` call of the problem's
+    ``block_groups`` at wbar = F(xbar) + mu, on the stack of every row's
+    directions: one call per group of separable blocks of one kind and per
+    other block."""
     n = point.problem.n
     dx, dmu = dz[:, :n], dz[:, n:]
     e = dx @ point.J.T + deltas[:, n:]
     r1 = dx @ point.hessian + dmu @ point.J - deltas[:, :n]
-    dirderiv = [p.prox_dirderiv(xb + ub, db)
-                for (p, xb, ub), db in zip(point.pairs, point.problem.blocks(e + dmu))]
-    return np.concatenate([r1, e - np.concatenate(dirderiv, axis=1)], axis=1)
+    dirderiv = point.problem.block_groups.prox_dirderiv(point.wbar, e + dmu)
+    return np.concatenate([r1, e - dirderiv], axis=1)
 
 
 def _projection_and_newton_matrix(z: np.ndarray, A: np.ndarray, eye: np.ndarray,

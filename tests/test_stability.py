@@ -1313,7 +1313,7 @@ def _assert_same_structures(got, want, label):
 
 def _per_block_structures(point):
     return [p.structure(xb, ub, point.opts.tol, pb)
-            for (p, xb, ub), pb in zip(point.pairs, point.prox)]
+            for (p, xb, ub), pb in zip(point.pairs, point.problem.blocks(point.prox))]
 
 
 def _kink_block(rng, kind, sign):
@@ -1456,12 +1456,75 @@ def test_grouped_subgradient_tests_raise_as_each_block_does():
     assert decided == {True, False}
 
 
+def _per_block_map(problem, method, w, *args):
+    """The per-block loop of a piece method over the blocks of w (and of
+    each array among args), concatenated: the oracle of ``BlockGroups``."""
+    parts = [problem.blocks(a) if isinstance(a, np.ndarray) else [a] * len(problem.pieces)
+             for a in args]
+    return np.concatenate([getattr(p, method)(wb, *rest) for p, wb, *rest
+                           in zip(problem.pieces, problem.blocks(w), *parts)], axis=-1)
+
+
+def test_grouped_prox_maps_have_the_bits_of_the_per_block_loops():
+    # BlockGroups.prox and prox_conjugate at sigma 0.5, 1 and 3, and
+    # prox_dirderiv at wbar, equal the per-block loops bit for bit, on one
+    # point and on stacks, and so does prox_update on points: at the
+    # battery, the pair battery (PSD and separable blocks), the analyze-nlp
+    # plants of seed 7 and the _kink_problem mixes (infinite and narrow
+    # boxes, blocks whose magnitudes differ by up to 1e9, epi lifts, PSD
+    # blocks alone and lifted), whose coordinates +-t from a kink read
+    # their own block's tolerance t
+    cases = [(name, *load_battery(name)) for name in BATTERY_NAMES]
+    cases = [(name, problem, meta.known_solution) for name, problem, meta in cases]
+    cases.append(("pair_battery", *_pair_battery_problem()))
+    cases += [(problem.name, problem, meta.known_solution)
+              for problem, meta in _analyze_nlp_plants(7)]
+    rng = np.random.default_rng(13)
+    cases += [(f"kink-{k}", *_kink_problem(rng, psd=k % 3 == 0)) for k in range(30)]
+
+    def same(got, want, label):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                          want.tobytes()), label
+
+    for name, problem, z in cases:
+        groups = problem.block_groups
+        wbar = problem.F.eval(z.x) + z.mu
+        scale = np.abs(wbar) + 1.0
+        W = np.vstack([wbar, wbar + 1e-9 * scale * rng.standard_normal(wbar.size),
+                       scale * rng.standard_normal((4, wbar.size))])
+        for w in (wbar, W, W[None]):
+            for sigma in (0.5, 1.0, 3.0):
+                for method in ("prox", "prox_conjugate"):
+                    same(getattr(groups, method)(w, sigma),
+                         _per_block_map(problem, method, w, sigma), (name, method, sigma))
+        D = scale * rng.standard_normal((5, wbar.size))
+        for d in (D[0], D, D[:, None]):
+            same(groups.prox_dirderiv(wbar, d), _per_block_map(problem, "prox_dirderiv", wbar, d),
+                 (name, "prox_dirderiv", d.shape))
+        # prox_update from the prox at wbar, at points that move all, one or
+        # none of the blocks
+        moved = []
+        for b in (0, len(problem.pieces) - 1):
+            v, block = wbar.copy(), slice(problem.offsets[b], problem.offsets[b + 1])
+            v[block] = W[2, block]
+            moved.append(v)
+        pbar = groups.prox(wbar)
+        for v in (wbar, W[1], W[2], *moved):
+            same(groups.prox_update(v, wbar, pbar), _per_block_map(problem, "prox", v, 1.0),
+                 (name, "prox_update"))
+        same(problem.prox_g(W, 3.0), _per_block_map(problem, "prox", W, 3.0), name)
+        same(problem.prox_gstar(W, 0.5), _per_block_map(problem, "prox_conjugate", W, 0.5), name)
+
+
 @pytest.mark.parametrize("name", BATTERY_NAMES + ("pair_battery", "analyze-nlp", "analyze-sdp"))
 def test_each_report_evaluates_its_point_once(monkeypatch, name):
-    # F, J and the weighted Hessian run once per report, and each block's
-    # prox once at its slice of wbar = F(x) + mu: the analysis point's one
-    # evaluation serves the KKT test, the subgradient tests, the
-    # uniqueness candidates and the probe
+    # F, J and the weighted Hessian run once per report, and the blockwise
+    # prox once at wbar = F(x) + mu over the whole report: each group of
+    # the problem's block groups runs its joined piece's prox once at its
+    # coordinates of wbar, and each other block its piece's prox once at
+    # its slice.  The analysis point's one evaluation serves the KKT test,
+    # the subgradient tests, the uniqueness candidates (which project again
+    # only the parts that moved) and the probe
     if name == "pair_battery":
         cases = [(*_pair_battery_problem(), FAST)]
     elif name in BATTERY_NAMES:
@@ -1483,8 +1546,12 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
                 return _fn(*args)
 
             monkeypatch.setattr(problem.F, attr, counted)
-        at_wbar = [0] * len(problem.pieces)
-        for i, (p, wb) in enumerate(zip(problem.pieces, problem.blocks(wbar))):
+        groups = problem.block_groups
+        targets = ([(piece, wbar[index]) for piece, index, _ in groups.groups]
+                   + [(p, wbar[block]) for p, block in groups.own])
+        assert len(targets) <= len(problem.pieces), problem.name
+        at_wbar = [0] * len(targets)
+        for i, (p, wb) in enumerate(targets):
             def prox(v, *args, _i=i, _wb=wb, _prox=p.prox, _at_wbar=at_wbar):
                 v = np.asarray(v, dtype=float)
                 _at_wbar[_i] += v.shape == _wb.shape and v.tobytes() == _wb.tobytes()
@@ -1493,7 +1560,7 @@ def test_each_report_evaluates_its_point_once(monkeypatch, name):
             monkeypatch.setattr(p, "prox", prox)
         equivalence_report(problem, z, opts)
         assert calls == dict.fromkeys(calls, 1), (problem.name, calls)
-        assert at_wbar == [1] * len(problem.pieces), (problem.name, at_wbar)
+        assert at_wbar == [1] * len(targets), (problem.name, at_wbar)
 
 
 @pytest.mark.parametrize("check", [check_gamma_properties, check_gamma_fixed_point_bound])
@@ -3194,15 +3261,17 @@ def test_the_stacked_modulus_has_the_bits_of_the_scalar_loop():
     # orthogonal, so every quotient is 1 up to an ulp or so), with repeated
     # deltas, gaps within a few ulps of the 1e-12 cut, and overflowing or
     # NaN rows: the modulus has the bits of the scalar loop, with no warning.
-    # The last two stacks have the probe's 51 rows at the CLI defaults and
-    # 1,200 columns, about the 400-block plant's n + m
+    # The last five stacks have the probe's 51 rows at the CLI defaults:
+    # three with 6, 18 and 60 columns, taken in chunks of 26, 8 and 2 rows,
+    # and two with 1,200 columns, about the 400-block plant's n + m, one row
+    # at a time
     import kktstab.stability as st
 
     rng = np.random.default_rng(17)
-    for k in range(402):
+    for k in range(405):
         n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 40))
         if k >= 400:
-            n, dim = 51, 1200
+            n, dim = 51, (1200, 1200, 3, 9, 30)[k - 400]
         D = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 3)
         Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0] * 10.0 ** rng.integers(-2, 3)
         Z = D @ Q + (0.0 if k % 2 else 1e-13 * rng.standard_normal((n, dim)))
@@ -3288,9 +3357,24 @@ def test_a_non_finite_exact_probe_residual_reads_undecided(monkeypatch):
 
 def test_the_b_derivative_check_calls_each_blocks_prox_dirderiv_once(monkeypatch):
     # the |beta| = 1 analyze-sdp plants of seed 7 and sdp_toy (|beta| = 0):
-    # at every oriented point the check takes each block's directional
-    # derivative once, on the stack of every delta's direction
+    # at every oriented point the check takes the blocks' directional
+    # derivatives from one call of the problem's block groups, which makes
+    # one call per group of separable blocks and one per other block, on
+    # the stack of every delta's direction; so do mixed points of
+    # separable groups, epi lifts and PSD blocks alone and lifted
     import kktstab.stability as st
+
+    def spied(problem):
+        groups, calls = problem.block_groups, []
+        targets = [(piece, "_dirderiv", index.size) for piece, index, _ in groups.groups]
+        targets += [(p, "prox_dirderiv", p.dim) for p, _ in groups.own]
+        for piece, attr, _ in targets:
+            def counted(z, d, *args, real=getattr(piece, attr), _piece=piece):
+                calls.append((id(_piece), np.shape(d)))
+                return real(z, d, *args)
+
+            monkeypatch.setattr(piece, attr, counted)
+        return calls, [(id(piece), size) for piece, _, size in targets]
 
     plants, opts = _analyze_sdp(7)
     cases = [((problem, meta), opts) for problem, meta, plant in plants
@@ -3299,19 +3383,24 @@ def test_the_b_derivative_check_calls_each_blocks_prox_dirderiv_once(monkeypatch
     checked = 0
     for (problem, meta), opts in cases:
         point = AnalysisPoint(problem, meta.known_solution, opts)
-        calls = []
-        for p, _, _ in point.pairs:
-            def counted(z, d, real=p.prox_dirderiv):
-                calls.append(np.shape(d))
-                return real(z, d)
-
-            monkeypatch.setattr(p, "prox_dirderiv", counted)
+        calls, targets = spied(problem)
         deltas, _ = _probe_deltas(problem.n + problem.m, opts)
         stats = st._exact_probe(point, deltas)
         assert stats.failures == 0
         if stats.violations == 0:
-            assert calls == [(len(deltas), p.dim) for p, _, _ in point.pairs]
+            assert calls == [(t, (len(deltas), size)) for t, size in targets]
             checked += 1
         else:
             assert calls == []  # the certificate needs no solution
     assert checked == 13
+    rng = np.random.default_rng(11)
+    joined = 0  # the most blocks in one group
+    for k in range(12):
+        problem, z = _kink_problem(rng, psd=k % 2 == 0)
+        point = AnalysisPoint(problem, z, _kkt_test=False)
+        calls, targets = spied(problem)
+        dz, deltas = rng.standard_normal((2, 7, problem.n + problem.m))
+        st._b_derivative_residual(point, dz, deltas)
+        assert calls == [(t, (7, size)) for t, size in targets], k
+        joined = max([joined] + [sizes.size for *_, (_, sizes) in problem.block_groups.groups])
+    assert joined > 1
